@@ -24,6 +24,7 @@ from .fields import (
     ChartMismatch,
     ExprField,
     VectorFieldExpr,
+    compile_exprs,
     constant,
     lie_bracket,
 )
@@ -177,17 +178,17 @@ def parallel_transport(bundle: FlatDiskBundle,
     steps = 0
     nfev = 0
     escaped = False
-    total = bundle.total_chart
+    b = bundle.base_dim
+    lift = compile_exprs(bundle.total_chart, tuple(
+        c.expr for c in bundle.lift_u + bundle.lift_v)).scalar
     for P, Q in zip(verts[:-1], verts[1:]):
         dP = Q - P
+        p0, dp = P.tolist(), dP.tolist()
 
         def rhs(t, y):
-            s = P + t * dP
-            env = total.env(np.concatenate([s, y]))
-            du = sum(dP[j] * bundle.lift_u[j].expr.eval(env)
-                     for j in range(bundle.base_dim))
-            dv = sum(dP[j] * bundle.lift_v[j].expr.eval(env)
-                     for j in range(bundle.base_dim))
+            comps = lift(*[a + t * d for a, d in zip(p0, dp)], *y.tolist())
+            du = sum(d * c for d, c in zip(dp, comps[:b]))
+            dv = sum(d * c for d, c in zip(dp, comps[b:]))
             return [du, dv]
 
         def escape(t, y):

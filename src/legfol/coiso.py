@@ -13,6 +13,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from . import forms as fm
 from . import symplin as sl
@@ -22,6 +25,7 @@ from .fields import (
     ExprField,
     SmoothMapExpr,
     VectorFieldExpr,
+    compile_exprs,
     constant,
     coordinate,
     lie_bracket,
@@ -30,6 +34,9 @@ from .fields import (
 )
 
 RANK_TOL = 1e-8
+# Grid rows evaluated per batch in singular_scan: bounds the memory of the
+# coefficient and gradient arrays for any grid size.
+SCAN_BLOCK_ROWS = 4096
 
 
 def ambient_chart(n: int) -> Chart:
@@ -159,27 +166,23 @@ def _grid_points(dim: int, box: float, step: float) -> np.ndarray:
 
 
 def _cluster(points: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clustering: points closer than radius join a cluster."""
+    """Single-linkage clustering: points within radius join a cluster.
+
+    Groups are ordered by their smallest index, members ascending.
+    """
     m = len(points)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    r2 = radius * radius
-    for i in range(m):
-        d2 = np.sum((points[i + 1:] - points[i]) ** 2, axis=1)
-        for off in np.nonzero(d2 <= r2)[0]:
-            ra, rb = find(i), find(i + 1 + off)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    if m == 0:
+        return []
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                       shape=(m, m))
+    _, labels = connected_components(graph, directed=False)
+    # A stable sort keeps members ascending; groups then follow their
+    # first member.
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    groups.sort(key=lambda g: g[0])
+    return [g.tolist() for g in groups]
 
 
 def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
@@ -196,20 +199,24 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     src = Y.source_chart
     k = src.dim
     coeff_fields = [lam.coeff((i,)) for i in range(k)]
-    grad_fields = [[c.diff(v) for v in src.var_names] for c in coeff_fields]
+    grad_fields = [c.diff(v) for c in coeff_fields for v in src.var_names]
+    compiled = compile_exprs(
+        src, tuple(f.expr for f in coeff_fields + grad_fields))
     pts = _grid_points(k, box, step)
     if pts.size == 0:
         raise ValueError("empty scan grid")
-    hits = []
-    for p in pts:
-        vals = [c.eval(p) for c in coeff_fields]
-        gnorm = float(np.sqrt(sum(
-            g.eval(p) ** 2 for row in grad_fields for g in row)))
-        thresh = tol * (1.0 + gnorm)
-        if all(abs(v) <= thresh for v in vals):
-            hits.append(p)
-    hits_arr = np.array(hits) if hits else np.zeros((0, k))
-    clusters = _cluster(hits_arr, 3.0 * step) if len(hits_arr) else []
+    is_hit = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), SCAN_BLOCK_ROWS):
+        rows = slice(start, start + SCAN_BLOCK_ROWS)
+        block = compiled.batch(pts[rows])
+        vals, grads = block[:, :k], block[:, k:]
+        gsq = 0.0
+        for j in range(grads.shape[1]):  # summed in the order of the fields
+            gsq = gsq + grads[:, j] ** 2
+        thresh = tol * (1.0 + np.sqrt(gsq))
+        is_hit[rows] = np.all(np.abs(vals) <= thresh[:, None], axis=1)
+    hits_arr = pts[is_hit]
+    clusters = _cluster(hits_arr, 3.0 * step)
     dims, flags = [], []
     cutoff = (2.0 * step) ** 2
     for idx in clusters:

@@ -8,9 +8,10 @@ oracle remains a genuinely independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -73,8 +74,10 @@ class Chart:
         return out
 
     def env(self, point: Sequence[float]) -> dict[str, float]:
+        # Plain floats, so the tree walk does Python float arithmetic: the
+        # same as the compiled scalar path, and free of numpy warnings.
         red = self.reduce(point)
-        return dict(zip(self.var_names, red))
+        return dict(zip(self.var_names, red.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +249,7 @@ class Div(_Binary):
         )
 
     def eval(self, env):
-        num = self.left.eval(env)
-        den = self.right.eval(env)
-        if den == 0.0:
-            raise EvaluationError("division by zero")
-        return num / den
+        return _checked_div(self.left.eval(env), self.right.eval(env))
 
     def subs(self, mapping):
         return div(self.left.subs(mapping), self.right.subs(mapping))
@@ -273,10 +272,7 @@ class Pow(Expr):
         )
 
     def eval(self, env):
-        b = self.base.eval(env)
-        if b == 0.0 and self.exponent < 0:
-            raise EvaluationError("zero raised to negative power")
-        return b ** self.exponent
+        return _checked_pow(self.base.eval(env), self.exponent)
 
     def subs(self, mapping):
         return pow_(self.base.subs(mapping), self.exponent)
@@ -309,7 +305,7 @@ class Sin(_Func):
         return mul(Cos(self.arg), self.arg.diff(var))
 
     def eval(self, env):
-        return math.sin(self.arg.eval(env))
+        return _checked_sin(self.arg.eval(env))
 
 
 class Cos(_Func):
@@ -319,7 +315,7 @@ class Cos(_Func):
         return mul(mul(Const(-1.0), Sin(self.arg)), self.arg.diff(var))
 
     def eval(self, env):
-        return math.cos(self.arg.eval(env))
+        return _checked_cos(self.arg.eval(env))
 
 
 class Exp(_Func):
@@ -329,10 +325,7 @@ class Exp(_Func):
         return mul(Exp(self.arg), self.arg.diff(var))
 
     def eval(self, env):
-        v = math.exp(self.arg.eval(env))
-        if not math.isfinite(v):
-            raise EvaluationError("exp overflow")
-        return v
+        return _checked_exp(self.arg.eval(env))
 
 
 def _is_const(e: Expr, v: float) -> bool:
@@ -411,6 +404,219 @@ def _tight_str(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Checked scalar operations
+#
+# The tree walk and the compiled scalar path share these, so both raise
+# EvaluationError on the same inputs; the batch path mirrors them with numpy.
+# Add, Sub and Mul are unchecked: an overflow there yields inf, which either
+# disappears (1/inf = 0) or makes the final value non-finite.
+# ---------------------------------------------------------------------------
+
+
+def _checked_div(num: float, den: float) -> float:
+    if den == 0.0:
+        raise EvaluationError("division by zero")
+    return num / den
+
+
+def _checked_pow(base: float, k: int) -> float:
+    if base == 0.0 and k < 0:
+        raise EvaluationError("zero raised to negative power")
+    try:
+        return base ** k
+    except OverflowError:  # finite base, infinite power
+        raise EvaluationError(f"power overflow: {base!r}^{k}") from None
+
+
+def _checked_exp(x: float) -> float:
+    try:
+        v = math.exp(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise EvaluationError(f"exp overflow: exp({x!r})")
+    return v
+
+
+def _checked_sin(x: float) -> float:
+    try:
+        return math.sin(x)
+    except ValueError:  # infinite argument
+        raise EvaluationError(f"sin({x!r})") from None
+
+
+def _checked_cos(x: float) -> float:
+    try:
+        return math.cos(x)
+    except ValueError:
+        raise EvaluationError(f"cos({x!r})") from None
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation
+# ---------------------------------------------------------------------------
+
+
+class _RowError(Exception):
+    """A checked batch operation failed; row is the first row it failed on."""
+
+    def __init__(self, what: str, bad):
+        super().__init__(what)
+        self.row = int(np.flatnonzero(np.atleast_1d(bad))[0])
+
+
+def _check_rows(bad, what: str):
+    if np.any(bad):
+        raise _RowError(what, bad)
+
+
+def _np_div(num, den):
+    _check_rows(np.equal(den, 0.0), "division by zero")
+    return num / den
+
+
+def _np_pow(base, k: int):
+    v = base ** k
+    # Also catches 0^-k, which numpy makes inf.
+    _check_rows(np.isinf(v) & np.isfinite(base), "power overflow")
+    return v
+
+
+def _np_exp(x):
+    v = np.exp(x)
+    _check_rows(~np.isfinite(v), "exp overflow")
+    return v
+
+
+# The two bindings of the names the generated code calls.  sin and cos of
+# an infinite argument need no batch check: the NaN they give reaches the
+# output, whose finiteness is checked.
+_NUMPY_OPS = {"_div": _np_div, "_pow": _np_pow, "_exp": _np_exp,
+              "_sin": np.sin, "_cos": np.cos}
+_FLOAT_OPS = {"_div": _checked_div, "_pow": _checked_pow, "_exp": _checked_exp,
+              "_sin": _checked_sin, "_cos": _checked_cos}
+_INFIX = {Add: "+", Sub: "-", Mul: "*"}
+_CALLS = {Div: "_div", Sin: "_sin", Cos: "_cos", Exp: "_exp"}
+
+
+def _literal(v: float) -> str:
+    return repr(v) if math.isfinite(v) else f"float('{v!r}')"
+
+
+def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> str:
+    """Source of ``_fn(x0, ..., x{dim-1})`` returning one value per expression.
+
+    Each distinct subtree gets one temporary, so a subtree shared by several
+    expressions, or repeated inside one, is computed once per call.
+    """
+    lines: list[str] = []
+    temps: dict[Expr, str] = {}
+
+    def emit(code: str) -> str:
+        name = f"t{len(lines)}"
+        lines.append(f"    {name} = {code}")
+        return name
+
+    def visit(e: Expr) -> str:
+        if isinstance(e, Const):
+            return _literal(e.value)
+        name = temps.get(e)
+        if name is not None:
+            return name
+        if isinstance(e, Var):
+            i = chart.index(e.name)
+            per = chart.periods[i]
+            name = f"x{i}" if per is None else emit(f"x{i} % {float(per)!r}")
+        elif isinstance(e, Pow):
+            name = emit(f"_pow({visit(e.base)}, {e.exponent})")
+        elif type(e) in _INFIX:
+            name = emit(f"{visit(e.left)} {_INFIX[type(e)]} {visit(e.right)}")
+        elif isinstance(e, Div):
+            name = emit(f"_div({visit(e.left)}, {visit(e.right)})")
+        elif type(e) in _CALLS:
+            name = emit(f"{_CALLS[type(e)]}({visit(e.arg)})")
+        else:
+            raise TypeError(f"cannot compile {type(e).__name__}")
+        temps[e] = name
+        return name
+
+    outputs = [visit(e) for e in exprs]
+    args = ", ".join(f"x{i}" for i in range(chart.dim))
+    return "\n".join([f"def _fn({args}):", *lines,
+                      f"    return ({', '.join(outputs)},)", ""])
+
+
+class CompiledExprs:
+    """Expressions on one chart, compiled to one generated function.
+
+    ``batch`` evaluates an ``(N, dim)`` point array with numpy ufuncs and
+    returns ``(N, len(exprs))``; ``scalar`` evaluates one point given as
+    plain floats, with ``math``, and returns a tuple.  Periodic coordinates
+    are reduced like ``Chart.reduce``.  Both raise EvaluationError wherever
+    the tree walk (``ExprField.eval``) does.
+    """
+
+    def __init__(self, chart: Chart, exprs: tuple[Expr, ...]):
+        self.chart = chart
+        self._outputs = len(exprs)
+        self.source = _codegen(chart, exprs)
+        code = compile(self.source, "<legfol compiled fields>", "exec")
+        self._batch_fn = self._bind(code, _NUMPY_OPS)
+        self._scalar_fn = self._bind(code, _FLOAT_OPS)
+
+    @staticmethod
+    def _bind(code, ops) -> Callable:
+        namespace = dict(ops)
+        exec(code, namespace)
+        return namespace["_fn"]
+
+    def batch(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.size == 0:
+            return np.empty((0, self._outputs))
+        if pts.ndim != 2 or pts.shape[1] != self.chart.dim:
+            raise ValueError(f"points have shape {pts.shape}, expected "
+                             f"(N, {self.chart.dim})")
+        try:
+            with np.errstate(all="ignore"):
+                values = self._batch_fn(*np.ascontiguousarray(pts.T))
+        except _RowError as exc:
+            # exc.row failed the first check that failed anywhere; an earlier
+            # row may fail a later check.  The scalar path finds the first
+            # failing row and says why it fails, as the tree walk would.
+            row, reason = exc.row, str(exc)
+            for i in range(exc.row + 1):
+                try:
+                    self.scalar(*pts[i])
+                except EvaluationError as err:
+                    row, reason = i, str(err)
+                    break
+            raise EvaluationError(
+                f"row {row}, point {pts[row].tolist()}: {reason}") from None
+        out = np.empty((len(pts), len(values)))
+        for j, v in enumerate(values):
+            out[:, j] = v
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise EvaluationError(
+                f"row {row}, point {pts[row].tolist()}: non-finite value")
+        return out
+
+    def scalar(self, *coords: float) -> tuple[float, ...]:
+        out = self._scalar_fn(*map(float, coords))
+        if not all(map(math.isfinite, out)):
+            raise EvaluationError(f"non-finite value at {list(coords)}")
+        return out
+
+
+@functools.lru_cache(maxsize=512)
+def compile_exprs(chart: Chart, exprs: tuple[Expr, ...]) -> CompiledExprs:
+    """Compile expressions once per (chart, exprs); later calls hit a cache."""
+    return CompiledExprs(chart, exprs)
+
+
+# ---------------------------------------------------------------------------
 # Fields, vector fields, maps
 # ---------------------------------------------------------------------------
 
@@ -435,10 +641,16 @@ class ExprField:
         return ExprField(self.chart, self.expr.diff(var))
 
     def eval(self, point: Sequence[float]) -> float:
+        """Tree walk at one point: the reference the compiled paths match."""
         v = self.expr.eval(self.chart.env(point))
         if not math.isfinite(v):
             raise EvaluationError(f"non-finite value at {list(point)}")
         return v
+
+    def compile(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Batched evaluator from (N, dim) points to (N,) values (cached)."""
+        batch = compile_exprs(self.chart, (self.expr,)).batch
+        return lambda points: batch(points)[:, 0]
 
     def on_chart(self, chart: Chart) -> "ExprField":
         """Recharter the same expression onto a chart containing its variables."""

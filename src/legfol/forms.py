@@ -23,6 +23,7 @@ from .fields import (
     SmoothMapExpr,
     VectorFieldExpr,
     add,
+    compile_exprs,
     mul,
     sub,
 )
@@ -103,6 +104,16 @@ class DiffForm:
             minor = V[list(idx), :]
             total += c.eval(point) * np.linalg.det(minor)
         return total
+
+    def coeff_array(self, points) -> np.ndarray:
+        """Coefficients at N points through the compiled batch path.
+
+        Returns (N, C(dim, degree)): one column per multi-index in
+        lexicographic order, zero where the form has no coefficient.
+        """
+        idxs = itertools.combinations(range(self.chart.dim), self.degree)
+        exprs = tuple(self.coeff(idx).expr for idx in idxs)
+        return compile_exprs(self.chart, exprs).batch(points)
 
     def coeff_values(self, point: Sequence[float]) -> dict[MultiIndex, float]:
         return {idx: c.eval(point) for idx, c in self.coeffs.items()}

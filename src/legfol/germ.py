@@ -244,10 +244,9 @@ def contactness_scan(g: GermForm, points: Sequence[Sequence[float]],
                      threshold: float = 1e-10) -> dict:
     """Min |top form| on the canonical frame and a sign-consistency flag."""
     top = fm.wedge(g.alpha, fm.wedge_power(fm.exterior_d(g.alpha), g.n))
-    coeff = top.coeff(tuple(range(g.chart.dim)))
-    vals = [coeff.eval(p) for p in points]
-    min_abs = float(min(abs(v) for v in vals))
-    signs = {1 if v > 0 else -1 if v < 0 else 0 for v in vals}
+    vals = top.coeff_array(points)[:, 0]
+    min_abs = float(np.min(np.abs(vals)))
+    signs = set(np.sign(vals).astype(int).tolist())
     sign_consistent = len(signs) == 1 and 0 not in signs
     return {
         "min_abs": min_abs,
@@ -372,11 +371,9 @@ def interpolation_contactness(g0: GermForm, g1: GermForm,
     for t in t_samples:
         alpha_t = g0.alpha.scale(1.0 - t) + g1.alpha.scale(t)
         top = fm.wedge(alpha_t, fm.wedge_power(fm.exterior_d(alpha_t), g0.n))
-        coeff = top.coeff(tuple(range(g0.chart.dim)))
-        for p in points:
-            v = coeff.eval(p)
-            min_abs = min(min_abs, abs(v))
-            signs.add(1 if v > 0 else -1 if v < 0 else 0)
+        vals = top.coeff_array(points)[:, 0]
+        min_abs = min(min_abs, float(np.min(np.abs(vals))))
+        signs.update(np.sign(vals).astype(int).tolist())
     ok = len(signs) == 1 and 0 not in signs and min_abs > tol
     return {
         "refused": False,
@@ -402,11 +399,8 @@ def volume_identity_residual(g: GermForm, f: ExprField,
         frame_names += [f"x{i}", f"y{i}"]
     frame_names.append("t")
     eye = np.eye(total.dim)
-    frame = [eye[total.index(v)] for v in frame_names]
-    f_t = f.on_chart(total)
-    worst = 0.0
-    for p in points:
-        lhs = top.evaluate(p, frame)
-        rhs = math.factorial(n) * f_t.eval(p)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    frame = np.column_stack([eye[total.index(v)] for v in frame_names])
+    # A top form has one coefficient; on the frame it scales by det(frame).
+    lhs = top.coeff_array(points)[:, 0] * np.linalg.det(frame)
+    rhs = math.factorial(n) * f.on_chart(total).compile()(points)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -165,6 +165,59 @@ class TestSingularScan:
         assert data["generic"]
 
 
+def union_find_clusters(points, radius):
+    """The O(m^2) single-linkage clustering _cluster replaced: the oracle."""
+    m = len(points)
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    r2 = radius * radius
+    for i in range(m):
+        d2 = np.sum((points[i + 1:] - points[i]) ** 2, axis=1)
+        for off in np.nonzero(d2 <= r2)[0]:
+            ra, rb = find(i), find(i + 1 + off)
+            if ra != rb:
+                parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+class TestCluster:
+    def test_flat_plane_hits(self):
+        step = 0.05
+        hits = co.singular_scan(co.legendrian_model(2), box=1.0, step=step).hits
+        assert len(hits) == 1681
+        assert co._cluster(hits, 3 * step) == union_find_clusters(hits, 3 * step)
+
+    @pytest.mark.parametrize("m, dim, radius", [(300, 2, 0.08), (500, 3, 0.15),
+                                                (200, 1, 0.01)])
+    def test_random_clouds(self, m, dim, radius, rng):
+        pts = rng.uniform(-1, 1, (m, dim))
+        got = co._cluster(pts, radius)
+        assert got == union_find_clusters(pts, radius)
+        assert 1 < len(got) < m
+
+    def test_pairs_at_exactly_radius_join(self):
+        pts = np.array([[0.0, 0.0], [5.0, 0.0], [1.0, 0.0], [3.0, 4.0],
+                        [3.0, 4.0 + 2 ** -20], [9.0, 9.0]])
+        got = co._cluster(pts, 1.0)
+        assert got == union_find_clusters(pts, 1.0)
+        assert got == [[0, 2], [1], [3, 4], [5]]
+        assert co._cluster(pts, 5.0) == union_find_clusters(pts, 5.0)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_tiny_inputs(self, m):
+        pts = np.zeros((m, 3))
+        assert co._cluster(pts, 0.1) == union_find_clusters(pts, 0.1)
+
+
 class TestPerturbation:
     def test_bump_removes_all_zeros(self, rng):
         Y = co.legendrian_model(2)
