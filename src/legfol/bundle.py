@@ -19,6 +19,7 @@ from scipy.linalg import null_space
 
 from . import coiso as co
 from . import forms as fm
+from . import symplin as sl
 from .fields import (
     Chart,
     ChartMismatch,
@@ -139,14 +140,13 @@ def flatness_check(bundle: FlatDiskBundle,
     """Max vertical component of pairwise lift brackets over sample points."""
     lifts = bundle.lifts()
     iu, iv = bundle.base_dim, bundle.base_dim + 1
-    worst = 0.0
-    for a, b in itertools.combinations(range(len(lifts)), 2):
-        br = lie_bracket(lifts[a], lifts[b])
-        for p in points:
-            worst = max(worst,
-                        abs(br.components[iu].eval(p)),
-                        abs(br.components[iv].eval(p)))
-    return worst
+    vertical = tuple(
+        br.components[i].expr
+        for br in itertools.starmap(lie_bracket,
+                                    itertools.combinations(lifts, 2))
+        for i in (iu, iv))
+    vals = compile_exprs(bundle.total_chart, vertical).batch(points)
+    return float(np.max(np.abs(vals), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -315,13 +315,12 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
 
     origin_norm = float(np.linalg.norm(beta_covec([0.0, 0.0])))
     away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * grid_step]
-    min_away = float(min(np.linalg.norm(beta_covec(p)) for p in away))
+    min_away = float(np.min(np.linalg.norm(beta.coeff_array(away), axis=1)))
     vanishing_ok = origin_norm <= tol and min_away > tol
 
-    dbeta = fm.exterior_d(beta)
-    frame = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    db_vals = [bundle.orientation * dbeta.evaluate(p, frame) for p in grid]
-    positivity_ok = min(db_vals) > tol
+    # d beta on the frame (d/du, d/dv) is its one coefficient
+    db_vals = bundle.orientation * fm.exterior_d(beta).coeff_array(grid)[:, 0]
+    positivity_ok = bool(np.min(db_vals) > tol)
 
     rng = np.random.default_rng(0)
     radii = rng.uniform(0.2, 0.7, invariance_samples) * bundle.radius
@@ -344,7 +343,8 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
     return {
         "vanishing": {"origin_norm": origin_norm, "min_away": min_away,
                       "ok": vanishing_ok},
-        "positivity": {"min_dbeta": float(min(db_vals)), "ok": positivity_ok},
+        "positivity": {"min_dbeta": float(np.min(db_vals)),
+                       "ok": positivity_ok},
         "invariance": {"max_residual": inv_residual, "escapes": escapes,
                        "ok": invariance_ok},
         "ok": vanishing_ok and positivity_ok and invariance_ok,
@@ -387,10 +387,7 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
             for j in range(i + 1, k):
                 M[i, j] = dlam.evaluate(p, [eye[i], eye[j]])
                 M[j, i] = -M[i, j]
-        scale = max(1.0, np.max(np.abs(M)))
-        s = np.linalg.svd(M, compute_uv=False)
-        rank = int(np.sum(s > tol * scale))
-        if rank != 2:
+        if sl.numeric_rank(M, tol) != 2:
             raise ValueError("non-generic singular structure")
         bases.append(null_space(M, rcond=tol).T)
         for V in tilde:

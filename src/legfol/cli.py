@@ -46,12 +46,11 @@ def _override_checks(sc: Scenario, tol: float | None,
 def _run(text: str, source: str, json_path: str | None, seed: int,
          tol: float | None, samples: int | None) -> int:
     try:
-        sc = parse_scenario(text)
+        sc = _override_checks(parse_scenario(text), tol, samples)
+        report = run_scenario(sc, seed=seed)
     except ScenarioError as exc:
         click.echo(f"{source}: {exc}", err=True)
         return 2
-    sc = _override_checks(sc, tol, samples)
-    report = run_scenario(sc, seed=seed)
     for c in report["checks"]:
         status = "ok  " if c["ok"] else "FAIL"
         click.echo(f"{status} {c['name']} [{c['kind']}] "
@@ -80,7 +79,7 @@ def _common(f):
                      help="Seed for the sample-point generator.")(f)
     f = click.option("--tol", type=float, default=None,
                      help="Override every check's tolerance.")(f)
-    f = click.option("--samples", type=int, default=None,
+    f = click.option("--samples", type=click.IntRange(min=1), default=None,
                      help="Override every check's sample count.")(f)
     return f
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -133,10 +132,6 @@ def graph_submanifold(n: int, k: int,
     if given:
         raise ValueError(f"unexpected components {sorted(given)}")
     return GraphSubmanifold(n, k, free, comps)
-
-
-def restricted_form(Y: GraphSubmanifold) -> fm.DiffForm:
-    return Y.lambda_form
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +317,44 @@ def residual_fields(Y: GraphSubmanifold) -> dict:
     return out
 
 
-def coisotropy_residuals(Y: GraphSubmanifold, point: Sequence[float]) -> dict:
-    """Evaluate every residual equation at a point.
+def _max_abs(values: np.ndarray, axis=None):
+    """Largest |value| (0 for none), over all entries or along an axis."""
+    return np.max(np.abs(values), axis=axis, initial=0.0)
 
-    The triple equations are recorded but excluded from max_residual, being
-    derivable from the others.
+
+def residual_values(Y: GraphSubmanifold,
+                    points: Sequence[Sequence[float]]) -> dict:
+    """Every residual equation at N points, through one compiled batch.
+
+    The keys of residual_fields map each index to an (N,) array.
+    "max_residual" holds, per point, the largest |eq_abn|, |eq_abyn| and
+    |eq_a|; "redundant_max" the largest |eq_abc|, which is recorded but
+    excluded from max_residual, being derivable from the others.
     """
-    fields_ = residual_fields(Y)
-    out = {}
-    for key, fam in fields_.items():
-        out[key] = {idx: f.eval(point) for idx, f in fam.items()}
-    binding = [v for key in ("eq_abn", "eq_abyn", "eq_a")
-               for v in out[key].values()]
-    out["max_residual"] = max((abs(v) for v in binding), default=0.0)
-    out["redundant_max"] = max(
-        (abs(v) for v in out["eq_abc"].values()), default=0.0)
+    fams = residual_fields(Y)
+    labels = [(key, idx) for key, fam in fams.items() for idx in fam]
+    vals = compile_exprs(Y.source_chart, tuple(
+        fams[key][idx].expr for key, idx in labels)).batch(points)
+    out = {key: {} for key in fams}
+    for col, (key, idx) in enumerate(labels):
+        out[key][idx] = vals[:, col]
+
+    def row_max(keys):
+        cols = [col for col, (key, _) in enumerate(labels) if key in keys]
+        return _max_abs(vals[:, cols], axis=1)
+
+    out["max_residual"] = row_max(("eq_abn", "eq_abyn", "eq_a"))
+    out["redundant_max"] = row_max(("eq_abc",))
+    return out
+
+
+def coisotropy_residuals(Y: GraphSubmanifold, point: Sequence[float]) -> dict:
+    """residual_values at one point, as floats."""
+    table = residual_values(Y, [point])
+    out = {key: {idx: float(v[0]) for idx, v in table[key].items()}
+           for key in ("eq_abc", "eq_abn", "eq_abyn", "eq_a", "lambda_ab")}
+    out["max_residual"] = float(table["max_residual"][0])
+    out["redundant_max"] = float(table["redundant_max"][0])
     return out
 
 
@@ -406,16 +424,16 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
     are conditional on coisotropy).
     """
     _require_standard(Y)
-    bad = []
-    for p in points:
-        r = coisotropy_residuals(Y, p)
-        if r["max_residual"] > tol:
-            bad.append((list(map(float, p)), r["max_residual"]))
-    if bad:
+    points = np.asarray(points, dtype=float)
+    table = residual_values(Y, points)
+    binding = table["max_residual"]
+    bad = np.flatnonzero(binding > tol)
+    if len(bad):
         return {
             "refused": True,
             "reason": "not coisotropic at sampled points",
-            "diagnostics": bad[:10],
+            "diagnostics": [(points[i].tolist(), float(binding[i]))
+                            for i in bad[:10]],
             "num_bad": len(bad),
         }
     tilde, ambient = build_Vk(Y)
@@ -423,27 +441,30 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
     emb = Y.embedding
-    res = {"i_V_alpha": 0.0, "i_V_dlambda": 0.0, "bracket": 0.0,
-           "lie_lambda": 0.0, "lambda_ab": 0.0}
-    for Vt, Va in zip(tilde, ambient):
-        ival = fm.interior(Va, alpha).coeff(())
-        idl = fm.interior(Vt, dlam)
-        ld = fm.lie_derivative(Vt, lam)
-        for p in points:
-            q = emb.eval(p)
-            res["i_V_alpha"] = max(res["i_V_alpha"], abs(ival.eval(q)))
-            res["i_V_dlambda"] = max(res["i_V_dlambda"], idl.max_coeff(p))
-            res["lie_lambda"] = max(res["lie_lambda"], ld.max_coeff(p))
-    for Vt, Wt in itertools.combinations(tilde, 2):
-        br = lie_bracket(Vt, Wt)
-        pushed = pushforward_field(emb, br)
-        for p in points:
-            val = max(abs(c.eval(p)) for c in pushed)
-            res["bracket"] = max(res["bracket"], val)
-    lam_fields = residual_fields(Y)["lambda_ab"]
-    for f in lam_fields.values():
-        for p in points:
-            res["lambda_ab"] = max(res["lambda_ab"], abs(f.eval(p)))
+    src, amb = Y.source_chart, Y.ambient
+
+    def worst(chart, fields_, at):
+        """Largest |field| over all the fields and points, in one batch."""
+        exprs = tuple(f.expr for f in fields_)
+        return float(_max_abs(compile_exprs(chart, exprs).batch(at)))
+
+    res = {"i_V_alpha": 0.0}
+    if tilde:  # the embedding is evaluated only where a field needs it
+        image = compile_exprs(src, tuple(c.expr for c in emb.components)
+                              ).batch(points)
+        res["i_V_alpha"] = worst(amb, [
+            fm.interior(Va, alpha).coeff(()) for Va in ambient], image)
+    res["i_V_dlambda"] = worst(src, [
+        c for Vt in tilde for c in fm.interior(Vt, dlam).coeffs.values()],
+        points)
+    res["bracket"] = worst(src, [
+        c for Vt, Wt in itertools.combinations(tilde, 2)
+        for c in pushforward_field(emb, lie_bracket(Vt, Wt))], points)
+    res["lie_lambda"] = worst(src, [
+        c for Vt in tilde
+        for c in fm.lie_derivative(Vt, lam).coeffs.values()], points)
+    res["lambda_ab"] = float(_max_abs(np.array(
+        list(table["lambda_ab"].values()))))
     res["refused"] = False
     res["max_residual"] = max(
         res[k] for k in ("i_V_alpha", "i_V_dlambda", "bracket",
@@ -470,6 +491,7 @@ def char_foliation_form(Y: GraphSubmanifold,
     the hyperplane annihilated by the restricted 1-form.
     """
     n, k = Y.n, Y.k
+    src = Y.source_chart
     alpha = standard_alpha(n)
     dalpha = fm.exterior_d(alpha)
     emb = Y.embedding
@@ -478,28 +500,29 @@ def char_foliation_form(Y: GraphSubmanifold,
         if 2 * (k - n) <= k else None
     lam = Y.lambda_form
     expected = 2 * n - k + 1
-    kernel_dims = []
+    covecs = lam.coeff_array(points)
+    keep = _max_abs(covecs, axis=1) > tol  # nonsingular samples only
+    pts = np.asarray(points, dtype=float)[keep]
+    covecs = covecs[keep]
+    used = len(pts)
+    M = fm.contraction_matrices(omega, pts)
+    kernel_dims = (k - sl.numeric_rank(M, tol)).tolist()
     max_residual = 0.0
-    used = 0
-    for p in points:
-        if lam.max_coeff(p) <= tol:
-            continue  # singular point
-        used += 1
-        M = fm.contraction_matrix(omega, p)
-        scale = max(1.0, np.max(np.abs(M)))
-        s = np.linalg.svd(M, compute_uv=False)
-        rank = int(np.sum(s > tol * scale))
-        kernel_dims.append(k - rank)
+    deg = 2 * (k - n)
+    if used and integ is not None and deg <= k - 1:
         # hyperplane ker(lambda_p) in source coordinates
-        covec = np.zeros(k)
-        for (i,), c in lam.coeffs.items():
-            covec[i] = c.eval(p)
-        Wbasis = null_space(covec.reshape(1, -1), rcond=1e-12).T
-        deg = 2 * (k - n)
-        if integ is not None and deg <= len(Wbasis):
-            for combo in itertools.combinations(range(len(Wbasis)), deg):
-                v = integ.evaluate(p, [Wbasis[i] for i in combo])
-                max_residual = max(max_residual, abs(v))
+        W = sl.hyperplane_bases(covecs)
+        vals = compile_exprs(src, tuple(
+            c.expr for c in integ.coeffs.values())).batch(pts)
+        # integ evaluated on deg-tuples of basis vectors: the coefficients
+        # times the deg x deg minors, summed as DiffForm.evaluate sums them
+        for combo in itertools.combinations(range(k - 1), deg):
+            V = W[:, list(combo), :].transpose(0, 2, 1)  # (used, k, deg)
+            total = 0.0
+            for col, idx in enumerate(integ.coeffs):
+                total = total + vals[:, col] * np.linalg.det(
+                    V[:, list(idx), :])
+            max_residual = max(max_residual, float(_max_abs(total)))
     return {
         "expected_kernel_dim": expected,
         "kernel_dims": kernel_dims,
@@ -561,10 +584,7 @@ def foliation_residual(Y: GraphSubmanifold,
     """Max of the pulled-back alpha ^ d(alpha) over sampled tangent 3-frames."""
     alpha = standard_alpha(Y.n)
     three = fm.pullback(Y.embedding, fm.wedge(alpha, fm.exterior_d(alpha)))
-    best = 0.0
-    for p in points:
-        best = max(best, three.max_coeff(p))
-    return best
+    return float(_max_abs(three.coeff_array(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +612,7 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
         for j in range(i + 1, k):
             M[i, j] = dlam.evaluate(point, [eye[i], eye[j]])
             M[j, i] = -M[i, j]
-    scale = max(1.0, np.max(np.abs(M)))
-    s = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(s > tol * scale))
+    rank = int(sl.numeric_rank(M, tol))
     if normal_pair is None:
         normal_pair = (f"x{Y.n}", f"y{Y.free_y[-1]}")
     i0, j0 = src.index(normal_pair[0]), src.index(normal_pair[1])

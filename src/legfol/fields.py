@@ -543,7 +543,7 @@ def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> str:
     outputs = [visit(e) for e in exprs]
     args = ", ".join(f"x{i}" for i in range(chart.dim))
     return "\n".join([f"def _fn({args}):", *lines,
-                      f"    return ({', '.join(outputs)},)", ""])
+                      f"    return ({''.join(o + ', ' for o in outputs)})", ""])
 
 
 class CompiledExprs:
@@ -704,10 +704,6 @@ def coordinate(chart: Chart, name: str) -> ExprField:
     return ExprField(chart, Var(name))
 
 
-def differentiate(field: ExprField, var: str) -> ExprField:
-    return field.diff(var)
-
-
 def fd_partial(field: ExprField, point: Sequence[float], var: str,
                step: float = 1e-5) -> float:
     """Central-difference partial derivative, independent of the symbolic path."""
@@ -760,11 +756,6 @@ def vector_field(chart: Chart, components: Sequence[ExprField | Expr | float]
         else:
             comps.append(constant(chart, float(c)))
     return VectorFieldExpr(chart, tuple(comps))
-
-
-def coordinate_vector(chart: Chart, name: str) -> VectorFieldExpr:
-    i = chart.index(name)
-    return vector_field(chart, [1.0 if j == i else 0.0 for j in range(chart.dim)])
 
 
 def lie_bracket(V: VectorFieldExpr, W: VectorFieldExpr) -> VectorFieldExpr:

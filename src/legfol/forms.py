@@ -309,11 +309,13 @@ def _insert_at_end_sign(idx: MultiIndex, j: int) -> tuple[int, MultiIndex]:
     return (-1) ** above, tuple(sorted(idx + (j,)))
 
 
-def contraction_matrix(omega: DiffForm, point: Sequence[float]) -> np.ndarray:
-    """Matrix of i_{e_j} omega over coordinate vectors; rows index the
-    (degree-1)-multi-indices, columns the chart coordinates.
+def contraction_matrices(omega: DiffForm, points) -> np.ndarray:
+    """Matrices of i_{e_j} omega over coordinate vectors at N points.
 
-    The numeric kernel of this matrix is ker(omega) at the point.
+    Returns (N, C(dim, degree - 1), dim): rows index the
+    (degree-1)-multi-indices, columns the chart coordinates.  The numeric
+    kernel of each matrix is ker(omega) at its point.  The coefficients are
+    evaluated in one compiled batch.
     """
     chart = omega.chart
     k = omega.degree
@@ -321,10 +323,16 @@ def contraction_matrix(omega: DiffForm, point: Sequence[float]) -> np.ndarray:
         raise ValueError("needs degree >= 1")
     sub_indices = list(itertools.combinations(range(chart.dim), k - 1))
     row_of = {idx: r for r, idx in enumerate(sub_indices)}
-    M = np.zeros((len(sub_indices), chart.dim))
-    vals = omega.coeff_values(point)
-    for idx, v in vals.items():
+    vals = compile_exprs(chart, tuple(
+        c.expr for c in omega.coeffs.values())).batch(points)
+    M = np.zeros((len(vals), len(sub_indices), chart.dim))
+    for col, idx in enumerate(omega.coeffs):
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
-            M[row_of[rest], i] += ((-1) ** pos) * v
+            M[:, row_of[rest], i] += ((-1) ** pos) * vals[:, col]
     return M
+
+
+def contraction_matrix(omega: DiffForm, point: Sequence[float]) -> np.ndarray:
+    """contraction_matrices at one point."""
+    return contraction_matrices(omega, [point])[0]

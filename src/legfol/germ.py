@@ -23,6 +23,7 @@ from .fields import (
     ExprField,
     SmoothMapExpr,
     VectorFieldExpr,
+    compile_exprs,
     constant,
     coordinate,
 )
@@ -234,12 +235,6 @@ def build_singular_germ(bundle: bd.FlatDiskBundle, beta: fm.DiffForm,
 # ---------------------------------------------------------------------------
 
 
-def top_form_value(g: GermForm, point: Sequence[float]) -> float:
-    """alpha ^ (d alpha)^n on the canonical coordinate frame."""
-    top = fm.wedge(g.alpha, fm.wedge_power(fm.exterior_d(g.alpha), g.n))
-    return top.coeff(tuple(range(g.chart.dim))).eval(point)
-
-
 def contactness_scan(g: GermForm, points: Sequence[Sequence[float]],
                      threshold: float = 1e-10) -> dict:
     """Min |top form| on the canonical frame and a sign-consistency flag."""
@@ -281,41 +276,33 @@ def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
     base = restricted.chart
     if expected.chart != base or expected.degree != 1:
         raise ValueError("expected form must be a 1-form on the section chart")
+    points = np.asarray(points, dtype=float)
     diff = restricted - expected
-    mismatches = []
-    max_resid = 0.0
-    for p in points:
-        for idx in set(restricted.coeffs) | set(expected.coeffs):
-            r = abs(diff.coeff(idx).eval(p))
-            if r > tol:
-                mismatches.append(
-                    {"point": list(map(float, p)),
-                     "index": [base.var_names[i] for i in idx],
-                     "residual": float(r)})
-            max_resid = max(max_resid, r)
-    kernel_ok = True
-    singular_points = 0
-    for p in points:
-        covec = np.array([restricted.coeff((i,)).eval(p)
-                          for i in range(base.dim)])
-        exp_covec = np.array([expected.coeff((i,)).eval(p)
-                              for i in range(base.dim)])
-        if np.linalg.norm(exp_covec) <= 1e-8:
-            singular_points += 1
-            if np.linalg.norm(covec) > 1e-8:
-                kernel_ok = False
-            continue
-        from scipy.linalg import null_space
-        k0 = sl.span(null_space(covec.reshape(1, -1), rcond=1e-12).T, base.dim)
-        k1 = sl.span(null_space(exp_covec.reshape(1, -1), rcond=1e-12).T,
-                     base.dim)
-        if not k0.equals(k1, 1e-8):
-            kernel_ok = False
+    idxs = list(set(restricted.coeffs) | set(expected.coeffs))
+    resid = np.abs(compile_exprs(base, tuple(
+        diff.coeff(idx).expr for idx in idxs)).batch(points))
+    # sample-major, then in the order of idxs
+    mismatches = [{"point": points[row].tolist(),
+                   "index": [base.var_names[i] for i in idxs[col]],
+                   "residual": float(resid[row, col])}
+                  for row, col in np.argwhere(resid > tol)[:10]]
+    max_resid = float(np.max(resid, initial=0.0))
+    covec = restricted.coeff_array(points)
+    exp_covec = expected.coeff_array(points)
+    singular = np.linalg.norm(exp_covec, axis=1) <= 1e-8
+    # At singular samples the restricted form must vanish too; elsewhere the
+    # kernels must agree, and a zero covector's kernel is the whole space.
+    kernel_ok = not np.any(singular & (np.linalg.norm(covec, axis=1) > 1e-8))
+    c0, c1 = covec[~singular], exp_covec[~singular]
+    if len(c0):
+        same = sl.stacked_equals(sl.hyperplane_bases(c0),
+                                 sl.hyperplane_bases(c1), 1e-8)
+        kernel_ok = kernel_ok and bool(np.all(same & np.any(c0 != 0, axis=1)))
     return {
         "max_residual": max_resid,
-        "mismatches": mismatches[:10],
+        "mismatches": mismatches,
         "kernel_ok": kernel_ok,
-        "singular_samples": singular_points,
+        "singular_samples": int(np.sum(singular)),
         "passed": not mismatches and kernel_ok,
     }
 

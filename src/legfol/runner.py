@@ -177,7 +177,7 @@ def _check_residuals(env: _Env, b: Block) -> dict:
     Y = env.graph(b.require("target"))
     tol = parse_float(b.get("tol", "1e-8"), b.line)
     pts = env.graph_points(Y, parse_int(b.get("samples", "100"), b.line))
-    worst = max(co.coisotropy_residuals(Y, p)["max_residual"] for p in pts)
+    worst = np.max(co.residual_values(Y, pts)["max_residual"])
     return {"passed": worst <= tol, "max_residual": float(worst),
             "tolerance": tol, "samples": len(pts)}
 
@@ -395,6 +395,10 @@ def run_scenario(sc: Scenario, seed: int = 0) -> dict:
         if expect not in ("pass", "fail", "refuse"):
             raise ScenarioError(f"expect must be pass, fail or refuse, "
                                 f"got '{expect}'", b.line)
+        samples = b.get("samples")
+        if samples is not None and parse_int(samples, b.line) < 1:
+            raise ScenarioError(f"samples must be at least 1, got {samples}",
+                                b.line)
         try:
             detail = _jsonable(CHECKS[kind](env, b))
             error = None

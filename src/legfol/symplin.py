@@ -24,16 +24,63 @@ class NotContact(ValueError):
 
 
 def _normalize_rows(A: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    norms = np.linalg.norm(A, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
     return A / norms
 
 
-def _rank(A: np.ndarray, tol: float = TOL) -> int:
-    if A.size == 0:
-        return 0
+def stacked_rank(A: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """Rank of each matrix in an (N, r, c) stack, with one batched SVD.
+
+    Rows are normalized first, and singular values count above
+    tol * max(r, c).
+    """
+    A = np.asarray(A, dtype=float)
+    if A.shape[1] * A.shape[2] == 0:
+        return np.zeros(len(A), dtype=int)
     s = np.linalg.svd(_normalize_rows(A), compute_uv=False)
-    return int(np.sum(s > tol * max(A.shape)))
+    return np.sum(s > tol * max(A.shape[1:]), axis=-1)
+
+
+def _rank(A: np.ndarray, tol: float = TOL) -> int:
+    return int(stacked_rank(A[None], tol)[0])
+
+
+def numeric_rank(M: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of a matrix, or of each matrix in an (N, r, c) stack.
+
+    Singular values count above tol * max(1, largest |entry| of that
+    matrix).
+    """
+    M = np.asarray(M, dtype=float)
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.sum(s > tol * scale[..., None], axis=-1)
+
+
+def hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
+    """Kernel bases of N nonzero covectors on R^dim: (N, dim - 1, dim).
+
+    Block i holds the last dim - 1 rows of vh from a full SVD of the
+    1 x dim matrix covecs[i], which is what
+    scipy.linalg.null_space(covecs[i][None], rcond).T returns for any
+    rcond < 1.  One batched SVD serves all N.
+    """
+    C = np.asarray(covecs, dtype=float)
+    _, _, vh = np.linalg.svd(C[:, None, :], full_matrices=True)
+    return vh[:, 1:, :]
+
+
+def stacked_equals(A: np.ndarray, B: np.ndarray,
+                   tol: float = TOL) -> np.ndarray:
+    """span(A[i]).equals(span(B[i]), tol) for two (N, m, dim) basis stacks.
+
+    Like span(), raises ValueError when some basis is linearly dependent.
+    """
+    for basis in (A, B):
+        if np.any(stacked_rank(basis) != basis.shape[1]):
+            raise ValueError("basis vectors are linearly dependent")
+    return stacked_rank(np.concatenate([A, B], axis=1), tol) == A.shape[1]
 
 
 @dataclass(frozen=True)

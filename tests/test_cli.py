@@ -133,6 +133,64 @@ class TestCli:
         assert bad.exit_code == 2
 
 
+ZERO_SAMPLES = GOOD + """
+germ wave
+  type = nonsingular
+  n = 2
+  f = 2 + sin(x1)
+end
+
+check no-samples
+  kind = {kind}
+  target = {target}
+  samples = 0
+  {extra}
+end
+"""
+
+
+class TestSampleCount:
+    """samples = 0 is an input error for every check kind that samples,
+    whatever the expectation."""
+
+    @pytest.mark.parametrize("kind, target, extra", [
+        ("residuals", "paraboloid", "expect = refuse"),
+        ("claim", "paraboloid", "expect = pass"),
+        ("contact-scan", "wave", "expect = refuse"),
+        ("germ-volume", "wave", "f = 2 + sin(x1)"),
+        ("zero-section", "wave", "f = 2 + sin(x1)"),
+    ])
+    def test_zero_samples_rejected(self, kind, target, extra):
+        text = ZERO_SAMPLES.format(kind=kind, target=target, extra=extra)
+        line = text.splitlines().index("check no-samples") + 1
+        with pytest.raises(ScenarioError, match=f"line {line}: samples"):
+            run_scenario(parse_scenario(text))
+
+    def test_check_exits_two(self, tmp_path):
+        path = tmp_path / "zero.scn"
+        path.write_text(ZERO_SAMPLES.format(
+            kind="residuals", target="paraboloid", extra="expect = refuse"))
+        result = CliRunner().invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert "samples must be at least 1" in result.output
+        assert "PASS" not in result.output
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_samples_option_exits_two(self, value):
+        result = CliRunner().invoke(
+            main, ["demo", "commuting-fields-n2", "--samples", value])
+        assert result.exit_code == 2
+        assert "--samples" in result.output
+
+    def test_unknown_expectation_exits_two(self, tmp_path):
+        path = tmp_path / "maybe.scn"
+        path.write_text(GOOD.replace("samples = 20",
+                                     "samples = 20\n  expect = maybe"))
+        result = CliRunner().invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert "line 9: expect must be" in result.output
+
+
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", demo_names())
     def test_demo_passes(self, name):
