@@ -306,14 +306,7 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
     if beta.chart != fiber or beta.degree != 1:
         raise ValueError("beta must be a 1-form on the fiber chart (u, v)")
     grid = _fiber_grid(bundle.radius, grid_step)
-
-    def beta_covec(p):
-        c = np.zeros(2)
-        for (i,), f in beta.coeffs.items():
-            c[i] = f.eval(p)
-        return c
-
-    origin_norm = float(np.linalg.norm(beta_covec([0.0, 0.0])))
+    origin_norm = float(np.linalg.norm(beta.coeff_array([[0.0, 0.0]])))
     away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * grid_step]
     min_away = float(np.min(np.linalg.norm(beta.coeff_array(away), axis=1)))
     vanishing_ok = origin_norm <= tol and min_away > tol
@@ -326,19 +319,16 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
     radii = rng.uniform(0.2, 0.7, invariance_samples) * bundle.radius
     angles = rng.uniform(0, 2 * np.pi, invariance_samples)
     samples = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    inv_residual = 0.0
-    escapes = 0
-    for g in range(bundle.base_dim):
-        for hs in holonomy(bundle, g, samples, ode_tol):
-            if hs.escaped or hs.jacobian is None:
-                escapes += 1
-                continue
-            x = np.array(hs.point)
-            img = np.array(hs.image)
-            # pullback through the sampled map: (Phi^* beta)_x = J^T beta_img
-            resid = np.linalg.norm(hs.jacobian.T @ beta_covec(img)
-                                   - beta_covec(x))
-            inv_residual = max(inv_residual, float(resid))
+    found = [hs for g in range(bundle.base_dim)
+             for hs in holonomy(bundle, g, samples, ode_tol)]
+    mapped = [hs for hs in found if hs.jacobian is not None]
+    escapes = len(found) - len(mapped)
+    at_point = beta.coeff_array([hs.point for hs in mapped])
+    at_image = beta.coeff_array([hs.image for hs in mapped])
+    # pullback through the sampled map: (Phi^* beta)_x = J^T beta_img
+    inv_residual = max((float(np.linalg.norm(hs.jacobian.T @ b_img - b_x))
+                        for hs, b_x, b_img in zip(mapped, at_point, at_image)),
+                       default=0.0)
     invariance_ok = escapes == 0 and inv_residual <= max(tol, 1e-6)
     return {
         "vanishing": {"origin_norm": origin_norm, "min_away": min_away,
@@ -376,32 +366,25 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     dlam = fm.exterior_d(lam)
     tilde, _ = co.build_Vk(Y)
     k = Y.source_chart.dim
-    eye = np.eye(k)
-    bases = []
-    membership = 0.0
-    integrability = 0.0
-    cov_const = 0.0
-    for p in points:
-        M = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                M[i, j] = dlam.evaluate(p, [eye[i], eye[j]])
-                M[j, i] = -M[i, j]
-        if sl.numeric_rank(M, tol) != 2:
-            raise ValueError("non-generic singular structure")
-        bases.append(null_space(M, rcond=tol).T)
-        for V in tilde:
-            membership = max(membership, fm.interior(V, dlam).max_coeff(p))
-            cov_const = max(cov_const, fm.lie_derivative(V, lam).max_coeff(p))
-        for Va, Vb in itertools.combinations(tilde, 2):
-            br = lie_bracket(Va, Vb)
-            integrability = max(
-                integrability, fm.interior(br, dlam).max_coeff(p))
+    # M[p, i, j] = dlambda(e_i, e_j) at each sample
+    M = fm.contraction_matrices(dlam, points).transpose(0, 2, 1)
+    if np.any(sl.numeric_rank(M, tol) != 2):
+        raise ValueError("non-generic singular structure")
+
+    def worst(forms):
+        """Largest |coefficient| of the forms over the samples."""
+        exprs = tuple(c.expr for w in forms for c in w.coeffs.values())
+        values = compile_exprs(Y.source_chart, exprs).batch(points)
+        return float(np.max(np.abs(values), initial=0.0))
+
     return {
         "rank": k - 2,
-        "kernel_bases": bases,
-        "membership_residual": membership,
-        "integrability_residual": integrability,
-        "covariant_constancy_residual": cov_const,
+        "kernel_bases": [null_space(m, rcond=tol).T for m in M],
+        "membership_residual": worst(fm.interior(V, dlam) for V in tilde),
+        "integrability_residual": worst(
+            fm.interior(lie_bracket(Va, Vb), dlam)
+            for Va, Vb in itertools.combinations(tilde, 2)),
+        "covariant_constancy_residual": worst(
+            fm.lie_derivative(V, lam) for V in tilde),
         "scan_flags": scan.flags,
     }

@@ -7,6 +7,7 @@ restricted 1-form is always the symbolic pullback of dz - sum y_i dx_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
@@ -84,17 +85,17 @@ class GraphSubmanifold:
         comps = {name: c.on_chart(src) for name, c in comps.items()}
         object.__setattr__(self, "components", comps)
 
-    @property
+    @functools.cached_property
     def source_chart(self) -> Chart:
         names = tuple(f"x{i}" for i in range(1, self.n + 1)) \
             + tuple(f"y{j}" for j in self.free_y)
         return Chart(names)
 
-    @property
+    @functools.cached_property
     def ambient(self) -> Chart:
         return ambient_chart(self.n)
 
-    @property
+    @functools.cached_property
     def embedding(self) -> SmoothMapExpr:
         src = self.source_chart
         comps = []
@@ -105,7 +106,7 @@ class GraphSubmanifold:
                 comps.append(self.components[name].on_chart(src))
         return SmoothMapExpr(src, self.ambient, tuple(comps))
 
-    @property
+    @functools.cached_property
     def lambda_form(self) -> fm.DiffForm:
         return fm.pullback(self.embedding, standard_alpha(self.n))
 
@@ -364,8 +365,7 @@ def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
     emb = Y.embedding
     q = emb.eval(point)
     alpha = standard_alpha(Y.n)
-    lam = Y.lambda_form
-    if lam.max_coeff(point) <= tol:
+    if _max_abs(Y.lambda_form.coeff_array([point])) <= tol:
         return {"singular": True, "kind": "tangent to xi", "coisotropic": None}
     J = emb.jacobian(point)  # (2n+1) x k
     tangent = sl.span(J.T, Y.ambient.dim)
@@ -542,8 +542,8 @@ def legendrian_model(n: int) -> GraphSubmanifold:
     return graph_submanifold(n, n + 1, free_y=(1,))
 
 
-def perturb_legendrian(Y: GraphSubmanifold, bump: ExprField,
-                       delta: float) -> GraphSubmanifold:
+def perturb_legendrian(Y: GraphSubmanifold,
+                       bump: ExprField) -> GraphSubmanifold:
     """Replace z = 0 by z = bump(y_1), clearing the singular plane at 0.
 
     Requires the normal-form input (free fiber y_1, all components zero) and
@@ -574,9 +574,12 @@ def perturb_legendrian(Y: GraphSubmanifold, bump: ExprField,
 def perturbation_sup_norm(Y0: GraphSubmanifold, Y1: GraphSubmanifold,
                           points: Sequence[Sequence[float]]) -> float:
     """Max displacement between the two embeddings over sample points."""
-    e0, e1 = Y0.embedding, Y1.embedding
-    return max(
-        float(np.max(np.abs(e0.eval(p) - e1.eval(p)))) for p in points)
+    def image(Y):
+        emb = Y.embedding
+        return compile_exprs(emb.source, tuple(
+            c.expr for c in emb.components)).batch(points)
+
+    return float(_max_abs(image(Y0) - image(Y1)))
 
 
 def foliation_residual(Y: GraphSubmanifold,
@@ -601,17 +604,12 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
     of source coordinates (default: x_n and the last free y).
     """
     lam = Y.lambda_form
-    if lam.max_coeff(point) > tol:
+    if _max_abs(lam.coeff_array([point])) > tol:
         return {"singular": False, "tag": "not singular"}
     src = Y.source_chart
-    dlam = fm.exterior_d(lam)
     k = src.dim
-    M = np.zeros((k, k))
-    eye = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            M[i, j] = dlam.evaluate(point, [eye[i], eye[j]])
-            M[j, i] = -M[i, j]
+    # M[i, j] = dlambda(e_i, e_j)
+    M = fm.contraction_matrices(fm.exterior_d(lam), [point])[0].T
     rank = int(sl.numeric_rank(M, tol))
     if normal_pair is None:
         normal_pair = (f"x{Y.n}", f"y{Y.free_y[-1]}")

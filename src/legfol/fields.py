@@ -73,12 +73,6 @@ class Chart:
                 out[i] = out[i] % per
         return out
 
-    def env(self, point: Sequence[float]) -> dict[str, float]:
-        # Plain floats, so the tree walk does Python float arithmetic: the
-        # same as the compiled scalar path, and free of numpy warnings.
-        red = self.reduce(point)
-        return dict(zip(self.var_names, red.tolist()))
-
 
 # ---------------------------------------------------------------------------
 # Expression trees
@@ -91,9 +85,6 @@ class Expr:
     __slots__ = ()
 
     def diff(self, var: str) -> "Expr":
-        raise NotImplementedError
-
-    def eval(self, env: Mapping[str, float]) -> float:
         raise NotImplementedError
 
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
@@ -147,9 +138,6 @@ class Const(Expr):
     def diff(self, var):
         return Const(0.0)
 
-    def eval(self, env):
-        return self.value
-
     def subs(self, mapping):
         return self
 
@@ -168,12 +156,6 @@ class Var(Expr):
 
     def diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
-
-    def eval(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise UnknownVariable(f"variable {self.name!r} missing from point") from None
 
     def subs(self, mapping):
         return mapping.get(self.name, self)
@@ -198,9 +180,6 @@ class Add(_Binary):
     def diff(self, var):
         return add(self.left.diff(var), self.right.diff(var))
 
-    def eval(self, env):
-        return self.left.eval(env) + self.right.eval(env)
-
     def subs(self, mapping):
         return add(self.left.subs(mapping), self.right.subs(mapping))
 
@@ -211,9 +190,6 @@ class Add(_Binary):
 class Sub(_Binary):
     def diff(self, var):
         return sub(self.left.diff(var), self.right.diff(var))
-
-    def eval(self, env):
-        return self.left.eval(env) - self.right.eval(env)
 
     def subs(self, mapping):
         return sub(self.left.subs(mapping), self.right.subs(mapping))
@@ -228,9 +204,6 @@ class Mul(_Binary):
             mul(self.left.diff(var), self.right),
             mul(self.left, self.right.diff(var)),
         )
-
-    def eval(self, env):
-        return self.left.eval(env) * self.right.eval(env)
 
     def subs(self, mapping):
         return mul(self.left.subs(mapping), self.right.subs(mapping))
@@ -247,9 +220,6 @@ class Div(_Binary):
                 mul(self.left, self.right.diff(var))),
             pow_(self.right, 2),
         )
-
-    def eval(self, env):
-        return _checked_div(self.left.eval(env), self.right.eval(env))
 
     def subs(self, mapping):
         return div(self.left.subs(mapping), self.right.subs(mapping))
@@ -270,9 +240,6 @@ class Pow(Expr):
             mul(Const(float(self.exponent)), pow_(self.base, self.exponent - 1)),
             self.base.diff(var),
         )
-
-    def eval(self, env):
-        return _checked_pow(self.base.eval(env), self.exponent)
 
     def subs(self, mapping):
         return pow_(self.base.subs(mapping), self.exponent)
@@ -304,9 +271,6 @@ class Sin(_Func):
     def diff(self, var):
         return mul(Cos(self.arg), self.arg.diff(var))
 
-    def eval(self, env):
-        return _checked_sin(self.arg.eval(env))
-
 
 class Cos(_Func):
     _name = "cos"
@@ -314,18 +278,12 @@ class Cos(_Func):
     def diff(self, var):
         return mul(mul(Const(-1.0), Sin(self.arg)), self.arg.diff(var))
 
-    def eval(self, env):
-        return _checked_cos(self.arg.eval(env))
-
 
 class Exp(_Func):
     _name = "exp"
 
     def diff(self, var):
         return mul(Exp(self.arg), self.arg.diff(var))
-
-    def eval(self, env):
-        return _checked_exp(self.arg.eval(env))
 
 
 def _is_const(e: Expr, v: float) -> bool:
@@ -406,10 +364,11 @@ def _tight_str(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Checked scalar operations
 #
-# The tree walk and the compiled scalar path share these, so both raise
-# EvaluationError on the same inputs; the batch path mirrors them with numpy.
-# Add, Sub and Mul are unchecked: an overflow there yields inf, which either
-# disappears (1/inf = 0) or makes the final value non-finite.
+# The compiled scalar binding calls these; the batch binding mirrors them
+# with numpy, so both raise EvaluationError on the same inputs.  The tests'
+# reference tree walk is built on them too.  Add, Sub and Mul are unchecked:
+# an overflow there yields inf, which either disappears (1/inf = 0) or makes
+# the final value non-finite.
 # ---------------------------------------------------------------------------
 
 
@@ -552,8 +511,8 @@ class CompiledExprs:
     ``batch`` evaluates an ``(N, dim)`` point array with numpy ufuncs and
     returns ``(N, len(exprs))``; ``scalar`` evaluates one point given as
     plain floats, with ``math``, and returns a tuple.  Periodic coordinates
-    are reduced like ``Chart.reduce``.  Both raise EvaluationError wherever
-    the tree walk (``ExprField.eval``) does.
+    are reduced like ``Chart.reduce``.  Both raise EvaluationError on the
+    same inputs.
     """
 
     def __init__(self, chart: Chart, exprs: tuple[Expr, ...]):
@@ -604,6 +563,9 @@ class CompiledExprs:
         return out
 
     def scalar(self, *coords: float) -> tuple[float, ...]:
+        if len(coords) != self.chart.dim:
+            raise ValueError(f"point has {len(coords)} coordinates, chart dim "
+                             f"is {self.chart.dim}")
         out = self._scalar_fn(*map(float, coords))
         if not all(map(math.isfinite, out)):
             raise EvaluationError(f"non-finite value at {list(coords)}")
@@ -641,11 +603,9 @@ class ExprField:
         return ExprField(self.chart, self.expr.diff(var))
 
     def eval(self, point: Sequence[float]) -> float:
-        """Tree walk at one point: the reference the compiled paths match."""
-        v = self.expr.eval(self.chart.env(point))
-        if not math.isfinite(v):
-            raise EvaluationError(f"non-finite value at {list(point)}")
-        return v
+        """The field at one point: a one-row call into the compiled scalar
+        binding."""
+        return compile_exprs(self.chart, (self.expr,)).scalar(*point)[0]
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
         """Batched evaluator from (N, dim) points to (N,) values (cached)."""

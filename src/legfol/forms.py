@@ -86,9 +86,6 @@ class DiffForm:
     def coeff(self, idx: MultiIndex) -> ExprField:
         return self.coeffs.get(tuple(idx), ExprField(self.chart, Const(0.0)))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self, point: Sequence[float],
                  vectors: Sequence[Sequence[float]]) -> float:
         """Sum over indices of coeff(point) * det of the index-rows of vectors."""
@@ -99,10 +96,11 @@ class DiffForm:
         if self.degree == 0:
             return self.coeff(()).eval(point)
         V = np.column_stack(vecs)  # dim x k
+        values = compile_exprs(self.chart, tuple(
+            c.expr for c in self.coeffs.values())).scalar(*point)
         total = 0.0
-        for idx, c in self.coeffs.items():
-            minor = V[list(idx), :]
-            total += c.eval(point) * np.linalg.det(minor)
+        for idx, v in zip(self.coeffs, values):
+            total += v * np.linalg.det(V[list(idx), :])
         return total
 
     def coeff_array(self, points) -> np.ndarray:
@@ -114,14 +112,6 @@ class DiffForm:
         idxs = itertools.combinations(range(self.chart.dim), self.degree)
         exprs = tuple(self.coeff(idx).expr for idx in idxs)
         return compile_exprs(self.chart, exprs).batch(points)
-
-    def coeff_values(self, point: Sequence[float]) -> dict[MultiIndex, float]:
-        return {idx: c.eval(point) for idx, c in self.coeffs.items()}
-
-    def max_coeff(self, point: Sequence[float]) -> float:
-        if not self.coeffs:
-            return 0.0
-        return max(abs(v) for v in self.coeff_values(point).values())
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
         if self.chart != other.chart:

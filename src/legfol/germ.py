@@ -8,7 +8,6 @@ assembles dz + beta - sum y_j ds_j from a flat disk bundle carrying a CCL fiber
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -60,18 +59,24 @@ class FoliatedInput:
 
     def validate(self, points: Sequence[Sequence[float]],
                  tol: float = 1e-8) -> None:
-        ch = self.beta.chart
+        """Refuse at the first sample, in sample order, where beta vanishes
+        or else beta(L) <= 0."""
         frob = frobenius_residual(self.beta, points)
         if frob > tol:
             raise GermBuildError(f"foliation form not integrable: {frob:g}")
-        for p in points:
-            covec = np.array([self.beta.coeff((i,)).eval(p)
-                              for i in range(ch.dim)])
-            if np.linalg.norm(covec) <= tol:
-                raise GermBuildError("defining form vanishes at a sample")
-            pairing = self.beta.evaluate(p, [self.line_field.eval(p)])
-            if pairing <= 0:
-                raise GermBuildError("line field not positively transverse")
+        covecs = self.beta.coeff_array(points)
+        line = compile_exprs(self.beta.chart, tuple(
+            c.expr for c in self.line_field.components)).batch(points)
+        # beta(L), summed as DiffForm.evaluate sums it
+        pairing = 0.0
+        for (i,) in self.beta.coeffs:
+            pairing = pairing + covecs[:, i] * line[:, i]
+        vanishes = np.linalg.norm(covecs, axis=1) <= tol
+        bad = np.flatnonzero(vanishes | (pairing <= 0))
+        if len(bad) and vanishes[bad[0]]:
+            raise GermBuildError("defining form vanishes at a sample")
+        if len(bad):
+            raise GermBuildError("line field not positively transverse")
 
 
 def frobenius_residual(beta: fm.DiffForm,
@@ -79,17 +84,11 @@ def frobenius_residual(beta: fm.DiffForm,
     """Max of beta ^ d(beta) over coordinate 3-frames at sample points."""
     if beta.degree != 1:
         raise ValueError("needs a 1-form")
-    ch = beta.chart
-    if ch.dim < 3:
+    if beta.chart.dim < 3:
         return 0.0
+    # a 3-form on a coordinate 3-frame is its coefficient there
     three = fm.wedge(beta, fm.exterior_d(beta))
-    eye = np.eye(ch.dim)
-    worst = 0.0
-    for p in points:
-        worst = max(worst, three.max_coeff(p))
-        for combo in itertools.combinations(range(ch.dim), 3):
-            worst = max(worst, abs(three.evaluate(p, [eye[i] for i in combo])))
-    return worst
+    return float(np.max(np.abs(three.coeff_array(points)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -144,18 +143,15 @@ def extract_local_data(inp: FoliatedInput,
                        tol: float = 1e-10) -> tuple[ExprField, list[ExprField]]:
     """(f, R_i) from (beta, L): f is the dt coefficient, R_i the x-components
     of L scaled to unit t-component."""
-    ch = inp.beta.chart
+    dim = inp.beta.chart.dim
     f = inp.beta.coeff((0,))
     # the chart is already foliated: dx-components of beta must vanish
-    for i in range(1, ch.dim):
-        c = inp.beta.coeff((i,))
-        for p in points:
-            if abs(c.eval(p)) > tol:
-                raise GermBuildError(
-                    "defining form has a leafwise component; chart is not "
-                    "adapted to the foliation")
+    if np.any(np.abs(inp.beta.coeff_array(points)[:, 1:]) > tol):
+        raise GermBuildError(
+            "defining form has a leafwise component; chart is not "
+            "adapted to the foliation")
     Lt = inp.line_field.components[0]
-    Rs = [inp.line_field.components[i] / Lt for i in range(1, ch.dim)]
+    Rs = [inp.line_field.components[i] / Lt for i in range(1, dim)]
     return f, Rs
 
 
@@ -212,8 +208,7 @@ def build_singular_germ(bundle: bd.FlatDiskBundle, beta: fm.DiffForm,
     probe = rng.uniform(-0.4, 0.4, (10, total_b.dim))
     for j in range(bundle.base_dim):
         ld = fm.lie_derivative(bundle.lift(j), beta_tot)
-        worst = max(ld.max_coeff(p) for p in probe)
-        if worst > 1e-8:
+        if np.any(np.abs(ld.coeff_array(probe)) > 1e-8):
             raise GermBuildError(
                 "no closed-form invariant extension in this trivialization; "
                 "only trivial and rotation holonomy are supported")
@@ -316,8 +311,8 @@ def coorientation_sign(g: GermForm, point: Sequence[float]) -> int:
     base = restricted.chart
     d = fm.exterior_d(restricted)
     i0, i1 = base.index(g.fiber_pair[0]), base.index(g.fiber_pair[1])
-    eye = np.eye(base.dim)
-    val = g.orientation * d.evaluate(point, [eye[i0], eye[i1]])
+    # d(e_i0, e_i1) is entry (i1, i0) of the contraction matrix
+    val = g.orientation * fm.contraction_matrices(d, [point])[0, i1, i0]
     return 1 if val > 0 else -1 if val < 0 else 0
 
 

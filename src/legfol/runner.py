@@ -217,7 +217,7 @@ def _check_perturb(env: _Env, b: Block) -> dict:
     Y = co.legendrian_model(n)
     src = Y.source_chart
     bump = parse_field(src, b.get("bump", f"{delta} * y1 * exp(0 - y1^2)"))
-    Yp = co.perturb_legendrian(Y, bump, delta)
+    Yp = co.perturb_legendrian(Y, bump)
     scan = co.singular_scan(Yp, box=parse_float(b.get("box", "1.0"), b.line),
                             step=parse_float(b.get("step", "0.05"), b.line))
     pts = env.graph_points(Yp, parse_int(b.get("samples", "100"), b.line))

@@ -224,21 +224,13 @@ def contact_hyperplane(alpha: "_forms.DiffForm", point: Sequence[float]
     """
     if alpha.degree != 1:
         raise ValueError("contact_hyperplane needs a 1-form")
-    chart = alpha.chart
-    covec = np.zeros(chart.dim)
-    for (i,), c in alpha.coeffs.items():
-        covec[i] = c.eval(point)
+    covec = alpha.coeff_array([point])
     if np.linalg.norm(covec) < TOL:
         raise NotContact("form vanishes at the point")
-    N = null_space(covec.reshape(1, -1), rcond=TOL)
-    xi = LinSubspace(chart.dim, N.T)
-    dalpha = _forms.exterior_d(alpha)
-    m = xi.dim
-    M = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            M[i, j] = dalpha.evaluate(point, [xi.basis[i], xi.basis[j]])
-            M[j, i] = -M[i, j]
+    xi = LinSubspace(alpha.chart.dim, null_space(covec, rcond=TOL).T)
+    # (d alpha)(u, v) = v . C u, with C the contraction matrix at the point
+    C = _forms.contraction_matrices(_forms.exterior_d(alpha), [point])[0]
+    M = xi.basis @ C.T @ xi.basis.T
     try:
         form = SympForm(M)
     except ValueError:

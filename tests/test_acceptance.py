@@ -50,7 +50,7 @@ def test_criterion_1_exterior_calculus():
         cases += 1
         # d^2 = 0
         dd = fm.exterior_d(fm.exterior_d(w))
-        worst = max(worst, dd.max_coeff(p))
+        worst = max(worst, np.max(np.abs(dd.coeff_array([p])), initial=0.0))
         cases += 1
         # Leibniz rule for d over the wedge
         lhs = fm.exterior_d(fm.wedge(w, t))
@@ -163,7 +163,7 @@ def test_criterion_4_singular_scans():
     leg_ok = all(d == n for d in leg_scan.dims) \
         and leg_scan.flags == ("perturbable-legendrian",)
     bump = parse_field(leg.source_chart, "0.1 * y1 * exp(-(y1^2))")
-    pert = co.perturb_legendrian(leg, bump, 0.1)
+    pert = co.perturb_legendrian(leg, bump)
     pert_scan = co.singular_scan(pert, box=0.8, step=0.05)
     resid = co.foliation_residual(pert, RNG.uniform(-0.9, 0.9, (100, 3)))
     pert_ok = pert_scan.num_hits == 0 and resid <= 1e-10

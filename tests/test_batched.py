@@ -1,13 +1,15 @@
 """The batched checks against the per-sample loops they replaced.
 
 Each reference below is the loop a check ran before it moved onto the
-compiled path: it walks the expression trees one sample at a time, with one
-SVD or scipy null space per sample.  The batched checks must give the same
-verdicts, kernel dimensions, counts, diagnostics and mismatch lists (in the
-same order), residuals within 1e-12 relative (1e-15 absolute near zero), and
-raise EvaluationError on the same samples.
+compiled batch: it evaluates one sample at a time through the scalar binding
+(ExprField.eval, DiffForm.evaluate), with one SVD or scipy null space per
+sample.  The batched checks must give the same verdicts, refusals, kernel
+dimensions, counts, diagnostics and mismatch lists (in the same order),
+residuals within 1e-12 relative (1e-15 absolute near zero), and raise
+EvaluationError on the same samples.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -38,6 +40,11 @@ def close(a, b):
 # ---------------------------------------------------------------------------
 # The per-sample loops
 # ---------------------------------------------------------------------------
+
+
+def max_coeff(form, p):
+    """Largest |coefficient| of a form at one point (0 for none)."""
+    return max((abs(c.eval(p)) for c in form.coeffs.values()), default=0.0)
 
 
 def walk_residuals(Y, point):
@@ -75,8 +82,8 @@ def walk_claim(Y, points, tol):
         for p in points:
             res["i_V_alpha"] = max(res["i_V_alpha"],
                                    abs(ival.eval(emb.eval(p))))
-            res["i_V_dlambda"] = max(res["i_V_dlambda"], idl.max_coeff(p))
-            res["lie_lambda"] = max(res["lie_lambda"], ld.max_coeff(p))
+            res["i_V_dlambda"] = max(res["i_V_dlambda"], max_coeff(idl, p))
+            res["lie_lambda"] = max(res["lie_lambda"], max_coeff(ld, p))
     for Vt, Wt in itertools.combinations(tilde, 2):
         pushed = pushforward_field(emb, lie_bracket(Vt, Wt))
         for p in points:
@@ -93,7 +100,8 @@ def walk_contraction_matrix(omega, p):
     rows = {idx: r for r, idx in enumerate(
         itertools.combinations(range(omega.chart.dim), omega.degree - 1))}
     M = np.zeros((len(rows), omega.chart.dim))
-    for idx, v in omega.coeff_values(p).items():
+    for idx, c in omega.coeffs.items():
+        v = c.eval(p)
         for pos, i in enumerate(idx):
             M[rows[idx[:pos] + idx[pos + 1:]], i] += (-1) ** pos * v
     return M
@@ -111,7 +119,7 @@ def walk_char_foliation(Y, points, tol):
     lam = Y.lambda_form
     dims, worst = [], 0.0
     for p in points:
-        if lam.max_coeff(p) <= tol:
+        if max_coeff(lam, p) <= tol:
             continue
         M = walk_contraction_matrix(omega, p)
         s = np.linalg.svd(M, compute_uv=False)
@@ -182,7 +190,7 @@ def walk_flatness(bundle, points):
 def walk_foliation_residual(Y, points):
     alpha = co.standard_alpha(Y.n)
     three = fm.pullback(Y.embedding, fm.wedge(alpha, fm.exterior_d(alpha)))
-    return max(three.max_coeff(p) for p in points)
+    return max(max_coeff(three, p) for p in points)
 
 
 def walk_ccl_grid(bundle, beta, grid_step=0.1):
@@ -421,6 +429,14 @@ def sheared_bundle():
                              (zero - u, zero))
 
 
+def radial_bundle():
+    """Lift d/ds + 0.6 (u d/du + v d/dv): the loop scales the fiber by
+    e^0.6, so samples beyond radius e^-0.6 escape."""
+    total = Chart(("s1", "u", "v"), (1.0, None, None))
+    u, v = coordinate(total, "u"), coordinate(total, "v")
+    return bd.FlatDiskBundle(1, (1.0,), 1.0, (0.6 * u,), (0.6 * v,))
+
+
 class TestSatellitePorts:
     @pytest.mark.parametrize("make", [
         lambda: bd.rotation_bundle([0.9]),
@@ -435,8 +451,7 @@ class TestSatellitePorts:
 
     @pytest.mark.parametrize("Y", [
         co.perturb_legendrian(co.legendrian_model(2), parse_field(
-            co.legendrian_model(2).source_chart, "0.1 * y1 * exp(0 - y1^2)"),
-            0.1),
+            co.legendrian_model(2).source_chart, "0.1 * y1 * exp(0 - y1^2)")),
         graph(2, z="(x2^2 + y2^2) / 2"),
         graph(3, 5, z="x1 * y3 + x2^2 * y2"),
     ], ids=["perturbed", "paraboloid", "curved-n3k5"])
@@ -464,6 +479,351 @@ class TestSatellitePorts:
         assert close(res["vanishing"]["min_away"], min_away)
         assert close(res["positivity"]["min_dbeta"], min_db)
         assert res["positivity"]["ok"] == (min_db > 1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Germ preconditions, the CCL invariance residual and the 2-form matrices
+# ---------------------------------------------------------------------------
+
+
+def walk_frobenius(beta, points):
+    ch = beta.chart
+    if ch.dim < 3:
+        return 0.0
+    three = fm.wedge(beta, fm.exterior_d(beta))
+    eye = np.eye(ch.dim)
+    worst = 0.0
+    for p in points:
+        worst = max(worst, max_coeff(three, p))
+        for combo in itertools.combinations(range(ch.dim), 3):
+            worst = max(worst, abs(three.evaluate(p, [eye[i] for i in combo])))
+    return worst
+
+
+def walk_validate(inp, points, tol=1e-8):
+    frob = walk_frobenius(inp.beta, points)
+    if frob > tol:
+        raise gm.GermBuildError(f"foliation form not integrable: {frob:g}")
+    ch = inp.beta.chart
+    for p in points:
+        covec = np.array([inp.beta.coeff((i,)).eval(p)
+                          for i in range(ch.dim)])
+        if np.linalg.norm(covec) <= tol:
+            raise gm.GermBuildError("defining form vanishes at a sample")
+        pairing = inp.beta.evaluate(p, [inp.line_field.eval(p)])
+        if pairing <= 0:
+            raise gm.GermBuildError("line field not positively transverse")
+
+
+def walk_local_data(inp, points, tol=1e-10):
+    ch = inp.beta.chart
+    for i in range(1, ch.dim):
+        c = inp.beta.coeff((i,))
+        for p in points:
+            if abs(c.eval(p)) > tol:
+                raise gm.GermBuildError(
+                    "defining form has a leafwise component; chart is not "
+                    "adapted to the foliation")
+    Lt = inp.line_field.components[0]
+    return inp.beta.coeff((0,)), [inp.line_field.components[i] / Lt
+                                  for i in range(1, ch.dim)]
+
+
+def walk_invariance_probe(bundle, beta):
+    """build_singular_germ's probe: per lift, the largest |L_lift beta|."""
+    total = bundle.total_chart
+    beta_tot = fm.DiffForm(total, 1, {
+        (bundle.base_dim + d,): c.on_chart(total)
+        for (d,), c in beta.coeffs.items()})
+    probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total.dim))
+    return [max(max_coeff(fm.lie_derivative(bundle.lift(j), beta_tot), p)
+                for p in probe) for j in range(bundle.base_dim)]
+
+
+def walk_ccl_invariance(bundle, beta, count=8):
+    """ccl_check's holonomy part: (max residual, escapes)."""
+    rng = np.random.default_rng(0)
+    radii = rng.uniform(0.2, 0.7, count) * bundle.radius
+    angles = rng.uniform(0, 2 * np.pi, count)
+    pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+
+    def covec(p):
+        c = np.zeros(2)
+        for (i,), f in beta.coeffs.items():
+            c[i] = f.eval(p)
+        return c
+
+    worst, escapes = 0.0, 0
+    for g in range(bundle.base_dim):
+        for hs in bd.holonomy(bundle, g, pts):
+            if hs.escaped or hs.jacobian is None:
+                escapes += 1
+                continue
+            resid = np.linalg.norm(hs.jacobian.T @ covec(np.array(hs.image))
+                                   - covec(np.array(hs.point)))
+            worst = max(worst, float(resid))
+    return worst, escapes
+
+
+def walk_form_matrix(w, p):
+    """M[i, j] = w(e_i, e_j), one evaluation per entry."""
+    k = w.chart.dim
+    eye = np.eye(k)
+    M = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            M[i, j] = w.evaluate(p, [eye[i], eye[j]])
+            M[j, i] = -M[i, j]
+    return M
+
+
+def walk_flat_structure(Y, points, tol=1e-8):
+    lam = Y.lambda_form
+    dlam = fm.exterior_d(lam)
+    tilde, _ = co.build_Vk(Y)
+    bases, memb, integ, cov = [], 0.0, 0.0, 0.0
+    for p in points:
+        M = walk_form_matrix(dlam, p)
+        if sl.numeric_rank(M, tol) != 2:
+            raise ValueError("non-generic singular structure")
+        bases.append(null_space(M, rcond=tol).T)
+        for V in tilde:
+            memb = max(memb, max_coeff(fm.interior(V, dlam), p))
+            cov = max(cov, max_coeff(fm.lie_derivative(V, lam), p))
+        for Va, Vb in itertools.combinations(tilde, 2):
+            integ = max(integ, max_coeff(
+                fm.interior(lie_bracket(Va, Vb), dlam), p))
+    return {"kernel_bases": bases, "membership_residual": memb,
+            "integrability_residual": integ,
+            "covariant_constancy_residual": cov}
+
+
+def outcome(fn, *args):
+    """("ok", value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def foliated_input(n, line, **texts):
+    ch = gm.foliated_chart(n)
+    beta = fm.one_form(ch, {v: parse_field(ch, t) for v, t in texts.items()})
+    return gm.FoliatedInput(n=n, beta=beta, line_field=vector_field(
+        ch, [parse_field(ch, t) for t in line]))
+
+
+def random_one_form(ch, rng):
+    a, b, c = rng.uniform(-2, 2, 3).tolist()
+    names = ch.var_names
+    return fm.one_form(ch, {
+        v: parse_field(ch, f"{a!r} * {names[(i + 1) % len(names)]}"
+                           f" * {v} + {b!r} * sin({names[i - 1]})"
+                           f" + {c!r} * exp({v} / 2)")
+        for i, v in enumerate(names)})
+
+
+def generic_hypersurface(n):
+    return graph(n, z=f"(x{n}^2 + y{n}^2) / 2")
+
+
+class TestGermPreconditions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_frobenius(self, n, rng):
+        ch = gm.foliated_chart(n)
+        pts = rng.uniform(-0.9, 0.9, (30, ch.dim))
+        for beta in (random_one_form(ch, rng),
+                     fm.one_form(ch, {"t": parse_field(ch, "2 + x1^2")})):
+            assert close(gm.frobenius_residual(beta, pts),
+                         walk_frobenius(beta, pts))
+
+    @pytest.mark.parametrize("inp, column, values, message", [
+        (foliated_input(2, ["1", "x2", "0.3"], t="2 + sin(x1)"), None, None,
+         None),
+        # beta = x1 dt vanishes at x1 = 0 and pairs negatively for x1 < 0:
+        # the sample that comes first decides the message
+        (foliated_input(2, ["1", "0", "0"], t="x1"), 1, [0.5, 0.0, -0.5],
+         "vanishes"),
+        (foliated_input(2, ["1", "0", "0"], t="x1"), 1, [0.5, -0.5, 0.0],
+         "not positively transverse"),
+        # both fail at one sample: "vanishes" is checked first
+        (foliated_input(1, ["t", "1"], t="x1"), 1, [0.5, 0.0], "vanishes"),
+        # L_t = t < 0 at one sample
+        (foliated_input(1, ["t", "1"], t="1"), 0, [0.5, -0.5],
+         "not positively transverse"),
+        (foliated_input(2, ["1", "0", "0"], t="1", x2="x1"), None, None,
+         "not integrable"),
+    ], ids=["ok", "vanish-first", "transverse-first", "both-at-once",
+            "line-field", "twisted"])
+    def test_validate(self, inp, column, values, message, rng):
+        pts = rng.uniform(0.1, 0.9, (20, inp.beta.chart.dim))
+        if column is not None:
+            pts[5:5 + len(values), column] = values
+        got = outcome(inp.validate, pts)
+        assert got == outcome(walk_validate, inp, pts)
+        if message is None:
+            assert got == ("ok", None)
+        else:
+            assert got[0] is gm.GermBuildError and message in got[1]
+
+    @pytest.mark.parametrize("texts, refused", [
+        ({"t": "2 + x1"}, False),
+        ({"t": "2 + x1", "x1": "1e-12 * x2"}, False),
+        ({"t": "2 + x1", "x2": "1e-9 * x1"}, True),
+    ], ids=["adapted", "below-tol", "leafwise"])
+    def test_local_data(self, texts, refused, rng):
+        inp = foliated_input(2, ["2", "x2", "0.5"], **texts)
+        pts = rng.uniform(-0.9, 0.9, (25, 3))
+        got, want = outcome(gm.extract_local_data, inp, pts), \
+            outcome(walk_local_data, inp, pts)
+        assert got[0] == want[0]
+        if refused:
+            assert got == want and got[0] is gm.GermBuildError
+        else:
+            (f, Rs), (wf, wRs) = got[1], want[1]
+            assert f == wf and Rs == wRs
+
+    @pytest.mark.parametrize("bundle, texts, refused", [
+        (bd.rotation_bundle([0.7]), {"u": "-v", "v": "u"}, False),
+        (bd.rotation_bundle([0.9, 1.7]), {"u": "-v", "v": "u"}, False),
+        (bd.trivial_bundle(), {"u": "-v * (1 + u^2)", "v": "u * (1 + v^2)"},
+         False),
+        # a full turn: the holonomy is the identity, so CCL passes, but the
+        # cubic form is not rotation invariant
+        (bd.rotation_bundle([2 * np.pi]),
+         {"u": "-v * (1 + u^2)", "v": "u * (1 + v^2)"}, True),
+    ], ids=["circle-area", "torus-area", "trivial-cubic", "full-turn-cubic"])
+    def test_invariance_probe(self, bundle, texts, refused):
+        fiber = bundle.fiber_chart
+        beta = fm.one_form(fiber, {v: parse_field(fiber, t)
+                                   for v, t in texts.items()})
+        assert any(w > 1e-8 for w in walk_invariance_probe(bundle, beta)) \
+            == refused
+        got = outcome(gm.build_singular_germ, bundle, beta)
+        if refused:
+            assert got[0] is gm.GermBuildError
+            assert "no closed-form invariant extension" in got[1]
+        else:
+            assert got[0] == "ok"
+
+
+class TestCCLInvariance:
+    @pytest.mark.parametrize("make, texts", [
+        (lambda: bd.rotation_bundle([0.7]), {"u": "-v", "v": "u"}),
+        (lambda: bd.rotation_bundle([0.7]),
+         {"u": "-v * (1 + u^2)", "v": "u * (1 + v^2)"}),
+        (lambda: bd.rotation_bundle([0.9, 1.7]), {"u": "1 + u"}),
+        (sheared_bundle, {"u": "-v", "v": "u"}),
+        (radial_bundle, {"u": "-v", "v": "u"}),
+    ], ids=["area", "cubic", "torus-shear-form", "sheared", "radial"])
+    def test_against_walk(self, make, texts):
+        b = make()
+        fiber = b.fiber_chart
+        beta = fm.one_form(fiber, {v: parse_field(fiber, t)
+                                   for v, t in texts.items()})
+        got = bd.ccl_check(b, beta)["invariance"]
+        worst, escapes = walk_ccl_invariance(b, beta)
+        assert got["escapes"] == escapes
+        assert close(got["max_residual"], worst)
+        assert got["ok"] == (escapes == 0 and worst <= 1e-6)
+
+    def test_radial_bundle_escapes(self):
+        b = radial_bundle()
+        fiber = b.fiber_chart
+        beta = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                   "v": parse_field(fiber, "u")})
+        assert 0 < bd.ccl_check(b, beta)["invariance"]["escapes"] < 8
+
+
+class TestFormMatrices:
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 5), (4, 6)])
+    def test_contraction_transpose(self, n, k, rng):
+        Y = graph(n, k, z=f"x1 * y{n} + sin(x{n}) * y{n}^2")
+        dlam = fm.exterior_d(Y.lambda_form)
+        pts = samples(Y, rng, 10)
+        got = fm.contraction_matrices(dlam, pts).transpose(0, 2, 1)
+        for M, p in zip(got, pts):
+            np.testing.assert_array_equal(M, walk_form_matrix(dlam, p))
+
+    def test_random_two_form(self, rng):
+        ch = Chart(("a", "b", "c", "d", "e"))
+        w = fm.exterior_d(random_one_form(ch, rng))
+        pts = rng.uniform(-1, 1, (10, 5))
+        got = fm.contraction_matrices(w, pts).transpose(0, 2, 1)
+        for M, p in zip(got, pts):
+            np.testing.assert_array_equal(M, walk_form_matrix(w, p))
+
+    @pytest.mark.parametrize("point", [[0.3, 0.0, 0.0], [0.3, 0.1, -0.2],
+                                       [0.0, 0.0, 1e-9]])
+    def test_singular_normal_data(self, point):
+        Y = generic_hypersurface(2)
+        got = co.singular_normal_data(Y, point)
+        lam = Y.lambda_form
+        if max_coeff(lam, point) > 1e-8:
+            assert got == {"singular": False, "tag": "not singular"}
+            return
+        M = walk_form_matrix(fm.exterior_d(lam), point)
+        val = M[Y.source_chart.index("x2"), Y.source_chart.index("y2")]
+        assert got["rank"] == sl.numeric_rank(M, 1e-8)
+        assert got["normal_value"] == val
+        assert got["orientation_sign"] == int(np.sign(val))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_structure(self, n, rng):
+        Y = generic_hypersurface(n)
+        pts = rng.uniform(-0.4, 0.4, (12, Y.source_chart.dim))
+        got = bd.extract_flat_structure(Y, pts)
+        want = walk_flat_structure(Y, pts)
+        for key in ("membership_residual", "integrability_residual",
+                    "covariant_constancy_residual"):
+            assert close(got[key], want[key]), key
+        assert len(got["kernel_bases"]) == len(want["kernel_bases"])
+        for B, W in zip(got["kernel_bases"], want["kernel_bases"]):
+            np.testing.assert_array_equal(B, W)
+
+    def test_flat_structure_refusal(self, rng):
+        # The zeros form the generic plane x3 = y3 = 0, but d lambda has
+        # rank 4 wherever y3 != 0.
+        Y = graph(3, y1="x2 * y3", z="(x3^2 + y3^2) / 2")
+        pts = rng.uniform(-0.4, 0.4, (6, 4))
+        pts[:3, 3] = 0.0  # rank 2 on the first samples
+        got = outcome(bd.extract_flat_structure, Y, pts)
+        assert got == (ValueError, "non-generic singular structure")
+        assert got == outcome(walk_flat_structure, Y, pts)
+        assert co.singular_scan(Y, box=0.5, step=0.05).flags == ("generic",)
+
+    def test_coorientation_sign(self):
+        g = singular_germ()
+        base = g.restricted().chart
+        d = fm.exterior_d(g.restricted())
+        eye = np.eye(base.dim)
+        i0, i1 = (base.index(v) for v in g.fiber_pair)
+        for flip in (1, -1):
+            gf = dataclasses.replace(g, orientation=flip)
+            for p in ([0.0, 0.0, 0.0], [0.2, -0.1, 0.3]):
+                want = flip * d.evaluate(p, [eye[i0], eye[i1]])
+                assert gm.coorientation_sign(gf, p) == int(np.sign(want))
+
+    def test_contact_hyperplane(self, rng):
+        alpha = co.standard_alpha(2)
+        dalpha = fm.exterior_d(alpha)
+        for p in rng.uniform(-1, 1, (5, 5)):
+            xi, omega = sl.contact_hyperplane(alpha, p)
+            B = xi.basis
+            want = np.array([[dalpha.evaluate(p, [u, v]) for v in B]
+                             for u in B])
+            np.testing.assert_allclose(omega.matrix, want, rtol=0,
+                                       atol=1e-14)
+
+    def test_perturbation_sup_norm(self, rng):
+        Y = co.legendrian_model(2)
+        Yp = co.perturb_legendrian(Y, parse_field(
+            Y.source_chart, "0.1 * y1 * exp(0 - y1^2)"))
+        pts = samples(Y, rng)
+        want = max(float(np.max(np.abs(Y.embedding.eval(p)
+                                       - Yp.embedding.eval(p))))
+                   for p in pts)
+        assert close(co.perturbation_sup_norm(Y, Yp, pts), want)
 
 
 # ---------------------------------------------------------------------------

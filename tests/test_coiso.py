@@ -33,6 +33,14 @@ class TestConstruction:
         assert lam.coeff((src.index("x2"),)).eval(p) == pytest.approx(1.2)
         assert lam.coeff((src.index("y2"),)).eval(p) == pytest.approx(-0.4)
 
+    @pytest.mark.parametrize("name", ["source_chart", "ambient", "embedding",
+                                      "lambda_form"])
+    def test_built_once(self, name):
+        # lambda_form is a symbolic pullback: a second read reuses it.
+        Y = co.graph_submanifold(2, 3)
+        assert getattr(Y, name) is getattr(Y, name)
+        assert getattr(Y, name) == getattr(co.graph_submanifold(2, 3), name)
+
 
 def hypersurface(n, g_text):
     Y0 = co.graph_submanifold(n, n + 1)
@@ -223,7 +231,7 @@ class TestPerturbation:
         Y = co.legendrian_model(2)
         src = Y.source_chart
         bump = parse_field(src, "0.1 * y1 * exp(-(y1^2))")
-        Yp = co.perturb_legendrian(Y, bump, 0.1)
+        Yp = co.perturb_legendrian(Y, bump)
         res = co.singular_scan(Yp, box=0.8, step=0.1)
         assert res.num_hits == 0
         pts = rng.uniform(-0.9, 0.9, (50, 3))
@@ -233,7 +241,7 @@ class TestPerturbation:
         Y = co.legendrian_model(2)
         src = Y.source_chart
         bump = parse_field(src, "0.1 * y1 * exp(-(y1^2))")
-        Yp = co.perturb_legendrian(Y, bump, 0.1)
+        Yp = co.perturb_legendrian(Y, bump)
         pts = rng.uniform(-1, 1, (200, 3))
         assert co.perturbation_sup_norm(Y, Yp, pts) <= 0.1
 
@@ -241,12 +249,12 @@ class TestPerturbation:
         Y = co.legendrian_model(2)
         bump = parse_field(Y.source_chart, "y1^3")
         with pytest.raises(ValueError, match="does not clear"):
-            co.perturb_legendrian(Y, bump, 0.1)
+            co.perturb_legendrian(Y, bump)
 
     def test_zero_bump_is_identity(self):
         Y = co.legendrian_model(2)
         assert co.perturb_legendrian(
-            Y, parse_field(Y.source_chart, "0"), 0.1) is Y
+            Y, parse_field(Y.source_chart, "0")) is Y
 
 
 class TestCharFoliation:

@@ -1,5 +1,6 @@
-"""The compiled evaluation paths (numpy batch and float scalar) against the
-tree walk, which stays the reference, and against sympy as a second oracle."""
+"""The compiled evaluation paths (numpy batch and float scalar) against a
+recursive tree walk, which is the reference, and against sympy as a second
+oracle."""
 
 import math
 import warnings
@@ -23,6 +24,11 @@ from legfol.fields import (
     Sin,
     Sub,
     Var,
+    _checked_cos,
+    _checked_div,
+    _checked_exp,
+    _checked_pow,
+    _checked_sin,
     compile_exprs,
     parse_expr,
     parse_field,
@@ -37,22 +43,27 @@ REL = 1e-12
 
 
 def magnitude(e, env) -> tuple[float, float]:
-    """(value, scale): the scale bounds |value| plus how far an error of one
-    unit in the last place of every intermediate can move the value."""
+    """The checked recursive tree walk: (value, scale).
+
+    The value is computed node by node with the checked operations the
+    compiled scalar binding calls, so it raises EvaluationError where they
+    do.  The scale bounds |value| plus how far an error of one unit in the
+    last place of every intermediate can move the value.
+    """
     if isinstance(e, Const):
         return e.value, abs(e.value)
     if isinstance(e, Var):
         return env[e.name], abs(env[e.name])
     if isinstance(e, Pow):
         b, mb = magnitude(e.base, env)
-        v = b ** e.exponent
+        v = _checked_pow(b, e.exponent)
         slope = e.exponent * v / b if b else 0.0
         return v, abs(v) + abs(slope) * mb
     if isinstance(e, (Sin, Cos, Exp)):
         a, ma = magnitude(e.arg, env)
-        f, df = {Sin: (math.sin, math.cos),
-                 Cos: (math.cos, lambda t: -math.sin(t)),
-                 Exp: (math.exp, math.exp)}[type(e)]
+        f, df = {Sin: (_checked_sin, math.cos),
+                 Cos: (_checked_cos, lambda t: -math.sin(t)),
+                 Exp: (_checked_exp, math.exp)}[type(e)]
         v = f(a)
         return v, abs(v) + abs(df(a)) * ma
     a, ma = magnitude(e.left, env)
@@ -63,8 +74,19 @@ def magnitude(e, env) -> tuple[float, float]:
         return a - b, ma + mb
     if isinstance(e, Mul):
         return a * b, ma * abs(b) + abs(a) * mb
-    v = a / b
+    v = _checked_div(a, b)
     return v, ma / abs(b) + abs(v) * mb / abs(b)
+
+
+def walk(expr, point, chart=XY):
+    """The tree walk at one point after periodic reduction, or None where it
+    raises EvaluationError or ends non-finite."""
+    env = dict(zip(chart.var_names, chart.reduce(point).tolist()))
+    try:
+        value, _ = magnitude(expr, env)
+    except EvaluationError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def assert_close(got, expr, point):
@@ -115,27 +137,23 @@ def parse_or_reject(text):
         reject()
 
 
-def walk(field, point):
-    try:
-        return field.eval(point)
-    except EvaluationError:
-        return None
-
-
 class TestAgainstTreeWalk:
     @given(TEXTS, POINTS)
     @settings(max_examples=300)
     def test_batch_and_scalar_match_walk(self, text, points):
         expr = parse_or_reject(text)
-        field = parse_field(XY, text)
+        field = ExprField(XY, expr)
         compiled = compile_exprs(XY, (expr,))
-        expected = [walk(field, p) for p in points]
+        expected = [walk(expr, p) for p in points]
         for p, want in zip(points, expected):
             if want is None:
                 with pytest.raises(EvaluationError):
                     compiled.scalar(*p)
+                with pytest.raises(EvaluationError):
+                    field.eval(p)
             else:
                 assert_close(compiled.scalar(*p)[0], expr, p)
+                assert field.eval(p) == compiled.scalar(*p)[0]
         if any(w is None for w in expected):
             with pytest.raises(EvaluationError):
                 compiled.batch(points)
@@ -148,7 +166,7 @@ class TestAgainstTreeWalk:
     def test_sympy_agrees(self, text, point):
         sympy = pytest.importorskip("sympy")
         expr = parse_or_reject(text)
-        if walk(ExprField(XY, expr), point) is None:
+        if walk(expr, point) is None:
             return
         x, y = sympy.symbols("x y")
 
@@ -191,6 +209,7 @@ class TestErrors:
         compiled = compile_exprs(XY, (field.expr,))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            assert walk(field.expr, point) is None
             with pytest.raises(EvaluationError):
                 field.eval(point)
             with pytest.raises(EvaluationError):
@@ -202,12 +221,22 @@ class TestErrors:
         # exp(-1/0) would be exp(-inf) = 0 under numpy's rules.
         field = parse_field(XY, "exp(-1/(x-x))")
         compiled = compile_exprs(XY, (field.expr,))
+        assert walk(field.expr, [0.5, 0.0]) is None
         with pytest.raises(EvaluationError):
             field.eval([0.5, 0.0])
         with pytest.raises(EvaluationError):
             compiled.scalar(0.5, 0.0)
         with pytest.raises(EvaluationError, match="row 0"):
             compiled.batch([[0.5, 0.0]])
+
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]])
+    def test_wrong_point_length(self, point):
+        # Chart.reduce refuses such a point too.
+        with pytest.raises(ValueError, match="chart dim is 2"):
+            parse_field(XY, "x + y").eval(point)
+        with pytest.raises(ValueError, match="chart dim is 2"):
+            fm.one_form(XY, {"x": parse_field(XY, "y")}).evaluate(
+                point, [[1.0, 0.0]])
 
     def test_batch_names_first_bad_row(self):
         # The division is checked before the exponential, and fails on a
@@ -256,8 +285,7 @@ class TestCompiler:
             reduced = ch.reduce(p)
             assert row[:3].tolist() == reduced.tolist()
             assert list(compiled.scalar(*p))[:3] == reduced.tolist()
-            field = parse_field(ch, "sin(s) + t*u")
-            assert row[3] == pytest.approx(field.eval(p), rel=1e-12)
+            assert row[3] == pytest.approx(walk(exprs[3], p, ch), rel=1e-12)
 
 
 class TestCoeffArray:
@@ -270,7 +298,7 @@ class TestCoeffArray:
         arr = two.coeff_array(pts)
         assert arr.shape == (7, 3)  # (0,1), (0,2), (1,2)
         for p, row in zip(pts, arr):
-            vals = two.coeff_values(p)
             assert row[1] == 0.0
-            assert row[0] == pytest.approx(vals[(0, 1)], rel=1e-14)
-            assert row[2] == pytest.approx(vals[(1, 2)], rel=1e-14)
+            for col, idx in ((0, (0, 1)), (2, (1, 2))):
+                want = walk(two.coeff(idx).expr, p, ch)
+                assert row[col] == pytest.approx(want, rel=1e-14)
