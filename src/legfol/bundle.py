@@ -2,19 +2,19 @@
 
 The horizontal distribution is declared by one lift per base coordinate;
 parallel transport integrates the lift ODE along piecewise-linear base paths
-with an adaptive Runge-Kutta pair. Holonomy maps are sampled point clouds
-with finite-difference Jacobians, since fiber diffeomorphisms have no finite
-description.
+with an adaptive Runge-Kutta pair, for many fiber points at once. Holonomy
+maps are sampled point clouds with finite-difference Jacobians, since fiber
+diffeomorphisms have no finite description.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 
 from . import coiso as co
@@ -91,6 +91,12 @@ class FlatDiskBundle:
         comps[self.base_dim + 1] = self.lift_v[j]
         return VectorFieldExpr(total, tuple(comps))
 
+    @functools.cached_property
+    def _holonomy_memo(self) -> dict:
+        """holonomy() results on this bundle, by (generator, samples,
+        ode_tol, fd_step)."""
+        return {}
+
     def lifts(self) -> list[VectorFieldExpr]:
         return [self.lift(j) for j in range(self.base_dim)]
 
@@ -160,59 +166,247 @@ class TransportResult:
     tol: float
 
 
-def parallel_transport(bundle: FlatDiskBundle,
-                       path: Sequence[Sequence[float]],
-                       x0: Sequence[float],
-                       ode_tol: float = DEFAULT_ODE_TOL) -> TransportResult:
-    """Integrate the horizontal-lift ODE along a piecewise-linear base path."""
+@dataclass(frozen=True)
+class BatchTransport:
+    """Per-row outcome of transport_batch: (N, 2) endpoints, and (N,) escape
+    flags, accepted steps and right-hand-side evaluations."""
+
+    end: np.ndarray
+    escaped: np.ndarray
+    steps: np.ndarray
+    nfev: np.ndarray
+
+
+# The Dormand-Prince RK5(4) pair with Shampine's quartic interpolant, the
+# tableau of scipy's RK45: stage times C, stage weights A, the fifth-order
+# weights B, the error weights E (B minus the fourth-order weights, over all
+# seven stages) and the dense-output coefficients P.
+RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                 1/40])
+RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# Step-size control: the error is that of the fourth-order solution.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1 / 5
+MAX_STEP = 1.0
+
+
+def _rms(x: np.ndarray) -> np.ndarray:
+    """Row-wise RMS norm of an (N, 2) array."""
+    return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]) / 2 ** 0.5
+
+
+def _dense(K: np.ndarray, t_old, h, y_old, t) -> np.ndarray:
+    """The quartic interpolant of the steps in K (rows, stages, 2) at t."""
+    x = (t - t_old) / h
+    powers = np.cumprod(np.repeat(x[:, None], 4, axis=1), axis=1)
+    Q = np.einsum("nsk,sj->nkj", K, RK_P)
+    return h[:, None] * np.einsum("nkj,nj->nk", Q, powers) + y_old
+
+
+def _escape_time(K, t_old, h, y_old, t_new, r2) -> np.ndarray:
+    """Where |y|^2 - r^2 turns from <= 0 to >= 0 on each row's last step, by
+    bisection on the step's dense output down to adjacent floats."""
+    def g(t):
+        y = _dense(K, t_old, h, y_old, t)
+        return y[:, 0] ** 2 + y[:, 1] ** 2 - r2
+
+    lo, hi = t_old.copy(), t_new.copy()
+    while True:
+        mid = lo + (hi - lo) / 2
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            break
+        below = g(mid) < 0
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    return np.where(np.abs(g(lo)) < np.abs(g(hi)), lo, hi)
+
+
+def _integrate_segment(rhs, y0: np.ndarray, rtol: float, atol: float,
+                       r2: float, budget: np.ndarray):
+    """Integrate y' = rhs(t, y) from t = 0 to 1 for every row at once.
+
+    Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1)
+    takes for it alone, with the terminal event |y|^2 = r2 crossed upwards.
+    A row that takes more than its ``budget`` of accepted steps raises.
+    Returns per row the end point, the escape flag, the accepted steps and
+    nfev.
+    """
+    n = len(y0)
+    end = np.empty((n, 2))
+    escaped = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=int)
+    nfev = np.zeros(n, dtype=int)
+    # State of the rows still integrating; rows[i] is the row of entry i.
+    rows = np.arange(n)
+    y = y0.copy()
+    t = np.zeros(n)
+    f = rhs(t, y)
+    # initial step selection
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.minimum(
+            np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), 1.0)
+    d2 = _rms((rhs(h0, y + h0[:, None] * f) - f) / scale) / h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+    h_abs = np.minimum(np.minimum(100 * h0, h1), MAX_STEP)
+    nf = np.full(n, 2)
+    st = np.zeros(n, dtype=int)
+    g = y[:, 0] ** 2 + y[:, 1] ** 2 - r2
+    rejected = np.zeros(n, dtype=bool)
+    while rows.size:
+        # a new step starts clamped to [min_step, MAX_STEP]; a retry of a
+        # rejected one is not clamped, and fails below min_step
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h = np.where(rejected, h_abs, np.clip(h_abs, min_step, MAX_STEP))
+        if np.any(h < min_step):
+            raise RuntimeError("transport integration failed: Required "
+                               "step size is less than spacing between "
+                               "numbers.")
+        t_new = np.minimum(t + h, 1.0)
+        h = t_new - t
+        hc = h[:, None]
+        K = np.empty((len(rows), 7, 2))
+        K[:, 0] = f
+        for s in range(1, 6):
+            dy = np.einsum("nsk,s->nk", K[:, :s], RK_A[s, :s]) * hc
+            K[:, s] = rhs(t + RK_C[s] * h, y + dy)
+        y_new = y + hc * np.einsum("nsk,s->nk", K[:, :6], RK_B)
+        K[:, 6] = f_new = rhs(t_new, y_new)
+        nf += 6
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err = _rms(np.einsum("nsk,s->nk", K, RK_E) * hc / scale)
+        with np.errstate(divide="ignore"):
+            grow = SAFETY * err ** ERROR_EXPONENT
+        ok = err < 1
+        factor = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, grow))
+        factor = np.where(rejected, np.minimum(1, factor), factor)
+        h_abs = h * np.where(ok, factor, np.maximum(MIN_FACTOR, grow))
+        rejected = ~ok
+        st += ok
+        if np.any(st > budget[rows]):
+            raise RuntimeError("step budget exceeded")
+        g_new = y_new[:, 0] ** 2 + y_new[:, 1] ** 2 - r2
+        up = ok & (g <= 0) & (g_new >= 0)
+        y_old, t_old = y, t
+        y = np.where(ok[:, None], y_new, y)
+        f = np.where(ok[:, None], f_new, f)
+        t = np.where(ok, t_new, t)
+        g = np.where(ok, g_new, g)
+        if up.any():
+            # freeze the row where it leaves the disk
+            args = K[up], t_old[up], h[up], y_old[up]
+            y[up] = _dense(*args, _escape_time(*args, t_new[up], r2))
+        done = up | (t >= 1.0)
+        if done.any():
+            out = rows[done]
+            end[out], escaped[out] = y[done], up[done]
+            steps[out], nfev[out] = st[done], nf[done]
+            keep = ~done
+            rows, y, t, f, g = rows[keep], y[keep], t[keep], f[keep], g[keep]
+            h_abs, rejected = h_abs[keep], rejected[keep]
+            st, nf = st[keep], nf[keep]
+    return end, escaped, steps, nfev
+
+
+def _fiber_points(points) -> np.ndarray:
+    """Fiber points (u, v) as an (N, 2) float array."""
+    pts = np.array(points, dtype=float)
+    if pts.size == 0:
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("fiber points must be pairs (u, v)")
+    return pts
+
+
+def transport_batch(bundle: FlatDiskBundle,
+                    path: Sequence[Sequence[float]],
+                    starts: Sequence[Sequence[float]],
+                    ode_tol: float = DEFAULT_ODE_TOL) -> BatchTransport:
+    """Integrate the horizontal-lift ODE along a piecewise-linear base path
+    for N fiber points at once.
+
+    Every row takes the adaptive RK45 steps it would take alone, restarted at
+    each path vertex, and stops where it first leaves the fiber disk.
+    """
     verts = [np.asarray(v, dtype=float) for v in path]
     if len(verts) < 2:
         raise ValueError("path needs at least two vertices")
     for v in verts:
         if v.shape != (bundle.base_dim,):
             raise ValueError("path vertex has wrong dimension")
-    x = np.asarray(x0, dtype=float)
-    if np.hypot(*x) >= bundle.radius:
+    y = _fiber_points(starts)
+    if np.any(np.hypot(y[:, 0], y[:, 1]) >= bundle.radius):
         raise ValueError("start point outside the fiber disk")
-    r2 = bundle.radius ** 2
-    steps = 0
-    nfev = 0
-    escaped = False
     b = bundle.base_dim
     lift = compile_exprs(bundle.total_chart, tuple(
-        c.expr for c in bundle.lift_u + bundle.lift_v)).scalar
+        c.expr for c in bundle.lift_u + bundle.lift_v)).batch
+    rtol = max(ode_tol, 100 * np.finfo(float).eps)  # scipy's floor
+    n = len(y)
+    escaped = np.zeros(n, dtype=bool)
+    steps = np.zeros(n, dtype=int)
+    nfev = np.zeros(n, dtype=int)
     for P, Q in zip(verts[:-1], verts[1:]):
-        dP = Q - P
-        p0, dp = P.tolist(), dP.tolist()
-
-        def rhs(t, y):
-            comps = lift(*[a + t * d for a, d in zip(p0, dp)], *y.tolist())
-            du = sum(d * c for d, c in zip(dp, comps[:b]))
-            dv = sum(d * c for d, c in zip(dp, comps[b:]))
-            return [du, dv]
-
-        def escape(t, y):
-            return y[0] ** 2 + y[1] ** 2 - r2
-
-        escape.terminal = True
-        escape.direction = 1
-        sol = solve_ivp(rhs, (0.0, 1.0), x, method="RK45",
-                        rtol=ode_tol, atol=ode_tol, events=escape,
-                        max_step=1.0, dense_output=False)
-        if not sol.success:
-            raise RuntimeError(f"transport integration failed: {sol.message}")
-        steps += len(sol.t) - 1
-        nfev += sol.nfev
-        if steps > MAX_STEPS:
-            raise RuntimeError("step budget exceeded")
-        x = sol.y[:, -1]
-        if sol.status == 1:  # escape event fired
-            escaped = True
+        live = np.flatnonzero(~escaped)
+        if not live.size:
             break
+        dP = Q - P
+
+        def rhs(t, yt):
+            # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), summed in j order
+            comps = lift(np.concatenate([P + t[:, None] * dP, yt], axis=1))
+            comps = comps.reshape(-1, 2, b)
+            out = 0.0
+            for j in range(b):
+                out = out + dP[j] * comps[:, :, j]
+            return out
+
+        y[live], escaped[live], seg_steps, seg_nfev = _integrate_segment(
+            rhs, y[live], rtol, ode_tol, bundle.radius ** 2,
+            MAX_STEPS - steps[live])
+        steps[live] += seg_steps
+        nfev[live] += seg_nfev
+    return BatchTransport(end=y, escaped=escaped, steps=steps, nfev=nfev)
+
+
+def parallel_transport(bundle: FlatDiskBundle,
+                       path: Sequence[Sequence[float]],
+                       x0: Sequence[float],
+                       ode_tol: float = DEFAULT_ODE_TOL) -> TransportResult:
+    """Integrate the horizontal-lift ODE along a piecewise-linear base path."""
+    res = transport_batch(bundle, path, [x0], ode_tol)
+    end = res.end[0]
     return TransportResult(
-        start=(float(x0[0]), float(x0[1])), end=(float(x[0]), float(x[1])),
-        path=tuple(tuple(map(float, v)) for v in verts),
-        escaped=escaped, steps=steps, nfev=nfev, tol=ode_tol)
+        start=(float(x0[0]), float(x0[1])), end=(float(end[0]), float(end[1])),
+        path=tuple(tuple(map(float, v)) for v in path),
+        escaped=bool(res.escaped[0]), steps=int(res.steps[0]),
+        nfev=int(res.nfev[0]), tol=ode_tol)
 
 
 def generator_loop(bundle: FlatDiskBundle, index: int
@@ -240,36 +434,54 @@ class HolonomySample:
         return float(np.linalg.det(self.jacobian))
 
 
+# Each sample's rows in holonomy's batch: x, x + h e1, x - h e1, x + h e2,
+# x - h e2, for the central-difference Jacobian.
+_FD_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                        [0.0, -1.0]])
+
+
 def holonomy(bundle: FlatDiskBundle, generator: int,
              samples: Sequence[Sequence[float]],
              ode_tol: float = DEFAULT_ODE_TOL,
              fd_step: float = 1e-5) -> list[HolonomySample]:
-    """Sampled holonomy around a generator loop, with FD Jacobians."""
+    """Sampled holonomy around a generator loop, with FD Jacobians.
+
+    All five transports per sample run in one batch.  The result is memoized
+    on the bundle, keyed by everything it depends on.
+    """
+    pts = _fiber_points(samples)
+    key = (generator, pts.tobytes(), ode_tol, fd_step)
+    memo = bundle._holonomy_memo
+    if key not in memo:
+        memo[key] = _holonomy(bundle, generator, pts, ode_tol, fd_step)
+    return list(memo[key])
+
+
+def _holonomy(bundle: FlatDiskBundle, generator: int, pts: np.ndarray,
+              ode_tol: float, fd_step: float) -> tuple[HolonomySample, ...]:
     loop = generator_loop(bundle, generator)
+    if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= bundle.radius):
+        raise ValueError("start point outside the fiber disk")
+    rows = (pts[:, None, :] + fd_step * _FD_OFFSETS).reshape(-1, 2)
+    # an FD row starting outside the disk voids its sample's Jacobian
+    inside = np.hypot(rows[:, 0], rows[:, 1]) < bundle.radius
+    res = transport_batch(bundle, loop, rows[inside], ode_tol)
+    end = np.zeros_like(rows)
+    end[inside] = res.end
+    void = ~inside
+    void[inside] = res.escaped
+    end, void = end.reshape(-1, 5, 2), void.reshape(-1, 5)
     out = []
-    for x in samples:
-        res = parallel_transport(bundle, loop, x, ode_tol)
-        if res.escaped:
-            out.append(HolonomySample(tuple(map(float, x)), res.end, True, None))
+    for x, e, bad in zip(pts, end, void):
+        point, image = tuple(map(float, x)), tuple(map(float, e[0]))
+        if bad[0]:
+            out.append(HolonomySample(point, image, True, None))
             continue
-        J = np.zeros((2, 2))
-        ok = True
-        for col, e in enumerate(np.eye(2)):
-            try:
-                hi = parallel_transport(bundle, loop, np.asarray(x) + fd_step * e,
-                                        ode_tol)
-                lo = parallel_transport(bundle, loop, np.asarray(x) - fd_step * e,
-                                        ode_tol)
-            except ValueError:
-                ok = False
-                break
-            if hi.escaped or lo.escaped:
-                ok = False
-                break
-            J[:, col] = (np.array(hi.end) - np.array(lo.end)) / (2 * fd_step)
-        out.append(HolonomySample(tuple(map(float, x)), res.end, False,
-                                  J if ok else None))
-    return out
+        J = np.stack([e[1] - e[2], e[3] - e[4]], axis=1) / (2 * fd_step)
+        J.flags.writeable = False  # shared through the memo
+        out.append(HolonomySample(point, image, False,
+                                  None if bad[1:].any() else J))
+    return tuple(out)
 
 
 def covariant_derivative(bundle: FlatDiskBundle, X: VectorFieldExpr,

@@ -339,7 +339,10 @@ def pow_(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     if isinstance(a, Const):
-        return Const(a.value ** k)
+        try:
+            return Const(a.value ** k)
+        except (ZeroDivisionError, OverflowError):
+            pass  # 0^-k or an overflow: left for evaluation to refuse
     return Pow(a, k)
 
 
@@ -435,6 +438,11 @@ def _np_div(num, den):
 
 
 def _np_pow(base, k: int):
+    if np.ndim(base) == 0:  # a constant base fails on every row alike
+        try:
+            return _checked_pow(float(base), k)
+        except EvaluationError as exc:
+            raise _RowError(str(exc), True) from None
     v = base ** k
     # Also catches 0^-k, which numpy makes inf.
     _check_rows(np.isinf(v) & np.isfinite(base), "power overflow")

@@ -266,7 +266,8 @@ def _check_transport(env: _Env, b: Block) -> dict:
     err = float(np.linalg.norm(np.array(res.end) - np.array(expected)))
     return {"passed": not res.escaped and err <= tol,
             "end": [float(x) for x in res.end], "error": err,
-            "escaped": bool(res.escaped), "tolerance": tol}
+            "escaped": bool(res.escaped), "steps": res.steps,
+            "nfev": res.nfev, "tolerance": tol}
 
 
 def _check_ccl(env: _Env, b: Block) -> dict:

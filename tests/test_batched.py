@@ -14,16 +14,19 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 
 from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import forms as fm
 from legfol import germ as gm
+from legfol import runner
 from legfol import symplin as sl
 from legfol.fields import (
     Chart,
     EvaluationError,
+    compile_exprs,
     constant,
     coordinate,
     lie_bracket,
@@ -31,6 +34,7 @@ from legfol.fields import (
     pushforward_field,
     vector_field,
 )
+from legfol.scenario import parse_scenario
 
 
 def close(a, b):
@@ -540,6 +544,78 @@ def walk_invariance_probe(bundle, beta):
                 for p in probe) for j in range(bundle.base_dim)]
 
 
+def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
+    """parallel_transport as one solve_ivp per path segment and point, with
+    the lift evaluated through the scalar binding."""
+    verts = [np.asarray(v, dtype=float) for v in path]
+    x = np.asarray(x0, dtype=float)
+    if np.hypot(*x) >= bundle.radius:
+        raise ValueError("start point outside the fiber disk")
+    r2 = bundle.radius ** 2
+    steps = nfev = 0
+    escaped = False
+    b = bundle.base_dim
+    lift = compile_exprs(bundle.total_chart, tuple(
+        c.expr for c in bundle.lift_u + bundle.lift_v)).scalar
+    for P, Q in zip(verts[:-1], verts[1:]):
+        p0, dp = P.tolist(), (Q - P).tolist()
+
+        def rhs(t, y):
+            comps = lift(*[a + t * d for a, d in zip(p0, dp)], *y.tolist())
+            return [sum(d * c for d, c in zip(dp, comps[:b])),
+                    sum(d * c for d, c in zip(dp, comps[b:]))]
+
+        def escape(t, y):
+            return y[0] ** 2 + y[1] ** 2 - r2
+
+        escape.terminal = True
+        escape.direction = 1
+        sol = solve_ivp(rhs, (0.0, 1.0), x, method="RK45", rtol=ode_tol,
+                        atol=ode_tol, events=escape, max_step=1.0)
+        assert sol.success
+        steps += len(sol.t) - 1
+        nfev += sol.nfev
+        x = sol.y[:, -1]
+        if sol.status == 1:
+            escaped = True
+            break
+    return bd.TransportResult(
+        start=(float(x0[0]), float(x0[1])), end=(float(x[0]), float(x[1])),
+        path=tuple(tuple(map(float, v)) for v in verts),
+        escaped=escaped, steps=steps, nfev=nfev, tol=ode_tol)
+
+
+def walk_holonomy(bundle, generator, samples, ode_tol=bd.DEFAULT_ODE_TOL,
+                  fd_step=1e-5):
+    """holonomy as five walk_transport calls per sample."""
+    loop = bd.generator_loop(bundle, generator)
+    out = []
+    for x in samples:
+        res = walk_transport(bundle, loop, x, ode_tol)
+        if res.escaped:
+            out.append(bd.HolonomySample(tuple(map(float, x)), res.end, True,
+                                         None))
+            continue
+        J = np.zeros((2, 2))
+        ok = True
+        for col, e in enumerate(np.eye(2)):
+            try:
+                hi = walk_transport(bundle, loop, np.asarray(x) + fd_step * e,
+                                    ode_tol)
+                lo = walk_transport(bundle, loop, np.asarray(x) - fd_step * e,
+                                    ode_tol)
+            except ValueError:
+                ok = False
+                break
+            if hi.escaped or lo.escaped:
+                ok = False
+                break
+            J[:, col] = (np.array(hi.end) - np.array(lo.end)) / (2 * fd_step)
+        out.append(bd.HolonomySample(tuple(map(float, x)), res.end, False,
+                                     J if ok else None))
+    return out
+
+
 def walk_ccl_invariance(bundle, beta, count=8):
     """ccl_check's holonomy part: (max residual, escapes)."""
     rng = np.random.default_rng(0)
@@ -555,7 +631,7 @@ def walk_ccl_invariance(bundle, beta, count=8):
 
     worst, escapes = 0.0, 0
     for g in range(bundle.base_dim):
-        for hs in bd.holonomy(bundle, g, pts):
+        for hs in walk_holonomy(bundle, g, pts):
             if hs.escaped or hs.jacobian is None:
                 escapes += 1
                 continue
@@ -724,7 +800,10 @@ class TestCCLInvariance:
         got = bd.ccl_check(b, beta)["invariance"]
         worst, escapes = walk_ccl_invariance(b, beta)
         assert got["escapes"] == escapes
-        assert close(got["max_residual"], worst)
+        # The oracle integrates on its own, so endpoints agree to a few ulp
+        # (~1e-15), not bit for bit; the FD Jacobian divides that by
+        # 2 fd_step = 2e-5, and |beta| <= 2 at the images.
+        assert abs(got["max_residual"] - worst) <= 1e-10
         assert got["ok"] == (escapes == 0 and worst <= 1e-6)
 
     def test_radial_bundle_escapes(self):
@@ -733,6 +812,239 @@ class TestCCLInvariance:
         beta = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
                                    "v": parse_field(fiber, "u")})
         assert 0 < bd.ccl_check(b, beta)["invariance"]["escapes"] < 8
+
+
+def trig_bundle():
+    """A lift with sin and exp terms, smooth across the period of s1."""
+    total = Chart(("s1", "u", "v"), (1.0, None, None))
+    return bd.FlatDiskBundle(1, (1.0,), 1.0, (parse_field(
+        total, "-v * (1 + 0.3 * sin(6.283185307179586 * s1 + u))"),), (
+        parse_field(total,
+                    "u * exp(0.2 * v) - 0.1 * cos(6.283185307179586 * s1)"),))
+
+
+def disk_points(rng, count, radius=0.95):
+    pts = rng.uniform(-radius, radius, (count, 2))
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) < radius]
+
+
+CONTRACTIBLE = [[0.0, 0.0], [0.3, 0.0], [0.3, 0.3], [0.0, 0.3], [0.0, 0.0]]
+
+
+class TestBatchedTransport:
+    """transport_batch against one solve_ivp per point: the same escapes,
+    the same steps and nfev per row, endpoints within 1e-13."""
+
+    @staticmethod
+    def assert_rows_match(bundle, path, starts):
+        got = bd.transport_batch(bundle, path, starts)
+        for i, x in enumerate(starts):
+            want = walk_transport(bundle, path, x)
+            assert bool(got.escaped[i]) == want.escaped
+            assert (got.steps[i], got.nfev[i]) == (want.steps, want.nfev)
+            assert np.max(np.abs(got.end[i] - want.end)) <= 1e-13
+        return got
+
+    @pytest.mark.parametrize("make, generator", [
+        (lambda: bd.rotation_bundle([0.7]), 0),
+        (lambda: bd.rotation_bundle([0.9, 1.7]), 0),
+        (lambda: bd.rotation_bundle([0.9, 1.7]), 1),
+        (sheared_bundle, 0),
+        (sheared_bundle, 1),
+        (trig_bundle, 0),
+    ], ids=["circle", "torus-0", "torus-1", "sheared-0", "sheared-1", "trig"])
+    def test_generator_loops(self, make, generator, rng):
+        b = make()
+        self.assert_rows_match(b, bd.generator_loop(b, generator),
+                               disk_points(rng, 30))
+
+    def test_radial_mixes_escaped_and_kept_rows(self, rng):
+        b = radial_bundle()
+        got = self.assert_rows_match(b, bd.generator_loop(b, 0),
+                                     disk_points(rng, 40))
+        assert 0 < got.escaped.sum() < len(got.escaped)
+
+    def test_contractible_loop(self, rng):
+        b = bd.rotation_bundle([0.9, 1.7])
+        got = self.assert_rows_match(b, CONTRACTIBLE, disk_points(rng, 20))
+        assert np.all(got.steps >= 4)  # a restart at each of four segments
+
+    def test_one_row_is_parallel_transport(self):
+        b = bd.rotation_bundle([1.5707963267948966])
+        got = bd.parallel_transport(b, bd.generator_loop(b, 0), [0.5, 0.0])
+        want = walk_transport(b, bd.generator_loop(b, 0), [0.5, 0.0])
+        assert dataclasses.replace(got, end=want.end) == want
+        assert np.max(np.abs(np.subtract(got.end, want.end))) <= 1e-13
+
+    def test_start_outside_disk_refused(self):
+        b = bd.rotation_bundle([0.7])
+        with pytest.raises(ValueError, match="outside the fiber disk"):
+            bd.transport_batch(b, bd.generator_loop(b, 0),
+                               [[0.1, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="outside the fiber disk"):
+            bd.holonomy(b, 0, [[0.1, 0.0], [0.0, -1.2]])
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import rk
+
+        for ours, theirs in ((bd.RK_A, rk.RK45.A), (bd.RK_B, rk.RK45.B),
+                             (bd.RK_C, rk.RK45.C), (bd.RK_E, rk.RK45.E),
+                             (bd.RK_P, rk.RK45.P)):
+            np.testing.assert_array_equal(ours, theirs)
+        assert (bd.SAFETY, bd.MIN_FACTOR, bd.MAX_FACTOR) == (
+            rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+        assert bd.ERROR_EXPONENT == -1 / (rk.RK45.error_estimator_order + 1)
+
+
+class TestBatchedHolonomy:
+    @staticmethod
+    def assert_samples_match(bundle, generator, samples, fd_step=1e-5):
+        got = bd.holonomy(bundle, generator, samples, fd_step=fd_step)
+        want = walk_holonomy(bundle, generator, samples, fd_step=fd_step)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.point == b.point and a.escaped == b.escaped
+            assert np.max(np.abs(np.subtract(a.image, b.image))) <= 1e-13
+            assert (a.jacobian is None) == (b.jacobian is None)
+            if a.jacobian is not None:
+                # FD quotients scale the endpoint bound by 1 / (2 fd_step)
+                assert np.max(np.abs(a.jacobian - b.jacobian)) \
+                    <= 1e-13 / fd_step
+        return got
+
+    @pytest.mark.parametrize("make, generator", [
+        (lambda: bd.rotation_bundle([0.7]), 0),
+        (lambda: bd.rotation_bundle([0.9, 1.7]), 1),
+        (sheared_bundle, 1),
+        (trig_bundle, 0),
+    ], ids=["circle", "torus", "sheared", "trig"])
+    def test_against_walk(self, make, generator, rng):
+        self.assert_samples_match(make(), generator, disk_points(rng, 8, 0.7))
+
+    def test_radial_escapes(self, rng):
+        got = self.assert_samples_match(radial_bundle(), 0,
+                                        disk_points(rng, 12))
+        assert any(hs.escaped for hs in got)
+        assert any(hs.jacobian is not None for hs in got)
+
+    def test_fd_rows_outside_disk(self):
+        # x + h e1 and x - h e2 start outside the disk: no Jacobian, but an
+        # image
+        h = 1e-5
+        samples = [[1 - h / 2, 0.0], [0.0, -(1 - h / 2)], [0.3, 0.2]]
+        got = self.assert_samples_match(bd.rotation_bundle([0.7]), 0, samples,
+                                        fd_step=h)
+        assert [hs.jacobian is None for hs in got] == [True, True, False]
+        assert not any(hs.escaped for hs in got)
+
+
+MEMO_SCENARIO = """scenario memo
+
+bundle torus
+  type = rotation
+  rates = 0.9 1.7
+end
+
+form area
+  on = fiber torus
+  u = -v
+  v = u
+end
+
+form shear
+  on = fiber torus
+  u = 1 + u
+end
+
+germ first
+  type = singular
+  bundle = torus
+  form = area
+end
+
+germ flipped
+  type = singular
+  bundle = torus
+  form = area
+  orientation = -1
+end
+
+check area-ccl
+  kind = ccl
+  target = torus
+  form = area
+end
+
+check shear-ccl
+  kind = ccl
+  target = torus
+  form = shear
+  expect = fail
+end
+
+check endpoint
+  kind = transport
+  target = torus
+  generator = 1
+  start = 0.5 0
+  end = -0.0644 0.4958
+  tol = 1e-3
+end
+"""
+
+
+class TestHolonomyMemo:
+    """Each generator loop of a bundle is integrated once per run: two germ
+    builds and two ccl checks share it; a second run integrates it again."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        rows = []
+        real = bd.transport_batch
+
+        def counted(bundle, path, starts, *args, **kwargs):
+            rows.append(len(starts))
+            return real(bundle, path, starts, *args, **kwargs)
+
+        monkeypatch.setattr(bd, "transport_batch", counted)
+        return rows
+
+    def test_once_per_run(self, batches):
+        report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
+        assert report["passed"]
+        # 8 CCL samples, 5 rows each, per generator; one transport check
+        assert sorted(batches) == [1, 40, 40]
+
+    def test_not_shared_between_runs(self, batches):
+        sc = parse_scenario(MEMO_SCENARIO)
+        first = runner.run_scenario(sc)
+        second = runner.run_scenario(sc)
+        assert sorted(batches) == [1, 1, 40, 40, 40, 40]
+        first.pop("wall_time"), second.pop("wall_time")
+        assert first == second
+
+    def test_key_covers_arguments(self, batches):
+        b = bd.rotation_bundle([0.9, 1.7])
+        pts = [[0.3, 0.1], [-0.2, 0.4]]
+        first = bd.holonomy(b, 0, pts)
+        again = bd.holonomy(b, 0, [list(p) for p in pts])
+        assert all(x is y for x, y in zip(again, first))
+        for args, kwargs in (((1, pts), {}), ((0, pts[:1]), {}),
+                             ((0, pts), {"ode_tol": 1e-9}),
+                             ((0, pts), {"fd_step": 1e-4})):
+            bd.holonomy(b, *args, **kwargs)
+        assert batches == [10, 10, 5, 10, 10]
+        # another bundle with the same lifts has its own memo
+        bd.holonomy(bd.rotation_bundle([0.9, 1.7]), 0, pts)
+        assert len(batches) == 6
+
+    def test_transport_check_reports_steps(self):
+        report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
+        detail = report["checks"][2]["detail"]
+        b = bd.rotation_bundle([0.9, 1.7])
+        want = walk_transport(b, bd.generator_loop(b, 1), [0.5, 0.0])
+        assert (detail["steps"], detail["nfev"]) == (want.steps, want.nfev)
+        assert np.max(np.abs(np.subtract(detail["end"], want.end))) <= 1e-13
 
 
 class TestFormMatrices:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legfol import forms as fm
@@ -78,6 +78,15 @@ def magnitude(e, env) -> tuple[float, float]:
     return v, ma / abs(b) + abs(v) * mb / abs(b)
 
 
+def subtrees(e):
+    """Every node of an expression tree."""
+    yield e
+    for child in (getattr(e, name, None)
+                  for name in ("base", "arg", "left", "right")):
+        if child is not None:
+            yield from subtrees(child)
+
+
 def walk(expr, point, chart=XY):
     """The tree walk at one point after periodic reduction, or None where it
     raises EvaluationError or ends non-finite."""
@@ -129,19 +138,11 @@ COORD = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 3.0, 750.0,
 POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=5)
 
 
-def parse_or_reject(text):
-    try:
-        return parse_expr(text)
-    except (OverflowError, ZeroDivisionError):
-        # The parser folds constant powers such as 0^-1 at parse time.
-        reject()
-
-
 class TestAgainstTreeWalk:
     @given(TEXTS, POINTS)
     @settings(max_examples=300)
     def test_batch_and_scalar_match_walk(self, text, points):
-        expr = parse_or_reject(text)
+        expr = parse_expr(text)
         field = ExprField(XY, expr)
         compiled = compile_exprs(XY, (expr,))
         expected = [walk(expr, p) for p in points]
@@ -165,7 +166,7 @@ class TestAgainstTreeWalk:
     @settings(max_examples=60)
     def test_sympy_agrees(self, text, point):
         sympy = pytest.importorskip("sympy")
-        expr = parse_or_reject(text)
+        expr = parse_expr(text)
         if walk(expr, point) is None:
             return
         x, y = sympy.symbols("x y")
@@ -216,6 +217,38 @@ class TestErrors:
                 compiled.scalar(*point)
             with pytest.raises(EvaluationError):
                 compiled.batch([point])
+
+    @pytest.mark.parametrize("text", ["0^-1", "10^400", "x + (0 * 3)^-2",
+                                      "exp(-(1e100)^4)"])
+    def test_constant_power_left_unfolded(self, text):
+        # Folding would raise ZeroDivisionError or OverflowError, so the
+        # parser keeps the power and every evaluation refuses it.
+        field = parse_field(XY, text)
+        assert any(isinstance(e, Pow) and isinstance(e.base, Const)
+                   for e in subtrees(field.expr))
+        compiled = compile_exprs(XY, (field.expr,))
+        assert walk(field.expr, [0.5, 0.0]) is None
+        with pytest.raises(EvaluationError):
+            field.eval([0.5, 0.0])
+        with pytest.raises(EvaluationError):
+            compiled.scalar(0.5, 0.0)
+        with pytest.raises(EvaluationError, match="row 0"):
+            compiled.batch([[0.5, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("base, k", [(0.0, -1), (-0.0, -3), (10.0, 400)])
+    def test_constant_base_power_in_both_bindings(self, base, k):
+        compiled = compile_exprs(XY, (Pow(Const(base), k),))
+        with pytest.raises(EvaluationError):
+            compiled.scalar(1.0, 2.0)
+        with pytest.raises(EvaluationError, match="row 0"):
+            compiled.batch([[1.0, 2.0]])
+
+    def test_finite_constant_powers_still_fold(self):
+        assert parse_expr("2^3") == Const(8.0)
+        assert parse_expr("(0.5)^-2") == Const(4.0)
+        out = compile_exprs(XY, (Pow(Const(2.0), 3), Var("x"))).batch(
+            [[1.0, 0.0], [2.0, 0.0]])
+        assert out.tolist() == [[8.0, 1.0], [8.0, 2.0]]
 
     def test_zero_divisor_numpy_would_hide(self):
         # exp(-1/0) would be exp(-inf) = 0 under numpy's rules.
