@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import coiso as co
 from . import forms as fm
@@ -591,7 +590,7 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
 
     return {
         "rank": k - 2,
-        "kernel_bases": [null_space(m, rcond=tol).T for m in M],
+        "kernel_bases": [sl.null_space(m, rcond=tol).T for m in M],
         "membership_residual": worst(fm.interior(V, dlam) for V in tilde),
         "integrability_residual": worst(
             fm.interior(lie_bracket(Va, Vb), dlam)

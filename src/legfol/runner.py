@@ -143,11 +143,6 @@ class _Env:
 
     # -- helpers -----------------------------------------------------------
 
-    def graph(self, name: str) -> co.GraphSubmanifold:
-        if name not in self.graphs:
-            raise RunError(f"no graph named '{name}'")
-        return self.graphs[name]
-
     def graph_points(self, Y: co.GraphSubmanifold, count: int,
                      box: float = 0.9) -> np.ndarray:
         return self.rng.uniform(-box, box, (count, Y.source_chart.dim))
@@ -161,7 +156,7 @@ class _Env:
 
 
 def _check_claim(env: _Env, b: Block) -> dict:
-    Y = env.graph(b.require("target"))
+    Y = env.graphs[b.require("target")]
     tol = parse_float(b.get("tol", "1e-8"), b.line)
     pts = env.graph_points(Y, parse_int(b.get("samples", "100"), b.line))
     res = co.verify_claim(Y, pts, tol)
@@ -174,7 +169,7 @@ def _check_claim(env: _Env, b: Block) -> dict:
 
 
 def _check_residuals(env: _Env, b: Block) -> dict:
-    Y = env.graph(b.require("target"))
+    Y = env.graphs[b.require("target")]
     tol = parse_float(b.get("tol", "1e-8"), b.line)
     pts = env.graph_points(Y, parse_int(b.get("samples", "100"), b.line))
     worst = np.max(co.residual_values(Y, pts)["max_residual"])
@@ -183,7 +178,7 @@ def _check_residuals(env: _Env, b: Block) -> dict:
 
 
 def _check_scan(env: _Env, b: Block) -> dict:
-    Y = env.graph(b.require("target"))
+    Y = env.graphs[b.require("target")]
     res = co.singular_scan(
         Y,
         box=parse_float(b.get("box", "1.0"), b.line),
@@ -229,7 +224,7 @@ def _check_perturb(env: _Env, b: Block) -> dict:
 
 
 def _check_char_foliation(env: _Env, b: Block) -> dict:
-    Y = env.graph(b.require("target"))
+    Y = env.graphs[b.require("target")]
     tol = parse_float(b.get("tol", "1e-8"), b.line)
     pts = env.graph_points(Y, parse_int(b.get("samples", "50"), b.line))
     res = co.char_foliation_form(Y, pts, tol)
@@ -309,11 +304,8 @@ def _expected_section_form(env: _Env, b: Block, g: gm.GermForm) -> fm.DiffForm:
     form_name = b.get("form")
     if form_name is not None:
         return env.lift_fiber_form(env.forms[form_name], g)
-    f_raw = b.get("f")
-    if f_raw is None:
-        raise RunError("zero-section check needs 'form' or 'f'")
     base = g.restricted().chart
-    return fm.one_form(base, {"t": parse_field(base, f_raw)})
+    return fm.one_form(base, {"t": parse_field(base, b.require("f"))})
 
 
 def _check_zero_section(env: _Env, b: Block) -> dict:
@@ -362,6 +354,74 @@ CHECKS = {
 }
 
 
+# The declaration kind that each name-valued key of a check names.  Every one
+# is required, but a zero-section or interpolation check may give the fiber
+# form's coefficient f in place of form.
+NAMES = {
+    "claim": {"target": "graph"},
+    "residuals": {"target": "graph"},
+    "scan": {"target": "graph"},
+    "perturb": {},
+    "char-foliation": {"target": "graph"},
+    "flatness": {"target": "bundle"},
+    "transport": {"target": "bundle"},
+    "ccl": {"target": "bundle", "form": "form"},
+    "germ-volume": {"target": "germ"},
+    "contact-scan": {"target": "germ"},
+    "zero-section": {"target": "germ", "form": "form"},
+    "interpolation": {"first": "germ", "second": "germ", "form": "form"},
+}
+F_FOR_FORM = ("zero-section", "interpolation")
+
+
+def _resolve(sc: Scenario) -> None:
+    """Reject input errors before anything is built or run.
+
+    That covers an unknown check kind or expectation, samples below 1, and a
+    name that no declaration of the right kind carries: a check's target,
+    first, second or form, a singular germ's bundle and form, and the
+    bundle or chart a form lives on.  Declarations may name only earlier
+    declarations, as they are built in order; checks may name any.  Each
+    error is a ScenarioError with the block's line.
+    """
+    declared: set[tuple[str, str]] = set()
+
+    def resolve(b: Block, key: str, kind: str, name: str | None = None):
+        name = b.require(key) if name is None else name
+        if (kind, name) not in declared:
+            raise ScenarioError(f"no {kind} named '{name}' (key '{key}')",
+                                b.line)
+
+    for b in sc.blocks:
+        if b.kind == "form":
+            on = b.require("on").split()
+            if len(on) == 2 and on[0] in ("fiber", "chart"):
+                resolve(b, "on", "bundle" if on[0] == "fiber" else "chart",
+                        on[1])
+        elif b.kind == "germ" and b.get("type") == "singular":
+            resolve(b, "bundle", "bundle")
+            resolve(b, "form", "form")
+        if b.kind != "check":
+            declared.add((b.kind, b.name))
+    for b in sc.checks():
+        kind = b.require("kind")
+        if kind not in CHECKS:
+            raise ScenarioError(f"unknown check kind '{kind}'", b.line)
+        expect = b.get("expect", "pass")
+        if expect not in ("pass", "fail", "refuse"):
+            raise ScenarioError(f"expect must be pass, fail or refuse, "
+                                f"got '{expect}'", b.line)
+        samples = b.get("samples")
+        if samples is not None and parse_int(samples, b.line) < 1:
+            raise ScenarioError(f"samples must be at least 1, got {samples}",
+                                b.line)
+        for key, target in NAMES[kind].items():
+            if key == "form" and kind in F_FOR_FORM \
+                    and b.get("form") is None and b.get("f") is not None:
+                continue
+            resolve(b, key, target)
+
+
 def _jsonable(value):
     """Recursively convert numpy scalars and arrays to plain Python."""
     if isinstance(value, dict):
@@ -383,26 +443,19 @@ def run_scenario(sc: Scenario, seed: int = 0) -> dict:
     """Run every check block; a check is ok when its outcome matches its
     declared expectation (pass, fail or refuse; default pass)."""
     t0 = time.perf_counter()
+    _resolve(sc)
     rng = np.random.default_rng(seed)
     env = _Env(sc, rng)
     checks = []
     all_ok = True
     for b in sc.checks():
         kind = b.require("kind")
-        if kind not in CHECKS:
-            raise RunError(f"unknown check kind '{kind}' "
-                           f"(line {b.line})")
         expect = b.get("expect", "pass")
-        if expect not in ("pass", "fail", "refuse"):
-            raise ScenarioError(f"expect must be pass, fail or refuse, "
-                                f"got '{expect}'", b.line)
-        samples = b.get("samples")
-        if samples is not None and parse_int(samples, b.line) < 1:
-            raise ScenarioError(f"samples must be at least 1, got {samples}",
-                                b.line)
         try:
             detail = _jsonable(CHECKS[kind](env, b))
             error = None
+        except ScenarioError:  # malformed input is never a refusal
+            raise
         except (ValueError, RuntimeError) as exc:
             detail = {"passed": False, "refused": True}
             error = f"{type(exc).__name__}: {exc}"

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import forms as _forms
 from .fields import Chart
@@ -58,13 +57,25 @@ def numeric_rank(M: np.ndarray, tol: float) -> np.ndarray:
     return np.sum(s > tol * scale[..., None], axis=-1)
 
 
+def null_space(A: np.ndarray, rcond: float) -> np.ndarray:
+    """Orthonormal kernel basis of A, as columns, from a full SVD.
+
+    A singular value counts as nonzero when it is above rcond times the
+    largest one; the basis is the remaining rows of vh, transposed.
+    """
+    # These are the semantics of scipy.linalg.null_space.
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    num = int(np.sum(s > rcond * np.max(s, initial=0.0)))
+    return vh[num:].T
+
+
 def hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
     """Kernel bases of N nonzero covectors on R^dim: (N, dim - 1, dim).
 
     Block i holds the last dim - 1 rows of vh from a full SVD of the
     1 x dim matrix covecs[i], which is what
-    scipy.linalg.null_space(covecs[i][None], rcond).T returns for any
-    rcond < 1.  One batched SVD serves all N.
+    null_space(covecs[i][None], rcond).T returns for any rcond < 1.  One
+    batched SVD serves all N.
     """
     C = np.asarray(covecs, dtype=float)
     _, _, vh = np.linalg.svd(C[:, None, :], full_matrices=True)

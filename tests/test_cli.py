@@ -1,6 +1,10 @@
 """Scenario parsing, report structure and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -196,3 +200,159 @@ class TestBundledScenarios:
     def test_demo_passes(self, name):
         result = CliRunner().invoke(main, ["demo", name, "--seed", "5"])
         assert result.exit_code == 0, result.output
+
+
+CCL_PROBE = """\
+bundle circle
+  type = rotation
+  rates = 0.25
+end
+
+form area
+  on = fiber circle
+  u = 0 - v
+  v = u
+end
+
+check invariant
+  kind = ccl
+  target = {target}
+  form = {form}
+end
+"""
+
+SINGULAR_GERM = """\
+bundle circle
+  type = rotation
+  rates = 0.25
+end
+
+form area
+  on = fiber {on}
+  u = 0 - v
+  v = u
+end
+
+germ sing
+  type = singular
+  bundle = {bundle}
+  form = {form}
+end
+"""
+
+
+class TestUnknownNames:
+    """Malformed input exits 2 with the block's line, whatever the
+    expectation; kinds and names are resolved before any check runs."""
+
+    def exits_two(self, tmp_path, text, message, line):
+        path = tmp_path / "probe.scn"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["check", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"line {line}: {message}" in result.output
+        assert not any(row.startswith(("ok", "FAIL", "PASS"))
+                       for row in result.output.splitlines())
+
+    def test_unknown_residuals_target_is_not_a_refusal(self, tmp_path):
+        text = GOOD.replace("target = paraboloid", "target = nosuch") \
+            .replace("samples = 20", "samples = 20\n  expect = refuse")
+        self.exits_two(tmp_path, text, "no graph named 'nosuch'", 9)
+
+    @pytest.mark.parametrize("target, form, missing", [
+        ("nosuch", "area", "no bundle named 'nosuch'"),
+        ("circle", "nosuch", "no form named 'nosuch'"),
+        ("area", "area", "no bundle named 'area'"),
+    ])
+    def test_unknown_ccl_names(self, tmp_path, target, form, missing):
+        text = CCL_PROBE.format(target=target, form=form)
+        self.exits_two(tmp_path, text, missing, 12)
+
+    def test_unknown_check_kind(self, tmp_path):
+        text = GOOD.replace("kind = residuals", "kind = nosuch")
+        self.exits_two(tmp_path, text, "unknown check kind 'nosuch'", 9)
+
+    def test_missing_target(self, tmp_path):
+        text = GOOD.replace("  target = paraboloid\n", "") \
+            .replace("samples = 20", "samples = 20\n  expect = refuse")
+        self.exits_two(tmp_path, text, "block 'residuals' is missing "
+                       "'target'", 9)
+
+    def test_rejected_before_any_check_runs(self):
+        text = GOOD + GOOD.split("\n\n", 2)[2].replace(
+            "check residuals", "check later").replace(
+            "target = paraboloid", "target = nosuch")
+        with pytest.raises(ScenarioError, match="line 15: no graph"):
+            run_scenario(parse_scenario(text))
+
+    @pytest.mark.parametrize("on, bundle, form, message, line", [
+        ("nosuch", "circle", "area", "no bundle named 'nosuch'", 6),
+        ("circle", "nosuch", "area", "no bundle named 'nosuch'", 12),
+        ("circle", "circle", "nosuch", "no form named 'nosuch'", 12),
+    ])
+    def test_unknown_declaration_names(self, tmp_path, on, bundle, form,
+                                       message, line):
+        text = SINGULAR_GERM.format(on=on, bundle=bundle, form=form)
+        self.exits_two(tmp_path, text, message, line)
+
+    def test_malformed_value_is_not_a_refusal(self, tmp_path):
+        text = GOOD.replace("tol = 1e-10", "tol = abc\n  expect = refuse")
+        self.exits_two(tmp_path, text, "expected a number, got 'abc'", 9)
+
+    def test_zero_section_needs_form_or_f(self, tmp_path):
+        text = ZERO_SAMPLES.format(kind="zero-section", target="wave",
+                                   extra="expect = refuse").replace(
+            "samples = 0", "samples = 5")
+        line = text.splitlines().index("check no-samples") + 1
+        self.exits_two(tmp_path, text, "block 'no-samples' is missing "
+                       "'form'", line)
+
+    def test_optional_form_may_be_left_out(self):
+        text = ZERO_SAMPLES.format(kind="zero-section", target="wave",
+                                   extra="f = 2 + sin(x1)").replace(
+            "samples = 0", "samples = 5")
+        report = run_scenario(parse_scenario(text))
+        assert report["checks"][-1]["detail"]["passed"] is True
+
+    def test_bundled_refusals_keep_their_reasons(self):
+        for name, check, reason in [
+                ("tangency-counterexample", "frame-refused",
+                 "not coisotropic at sampled points"),
+                ("germ-singular", "flipped-orientation-refused", None)]:
+            text = (Path(__file__).resolve().parents[1] / "src" / "legfol"
+                    / "scenarios" / f"{name}.scn").read_text()
+            report = run_scenario(parse_scenario(text), seed=9)
+            (entry,) = [c for c in report["checks"] if c["name"] == check]
+            assert entry["ok"] and entry["detail"]["refused"]
+            assert "error" not in entry
+            if reason is not None:
+                assert entry["detail"]["reason"] == reason
+
+
+NO_SCIPY = """\
+import sys
+from legfol.cli import main
+for name in sys.argv[1:]:
+    try:
+        main(["demo", name])
+    except SystemExit as exc:
+        assert exc.code == 0, (name, exc.code)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_demos_load_no_scipy():
+    """scipy is a test-only dependency: running demos in a fresh interpreter
+    imports none of it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, "legendrian-perturbation",
+         "germ-singular"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS legendrian-perturbation" in proc.stdout
+    assert "PASS germ-singular" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -204,8 +204,9 @@ class TestCluster:
         assert len(hits) == 1681
         assert co._cluster(hits, 3 * step) == union_find_clusters(hits, 3 * step)
 
-    @pytest.mark.parametrize("m, dim, radius", [(300, 2, 0.08), (500, 3, 0.15),
-                                                (200, 1, 0.01)])
+    @pytest.mark.parametrize("m, dim, radius", [
+        (300, 2, 0.08), (500, 3, 0.15), (200, 1, 0.01),
+        (300, 4, 0.45), (200, 5, 0.7), (150, 6, 0.9)])
     def test_random_clouds(self, m, dim, radius, rng):
         pts = rng.uniform(-1, 1, (m, dim))
         got = co._cluster(pts, radius)
@@ -220,10 +221,79 @@ class TestCluster:
         assert got == [[0, 2], [1], [3, 4], [5]]
         assert co._cluster(pts, 5.0) == union_find_clusters(pts, 5.0)
 
+    @pytest.mark.parametrize("radius", [0.5, 0.1, 0.3])
+    def test_cell_boundaries(self, radius, rng):
+        """Points at integer multiples of radius, negative ones included, and
+        a hair to either side of them: exactly where cells meet."""
+        k = rng.integers(-4, 5, (250, 3)).astype(float)
+        nudge = rng.choice([-2.0 ** -40, 0.0, 2.0 ** -40], (250, 3))
+        pts = k * radius + nudge * rng.integers(0, 2, (250, 1))
+        got = co._cluster(pts, radius)
+        assert got == union_find_clusters(pts, radius)
+        assert 1 < len(got) < len(pts)
+        pts[:, 2] = 0.0  # a flat cloud: one axis carries no cells
+        assert co._cluster(pts, radius) == union_find_clusters(pts, radius)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.4])
+    def test_duplicate_points(self, radius, rng):
+        base = rng.uniform(-1, 1, (40, 3))
+        pts = np.vstack([base, base[::2], np.repeat(base[:1], 25, axis=0),
+                         base[5:9]])
+        pts = pts[rng.permutation(len(pts))]
+        got = co._cluster(pts, radius)
+        assert got == union_find_clusters(pts, radius)
+        assert max(map(len, got)) >= 27
+
+    def test_radius_beyond_the_cloud(self, rng):
+        pts = rng.uniform(-1, 1, (120, 4))
+        assert co._cluster(pts, 10.0) == [list(range(120))]
+        assert co._cluster(pts[:, :1], 3.0) == [list(range(120))]
+
+    def test_scan_grid_three_step_pairs(self):
+        """Every third scan-grid point on each axis: neighbours are three
+        steps apart, and whether such a pair joins rests on squared
+        distances a few ulps either side of radius^2."""
+        step = 0.05
+        radius = 3 * step
+        hits = co.singular_scan(co.legendrian_model(2), box=2.0,
+                                step=step).hits
+        axis = co._grid_points(1, 2.0, step)[:, 0][::3]
+        pts = hits[np.isin(hits[:, 0], axis) & np.isin(hits[:, 1], axis)]
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        close = np.abs(d2 - radius ** 2) <= 32 * np.spacing(radius ** 2)
+        assert np.any(close & (d2 <= radius ** 2))
+        assert np.any(close & (d2 > radius ** 2))
+        got = co._cluster(pts, radius)
+        assert got == union_find_clusters(pts, radius)
+        assert len(got) == 441
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_tiny_inputs(self, m):
         pts = np.zeros((m, 3))
         assert co._cluster(pts, 0.1) == union_find_clusters(pts, 0.1)
+
+
+class TestBundledScans:
+    """singular_scan on the bundled scan demos' graphs, with the values the
+    cKDTree clustering gave."""
+
+    def test_flat_legendrian_plane(self):
+        res = co.singular_scan(co.legendrian_model(2))
+        assert res.num_hits == 1681
+        assert res.clusters == (tuple(range(1681)),)
+        assert res.dims == (2,)
+
+    def test_paraboloid_curve(self):
+        res = co.singular_scan(hypersurface(2, "(x2^2 + y2^2) / 2"))
+        assert res.num_hits == 41
+        assert res.clusters == (tuple(range(41)),)
+        assert res.dims == (1,)
+
+    def test_bump_clears_the_plane(self):
+        Y = co.legendrian_model(2)
+        bump = parse_field(Y.source_chart, "0.1 * y1 * exp(0 - y1^2)")
+        res = co.singular_scan(co.perturb_legendrian(Y, bump))
+        assert (res.num_hits, res.clusters, res.dims) == (0, (), ())
 
 
 class TestPerturbation:

@@ -1,8 +1,9 @@
-"""Symplectic linear algebra: subspace classification, complements, dual
-completions and the contact-hyperplane extractor."""
+"""Symplectic linear algebra: null spaces, subspace classification,
+complements, dual completions and the contact-hyperplane extractor."""
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space as scipy_null_space
 
 from legfol import forms as fm
 from legfol import symplin as sl
@@ -20,6 +21,53 @@ def basis_vec(dim, *idx):
         e[i] = 1.0
         out.append(e)
     return np.array(out)
+
+
+class TestNullSpace:
+    """symplin.null_space against scipy.linalg.null_space: the same kernel
+    dimension and the same projector N N^T."""
+
+    @staticmethod
+    def assert_matches(A, rcond):
+        got = sl.null_space(A, rcond)
+        want = scipy_null_space(A, rcond=rcond)
+        assert got.shape == want.shape
+        assert np.allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+        return got
+
+    @pytest.mark.parametrize("rows, cols, rank", [
+        (3, 5, 3), (3, 5, 2), (2, 7, 1),   # wide
+        (6, 4, 4), (6, 4, 2), (9, 3, 1),   # tall
+        (5, 5, 5), (5, 5, 3),
+    ])
+    def test_random_matrices(self, rows, cols, rank, rng):
+        A = rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, cols))
+        N = self.assert_matches(A, 1e-9)
+        assert N.shape == (cols, cols - rank)
+        assert np.max(np.abs(A @ N), initial=0.0) < 1e-12 * np.max(np.abs(A))
+
+    def test_covector(self, rng):
+        N = self.assert_matches(rng.normal(size=(1, 5)), sl.TOL)
+        assert N.shape == (5, 4)
+
+    def test_zero_matrix(self):
+        N = self.assert_matches(np.zeros((3, 4)), sl.TOL)
+        assert np.allclose(N @ N.T, np.eye(4), rtol=0, atol=1e-12)
+
+    def test_no_rows(self):
+        N = self.assert_matches(np.zeros((0, 4)), sl.TOL)
+        assert N.shape == (4, 4)
+
+    def test_rcond_at_a_singular_value_ratio(self, rng):
+        # singular values 1, 1e-3, 1e-8 in rotated bases
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        V, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        A = U @ np.diag([1.0, 1e-3, 1e-8]) @ V[:3]
+        s = np.linalg.svd(A, compute_uv=False)
+        ratio = s[1] / s[0]
+        above = self.assert_matches(A, ratio * (1 + 1e-6))
+        below = self.assert_matches(A, ratio * (1 - 1e-6))
+        assert (above.shape[1], below.shape[1]) == (3, 2)
 
 
 class TestSubspaces:
