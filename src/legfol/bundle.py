@@ -21,7 +21,6 @@ from . import forms as fm
 from . import symplin as sl
 from .fields import (
     Chart,
-    ChartMismatch,
     ExprField,
     VectorFieldExpr,
     compile_exprs,
@@ -31,10 +30,6 @@ from .fields import (
 
 DEFAULT_ODE_TOL = 1e-8
 MAX_STEPS = 10 ** 6
-
-
-class TransportEscape(RuntimeError):
-    """The horizontal lift left the fiber disk."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +63,6 @@ class FlatDiskBundle:
             self, "lift_v", tuple(c.on_chart(total) for c in self.lift_v))
 
     @property
-    def base_chart(self) -> Chart:
-        names = tuple(f"s{j}" for j in range(1, self.base_dim + 1))
-        return Chart(names, self.periods)
-
-    @property
     def fiber_chart(self) -> Chart:
         return Chart(("u", "v"))
 
@@ -98,19 +88,6 @@ class FlatDiskBundle:
 
     def lifts(self) -> list[VectorFieldExpr]:
         return [self.lift(j) for j in range(self.base_dim)]
-
-    def horizontal_lift(self, X: VectorFieldExpr) -> VectorFieldExpr:
-        """Lift of a base vector field to the total chart."""
-        if X.chart != self.base_chart:
-            raise ChartMismatch("vector field not on the base chart")
-        total = self.total_chart
-        comps_x = [c.on_chart(total) for c in X.components]
-        u = constant(total, 0.0)
-        v = constant(total, 0.0)
-        for j in range(self.base_dim):
-            u = u + comps_x[j] * self.lift_u[j]
-            v = v + comps_x[j] * self.lift_v[j]
-        return VectorFieldExpr(total, tuple(comps_x + [u, v]))
 
 
 def trivial_bundle(base_dim: int = 1, periods: Sequence[float] | None = None,
@@ -426,12 +403,6 @@ class HolonomySample:
     escaped: bool
     jacobian: Optional[np.ndarray]
 
-    @property
-    def jacobian_det(self) -> Optional[float]:
-        if self.jacobian is None:
-            return None
-        return float(np.linalg.det(self.jacobian))
-
 
 # Each sample's rows in holonomy's batch: x, x + h e1, x - h e1, x + h e2,
 # x - h e2, for the central-difference Jacobian.
@@ -481,14 +452,6 @@ def _holonomy(bundle: FlatDiskBundle, generator: int, pts: np.ndarray,
         out.append(HolonomySample(point, image, False,
                                   None if bad[1:].any() else J))
     return tuple(out)
-
-
-def covariant_derivative(bundle: FlatDiskBundle, X: VectorFieldExpr,
-                         beta: fm.DiffForm) -> fm.DiffForm:
-    """Lie derivative of a total-chart form along the horizontal lift of X."""
-    if beta.chart != bundle.total_chart:
-        raise ChartMismatch("form not on the bundle's total chart")
-    return fm.lie_derivative(bundle.horizontal_lift(X), beta)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,18 +27,12 @@ from .fields import (
     coordinate,
     lie_bracket,
     pushforward_field,
-    vector_field,
 )
 
 RANK_TOL = 1e-8
 # Grid rows evaluated per batch in singular_scan: bounds the memory of the
 # coefficient and gradient arrays for any grid size.
 SCAN_BLOCK_ROWS = 4096
-# _cluster distance-tests its candidate pairs this many at a time, so that its
-# temporaries stay small; and it splits the radius into this many cells along
-# the widest axis, which cuts the candidates that the test rejects.
-PAIR_BLOCK = 8192
-FAST_SPLIT = 8
 
 
 def ambient_chart(n: int) -> Chart:
@@ -157,115 +151,59 @@ class SingularScanResult:
         return len(self.hits)
 
 
-def _grid_points(dim: int, box: float, step: float) -> np.ndarray:
-    axis = np.arange(-box, box + step / 2, step)
+def _grid_points(axis: np.ndarray, dim: int) -> np.ndarray:
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _candidate_windows(cols: np.ndarray, lo: np.ndarray, ext: np.ndarray,
-                       radius: float):
-    """Candidate partners of each point, as ranges in cell-key order.
+def _cluster(cells: np.ndarray) -> list[list[int]]:
+    """Single-linkage clustering of distinct integer grid cells.
 
-    The cells span up to three of the widest axes: side a little above
-    radius, and FAST_SPLIT times finer along the widest axis, which varies
-    fastest in the key.  A partner within radius then lies in one of the
-    3^(k-1) neighbouring columns of cells, at most FAST_SPLIT cells away
-    along the widest axis: one contiguous range of keys per column.  Returns
-    the key order and, for each sorted position and each of half of the
-    columns, the range [start, end) of sorted positions to test.  In its own
-    column a point takes the later positions only, so every pair is tested
-    once.
-    """
-    axes = np.argsort(ext, kind="stable")[-3:]
-    axes = axes[ext[axes] > 0] if ext.max() > 0 else axes[-1:]
-    # The margin above radius exceeds what rounding can move a point, and
-    # at most 2^16 sides span the cloud, so the keys fit in int64.
-    side = max(radius, float(ext.max()) * 2.0 ** -16) * (1 + 2.0 ** -30) or 1.0
-    split = np.ones(len(axes), dtype=np.int64)
-    split[-1] = FAST_SPLIT
-    cells = ((cols[axes] - lo[axes, None]) * (split / side)[:, None]
-             ).astype(np.int64) + split[:, None]
-    # Mixed radix with room for the offsets on both sides, so none wraps.
-    base = cells.max(axis=1) + split + 1
-    strides = np.append(np.cumprod(base[:0:-1])[::-1], 1)
-    key = strides @ cells
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    columns = sorted(c for c in (
-        int(np.dot(off, strides[:-1]))
-        for off in itertools.product((-1, 0, 1), repeat=len(axes) - 1))
-        if c > 0)
-    starts = [np.arange(1, len(skey) + 1)] + [
-        np.searchsorted(skey, skey + (c - FAST_SPLIT), "left")
-        for c in columns]
-    ends = [np.searchsorted(skey, skey + (c + FAST_SPLIT), "right")
-            for c in [0, *columns]]
-    return order, np.concatenate(starts), np.concatenate(ends)
-
-
-def _cluster(points: np.ndarray, radius: float) -> list[list[int]]:
-    """Single-linkage clustering: points within radius join a cluster.
-
-    A pair joins when its squared coordinate differences, summed in
-    coordinate order, come to at most radius^2 (numpy's row sum adds up to
-    seven terms in that order).  Groups are ordered by their smallest
+    Two cells join when their offset d has d.d <= 9, that is when they lie
+    at most three grid steps apart.  Groups are ordered by their smallest
     index, members ascending.
     """
-    cols = np.asarray(points, dtype=float).T.copy()
-    m = cols.shape[1]
+    cells = np.asarray(cells, dtype=np.int64)
+    m, k = cells.shape
     if m == 0:
         return []
-    lo = cols.min(axis=1)
-    ext = cols.max(axis=1) - lo
-    order, starts, ends = _candidate_windows(cols, lo, ext, radius)
-    owner = np.tile(np.arange(m), len(starts) // m)
-    counts = ends - starts
-    # Constant coordinates add exactly 0 to every squared distance.
-    scols = cols[ext > 0][:, order]
-    r2 = radius * radius
-    total = np.cumsum(counts)
-    bounds = [0, *np.searchsorted(
-        total, np.arange(PAIR_BLOCK, total[-1], PAIR_BLOCK), "right").tolist(),
-        len(counts)]
-    # Sorted positions from here on.  Each point hooks onto its smallest
-    # partner; the edges are kept to merge the roots that leaves apart.
+    # One slot per cell of the bounding box, padded by 3 on every side so
+    # that no offset wraps; -1 marks an empty slot.
+    rel = cells - cells.min(axis=0) + 3
+    shape = rel.max(axis=0) + 4
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    flat = rel @ strides
+    table = np.full(int(np.prod(shape)), -1)
+    table[flat] = np.arange(m)
+    # The offsets of the radius-3 ball that come after 0 in lexicographic
+    # order: half of the ball, so that every pair is found once.
+    offsets = np.indices((7,) * k).reshape(k, -1).T[7 ** k // 2 + 1:] - 3
+    ball = offsets[np.sum(offsets * offsets, axis=1) <= 9]
+    # One offset at a time keeps the temporaries as small as the hits.
+    a, b = [], []
+    for offset in (ball @ strides).tolist():
+        partner = table[flat + offset]
+        found = np.flatnonzero(partner >= 0)
+        a.append(found)
+        b.append(partner[found])
+    a, b = np.concatenate(a), np.concatenate(b)
     parent = np.arange(m)
-    edges = []
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        n = counts[s:e]
-        run = np.cumsum(n)
-        a = np.repeat(owner[s:e], n)
-        b = np.arange(run[-1] if len(run) else 0) \
-            - np.repeat(run - n - starts[s:e], n)
-        d2 = 0.0
-        for col in scols:
-            d2 = d2 + (col[b] - col[a]) ** 2
-        near = d2 <= r2
-        a, b = a[near], b[near]
-        np.minimum.at(parent, b, a)  # a < b
-        edges.append((a, b))
-    a = np.concatenate([a for a, _ in edges])
-    b = np.concatenate([b for _, b in edges])
-    while True:  # pointer jumping, then hook larger roots onto smaller ones
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
+    while True:  # hook larger roots onto smaller ones, then pointer jumping
         pa, pb = parent[a], parent[b]
         apart = pa != pb
         if not apart.any():
             break
         a, b, pa, pb = a[apart], b[apart], pa[apart], pb[apart]
         np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
-    # Label each point by the smallest original index in its component.
-    first = np.full(m, m)
-    np.minimum.at(first, parent, order)
-    label = np.empty(m, dtype=np.int64)
-    label[order] = first[parent]
-    members = np.argsort(label, kind="stable")
-    cuts = (np.flatnonzero(np.diff(label[members])) + 1).tolist()
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    # Every parent is at most its child, so each root is the smallest index
+    # of its component.
+    members = np.argsort(parent, kind="stable")
+    cuts = (np.flatnonzero(np.diff(parent[members])) + 1).tolist()
     members = members.tolist()
     return [members[s:e] for s, e in zip([0, *cuts], [*cuts, m])]
 
@@ -275,8 +213,10 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     """Grid scan for zeros of the restricted form, with PCA dimension estimates.
 
     A point is a hit when every coefficient of the restricted form is below
-    tol * (1 + local gradient norm); clusters separated by more than three
-    grid steps are reported as distinct components.
+    tol * (1 + local gradient norm).  Hits form single-linkage components:
+    two hits are linked when their grid index offset d has d.d <= 9, that is
+    when they lie at most three grid steps apart.  The rule is integer
+    arithmetic, so it does not depend on box or step.
     """
     if step <= 0 or box <= 0 or tol <= 0:
         raise ValueError("box, step and tol must be positive")
@@ -287,7 +227,8 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     grad_fields = [c.diff(v) for c in coeff_fields for v in src.var_names]
     compiled = compile_exprs(
         src, tuple(f.expr for f in coeff_fields + grad_fields))
-    pts = _grid_points(k, box, step)
+    axis = np.arange(-box, box + step / 2, step)
+    pts = _grid_points(axis, k)
     if pts.size == 0:
         raise ValueError("empty scan grid")
     is_hit = np.empty(len(pts), dtype=bool)
@@ -301,7 +242,8 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
         thresh = tol * (1.0 + np.sqrt(gsq))
         is_hit[rows] = np.all(np.abs(vals) <= thresh[:, None], axis=1)
     hits_arr = pts[is_hit]
-    clusters = _cluster(hits_arr, 3.0 * step)
+    cells = np.unravel_index(np.flatnonzero(is_hit), (len(axis),) * k)
+    clusters = _cluster(np.stack(cells, axis=1))
     dims, flags = [], []
     cutoff = (2.0 * step) ** 2
     for idx in clusters:

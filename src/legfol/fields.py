@@ -783,12 +783,6 @@ class SmoothMapExpr:
         return SmoothMapExpr(other.source, self.target, comps)
 
 
-def identity_map(chart: Chart) -> SmoothMapExpr:
-    return SmoothMapExpr(
-        chart, chart, tuple(coordinate(chart, v) for v in chart.var_names)
-    )
-
-
 def pushforward(map_: SmoothMapExpr, V: VectorFieldExpr,
                 point: Sequence[float]) -> np.ndarray:
     """Jacobian of the map applied to V at the given source point."""

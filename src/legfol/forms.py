@@ -25,7 +25,6 @@ from .fields import (
     add,
     compile_exprs,
     mul,
-    sub,
 )
 
 MultiIndex = tuple[int, ...]
@@ -146,11 +145,6 @@ def zero_form(chart: Chart, degree: int) -> DiffForm:
 
 def function_form(f: ExprField) -> DiffForm:
     return DiffForm(f.chart, 0, {(): f})
-
-
-def d_coordinate(chart: Chart, name: str) -> DiffForm:
-    i = chart.index(name)
-    return DiffForm(chart, 1, {(i,): ExprField(chart, Const(1.0))})
 
 
 def one_form(chart: Chart, coeffs: Mapping[str, ExprField | Expr | float]
@@ -322,7 +316,3 @@ def contraction_matrices(omega: DiffForm, points) -> np.ndarray:
             M[:, row_of[rest], i] += ((-1) ** pos) * vals[:, col]
     return M
 
-
-def contraction_matrix(omega: DiffForm, point: Sequence[float]) -> np.ndarray:
-    """contraction_matrices at one point."""
-    return contraction_matrices(omega, [point])[0]

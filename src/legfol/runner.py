@@ -13,7 +13,15 @@ from . import bundle as bd
 from . import coiso as co
 from . import forms as fm
 from . import germ as gm
-from .fields import Chart, ExprField, constant, coordinate, parse_field, vector_field
+from .fields import (
+    Chart,
+    ExprField,
+    ParseError,
+    UnknownVariable,
+    constant,
+    parse_field,
+    vector_field,
+)
 from .scenario import (
     Block,
     Scenario,
@@ -62,7 +70,10 @@ class _Env:
         for b in sc.blocks:
             if b.kind == "check":
                 continue
-            getattr(self, f"_build_{b.kind}")(b)
+            try:
+                getattr(self, f"_build_{b.kind}")(b)
+            except (ParseError, UnknownVariable) as exc:
+                raise ScenarioError(str(exc), b.line) from exc
 
     def _build_chart(self, b: Block):
         names = tuple(b.require("vars").split())
@@ -456,6 +467,8 @@ def run_scenario(sc: Scenario, seed: int = 0) -> dict:
             error = None
         except ScenarioError:  # malformed input is never a refusal
             raise
+        except (ParseError, UnknownVariable) as exc:
+            raise ScenarioError(str(exc), b.line) from exc
         except (ValueError, RuntimeError) as exc:
             detail = {"passed": False, "refused": True}
             error = f"{type(exc).__name__}: {exc}"

@@ -63,12 +63,6 @@ class Scenario:
     def checks(self) -> list[Block]:
         return [b for b in self.blocks if b.kind == "check"]
 
-    def find(self, kind: str, name: str) -> Block:
-        for b in self.blocks:
-            if b.kind == kind and b.name == name:
-                return b
-        raise ScenarioError(f"no {kind} named '{name}'", 0)
-
 
 def parse_scenario(text: str) -> Scenario:
     name = "unnamed"
@@ -123,17 +117,6 @@ def parse_scenario(text: str) -> Scenario:
                     f"duplicate {b.kind} '{b.name}'", b.line)
             seen.add((b.kind, b.name))
     return Scenario(name=name, blocks=tuple(blocks))
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    out = [f"scenario {sc.name}", ""]
-    for b in sc.blocks:
-        out.append(f"{b.kind} {b.name}")
-        for k, v in b.items():
-            out.append(f"  {k} = {v}")
-        out.append("end")
-        out.append("")
-    return "\n".join(out)
 
 
 def parse_number_list(raw: str, line: int) -> list[float]:

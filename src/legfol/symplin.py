@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from . import forms as _forms
-from .fields import Chart
 
 TOL = 1e-9
 
@@ -254,29 +253,3 @@ def coords_in_basis(basis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     sol, *_ = np.linalg.lstsq(basis.T, np.atleast_2d(vectors).T, rcond=None)
     return sol.T
 
-
-def dual_completion(e_basis: Sequence[Sequence[float]],
-                    complement: LinSubspace,
-                    omega: SympForm) -> np.ndarray:
-    """Vectors f_i in the complement with omega(e_i, f_j) = delta_ij.
-
-    The e-basis must span a Lagrangian subspace and the complement must be
-    transverse of matching dimension; the result is the unique such basis.
-    """
-    E = np.atleast_2d(np.asarray(e_basis, dtype=float))
-    n = E.shape[0]
-    We = span(E, omega.ambient_dim)
-    cls = classify_subspace(We, omega)
-    if not cls["lagrangian"]:
-        raise ValueError("e-basis does not span a Lagrangian subspace")
-    if complement.dim != n:
-        raise ValueError("complement has wrong dimension")
-    if We.intersect(complement).dim != 0:
-        raise ValueError("complement not transverse to span(e)")
-    C = complement.basis  # n x ambient
-    # P[i, m] = omega(e_i, c_m); solve P A = I, f_j = sum_m A[m, j] c_m
-    P = E @ omega.matrix @ C.T
-    if abs(np.linalg.det(P)) < TOL * max(1.0, np.max(np.abs(P)) ** n):
-        raise ValueError("pairing between e-basis and complement is degenerate")
-    A = np.linalg.solve(P, np.eye(n))
-    return (C.T @ A).T  # rows are f_1..f_n

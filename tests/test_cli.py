@@ -11,11 +11,7 @@ from click.testing import CliRunner
 
 from legfol.cli import demo_names, main
 from legfol.runner import IDENTITIES, run_scenario
-from legfol.scenario import (
-    ScenarioError,
-    parse_scenario,
-    serialize_scenario,
-)
+from legfol.scenario import ScenarioError, parse_scenario
 
 GOOD = """\
 scenario smoke
@@ -36,17 +32,12 @@ end
 
 
 class TestParsing:
-    def test_round_trip(self):
-        sc = parse_scenario(GOOD)
-        again = parse_scenario(serialize_scenario(sc))
-        assert again == sc
-        assert sc.name == "smoke"
-        assert [b.kind for b in sc.blocks] == ["graph", "check"]
-
     def test_comments_stripped(self):
         sc = parse_scenario(GOOD)
-        assert sc.find("graph", "paraboloid").get("z") \
-            == "(x2^2 + y2^2) / 2"
+        assert sc.name == "smoke"
+        assert [(b.kind, b.name) for b in sc.blocks] \
+            == [("graph", "paraboloid"), ("check", "residuals")]
+        assert sc.blocks[0].get("z") == "(x2^2 + y2^2) / 2"
 
     def test_unknown_block_kind(self):
         with pytest.raises(ScenarioError, match="line 1"):
@@ -299,6 +290,25 @@ class TestUnknownNames:
         text = GOOD.replace("tol = 1e-10", "tol = abc\n  expect = refuse")
         self.exits_two(tmp_path, text, "expected a number, got 'abc'", 9)
 
+    @pytest.mark.parametrize("text, message, line", [
+        (GOOD.replace("(x2^2 + y2^2) / 2", "x9 + 1"),
+         "expression references ['x9'] outside chart", 3),
+        (GOOD.replace("(x2^2 + y2^2) / 2", "(x2^2 +"),
+         "unexpected end of expression", 3),
+        (ZERO_SAMPLES.format(kind="germ-volume", target="wave",
+                             extra="f = 2 + sin(q1)\n  expect = refuse"),
+         "expression references ['q1'] outside chart", 22),
+        (ZERO_SAMPLES.format(kind="perturb", target="paraboloid",
+                             extra="n = 2\n  bump = 0.1 * y1 * exp(0 - y1^"
+                                   "\n  expect = refuse"),
+         "expected integer exponent", 22),
+    ], ids=["unknown-variable", "unfinished-graph", "germ-volume-f",
+            "perturb-bump"])
+    def test_malformed_expression_is_not_a_refusal(self, tmp_path, text,
+                                                   message, line):
+        self.exits_two(tmp_path, text.replace("samples = 0", "samples = 5"),
+                       message, line)
+
     def test_zero_section_needs_form_or_f(self, tmp_path):
         text = ZERO_SAMPLES.format(kind="zero-section", target="wave",
                                    extra="expect = refuse").replace(
@@ -318,15 +328,15 @@ class TestUnknownNames:
         for name, check, reason in [
                 ("tangency-counterexample", "frame-refused",
                  "not coisotropic at sampled points"),
-                ("germ-singular", "flipped-orientation-refused", None)]:
+                ("germ-singular", "flipped-orientation-refused",
+                 "co-orientation mismatch at the singular set")]:
             text = (Path(__file__).resolve().parents[1] / "src" / "legfol"
                     / "scenarios" / f"{name}.scn").read_text()
             report = run_scenario(parse_scenario(text), seed=9)
             (entry,) = [c for c in report["checks"] if c["name"] == check]
             assert entry["ok"] and entry["detail"]["refused"]
             assert "error" not in entry
-            if reason is not None:
-                assert entry["detail"]["reason"] == reason
+            assert entry["detail"]["reason"] == reason
 
 
 NO_SCIPY = """\

@@ -8,6 +8,8 @@ import pytest
 from legfol import coiso as co
 from legfol import forms as fm
 from legfol.fields import parse_field, pushforward
+from legfol.runner import run_scenario
+from legfol.scenario import parse_scenario
 
 
 class TestConstruction:
@@ -174,7 +176,8 @@ class TestSingularScan:
 
 
 def union_find_clusters(points, radius):
-    """The O(m^2) single-linkage clustering _cluster replaced: the oracle."""
+    """O(m^2) single-linkage clustering within radius: the oracle for
+    _cluster, exact at radius 3 on integer cells."""
     m = len(points)
     parent = list(range(m))
 
@@ -197,80 +200,119 @@ def union_find_clusters(points, radius):
     return list(groups.values())
 
 
+def grid_cells(hits, box, step):
+    """The integer grid indices of scan hits."""
+    return np.rint((hits + box) / step).astype(np.int64)
+
+
+def lattice(lo, hi, dim):
+    """Every integer cell of [lo, hi]^dim, in lexicographic order."""
+    axes = np.meshgrid(*[np.arange(lo, hi + 1)] * dim, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
 class TestCluster:
+    """_cluster on integer cells against the union-find oracle at radius 3,
+    which is exact on small integers."""
+
     def test_flat_plane_hits(self):
         step = 0.05
         hits = co.singular_scan(co.legendrian_model(2), box=1.0, step=step).hits
         assert len(hits) == 1681
-        assert co._cluster(hits, 3 * step) == union_find_clusters(hits, 3 * step)
+        cells = grid_cells(hits, 1.0, step)
+        assert co._cluster(cells) == union_find_clusters(cells, 3)
 
     @pytest.mark.parametrize("m, dim, radius", [
         (300, 2, 0.08), (500, 3, 0.15), (200, 1, 0.01),
         (300, 4, 0.45), (200, 5, 0.7), (150, 6, 0.9)])
     def test_random_clouds(self, m, dim, radius, rng):
-        pts = rng.uniform(-1, 1, (m, dim))
-        got = co._cluster(pts, radius)
-        assert got == union_find_clusters(pts, radius)
-        assert 1 < len(got) < m
+        """A uniform cloud snapped to a grid of step radius / 3, so that the
+        join distance is radius; repeats of a cell are dropped, as a scan
+        has none, and the rest stay in random order."""
+        cells = np.floor(rng.uniform(-1, 1, (m, dim)) / (radius / 3))
+        _, first = np.unique(cells, axis=0, return_index=True)
+        cells = cells[np.sort(first)].astype(np.int64)
+        got = co._cluster(cells)
+        assert got == union_find_clusters(cells, 3)
+        assert 1 < len(got) < len(cells)
 
     def test_pairs_at_exactly_radius_join(self):
-        pts = np.array([[0.0, 0.0], [5.0, 0.0], [1.0, 0.0], [3.0, 4.0],
-                        [3.0, 4.0 + 2 ** -20], [9.0, 9.0]])
-        got = co._cluster(pts, 1.0)
-        assert got == union_find_clusters(pts, 1.0)
-        assert got == [[0, 2], [1], [3, 4], [5]]
-        assert co._cluster(pts, 5.0) == union_find_clusters(pts, 5.0)
+        """Offsets with d.d = 9 and 8 join; d.d = 10 and 12 do not."""
+        cells = np.array([[0, 0], [3, 0], [10, 0], [12, 2], [20, 0], [23, 1],
+                          [30, 0], [30, -3]])
+        assert co._cluster(cells) == [[0, 1], [2, 3], [4], [5], [6, 7]]
+        cells = np.array([[0, 0, 0], [2, 2, 1], [10, 0, 0], [12, 2, 2]])
+        assert co._cluster(cells) == [[0, 1], [2], [3]]
 
-    @pytest.mark.parametrize("radius", [0.5, 0.1, 0.3])
-    def test_cell_boundaries(self, radius, rng):
-        """Points at integer multiples of radius, negative ones included, and
-        a hair to either side of them: exactly where cells meet."""
-        k = rng.integers(-4, 5, (250, 3)).astype(float)
-        nudge = rng.choice([-2.0 ** -40, 0.0, 2.0 ** -40], (250, 3))
-        pts = k * radius + nudge * rng.integers(0, 2, (250, 1))
-        got = co._cluster(pts, radius)
-        assert got == union_find_clusters(pts, radius)
-        assert 1 < len(got) < len(pts)
-        pts[:, 2] = 0.0  # a flat cloud: one axis carries no cells
-        assert co._cluster(pts, radius) == union_find_clusters(pts, radius)
-
-    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.4])
-    def test_duplicate_points(self, radius, rng):
-        base = rng.uniform(-1, 1, (40, 3))
-        pts = np.vstack([base, base[::2], np.repeat(base[:1], 25, axis=0),
-                         base[5:9]])
-        pts = pts[rng.permutation(len(pts))]
-        got = co._cluster(pts, radius)
-        assert got == union_find_clusters(pts, radius)
-        assert max(map(len, got)) >= 27
+    @pytest.mark.parametrize("fill", [0.5, 0.1, 0.3])
+    def test_cell_boundaries(self, fill, rng):
+        """Cells at multiples of three steps, negative ones included, so
+        that axis neighbours join at exactly d.d = 9 and diagonal ones stay
+        apart; a share fill of them is kept, always with the corners, which
+        sit on the first and last index of the slot table's box."""
+        cells = 3 * lattice(-4, 4, 3)
+        corner = np.all(np.abs(cells) == 12, axis=1)
+        cells = cells[corner | (rng.uniform(size=len(cells)) < fill)]
+        got = co._cluster(cells)
+        assert got == union_find_clusters(cells, 3)
+        assert 1 < len(got) < len(cells)
+        flat = cells[cells[:, 2] == 0]  # one axis spans a single index
+        assert co._cluster(flat) == union_find_clusters(flat, 3)
 
     def test_radius_beyond_the_cloud(self, rng):
-        pts = rng.uniform(-1, 1, (120, 4))
-        assert co._cluster(pts, 10.0) == [list(range(120))]
-        assert co._cluster(pts[:, :1], 3.0) == [list(range(120))]
+        """Clouds whose every neighbour is within three steps, in random
+        order: one cluster."""
+        cells = rng.permutation(lattice(0, 1, 4))
+        assert co._cluster(cells) == [list(range(16))]
+        line = rng.permutation(120)[:, None]
+        assert co._cluster(line) == [list(range(120))]
 
     def test_scan_grid_three_step_pairs(self):
-        """Every third scan-grid point on each axis: neighbours are three
-        steps apart, and whether such a pair joins rests on squared
-        distances a few ulps either side of radius^2."""
+        """Every third scan-grid point on each axis of the box-2 plane:
+        neighbours are exactly three steps apart, so all of them join,
+        whatever rounding does to their float distances."""
         step = 0.05
-        radius = 3 * step
         hits = co.singular_scan(co.legendrian_model(2), box=2.0,
                                 step=step).hits
-        axis = co._grid_points(1, 2.0, step)[:, 0][::3]
-        pts = hits[np.isin(hits[:, 0], axis) & np.isin(hits[:, 1], axis)]
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        close = np.abs(d2 - radius ** 2) <= 32 * np.spacing(radius ** 2)
-        assert np.any(close & (d2 <= radius ** 2))
-        assert np.any(close & (d2 > radius ** 2))
-        got = co._cluster(pts, radius)
-        assert got == union_find_clusters(pts, radius)
-        assert len(got) == 441
+        cells = grid_cells(hits, 2.0, step)
+        cells = cells[np.all(cells[:, :2] % 3 == 0, axis=1)]
+        assert len(cells) == 729
+        got = co._cluster(cells)
+        assert got == union_find_clusters(cells, 3)
+        assert got == [list(range(729))]
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_tiny_inputs(self, m):
-        pts = np.zeros((m, 3))
-        assert co._cluster(pts, 0.1) == union_find_clusters(pts, 0.1)
+        cells = np.zeros((m, 3), dtype=np.int64)
+        assert co._cluster(cells) == union_find_clusters(cells, 3)
+
+
+THREE_STEPS = """\
+graph lines
+  n = 2
+  k = 3
+  z = y2 * x2 * (x2 - {c!r})
+end
+
+check joined
+  kind = scan
+  target = lines
+  box = {box}
+  step = {step}
+  clusters = 1
+end
+"""
+
+
+@pytest.mark.parametrize("box, step", [
+    (1.0, 0.05), (2.0, 0.05), (0.8, 0.05), (1.0, 0.1)])
+def test_singular_lines_three_steps_apart_are_one_component(box, step):
+    """Two singular lines, x2 = 0 and x2 = 3 * step, on any grid: their hits
+    are exactly three steps apart and join."""
+    text = THREE_STEPS.format(c=3 * step, box=box, step=step)
+    (entry,) = run_scenario(parse_scenario(text))["checks"]
+    assert entry["detail"]["clusters"] == 1
+    assert entry["ok"]
 
 
 class TestBundledScans:

@@ -65,7 +65,8 @@ def _perm_sign(perm):
 
 class TestEvaluation:
     def test_dx_wedge_dy_on_frame(self):
-        w = fm.wedge(fm.d_coordinate(XYZ, "x"), fm.d_coordinate(XYZ, "y"))
+        w = fm.wedge(fm.one_form(XYZ, {"x": 1.0}),
+                     fm.one_form(XYZ, {"y": 1.0}))
         e = np.eye(3)
         assert w.evaluate([0, 0, 0], [e[0], e[1]]) == 1.0
         assert w.evaluate([0, 0, 0], [e[1], e[0]]) == -1.0
@@ -115,9 +116,9 @@ class TestWedge:
             (-1) ** (1 * 2) * rhs.evaluate(p, vecs), rel=1e-10, abs=1e-10)
 
     def test_overflow_degree(self):
-        w = fm.d_coordinate(XYZ, "x")
-        top = fm.wedge(fm.wedge(w, fm.d_coordinate(XYZ, "y")),
-                       fm.d_coordinate(XYZ, "z"))
+        w = fm.one_form(XYZ, {"x": 1.0})
+        top = fm.wedge(fm.wedge(w, fm.one_form(XYZ, {"y": 1.0})),
+                       fm.one_form(XYZ, {"z": 1.0}))
         with pytest.raises(ValueError):
             fm.wedge(top, w)
         assert fm.wedge(top, w, allow_overflow=True).coeffs == {}
@@ -250,7 +251,8 @@ class TestPullback:
 
     def test_area_form_in_polar(self):
         phi = self.polar()
-        area = fm.wedge(fm.d_coordinate(XYZ, "x"), fm.d_coordinate(XYZ, "y"))
+        area = fm.wedge(fm.one_form(XYZ, {"x": 1.0}),
+                        fm.one_form(XYZ, {"y": 1.0}))
         pulled = fm.pullback(phi, area)
         # dx ^ dy pulls back to r dr ^ dt
         p = [0.7, 0.4]
@@ -276,14 +278,14 @@ class TestPullback:
 class TestContractionMatrix:
     def test_kernel_of_one_form(self):
         w = fm.one_form(XYZ, {"x": 1.0, "z": -2.0})
-        M = fm.contraction_matrix(w, [0, 0, 0])
+        M = fm.contraction_matrices(w, [[0, 0, 0]])[0]
         assert M.shape == (1, 3)
         assert np.allclose(M, [[1.0, 0.0, -2.0]])
 
     def test_kernel_vector_annihilates(self, rng):
         w = random_form(ABCD, 2, rng)
         p = rng.uniform(-1, 1, 4)
-        M = fm.contraction_matrix(w, p)
+        M = fm.contraction_matrices(w, [p])[0]
         from scipy.linalg import null_space
         for v in null_space(M, rcond=1e-12).T:
             u = rng.uniform(-1, 1, 4)

@@ -1,5 +1,5 @@
 """Symplectic linear algebra: null spaces, subspace classification,
-complements, dual completions and the contact-hyperplane extractor."""
+complements and the contact-hyperplane extractor."""
 
 import numpy as np
 import pytest
@@ -123,16 +123,6 @@ class TestClassification:
         for d in (1, 2, 3, 4, 5):
             W = sl.span(rng.normal(size=(d, 6)), 6)
             assert sl.symp_complement(W, omega).dim == 6 - d
-
-
-class TestDualCompletion:
-    def test_pairing_identity(self, rng):
-        omega = std(2)
-        e = basis_vec(4, 0, 1)  # Lagrangian x-plane; dual span is the y-plane
-        comp = sl.span(basis_vec(4, 2, 3))
-        f = sl.dual_completion(e, comp, omega)
-        P = np.array([[omega.pair(ei, fj) for fj in f] for ei in e])
-        assert np.allclose(P, np.eye(2), atol=1e-9)
 
 
 class TestContactHyperplane:
