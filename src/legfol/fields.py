@@ -713,27 +713,26 @@ class VectorFieldExpr:
         return ExprField(self.chart, acc)
 
 
+def as_field(chart: Chart, c: ExprField | Expr | float) -> ExprField:
+    """A field on chart: a field rechartered, an expression or a number."""
+    if isinstance(c, ExprField):
+        return c.on_chart(chart)
+    return ExprField(chart, _coerce(c))
+
+
 def vector_field(chart: Chart, components: Sequence[ExprField | Expr | float]
                  ) -> VectorFieldExpr:
-    comps = []
-    for c in components:
-        if isinstance(c, ExprField):
-            comps.append(c.on_chart(chart))
-        elif isinstance(c, Expr):
-            comps.append(ExprField(chart, c))
-        else:
-            comps.append(constant(chart, float(c)))
-    return VectorFieldExpr(chart, tuple(comps))
+    return VectorFieldExpr(chart, tuple(as_field(chart, c)
+                                        for c in components))
 
 
 def lie_bracket(V: VectorFieldExpr, W: VectorFieldExpr) -> VectorFieldExpr:
     """[V, W] = (V . grad) W - (W . grad) V, computed symbolically."""
     if V.chart != W.chart:
         raise ChartMismatch("bracket operands on different charts")
-    comps = []
-    for wi, vi in zip(W.components, V.components):
-        comps.append(ExprField(V.chart, sub(V.apply(wi).expr, W.apply(vi).expr)))
-    return VectorFieldExpr(V.chart, tuple(comps))
+    return VectorFieldExpr(V.chart, tuple(
+        ExprField(V.chart, sub(V.apply(wi).expr, W.apply(vi).expr))
+        for wi, vi in zip(W.components, V.components)))
 
 
 @dataclass(frozen=True)
@@ -821,6 +820,9 @@ class ParseError(ValueError):
 
 
 _FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp}
+# Parentheses and function calls nest at most this deep, well inside the
+# interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -829,6 +831,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -907,16 +910,25 @@ class _Parser:
         c = self.text[self.pos]
         if c == "(":
             self.pos += 1
-            e = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return e
+            return self._enclosed()
         if c.isdigit() or c == ".":
             return self._number()
         if c.isalpha() or c == "_":
             return self._ident()
         raise ParseError(f"unexpected {c!r}", self.pos)
+
+    def _enclosed(self) -> Expr:
+        """The expression after an opening '(', and its ')'."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels",
+                             self.pos)
+        e = self._expr()
+        if self._peek() != ")":
+            raise ParseError("expected ')'", self.pos)
+        self.pos += 1
+        self.depth -= 1
+        return e
 
     def _number(self) -> Expr:
         start = self.pos
@@ -955,11 +967,7 @@ class _Parser:
             if self._peek() != "(":
                 raise ParseError(f"expected '(' after {name}", self.pos)
             self.pos += 1
-            arg = self._expr()
-            if self._peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return _FUNCS[name](arg)
+            return _FUNCS[name](self._enclosed())
         return Var(name)
 
 

@@ -23,6 +23,7 @@ from .fields import (
     SmoothMapExpr,
     VectorFieldExpr,
     add,
+    as_field,
     compile_exprs,
     mul,
 )
@@ -31,28 +32,14 @@ MultiIndex = tuple[int, ...]
 
 
 def _merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex]:
-    """Sign and sorted index of concatenating two increasing multi-indices.
-
-    Returns (0, ()) when they share an index.
-    """
-    if set(a) & set(b):
-        return 0, ()
-    merged = a + b
-    # count inversions between the two sorted halves
-    inv = 0
+    """Sign and sorted index of dx_a ^ dx_b; (0, ()) when a and b overlap."""
+    inv = 0  # the inversions between the two sorted halves
     for x in a:
         for y in b:
-            if x > y:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(merged))
-
-
-def _insert_sign(i: int, idx: MultiIndex) -> tuple[int, MultiIndex]:
-    """Sign and index for dx_i ^ dx_idx. Zero sign if i already present."""
-    if i in idx:
-        return 0, ()
-    pos = sum(1 for j in idx if j < i)
-    return (-1) ** pos, tuple(sorted(idx + (i,)))
+            if x == y:
+                return 0, ()
+            inv += x > y
+    return (-1) ** inv, tuple(sorted(a + b))
 
 
 @dataclass(frozen=True)
@@ -149,28 +136,16 @@ def function_form(f: ExprField) -> DiffForm:
 
 def one_form(chart: Chart, coeffs: Mapping[str, ExprField | Expr | float]
              ) -> DiffForm:
-    out = {}
-    for name, c in coeffs.items():
-        i = chart.index(name)
-        if isinstance(c, ExprField):
-            cf = c.on_chart(chart)
-        elif isinstance(c, Expr):
-            cf = ExprField(chart, c)
-        else:
-            cf = ExprField(chart, Const(float(c)))
-        out[(i,)] = cf
-    return DiffForm(chart, 1, out)
+    return DiffForm(chart, 1, {(chart.index(name),): as_field(chart, c)
+                               for name, c in coeffs.items()})
 
 
-def wedge(omega: DiffForm, tau: DiffForm, allow_overflow: bool = False
-          ) -> DiffForm:
+def wedge(omega: DiffForm, tau: DiffForm) -> DiffForm:
     """Graded-antisymmetric product under the determinant convention."""
     if omega.chart != tau.chart:
         raise ChartMismatch("wedge operands on different charts")
     deg = omega.degree + tau.degree
     if deg > omega.chart.dim:
-        if allow_overflow:
-            return zero_form(omega.chart, omega.chart.dim)
         raise ValueError(
             f"wedge degree {deg} exceeds chart dim {omega.chart.dim}")
     out: dict[MultiIndex, Expr] = {}
@@ -208,7 +183,7 @@ def exterior_d(omega: DiffForm) -> DiffForm:
             dc = c.expr.diff(name)
             if isinstance(dc, Const) and dc.value == 0.0:
                 continue
-            sign, nidx = _insert_sign(j, idx)
+            sign, nidx = _merge_sign((j,), idx)
             if sign == 0:
                 continue
             term = mul(Const(float(sign)), dc)
@@ -272,7 +247,7 @@ def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
             nxt: dict[MultiIndex, Expr] = {}
             for pidx, pexpr in terms.items():
                 for j, dje in dphi[i].items():
-                    sign, nidx = _insert_at_end_sign(pidx, j)
+                    sign, nidx = _merge_sign(pidx, (j,))
                     if sign == 0:
                         continue
                     term = mul(Const(float(sign)), mul(pexpr, dje))
@@ -283,14 +258,6 @@ def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
             out[pidx] = add(out[pidx], term) if pidx in out else term
     return DiffForm(src, omega.degree,
                     {i: ExprField(src, e) for i, e in out.items()})
-
-
-def _insert_at_end_sign(idx: MultiIndex, j: int) -> tuple[int, MultiIndex]:
-    """Sign for dx_idx ^ dx_j (appending on the right)."""
-    if j in idx:
-        return 0, ()
-    above = sum(1 for i in idx if i > j)
-    return (-1) ** above, tuple(sorted(idx + (j,)))
 
 
 def contraction_matrices(omega: DiffForm, points) -> np.ndarray:

@@ -249,8 +249,7 @@ def _check_char_foliation(env: _Env, b: Block) -> dict:
 
 
 def _bundle_points(env: _Env, bundle: bd.FlatDiskBundle, count: int):
-    pts = env.rng.uniform(-0.4, 0.4, (count, bundle.total_chart.dim))
-    return pts
+    return env.rng.uniform(-0.4, 0.4, (count, bundle.total_chart.dim))
 
 
 def _check_flatness(env: _Env, b: Block) -> dict:
@@ -452,7 +451,8 @@ def _jsonable(value):
 
 def run_scenario(sc: Scenario, seed: int = 0) -> dict:
     """Run every check block; a check is ok when its outcome matches its
-    declared expectation (pass, fail or refuse; default pass)."""
+    declared expectation (pass, fail or refuse; default pass).  A check that
+    raises a numerical fault has the outcome error, which matches none."""
     t0 = time.perf_counter()
     _resolve(sc)
     rng = np.random.default_rng(seed)
@@ -462,17 +462,22 @@ def run_scenario(sc: Scenario, seed: int = 0) -> dict:
     for b in sc.checks():
         kind = b.require("kind")
         expect = b.get("expect", "pass")
+        error, fault = None, False
         try:
             detail = _jsonable(CHECKS[kind](env, b))
-            error = None
         except ScenarioError:  # malformed input is never a refusal
             raise
         except (ParseError, UnknownVariable) as exc:
             raise ScenarioError(str(exc), b.line) from exc
-        except (ValueError, RuntimeError) as exc:
-            detail = {"passed": False, "refused": True}
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            # A numerical fault (an EvaluationError, a RecursionError) is
+            # neither a verdict nor a refusal, and satisfies no expectation.
+            fault = isinstance(exc, (ArithmeticError, RecursionError))
+            detail = {"passed": False, "refused": not fault}
             error = f"{type(exc).__name__}: {exc}"
-        if expect == "pass":
+        if fault:
+            ok = False
+        elif expect == "pass":
             ok = detail["passed"]
         elif expect == "fail":
             ok = not detail["passed"] and not detail.get("refused", False)

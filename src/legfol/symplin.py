@@ -21,12 +21,6 @@ class NotContact(ValueError):
     """The form fails the contact condition at the requested point."""
 
 
-def _normalize_rows(A: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(A, axis=-1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return A / norms
-
-
 def stacked_rank(A: np.ndarray, tol: float = TOL) -> np.ndarray:
     """Rank of each matrix in an (N, r, c) stack, with one batched SVD.
 
@@ -36,7 +30,9 @@ def stacked_rank(A: np.ndarray, tol: float = TOL) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape[1] * A.shape[2] == 0:
         return np.zeros(len(A), dtype=int)
-    s = np.linalg.svd(_normalize_rows(A), compute_uv=False)
+    norms = np.linalg.norm(A, axis=-1, keepdims=True)
+    norms[norms == 0] = 1.0
+    s = np.linalg.svd(A / norms, compute_uv=False)
     return np.sum(s > tol * max(A.shape[1:]), axis=-1)
 
 
@@ -81,16 +77,23 @@ def hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
     return vh[:, 1:, :]
 
 
-def stacked_equals(A: np.ndarray, B: np.ndarray,
-                   tol: float = TOL) -> np.ndarray:
-    """span(A[i]).equals(span(B[i]), tol) for two (N, m, dim) basis stacks.
+def same_kernels(c0: np.ndarray, c1: np.ndarray,
+                 tol: float = TOL) -> np.ndarray:
+    """Rows i where the covectors c0[i] and c1[i] on R^dim share a kernel.
 
-    Like span(), raises ValueError when some basis is linearly dependent.
+    Unit covectors u0, u1 share a kernel when |u0 - sign(u0.u1) u1| is at
+    most tol * sqrt(2) * (2 dim - 2).  That distance is sqrt(2) times the
+    smallest nonzero singular value of the two stacked hyperplane_bases, so
+    this is the rank test LinSubspace.equals makes on them.  Lengths come
+    from hypot, which does not overflow where squares would; a zero row
+    gives NaN and never shares a kernel.
     """
-    for basis in (A, B):
-        if np.any(stacked_rank(basis) != basis.shape[1]):
-            raise ValueError("basis vectors are linearly dependent")
-    return stacked_rank(np.concatenate([A, B], axis=1), tol) == A.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        u0 = c0 / np.hypot.reduce(c0, axis=1, keepdims=True)
+        u1 = c1 / np.hypot.reduce(c1, axis=1, keepdims=True)
+        sign = np.sign(np.sum(u0 * u1, axis=1, keepdims=True))
+        gap = np.linalg.norm(u0 - sign * u1, axis=1)
+    return gap <= tol * np.sqrt(2) * (2 * c0.shape[1] - 2)
 
 
 @dataclass(frozen=True)

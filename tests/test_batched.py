@@ -6,7 +6,10 @@ compiled batch: it evaluates one sample at a time through the scalar binding
 sample.  The batched checks must give the same verdicts, refusals, kernel
 dimensions, counts, diagnostics and mismatch lists (in the same order),
 residuals within 1e-12 relative (1e-15 absolute near zero), and raise
-EvaluationError on the same samples.
+EvaluationError on the same samples.  Two checks replaced a comparison
+rather than a loop: zero-section's closed-form kernel test is held to the
+SVD comparison it replaced (svd_same_kernels), and interpolation's one pencil
+build over tau to one build per parameter value (walk_pencil).
 """
 
 import dataclasses
@@ -353,6 +356,27 @@ class TestCharFoliation:
             d == 2 * Y.n - Y.k + 1 for d in want["kernel_dims"])
 
 
+def svd_same_kernels(c0, c1, tol=1e-8):
+    """The kernel comparison zero-section made before the closed form: equal
+    spans of the stacked hyperplane bases, by a batched rank test, and c0
+    nonzero."""
+    A, B = sl.hyperplane_bases(c0), sl.hyperplane_bases(c1)
+    same = sl.stacked_rank(np.concatenate([A, B], axis=1), tol) \
+        == A.shape[1]
+    return same & np.any(c0 != 0, axis=1)
+
+
+def walk_pencil(g0, g1, points):
+    """interpolation's loop before the one-build pencil: the top form of
+    (1-t) alpha_0 + t alpha_1 rebuilt and compiled for each t."""
+    rows = []
+    for t in gm.PENCIL_T:
+        alpha_t = g0.alpha.scale(1.0 - t) + g1.alpha.scale(t)
+        top = fm.wedge(alpha_t, fm.wedge_power(fm.exterior_d(alpha_t), g0.n))
+        rows.append(top.coeff_array(points)[:, 0])
+    return np.array(rows)
+
+
 # ---------------------------------------------------------------------------
 # zero-section
 # ---------------------------------------------------------------------------
@@ -367,8 +391,8 @@ def nonsingular_germ(n, f_text):
     return gm.build_nonsingular_germ(inp)
 
 
-def singular_germ():
-    b = bd.rotation_bundle([0.7])
+def singular_germ(rates=(0.7,)):
+    b = bd.rotation_bundle(list(rates))
     fiber = b.fiber_chart
     area = fm.one_form(fiber, {"u": -coordinate(fiber, "v"),
                                "v": coordinate(fiber, "u")})
@@ -418,6 +442,63 @@ class TestZeroSection:
         for gm_, wm in zip(got_mis, want_mis):
             assert close(gm_["residual"], wm["residual"])
         assert got == want
+
+    def test_zero_restricted_covector(self, rng):
+        # alpha restricts to x1 dt, which vanishes on x1 = 0 where the
+        # expected dt does not; elsewhere the two kernels agree
+        total = gm.germ_chart(1)
+        alpha = fm.one_form(total, {"t": coordinate(total, "x1"),
+                                    "x1": -coordinate(total, "y1")})
+        g = gm.GermForm(n=1, alpha=alpha, zero_section_vars=("y1",),
+                        kind="custom")
+        expected = section_form(g, t="1")
+        pts = rng.uniform(0.1, 0.9, (10, 2))
+        for zero_row, kernel_ok in ((False, True), (True, False)):
+            pts[3, 1] = 0.0 if zero_row else 0.5
+            got = gm.zero_section_foliation_check(g, expected, pts)
+            want = walk_zero_section(g, expected, pts, 1e-10)
+            assert got["kernel_ok"] is want["kernel_ok"] is kernel_ok
+            assert not got["passed"]
+
+
+# ---------------------------------------------------------------------------
+# interpolation: one pencil build over tau against one build per t
+# ---------------------------------------------------------------------------
+
+
+class TestPencil:
+    @pytest.mark.parametrize("rates", [(0.7,), (0.7, 1.3)], ids=["n2", "n3"])
+    def test_singular_bit_equal(self, rates, rng):
+        g0 = singular_germ(rates)
+        g1 = singular_germ(tuple(2.1 * r for r in rates))
+        pts = gm.scan_points(g0, rng, 40)
+        got = gm.pencil_values(g0, g1, pts)
+        assert got.shape == (len(gm.PENCIL_T), 40)
+        assert np.array_equal(got, walk_pencil(g0, g1, pts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_nonsingular_within_an_ulp(self, n, rng):
+        g0 = nonsingular_germ(n, F)
+        g1 = nonsingular_germ(n, "1.5 + 0.4 * cos(x1) * sin(t)")
+        pts = gm.scan_points(g0, rng, 40)
+        got = gm.pencil_values(g0, g1, pts)
+        want = walk_pencil(g0, g1, pts)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        # scale(0) and scale(1) fold constants that tau keeps, so only the
+        # end rows may differ
+        assert np.array_equal(got[1:-1], want[1:-1])
+
+    def test_one_build_per_check(self, rng, monkeypatch):
+        calls = []
+        top_form = gm.top_form
+        monkeypatch.setattr(gm, "top_form",
+                            lambda *a: calls.append(a) or top_form(*a))
+        g0, g1 = singular_germ(), singular_germ((2.1,))
+        expected = section_form(g0, u="-v", v="u")
+        res = gm.interpolation_contactness(g0, g1, expected,
+                                           gm.scan_points(g0, rng, 20))
+        assert res["passed"] and len(calls) == 1
+        assert calls[0][0].chart.var_names == g0.chart.var_names + ("tau",)
 
 
 # ---------------------------------------------------------------------------
@@ -1165,17 +1246,37 @@ class TestStackedLinearAlgebra:
             ref = sl.span(null_space(c[None], rcond=1e-12).T)
             assert sl.span(B).equals(ref, 1e-8)
             np.testing.assert_allclose(B @ B.T, np.eye(4), atol=1e-14)
-        same = sl.stacked_equals(bases, sl.hyperplane_bases(-3 * covecs))
-        assert same.all()
-        other = sl.stacked_equals(bases, sl.hyperplane_bases(covecs[::-1]))
+        assert svd_same_kernels(covecs, -3 * covecs).all()
+        other = svd_same_kernels(covecs, covecs[::-1], sl.TOL)
         assert other.tolist() == [
             sl.span(A).equals(sl.span(B)) for A, B in zip(bases,
                                                          bases[::-1])]
+        # lengths whose squares overflow or underflow
+        for scale in (1.0, 1e-170, 1e170):
+            assert sl.same_kernels(scale * covecs, covecs[::-1],
+                                   sl.TOL).tolist() == other.tolist()
 
-    def test_dependent_basis_refused(self):
-        A = np.array([[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]])
-        with pytest.raises(ValueError, match="dependent"):
-            sl.stacked_equals(A, A)
+    def test_closed_form_kernel_sweep(self):
+        """same_kernels decides as the SVD comparison on every pair: dims 2-9,
+        covector scales 1e-3 to 1e3, both signs, relative perturbations
+        1e-10 to 1e-5, across the threshold."""
+        rng = np.random.default_rng(20261018)
+        count, decided = 3000, []
+        for dim in range(2, 10):
+            def scales(lo, hi):
+                return 10.0 ** rng.uniform(lo, hi, (count, 1))
+            c0 = rng.normal(size=(count, dim)) * scales(-3, 3)
+            nudge = rng.normal(size=(count, dim))
+            nudge *= scales(-10, -5) / np.linalg.norm(nudge, axis=1,
+                                                      keepdims=True)
+            unit = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
+            sign = rng.choice([-1.0, 1.0], (count, 1))
+            c1 = sign * scales(-3, 3) * (unit + nudge)
+            got = sl.same_kernels(c0, c1, 1e-8)
+            assert got.tolist() == svd_same_kernels(c0, c1).tolist()
+            decided.append(got.mean())
+        # the sweep straddles the threshold in every dimension
+        assert all(0.05 < share < 0.95 for share in decided), decided
 
 
 class TestZeroDivisor:

@@ -302,8 +302,10 @@ class TestUnknownNames:
                              extra="n = 2\n  bump = 0.1 * y1 * exp(0 - y1^"
                                    "\n  expect = refuse"),
          "expected integer exponent", 22),
+        (GOOD.replace("(x2^2 + y2^2) / 2", "(" * 300 + "x1" + ")" * 300),
+         "nested deeper than 100 levels", 3),
     ], ids=["unknown-variable", "unfinished-graph", "germ-volume-f",
-            "perturb-bump"])
+            "perturb-bump", "deep-nesting"])
     def test_malformed_expression_is_not_a_refusal(self, tmp_path, text,
                                                    message, line):
         self.exits_two(tmp_path, text.replace("samples = 0", "samples = 5"),
@@ -349,6 +351,33 @@ for name in sys.argv[1:]:
         assert exc.code == 0, (name, exc.code)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+
+
+class TestNumericalFaults:
+    """A numerical fault raised while a check runs is the outcome error: not
+    a refusal, ok under no expectation, and exit 1 without a traceback."""
+
+    @pytest.mark.parametrize("z, exception", [
+        # hashing the expression tree for compile_exprs' cache recurses
+        # once per term
+        (" + ".join(["x1 * x2"] * 600), "RecursionError"),
+        ("exp(1000 * x1)", "EvaluationError: row "),
+    ], ids=["600-term-sum", "exp-overflow"])
+    @pytest.mark.parametrize("expect", ["pass", "fail", "refuse"])
+    def test_fault_is_an_error(self, tmp_path, z, exception, expect):
+        text = GOOD.replace("(x2^2 + y2^2) / 2  # curved hypersurface", z) \
+            .replace("samples = 20", f"samples = 20\n  expect = {expect}")
+        path, out = tmp_path / "probe.scn", tmp_path / "report.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["check", str(path),
+                                           "--json", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "FAIL residuals [residuals]" in result.output
+        (entry,) = json.loads(out.read_text())["checks"]
+        assert entry["ok"] is False
+        assert entry["detail"] == {"passed": False, "refused": False}
+        assert entry["error"].startswith(exception)
 
 
 def test_demos_load_no_scipy():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legfol.fields import (
+    MAX_NESTING,
     Chart,
     ChartMismatch,
     ParseError,
@@ -26,6 +27,13 @@ from legfol.fields import (
 
 XY = Chart(("x", "y"))
 XYZ = Chart(("x", "y", "z"))
+
+
+def value_of_sin(k, x):
+    """sin applied k times."""
+    for _ in range(k):
+        x = math.sin(x)
+    return x
 
 
 class TestParsing:
@@ -50,6 +58,20 @@ class TestParsing:
         with pytest.raises(ParseError) as exc:
             parse_field(XY, "x + * y")
         assert exc.value.pos == 4
+
+    @pytest.mark.parametrize("nest, value", [
+        (lambda k: "(" * k + "x" + ")" * k, lambda k, x: x),
+        (lambda k: "-(" * k + "x" + ")" * k, lambda k, x: (-1) ** k * x),
+        (lambda k: "sin(" * k + "x" + ")" * k, value_of_sin),
+    ], ids=["parentheses", "negations", "calls"])
+    def test_nesting_limit(self, nest, value):
+        # up to the limit the parser recurses; one level more is an input
+        # error, and so is a depth that would exhaust the interpreter's stack
+        got = parse_field(XY, nest(MAX_NESTING)).eval([0.5, 0.0])
+        assert got == pytest.approx(value(MAX_NESTING, 0.5), rel=1e-12)
+        for depth in (MAX_NESTING + 1, 300, 5000):
+            with pytest.raises(ParseError, match="nested deeper than 100"):
+                parse_field(XY, nest(depth))
 
     def test_unknown_variable(self):
         with pytest.raises(UnknownVariable):

@@ -121,7 +121,6 @@ class TestWedge:
                        fm.one_form(XYZ, {"z": 1.0}))
         with pytest.raises(ValueError):
             fm.wedge(top, w)
-        assert fm.wedge(top, w, allow_overflow=True).coeffs == {}
 
 
 class TestExteriorDerivative:
