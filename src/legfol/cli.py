@@ -3,7 +3,6 @@ a deterministic JSON report."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import sys
@@ -12,7 +11,7 @@ from importlib import resources
 import click
 
 from .runner import run_scenario
-from .scenario import Block, Scenario, ScenarioError, parse_scenario
+from .scenario import ScenarioError, parse_scenario
 
 
 def _apply_thread_env() -> None:
@@ -23,31 +22,11 @@ def _apply_thread_env() -> None:
             os.environ.setdefault(var, threads)
 
 
-def _override_checks(sc: Scenario, tol: float | None,
-                     samples: int | None) -> Scenario:
-    if tol is None and samples is None:
-        return sc
-    blocks = []
-    for b in sc.blocks:
-        if b.kind != "check":
-            blocks.append(b)
-            continue
-        entries = [(k, v, ln) for k, v, ln in b.entries
-                   if not (tol is not None and k == "tol")
-                   and not (samples is not None and k == "samples")]
-        if tol is not None:
-            entries.append(("tol", repr(tol), b.line))
-        if samples is not None:
-            entries.append(("samples", str(samples), b.line))
-        blocks.append(dataclasses.replace(b, entries=tuple(entries)))
-    return dataclasses.replace(sc, blocks=tuple(blocks))
-
-
 def _run(text: str, source: str, json_path: str | None, seed: int,
          tol: float | None, samples: int | None) -> int:
     try:
-        sc = _override_checks(parse_scenario(text), tol, samples)
-        report = run_scenario(sc, seed=seed)
+        report = run_scenario(parse_scenario(text), seed=seed,
+                              overrides={"tol": tol, "samples": samples})
     except ScenarioError as exc:
         click.echo(f"{source}: {exc}", err=True)
         return 2

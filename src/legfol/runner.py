@@ -5,7 +5,9 @@ report (stable key order; only wall_time varies between identical runs)."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -15,7 +17,6 @@ from . import forms as fm
 from . import germ as gm
 from .fields import (
     Chart,
-    ExprField,
     ParseError,
     UnknownVariable,
     constant,
@@ -33,100 +34,87 @@ from .scenario import (
 
 SCHEMA_VERSION = 1
 
-# One-line statement of the identity or condition each check kind verifies.
-IDENTITIES = {
-    "claim": "i_V alpha = 0; i_V d lambda = 0; [V_i, V_j] = 0; L_V lambda = 0",
-    "residuals": "first-order tangency system of the restricted form = 0",
-    "scan": "zero locus of the restricted 1-form: count, dimension, type",
-    "perturb": "restricted alpha ^ d alpha = 0 and no zeros after perturbation",
-    "char-foliation": "dim ker(restriction of alpha ^ (d alpha)^(k-n-1)) "
-                      "= 2n-k+1; leafwise d-closure",
-    "flatness": "vertical part of [lift_i, lift_j] = 0",
-    "transport": "horizontal-lift ODE endpoint matches the expected fiber point",
-    "ccl": "fiber form holonomy-invariant, vanishing only at 0, d beta > 0",
-    "germ-volume": "alpha ^ (d alpha)^n = n! f vol",
-    "contact-scan": "alpha ^ (d alpha)^n nonvanishing with constant sign",
-    "zero-section": "alpha restricted to the zero section equals the "
-                    "declared foliation form",
-    "interpolation": "(1-t) alpha_0 + t alpha_1 is contact for every t",
-}
-
 
 class RunError(ValueError):
     """A check block references something missing or inconsistent."""
 
 
 class _Env:
-    """Objects built from declaration blocks, resolved by name."""
+    """Objects built from declaration blocks, by (kind, name), and the
+    resolved keyword arguments of each check block.  A germ is built when a
+    check first names it, so a refused or faulty build belongs to the checks
+    that name it."""
 
-    def __init__(self, sc: Scenario, rng: np.random.Generator):
-        self.sc = sc
+    def __init__(self, sc: Scenario, rng: np.random.Generator,
+                 args: dict[Block, dict]):
         self.rng = rng
-        self.charts: dict[str, Chart] = {}
-        self.graphs: dict[str, co.GraphSubmanifold] = {}
-        self.bundles: dict[str, bd.FlatDiskBundle] = {}
-        self.forms: dict[str, fm.DiffForm] = {}
-        self.germs: dict[str, gm.GermForm] = {}
+        self.args = args
+        self.objects: dict[tuple[str, str], object] = {}
         for b in sc.blocks:
             if b.kind == "check":
                 continue
             try:
-                getattr(self, f"_build_{b.kind}")(b)
-            except (ParseError, UnknownVariable) as exc:
+                obj = getattr(self, f"_build_{b.kind}")(b)
+            except ScenarioError:
+                raise
+            except ValueError as exc:  # ParseError, UnknownVariable too
                 raise ScenarioError(str(exc), b.line) from exc
+            self.objects[b.kind, b.name] = obj
 
-    def _build_chart(self, b: Block):
-        names = tuple(b.require("vars").split())
-        self.charts[b.name] = Chart(names)
+    def get(self, kind: str, name: str):
+        """The named object; a germ's build runs on first use, and its
+        result or exception is kept for every later check."""
+        key = (kind, name)
+        if kind == "germ" and callable(self.objects[key]):
+            try:
+                self.objects[key] = self.objects[key]()
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                self.objects[key] = exc
+        if isinstance(self.objects[key], Exception):
+            raise self.objects[key]
+        return self.objects[key]
 
-    def _build_graph(self, b: Block):
+    def _build_chart(self, b: Block) -> Chart:
+        return Chart(tuple(b.require("vars").split()))
+
+    def _build_graph(self, b: Block) -> co.GraphSubmanifold:
         n = parse_int(b.require("n"), b.line)
         k = parse_int(b.require("k"), b.line)
         free_raw = b.get("free_y")
         free = tuple(int(x) for x in free_raw.replace(",", " ").split()) \
             if free_raw else None
-        comps: dict[str, ExprField] = {}
-        src_names = tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
+        src = Chart(tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
             f"y{j}" for j in (free if free is not None
-                              else range(2 * n - k + 1, n + 1)))
-        src = Chart(src_names)
-        for key, val in b.items():
-            if key in ("n", "k", "free_y"):
-                continue
-            comps[key] = parse_field(src, val)
-        self.graphs[b.name] = co.graph_submanifold(n, k, comps, free)
+                              else range(2 * n - k + 1, n + 1))))
+        comps = {key: parse_field(src, val) for key, val in b.items()
+                 if key not in ("n", "k", "free_y")}
+        return co.graph_submanifold(n, k, comps, free)
 
-    def _build_bundle(self, b: Block):
+    def _build_bundle(self, b: Block) -> bd.FlatDiskBundle:
         btype = b.require("type")
         periods_raw = b.get("periods")
         periods = parse_number_list(periods_raw, b.line) if periods_raw else None
         radius = parse_float(b.get("radius", "1.0"), b.line)
         if btype == "trivial":
             base_dim = parse_int(b.get("base_dim", "1"), b.line)
-            self.bundles[b.name] = bd.trivial_bundle(base_dim, periods, radius)
-        elif btype == "rotation":
+            return bd.trivial_bundle(base_dim, periods, radius)
+        if btype == "rotation":
             rates = parse_number_list(b.require("rates"), b.line)
-            self.bundles[b.name] = bd.rotation_bundle(rates, periods, radius)
-        else:
-            raise ScenarioError(f"unknown bundle type '{btype}'", b.line)
+            return bd.rotation_bundle(rates, periods, radius)
+        raise ScenarioError(f"unknown bundle type '{btype}'", b.line)
 
-    def _build_form(self, b: Block):
+    def _build_form(self, b: Block) -> fm.DiffForm:
         on = b.require("on").split()
-        if on[0] == "fiber":
-            chart = self.bundles[on[1]].fiber_chart
-        elif on[0] == "chart":
-            chart = self.charts[on[1]]
-        else:
+        if len(on) != 2 or on[0] not in ("fiber", "chart"):
             raise ScenarioError("form 'on' must be 'fiber NAME' or "
                                 "'chart NAME'", b.line)
-        coeffs = {}
-        for key, val in b.items():
-            if key == "on":
-                continue
-            coeffs[key] = parse_field(chart, val)
-        self.forms[b.name] = fm.one_form(chart, coeffs)
+        chart = self.objects["bundle", on[1]].fiber_chart \
+            if on[0] == "fiber" else self.objects["chart", on[1]]
+        return fm.one_form(chart, {key: parse_field(chart, val)
+                                   for key, val in b.items() if key != "on"})
 
-    def _build_germ(self, b: Block):
+    def _build_germ(self, b: Block) -> Callable[[], gm.GermForm]:
+        """Parse the germ block now; return its build for get to run."""
         gtype = b.require("type")
         if gtype == "nonsingular":
             n = parse_int(b.require("n"), b.line)
@@ -137,40 +125,33 @@ class _Env:
                 raw = b.get(f"r{i}")
                 comps.append(parse_field(ch, raw) if raw
                              else constant(ch, 0.0))
-            line = vector_field(ch, comps)
             inp = gm.FoliatedInput(n=n, beta=fm.one_form(ch, {"t": f}),
-                                   line_field=line)
-            self.germs[b.name] = gm.build_nonsingular_germ(inp)
-        elif gtype == "singular":
-            bundle = self.bundles[b.require("bundle")]
-            beta = self.forms[b.require("form")]
-            g = gm.build_singular_germ(bundle, beta)
+                                   line_field=vector_field(ch, comps))
+            return lambda: gm.build_nonsingular_germ(inp)
+        if gtype == "singular":
+            bundle = self.objects["bundle", b.require("bundle")]
+            beta = self.objects["form", b.require("form")]
             orient = parse_int(b.get("orientation", "1"), b.line)
-            if orient == -1:
-                g = dataclasses.replace(g, orientation=-1)
-            self.germs[b.name] = g
-        else:
-            raise ScenarioError(f"unknown germ type '{gtype}'", b.line)
 
-    # -- helpers -----------------------------------------------------------
-
-    def graph_points(self, Y: co.GraphSubmanifold, count: int,
-                     box: float = 0.9) -> np.ndarray:
-        return self.rng.uniform(-box, box, (count, Y.source_chart.dim))
-
-    def lift_fiber_form(self, beta: fm.DiffForm, g: gm.GermForm) -> fm.DiffForm:
-        """Fiber (u, v) form as a 1-form on the germ's zero-section chart."""
-        base = g.restricted().chart
-        return fm.one_form(base, {
-            beta.chart.var_names[idx[0]]: c.on_chart(base)
-            for idx, c in beta.coeffs.items()})
+            def build() -> gm.GermForm:
+                g = gm.build_singular_germ(bundle, beta)
+                return dataclasses.replace(g, orientation=-1) \
+                    if orient == -1 else g
+            return build
+        raise ScenarioError(f"unknown germ type '{gtype}'", b.line)
 
 
-def _check_claim(env: _Env, b: Block) -> dict:
-    Y = env.graphs[b.require("target")]
-    tol = parse_float(b.get("tol", "1e-8"), b.line)
-    pts = env.graph_points(Y, parse_int(b.get("samples", "100"), b.line))
-    res = co.verify_claim(Y, pts, tol)
+# -- verifiers: each takes the sample generator, then every key of its kind
+# as a keyword argument (names resolved to objects, values parsed) ---------
+
+
+def _graph_points(rng: np.random.Generator, Y: co.GraphSubmanifold,
+                  count: int) -> np.ndarray:
+    return rng.uniform(-0.9, 0.9, (count, Y.source_chart.dim))
+
+
+def _claim(rng, target, tol, samples) -> dict:
+    res = co.verify_claim(target, _graph_points(rng, target, samples), tol)
     if res.get("refused"):
         return {"passed": False, "refused": True,
                 "reason": res["reason"], "num_bad": res["num_bad"]}
@@ -179,66 +160,42 @@ def _check_claim(env: _Env, b: Block) -> dict:
             "tolerance": tol, "samples": int(res["samples"])}
 
 
-def _check_residuals(env: _Env, b: Block) -> dict:
-    Y = env.graphs[b.require("target")]
-    tol = parse_float(b.get("tol", "1e-8"), b.line)
-    pts = env.graph_points(Y, parse_int(b.get("samples", "100"), b.line))
-    worst = np.max(co.residual_values(Y, pts)["max_residual"])
+def _residuals(rng, target, tol, samples) -> dict:
+    pts = _graph_points(rng, target, samples)
+    worst = np.max(co.residual_values(target, pts)["max_residual"])
     return {"passed": worst <= tol, "max_residual": float(worst),
             "tolerance": tol, "samples": len(pts)}
 
 
-def _check_scan(env: _Env, b: Block) -> dict:
-    Y = env.graphs[b.require("target")]
-    res = co.singular_scan(
-        Y,
-        box=parse_float(b.get("box", "1.0"), b.line),
-        step=parse_float(b.get("step", "0.05"), b.line),
-        tol=parse_float(b.get("tol", "1e-6"), b.line))
+def _scan(rng, target, box, step, tol, clusters, dim, flag) -> dict:
+    res = co.singular_scan(target, box=box, step=step, tol=tol)
     out = {"num_hits": int(res.num_hits),
            "clusters": len(res.clusters),
            "dims": [int(d) for d in res.dims],
            "flags": list(res.flags)}
-    exp_clusters = b.get("clusters")
-    exp_dim = b.get("dim")
-    exp_flag = b.get("flag")
-    ok = True
-    if exp_clusters is not None:
-        ok = ok and len(res.clusters) == parse_int(exp_clusters, b.line)
-    if exp_dim is not None:
-        want = parse_int(exp_dim, b.line)
-        ok = ok and all(d == want for d in res.dims) and res.dims
-    if exp_flag is not None:
-        if exp_flag == "none":
-            ok = ok and res.num_hits == 0
-        else:
-            ok = ok and list(res.flags) == [exp_flag]
+    ok = (clusters is None or len(res.clusters) == clusters) \
+        and (dim is None or all(d == dim for d in res.dims) and res.dims) \
+        and (flag is None or (res.num_hits == 0 if flag == "none"
+                              else list(res.flags) == [flag]))
     out["passed"] = bool(ok)
     return out
 
 
-def _check_perturb(env: _Env, b: Block) -> dict:
-    n = parse_int(b.require("n"), b.line)
-    delta = parse_float(b.get("delta", "0.1"), b.line)
+def _perturb(rng, n, delta, bump, box, step, tol, samples) -> dict:
     Y = co.legendrian_model(n)
-    src = Y.source_chart
-    bump = parse_field(src, b.get("bump", f"{delta} * y1 * exp(0 - y1^2)"))
-    Yp = co.perturb_legendrian(Y, bump)
-    scan = co.singular_scan(Yp, box=parse_float(b.get("box", "1.0"), b.line),
-                            step=parse_float(b.get("step", "0.05"), b.line))
-    pts = env.graph_points(Yp, parse_int(b.get("samples", "100"), b.line))
-    resid = co.foliation_residual(Yp, pts)
-    tol = parse_float(b.get("tol", "1e-10"), b.line)
+    if bump is None:
+        bump = f"{delta} * y1 * exp(0 - y1^2)"
+    Yp = co.perturb_legendrian(Y, parse_field(Y.source_chart, bump))
+    scan = co.singular_scan(Yp, box=box, step=step)
+    resid = co.foliation_residual(Yp, _graph_points(rng, Yp, samples))
     return {"passed": scan.num_hits == 0 and resid <= tol,
             "num_hits": int(scan.num_hits),
             "foliation_residual": float(resid), "tolerance": tol}
 
 
-def _check_char_foliation(env: _Env, b: Block) -> dict:
-    Y = env.graphs[b.require("target")]
-    tol = parse_float(b.get("tol", "1e-8"), b.line)
-    pts = env.graph_points(Y, parse_int(b.get("samples", "50"), b.line))
-    res = co.char_foliation_form(Y, pts, tol)
+def _char_foliation(rng, target, tol, samples) -> dict:
+    res = co.char_foliation_form(target, _graph_points(rng, target, samples),
+                                 tol)
     ok = res["kernel_ok"] and res["integrability_residual"] <= tol \
         and res["samples_used"] > 0
     return {"passed": bool(ok),
@@ -248,99 +205,73 @@ def _check_char_foliation(env: _Env, b: Block) -> dict:
             "samples_used": int(res["samples_used"]), "tolerance": tol}
 
 
-def _bundle_points(env: _Env, bundle: bd.FlatDiskBundle, count: int):
-    return env.rng.uniform(-0.4, 0.4, (count, bundle.total_chart.dim))
-
-
-def _check_flatness(env: _Env, b: Block) -> dict:
-    bundle = env.bundles[b.require("target")]
-    tol = parse_float(b.get("tol", "1e-9"), b.line)
-    pts = _bundle_points(env, bundle, parse_int(b.get("samples", "30"), b.line))
-    worst = bd.flatness_check(bundle, pts)
+def _flatness(rng, target, tol, samples) -> dict:
+    pts = rng.uniform(-0.4, 0.4, (samples, target.total_chart.dim))
+    worst = bd.flatness_check(target, pts)
     return {"passed": worst <= tol, "max_residual": float(worst),
             "tolerance": tol}
 
 
-def _check_transport(env: _Env, b: Block) -> dict:
-    bundle = env.bundles[b.require("target")]
-    gen = parse_int(b.get("generator", "0"), b.line)
-    start = parse_number_list(b.require("start"), b.line)
-    expected = parse_number_list(b.require("end"), b.line)
-    tol = parse_float(b.get("tol", "1e-6"), b.line)
-    res = bd.parallel_transport(bundle, bd.generator_loop(bundle, gen), start)
-    err = float(np.linalg.norm(np.array(res.end) - np.array(expected)))
+def _transport(rng, target, generator, start, end, tol) -> dict:
+    res = bd.parallel_transport(target, bd.generator_loop(target, generator),
+                                start)
+    err = float(np.linalg.norm(np.array(res.end) - np.array(end)))
     return {"passed": not res.escaped and err <= tol,
             "end": [float(x) for x in res.end], "error": err,
             "escaped": bool(res.escaped), "steps": res.steps,
             "nfev": res.nfev, "tolerance": tol}
 
 
-def _check_ccl(env: _Env, b: Block) -> dict:
-    bundle = env.bundles[b.require("target")]
-    beta = env.forms[b.require("form")]
-    res = bd.ccl_check(bundle, beta,
-                       tol=parse_float(b.get("tol", "1e-6"), b.line))
+def _ccl(rng, target, form, tol) -> dict:
+    res = bd.ccl_check(target, form, tol=tol)
     return {"passed": bool(res["ok"]),
             "vanishing": bool(res["vanishing"]["ok"]),
             "positivity": bool(res["positivity"]["ok"]),
             "invariance": bool(res["invariance"]["ok"])}
 
 
-def _check_germ_volume(env: _Env, b: Block) -> dict:
-    g = env.germs[b.require("target")]
-    if g.kind != "nonsingular":
+def _germ_volume(rng, target, f, tol, samples) -> dict:
+    if target.kind != "nonsingular":
         raise RunError("germ-volume applies to nonsingular germs")
-    f = parse_field(gm.foliated_chart(g.n), b.require("f"))
-    tol = parse_float(b.get("tol", "1e-10"), b.line)
-    pts = gm.scan_points(g, env.rng,
-                         parse_int(b.get("samples", "100"), b.line))
-    resid = gm.volume_identity_residual(g, f, pts)
+    resid = gm.volume_identity_residual(
+        target, parse_field(gm.foliated_chart(target.n), f),
+        gm.scan_points(target, rng, samples))
     return {"passed": resid <= tol, "max_residual": float(resid),
             "tolerance": tol}
 
 
-def _check_contact_scan(env: _Env, b: Block) -> dict:
-    g = env.germs[b.require("target")]
-    pts = gm.scan_points(g, env.rng,
-                         parse_int(b.get("samples", "100"), b.line))
-    res = gm.contactness_scan(
-        g, pts, threshold=parse_float(b.get("tol", "1e-10"), b.line))
+def _contact_scan(rng, target, tol, samples) -> dict:
+    res = gm.contactness_scan(target, gm.scan_points(target, rng, samples),
+                              threshold=tol)
     return {"passed": bool(res["passed"]), "min_abs": float(res["min_abs"]),
             "sign_consistent": bool(res["sign_consistent"]),
             "samples": int(res["samples"])}
 
 
-def _expected_section_form(env: _Env, b: Block, g: gm.GermForm) -> fm.DiffForm:
-    form_name = b.get("form")
-    if form_name is not None:
-        return env.lift_fiber_form(env.forms[form_name], g)
-    base = g.restricted().chart
-    return fm.one_form(base, {"t": parse_field(base, b.require("f"))})
+def _section_form(base: Chart, form: fm.DiffForm | None,
+                  f: str | None) -> fm.DiffForm:
+    """The expected zero-section form on base: the fiber (u, v) form lifted
+    onto it, or else f dt."""
+    if form is None:
+        return fm.one_form(base, {"t": parse_field(base, f)})
+    return fm.one_form(base, {form.chart.var_names[idx[0]]: c.on_chart(base)
+                              for idx, c in form.coeffs.items()})
 
 
-def _check_zero_section(env: _Env, b: Block) -> dict:
-    g = env.germs[b.require("target")]
-    expected = _expected_section_form(env, b, g)
-    base = g.restricted().chart
-    pts = env.rng.uniform(-0.9, 0.9,
-                          (parse_int(b.get("samples", "50"), b.line),
-                           base.dim))
-    res = gm.zero_section_foliation_check(
-        g, expected, pts, tol=parse_float(b.get("tol", "1e-10"), b.line))
+def _zero_section(rng, target, form, f, tol, samples) -> dict:
+    base = target.restricted().chart
+    expected = _section_form(base, form, f)
+    pts = rng.uniform(-0.9, 0.9, (samples, base.dim))
+    res = gm.zero_section_foliation_check(target, expected, pts, tol=tol)
     return {"passed": bool(res["passed"]),
             "max_residual": float(res["max_residual"]),
             "kernel_ok": bool(res["kernel_ok"])}
 
 
-def _check_interpolation(env: _Env, b: Block) -> dict:
-    g0 = env.germs[b.require("first")]
-    g1 = env.germs[b.require("second")]
-    expected = _expected_section_form(env, b, g0)
-    pts = gm.scan_points(g0, env.rng,
-                         parse_int(b.get("samples", "50"), b.line))
+def _interpolation(rng, first, second, form, f, tol, samples) -> dict:
+    expected = _section_form(first.restricted().chart, form, f)
     res = gm.interpolation_contactness(
-        g0, g1, expected, pts,
-        tol=parse_float(b.get("tol", "1e-10"), b.line))
+        first, second, expected, gm.scan_points(first, rng, samples), tol=tol)
     if res["refused"]:
         return {"passed": False, "refused": True, "reason": res["reason"]}
     return {"passed": bool(res["passed"]), "refused": False,
@@ -348,51 +279,124 @@ def _check_interpolation(env: _Env, b: Block) -> dict:
             "sign_consistent": bool(res["sign_consistent"])}
 
 
-CHECKS = {
-    "claim": _check_claim,
-    "residuals": _check_residuals,
-    "scan": _check_scan,
-    "perturb": _check_perturb,
-    "char-foliation": _check_char_foliation,
-    "flatness": _check_flatness,
-    "transport": _check_transport,
-    "ccl": _check_ccl,
-    "germ-volume": _check_germ_volume,
-    "contact-scan": _check_contact_scan,
-    "zero-section": _check_zero_section,
-    "interpolation": _check_interpolation,
+# -- the table of check kinds ------------------------------------------------
+
+REQUIRED = "required"  # the default of a value key the block must give
+
+
+def _samples(raw: str, line: int) -> int:
+    count = parse_int(raw, line)
+    if count < 1:
+        raise ScenarioError(f"samples must be at least 1, got {raw}", line)
+    return count
+
+
+def _text(raw: str, line: int) -> str:
+    return raw
+
+
+def _tol(default: str, samples: str | None = None) -> dict:
+    keys = {"tol": (parse_float, default)}
+    if samples is not None:
+        keys["samples"] = (_samples, samples)
+    return keys
+
+
+@dataclasses.dataclass(frozen=True)
+class Kind:
+    """Everything the runner knows about one check kind.
+
+    identity: one-line statement of what the check verifies.
+    names: each name-valued key and the declaration kind it names; all are
+        required, except that `form` may be left out where `f` is given.
+    values: each value key as (parser, default), where the default is a raw
+        value, REQUIRED, or None for an optional key with no default.
+    verify: called with the sample generator and every key as a keyword
+        argument; returns the report's detail dict.
+    """
+
+    identity: str
+    names: dict[str, str]
+    values: dict[str, tuple[Callable[[str, int], object], str | None]]
+    verify: Callable[..., dict]
+
+
+GRID = {"box": (parse_float, "1.0"), "step": (parse_float, "0.05")}
+
+KINDS = {
+    "claim": Kind(
+        "i_V alpha = 0; i_V d lambda = 0; [V_i, V_j] = 0; L_V lambda = 0",
+        {"target": "graph"}, _tol("1e-8", "100"), _claim),
+    "residuals": Kind(
+        "first-order tangency system of the restricted form = 0",
+        {"target": "graph"}, _tol("1e-8", "100"), _residuals),
+    "scan": Kind(
+        "zero locus of the restricted 1-form: count, dimension, type",
+        {"target": "graph"},
+        {**GRID, **_tol("1e-6"), "clusters": (parse_int, None),
+         "dim": (parse_int, None), "flag": (_text, None)}, _scan),
+    "perturb": Kind(
+        "restricted alpha ^ d alpha = 0 and no zeros after perturbation",
+        {}, {"n": (parse_int, REQUIRED), "delta": (parse_float, "0.1"),
+             "bump": (_text, None), **GRID, **_tol("1e-10", "100")},
+        _perturb),
+    "char-foliation": Kind(
+        "dim ker(restriction of alpha ^ (d alpha)^(k-n-1)) = 2n-k+1; "
+        "leafwise d-closure",
+        {"target": "graph"}, _tol("1e-8", "50"), _char_foliation),
+    "flatness": Kind(
+        "vertical part of [lift_i, lift_j] = 0",
+        {"target": "bundle"}, _tol("1e-9", "30"), _flatness),
+    "transport": Kind(
+        "horizontal-lift ODE endpoint matches the expected fiber point",
+        {"target": "bundle"},
+        {"generator": (parse_int, "0"), "start": (parse_number_list, REQUIRED),
+         "end": (parse_number_list, REQUIRED), **_tol("1e-6")}, _transport),
+    "ccl": Kind(
+        "fiber form holonomy-invariant, vanishing only at 0, d beta > 0",
+        {"target": "bundle", "form": "form"}, _tol("1e-6"), _ccl),
+    "germ-volume": Kind(
+        "alpha ^ (d alpha)^n = n! f vol",
+        {"target": "germ"}, {"f": (_text, REQUIRED), **_tol("1e-10", "100")},
+        _germ_volume),
+    "contact-scan": Kind(
+        "alpha ^ (d alpha)^n nonvanishing with constant sign",
+        {"target": "germ"}, _tol("1e-10", "100"), _contact_scan),
+    "zero-section": Kind(
+        "alpha restricted to the zero section equals the declared foliation "
+        "form",
+        {"target": "germ", "form": "form"},
+        {"f": (_text, None), **_tol("1e-10", "50")}, _zero_section),
+    "interpolation": Kind(
+        "(1-t) alpha_0 + t alpha_1 is contact for every t",
+        {"first": "germ", "second": "germ", "form": "form"},
+        {"f": (_text, None), **_tol("1e-10", "50")}, _interpolation),
 }
 
 
-# The declaration kind that each name-valued key of a check names.  Every one
-# is required, but a zero-section or interpolation check may give the fiber
-# form's coefficient f in place of form.
-NAMES = {
-    "claim": {"target": "graph"},
-    "residuals": {"target": "graph"},
-    "scan": {"target": "graph"},
-    "perturb": {},
-    "char-foliation": {"target": "graph"},
-    "flatness": {"target": "bundle"},
-    "transport": {"target": "bundle"},
-    "ccl": {"target": "bundle", "form": "form"},
-    "germ-volume": {"target": "germ"},
-    "contact-scan": {"target": "germ"},
-    "zero-section": {"target": "germ", "form": "form"},
-    "interpolation": {"first": "germ", "second": "germ", "form": "form"},
-}
-F_FOR_FORM = ("zero-section", "interpolation")
+def _dispatch(kind: Kind, env: _Env, b: Block) -> dict:
+    args = dict(env.args[b])
+    for key, decl in kind.names.items():
+        if args[key] is not None:
+            args[key] = env.get(decl, args[key])
+    return kind.verify(env.rng, **args)
 
 
-def _resolve(sc: Scenario) -> None:
-    """Reject input errors before anything is built or run.
+CHECKS = {name: functools.partial(_dispatch, k) for name, k in KINDS.items()}
 
-    That covers an unknown check kind or expectation, samples below 1, and a
-    name that no declaration of the right kind carries: a check's target,
-    first, second or form, a singular germ's bundle and form, and the
-    bundle or chart a form lives on.  Declarations may name only earlier
-    declarations, as they are built in order; checks may name any.  Each
-    error is a ScenarioError with the block's line.
+
+def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
+    """Reject input errors before anything is built or run, and return each
+    check block's keyword arguments: its parsed values and the names it
+    gives, with an override replacing a value key its kind declares.
+
+    Input errors are an unknown check kind, key or expectation, a missing or
+    malformed value (samples below 1 included), and a name that no
+    declaration of the right kind carries: a check's name keys, a singular
+    germ's bundle and form, and the bundle or chart a form lives on.
+    Declarations may name only earlier declarations, as they are built in
+    order; checks may name any.  Each error is a ScenarioError with the
+    block's line.
     """
     declared: set[tuple[str, str]] = set()
 
@@ -401,6 +405,7 @@ def _resolve(sc: Scenario) -> None:
         if (kind, name) not in declared:
             raise ScenarioError(f"no {kind} named '{name}' (key '{key}')",
                                 b.line)
+        return name
 
     for b in sc.blocks:
         if b.kind == "form":
@@ -413,23 +418,34 @@ def _resolve(sc: Scenario) -> None:
             resolve(b, "form", "form")
         if b.kind != "check":
             declared.add((b.kind, b.name))
+    resolved = {}
     for b in sc.checks():
-        kind = b.require("kind")
-        if kind not in CHECKS:
-            raise ScenarioError(f"unknown check kind '{kind}'", b.line)
+        name = b.require("kind")
+        kind = KINDS.get(name)
+        if kind is None:
+            raise ScenarioError(f"unknown check kind '{name}'", b.line)
+        for key, _ in b.items():
+            if key not in (*kind.names, *kind.values, "kind", "expect"):
+                raise ScenarioError(f"unknown key '{key}' for check kind "
+                                    f"'{name}'", b.line)
         expect = b.get("expect", "pass")
         if expect not in ("pass", "fail", "refuse"):
             raise ScenarioError(f"expect must be pass, fail or refuse, "
                                 f"got '{expect}'", b.line)
-        samples = b.get("samples")
-        if samples is not None and parse_int(samples, b.line) < 1:
-            raise ScenarioError(f"samples must be at least 1, got {samples}",
-                                b.line)
-        for key, target in NAMES[kind].items():
-            if key == "form" and kind in F_FOR_FORM \
-                    and b.get("form") is None and b.get("f") is not None:
-                continue
-            resolve(b, key, target)
+        args = {}
+        for key, (parse, default) in kind.values.items():
+            raw = b.require(key) if default == REQUIRED \
+                else b.get(key, default)
+            if overrides.get(key) is not None:
+                args[key] = overrides[key]
+            else:
+                args[key] = None if raw is None else parse(raw, b.line)
+        for key, decl in kind.names.items():
+            left_out = key == "form" and b.get(key) is None \
+                and args.get("f") is not None
+            args[key] = None if left_out else resolve(b, key, decl)
+        resolved[b] = args
+    return resolved
 
 
 def _jsonable(value):
@@ -449,14 +465,17 @@ def _jsonable(value):
     return value
 
 
-def run_scenario(sc: Scenario, seed: int = 0) -> dict:
+def run_scenario(sc: Scenario, seed: int = 0,
+                 overrides: dict | None = None) -> dict:
     """Run every check block; a check is ok when its outcome matches its
     declared expectation (pass, fail or refuse; default pass).  A check that
-    raises a numerical fault has the outcome error, which matches none."""
+    raises a numerical fault has the outcome error, which matches none.
+    overrides maps value keys such as tol or samples to a value that
+    replaces the block's in every check whose kind declares the key; a None
+    value overrides nothing."""
     t0 = time.perf_counter()
-    _resolve(sc)
-    rng = np.random.default_rng(seed)
-    env = _Env(sc, rng)
+    args = _resolve(sc, overrides or {})
+    env = _Env(sc, np.random.default_rng(seed), args)
     checks = []
     all_ok = True
     for b in sc.checks():
@@ -486,7 +505,7 @@ def run_scenario(sc: Scenario, seed: int = 0) -> dict:
         entry = {
             "name": b.name,
             "kind": kind,
-            "identity": IDENTITIES[kind],
+            "identity": KINDS[kind].identity,
             "expect": expect,
             "ok": bool(ok),
             "detail": detail,

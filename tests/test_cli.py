@@ -1,5 +1,6 @@
 """Scenario parsing, report structure and the command-line interface."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from legfol import germ, runner
 from legfol.cli import demo_names, main
-from legfol.runner import IDENTITIES, run_scenario
+from legfol.runner import KINDS, REQUIRED, run_scenario
 from legfol.scenario import ScenarioError, parse_scenario
 
 GOOD = """\
@@ -29,6 +31,9 @@ check residuals
   samples = 20
 end
 """
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParsing:
@@ -66,7 +71,7 @@ class TestRunner:
         assert report["passed"] is True
         (entry,) = report["checks"]
         assert entry["kind"] == "residuals"
-        assert entry["identity"] == IDENTITIES["residuals"]
+        assert entry["identity"] == KINDS["residuals"].identity
         assert entry["ok"] is True
 
     def test_deterministic_modulo_wall_time(self):
@@ -290,6 +295,39 @@ class TestUnknownNames:
         text = GOOD.replace("tol = 1e-10", "tol = abc\n  expect = refuse")
         self.exits_two(tmp_path, text, "expected a number, got 'abc'", 9)
 
+    @pytest.mark.parametrize("entry, key", [
+        ("sampels = 0", "sampels"), ("tolerance = abc", "tolerance")])
+    def test_misspelt_key_is_not_ignored(self, tmp_path, entry, key):
+        text = GOOD.replace("samples = 20", f"samples = 20\n  {entry}")
+        self.exits_two(tmp_path, text, f"unknown key '{key}' for check kind "
+                       f"'residuals'", 9)
+
+    def test_values_parsed_before_any_check_runs(self, tmp_path, monkeypatch):
+        text = GOOD + GOOD.split("\n\n", 2)[2].replace(
+            "check residuals", "check later").replace("tol = 1e-10",
+                                                      "tol = abc")
+        ran = []
+        monkeypatch.setitem(runner.CHECKS, "residuals",
+                            lambda env, b: ran.append(b.name))
+        with pytest.raises(ScenarioError, match="line 15: expected a number"):
+            run_scenario(parse_scenario(text))
+        self.exits_two(tmp_path, text, "expected a number, got 'abc'", 15)
+        assert ran == []
+
+    @pytest.mark.parametrize("text, message, line", [
+        (GOOD.replace("  z = ", "  zz = x1\n  z = "),
+         "unexpected components ['zz']", 3),
+        (CCL_PROBE.format(target="circle", form="area").replace(
+            "rates = 0.25", "rates = 0.25\n  radius = -1"),
+         "radius must be positive", 1),
+        (CCL_PROBE.format(target="circle", form="area").replace(
+            "on = fiber circle", "on = fiber"),
+         "form 'on' must be 'fiber NAME' or 'chart NAME'", 6),
+    ], ids=["graph-component", "bundle-radius", "form-on-without-name"])
+    def test_declaration_value_error_exits_two(self, tmp_path, text, message,
+                                               line):
+        self.exits_two(tmp_path, text, message, line)
+
     @pytest.mark.parametrize("text, message, line", [
         (GOOD.replace("(x2^2 + y2^2) / 2", "x9 + 1"),
          "expression references ['x9'] outside chart", 3),
@@ -300,7 +338,8 @@ class TestUnknownNames:
          "expression references ['q1'] outside chart", 22),
         (ZERO_SAMPLES.format(kind="perturb", target="paraboloid",
                              extra="n = 2\n  bump = 0.1 * y1 * exp(0 - y1^"
-                                   "\n  expect = refuse"),
+                                   "\n  expect = refuse").replace(
+            "perturb\n  target = paraboloid\n", "perturb\n"),
          "expected integer exponent", 22),
         (GOOD.replace("(x2^2 + y2^2) / 2", "(" * 300 + "x1" + ")" * 300),
          "nested deeper than 100 levels", 3),
@@ -339,6 +378,110 @@ class TestUnknownNames:
             assert entry["ok"] and entry["detail"]["refused"]
             assert "error" not in entry
             assert entry["detail"]["reason"] == reason
+
+
+class TestOverrides:
+    """--tol and --samples replace only keys the check's kind declares."""
+
+    def test_samples_skips_kinds_without_samples(self):
+        # transport and ccl take no samples
+        result = CliRunner().invoke(main, ["demo", "flat-bundle",
+                                           "--samples", "5"])
+        assert result.exit_code == 0, result.output
+
+    def test_samples_zero_still_exits_two(self):
+        result = CliRunner().invoke(main, ["demo", "flat-bundle",
+                                           "--samples", "0"])
+        assert result.exit_code == 2
+
+
+def test_benchmark_and_demo_inputs_resolve():
+    """Every scenario the benchmark generates, and every demo, uses only the
+    keys its check kinds declare."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = [text for w in workloads.WORKLOADS for seed in range(3)
+             for text in workloads.generate(w, seed)]
+    texts += [(ROOT / "src" / "legfol" / "scenarios" / f"{name}.scn")
+              .read_text() for name in demo_names()]
+    for text in texts:
+        sc = parse_scenario(text)
+        assert len(runner._resolve(sc, {})) == len(sc.checks())
+
+
+def test_readme_table_is_kinds():
+    def value(key, default):
+        if default == REQUIRED:
+            return f"`{key}` (required)"
+        return f"`{key}`" if default is None else f"`{key}` = {default}"
+
+    rows = []
+    for name, kind in KINDS.items():
+        names = ", ".join(f"`{key}` ({decl})"
+                          for key, decl in kind.names.items()) or "none"
+        values = ", ".join(value(key, default)
+                           for key, (_, default) in kind.values.items())
+        rows.append(f"| `{name}` | {names} | {values} |")
+    readme = (ROOT / "README.md").read_text().splitlines()
+    assert [line for line in readme if line.startswith("| `")] == rows
+
+
+NONSINGULAR = """\
+germ flat
+  type = nonsingular
+  n = 2
+  f = {f}
+end
+
+check contact
+  kind = contact-scan
+  target = flat
+  expect = refuse
+end
+
+check section
+  kind = zero-section
+  target = flat
+  f = {f}
+  expect = refuse
+end
+"""
+
+
+class TestGermBuilds:
+    """A germ is built once, when a check first names it; a failed build
+    belongs to every check that names it."""
+
+    def run(self, tmp_path, monkeypatch, f):
+        build, calls = germ.build_nonsingular_germ, []
+        monkeypatch.setattr(germ, "build_nonsingular_germ",
+                            lambda inp: calls.append(inp) or build(inp))
+        path, out = tmp_path / "germ.scn", tmp_path / "report.json"
+        path.write_text(NONSINGULAR.format(f=f))
+        result = CliRunner().invoke(main, ["check", str(path),
+                                           "--json", str(out)])
+        assert len(calls) == 1
+        return result, json.loads(out.read_text())["checks"]
+
+    def test_refused_build_refuses_each_check(self, tmp_path, monkeypatch):
+        result, checks = self.run(tmp_path, monkeypatch, "0")
+        assert result.exit_code == 0, result.output
+        for entry in checks:
+            assert entry["ok"]
+            assert entry["detail"] == {"passed": False, "refused": True}
+            assert entry["error"] == ("GermBuildError: defining form "
+                                      "vanishes at a sample")
+
+    def test_faulty_build_is_an_error(self, tmp_path, monkeypatch):
+        result, checks = self.run(tmp_path, monkeypatch, "exp(1000 * x1)")
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        for entry in checks:
+            assert not entry["ok"]
+            assert entry["detail"] == {"passed": False, "refused": False}
+            assert entry["error"].startswith("EvaluationError: row ")
 
 
 NO_SCIPY = """\
