@@ -81,9 +81,15 @@ class FlatDiskBundle:
         return VectorFieldExpr(total, tuple(comps))
 
     @functools.cached_property
-    def _holonomy_memo(self) -> dict:
-        """holonomy() results on this bundle, by (generator, samples,
-        ode_tol, fd_step)."""
+    def _transported(self) -> dict:
+        """Transported rows on this bundle, by _row_keys: (end, escaped,
+        steps, nfev)."""
+        return {}
+
+    @functools.cached_property
+    def _planned(self) -> dict:
+        """Rows a run will request on this bundle, by _row_keys: (path,
+        start).  The first request that misses the memo integrates them."""
         return {}
 
     def lifts(self) -> list[VectorFieldExpr]:
@@ -220,9 +226,12 @@ def _escape_time(K, t_old, h, y_old, t_new, r2) -> np.ndarray:
     return np.where(np.abs(g(lo)) < np.abs(g(hi)), lo, hi)
 
 
-def _integrate_segment(rhs, y0: np.ndarray, rtol: float, atol: float,
-                       r2: float, budget: np.ndarray):
-    """Integrate y' = rhs(t, y) from t = 0 to 1 for every row at once.
+def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
+                       rtol: float, atol: float, r2: float,
+                       budget: np.ndarray):
+    """Integrate y' = rhs(t, y, P, dP) from t = 0 to 1 for every row at
+    once, where row i's segment starts at base point P[i] and runs along
+    dP[i].
 
     Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1)
     takes for it alone, with the terminal event |y|^2 = r2 crossed upwards.
@@ -239,14 +248,14 @@ def _integrate_segment(rhs, y0: np.ndarray, rtol: float, atol: float,
     rows = np.arange(n)
     y = y0.copy()
     t = np.zeros(n)
-    f = rhs(t, y)
+    f = rhs(t, y, P, dP)
     # initial step selection
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.minimum(
             np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), 1.0)
-    d2 = _rms((rhs(h0, y + h0[:, None] * f) - f) / scale) / h0
+    d2 = _rms((rhs(h0, y + h0[:, None] * f, P, dP) - f) / scale) / h0
     with np.errstate(divide="ignore"):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                       np.maximum(1e-6, h0 * 1e-3),
@@ -272,9 +281,9 @@ def _integrate_segment(rhs, y0: np.ndarray, rtol: float, atol: float,
         K[:, 0] = f
         for s in range(1, 6):
             dy = np.einsum("nsk,s->nk", K[:, :s], RK_A[s, :s]) * hc
-            K[:, s] = rhs(t + RK_C[s] * h, y + dy)
+            K[:, s] = rhs(t + RK_C[s] * h, y + dy, P, dP)
         y_new = y + hc * np.einsum("nsk,s->nk", K[:, :6], RK_B)
-        K[:, 6] = f_new = rhs(t_new, y_new)
+        K[:, 6] = f_new = rhs(t_new, y_new, P, dP)
         nf += 6
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = _rms(np.einsum("nsk,s->nk", K, RK_E) * hc / scale)
@@ -286,7 +295,7 @@ def _integrate_segment(rhs, y0: np.ndarray, rtol: float, atol: float,
         h_abs = h * np.where(ok, factor, np.maximum(MIN_FACTOR, grow))
         rejected = ~ok
         st += ok
-        if np.any(st > budget[rows]):
+        if np.any(st > budget):
             raise RuntimeError("step budget exceeded")
         g_new = y_new[:, 0] ** 2 + y_new[:, 1] ** 2 - r2
         up = ok & (g <= 0) & (g_new >= 0)
@@ -306,77 +315,157 @@ def _integrate_segment(rhs, y0: np.ndarray, rtol: float, atol: float,
             steps[out], nfev[out] = st[done], nf[done]
             keep = ~done
             rows, y, t, f, g = rows[keep], y[keep], t[keep], f[keep], g[keep]
+            P, dP, budget = P[keep], dP[keep], budget[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
             st, nf = st[keep], nf[keep]
     return end, escaped, steps, nfev
 
 
-def _fiber_points(points) -> np.ndarray:
-    """Fiber points (u, v) as an (N, 2) float array."""
+def _disk_points(bundle: FlatDiskBundle, points) -> np.ndarray:
+    """Fiber points (u, v) inside the fiber disk, as an (N, 2) float
+    array."""
     pts = np.array(points, dtype=float)
     if pts.size == 0:
         return pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("fiber points must be pairs (u, v)")
+    if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= bundle.radius):
+        raise ValueError("start point outside the fiber disk")
     return pts
 
 
-def transport_batch(bundle: FlatDiskBundle,
-                    path: Sequence[Sequence[float]],
-                    starts: Sequence[Sequence[float]],
-                    ode_tol: float = DEFAULT_ODE_TOL) -> BatchTransport:
-    """Integrate the horizontal-lift ODE along a piecewise-linear base path
-    for N fiber points at once.
-
-    Every row takes the adaptive RK45 steps it would take alone, restarted at
-    each path vertex, and stops where it first leaves the fiber disk.
-    """
+def _path(bundle: FlatDiskBundle, path) -> np.ndarray:
+    """A base path's vertices as a (V, base_dim) float array, V >= 2."""
     verts = [np.asarray(v, dtype=float) for v in path]
     if len(verts) < 2:
         raise ValueError("path needs at least two vertices")
     for v in verts:
         if v.shape != (bundle.base_dim,):
             raise ValueError("path vertex has wrong dimension")
-    y = _fiber_points(starts)
-    if np.any(np.hypot(y[:, 0], y[:, 1]) >= bundle.radius):
-        raise ValueError("start point outside the fiber disk")
+    return np.stack(verts)
+
+
+def transport_batch(bundle: FlatDiskBundle, paths,
+                    starts: Sequence[Sequence[float]],
+                    ode_tol: float = DEFAULT_ODE_TOL) -> BatchTransport:
+    """Integrate the horizontal-lift ODE along piecewise-linear base paths
+    for N fiber points at once.
+
+    ``paths`` is one path for every row, or an (N, V, base_dim) array of one
+    path per row, all with V vertices.  Every row takes the adaptive RK45
+    steps it would take alone, restarted at each of its path's vertices, and
+    stops where it first leaves the fiber disk.
+    """
+    y = _disk_points(bundle, starts)
+    n = len(y)
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim == 2:  # one path for every row
+        paths = np.broadcast_to(paths, (n,) + paths.shape)
+    if paths.ndim != 3 or len(paths) != n:
+        raise ValueError("need one path for every row or one per row")
+    if paths.shape[1] < 2:
+        raise ValueError("path needs at least two vertices")
     b = bundle.base_dim
+    if paths.shape[2] != b:
+        raise ValueError("path vertex has wrong dimension")
     lift = compile_exprs(bundle.total_chart, tuple(
         c.expr for c in bundle.lift_u + bundle.lift_v)).batch
+
+    def rhs(t, yt, P, dP):
+        # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), summed in j order
+        comps = lift(np.concatenate([P + t[:, None] * dP, yt], axis=1))
+        comps = comps.reshape(-1, 2, b)
+        out = 0.0
+        for j in range(b):
+            out = out + dP[:, j, None] * comps[:, :, j]
+        return out
+
     rtol = max(ode_tol, 100 * np.finfo(float).eps)  # scipy's floor
-    n = len(y)
     escaped = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)
     nfev = np.zeros(n, dtype=int)
-    for P, Q in zip(verts[:-1], verts[1:]):
+    for k in range(paths.shape[1] - 1):
         live = np.flatnonzero(~escaped)
         if not live.size:
             break
-        dP = Q - P
-
-        def rhs(t, yt):
-            # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), summed in j order
-            comps = lift(np.concatenate([P + t[:, None] * dP, yt], axis=1))
-            comps = comps.reshape(-1, 2, b)
-            out = 0.0
-            for j in range(b):
-                out = out + dP[j] * comps[:, :, j]
-            return out
-
+        P = paths[live, k]
         y[live], escaped[live], seg_steps, seg_nfev = _integrate_segment(
-            rhs, y[live], rtol, ode_tol, bundle.radius ** 2,
-            MAX_STEPS - steps[live])
+            rhs, y[live], P, paths[live, k + 1] - P, rtol, ode_tol,
+            bundle.radius ** 2, MAX_STEPS - steps[live])
         steps[live] += seg_steps
         nfev[live] += seg_nfev
     return BatchTransport(end=y, escaped=escaped, steps=steps, nfev=nfev)
+
+
+def _row_keys(path: np.ndarray, starts: np.ndarray,
+              ode_tol: float) -> list[tuple]:
+    """The memo key of each row: its path, start and ode_tol."""
+    path_key, raw = path.tobytes(), starts.tobytes()
+    return [(path_key, raw[i:i + 16], ode_tol)  # 16 bytes: one (u, v) row
+            for i in range(0, len(raw), 16)]
+
+
+def plan_transport(bundle: FlatDiskBundle, path,
+                   starts: Sequence[Sequence[float]]) -> None:
+    """Record rows that a later request on this bundle will make at the
+    default ode_tol, so that the first request missing the row memo
+    integrates them in its sweep.  Raises ValueError for a row that
+    transport_batch would refuse."""
+    path, starts = _path(bundle, path), _disk_points(bundle, starts)
+    bundle._planned.update(zip(_row_keys(path, starts, DEFAULT_ODE_TOL),
+                               zip(itertools.repeat(path), starts)))
+
+
+def _sweep(bundle: FlatDiskBundle, rows: dict, ode_tol: float) -> None:
+    """Integrate rows, {key: (path, start)}, in one batch and memoize
+    them."""
+    paths, starts = zip(*rows.values())
+    res = transport_batch(bundle, np.stack(paths), np.stack(starts), ode_tol)
+    bundle._transported.update(zip(rows, zip(
+        res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
+        res.nfev.tolist())))
+
+
+def _transport_rows(bundle: FlatDiskBundle, path,
+                    starts: Sequence[Sequence[float]],
+                    ode_tol: float) -> BatchTransport:
+    """transport_batch through the bundle's row memo, keyed by path, start
+    and ode_tol.
+
+    A miss integrates the missing rows together with every missing planned
+    row of the same ode_tol and vertex count.  If that sweep raises, nothing
+    is memoized, the plan is dropped and the missing rows are integrated on
+    their own, so a fault in one check's rows never becomes another's.
+    """
+    path, starts = _path(bundle, path), _disk_points(bundle, starts)
+    memo = bundle._transported
+    keys = _row_keys(path, starts, ode_tol)
+    missing = {k: (path, x) for k, x in zip(keys, starts) if k not in memo}
+    if missing:
+        planned = {k: row for k, row in bundle._planned.items()
+                   if k[2] == ode_tol and row[0].shape == path.shape
+                   and k not in memo and k not in missing}
+        try:
+            _sweep(bundle, {**missing, **planned}, ode_tol)
+        except (ValueError, RuntimeError, ArithmeticError):
+            if not planned:
+                raise
+            bundle._planned.clear()
+            _sweep(bundle, missing, ode_tol)
+    rows = [memo[k] for k in keys]
+    return BatchTransport(end=np.array([r[0] for r in rows]).reshape(-1, 2),
+                          escaped=np.array([r[1] for r in rows], dtype=bool),
+                          steps=np.array([r[2] for r in rows], dtype=int),
+                          nfev=np.array([r[3] for r in rows], dtype=int))
 
 
 def parallel_transport(bundle: FlatDiskBundle,
                        path: Sequence[Sequence[float]],
                        x0: Sequence[float],
                        ode_tol: float = DEFAULT_ODE_TOL) -> TransportResult:
-    """Integrate the horizontal-lift ODE along a piecewise-linear base path."""
-    res = transport_batch(bundle, path, [x0], ode_tol)
+    """Integrate the horizontal-lift ODE along a piecewise-linear base path,
+    through the bundle's row memo."""
+    res = _transport_rows(bundle, path, [x0], ode_tol)
     end = res.end[0]
     return TransportResult(
         start=(float(x0[0]), float(x0[1])), end=(float(end[0]), float(end[1])),
@@ -398,60 +487,61 @@ def generator_loop(bundle: FlatDiskBundle, index: int
 
 @dataclass(frozen=True)
 class HolonomySample:
+    """One sample of a holonomy map; steps and nfev are summed over the
+    sample's transported rows (the point and its finite-difference
+    neighbours inside the disk)."""
+
     point: tuple[float, float]
     image: tuple[float, float]
     escaped: bool
     jacobian: Optional[np.ndarray]
+    steps: int
+    nfev: int
 
 
+FD_STEP = 1e-5
+CCL_SAMPLES = 8  # ccl_check's default invariance samples
 # Each sample's rows in holonomy's batch: x, x + h e1, x - h e1, x + h e2,
 # x - h e2, for the central-difference Jacobian.
 _FD_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                         [0.0, -1.0]])
 
 
+def _fd_rows(bundle: FlatDiskBundle, pts: np.ndarray,
+             fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every sample's five rows, (N * 5, 2), and which start inside the
+    disk; a row outside voids its sample's Jacobian."""
+    rows = (pts[:, None, :] + fd_step * _FD_OFFSETS).reshape(-1, 2)
+    return rows, np.hypot(rows[:, 0], rows[:, 1]) < bundle.radius
+
+
 def holonomy(bundle: FlatDiskBundle, generator: int,
              samples: Sequence[Sequence[float]],
              ode_tol: float = DEFAULT_ODE_TOL,
-             fd_step: float = 1e-5) -> list[HolonomySample]:
+             fd_step: float = FD_STEP) -> list[HolonomySample]:
     """Sampled holonomy around a generator loop, with FD Jacobians.
 
-    All five transports per sample run in one batch.  The result is memoized
-    on the bundle, keyed by everything it depends on.
+    The five transports per sample are rows of the bundle's row memo.
     """
-    pts = _fiber_points(samples)
-    key = (generator, pts.tobytes(), ode_tol, fd_step)
-    memo = bundle._holonomy_memo
-    if key not in memo:
-        memo[key] = _holonomy(bundle, generator, pts, ode_tol, fd_step)
-    return list(memo[key])
-
-
-def _holonomy(bundle: FlatDiskBundle, generator: int, pts: np.ndarray,
-              ode_tol: float, fd_step: float) -> tuple[HolonomySample, ...]:
     loop = generator_loop(bundle, generator)
-    if np.any(np.hypot(pts[:, 0], pts[:, 1]) >= bundle.radius):
-        raise ValueError("start point outside the fiber disk")
-    rows = (pts[:, None, :] + fd_step * _FD_OFFSETS).reshape(-1, 2)
-    # an FD row starting outside the disk voids its sample's Jacobian
-    inside = np.hypot(rows[:, 0], rows[:, 1]) < bundle.radius
-    res = transport_batch(bundle, loop, rows[inside], ode_tol)
+    pts = _disk_points(bundle, samples)
+    rows, inside = _fd_rows(bundle, pts, fd_step)
+    res = _transport_rows(bundle, loop, rows[inside], ode_tol)
     end = np.zeros_like(rows)
     end[inside] = res.end
     void = ~inside
     void[inside] = res.escaped
+    counts = np.zeros((len(rows), 2), dtype=int)
+    counts[inside] = np.stack([res.steps, res.nfev], axis=1)
     end, void = end.reshape(-1, 5, 2), void.reshape(-1, 5)
-    out = []
-    for x, e, bad in zip(pts, end, void):
-        point, image = tuple(map(float, x)), tuple(map(float, e[0]))
-        if bad[0]:
-            out.append(HolonomySample(point, image, True, None))
-            continue
-        J = np.stack([e[1] - e[2], e[3] - e[4]], axis=1) / (2 * fd_step)
-        J.flags.writeable = False  # shared through the memo
-        out.append(HolonomySample(point, image, False,
-                                  None if bad[1:].any() else J))
-    return tuple(out)
+    J = np.stack([end[:, 1] - end[:, 2], end[:, 3] - end[:, 4]],
+                 axis=2) / (2 * fd_step)
+    return [HolonomySample(tuple(x), tuple(e), escaped,
+                           None if bad else j, steps, nfev)
+            for x, e, escaped, bad, j, (steps, nfev) in zip(
+                pts.tolist(), end[:, 0].tolist(), void[:, 0].tolist(),
+                void.any(axis=1).tolist(), J,
+                counts.reshape(-1, 5, 2).sum(axis=1).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +555,29 @@ def _fiber_grid(radius: float, step: float) -> np.ndarray:
     return pts[np.hypot(pts[:, 0], pts[:, 1]) < radius * 0.98]
 
 
+@functools.cache
+def _ccl_draws(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """ccl_check's seeded draws: radii in units of the fiber radius, and
+    angles."""
+    rng = np.random.default_rng(0)
+    draws = rng.uniform(0.2, 0.7, count), rng.uniform(0, 2 * np.pi, count)
+    for a in draws:
+        a.flags.writeable = False  # shared by every call
+    return draws
+
+
+def _ccl_samples(bundle: FlatDiskBundle, count: int) -> np.ndarray:
+    """ccl_check's invariance samples: count seeded points of the annulus
+    0.2 r <= |x| < 0.7 r."""
+    unit, angles = _ccl_draws(count)
+    radii = unit * bundle.radius
+    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+
+
 def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
               grid_step: float = 0.1, tol: float = 1e-6,
               ode_tol: float = DEFAULT_ODE_TOL,
-              invariance_samples: int = 8) -> dict:
+              invariance_samples: int = CCL_SAMPLES) -> dict:
     """Validate the three defining conditions of a fiber 1-form.
 
     (1) invariance under the sampled holonomy of each generator,
@@ -489,10 +598,7 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
     db_vals = bundle.orientation * fm.exterior_d(beta).coeff_array(grid)[:, 0]
     positivity_ok = bool(np.min(db_vals) > tol)
 
-    rng = np.random.default_rng(0)
-    radii = rng.uniform(0.2, 0.7, invariance_samples) * bundle.radius
-    angles = rng.uniform(0, 2 * np.pi, invariance_samples)
-    samples = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    samples = _ccl_samples(bundle, invariance_samples)
     found = [hs for g in range(bundle.base_dim)
              for hs in holonomy(bundle, g, samples, ode_tol)]
     mapped = [hs for hs in found if hs.jacobian is not None]
@@ -510,9 +616,23 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
         "positivity": {"min_dbeta": float(np.min(db_vals)),
                        "ok": positivity_ok},
         "invariance": {"max_residual": inv_residual, "escapes": escapes,
+                       "steps": sum(hs.steps for hs in found),
+                       "nfev": sum(hs.nfev for hs in found),
                        "ok": invariance_ok},
         "ok": vanishing_ok and positivity_ok and invariance_ok,
     }
+
+
+def plan_ccl(bundle: FlatDiskBundle) -> None:
+    """Plan the holonomy rows of ccl_check(bundle, beta) at its defaults,
+    for every generator.  Over one generator with nothing else planned they
+    are one request anyway, so there is nothing to join and no plan."""
+    if bundle.base_dim == 1 and not bundle._planned:
+        return
+    rows, inside = _fd_rows(bundle, _ccl_samples(bundle, CCL_SAMPLES),
+                            FD_STEP)
+    for g in range(bundle.base_dim):
+        plan_transport(bundle, generator_loop(bundle, g), rows[inside])
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,8 @@ class _Env:
         if btype == "trivial":
             base_dim = parse_int(b.get("base_dim", "1"), b.line)
             return bd.trivial_bundle(base_dim, periods, radius)
-        if btype == "rotation":
-            rates = parse_number_list(b.require("rates"), b.line)
-            return bd.rotation_bundle(rates, periods, radius)
-        raise ScenarioError(f"unknown bundle type '{btype}'", b.line)
+        rates = parse_number_list(b.require("rates"), b.line)
+        return bd.rotation_bundle(rates, periods, radius)
 
     def _build_form(self, b: Block) -> fm.DiffForm:
         on = b.require("on").split()
@@ -128,17 +126,15 @@ class _Env:
             inp = gm.FoliatedInput(n=n, beta=fm.one_form(ch, {"t": f}),
                                    line_field=vector_field(ch, comps))
             return lambda: gm.build_nonsingular_germ(inp)
-        if gtype == "singular":
-            bundle = self.objects["bundle", b.require("bundle")]
-            beta = self.objects["form", b.require("form")]
-            orient = parse_int(b.get("orientation", "1"), b.line)
+        bundle = self.objects["bundle", b.require("bundle")]
+        beta = self.objects["form", b.require("form")]
+        orient = parse_int(b.get("orientation", "1"), b.line)
 
-            def build() -> gm.GermForm:
-                g = gm.build_singular_germ(bundle, beta)
-                return dataclasses.replace(g, orientation=-1) \
-                    if orient == -1 else g
-            return build
-        raise ScenarioError(f"unknown germ type '{gtype}'", b.line)
+        def build() -> gm.GermForm:
+            g = gm.build_singular_germ(bundle, beta)
+            return dataclasses.replace(g, orientation=-1) \
+                if orient == -1 else g
+        return build
 
 
 # -- verifiers: each takes the sample generator, then every key of its kind
@@ -227,7 +223,9 @@ def _ccl(rng, target, form, tol) -> dict:
     return {"passed": bool(res["ok"]),
             "vanishing": bool(res["vanishing"]["ok"]),
             "positivity": bool(res["positivity"]["ok"]),
-            "invariance": bool(res["invariance"]["ok"])}
+            "invariance": bool(res["invariance"]["ok"]),
+            "steps": res["invariance"]["steps"],
+            "nfev": res["invariance"]["nfev"]}
 
 
 def _germ_volume(rng, target, f, tol, samples) -> dict:
@@ -374,6 +372,34 @@ KINDS = {
 }
 
 
+# The keys each declaration kind reads, by type (None for a kind without
+# types).  A nonsingular germ also takes r1 .. rn; graph and form blocks
+# take their components besides, which their constructors check.
+DECLARATIONS = {
+    "chart": {None: {"vars"}},
+    "bundle": {"trivial": {"type", "periods", "radius", "base_dim"},
+               "rotation": {"type", "periods", "radius", "rates"}},
+    "germ": {"nonsingular": {"type", "n", "f"},
+             "singular": {"type", "bundle", "form", "orientation"}},
+}
+
+
+def _check_declaration_keys(b: Block) -> None:
+    """Reject an unknown type, or a key the declaration does not read."""
+    types = DECLARATIONS[b.kind]
+    btype = None if None in types else b.require("type")
+    if btype not in types:
+        raise ScenarioError(f"unknown {b.kind} type '{btype}'", b.line)
+    keys = types[btype]
+    if btype == "nonsingular":
+        n = parse_int(b.require("n"), b.line)
+        keys = keys | {f"r{i}" for i in range(1, n + 1)}
+    for key, _ in b.items():
+        if key not in keys:
+            raise ScenarioError(f"unknown key '{key}' for {b.kind} "
+                                f"'{b.name}'", b.line)
+
+
 def _dispatch(kind: Kind, env: _Env, b: Block) -> dict:
     args = dict(env.args[b])
     for key, decl in kind.names.items():
@@ -390,10 +416,11 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
     check block's keyword arguments: its parsed values and the names it
     gives, with an override replacing a value key its kind declares.
 
-    Input errors are an unknown check kind, key or expectation, a missing or
-    malformed value (samples below 1 included), and a name that no
-    declaration of the right kind carries: a check's name keys, a singular
-    germ's bundle and form, and the bundle or chart a form lives on.
+    Input errors are an unknown check kind, key or expectation, an unknown
+    declaration type or key, a missing or malformed value (samples below 1
+    included), and a name that no declaration of the right kind carries: a
+    check's name keys, a singular germ's bundle and form, and the bundle or
+    chart a form lives on.
     Declarations may name only earlier declarations, as they are built in
     order; checks may name any.  Each error is a ScenarioError with the
     block's line.
@@ -408,6 +435,8 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
         return name
 
     for b in sc.blocks:
+        if b.kind in DECLARATIONS:
+            _check_declaration_keys(b)
         if b.kind == "form":
             on = b.require("on").split()
             if len(on) == 2 and on[0] in ("fiber", "chart"):
@@ -448,6 +477,32 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
     return resolved
 
 
+def _plan(sc: Scenario, env: _Env) -> None:
+    """Record on each bundle the transport rows its checks will request: a
+    transport check's start, and then the CCL rows of every generator where
+    a ccl check, or a singular germ that a check names, names the bundle.
+    The first request that misses a bundle's row memo then integrates them
+    all in one sweep, whatever the check order."""
+    germ_bundles = {b.name: b.get("bundle") for b in sc.blocks
+                    if b.kind == "germ"}
+    ccl = set()
+    for b, args in env.args.items():
+        kind = b.require("kind")
+        if kind == "transport":
+            target = env.objects["bundle", args["target"]]
+            try:
+                bd.plan_transport(target, bd.generator_loop(
+                    target, args["generator"]), [args["start"]])
+            except ValueError:  # the check refuses this row when it runs
+                pass
+        elif kind == "ccl":
+            ccl.add(args["target"])
+        ccl.update(germ_bundles[args[key]] for key, decl
+                   in KINDS[kind].names.items() if decl == "germ")
+    for name in ccl - {None}:
+        bd.plan_ccl(env.objects["bundle", name])
+
+
 def _jsonable(value):
     """Recursively convert numpy scalars and arrays to plain Python."""
     if isinstance(value, dict):
@@ -476,6 +531,7 @@ def run_scenario(sc: Scenario, seed: int = 0,
     t0 = time.perf_counter()
     args = _resolve(sc, overrides or {})
     env = _Env(sc, np.random.default_rng(seed), args)
+    _plan(sc, env)
     checks = []
     all_ok = True
     for b in sc.checks():

@@ -37,7 +37,7 @@ from legfol.fields import (
     pushforward_field,
     vector_field,
 )
-from legfol.scenario import parse_scenario
+from legfol.scenario import Scenario, parse_scenario
 
 
 def close(a, b):
@@ -668,37 +668,34 @@ def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
 
 def walk_holonomy(bundle, generator, samples, ode_tol=bd.DEFAULT_ODE_TOL,
                   fd_step=1e-5):
-    """holonomy as five walk_transport calls per sample."""
+    """holonomy as one walk_transport call per sample and finite-difference
+    row (x, x + h e1, x - h e1, x + h e2, x - h e2) inside the disk."""
     loop = bd.generator_loop(bundle, generator)
     out = []
     for x in samples:
-        res = walk_transport(bundle, loop, x, ode_tol)
-        if res.escaped:
-            out.append(bd.HolonomySample(tuple(map(float, x)), res.end, True,
-                                         None))
-            continue
-        J = np.zeros((2, 2))
-        ok = True
-        for col, e in enumerate(np.eye(2)):
+        rows = []
+        for offset in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
             try:
-                hi = walk_transport(bundle, loop, np.asarray(x) + fd_step * e,
-                                    ode_tol)
-                lo = walk_transport(bundle, loop, np.asarray(x) - fd_step * e,
-                                    ode_tol)
-            except ValueError:
-                ok = False
-                break
-            if hi.escaped or lo.escaped:
-                ok = False
-                break
-            J[:, col] = (np.array(hi.end) - np.array(lo.end)) / (2 * fd_step)
-        out.append(bd.HolonomySample(tuple(map(float, x)), res.end, False,
-                                     J if ok else None))
+                rows.append(walk_transport(
+                    bundle, loop, np.asarray(x) + fd_step * np.array(offset),
+                    ode_tol))
+            except ValueError:  # starts outside the disk
+                rows.append(None)
+        res = rows[0]
+        J = None
+        if all(r is not None and not r.escaped for r in rows):
+            ends = [np.array(r.end) for r in rows]
+            J = np.stack([ends[1] - ends[2], ends[3] - ends[4]], axis=1) \
+                / (2 * fd_step)
+        done = [r for r in rows if r is not None]
+        out.append(bd.HolonomySample(
+            tuple(map(float, x)), res.end, res.escaped, J,
+            sum(r.steps for r in done), sum(r.nfev for r in done)))
     return out
 
 
 def walk_ccl_invariance(bundle, beta, count=8):
-    """ccl_check's holonomy part: (max residual, escapes)."""
+    """ccl_check's holonomy part: (max residual, escapes, steps, nfev)."""
     rng = np.random.default_rng(0)
     radii = rng.uniform(0.2, 0.7, count) * bundle.radius
     angles = rng.uniform(0, 2 * np.pi, count)
@@ -710,16 +707,17 @@ def walk_ccl_invariance(bundle, beta, count=8):
             c[i] = f.eval(p)
         return c
 
-    worst, escapes = 0.0, 0
+    worst, escapes, steps, nfev = 0.0, 0, 0, 0
     for g in range(bundle.base_dim):
         for hs in walk_holonomy(bundle, g, pts):
+            steps, nfev = steps + hs.steps, nfev + hs.nfev
             if hs.escaped or hs.jacobian is None:
                 escapes += 1
                 continue
             resid = np.linalg.norm(hs.jacobian.T @ covec(np.array(hs.image))
                                    - covec(np.array(hs.point)))
             worst = max(worst, float(resid))
-    return worst, escapes
+    return worst, escapes, steps, nfev
 
 
 def walk_form_matrix(w, p):
@@ -879,8 +877,9 @@ class TestCCLInvariance:
         beta = fm.one_form(fiber, {v: parse_field(fiber, t)
                                    for v, t in texts.items()})
         got = bd.ccl_check(b, beta)["invariance"]
-        worst, escapes = walk_ccl_invariance(b, beta)
+        worst, escapes, steps, nfev = walk_ccl_invariance(b, beta)
         assert got["escapes"] == escapes
+        assert (got["steps"], got["nfev"]) == (steps, nfev)
         # The oracle integrates on its own, so endpoints agree to a few ulp
         # (~1e-15), not bit for bit; the FD Jacobian divides that by
         # 2 fd_step = 2e-5, and |beta| <= 2 at the images.
@@ -985,6 +984,7 @@ class TestBatchedHolonomy:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.point == b.point and a.escaped == b.escaped
+            assert (a.steps, a.nfev) == (b.steps, b.nfev)
             assert np.max(np.abs(np.subtract(a.image, b.image))) <= 1e-13
             assert (a.jacobian is None) == (b.jacobian is None)
             if a.jacobian is not None:
@@ -1075,17 +1075,18 @@ end
 
 
 class TestHolonomyMemo:
-    """Each generator loop of a bundle is integrated once per run: two germ
-    builds and two ccl checks share it; a second run integrates it again."""
+    """The transport rows of a bundle (every generator loop's CCL rows and
+    the transport checks' starts) are integrated in one sweep per run,
+    whatever the check order; a second run integrates them again."""
 
     @pytest.fixture
     def batches(self, monkeypatch):
         rows = []
         real = bd.transport_batch
 
-        def counted(bundle, path, starts, *args, **kwargs):
+        def counted(bundle, paths, starts, *args, **kwargs):
             rows.append(len(starts))
-            return real(bundle, path, starts, *args, **kwargs)
+            return real(bundle, paths, starts, *args, **kwargs)
 
         monkeypatch.setattr(bd, "transport_batch", counted)
         return rows
@@ -1093,14 +1094,49 @@ class TestHolonomyMemo:
     def test_once_per_run(self, batches):
         report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
         assert report["passed"]
-        # 8 CCL samples, 5 rows each, per generator; one transport check
-        assert sorted(batches) == [1, 40, 40]
+        # 8 CCL samples with 5 rows each on both generators, and the
+        # transport check's start
+        assert batches == [81]
+
+    def test_check_order_does_not_matter(self, batches):
+        sc = parse_scenario(MEMO_SCENARIO)
+        flipped = Scenario(sc.name, tuple(
+            b for b in sc.blocks if b.kind != "check") + tuple(
+            sc.checks()[::-1]))
+        first, second = runner.run_scenario(sc), runner.run_scenario(flipped)
+        assert batches == [81, 81]
+        assert second["checks"] == first["checks"][::-1]
+
+    def test_germ_plans_its_bundle(self, batches):
+        # no ccl check: the germ a check names brings in the CCL rows
+        sc = parse_scenario(MEMO_SCENARIO)
+        contact = parse_scenario(
+            "check contact\n  kind = contact-scan\n  target = first\n"
+            "  samples = 5\nend\n").blocks
+        blocks = tuple(b for b in sc.blocks if b.kind != "check"
+                       or b.name == "endpoint") + contact
+        report = runner.run_scenario(Scenario(sc.name, blocks))
+        assert report["passed"]
+        assert batches == [81]
+
+    def test_one_request_is_not_planned(self, batches, monkeypatch):
+        # one generator and no transport check: the CCL rows are one
+        # holonomy request, so the plan has nothing to join
+        planned, plan = [], bd.plan_transport
+        monkeypatch.setattr(bd, "plan_transport",
+                            lambda *a: planned.append(a) or plan(*a))
+        sc = parse_scenario(MEMO_SCENARIO.replace("rates = 0.9 1.7",
+                                                  "rates = 0.9"))
+        report = runner.run_scenario(Scenario(sc.name, tuple(
+            b for b in sc.blocks if b.name != "endpoint")))
+        assert report["passed"]
+        assert planned == [] and batches == [40]
 
     def test_not_shared_between_runs(self, batches):
         sc = parse_scenario(MEMO_SCENARIO)
         first = runner.run_scenario(sc)
         second = runner.run_scenario(sc)
-        assert sorted(batches) == [1, 1, 40, 40, 40, 40]
+        assert batches == [81, 81]
         first.pop("wall_time"), second.pop("wall_time")
         assert first == second
 
@@ -1109,15 +1145,20 @@ class TestHolonomyMemo:
         pts = [[0.3, 0.1], [-0.2, 0.4]]
         first = bd.holonomy(b, 0, pts)
         again = bd.holonomy(b, 0, [list(p) for p in pts])
-        assert all(x is y for x, y in zip(again, first))
+        assert [hs.image for hs in again] == [hs.image for hs in first]
         for args, kwargs in (((1, pts), {}), ((0, pts[:1]), {}),
                              ((0, pts), {"ode_tol": 1e-9}),
                              ((0, pts), {"fd_step": 1e-4})):
             bd.holonomy(b, *args, **kwargs)
-        assert batches == [10, 10, 5, 10, 10]
+        # a row is keyed by its path, start and ode_tol: the rows of pts[:1]
+        # are memoized, and rows at another fd_step share only the centres
+        assert batches == [10, 10, 10, 8]
+        # parallel_transport reads the same rows
+        res = bd.parallel_transport(b, bd.generator_loop(b, 0), pts[0])
+        assert res.end == first[0].image and len(batches) == 4
         # another bundle with the same lifts has its own memo
         bd.holonomy(bd.rotation_bundle([0.9, 1.7]), 0, pts)
-        assert len(batches) == 6
+        assert len(batches) == 5
 
     def test_transport_check_reports_steps(self):
         report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
@@ -1126,6 +1167,115 @@ class TestHolonomyMemo:
         want = walk_transport(b, bd.generator_loop(b, 1), [0.5, 0.0])
         assert (detail["steps"], detail["nfev"]) == (want.steps, want.nfev)
         assert np.max(np.abs(np.subtract(detail["end"], want.end))) <= 1e-13
+
+    def test_ccl_check_reports_steps(self):
+        report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
+        detail = report["checks"][0]["detail"]
+        b = bd.rotation_bundle([0.9, 1.7])
+        fiber = b.fiber_chart
+        beta = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                   "v": parse_field(fiber, "u")})
+        _, _, steps, nfev = walk_ccl_invariance(b, beta)
+        assert (detail["steps"], detail["nfev"]) == (steps, nfev)
+
+
+class TestMixedSweep:
+    """One sweep of rows on different paths: each row equals the same row
+    integrated alone, bit for bit, and the solve_ivp oracle within 1e-13."""
+
+    @pytest.mark.parametrize("make, loops", [
+        (lambda: bd.rotation_bundle([0.9, 1.7]), None),
+        (sheared_bundle, None),
+        # one generator: the loop and the loop run backwards, which shrinks
+        # the fiber where the forward loop pushes rows out of the disk
+        (radial_bundle, [[[0.0], [1.0]], [[1.0], [0.0]]]),
+        (lambda: bd.rotation_bundle([0.9, 1.7]),
+         [CONTRACTIBLE, CONTRACTIBLE[::-1]]),
+    ], ids=["torus", "sheared", "radial", "contractible"])
+    def test_rows_independent_of_neighbours(self, make, loops, rng):
+        b = make()
+        loops = np.array(loops if loops is not None else [
+            bd.generator_loop(b, g) for g in range(b.base_dim)])
+        starts = disk_points(rng, 24)
+        paths = loops[np.arange(len(starts)) % len(loops)]
+        got = bd.transport_batch(b, paths, starts)
+        for i, (path, x) in enumerate(zip(paths, starts)):
+            alone = bd.transport_batch(b, path, [x])
+            assert got.end[i].tobytes() == alone.end[0].tobytes()
+            assert (got.escaped[i], got.steps[i], got.nfev[i]) == \
+                (alone.escaped[0], alone.steps[0], alone.nfev[0])
+            want = walk_transport(b, path, x)
+            assert (bool(got.escaped[i]), got.steps[i], got.nfev[i]) == \
+                (want.escaped, want.steps, want.nfev)
+            assert np.max(np.abs(got.end[i] - want.end)) <= 1e-13
+        if b.base_dim == 1:
+            assert 0 < got.escaped.sum() < len(starts)
+
+
+OVERFLOW_SCENARIO = """scenario overflow
+
+bundle circle
+  type = rotation
+  rates = 1
+end
+
+form area
+  on = fiber circle
+  u = -v
+  v = u
+end
+
+check endpoint
+  kind = transport
+  target = circle
+  start = 0.05 0
+  end = 0.027015115293406988 0.042073549240394826
+end
+
+check area-ccl
+  kind = ccl
+  target = circle
+  form = area
+end
+"""
+
+
+def overflowing_bundle(rates, periods, radius):
+    """Fiber rotation at rate 1 + exp(1e5 (u^2 + v^2 - 0.04)): rate 1 on
+    the transport check's orbit |x| = 0.05, and an overflowing lift beyond
+    |x| = 0.22, where ccl_check's samples lie."""
+    total = Chart(("s1", "u", "v"), (1.0, None, None))
+    rate = "(1 + exp(100000 * (u^2 + v^2 - 0.04)))"
+    return bd.FlatDiskBundle(1, (1.0,), radius,
+                             (parse_field(total, f"-v * {rate}"),),
+                             (parse_field(total, f"u * {rate}"),))
+
+
+class TestFaultAttribution:
+    """A fault in one check's rows stays that check's outcome, although the
+    plan puts every row of the bundle into the first sweep."""
+
+    def test_fault_stays_with_its_check(self, monkeypatch):
+        monkeypatch.setattr(bd, "rotation_bundle", overflowing_bundle)
+        batches = []
+        real = bd.transport_batch
+        monkeypatch.setattr(bd, "transport_batch", lambda b, p, starts, *a: (
+            batches.append(len(starts)) or real(b, p, starts, *a)))
+        sc = parse_scenario(OVERFLOW_SCENARIO)
+        report = runner.run_scenario(sc)
+        endpoint, ccl = report["checks"]
+        assert endpoint["ok"] and "error" not in endpoint
+        assert not ccl["ok"] and not ccl["detail"]["refused"]
+        assert ccl["error"].startswith("EvaluationError: row 0, point ")
+        assert "exp overflow" in ccl["error"]
+        # the combined sweep raised; then each check's rows ran on their own
+        assert batches == [41, 1, 40]
+        # exactly the report of a run without the plan
+        monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
+        alone = runner.run_scenario(sc)
+        assert batches[3:] == [1, 40]
+        report.pop("wall_time"), alone.pop("wall_time")
+        assert report == alone
 
 
 class TestFormMatrices:

@@ -237,6 +237,28 @@ end
 """
 
 
+NONSINGULAR = """\
+germ flat
+  type = nonsingular
+  n = 2
+  f = {f}
+end
+
+check contact
+  kind = contact-scan
+  target = flat
+  expect = refuse
+end
+
+check section
+  kind = zero-section
+  target = flat
+  f = {f}
+  expect = refuse
+end
+"""
+
+
 class TestUnknownNames:
     """Malformed input exits 2 with the block's line, whatever the
     expectation; kinds and names are resolved before any check runs."""
@@ -301,6 +323,31 @@ class TestUnknownNames:
         text = GOOD.replace("samples = 20", f"samples = 20\n  {entry}")
         self.exits_two(tmp_path, text, f"unknown key '{key}' for check kind "
                        f"'residuals'", 9)
+
+    @pytest.mark.parametrize("text, message, line", [
+        (CCL_PROBE.format(target="circle", form="area").replace(
+            "rates = 0.25", "rates = 0.25\n  raduis = -1"),
+         "unknown key 'raduis' for bundle 'circle'", 1),
+        (SINGULAR_GERM.format(on="circle", bundle="circle", form="area")
+         .replace("germ sing\n", "germ sing\n  orientaton = -1\n"),
+         "unknown key 'orientaton' for germ 'sing'", 12),
+        (NONSINGULAR.format(f="1 + x1^2").replace("n = 2", "n = 2\n  r3 = x1"),
+         "unknown key 'r3' for germ 'flat'", 1),
+        ("chart plane\n  vars = a b\n  extra = 1\nend\n",
+         "unknown key 'extra' for chart 'plane'", 1),
+        (CCL_PROBE.format(target="circle", form="area").replace(
+            "type = rotation", "type = helix"),
+         "unknown bundle type 'helix'", 1),
+    ], ids=["bundle-raduis", "germ-orientaton", "germ-r3", "chart-extra",
+            "bundle-type"])
+    def test_declaration_key_is_not_ignored(self, tmp_path, text, message,
+                                            line):
+        self.exits_two(tmp_path, text, message, line)
+
+    def test_nonsingular_germ_takes_r1_to_rn(self):
+        text = NONSINGULAR.format(f="1 + x1^2").replace(
+            "n = 2", "n = 2\n  r1 = x1\n  r2 = x2")
+        assert len(runner._resolve(parse_scenario(text), {})) == 2
 
     def test_values_parsed_before_any_check_runs(self, tmp_path, monkeypatch):
         text = GOOD + GOOD.split("\n\n", 2)[2].replace(
@@ -426,28 +473,6 @@ def test_readme_table_is_kinds():
         rows.append(f"| `{name}` | {names} | {values} |")
     readme = (ROOT / "README.md").read_text().splitlines()
     assert [line for line in readme if line.startswith("| `")] == rows
-
-
-NONSINGULAR = """\
-germ flat
-  type = nonsingular
-  n = 2
-  f = {f}
-end
-
-check contact
-  kind = contact-scan
-  target = flat
-  expect = refuse
-end
-
-check section
-  kind = zero-section
-  target = flat
-  f = {f}
-  expect = refuse
-end
-"""
 
 
 class TestGermBuilds:
