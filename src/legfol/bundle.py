@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +23,7 @@ from . import symplin as sl
 from .fields import (
     Chart,
     ExprField,
+    RowError,
     VectorFieldExpr,
     compile_exprs,
     constant,
@@ -90,6 +92,12 @@ class FlatDiskBundle:
     def _planned(self) -> dict:
         """Rows a run will request on this bundle, by _row_keys: (path,
         start).  The first request that misses the memo integrates them."""
+        return {}
+
+    @functools.cached_property
+    def _ccl_reports(self) -> dict:
+        """ccl_check reports on this bundle, by id(beta) and the other
+        arguments: (beta, report).  Holding beta keeps its id unique."""
         return {}
 
     def lifts(self) -> list[VectorFieldExpr]:
@@ -226,12 +234,14 @@ def _escape_time(K, t_old, h, y_old, t_new, r2) -> np.ndarray:
     return np.where(np.abs(g(lo)) < np.abs(g(hi)), lo, hi)
 
 
+@np.errstate(all="ignore")  # rhs checks the values it computes
 def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
                        rtol: float, atol: float, r2: float,
                        budget: np.ndarray):
-    """Integrate y' = rhs(t, y, P, dP) from t = 0 to 1 for every row at
+    """Integrate y' = rhs(P + t dP, y) from t = 0 to 1 for every row at
     once, where row i's segment starts at base point P[i] and runs along
-    dP[i].
+    dP[i].  rhs(x, y, dP, out) takes the base points and dP transposed,
+    (base_dim, rows), and writes y' to out and returns it.
 
     Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1)
     takes for it alone, with the terminal event |y|^2 = r2 crossed upwards.
@@ -246,56 +256,65 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
     nfev = np.zeros(n, dtype=int)
     # State of the rows still integrating; rows[i] is the row of entry i.
     rows = np.arange(n)
+    P, dP = P.T.copy(), dP.T.copy()
     y = y0.copy()
     t = np.zeros(n)
-    f = rhs(t, y, P, dP)
+    f = rhs(P + t * dP, y, dP, np.empty((n, 2)))
     # initial step selection
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(f / scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h0 = np.minimum(
-            np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), 1.0)
-    d2 = _rms((rhs(h0, y + h0[:, None] * f, P, dP) - f) / scale) / h0
-    with np.errstate(divide="ignore"):
-        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                      np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+    h0 = np.minimum(
+        np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), 1.0)
+    d2 = _rms((rhs(P + h0 * dP, y + h0[:, None] * f, dP, np.empty((n, 2)))
+               - f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                  np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** (1 / 5))
     h_abs = np.minimum(np.minimum(100 * h0, h1), MAX_STEP)
     nf = np.full(n, 2)
     st = np.zeros(n, dtype=int)
     g = y[:, 0] ** 2 + y[:, 1] ** 2 - r2
     rejected = np.zeros(n, dtype=bool)
+    stages, times = np.empty((n, 7, 2)), np.empty((6, n))
     while rows.size:
         # a new step starts clamped to [min_step, MAX_STEP]; a retry of a
         # rejected one is not clamped, and fails below min_step
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        h = np.where(rejected, h_abs, np.clip(h_abs, min_step, MAX_STEP))
-        if np.any(h < min_step):
+        min_step = 10 * np.spacing(t)
+        h = np.where(rejected, h_abs,
+                     np.minimum(np.maximum(h_abs, min_step), MAX_STEP))
+        if (h < min_step).any():
             raise RuntimeError("transport integration failed: Required "
                                "step size is less than spacing between "
                                "numbers.")
         t_new = np.minimum(t + h, 1.0)
         h = t_new - t
         hc = h[:, None]
-        K = np.empty((len(rows), 7, 2))
+        m = len(rows)
+        K, T = stages[:m], times[:, :m]
+        # X[:, s - 1]: the base points of stage s, at t + C_s h, and of t_new
+        T[:5] = t + np.multiply.outer(RK_C[1:], h)
+        T[5] = t_new
+        X = P[:, None] + T * dP[:, None]
         K[:, 0] = f
         for s in range(1, 6):
             dy = np.einsum("nsk,s->nk", K[:, :s], RK_A[s, :s]) * hc
-            K[:, s] = rhs(t + RK_C[s] * h, y + dy, P, dP)
+            rhs(X[:, s - 1], y + dy, dP, K[:, s])
         y_new = y + hc * np.einsum("nsk,s->nk", K[:, :6], RK_B)
-        K[:, 6] = f_new = rhs(t_new, y_new, P, dP)
+        f_new = rhs(X[:, 5], y_new, dP, K[:, 6])
         nf += 6
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
         err = _rms(np.einsum("nsk,s->nk", K, RK_E) * hc / scale)
-        with np.errstate(divide="ignore"):
-            grow = SAFETY * err ** ERROR_EXPONENT
+        # scipy's step factor: at most MAX_FACTOR (1 after a rejection) if
+        # err < 1, else at least MIN_FACTOR.  grow >= SAFETY where err < 1,
+        # grow <= SAFETY elsewhere and MIN_FACTOR < SAFETY < 1, so one clip
+        # of grow gives both.
+        grow = SAFETY * err ** ERROR_EXPONENT  # inf where err == 0
         ok = err < 1
-        factor = np.where(err == 0, MAX_FACTOR, np.minimum(MAX_FACTOR, grow))
-        factor = np.where(rejected, np.minimum(1, factor), factor)
-        h_abs = h * np.where(ok, factor, np.maximum(MIN_FACTOR, grow))
+        h_abs = h * np.maximum(MIN_FACTOR, np.minimum(
+            np.where(rejected, 1.0, MAX_FACTOR), grow))
         rejected = ~ok
         st += ok
-        if np.any(st > budget):
+        if (st > budget).any():
             raise RuntimeError("step budget exceeded")
         g_new = y_new[:, 0] ** 2 + y_new[:, 1] ** 2 - r2
         up = ok & (g <= 0) & (g_new >= 0)
@@ -315,7 +334,7 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
             steps[out], nfev[out] = st[done], nf[done]
             keep = ~done
             rows, y, t, f, g = rows[keep], y[keep], t[keep], f[keep], g[keep]
-            P, dP, budget = P[keep], dP[keep], budget[keep]
+            P, dP, budget = P[:, keep], dP[:, keep], budget[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
             st, nf = st[keep], nf[keep]
     return end, escaped, steps, nfev
@@ -369,15 +388,25 @@ def transport_batch(bundle: FlatDiskBundle, paths,
     if paths.shape[2] != b:
         raise ValueError("path vertex has wrong dimension")
     lift = compile_exprs(bundle.total_chart, tuple(
-        c.expr for c in bundle.lift_u + bundle.lift_v)).batch
+        c.expr for c in bundle.lift_u + bundle.lift_v))
 
-    def rhs(t, yt, P, dP):
+    def rhs(x, yt, dP, out):
         # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), summed in j order
-        comps = lift(np.concatenate([P + t[:, None] * dP, yt], axis=1))
-        comps = comps.reshape(-1, 2, b)
-        out = 0.0
-        for j in range(b):
-            out = out + dP[:, j, None] * comps[:, :, j]
+        cols = (*x, yt[:, 0], yt[:, 1])
+        try:
+            comps = lift.columns(*cols)
+            u = v = 0.0
+            for j in range(b):
+                u = u + dP[j] * comps[j]
+                v = v + dP[j] * comps[b + j]
+            out[:, 0], out[:, 1] = u, v
+            # a non-finite lift value makes its stage value, so the total,
+            # non-finite; an overflowing total only costs a batch call
+            ok = math.isfinite(np.add.reduce(out, axis=None))
+        except RowError:
+            ok = False
+        if not ok:  # batch raises what it says about these points, if any
+            lift.batch(np.column_stack(cols))
         return out
 
     rtol = max(ode_tol, 100 * np.finfo(float).eps)  # scipy's floor
@@ -583,14 +612,29 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
     (1) invariance under the sampled holonomy of each generator,
     (2) vanishing exactly at the fiber origin,
     (3) positive exterior derivative on the oriented fiber frame.
-    Failures are report entries, never exceptions.
+    Failures are report entries, never exceptions.  grid_step, the step of
+    the fiber grid for (2) and (3), is in units of the fiber radius.
+
+    The report is memoized on the bundle per form object and arguments, and
+    each call gets its own copy; a call that raises memoizes nothing.
     """
+    memo = bundle._ccl_reports
+    key = (id(beta), grid_step, tol, ode_tol, invariance_samples)
+    if key not in memo:
+        memo[key] = beta, _ccl_report(bundle, beta, *key[1:])
+    return {k: dict(v) if isinstance(v, dict) else v
+            for k, v in memo[key][1].items()}
+
+
+def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm, grid_step: float,
+                tol: float, ode_tol: float, invariance_samples: int) -> dict:
     fiber = bundle.fiber_chart
     if beta.chart != fiber or beta.degree != 1:
         raise ValueError("beta must be a 1-form on the fiber chart (u, v)")
-    grid = _fiber_grid(bundle.radius, grid_step)
+    step = grid_step * bundle.radius
+    grid = _fiber_grid(bundle.radius, step)
     origin_norm = float(np.linalg.norm(beta.coeff_array([[0.0, 0.0]])))
-    away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * grid_step]
+    away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * step]
     min_away = float(np.min(np.linalg.norm(beta.coeff_array(away), axis=1)))
     vanishing_ok = origin_norm <= tol and min_away > tol
 

@@ -419,7 +419,7 @@ def _checked_cos(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _RowError(Exception):
+class RowError(Exception):
     """A checked batch operation failed; row is the first row it failed on."""
 
     def __init__(self, what: str, bad):
@@ -429,7 +429,7 @@ class _RowError(Exception):
 
 def _check_rows(bad, what: str):
     if np.any(bad):
-        raise _RowError(what, bad)
+        raise RowError(what, bad)
 
 
 def _np_div(num, den):
@@ -442,7 +442,7 @@ def _np_pow(base, k: int):
         try:
             return _checked_pow(float(base), k)
         except EvaluationError as exc:
-            raise _RowError(str(exc), True) from None
+            raise RowError(str(exc), True) from None
     v = base ** k
     # Also catches 0^-k, which numpy makes inf.
     _check_rows(np.isinf(v) & np.isfinite(base), "power overflow")
@@ -521,6 +521,11 @@ class CompiledExprs:
     plain floats, with ``math``, and returns a tuple.  Periodic coordinates
     are reduced like ``Chart.reduce``.  Both raise EvaluationError on the
     same inputs.
+
+    ``columns`` is the bare generated function: one array per coordinate
+    in, one array (or float, for a constant) per expression out.  It raises
+    RowError where ``batch`` raises EvaluationError, under the caller's
+    errstate, and leaves non-finite values for the caller to check.
     """
 
     def __init__(self, chart: Chart, exprs: tuple[Expr, ...]):
@@ -528,7 +533,7 @@ class CompiledExprs:
         self._outputs = len(exprs)
         self.source = _codegen(chart, exprs)
         code = compile(self.source, "<legfol compiled fields>", "exec")
-        self._batch_fn = self._bind(code, _NUMPY_OPS)
+        self.columns = self._bind(code, _NUMPY_OPS)
         self._scalar_fn = self._bind(code, _FLOAT_OPS)
 
     @staticmethod
@@ -546,8 +551,8 @@ class CompiledExprs:
                              f"(N, {self.chart.dim})")
         try:
             with np.errstate(all="ignore"):
-                values = self._batch_fn(*np.ascontiguousarray(pts.T))
-        except _RowError as exc:
+                values = self.columns(*np.ascontiguousarray(pts.T))
+        except RowError as exc:
             # exc.row failed the first check that failed anywhere; an earlier
             # row may fail a later check.  The scalar path finds the first
             # failing row and says why it fails, as the tree walk would.

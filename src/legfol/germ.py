@@ -8,6 +8,7 @@ assembles dz + beta - sum y_j ds_j from a flat disk bundle carrying a CCL fiber
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -125,6 +126,11 @@ class GermForm:
             else coordinate(src, v) for v in total.var_names))
 
     def restricted(self) -> fm.DiffForm:
+        """alpha pulled back to the zero section, built once per germ."""
+        return self._restricted
+
+    @functools.cached_property
+    def _restricted(self) -> fm.DiffForm:
         return fm.pullback(self.zero_section_map(), self.alpha)
 
 

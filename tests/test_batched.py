@@ -12,8 +12,10 @@ SVD comparison it replaced (svd_same_kernels), and interpolation's one pencil
 build over tau to one build per parameter value (walk_pencil).
 """
 
+import copy
 import dataclasses
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -1276,6 +1278,275 @@ class TestFaultAttribution:
         assert batches[3:] == [1, 40]
         report.pop("wall_time"), alone.pop("wall_time")
         assert report == alone
+
+
+def batch_rhs(bundle):
+    """The lift ODE's right-hand side with every stage evaluated through
+    CompiledExprs.batch: what transport_batch's column call must match, in
+    values and in the EvaluationError it raises."""
+    b = bundle.base_dim
+    lift = compile_exprs(bundle.total_chart, tuple(
+        c.expr for c in bundle.lift_u + bundle.lift_v)).batch
+
+    def rhs(x, y, dP, out):
+        comps = lift(np.concatenate([x.T, y], axis=1))
+        u = v = 0.0
+        for j in range(b):
+            u = u + dP[j] * comps[:, j]
+            v = v + dP[j] * comps[:, b + j]
+        out[:, 0], out[:, 1] = u, v
+        return out
+    return rhs
+
+
+def transport_through_batch(bundle, generator, starts):
+    """transport_batch around a generator loop (one segment), with
+    batch_rhs in place of the column call."""
+    starts = np.array(starts, dtype=float)
+    P = np.zeros((len(starts), bundle.base_dim))
+    dP = np.zeros_like(P)
+    dP[:, generator] = bundle.periods[generator]
+    tol = bd.DEFAULT_ODE_TOL
+    return bd._integrate_segment(batch_rhs(bundle), starts, P, dP, tol, tol,
+                                 bundle.radius ** 2,
+                                 np.full(len(starts), bd.MAX_STEPS))
+
+
+def product_overflow_bundle():
+    """Rotation at rate about 1 + s1 while s1 < 0.018; beyond, s1 * 1e310
+    overflows to inf in a plain product, which no checked operation sees."""
+    total = Chart(("s1", "u", "v"), (1.0, None, None))
+    rate = "(1 + s1 * 1e300 * 1e10 * 1e-310)"
+    return bd.FlatDiskBundle(1, (1.0,), 1.0,
+                             (parse_field(total, f"-v * {rate}"),),
+                             (parse_field(total, f"u * {rate}"),))
+
+
+class TestStageEvaluation:
+    """transport_batch evaluates each RK stage with the generated function
+    on columns and falls back to CompiledExprs.batch on the same points when
+    a value fails a check or is not finite: the same values, steps and nfev
+    as evaluating every stage through batch, and the same EvaluationError."""
+
+    @pytest.mark.parametrize("make, generator", [
+        (lambda: bd.rotation_bundle([0.9, 1.7]), 1),
+        (sheared_bundle, 0),
+        (trig_bundle, 0),
+        (radial_bundle, 0),
+    ], ids=["torus", "sheared", "trig", "radial"])
+    def test_bit_equal_to_batch(self, make, generator, rng):
+        b = make()
+        starts = disk_points(rng, 20)
+        got = bd.transport_batch(b, bd.generator_loop(b, generator), starts)
+        end, escaped, steps, nfev = transport_through_batch(b, generator,
+                                                            starts)
+        assert got.end.tobytes() == end.tobytes()
+        assert got.escaped.tolist() == escaped.tolist()
+        assert (got.steps.tolist(), got.nfev.tolist()) == \
+            (steps.tolist(), nfev.tolist())
+
+    @pytest.mark.parametrize("make, starts, reason", [
+        (product_overflow_bundle, [[0.3, 0.1], [0.1, -0.2]],
+         "non-finite value"),
+        (lambda: overflowing_bundle(None, None, 1.0),
+         [[0.05, 0.0], [0.1, 0.2], [0.3, -0.1]], "exp overflow"),
+    ], ids=["product", "exp"])
+    def test_fault_message_is_batchs(self, make, starts, reason):
+        b = make()
+        with pytest.raises(EvaluationError) as got:
+            bd.transport_batch(b, bd.generator_loop(b, 0), starts)
+        with pytest.raises(EvaluationError) as want:
+            transport_through_batch(b, 0, starts)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("row ")
+        assert reason in str(got.value)
+
+
+class TestOdeWork:
+    """The RK work of MEMO_SCENARIO's one sweep, pinned: a leaner step
+    takes fewer numpy calls, never fewer steps or lift evaluations."""
+
+    def test_memo_scenario(self, monkeypatch):
+        segments, stages, sweeps = [], [], []
+        real_segment, real_batch = bd._integrate_segment, bd.transport_batch
+
+        def segment(rhs, y0, *args):
+            segments.append(len(y0))
+            return real_segment(lambda *a: stages.append(1) or rhs(*a),
+                                y0, *args)
+
+        def batch(bundle, paths, starts, *args):
+            res = real_batch(bundle, paths, starts, *args)
+            sweeps.append((len(starts), int(res.steps.sum()),
+                           int(res.nfev.sum())))
+            return res
+
+        monkeypatch.setattr(bd, "_integrate_segment", segment)
+        monkeypatch.setattr(bd, "transport_batch", batch)
+        assert runner.run_scenario(parse_scenario(MEMO_SCENARIO))["passed"]
+        # one sweep of 81 rows on one segment: 2 evaluations to pick the
+        # first step, then 16 RK iterations of 6 stages each
+        assert segments == [81]
+        assert len(stages) == 2 + 6 * 16
+        assert sweeps == [(81, 965, 5952)]
+
+
+class TestCCLMemo:
+    """ccl_check evaluates its grid once per bundle, form object and
+    arguments; every caller gets its own report."""
+
+    @pytest.fixture
+    def grids(self, monkeypatch):
+        calls = []
+        real = bd._fiber_grid
+        monkeypatch.setattr(bd, "_fiber_grid", lambda *a: calls.append(a)
+                            or real(*a))
+        return calls
+
+    def test_once_per_run(self, grids, monkeypatch):
+        checks = []
+        real = bd.ccl_check
+        monkeypatch.setattr(bd, "ccl_check", lambda *a, **k: checks.append(
+            a[1]) or real(*a, **k))
+        # both germs build on (torus, area), which area-ccl checks too
+        sc = parse_scenario(MEMO_SCENARIO + "".join(
+            f"\ncheck {g}-contact\n  kind = contact-scan\n  target = {g}\n"
+            "  samples = 5\nend\n" for g in ("first", "flipped")))
+        assert runner.run_scenario(sc)["passed"]
+        assert len(checks) == 4 and len(grids) == 2
+        runner.run_scenario(sc)  # a new run builds new forms and bundles
+        assert len(checks) == 8 and len(grids) == 4
+
+    def test_key_covers_arguments(self, grids):
+        b = bd.rotation_bundle([0.7])
+        fiber = b.fiber_chart
+
+        def area():
+            return fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                       "v": parse_field(fiber, "u")})
+        beta = area()
+        first = bd.ccl_check(b, beta)
+        assert bd.ccl_check(b, beta) == first and len(grids) == 1
+        bd.ccl_check(b, beta, tol=1e-7)
+        bd.ccl_check(b, beta, grid_step=0.2)
+        bd.ccl_check(b, area())  # an equal form, but another object
+        bd.ccl_check(bd.rotation_bundle([0.7]), beta)
+        assert len(grids) == 5
+
+    def test_callers_do_not_share_a_report(self):
+        b = bd.rotation_bundle([0.7])
+        fiber = b.fiber_chart
+        beta = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                   "v": parse_field(fiber, "u")})
+        first = bd.ccl_check(b, beta)
+        want = copy.deepcopy(first)
+        first["ok"] = None
+        first["invariance"]["steps"] = -1
+        first["vanishing"].clear()
+        assert bd.ccl_check(b, beta) == want
+
+    def test_raise_memoizes_nothing(self, grids):
+        b = overflowing_bundle(None, None, 1.0)
+        fiber = b.fiber_chart
+        beta = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                   "v": parse_field(fiber, "u")})
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="exp overflow"):
+                bd.ccl_check(b, beta)
+        assert len(grids) == 2 and b._ccl_reports == {}
+        with pytest.raises(ValueError, match="fiber chart"):
+            bd.ccl_check(b, fm.one_form(Chart(("a", "b")), {"a": 1.0}))
+        assert b._ccl_reports == {}
+
+
+class TestRestriction:
+    """A germ pulls alpha back to its zero section once."""
+
+    def test_once_per_germ(self, monkeypatch):
+        calls = []
+        real = fm.pullback
+        monkeypatch.setattr(fm, "pullback", lambda *a: calls.append(a)
+                            or real(*a))
+        b = bd.rotation_bundle([0.7])
+        fiber = b.fiber_chart
+        g = gm.build_singular_germ(b, fm.one_form(fiber, {
+            "u": parse_field(fiber, "-v"), "v": parse_field(fiber, "u")}))
+        first = g.restricted()
+        assert g.restricted() is first and len(calls) == 1
+        flipped = dataclasses.replace(g, orientation=-1)
+        assert flipped.restricted() is not first and len(calls) == 2
+
+    def test_once_per_germ_in_a_run(self, monkeypatch):
+        calls = []
+        real = fm.pullback
+        monkeypatch.setattr(fm, "pullback", lambda *a: calls.append(a)
+                            or real(*a))
+        text = resources.files("legfol").joinpath(
+            "scenarios/germ-singular.scn").read_text()
+        assert runner.run_scenario(parse_scenario(text))["passed"]
+        # first, second and flipped: zero-section, two interpolations
+        assert len(calls) == 3
+
+
+RADIUS_SCENARIO = """scenario small-fiber
+
+bundle small
+  type = rotation
+  rates = 0.9
+  radius = {radius}
+end
+
+form area
+  on = fiber small
+  u = -v
+  v = u
+end
+
+form shear
+  on = fiber small
+  u = 1 + u
+end
+
+check area-ccl
+  kind = ccl
+  target = small
+  form = area
+end
+
+check shear-ccl
+  kind = ccl
+  target = small
+  form = shear
+  expect = fail
+end
+"""
+
+
+class TestCCLGrid:
+    """ccl_check's fiber grid is in units of the fiber radius."""
+
+    @pytest.mark.parametrize("radius", ["0.15", "1", "3"])
+    def test_verdicts_at_any_radius(self, radius):
+        report = runner.run_scenario(parse_scenario(
+            RADIUS_SCENARIO.format(radius=radius)))
+        area, shear = report["checks"]
+        assert report["passed"]
+        assert "error" not in area and "error" not in shear
+        assert area["detail"]["vanishing"] and area["detail"]["positivity"]
+        assert "refused" not in shear["detail"]
+        assert not shear["detail"]["positivity"]
+
+    def test_grid_size_does_not_grow(self, monkeypatch):
+        sizes = []
+        real = bd._fiber_grid
+        monkeypatch.setattr(bd, "_fiber_grid", lambda *a: sizes.append(
+            len(real(*a))) or real(*a))
+        for radius in (0.15, 1.0, 100.0):
+            b = bd.rotation_bundle([0.9], radius=radius)
+            fiber = b.fiber_chart
+            bd.ccl_check(b, fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                                "v": parse_field(fiber, "u")}))
+        assert sizes[0] == sizes[1] == sizes[2]
 
 
 class TestFormMatrices:
