@@ -100,6 +100,12 @@ class FlatDiskBundle:
         arguments: (beta, report).  Holding beta keeps its id unique."""
         return {}
 
+    @functools.cached_property
+    def _germs(self) -> dict:
+        """germ.build_singular_germ results on this bundle, by id(beta) and
+        tol: (beta, germ)."""
+        return {}
+
     def lifts(self) -> list[VectorFieldExpr]:
         return [self.lift(j) for j in range(self.base_dim)]
 

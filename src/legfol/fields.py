@@ -1,7 +1,8 @@
 """Expression-tree scalar fields, vector fields and smooth maps on coordinate charts.
 
 Everything here is immutable: building a derivative or a composite returns a new
-object. Simplification is deliberately limited to constant folding and 0/1
+object, or an existing one where an equal expression node is alive (nodes are
+interned). Simplification is deliberately limited to constant folding and 0/1
 absorption so that evaluation stays predictable and the finite-difference
 oracle remains a genuinely independent cross-check.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -75,260 +77,114 @@ class Chart:
 
 
 # ---------------------------------------------------------------------------
-# Expression trees
+# Expression nodes
+#
+# Nodes are interned (hash-consed): building a node whose class and fields
+# match a live node's returns that node.  Structurally equal subtrees are
+# therefore one object, and equality and hashing are by identity.  The table
+# holds nodes weakly, so a node leaves it when nothing else holds it.  Each
+# node keeps its children, its variables and a memo of its derivatives, and
+# every walk over a tree is a loop that visits each distinct node once.
 # ---------------------------------------------------------------------------
 
-
-class Expr:
-    """Base class for arithmetic expression nodes."""
-
-    __slots__ = ()
-
-    def diff(self, var: str) -> "Expr":
-        raise NotImplementedError
-
-    def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
-        raise NotImplementedError
-
-    def variables(self) -> frozenset[str]:
-        raise NotImplementedError
-
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, k):
-        return pow_(self, k)
-
-    def __neg__(self):
-        return mul(Const(-1.0), self)
-
-
-def _coerce(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    return Const(float(x))
-
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: float
-
-    def diff(self, var):
-        return Const(0.0)
-
-    def subs(self, mapping):
-        return self
-
-    def variables(self):
-        return frozenset()
-
-    def __str__(self):
-        if self.value == int(self.value) and abs(self.value) < 1e15:
-            return str(int(self.value))
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Var(Expr):
-    name: str
-
-    def diff(self, var):
-        return Const(1.0 if var == self.name else 0.0)
-
-    def subs(self, mapping):
-        return mapping.get(self.name, self)
-
-    def variables(self):
-        return frozenset((self.name,))
-
-    def __str__(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class _Binary(Expr):
-    left: Expr
-    right: Expr
-
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-
-class Add(_Binary):
-    def diff(self, var):
-        return add(self.left.diff(var), self.right.diff(var))
-
-    def subs(self, mapping):
-        return add(self.left.subs(mapping), self.right.subs(mapping))
-
-    def __str__(self):
-        return f"{self.left} + {_paren(self.right, Add)}"
-
-
-class Sub(_Binary):
-    def diff(self, var):
-        return sub(self.left.diff(var), self.right.diff(var))
-
-    def subs(self, mapping):
-        return sub(self.left.subs(mapping), self.right.subs(mapping))
-
-    def __str__(self):
-        return f"{self.left} - {_paren(self.right, Sub)}"
-
-
-class Mul(_Binary):
-    def diff(self, var):
-        return add(
-            mul(self.left.diff(var), self.right),
-            mul(self.left, self.right.diff(var)),
-        )
-
-    def subs(self, mapping):
-        return mul(self.left.subs(mapping), self.right.subs(mapping))
-
-    def __str__(self):
-        return f"{_factor_str(self.left)} * {_factor_str(self.right)}"
-
-
-class Div(_Binary):
-    def diff(self, var):
-        # (u/v)' = (u'v - uv') / v^2
-        return div(
-            sub(mul(self.left.diff(var), self.right),
-                mul(self.left, self.right.diff(var))),
-            pow_(self.right, 2),
-        )
-
-    def subs(self, mapping):
-        return div(self.left.subs(mapping), self.right.subs(mapping))
-
-    def __str__(self):
-        return f"{_factor_str(self.left)} / {_tight_str(self.right)}"
-
-
-@dataclass(frozen=True)
-class Pow(Expr):
-    base: Expr
-    exponent: int
-
-    def diff(self, var):
-        if self.exponent == 0:
-            return Const(0.0)
-        return mul(
-            mul(Const(float(self.exponent)), pow_(self.base, self.exponent - 1)),
-            self.base.diff(var),
-        )
-
-    def subs(self, mapping):
-        return pow_(self.base.subs(mapping), self.exponent)
-
-    def variables(self):
-        return self.base.variables()
-
-    def __str__(self):
-        return f"{_tight_str(self.base)}^{self.exponent}"
-
-
-@dataclass(frozen=True)
-class _Func(Expr):
-    arg: Expr
-
-    def variables(self):
-        return self.arg.variables()
-
-    def subs(self, mapping):
-        return type(self)(self.arg.subs(mapping))
-
-    def __str__(self):
-        return f"{self._name}({self.arg})"
-
-
-class Sin(_Func):
-    _name = "sin"
-
-    def diff(self, var):
-        return mul(Cos(self.arg), self.arg.diff(var))
-
-
-class Cos(_Func):
-    _name = "cos"
-
-    def diff(self, var):
-        return mul(mul(Const(-1.0), Sin(self.arg)), self.arg.diff(var))
-
-
-class Exp(_Func):
-    _name = "exp"
-
-    def diff(self, var):
-        return mul(Exp(self.arg), self.arg.diff(var))
-
-
-def _is_const(e: Expr, v: float) -> bool:
-    return isinstance(e, Const) and e.value == v
+# Intern key -> live node.  A key names children by id, so the table keeps
+# no node alive; a node holds its children, and its entry goes when it dies,
+# so the ids in a key are those of live nodes.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NO_VARS: frozenset = frozenset()
+
+
+def _intern(cls, key, fields: tuple, kids: tuple = (),
+            variables: frozenset = _NO_VARS):
+    """The live node under key, else a new node of cls with these fields
+    and children."""
+    node = _TABLE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            setattr(node, name, value)
+        for k in kids:
+            variables = variables if k._vars <= variables \
+                else k._vars if variables <= k._vars else variables | k._vars
+        node._kids, node._vars, node._diffs = kids, variables, None
+        _TABLE[key] = node
+    return node
+
+
+def _postorder(roots, skip: Callable | None = None) -> list:
+    """The distinct nodes under roots, children first and left to right (the
+    order a recursive walk finishes them in), leaving out the nodes where
+    skip is true and whatever is reachable only through them."""
+    order, finished = [], {}  # node -> whether its children are walked
+    stack = list(reversed(roots))
+    while stack:
+        e = stack[-1]
+        state = finished.get(e)
+        if state is None:
+            if skip is None or not skip(e):
+                finished[e] = False
+                stack.extend(reversed(e._kids))
+                continue
+            finished[e] = True
+        stack.pop()
+        if state is False:
+            finished[e] = True
+            order.append(e)
+    return order
+
+
+# Constant folds.  The arithmetic nodes are built through these; the function
+# nodes (Sin, Cos, Exp) never fold.
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if isinstance(a, Const):
+        if isinstance(b, Const):
+            return Const(a.value + b.value)
+        if a.value == 0.0:
+            return b
+    elif isinstance(b, Const) and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if isinstance(b, Const):
+        if isinstance(a, Const):
+            return Const(a.value - b.value)
+        if b.value == 0.0:
+            return a
+    elif isinstance(a, Const) and a.value == 0.0:
         return mul(Const(-1.0), b)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
+    if isinstance(a, Const):
+        if isinstance(b, Const):
+            return Const(a.value * b.value)
+        if a.value == 0.0:
+            return Const(0.0)
+        if a.value == 1.0:
+            return b
+    elif isinstance(b, Const):
+        if b.value == 0.0:
+            return Const(0.0)
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    if isinstance(b, Const) and b.value == 0.0:
+        return Div(a, b)  # left for evaluation to refuse
+    if isinstance(a, Const) and a.value == 0.0:
         return Const(0.0)
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+    if isinstance(b, Const):
+        if b.value == 1.0:
+            return a
+        if isinstance(a, Const):
+            return Const(a.value / b.value)
     return Div(a, b)
 
 
@@ -346,22 +202,180 @@ def pow_(a: Expr, k: int) -> Expr:
     return Pow(a, k)
 
 
-def _paren(e: Expr, ctx) -> str:
-    if ctx in (Add, Sub) and isinstance(e, (Add, Sub)):
-        return f"({e})"
-    return str(e)
+class Expr:
+    """Base class of the interned expression nodes.
+
+    Subclasses are declared as dataclasses for their field list only:
+    ``dataclasses.fields`` gives it to tools, and ``__match_args__`` to
+    ``_intern``.  Construction, equality and hashing are the interning
+    above.  Nodes are shared, so nothing may assign to them after
+    construction.
+    """
+
+    __slots__ = ("_kids", "_vars", "_diffs", "__weakref__")
+
+    def variables(self) -> frozenset[str]:
+        return self._vars
+
+    def diff(self, var: str) -> "Expr":
+        """d/d var, memoized on every node differentiated."""
+        if self._diffs is not None and var in self._diffs:
+            return self._diffs[var]
+        for e in _postorder((self,), lambda e: var in (e._diffs or ())):
+            d = e._derive(var, [k._diffs[var] for k in e._kids])
+            if e._diffs is None:
+                e._diffs = {}
+            e._diffs[var] = d
+        return self._diffs[var]
+
+    def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
+        """Variables replaced by expressions; each distinct node is rebuilt
+        once, through the folds."""
+        new: dict[Expr, Expr] = {}
+        for e in _postorder((self,)):
+            new[e] = e._rebuild([new[k] for k in e._kids], mapping)
+        return new[self]
 
 
-def _factor_str(e: Expr) -> str:
-    if isinstance(e, (Add, Sub)):
-        return f"({e})"
-    return str(e)
+def _coerce(x) -> Expr:
+    if isinstance(x, Expr):
+        return x
+    return Const(float(x))
 
 
-def _tight_str(e: Expr) -> str:
-    if isinstance(e, (Add, Sub, Mul, Div, Pow)):
-        return f"({e})"
-    return str(e)
+@dataclass(init=False, repr=False, eq=False)
+class Const(Expr):
+    __slots__ = ("value",)
+    value: float
+
+    def __new__(cls, value):
+        value = float(value)
+        # The key keeps the sign of zero; a NaN is never shared.
+        key = (cls, value, math.copysign(1.0, value)) if value == value \
+            else object()
+        return _intern(cls, key, (value,))
+
+    def _derive(self, var, d):
+        return Const(0.0)
+
+    def _rebuild(self, kids, mapping):
+        return self
+
+
+@dataclass(init=False, repr=False, eq=False)
+class Var(Expr):
+    __slots__ = ("name",)
+    name: str
+
+    def __new__(cls, name):
+        return _intern(cls, (cls, name), (name,), (), frozenset((name,)))
+
+    def _derive(self, var, d):
+        return Const(1.0 if var == self.name else 0.0)
+
+    def _rebuild(self, kids, mapping):
+        return mapping.get(self.name, self)
+
+
+@dataclass(init=False, repr=False, eq=False)
+class _Binary(Expr):
+    __slots__ = ("left", "right")
+    left: Expr
+    right: Expr
+
+    def __new__(cls, left, right):
+        return _intern(cls, (cls, id(left), id(right)), (left, right),
+                       (left, right))
+
+    def _rebuild(self, kids, mapping):
+        return self._fold(*kids)
+
+
+class Add(_Binary):
+    __slots__ = ()
+    _fold = staticmethod(add)
+
+    def _derive(self, var, d):
+        return add(*d)
+
+
+class Sub(_Binary):
+    __slots__ = ()
+    _fold = staticmethod(sub)
+
+    def _derive(self, var, d):
+        return sub(*d)
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    _fold = staticmethod(mul)
+
+    def _derive(self, var, d):
+        return add(mul(d[0], self.right), mul(self.left, d[1]))
+
+
+class Div(_Binary):
+    __slots__ = ()
+    _fold = staticmethod(div)
+
+    def _derive(self, var, d):
+        # (u/v)' = (u'v - uv') / v^2
+        return div(sub(mul(d[0], self.right), mul(self.left, d[1])),
+                   pow_(self.right, 2))
+
+
+@dataclass(init=False, repr=False, eq=False)
+class Pow(Expr):
+    __slots__ = ("base", "exponent")
+    base: Expr
+    exponent: int
+
+    def __new__(cls, base, exponent):
+        return _intern(cls, (cls, id(base), exponent), (base, exponent),
+                       (base,))
+
+    def _derive(self, var, d):
+        if self.exponent == 0:
+            return Const(0.0)
+        return mul(mul(Const(float(self.exponent)),
+                       pow_(self.base, self.exponent - 1)), d[0])
+
+    def _rebuild(self, kids, mapping):
+        return pow_(kids[0], self.exponent)
+
+
+@dataclass(init=False, repr=False, eq=False)
+class _Func(Expr):
+    __slots__ = ("arg",)
+    arg: Expr
+
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), (arg,))
+
+    def _rebuild(self, kids, mapping):
+        return type(self)(kids[0])
+
+
+class Sin(_Func):
+    __slots__ = ()
+
+    def _derive(self, var, d):
+        return mul(Cos(self.arg), d[0])
+
+
+class Cos(_Func):
+    __slots__ = ()
+
+    def _derive(self, var, d):
+        return mul(mul(Const(-1.0), Sin(self.arg)), d[0])
+
+
+class Exp(_Func):
+    __slots__ = ()
+
+    def _derive(self, var, d):
+        return mul(self, d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -473,44 +487,38 @@ def _literal(v: float) -> str:
 def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> str:
     """Source of ``_fn(x0, ..., x{dim-1})`` returning one value per expression.
 
-    Each distinct subtree gets one temporary, so a subtree shared by several
+    Each distinct node gets one temporary, so a subtree shared by several
     expressions, or repeated inside one, is computed once per call.
     """
     lines: list[str] = []
-    temps: dict[Expr, str] = {}
-
-    def emit(code: str) -> str:
-        name = f"t{len(lines)}"
-        lines.append(f"    {name} = {code}")
-        return name
-
-    def visit(e: Expr) -> str:
+    names: dict[Expr, str] = {}
+    for e in _postorder(exprs):
         if isinstance(e, Const):
-            return _literal(e.value)
-        name = temps.get(e)
-        if name is not None:
-            return name
+            names[e] = _literal(e.value)
+            continue
         if isinstance(e, Var):
             i = chart.index(e.name)
             per = chart.periods[i]
-            name = f"x{i}" if per is None else emit(f"x{i} % {float(per)!r}")
+            if per is None:
+                names[e] = f"x{i}"
+                continue
+            code = f"x{i} % {float(per)!r}"
         elif isinstance(e, Pow):
-            name = emit(f"_pow({visit(e.base)}, {e.exponent})")
+            code = f"_pow({names[e.base]}, {e.exponent})"
         elif type(e) in _INFIX:
-            name = emit(f"{visit(e.left)} {_INFIX[type(e)]} {visit(e.right)}")
+            code = f"{names[e.left]} {_INFIX[type(e)]} {names[e.right]}"
         elif isinstance(e, Div):
-            name = emit(f"_div({visit(e.left)}, {visit(e.right)})")
+            code = f"_div({names[e.left]}, {names[e.right]})"
         elif type(e) in _CALLS:
-            name = emit(f"{_CALLS[type(e)]}({visit(e.arg)})")
+            code = f"{_CALLS[type(e)]}({names[e.arg]})"
         else:
             raise TypeError(f"cannot compile {type(e).__name__}")
-        temps[e] = name
-        return name
-
-    outputs = [visit(e) for e in exprs]
+        names[e] = f"t{len(lines)}"
+        lines.append(f"    {names[e]} = {code}")
     args = ", ".join(f"x{i}" for i in range(chart.dim))
     return "\n".join([f"def _fn({args}):", *lines,
-                      f"    return ({''.join(o + ', ' for o in outputs)})", ""])
+                      f"    return ({''.join(names[e] + ', ' for e in exprs)})",
+                      ""])
 
 
 class CompiledExprs:
@@ -664,9 +672,6 @@ class ExprField:
     def __neg__(self):
         return ExprField(self.chart, mul(Const(-1.0), self.expr))
 
-    def __str__(self):
-        return str(self.expr)
-
 
 def constant(chart: Chart, value: float) -> ExprField:
     return ExprField(chart, Const(float(value)))
@@ -675,20 +680,6 @@ def constant(chart: Chart, value: float) -> ExprField:
 def coordinate(chart: Chart, name: str) -> ExprField:
     chart.index(name)
     return ExprField(chart, Var(name))
-
-
-def fd_partial(field: ExprField, point: Sequence[float], var: str,
-               step: float = 1e-5) -> float:
-    """Central-difference partial derivative, independent of the symbolic path."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    i = field.chart.index(var)
-    p = np.asarray(point, dtype=float)
-    hi = p.copy()
-    hi[i] += step
-    lo = p.copy()
-    lo[i] -= step
-    return (field.eval(hi) - field.eval(lo)) / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -787,14 +778,6 @@ class SmoothMapExpr:
         return SmoothMapExpr(other.source, self.target, comps)
 
 
-def pushforward(map_: SmoothMapExpr, V: VectorFieldExpr,
-                point: Sequence[float]) -> np.ndarray:
-    """Jacobian of the map applied to V at the given source point."""
-    if V.chart != map_.source:
-        raise ChartMismatch("vector field not on the map's source chart")
-    return map_.jacobian(point) @ V.eval(point)
-
-
 def pushforward_field(map_: SmoothMapExpr, V: VectorFieldExpr
                       ) -> tuple[ExprField, ...]:
     """Symbolic pushforward of V along the map.
@@ -881,14 +864,15 @@ class _Parser:
                 return e
 
     def _unary(self) -> Expr:
-        c = self._peek()
-        if c == "-":
+        """Leading signs, in a loop however many there are, then a power."""
+        minus = 0
+        while self._peek() in ("-", "+"):
+            minus += self.text[self.pos] == "-"
             self.pos += 1
-            return mul(Const(-1.0), self._unary())
-        if c == "+":
-            self.pos += 1
-            return self._unary()
-        return self._power()
+        e = self._power()
+        for _ in range(minus):
+            e = mul(Const(-1.0), e)
+        return e
 
     def _power(self) -> Expr:
         base = self._atom()

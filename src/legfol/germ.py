@@ -133,6 +133,11 @@ class GermForm:
     def _restricted(self) -> fm.DiffForm:
         return fm.pullback(self.zero_section_map(), self.alpha)
 
+    @functools.cached_property
+    def top(self) -> fm.DiffForm:
+        """alpha ^ (d alpha)^n, built once per germ."""
+        return top_form(self.alpha, self.n)
+
 
 # ---------------------------------------------------------------------------
 # Constructors
@@ -198,7 +203,20 @@ def build_singular_germ(bundle: bd.FlatDiskBundle, beta: fm.DiffForm,
     Supported bundles are those whose invariant extension of beta is beta
     itself in the given trivialization (trivial and rotation holonomy); the
     CCL conditions are checked first and failures refuse the build.
+
+    The germ is memoized on the bundle per form object and tol, like
+    bd.ccl_check's report; a build that raises memoizes nothing, so every
+    later build on the pair raises too.
     """
+    memo = bundle._germs
+    key = (id(beta), tol)
+    if key not in memo:
+        memo[key] = beta, _build_singular_germ(bundle, beta, tol)
+    return memo[key][1]
+
+
+def _build_singular_germ(bundle: bd.FlatDiskBundle, beta: fm.DiffForm,
+                         tol: float) -> GermForm:
     n = bundle.base_dim + 1
     report = bd.ccl_check(bundle, beta, tol=tol)
     if not report["ok"]:
@@ -244,7 +262,7 @@ def top_form(alpha: fm.DiffForm, n: int) -> fm.DiffForm:
 def contactness_scan(g: GermForm, points: Sequence[Sequence[float]],
                      threshold: float = 1e-10) -> dict:
     """Min |top form| on the canonical frame and a sign-consistency flag."""
-    vals = top_form(g.alpha, g.n).coeff_array(points)[:, 0]
+    vals = g.top.coeff_array(points)[:, 0]
     min_abs = float(np.min(np.abs(vals)))
     signs = set(np.sign(vals).astype(int).tolist())
     sign_consistent = len(signs) == 1 and 0 not in signs
@@ -397,7 +415,7 @@ def volume_identity_residual(g: GermForm, f: ExprField,
     """
     n = g.n
     total = g.chart
-    top = top_form(g.alpha, n)
+    top = g.top
     frame_names = []
     for i in range(1, n + 1):
         frame_names += [f"x{i}", f"y{i}"]

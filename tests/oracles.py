@@ -1,0 +1,30 @@
+"""Numeric oracles that the symbolic paths of legfol.fields are compared
+with: finite differences for derivatives and the Jacobian for pushforwards."""
+
+from typing import Sequence
+
+import numpy as np
+
+from legfol.fields import ChartMismatch, ExprField, SmoothMapExpr, VectorFieldExpr
+
+
+def fd_partial(field: ExprField, point: Sequence[float], var: str,
+               step: float = 1e-5) -> float:
+    """Central-difference partial derivative, independent of the symbolic path."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    i = field.chart.index(var)
+    p = np.asarray(point, dtype=float)
+    hi = p.copy()
+    hi[i] += step
+    lo = p.copy()
+    lo[i] -= step
+    return (field.eval(hi) - field.eval(lo)) / (2.0 * step)
+
+
+def pushforward(map_: SmoothMapExpr, V: VectorFieldExpr,
+                point: Sequence[float]) -> np.ndarray:
+    """Jacobian of the map applied to V at the given source point."""
+    if V.chart != map_.source:
+        raise ChartMismatch("vector field not on the map's source chart")
+    return map_.jacobian(point) @ V.eval(point)

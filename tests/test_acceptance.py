@@ -18,11 +18,11 @@ from legfol.fields import (
     Chart,
     constant,
     coordinate,
-    fd_partial,
     parse_field,
     vector_field,
 )
 
+from oracles import fd_partial
 from test_forms import eval_oracle, random_form
 
 RNG = np.random.default_rng(987654321)

@@ -526,9 +526,9 @@ class TestNumericalFaults:
     a refusal, ok under no expectation, and exit 1 without a traceback."""
 
     @pytest.mark.parametrize("z, exception", [
-        # hashing the expression tree for compile_exprs' cache recurses
-        # once per term
-        (" + ".join(["x1 * x2"] * 600), "RecursionError"),
+        # the overflow sits at the bottom of a chain 600 terms deep
+        (" + ".join(["exp(1000 * x1)"] + ["x1 * x2"] * 599),
+         "EvaluationError: row "),
         ("exp(1000 * x1)", "EvaluationError: row "),
     ], ids=["600-term-sum", "exp-overflow"])
     @pytest.mark.parametrize("expect", ["pass", "fail", "refuse"])
@@ -546,6 +546,34 @@ class TestNumericalFaults:
         assert entry["ok"] is False
         assert entry["detail"] == {"passed": False, "refused": False}
         assert entry["error"].startswith(exception)
+
+
+class TestLongSums:
+    """A sum of thousands of terms is a chain as deep as it is long; every
+    walk over it is a loop, so it gets the verdict of the equal product."""
+
+    def run(self, tmp_path, z):
+        text = GOOD.replace("(x2^2 + y2^2) / 2  # curved hypersurface", z)
+        path, out = tmp_path / "probe.scn", tmp_path / "report.json"
+        path.write_text(text)
+        result = CliRunner().invoke(main, ["check", str(path),
+                                           "--json", str(out)])
+        (entry,) = json.loads(out.read_text())["checks"]
+        return result, entry
+
+    @pytest.mark.parametrize("terms", [600, 5000])
+    def test_verdict_matches_the_product(self, tmp_path, terms):
+        result, entry = self.run(tmp_path, " + ".join(["x1 * x2"] * terms))
+        _, want = self.run(tmp_path, f"{terms} * x1 * x2")
+        assert "error" not in entry and "error" not in want
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "FAIL residuals [residuals]" in result.output
+        assert entry["ok"] is want["ok"] is False
+        assert want["detail"]["passed"] is False
+        assert entry["detail"] == {**want["detail"], "max_residual":
+                                   pytest.approx(want["detail"]["max_residual"],
+                                                 rel=1e-9)}
 
 
 def test_demos_load_no_scipy():

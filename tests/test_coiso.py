@@ -7,9 +7,11 @@ import pytest
 
 from legfol import coiso as co
 from legfol import forms as fm
-from legfol.fields import parse_field, pushforward
+from legfol.fields import parse_field
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
+
+from oracles import pushforward
 
 
 class TestConstruction:

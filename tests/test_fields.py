@@ -17,13 +17,13 @@ from legfol.fields import (
     UnknownVariable,
     constant,
     coordinate,
-    fd_partial,
     lie_bracket,
     parse_field,
-    pushforward,
     pushforward_field,
     vector_field,
 )
+
+from oracles import fd_partial, pushforward
 
 XY = Chart(("x", "y"))
 XYZ = Chart(("x", "y", "z"))
@@ -53,6 +53,10 @@ class TestParsing:
 
     def test_scientific_notation(self):
         assert parse_field(XY, "2.5e-3 * x").eval([4.0, 0]) == pytest.approx(0.01)
+
+    def test_long_run_of_signs(self):
+        f = parse_field(XY, "-" * 3001 + "+ - x" + " + y")
+        assert f.eval([2.0, 5.0]) == 7.0
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError) as exc:

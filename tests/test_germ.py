@@ -10,6 +10,8 @@ from legfol import bundle as bd
 from legfol import forms as fm
 from legfol import germ as gm
 from legfol.fields import constant, coordinate, parse_field, vector_field
+from legfol.runner import run_scenario
+from legfol.scenario import parse_scenario
 
 
 def make_input(n, f_text, r_texts=None):
@@ -38,7 +40,11 @@ def singular_pair(rate0=0.7, rate1=2.1):
 
 class TestNonsingular:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_volume_identity(self, n, rng):
+    def test_volume_identity(self, n, rng, monkeypatch):
+        builds = []
+        top_form = gm.top_form
+        monkeypatch.setattr(gm, "top_form",
+                            lambda *a: builds.append(a) or top_form(*a))
         inp = make_input(n, "2 + sin(x1)",
                          ["x1 * x%d" % n] + ["0"] * (n - 1))
         g = gm.build_nonsingular_germ(inp)
@@ -46,6 +52,7 @@ class TestNonsingular:
         f = parse_field(gm.foliated_chart(n), "2 + sin(x1)")
         assert gm.volume_identity_residual(g, f, pts) <= 1e-10
         assert gm.contactness_scan(g, pts)["passed"]
+        assert len(builds) == 1  # the top form is built once per germ
 
     def test_zero_section_restriction(self, rng):
         inp = make_input(2, "2 + sin(x1)", ["x2", "0"])
@@ -117,6 +124,82 @@ class TestSingular:
         beta = fm.one_form(fiber, {"u": -v, "v": u})
         with pytest.raises(gm.GermBuildError):
             gm.build_singular_germ(b, beta)
+
+
+FULL_TURN = """scenario full-turn
+
+bundle full
+  type = rotation
+  rates = 6.283185307179586
+end
+
+form cubic
+  on = fiber full
+  u = -v * (1 + u^2)
+  v = u * (1 + v^2)
+end
+
+germ first
+  type = singular
+  bundle = full
+  form = cubic
+end
+
+germ flipped
+  type = singular
+  bundle = full
+  form = cubic
+  orientation = -1
+end
+
+check first-contact
+  kind = contact-scan
+  target = first
+  samples = 5
+  expect = refuse
+end
+
+check flipped-contact
+  kind = contact-scan
+  target = flipped
+  samples = 5
+  expect = refuse
+end
+"""
+
+
+class TestSingularMemo:
+    """A singular germ is built once per bundle, form object and tol; a
+    refused build is not memoized, so it refuses every germ on the pair."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+        real = fm.lie_derivative
+        monkeypatch.setattr(fm, "lie_derivative", lambda *a: calls.append(a)
+                            or real(*a))
+        return calls
+
+    def test_second_build_is_the_first(self, probes):
+        b = bd.rotation_bundle([0.7, 1.1])
+        beta = area_form(b.fiber_chart)
+        g = gm.build_singular_germ(b, beta)
+        assert len(probes) == 2  # one invariance probe per lift
+        assert gm.build_singular_germ(b, beta) is g and len(probes) == 2
+        gm.build_singular_germ(b, beta, tol=1e-7)
+        gm.build_singular_germ(b, area_form(b.fiber_chart))  # another object
+        gm.build_singular_germ(bd.rotation_bundle([0.7, 1.1]), beta)
+        assert len(probes) == 8
+
+    def test_refusal_reaches_every_germ_on_the_pair(self, probes):
+        sc = parse_scenario(FULL_TURN)
+        report = run_scenario(sc)
+        assert report["passed"]
+        for entry in report["checks"]:
+            assert entry["detail"] == {"passed": False, "refused": True}
+            assert entry["error"].startswith(
+                "GermBuildError: no closed-form invariant extension")
+        assert len(probes) == 2  # each build probed again
 
 
 class TestInterpolation:
