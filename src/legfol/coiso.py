@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -20,6 +21,7 @@ from .fields import (
     Chart,
     Const,
     ExprField,
+    RowError,
     SmoothMapExpr,
     VectorFieldExpr,
     compile_exprs,
@@ -151,11 +153,6 @@ class SingularScanResult:
         return len(self.hits)
 
 
-def _grid_points(axis: np.ndarray, dim: int) -> np.ndarray:
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def _cluster(cells: np.ndarray) -> list[list[int]]:
     """Single-linkage clustering of distinct integer grid cells.
 
@@ -228,20 +225,34 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     compiled = compile_exprs(
         src, tuple(f.expr for f in coeff_fields + grad_fields))
     axis = np.arange(-box, box + step / 2, step)
-    pts = _grid_points(axis, k)
-    if pts.size == 0:
-        raise ValueError("empty scan grid")
-    is_hit = np.empty(len(pts), dtype=bool)
-    for start in range(0, len(pts), SCAN_BLOCK_ROWS):
-        rows = slice(start, start + SCAN_BLOCK_ROWS)
-        block = compiled.batch(pts[rows])
-        vals, grads = block[:, :k], block[:, k:]
-        gsq = 0.0
-        for j in range(grads.shape[1]):  # summed in the order of the fields
-            gsq = gsq + grads[:, j] ** 2
-        thresh = tol * (1.0 + np.sqrt(gsq))
-        is_hit[rows] = np.all(np.abs(vals) <= thresh[:, None], axis=1)
-    hits_arr = pts[is_hit]
+    # The grid as k columns, one per source coordinate, in "ij" row order.
+    cols = np.empty((k,) + (len(axis),) * k)
+    for j in range(k):
+        cols[j] = axis.reshape((-1,) + (1,) * (k - 1 - j))
+    cols = cols.reshape(k, -1)
+    is_hit = np.empty(cols.shape[1], dtype=bool)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(is_hit), SCAN_BLOCK_ROWS):
+            rows = slice(start, start + SCAN_BLOCK_ROWS)
+            try:
+                out = compiled.columns(*cols[:, rows])
+                gsq = 0.0
+                for g in out[k:]:  # in field order; g * g is numpy's g ** 2
+                    gsq = gsq + g * g
+                thresh = tol * (1.0 + np.sqrt(gsq))
+                hit, total = True, gsq
+                for v in out[:k]:
+                    hit = hit & (np.abs(v) <= thresh)
+                    total = total + v
+                is_hit[rows] = hit
+                # a non-finite output makes the total non-finite; an
+                # overflowing total only costs a batch call
+                ok = math.isfinite(np.add.reduce(total, axis=None))
+            except RowError:
+                ok = False
+            if not ok:  # batch raises what it says about these points, if any
+                compiled.batch(cols[:, rows].T)
+    hits_arr = cols.T[is_hit]
     cells = np.unravel_index(np.flatnonzero(is_hit), (len(axis),) * k)
     clusters = _cluster(np.stack(cells, axis=1))
     dims, flags = [], []

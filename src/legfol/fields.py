@@ -576,9 +576,8 @@ class CompiledExprs:
         out = np.empty((len(pts), len(values)))
         for j, v in enumerate(values):
             out[:, j] = v
-        bad = ~np.isfinite(out).all(axis=1)
-        if bad.any():
-            row = int(np.argmax(bad))
+        if not np.isfinite(out).all():  # the per-row mask names the row
+            row = int(np.argmax(~np.isfinite(out).all(axis=1)))
             raise EvaluationError(
                 f"row {row}, point {pts[row].tolist()}: non-finite value")
         return out
@@ -749,16 +748,15 @@ class SmoothMapExpr:
     def eval(self, point: Sequence[float]) -> np.ndarray:
         return np.array([c.eval(point) for c in self.components])
 
-    def jacobian_entry(self, i: int, j: int) -> ExprField:
-        """d(target_i)/d(source_j) as a field on the source chart."""
-        return self.components[i].diff(self.source.var_names[j])
+    @functools.cached_property
+    def jacobian_fields(self) -> tuple[tuple[ExprField, ...], ...]:
+        """d(target_i)/d(source_j) at [i][j], as fields on the source chart."""
+        return tuple(tuple(c.diff(v) for v in self.source.var_names)
+                     for c in self.components)
 
     def jacobian(self, point: Sequence[float]) -> np.ndarray:
-        J = np.empty((self.target.dim, self.source.dim))
-        for i in range(self.target.dim):
-            for j in range(self.source.dim):
-                J[i, j] = self.jacobian_entry(i, j).eval(point)
-        return J
+        return np.array([[f.eval(point) for f in row]
+                         for row in self.jacobian_fields])
 
     def compose_field(self, field: ExprField) -> ExprField:
         """Pull a target-chart scalar field back through the map, symbolically."""
@@ -788,10 +786,10 @@ def pushforward_field(map_: SmoothMapExpr, V: VectorFieldExpr
     if V.chart != map_.source:
         raise ChartMismatch("vector field not on the map's source chart")
     comps = []
-    for i in range(map_.target.dim):
+    for row in map_.jacobian_fields:
         acc = Const(0.0)
-        for j in range(map_.source.dim):
-            acc = add(acc, mul(map_.jacobian_entry(i, j).expr, V.components[j].expr))
+        for entry, v in zip(row, V.components):
+            acc = add(acc, mul(entry.expr, v.expr))
         comps.append(ExprField(map_.source, acc))
     return tuple(comps)
 

@@ -230,14 +230,9 @@ def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
     if omega.degree > src.dim:
         return zero_form(src, src.dim)
     # d(phi_i) expanded in source coordinates, reused across coefficients
-    dphi = []
-    for i in range(phi.target.dim):
-        row = {}
-        for j in range(src.dim):
-            e = phi.jacobian_entry(i, j).expr
-            if not (isinstance(e, Const) and e.value == 0.0):
-                row[j] = e
-        dphi.append(row)
+    dphi = [{j: f.expr for j, f in enumerate(row)
+             if not (isinstance(f.expr, Const) and f.expr.value == 0.0)}
+            for row in phi.jacobian_fields]
     out: dict[MultiIndex, Expr] = {}
     for idx, c in omega.coeffs.items():
         pulled_c = phi.compose_field(c).expr

@@ -179,15 +179,6 @@ class SympForm:
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
 
 
-def standard_symplectic(n: int) -> SympForm:
-    """Block form on R^{2n} with coordinates (x1..xn, y1..yn)."""
-    M = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        M[i, n + i] = 1.0
-        M[n + i, i] = -1.0
-    return SympForm(M)
-
-
 def symp_complement(W: LinSubspace, omega: SympForm) -> LinSubspace:
     """W^perp = {v : omega(v, w) = 0 for all w in W}."""
     if W.ambient_dim != omega.ambient_dim:

@@ -1,11 +1,13 @@
-"""Numeric oracles that the symbolic paths of legfol.fields are compared
-with: finite differences for derivatives and the Jacobian for pushforwards."""
+"""Numeric oracles that the symbolic paths of legfol are compared with:
+finite differences for derivatives, the Jacobian for pushforwards and the
+standard symplectic form for the linear algebra."""
 
 from typing import Sequence
 
 import numpy as np
 
 from legfol.fields import ChartMismatch, ExprField, SmoothMapExpr, VectorFieldExpr
+from legfol.symplin import SympForm
 
 
 def fd_partial(field: ExprField, point: Sequence[float], var: str,
@@ -28,3 +30,12 @@ def pushforward(map_: SmoothMapExpr, V: VectorFieldExpr,
     if V.chart != map_.source:
         raise ChartMismatch("vector field not on the map's source chart")
     return map_.jacobian(point) @ V.eval(point)
+
+
+def standard_symplectic(n: int) -> SympForm:
+    """Block form on R^{2n} with coordinates (x1..xn, y1..yn)."""
+    M = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        M[i, n + i] = 1.0
+        M[n + i, i] = -1.0
+    return SympForm(M)

@@ -30,6 +30,7 @@ from legfol import runner
 from legfol import symplin as sl
 from legfol.fields import (
     Chart,
+    CompiledExprs,
     EvaluationError,
     compile_exprs,
     constant,
@@ -1741,3 +1742,177 @@ class TestZeroDivisor:
             gm.zero_section_foliation_check(g, expected, pts)
         with pytest.raises(EvaluationError):
             walk_zero_section(g, expected, pts, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# singular scan: the generated function on columns against the block loop
+# over batch
+# ---------------------------------------------------------------------------
+
+
+def walk_scan(Y, box=1.0, step=0.05, tol=1e-6):
+    """The scan as it ran through CompiledExprs.batch: an (N, k) grid of rows
+    and one (rows, k + k^2) batch per block of SCAN_BLOCK_ROWS rows.
+    Returns the hits, clusters, dims and flags."""
+    lam = Y.lambda_form
+    src = Y.source_chart
+    k = src.dim
+    coeff_fields = [lam.coeff((i,)) for i in range(k)]
+    grad_fields = [c.diff(v) for c in coeff_fields for v in src.var_names]
+    compiled = compile_exprs(
+        src, tuple(f.expr for f in coeff_fields + grad_fields))
+    axis = np.arange(-box, box + step / 2, step)
+    grids = np.meshgrid(*([axis] * k), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    is_hit = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), co.SCAN_BLOCK_ROWS):
+        rows = slice(start, start + co.SCAN_BLOCK_ROWS)
+        block = compiled.batch(pts[rows])
+        vals, grads = block[:, :k], block[:, k:]
+        gsq = 0.0
+        for j in range(grads.shape[1]):  # summed in the order of the fields
+            gsq = gsq + grads[:, j] ** 2
+        thresh = tol * (1.0 + np.sqrt(gsq))
+        is_hit[rows] = np.all(np.abs(vals) <= thresh[:, None], axis=1)
+    hits_arr = pts[is_hit]
+    cells = np.unravel_index(np.flatnonzero(is_hit), (len(axis),) * k)
+    clusters = co._cluster(np.stack(cells, axis=1))
+    dims, flags = [], []
+    cutoff = (2.0 * step) ** 2
+    for idx in clusters:
+        cloud = hits_arr[idx]
+        if len(cloud) == 1:
+            dim = 0
+        else:
+            cov = np.cov(cloud.T, bias=True)
+            cov = np.atleast_2d(cov)
+            eig = np.linalg.eigvalsh(cov)
+            dim = int(np.sum(eig > cutoff))
+        dims.append(dim)
+        if dim == 2 * Y.n - Y.k:
+            flags.append("generic")
+        elif dim == Y.n and Y.k == Y.n + 1:
+            flags.append("perturbable-legendrian")
+        else:
+            flags.append("other")
+    return hits_arr, tuple(tuple(i) for i in clusters), tuple(dims), \
+        tuple(flags)
+
+
+def bump_cleared_plane():
+    Y = co.legendrian_model(2)
+    return co.perturb_legendrian(Y, parse_field(
+        Y.source_chart, "0.1 * y1 * exp(0 - y1^2)"))
+
+
+SCAN_FAULT = """\
+graph steep
+  n = 2
+  k = 3
+  z = {z}
+end
+
+check zeros
+  kind = scan
+  target = steep
+end
+"""
+
+
+class TestScanColumns:
+    """singular_scan evaluates each block of grid points with the generated
+    function on columns, and calls CompiledExprs.batch on a block only when
+    an output fails a check or is not finite.  The hits are bit-equal to the
+    block loop over batch (walk_scan), with its dtype and C order; the
+    clusters, dims and flags are equal; a fault raises batch's
+    EvaluationError, whose row is relative to its block."""
+
+    @staticmethod
+    def assert_same_scan(Y, **grid):
+        res = co.singular_scan(Y, **grid)
+        with np.errstate(over="ignore"):  # where the gradient norm overflows
+            hits, clusters, dims, flags = walk_scan(Y, **grid)
+        assert res.hits.dtype == hits.dtype == np.float64
+        assert res.hits.shape == hits.shape
+        assert res.hits.flags["C_CONTIGUOUS"]
+        assert res.hits.tobytes() == hits.tobytes()
+        assert (res.clusters, res.dims, res.flags) == (clusters, dims, flags)
+        return res
+
+    @pytest.mark.parametrize("make, hits, batches", [
+        # the second and third coefficients and every gradient are constants
+        (lambda: co.legendrian_model(2), 1681, 0),
+        (lambda: graph(2, z="(x2^2 + y2^2) / 2"), 41, 0),
+        (bump_cleared_plane, 0, 0),
+        # the gradient norm, so the total of the outputs, overflows at
+        # x1 = 1 and every threshold there is inf, with every output finite:
+        # batch is called on the last block and raises nothing
+        (lambda: graph(2, z="exp(360 * x1) + (x2^2 + y2^2) / 2"), 1700, 1),
+    ], ids=["plane", "paraboloid-curve", "bump", "overflowing-total"])
+    def test_bundled_grid(self, make, hits, batches, monkeypatch):
+        """The demo grid: 41^3 = 68,921 points, 16 whole blocks and 3,385
+        rows in the last."""
+        assert 41 ** 3 % co.SCAN_BLOCK_ROWS
+        Y, calls, batch = make(), [], CompiledExprs.batch
+        monkeypatch.setattr(CompiledExprs, "batch",
+                            lambda self, pts: calls.append(1) or batch(
+                                self, pts))
+        co.singular_scan(Y)
+        assert len(calls) == batches
+        monkeypatch.setattr(CompiledExprs, "batch", batch)
+        assert self.assert_same_scan(Y).num_hits == hits
+
+    @pytest.mark.parametrize("box, step, points", [
+        (0.75, 0.1, 16 ** 3),  # exactly one block
+        (0.6, 0.1, 13 ** 3),  # less than one block
+        (1.2, 0.1, 25 ** 3),  # three whole blocks and 3,337 rows
+    ])
+    def test_grid_sizes(self, box, step, points):
+        Y = graph(2, z="(x2^2 + y2^2) / 2 + x1 * y2")
+        assert len(np.arange(-box, box + step / 2, step)) ** 3 == points
+        self.assert_same_scan(Y, box=box, step=step)
+
+    def test_small_blocks(self, monkeypatch):
+        """Blocks of 7 rows: most blocks mix hits and misses, and the last
+        one is partial."""
+        monkeypatch.setattr(co, "SCAN_BLOCK_ROWS", 7)
+        res = self.assert_same_scan(graph(2, z="(x2^2 + y2^2) / 2"),
+                                    box=0.6, step=0.1)
+        assert res.num_hits == 13
+
+    def test_k4_graph(self):
+        """k = 4 over (x1, x2, y1, y2): the singular set is the y1-line."""
+        Y = graph(2, 4, z="x1 * y1 + (x2^2 + y2^2) / 2")
+        res = self.assert_same_scan(Y, box=0.5, step=0.1)
+        assert res.num_hits == 11 and res.dims == (1,)
+
+    def test_hits_in_many_blocks(self):
+        """The plane y1 = 0 on a box-1.2 grid: hits in every block."""
+        res = self.assert_same_scan(co.legendrian_model(2), box=1.2,
+                                    step=0.1)
+        assert res.num_hits == 25 ** 2
+
+    @pytest.mark.parametrize("z, x1, reason", [
+        ("exp(x1 + 709)", 0.8, "exp overflow"),
+        ("exp(400 * x1) * exp(400 * x1)", 0.9, "non-finite value"),
+    ], ids=["exp", "product"])
+    def test_fault_in_a_later_block(self, z, x1, reason):
+        """The fault first appears at a grid point with x1 = 0.8 or 0.9, in
+        the 15th block of the demo grid or later: the scan raises the walk's
+        EvaluationError text, with the same row within the block, and the
+        scan check's outcome is error."""
+        Y = graph(2, z=z)
+        with pytest.raises(EvaluationError) as want, \
+                np.errstate(over="ignore"):
+            walk_scan(Y)
+        with pytest.raises(EvaluationError) as got:
+            co.singular_scan(Y)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("row ")
+        assert f"point [{x1}" in str(got.value)
+        assert reason in str(got.value)
+        (entry,) = runner.run_scenario(parse_scenario(
+            SCAN_FAULT.format(z=z)))["checks"]
+        assert entry["ok"] is False
+        assert entry["detail"] == {"passed": False, "refused": False}
+        assert entry["error"] == f"EvaluationError: {got.value}"

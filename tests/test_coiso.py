@@ -7,7 +7,7 @@ import pytest
 
 from legfol import coiso as co
 from legfol import forms as fm
-from legfol.fields import parse_field
+from legfol.fields import CompiledExprs, parse_field
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
 
@@ -338,6 +338,21 @@ class TestBundledScans:
         bump = parse_field(Y.source_chart, "0.1 * y1 * exp(0 - y1^2)")
         res = co.singular_scan(co.perturb_legendrian(Y, bump))
         assert (res.num_hits, res.clusters, res.dims) == (0, (), ())
+
+
+def test_clean_scan_assembles_no_rows(monkeypatch):
+    """A scan with no fault evaluates the generated function on the grid's
+    columns: the default grid of every bundled scan graph makes no call to
+    CompiledExprs.batch, which assembles an (N, m) array of rows."""
+    calls = []
+    monkeypatch.setattr(CompiledExprs, "batch",
+                        lambda self, points: calls.append(len(points)))
+    Y = co.legendrian_model(2)
+    bump = parse_field(Y.source_chart, "0.1 * y1 * exp(0 - y1^2)")
+    for target in (Y, hypersurface(2, "(x2^2 + y2^2) / 2"),
+                   co.perturb_legendrian(Y, bump)):
+        assert co.singular_scan(target).hits.shape[1] == 3
+    assert calls == []
 
 
 class TestPerturbation:

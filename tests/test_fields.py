@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfol import forms as fm
 from legfol.fields import (
     MAX_NESTING,
     Chart,
     ChartMismatch,
+    ExprField,
     ParseError,
     SmoothMapExpr,
     UnknownVariable,
@@ -193,6 +195,21 @@ class TestSmoothMaps:
         p = [0.8, 0.5]
         assert np.allclose([c.eval(p) for c in comps],
                            pushforward(phi, V, p))
+
+    def test_jacobian_fields_built_once(self, monkeypatch):
+        """The Jacobian's fields are differentiated once per map; pullbacks
+        and pushforwards through it read them again."""
+        phi = self.polar()
+        diffs, real = [], ExprField.diff
+        monkeypatch.setattr(ExprField, "diff",
+                            lambda f, v: diffs.append(v) or real(f, v))
+        J = phi.jacobian_fields
+        assert len(diffs) == 4
+        V = vector_field(phi.source, [1.0, 1.0])
+        pushforward_field(phi, V)
+        fm.pullback(phi, fm.one_form(XY, {"x": 1.0, "y": 1.0}))
+        phi.jacobian([0.5, 0.5])
+        assert len(diffs) == 4 and phi.jacobian_fields is J
 
     def test_identity_compose(self):
         phi = self.polar()

@@ -26,8 +26,6 @@ LIBRARY_ONLY = {
     "coiso.singular_normal_data": "paper: the generic singular normal form",
     "bundle.extract_flat_structure": "paper: the flat disk bundle read off "
                                      "a singular coisotropic graph",
-    "symplin.standard_symplectic": "oracle: the standard form the linear "
-                                   "algebra tests classify against",
 }
 
 

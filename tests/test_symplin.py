@@ -9,9 +9,11 @@ from legfol import forms as fm
 from legfol import symplin as sl
 from legfol.fields import Chart, coordinate
 
+from oracles import standard_symplectic
+
 
 def std(n):
-    return sl.standard_symplectic(n)
+    return standard_symplectic(n)
 
 
 def basis_vec(dim, *idx):
