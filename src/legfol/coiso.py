@@ -548,7 +548,7 @@ def char_foliation_form(Y: GraphSubmanifold,
     covecs = covecs[keep]
     used = len(pts)
     M = fm.contraction_matrices(omega, pts)
-    kernel_dims = (k - sl.numeric_rank(M, tol)).tolist()
+    kernel_dims = k - sl.numeric_rank(M, tol)
     max_residual = 0.0
     deg = 2 * (k - n)
     if used and integ is not None and deg <= k - 1:
@@ -567,8 +567,8 @@ def char_foliation_form(Y: GraphSubmanifold,
             max_residual = max(max_residual, float(_max_abs(total)))
     return {
         "expected_kernel_dim": expected,
-        "kernel_dims": kernel_dims,
-        "kernel_ok": all(d == expected for d in kernel_dims),
+        "kernel_dims": kernel_dims.tolist(),
+        "kernel_ok": bool(np.all(kernel_dims == expected)),
         "integrability_residual": max_residual,
         "samples_used": used,
     }

@@ -1,8 +1,8 @@
 """Pointwise symplectic and contact linear algebra.
 
 Subspaces are given by explicit bases; equality and containment are rank tests
-on row-normalized stacked bases. Null spaces come from SVD, which is
-deterministic for a fixed input ordering.
+on row-normalized stacked bases. Null spaces come from SVD, deterministic for a
+fixed input ordering; one row's rank and kernel basis have closed forms.
 """
 
 from __future__ import annotations
@@ -44,11 +44,13 @@ def numeric_rank(M: np.ndarray, tol: float) -> np.ndarray:
     """Rank of a matrix, or of each matrix in an (N, r, c) stack.
 
     Singular values count above tol * max(1, largest |entry| of that
-    matrix).
+    matrix).  A single row's one singular value is its length (hypot); taller
+    matrices go through one batched SVD.
     """
     M = np.asarray(M, dtype=float)
     scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.hypot.reduce(M, axis=-1) if M.shape[-2] == 1 \
+        else np.linalg.svd(M, compute_uv=False)
     return np.sum(s > tol * scale[..., None], axis=-1)
 
 
@@ -65,16 +67,21 @@ def null_space(A: np.ndarray, rcond: float) -> np.ndarray:
 
 
 def hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
-    """Kernel bases of N nonzero covectors on R^dim: (N, dim - 1, dim).
+    """Orthonormal kernel bases of N covectors on R^dim: (N, dim - 1, dim).
 
-    Block i holds the last dim - 1 rows of vh from a full SVD of the
-    1 x dim matrix covecs[i], which is what
-    null_space(covecs[i][None], rcond).T returns for any rcond < 1.  One
-    batched SVD serves all N.
+    Block i is rows 1..dim-1 of the Householder reflector I - v v^T / (1 +
+    |u_0|), where u = covecs[i] / |covecs[i]| and v = u + sign(u_0) e_0, sign
+    +1 at u_0 = +-0, so |v|^2 = 2 (1 + |u_0|) (Golub & Van Loan, 5.1).  A
+    zero or non-finite covector has no hyperplane and raises ValueError.
     """
     C = np.asarray(covecs, dtype=float)
-    _, _, vh = np.linalg.svd(C[:, None, :], full_matrices=True)
-    return vh[:, 1:, :]
+    length = np.hypot.reduce(C, axis=1, keepdims=True)
+    if not np.all((length > 0) & (length < np.inf)):
+        raise ValueError("hyperplane_bases needs nonzero finite covectors")
+    u = C / length
+    v = u + np.eye(C.shape[1])[0] * np.where(u[:, :1] < 0, -1.0, 1.0)
+    w = u[:, 1:] / (1.0 + np.abs(u[:, :1]))
+    return np.eye(C.shape[1])[1:] - w[:, :, None] * v[:, None, :]
 
 
 def same_kernels(c0: np.ndarray, c1: np.ndarray,
@@ -83,8 +90,8 @@ def same_kernels(c0: np.ndarray, c1: np.ndarray,
 
     Unit covectors u0, u1 share a kernel when |u0 - sign(u0.u1) u1| is at
     most tol * sqrt(2) * (2 dim - 2).  That distance is sqrt(2) times the
-    smallest nonzero singular value of the two stacked hyperplane_bases, so
-    this is the rank test LinSubspace.equals makes on them.  Lengths come
+    smallest nonzero singular value of any orthonormal kernel bases, stacked,
+    so this is the rank test LinSubspace.equals makes on them.  Lengths come
     from hypot, which does not overflow where squares would; a zero row
     gives NaN and never shares a kernel.
     """

@@ -1,6 +1,7 @@
 """Numeric oracles that the symbolic paths of legfol are compared with:
-finite differences for derivatives, the Jacobian for pushforwards and the
-standard symplectic form for the linear algebra."""
+finite differences for derivatives, the Jacobian for pushforwards, the
+standard symplectic form for the linear algebra and a full SVD for hyperplane
+kernel bases."""
 
 from typing import Sequence
 
@@ -39,3 +40,12 @@ def standard_symplectic(n: int) -> SympForm:
         M[i, n + i] = 1.0
         M[n + i, i] = -1.0
     return SympForm(M)
+
+
+def svd_hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
+    """Kernel bases of N nonzero covectors on R^dim, (N, dim - 1, dim): the
+    last dim - 1 rows of vh from a full SVD of each 1 x dim matrix, which is
+    what scipy's null_space(covecs[i][None], rcond).T returns for any
+    rcond < 1."""
+    C = np.asarray(covecs, dtype=float)
+    return np.linalg.svd(C[:, None, :], full_matrices=True)[2][:, 1:]

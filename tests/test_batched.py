@@ -9,7 +9,10 @@ residuals within 1e-12 relative (1e-15 absolute near zero), and raise
 EvaluationError on the same samples.  Two checks replaced a comparison
 rather than a loop: zero-section's closed-form kernel test is held to the
 SVD comparison it replaced (svd_same_kernels), and interpolation's one pencil
-build over tau to one build per parameter value (walk_pencil).
+build over tau to one build per parameter value (walk_pencil).  The closed
+forms of symplin's one-row linear algebra are held to the SVD: Householder
+kernel bases to oracles.svd_hyperplane_bases, row ranks to the singular value
+count.
 """
 
 import copy
@@ -41,6 +44,7 @@ from legfol.fields import (
     vector_field,
 )
 from legfol.scenario import Scenario, parse_scenario
+from oracles import svd_hyperplane_bases
 
 
 def close(a, b):
@@ -363,7 +367,7 @@ def svd_same_kernels(c0, c1, tol=1e-8):
     """The kernel comparison zero-section made before the closed form: equal
     spans of the stacked hyperplane bases, by a batched rank test, and c0
     nonzero."""
-    A, B = sl.hyperplane_bases(c0), sl.hyperplane_bases(c1)
+    A, B = svd_hyperplane_bases(c0), svd_hyperplane_bases(c1)
     same = sl.stacked_rank(np.concatenate([A, B], axis=1), tol) \
         == A.shape[1]
     return same & np.any(c0 != 0, axis=1)
@@ -1678,6 +1682,72 @@ class TestStackedLinearAlgebra:
         for scale in (1.0, 1e-170, 1e170):
             assert sl.same_kernels(scale * covecs, covecs[::-1],
                                    sl.TOL).tolist() == other.tolist()
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_householder_bases(self, dim, rng):
+        """The reflector rows are an orthonormal basis of the covector's
+        kernel, the SVD's span, at scales whose squares underflow or
+        overflow and with a first component of either sign or zero."""
+        for scale, first in itertools.product((1e-170, 1.0, 1e170),
+                                              (2.0, -2.0, 0.0, -0.0)):
+            covecs = rng.normal(size=(40, dim))
+            covecs[:, 0] = first * np.abs(covecs[:, 0]) if first else first
+            covecs *= scale
+            bases = sl.hyperplane_bases(covecs)
+            assert bases.shape == (40, dim - 1, dim)
+            np.testing.assert_allclose(
+                bases @ bases.transpose(0, 2, 1),
+                np.broadcast_to(np.eye(dim - 1), (40, dim - 1, dim - 1)),
+                rtol=0, atol=1e-14)
+            unit = covecs / np.hypot.reduce(covecs, axis=1, keepdims=True)
+            assert np.max(np.abs(np.einsum("nij,nj->ni", bases, unit))) \
+                <= 1e-15
+            for B, ref in zip(bases, svd_hyperplane_bases(covecs)):
+                assert sl.span(B).equals(sl.span(ref))
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0],
+                                     [np.inf, 1.0, 0.0], [-0.0, 0.0]],
+                             ids=["zero", "nan", "inf", "negative-zero"])
+    def test_hyperplane_of_degenerate_covector_raises(self, row):
+        covecs = np.ones((3, len(row)))
+        covecs[1] = row
+        with pytest.raises(ValueError, match="nonzero finite"):
+            sl.hyperplane_bases(covecs)
+
+    def test_single_row_rank_sweep(self):
+        """A row's rank from its length equals the SVD count on rows whose
+        lengths straddle tol * max(1, max |entry|), relative offsets 1e-16 to
+        1e-1 either side, apart from rows within 4 ulps of the threshold,
+        where hypot and LAPACK may round to either side."""
+        rng = np.random.default_rng(20261019)
+        count = 4000
+        for dim, tol in itertools.product(range(1, 10),
+                                          (1e-8, 1e-3, 0.5, None)):
+            rows = rng.normal(size=(count, 1, dim))
+            rows /= np.hypot.reduce(rows, axis=2, keepdims=True)
+            if tol is not None:  # entries below 1: the threshold is tol
+                offset = rng.choice([-1.0, 1.0], count) \
+                    * 10.0 ** rng.uniform(-16, -1, count)
+                rows *= (tol * (1 + offset))[:, None, None]
+            elif dim > 1:  # entries above 1: the threshold scales with them
+                rows *= 10.0 ** rng.uniform(0, 3, (count, 1, 1)) \
+                    / np.max(np.abs(rows), axis=2, keepdims=True)
+                # half the rows have length / max |entry| above tol
+                tol = np.median(np.hypot.reduce(rows, axis=(1, 2))
+                                / np.max(np.abs(rows), axis=(1, 2)))
+            else:
+                continue
+            thresh = tol * np.maximum(1.0, np.max(np.abs(rows), axis=(1, 2)))
+            want = np.sum(np.linalg.svd(rows, compute_uv=False)
+                          > thresh[:, None], axis=1)
+            got = sl.numeric_rank(rows, tol)
+            length = np.hypot.reduce(rows, axis=2)[:, 0]
+            clear = np.abs(length - thresh) > 4 * np.spacing(thresh)
+            assert got[clear].tolist() == want[clear].tolist()
+            assert clear.mean() > 0.9
+            assert 0.1 < want.mean() < 0.9, (dim, tol)
+        assert sl.numeric_rank(np.zeros((3, 1, 4)), 1e-8).tolist() == [0] * 3
+        assert sl.numeric_rank(np.ones((1, 4)), 1e-8) == 1
 
     def test_closed_form_kernel_sweep(self):
         """same_kernels decides as the SVD comparison on every pair: dims 2-9,

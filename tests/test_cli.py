@@ -458,6 +458,18 @@ def test_benchmark_and_demo_inputs_resolve():
         assert len(runner._resolve(sc, {})) == len(sc.checks())
 
 
+def test_benchmark_tracer_imports():
+    """The benchmark's tracer reads classes of the package (LinSubspace,
+    Chart, ExprField, DiffForm) when it is imported; a change that removes
+    one makes every benchmark run fail before any check runs."""
+    pytest.importorskip("scipy")
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert Path(tracing.symplin.__file__).is_relative_to(ROOT / "src")
+
+
 def test_readme_table_is_kinds():
     def value(key, default):
         if default == REQUIRED:
