@@ -4,7 +4,6 @@ a deterministic JSON report."""
 from __future__ import annotations
 
 import json
-import os
 import sys
 from importlib import resources
 
@@ -12,14 +11,6 @@ import click
 
 from .runner import run_scenario
 from .scenario import ScenarioError, parse_scenario
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("LEGFOL_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def _run(text: str, source: str, json_path: str | None, seed: int,
@@ -48,7 +39,6 @@ def _run(text: str, source: str, json_path: str | None, seed: int,
 @click.group()
 def main() -> None:
     """Numerical verification scenarios for contact-geometry constructions."""
-    _apply_thread_env()
 
 
 def _common(f):

@@ -391,16 +391,6 @@ def residual_values(Y: GraphSubmanifold,
     return out
 
 
-def coisotropy_residuals(Y: GraphSubmanifold, point: Sequence[float]) -> dict:
-    """residual_values at one point, as floats."""
-    table = residual_values(Y, [point])
-    out = {key: {idx: float(v[0]) for idx, v in table[key].items()}
-           for key in ("eq_abc", "eq_abn", "eq_abyn", "eq_a", "lambda_ab")}
-    out["max_residual"] = float(table["max_residual"][0])
-    out["redundant_max"] = float(table["redundant_max"][0])
-    return out
-
-
 def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
                          tol: float = RANK_TOL) -> dict:
     """Classify T_pY intersected with the contact hyperplane, via linear algebra."""

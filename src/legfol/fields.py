@@ -379,56 +379,6 @@ class Exp(_Func):
 
 
 # ---------------------------------------------------------------------------
-# Checked scalar operations
-#
-# The compiled scalar binding calls these; the batch binding mirrors them
-# with numpy, so both raise EvaluationError on the same inputs.  The tests'
-# reference tree walk is built on them too.  Add, Sub and Mul are unchecked:
-# an overflow there yields inf, which either disappears (1/inf = 0) or makes
-# the final value non-finite.
-# ---------------------------------------------------------------------------
-
-
-def _checked_div(num: float, den: float) -> float:
-    if den == 0.0:
-        raise EvaluationError("division by zero")
-    return num / den
-
-
-def _checked_pow(base: float, k: int) -> float:
-    if base == 0.0 and k < 0:
-        raise EvaluationError("zero raised to negative power")
-    try:
-        return base ** k
-    except OverflowError:  # finite base, infinite power
-        raise EvaluationError(f"power overflow: {base!r}^{k}") from None
-
-
-def _checked_exp(x: float) -> float:
-    try:
-        v = math.exp(x)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise EvaluationError(f"exp overflow: exp({x!r})")
-    return v
-
-
-def _checked_sin(x: float) -> float:
-    try:
-        return math.sin(x)
-    except ValueError:  # infinite argument
-        raise EvaluationError(f"sin({x!r})") from None
-
-
-def _checked_cos(x: float) -> float:
-    try:
-        return math.cos(x)
-    except ValueError:
-        raise EvaluationError(f"cos({x!r})") from None
-
-
-# ---------------------------------------------------------------------------
 # Compiled evaluation
 # ---------------------------------------------------------------------------
 
@@ -452,12 +402,9 @@ def _np_div(num, den):
 
 
 def _np_pow(base, k: int):
-    if np.ndim(base) == 0:  # a constant base fails on every row alike
-        try:
-            return _checked_pow(float(base), k)
-        except EvaluationError as exc:
-            raise RowError(str(exc), True) from None
-    v = base ** k
+    # A plain-float base, from a constant or a one-point call, goes through
+    # numpy's pow too: Python's float ** raises where numpy gives inf.
+    v = np.float64(base) ** k if np.ndim(base) == 0 else base ** k
     # Also catches 0^-k, which numpy makes inf.
     _check_rows(np.isinf(v) & np.isfinite(base), "power overflow")
     return v
@@ -469,13 +416,12 @@ def _np_exp(x):
     return v
 
 
-# The two bindings of the names the generated code calls.  sin and cos of
-# an infinite argument need no batch check: the NaN they give reaches the
-# output, whose finiteness is checked.
+# The names the generated code calls.  Add, Sub and Mul are unchecked: an
+# overflow there yields inf, which either disappears (1/inf = 0) or makes the
+# output non-finite.  sin and cos of an infinite argument need no check
+# either: the NaN they give reaches the output, whose finiteness is checked.
 _NUMPY_OPS = {"_div": _np_div, "_pow": _np_pow, "_exp": _np_exp,
               "_sin": np.sin, "_cos": np.cos}
-_FLOAT_OPS = {"_div": _checked_div, "_pow": _checked_pow, "_exp": _checked_exp,
-              "_sin": _checked_sin, "_cos": _checked_cos}
 _INFIX = {Add: "+", Sub: "-", Mul: "*"}
 _CALLS = {Div: "_div", Sin: "_sin", Cos: "_cos", Exp: "_exp"}
 
@@ -525,10 +471,10 @@ class CompiledExprs:
     """Expressions on one chart, compiled to one generated function.
 
     ``batch`` evaluates an ``(N, dim)`` point array with numpy ufuncs and
-    returns ``(N, len(exprs))``; ``scalar`` evaluates one point given as
-    plain floats, with ``math``, and returns a tuple.  Periodic coordinates
-    are reduced like ``Chart.reduce``.  Both raise EvaluationError on the
-    same inputs.
+    returns ``(N, len(exprs))``; ``scalar`` calls the same function on one
+    point's coordinates as plain floats and returns a tuple.  Periodic
+    coordinates are reduced like ``Chart.reduce``.  Both raise
+    EvaluationError on the same inputs, with the same reason.
 
     ``columns`` is the bare generated function: one array per coordinate
     in, one array (or float, for a constant) per expression out.  It raises
@@ -540,15 +486,10 @@ class CompiledExprs:
         self.chart = chart
         self._outputs = len(exprs)
         self.source = _codegen(chart, exprs)
-        code = compile(self.source, "<legfol compiled fields>", "exec")
-        self.columns = self._bind(code, _NUMPY_OPS)
-        self._scalar_fn = self._bind(code, _FLOAT_OPS)
-
-    @staticmethod
-    def _bind(code, ops) -> Callable:
-        namespace = dict(ops)
-        exec(code, namespace)
-        return namespace["_fn"]
+        namespace = dict(_NUMPY_OPS)
+        exec(compile(self.source, "<legfol compiled fields>", "exec"),
+             namespace)
+        self.columns = namespace["_fn"]
 
     def batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -562,8 +503,8 @@ class CompiledExprs:
                 values = self.columns(*np.ascontiguousarray(pts.T))
         except RowError as exc:
             # exc.row failed the first check that failed anywhere; an earlier
-            # row may fail a later check.  The scalar path finds the first
-            # failing row and says why it fails, as the tree walk would.
+            # row may fail a later check.  One-point calls find the first
+            # failing row and say why it fails, as the tree walk would.
             row, reason = exc.row, str(exc)
             for i in range(exc.row + 1):
                 try:
@@ -586,9 +527,13 @@ class CompiledExprs:
         if len(coords) != self.chart.dim:
             raise ValueError(f"point has {len(coords)} coordinates, chart dim "
                              f"is {self.chart.dim}")
-        out = self._scalar_fn(*map(float, coords))
+        try:
+            with np.errstate(all="ignore"):
+                out = self.columns(*map(float, coords))
+        except RowError as exc:
+            raise EvaluationError(str(exc)) from None
         if not all(map(math.isfinite, out)):
-            raise EvaluationError(f"non-finite value at {list(coords)}")
+            raise EvaluationError("non-finite value")
         return out
 
 
@@ -623,8 +568,8 @@ class ExprField:
         return ExprField(self.chart, self.expr.diff(var))
 
     def eval(self, point: Sequence[float]) -> float:
-        """The field at one point: a one-row call into the compiled scalar
-        binding."""
+        """The field at one point: a one-point call into the compiled
+        function."""
         return compile_exprs(self.chart, (self.expr,)).scalar(*point)[0]
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:

@@ -106,7 +106,8 @@ def test_criterion_2_commuting_frame():
     Y0 = co.graph_submanifold(2, 3)
     Yc = co.graph_submanifold(
         2, 3, {"y1": parse_field(Y0.source_chart, "x1 * x2")})
-    val = list(co.coisotropy_residuals(Yc, [1.0, 1.0, 0.0])["eq_a"].values())
+    val = [v[0] for v in
+           co.residual_values(Yc, [[1.0, 1.0, 0.0]])["eq_a"].values()]
     counter_ok = len(val) == 1 and abs(val[0] - (-1.0)) <= 1e-10
     refusal = co.verify_claim(Yc, RNG.uniform(0.5, 0.9, (20, 3)))
     dt = time.perf_counter() - t0
@@ -140,7 +141,7 @@ def test_criterion_3_oracle_equivalence():
             algebra = co.pointwise_coisotropy(Y, p)
             if algebra["singular"]:
                 continue
-            residual = co.coisotropy_residuals(Y, p)["max_residual"]
+            residual = co.residual_values(Y, [p])["max_residual"][0]
             pairs += 1
             if (residual <= 1e-8) == bool(algebra["coisotropic"]):
                 agreements += 1

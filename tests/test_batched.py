@@ -1,7 +1,7 @@
 """The batched checks against the per-sample loops they replaced.
 
 Each reference below is the loop a check ran before it moved onto the
-compiled batch: it evaluates one sample at a time through the scalar binding
+compiled batch: it evaluates one sample at a time through one-point calls
 (ExprField.eval, DiffForm.evaluate), with one SVD or scipy null space per
 sample.  The batched checks must give the same verdicts, refusals, kernel
 dimensions, counts, diagnostics and mismatch lists (in the same order),
@@ -279,15 +279,15 @@ class TestResiduals:
         table = co.residual_values(Y, pts)
         for row, p in enumerate(pts):
             want = walk_residuals(Y, p)
-            one = co.coisotropy_residuals(Y, p)
+            one = co.residual_values(Y, [p])
             for key in ("max_residual", "redundant_max"):
                 assert close(table[key][row], want[key])
-                assert close(one[key], want[key])
+                assert close(one[key][0], want[key])
             for key in co.residual_fields(Y):
                 assert set(table[key]) == set(want[key])
                 for idx, v in want[key].items():
                     assert close(table[key][idx][row], v)
-                    assert close(one[key][idx], v)
+                    assert close(one[key][idx][0], v)
 
 
 class TestClaim:
@@ -634,7 +634,7 @@ def walk_invariance_probe(bundle, beta):
 
 def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
     """parallel_transport as one solve_ivp per path segment and point, with
-    the lift evaluated through the scalar binding."""
+    the lift evaluated one point at a time."""
     verts = [np.asarray(v, dtype=float) for v in path]
     x = np.asarray(x0, dtype=float)
     if np.hypot(*x) >= bundle.radius:

@@ -1,6 +1,6 @@
-"""The compiled evaluation paths (numpy batch and float scalar) against a
-recursive tree walk, which is the reference, and against sympy as a second
-oracle."""
+"""The compiled evaluation, over a batch of points and at one point, against
+a recursive tree walk on ``math``, which is the reference, and against sympy
+as a second oracle."""
 
 import math
 import warnings
@@ -24,11 +24,6 @@ from legfol.fields import (
     Sin,
     Sub,
     Var,
-    _checked_cos,
-    _checked_div,
-    _checked_exp,
-    _checked_pow,
-    _checked_sin,
     compile_exprs,
     parse_expr,
     parse_field,
@@ -42,13 +37,50 @@ XY = Chart(("x", "y"))
 REL = 1e-12
 
 
+# The walk's checked operations, on plain floats with ``math``.  Add, Sub and
+# Mul are unchecked, as in the compiled code.  math.sin and math.cos raise on
+# an infinite argument, where numpy gives a NaN that reaches the output.
+
+
+def checked_div(num: float, den: float) -> float:
+    if den == 0.0:
+        raise EvaluationError("division by zero")
+    return num / den
+
+
+def checked_pow(base: float, k: int) -> float:
+    try:
+        return base ** k
+    except (ZeroDivisionError, OverflowError):  # 0^-k, or an overflow
+        raise EvaluationError("power overflow") from None
+
+
+def checked_exp(x: float) -> float:
+    try:
+        v = math.exp(x)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise EvaluationError("exp overflow")
+    return v
+
+
+def checked(f):
+    def g(x: float) -> float:
+        try:
+            return f(x)
+        except ValueError:  # infinite argument
+            raise EvaluationError(f"{f.__name__}({x!r})") from None
+    return g
+
+
 def magnitude(e, env) -> tuple[float, float]:
     """The checked recursive tree walk: (value, scale).
 
-    The value is computed node by node with the checked operations the
-    compiled scalar binding calls, so it raises EvaluationError where they
-    do.  The scale bounds |value| plus how far an error of one unit in the
-    last place of every intermediate can move the value.
+    The value is computed node by node with the checked operations above,
+    so it raises EvaluationError where they do.  The scale bounds |value|
+    plus how far an error of one unit in the last place of every
+    intermediate can move the value.
     """
     if isinstance(e, Const):
         return e.value, abs(e.value)
@@ -56,14 +88,14 @@ def magnitude(e, env) -> tuple[float, float]:
         return env[e.name], abs(env[e.name])
     if isinstance(e, Pow):
         b, mb = magnitude(e.base, env)
-        v = _checked_pow(b, e.exponent)
+        v = checked_pow(b, e.exponent)
         slope = e.exponent * v / b if b else 0.0
         return v, abs(v) + abs(slope) * mb
     if isinstance(e, (Sin, Cos, Exp)):
         a, ma = magnitude(e.arg, env)
-        f, df = {Sin: (_checked_sin, math.cos),
-                 Cos: (_checked_cos, lambda t: -math.sin(t)),
-                 Exp: (_checked_exp, math.exp)}[type(e)]
+        f, df = {Sin: (checked(math.sin), math.cos),
+                 Cos: (checked(math.cos), lambda t: -math.sin(t)),
+                 Exp: (checked_exp, math.exp)}[type(e)]
         v = f(a)
         return v, abs(v) + abs(df(a)) * ma
     a, ma = magnitude(e.left, env)
@@ -74,7 +106,7 @@ def magnitude(e, env) -> tuple[float, float]:
         return a - b, ma + mb
     if isinstance(e, Mul):
         return a * b, ma * abs(b) + abs(a) * mb
-    v = _checked_div(a, b)
+    v = checked_div(a, b)
     return v, ma / abs(b) + abs(v) * mb / abs(b)
 
 
@@ -213,10 +245,11 @@ class TestErrors:
             assert walk(field.expr, point) is None
             with pytest.raises(EvaluationError):
                 field.eval(point)
-            with pytest.raises(EvaluationError):
+            with pytest.raises(EvaluationError) as one_point:
                 compiled.scalar(*point)
-            with pytest.raises(EvaluationError):
+            with pytest.raises(EvaluationError) as one_row:
                 compiled.batch([point])
+        assert str(one_row.value) == f"row 0, point {point}: {one_point.value}"
 
     @pytest.mark.parametrize("text", ["0^-1", "10^400", "x + (0 * 3)^-2",
                                       "exp(-(1e100)^4)"])
@@ -278,6 +311,22 @@ class TestErrors:
         pts = [[0.0, 0.0], [0.0, 1000.0], [0.0, 0.0], [1.0, 0.0]]
         with pytest.raises(EvaluationError, match=r"row 1\b"):
             compile_exprs(XY, (field.expr,)).batch(pts)
+
+    def test_earlier_row_fails_only_at_output(self):
+        # Row 1 fails the division; row 0 passes every check inside, as
+        # sin(inf) is NaN, and fails only at the output.
+        compiled = compile_exprs(XY, (parse_expr("sin(x*x*x*x) + 1/y"),))
+        pts = [[1e80, 1.0], [0.0, 0.0]]
+        with pytest.raises(EvaluationError) as got:
+            compiled.batch(pts)
+        assert str(got.value) == "row 0, point [1e+80, 1.0]: non-finite value"
+        for p in pts:
+            with pytest.raises(EvaluationError) as one_row:
+                compiled.batch([p])
+            with pytest.raises(EvaluationError) as one_point:
+                compiled.scalar(*p)
+            assert str(one_row.value) == \
+                f"row 0, point {p}: {one_point.value}"
 
     def test_non_finite_output_names_row(self):
         field = parse_field(XY, "x * 1e300 * 1e300")

@@ -18,8 +18,6 @@ REASONS = ("oracle", "paper", "entry point")
 LIBRARY_ONLY = {
     "cli.check": "entry point: the `legfol check` command",
     "cli.demo": "entry point: the `legfol demo` command",
-    "coiso.coisotropy_residuals": "oracle: the residuals at one point, "
-                                  "compared with pointwise_coisotropy",
     "coiso.pointwise_coisotropy": "oracle: linear-algebra classification "
                                   "that the residuals are compared with",
     "coiso.perturbation_sup_norm": "paper: the perturbation is C^0-small",
