@@ -710,8 +710,7 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     dlam = fm.exterior_d(lam)
     tilde, _ = co.build_Vk(Y)
     k = Y.source_chart.dim
-    # M[p, i, j] = dlambda(e_i, e_j) at each sample
-    M = fm.contraction_matrices(dlam, points).transpose(0, 2, 1)
+    M = fm.form_matrices(dlam, points)
     if np.any(sl.numeric_rank(M, tol) != 2):
         raise ValueError("non-generic singular structure")
 

@@ -515,52 +515,39 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
 def char_foliation_form(Y: GraphSubmanifold,
                         points: Sequence[Sequence[float]],
                         tol: float = RANK_TOL) -> dict:
-    """Kernel dimension and integrability residual of the defining form.
+    """Kernel dimension and integrability of d lambda on ker lambda.
 
-    The defining form is the pullback of alpha ^ (d alpha)^(k-n-1); its kernel
-    at nonsingular samples should have dimension 2n-k+1. The integrability
-    residual evaluates the pullback of (d alpha)^(k-n) on tuples drawn from
-    the hyperplane annihilated by the restricted 1-form.
+    At a nonsingular sample, S = P W P^T is the matrix of d lambda on the
+    hyperplane ker lambda, with P an orthonormal basis of the hyperplane and
+    W[i, j] = d lambda(e_i, e_j).  The characteristic foliation is ker S,
+    of dimension 2n-k+1 on a coisotropic Y.  The integrability residual is
+    the largest |(d lambda)^(k-n)| on 2(k-n) basis vectors of the
+    hyperplane: (k-n)! |Pf| = (k-n)! sqrt(det) of a principal minor of S.
     """
     n, k = Y.n, Y.k
-    src = Y.source_chart
-    alpha = standard_alpha(n)
-    dalpha = fm.exterior_d(alpha)
-    emb = Y.embedding
-    omega = fm.pullback(emb, fm.wedge(alpha, fm.wedge_power(dalpha, k - n - 1)))
-    integ = fm.pullback(emb, fm.wedge_power(dalpha, k - n)) \
-        if 2 * (k - n) <= k else None
     lam = Y.lambda_form
-    expected = 2 * n - k + 1
     covecs = lam.coeff_array(points)
     keep = _max_abs(covecs, axis=1) > tol  # nonsingular samples only
     pts = np.asarray(points, dtype=float)[keep]
-    covecs = covecs[keep]
-    used = len(pts)
-    M = fm.contraction_matrices(omega, pts)
-    kernel_dims = k - sl.numeric_rank(M, tol)
+    P = sl.hyperplane_bases(covecs[keep])
+    S = P @ fm.form_matrices(fm.exterior_d(lam), pts) @ P.transpose(0, 2, 1)
+    # exactly skew: a principal minor's det is then Pf^2 up to rounding
+    S = (S - S.transpose(0, 2, 1)) / 2
+    kernel_dims = (k - 1) - sl.numeric_rank(S, tol)
     max_residual = 0.0
     deg = 2 * (k - n)
-    if used and integ is not None and deg <= k - 1:
-        # hyperplane ker(lambda_p) in source coordinates
-        W = sl.hyperplane_bases(covecs)
-        vals = compile_exprs(src, tuple(
-            c.expr for c in integ.coeffs.values())).batch(pts)
-        # integ evaluated on deg-tuples of basis vectors: the coefficients
-        # times the deg x deg minors, summed as DiffForm.evaluate sums them
-        for combo in itertools.combinations(range(k - 1), deg):
-            V = W[:, list(combo), :].transpose(0, 2, 1)  # (used, k, deg)
-            total = 0.0
-            for col, idx in enumerate(integ.coeffs):
-                total = total + vals[:, col] * np.linalg.det(
-                    V[:, list(idx), :])
-            max_residual = max(max_residual, float(_max_abs(total)))
+    if len(pts) and deg <= k - 1:
+        minors = np.array(list(itertools.combinations(range(k - 1), deg)))
+        dets = np.linalg.det(S[:, minors[:, :, None], minors[:, None, :]])
+        max_residual = math.factorial(k - n) * float(
+            np.sqrt(np.max(dets, initial=0.0)))
+    expected = 2 * n - k + 1
     return {
         "expected_kernel_dim": expected,
         "kernel_dims": kernel_dims.tolist(),
         "kernel_ok": bool(np.all(kernel_dims == expected)),
         "integrability_residual": max_residual,
-        "samples_used": used,
+        "samples_used": len(pts),
     }
 
 
@@ -614,14 +601,6 @@ def perturbation_sup_norm(Y0: GraphSubmanifold, Y1: GraphSubmanifold,
     return float(_max_abs(image(Y0) - image(Y1)))
 
 
-def foliation_residual(Y: GraphSubmanifold,
-                       points: Sequence[Sequence[float]]) -> float:
-    """Max of the pulled-back alpha ^ d(alpha) over sampled tangent 3-frames."""
-    alpha = standard_alpha(Y.n)
-    three = fm.pullback(Y.embedding, fm.wedge(alpha, fm.exterior_d(alpha)))
-    return float(_max_abs(three.coeff_array(points)))
-
-
 # ---------------------------------------------------------------------------
 # Singular-point normal data
 # ---------------------------------------------------------------------------
@@ -640,8 +619,7 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
         return {"singular": False, "tag": "not singular"}
     src = Y.source_chart
     k = src.dim
-    # M[i, j] = dlambda(e_i, e_j)
-    M = fm.contraction_matrices(fm.exterior_d(lam), [point])[0].T
+    M = fm.form_matrices(fm.exterior_d(lam), [point])[0]
     rank = int(sl.numeric_rank(M, tol))
     if normal_pair is None:
         normal_pair = (f"x{Y.n}", f"y{Y.free_y[-1]}")

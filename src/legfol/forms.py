@@ -255,26 +255,20 @@ def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
                     {i: ExprField(src, e) for i, e in out.items()})
 
 
-def contraction_matrices(omega: DiffForm, points) -> np.ndarray:
-    """Matrices of i_{e_j} omega over coordinate vectors at N points.
+def form_matrices(omega: DiffForm, points) -> np.ndarray:
+    """Matrices of a 2-form on the coordinate vectors at N points.
 
-    Returns (N, C(dim, degree - 1), dim): rows index the
-    (degree-1)-multi-indices, columns the chart coordinates.  The numeric
-    kernel of each matrix is ker(omega) at its point.  The coefficients are
-    evaluated in one compiled batch.
+    Returns (N, dim, dim) with M[p, i, j] = omega(e_i, e_j) at points[p]:
+    the coefficient of dx_i ^ dx_j above the diagonal and its negative below.
+    The coefficients are evaluated in one compiled batch.
     """
-    chart = omega.chart
-    k = omega.degree
-    if k < 1:
-        raise ValueError("needs degree >= 1")
-    sub_indices = list(itertools.combinations(range(chart.dim), k - 1))
-    row_of = {idx: r for r, idx in enumerate(sub_indices)}
-    vals = compile_exprs(chart, tuple(
+    if omega.degree != 2:
+        raise ValueError("form_matrices needs a 2-form")
+    dim = omega.chart.dim
+    vals = compile_exprs(omega.chart, tuple(
         c.expr for c in omega.coeffs.values())).batch(points)
-    M = np.zeros((len(vals), len(sub_indices), chart.dim))
-    for col, idx in enumerate(omega.coeffs):
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            M[:, row_of[rest], i] += ((-1) ** pos) * vals[:, col]
+    M = np.zeros((len(vals), dim, dim))
+    for col, (i, j) in enumerate(omega.coeffs):
+        M[:, i, j] = vals[:, col]
+        M[:, j, i] = -vals[:, col]
     return M
-

@@ -335,8 +335,7 @@ def coorientation_sign(g: GermForm, point: Sequence[float]) -> int:
     base = restricted.chart
     d = fm.exterior_d(restricted)
     i0, i1 = base.index(g.fiber_pair[0]), base.index(g.fiber_pair[1])
-    # d(e_i0, e_i1) is entry (i1, i0) of the contraction matrix
-    val = g.orientation * fm.contraction_matrices(d, [point])[0, i1, i0]
+    val = g.orientation * fm.form_matrices(d, [point])[0, i0, i1]
     return 1 if val > 0 else -1 if val < 0 else 0
 
 

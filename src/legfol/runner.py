@@ -183,7 +183,8 @@ def _perturb(rng, n, delta, bump, box, step, tol, samples) -> dict:
         bump = f"{delta} * y1 * exp(0 - y1^2)"
     Yp = co.perturb_legendrian(Y, parse_field(Y.source_chart, bump))
     scan = co.singular_scan(Yp, box=box, step=step)
-    resid = co.foliation_residual(Yp, _graph_points(rng, Yp, samples))
+    resid = gm.frobenius_residual(Yp.lambda_form,
+                                  _graph_points(rng, Yp, samples))
     return {"passed": scan.num_hits == 0 and resid <= tol,
             "num_hits": int(scan.num_hits),
             "foliation_residual": float(resid), "tolerance": tol}
@@ -339,8 +340,8 @@ KINDS = {
              "bump": (_text, None), **GRID, **_tol("1e-10", "100")},
         _perturb),
     "char-foliation": Kind(
-        "dim ker(restriction of alpha ^ (d alpha)^(k-n-1)) = 2n-k+1; "
-        "leafwise d-closure",
+        "dim ker(d lambda on ker lambda) = 2n-k+1; "
+        "(d lambda)^(k-n) = 0 on ker lambda",
         {"target": "graph"}, _tol("1e-8", "50"), _char_foliation),
     "flatness": Kind(
         "vertical part of [lift_i, lift_j] = 0",

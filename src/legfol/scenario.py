@@ -17,7 +17,7 @@ runner can bind them to the right chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class ScenarioError(ValueError):

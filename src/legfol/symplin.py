@@ -1,8 +1,9 @@
 """Pointwise symplectic and contact linear algebra.
 
 Subspaces are given by explicit bases; equality and containment are rank tests
-on row-normalized stacked bases. Null spaces come from SVD, deterministic for a
-fixed input ordering; one row's rank and kernel basis have closed forms.
+on row-normalized stacked bases. Ranks and null spaces come from SVD,
+deterministic for a fixed input ordering; a covector's kernel basis has a
+closed form, one Householder reflector.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ def _rank(A: np.ndarray, tol: float = TOL) -> int:
 def numeric_rank(M: np.ndarray, tol: float) -> np.ndarray:
     """Rank of a matrix, or of each matrix in an (N, r, c) stack.
 
-    Singular values count above tol * max(1, largest |entry| of that
-    matrix).  A single row's one singular value is its length (hypot); taller
-    matrices go through one batched SVD.
+    One batched SVD; singular values count above tol * max(1, largest
+    |entry| of that matrix).
     """
     M = np.asarray(M, dtype=float)
     scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
-    s = np.hypot.reduce(M, axis=-1) if M.shape[-2] == 1 \
-        else np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(M, compute_uv=False)
     return np.sum(s > tol * scale[..., None], axis=-1)
 
 
@@ -239,9 +238,8 @@ def contact_hyperplane(alpha: "_forms.DiffForm", point: Sequence[float]
     if np.linalg.norm(covec) < TOL:
         raise NotContact("form vanishes at the point")
     xi = LinSubspace(alpha.chart.dim, null_space(covec, rcond=TOL).T)
-    # (d alpha)(u, v) = v . C u, with C the contraction matrix at the point
-    C = _forms.contraction_matrices(_forms.exterior_d(alpha), [point])[0]
-    M = xi.basis @ C.T @ xi.basis.T
+    W = _forms.form_matrices(_forms.exterior_d(alpha), [point])[0]
+    M = xi.basis @ W @ xi.basis.T
     try:
         form = SympForm(M)
     except ValueError:

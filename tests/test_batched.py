@@ -10,9 +10,12 @@ EvaluationError on the same samples.  Two checks replaced a comparison
 rather than a loop: zero-section's closed-form kernel test is held to the
 SVD comparison it replaced (svd_same_kernels), and interpolation's one pencil
 build over tau to one build per parameter value (walk_pencil).  The closed
-forms of symplin's one-row linear algebra are held to the SVD: Householder
-kernel bases to oracles.svd_hyperplane_bases, row ranks to the singular value
-count.
+form of symplin's kernel bases, one Householder reflector, is held to the
+SVD (oracles.svd_hyperplane_bases).  char-foliation's kernel, d lambda on
+ker lambda, is held to a per-sample loop of that definition on every graph
+(walk_char_kernel), and to the defining-form loop it replaced
+(walk_char_foliation) on the coisotropic graphs, where the paper says the
+two kernels agree.
 """
 
 import copy
@@ -149,6 +152,25 @@ def walk_char_foliation(Y, points, tol):
                                                           for i in combo])))
     return {"kernel_dims": dims, "integrability_residual": worst,
             "samples_used": len(dims)}
+
+
+def walk_char_kernel(Y, points, tol):
+    """dim ker(d lambda on ker lambda) at each nonsingular sample: the walked
+    covector, scipy's kernel basis B of it and the SVD rank of B M B^T, with
+    M the walked matrix of d lambda."""
+    lam = Y.lambda_form
+    dlam = fm.exterior_d(lam)
+    dims = []
+    for p in points:
+        covec = np.array([lam.coeff((i,)).eval(p) for i in range(Y.k)])
+        if np.max(np.abs(covec)) <= tol:
+            continue
+        B = null_space(covec[None], rcond=1e-12).T
+        S = B @ walk_form_matrix(dlam, p) @ B.T
+        s = np.linalg.svd(S, compute_uv=False)
+        rank = int(np.sum(s > tol * max(1.0, np.max(np.abs(S)))))
+        dims.append(len(B) - rank)
+    return dims
 
 
 def walk_zero_section(g, expected, points, tol):
@@ -344,23 +366,28 @@ class TestCharFoliation:
         Y = random_coisotropic(n, rng)
         self.compare(Y, with_singular_sample(Y, samples(Y, rng)))
 
-    @pytest.mark.parametrize("Y", [
-        graph(2, y1="1.3 * x1 * x2"),
-        graph(2, 4, z="x1 * y2 + sin(y1)"),
-        graph(3, 5, z="x1 * y3 + x2^2 * y2"),
+    @pytest.mark.parametrize("Y, coisotropic", [
+        (graph(2, y1="1.3 * x1 * x2"), False),
+        (graph(2, 4, z="x1 * y2 + sin(y1)"), True),
+        (graph(3, 5, z="x1 * y3 + x2^2 * y2"), True),
     ], ids=["twisted", "curved-n2k4", "curved-n3k5"])
-    def test_curved(self, Y, rng):
-        self.compare(Y, samples(Y, rng))
+    def test_curved(self, Y, coisotropic, rng):
+        self.compare(Y, samples(Y, rng), coisotropic)
 
-    def compare(self, Y, pts):
+    def compare(self, Y, pts, coisotropic=True):
         got = co.char_foliation_form(Y, pts, 1e-8)
+        dims = walk_char_kernel(Y, pts, 1e-8)
         want = walk_char_foliation(Y, pts, 1e-8)
-        assert got["kernel_dims"] == want["kernel_dims"]
+        assert got["kernel_dims"] == dims
+        if coisotropic:
+            assert want["kernel_dims"] == dims
+        else:  # d lambda is nondegenerate on ker lambda
+            assert dims and set(dims) == {0}
         assert got["samples_used"] == want["samples_used"]
         assert close(got["integrability_residual"],
                      want["integrability_residual"])
         assert got["kernel_ok"] == all(
-            d == 2 * Y.n - Y.k + 1 for d in want["kernel_dims"])
+            d == 2 * Y.n - Y.k + 1 for d in dims)
 
 
 def svd_same_kernels(c0, c1, tol=1e-8):
@@ -549,7 +576,7 @@ class TestSatellitePorts:
     ], ids=["perturbed", "paraboloid", "curved-n3k5"])
     def test_foliation_residual(self, Y, rng):
         pts = samples(Y, rng)
-        assert close(co.foliation_residual(Y, pts),
+        assert close(gm.frobenius_residual(Y.lambda_form, pts),
                      walk_foliation_residual(Y, pts))
 
     @pytest.mark.parametrize("texts, orientation", [
@@ -1557,11 +1584,11 @@ class TestCCLGrid:
 
 class TestFormMatrices:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 5), (4, 6)])
-    def test_contraction_transpose(self, n, k, rng):
+    def test_graph_two_form(self, n, k, rng):
         Y = graph(n, k, z=f"x1 * y{n} + sin(x{n}) * y{n}^2")
         dlam = fm.exterior_d(Y.lambda_form)
         pts = samples(Y, rng, 10)
-        got = fm.contraction_matrices(dlam, pts).transpose(0, 2, 1)
+        got = fm.form_matrices(dlam, pts)
         for M, p in zip(got, pts):
             np.testing.assert_array_equal(M, walk_form_matrix(dlam, p))
 
@@ -1569,7 +1596,7 @@ class TestFormMatrices:
         ch = Chart(("a", "b", "c", "d", "e"))
         w = fm.exterior_d(random_one_form(ch, rng))
         pts = rng.uniform(-1, 1, (10, 5))
-        got = fm.contraction_matrices(w, pts).transpose(0, 2, 1)
+        got = fm.form_matrices(w, pts)
         for M, p in zip(got, pts):
             np.testing.assert_array_equal(M, walk_form_matrix(w, p))
 
@@ -1664,6 +1691,8 @@ class TestStackedLinearAlgebra:
                 int(np.sum(np.linalg.svd(M, compute_uv=False)
                            > tol * max(1.0, np.max(np.abs(M)))))
                 for M in mats]
+        assert sl.numeric_rank(np.zeros((3, 1, 4)), 1e-8).tolist() == [0] * 3
+        assert sl.numeric_rank(np.ones((1, 4)), 1e-8) == 1
 
     def test_hyperplanes_match_null_space(self, rng):
         covecs = rng.normal(size=(20, 5))
@@ -1713,41 +1742,6 @@ class TestStackedLinearAlgebra:
         covecs[1] = row
         with pytest.raises(ValueError, match="nonzero finite"):
             sl.hyperplane_bases(covecs)
-
-    def test_single_row_rank_sweep(self):
-        """A row's rank from its length equals the SVD count on rows whose
-        lengths straddle tol * max(1, max |entry|), relative offsets 1e-16 to
-        1e-1 either side, apart from rows within 4 ulps of the threshold,
-        where hypot and LAPACK may round to either side."""
-        rng = np.random.default_rng(20261019)
-        count = 4000
-        for dim, tol in itertools.product(range(1, 10),
-                                          (1e-8, 1e-3, 0.5, None)):
-            rows = rng.normal(size=(count, 1, dim))
-            rows /= np.hypot.reduce(rows, axis=2, keepdims=True)
-            if tol is not None:  # entries below 1: the threshold is tol
-                offset = rng.choice([-1.0, 1.0], count) \
-                    * 10.0 ** rng.uniform(-16, -1, count)
-                rows *= (tol * (1 + offset))[:, None, None]
-            elif dim > 1:  # entries above 1: the threshold scales with them
-                rows *= 10.0 ** rng.uniform(0, 3, (count, 1, 1)) \
-                    / np.max(np.abs(rows), axis=2, keepdims=True)
-                # half the rows have length / max |entry| above tol
-                tol = np.median(np.hypot.reduce(rows, axis=(1, 2))
-                                / np.max(np.abs(rows), axis=(1, 2)))
-            else:
-                continue
-            thresh = tol * np.maximum(1.0, np.max(np.abs(rows), axis=(1, 2)))
-            want = np.sum(np.linalg.svd(rows, compute_uv=False)
-                          > thresh[:, None], axis=1)
-            got = sl.numeric_rank(rows, tol)
-            length = np.hypot.reduce(rows, axis=2)[:, 0]
-            clear = np.abs(length - thresh) > 4 * np.spacing(thresh)
-            assert got[clear].tolist() == want[clear].tolist()
-            assert clear.mean() > 0.9
-            assert 0.1 < want.mean() < 0.9, (dim, tol)
-        assert sl.numeric_rank(np.zeros((3, 1, 4)), 1e-8).tolist() == [0] * 3
-        assert sl.numeric_rank(np.ones((1, 4)), 1e-8) == 1
 
     def test_closed_form_kernel_sweep(self):
         """same_kernels decides as the SVD comparison on every pair: dims 2-9,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from legfol import coiso as co
-from legfol import forms as fm
+from legfol import germ as gm
 from legfol.fields import CompiledExprs, parse_field
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
@@ -364,7 +364,7 @@ class TestPerturbation:
         res = co.singular_scan(Yp, box=0.8, step=0.1)
         assert res.num_hits == 0
         pts = rng.uniform(-0.9, 0.9, (50, 3))
-        assert co.foliation_residual(Yp, pts) <= 1e-10
+        assert gm.frobenius_residual(Yp.lambda_form, pts) <= 1e-10
 
     def test_sup_norm_is_delta_scale(self, rng):
         Y = co.legendrian_model(2)

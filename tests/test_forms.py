@@ -275,16 +275,18 @@ class TestPullback:
 
 
 class TestContractionMatrix:
-    def test_kernel_of_one_form(self):
-        w = fm.one_form(XYZ, {"x": 1.0, "z": -2.0})
-        M = fm.contraction_matrices(w, [[0, 0, 0]])[0]
-        assert M.shape == (1, 3)
-        assert np.allclose(M, [[1.0, 0.0, -2.0]])
+    """form_matrices: row i of M is i_{e_i} w, so M[i, j] = w(e_i, e_j)."""
+
+    @pytest.mark.parametrize("degree", [0, 1, 3, 4])
+    def test_other_degrees_raise(self, degree, rng):
+        w = random_form(ABCD, degree, rng)
+        with pytest.raises(ValueError, match="2-form"):
+            fm.form_matrices(w, [[0.0] * 4])
 
     def test_kernel_vector_annihilates(self, rng):
         w = random_form(ABCD, 2, rng)
         p = rng.uniform(-1, 1, 4)
-        M = fm.contraction_matrices(w, [p])[0]
+        M = fm.form_matrices(w, [p])[0]
         from scipy.linalg import null_space
         for v in null_space(M, rcond=1e-12).T:
             u = rng.uniform(-1, 1, 4)

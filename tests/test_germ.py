@@ -3,7 +3,6 @@ zero-section restrictions, contactness scans, and the interpolation gate."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from legfol import bundle as bd
