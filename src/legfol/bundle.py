@@ -28,6 +28,7 @@ from .fields import (
     compile_exprs,
     constant,
     lie_bracket,
+    sup_abs,
 )
 
 DEFAULT_ODE_TOL = 1e-8
@@ -142,13 +143,12 @@ def flatness_check(bundle: FlatDiskBundle,
     """Max vertical component of pairwise lift brackets over sample points."""
     lifts = bundle.lifts()
     iu, iv = bundle.base_dim, bundle.base_dim + 1
-    vertical = tuple(
-        br.components[i].expr
+    vertical = [
+        br.components[i]
         for br in itertools.starmap(lie_bracket,
                                     itertools.combinations(lifts, 2))
-        for i in (iu, iv))
-    vals = compile_exprs(bundle.total_chart, vertical).batch(points)
-    return float(np.max(np.abs(vals), initial=0.0))
+        for i in (iu, iv)]
+    return sup_abs(bundle.total_chart, vertical, points)
 
 
 @dataclass(frozen=True)
@@ -714,20 +714,19 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     if np.any(sl.numeric_rank(M, tol) != 2):
         raise ValueError("non-generic singular structure")
 
-    def worst(forms):
-        """Largest |coefficient| of the forms over the samples."""
-        exprs = tuple(c.expr for w in forms for c in w.coeffs.values())
-        values = compile_exprs(Y.source_chart, exprs).batch(points)
-        return float(np.max(np.abs(values), initial=0.0))
-
+    src = Y.source_chart
     return {
         "rank": k - 2,
         "kernel_bases": [sl.null_space(m, rcond=tol).T for m in M],
-        "membership_residual": worst(fm.interior(V, dlam) for V in tilde),
-        "integrability_residual": worst(
-            fm.interior(lie_bracket(Va, Vb), dlam)
-            for Va, Vb in itertools.combinations(tilde, 2)),
-        "covariant_constancy_residual": worst(
-            fm.lie_derivative(V, lam) for V in tilde),
+        "membership_residual": sup_abs(src, [
+            c for V in tilde for c in fm.interior(V, dlam).coeffs.values()],
+            points),
+        "integrability_residual": sup_abs(src, [
+            c for Va, Vb in itertools.combinations(tilde, 2)
+            for c in fm.interior(lie_bracket(Va, Vb), dlam).coeffs.values()],
+            points),
+        "covariant_constancy_residual": sup_abs(src, [
+            c for V in tilde
+            for c in fm.lie_derivative(V, lam).coeffs.values()], points),
         "scan_flags": scan.flags,
     }

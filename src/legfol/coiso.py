@@ -29,6 +29,7 @@ from .fields import (
     coordinate,
     lie_bracket,
     pushforward_field,
+    sup_abs,
 )
 
 RANK_TOL = 1e-8
@@ -395,11 +396,15 @@ def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
                          tol: float = RANK_TOL) -> dict:
     """Classify T_pY intersected with the contact hyperplane, via linear algebra."""
     emb = Y.embedding
-    q = emb.eval(point)
+    at = [point]
+    q = compile_exprs(emb.source, tuple(
+        c.expr for c in emb.components)).batch(at)[0]
     alpha = standard_alpha(Y.n)
-    if _max_abs(Y.lambda_form.coeff_array([point])) <= tol:
+    if _max_abs(Y.lambda_form.coeff_array(at)) <= tol:
         return {"singular": True, "kind": "tangent to xi", "coisotropic": None}
-    J = emb.jacobian(point)  # (2n+1) x k
+    J = compile_exprs(emb.source, tuple(  # (2n+1) x k
+        f.expr for row in emb.jacobian_fields for f in row)
+    ).batch(at).reshape(emb.target.dim, emb.source.dim)
     tangent = sl.span(J.T, Y.ambient.dim)
     xi, omega = sl.contact_hyperplane(alpha, q)
     W_amb = tangent.intersect(xi)
@@ -475,24 +480,19 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
     emb = Y.embedding
     src, amb = Y.source_chart, Y.ambient
 
-    def worst(chart, fields_, at):
-        """Largest |field| over all the fields and points, in one batch."""
-        exprs = tuple(f.expr for f in fields_)
-        return float(_max_abs(compile_exprs(chart, exprs).batch(at)))
-
     res = {"i_V_alpha": 0.0}
     if tilde:  # the embedding is evaluated only where a field needs it
         image = compile_exprs(src, tuple(c.expr for c in emb.components)
                               ).batch(points)
-        res["i_V_alpha"] = worst(amb, [
+        res["i_V_alpha"] = sup_abs(amb, [
             fm.interior(Va, alpha).coeff(()) for Va in ambient], image)
-    res["i_V_dlambda"] = worst(src, [
+    res["i_V_dlambda"] = sup_abs(src, [
         c for Vt in tilde for c in fm.interior(Vt, dlam).coeffs.values()],
         points)
-    res["bracket"] = worst(src, [
+    res["bracket"] = sup_abs(src, [
         c for Vt, Wt in itertools.combinations(tilde, 2)
         for c in pushforward_field(emb, lie_bracket(Vt, Wt))], points)
-    res["lie_lambda"] = worst(src, [
+    res["lie_lambda"] = sup_abs(src, [
         c for Vt in tilde
         for c in fm.lie_derivative(Vt, lam).coeffs.values()], points)
     res["lambda_ab"] = float(_max_abs(np.array(
@@ -581,7 +581,7 @@ def perturb_legendrian(Y: GraphSubmanifold,
         raise ValueError("bump must depend on y1 only")
     if isinstance(bump.expr, Const) and bump.expr.value == 0.0:
         return Y
-    slope = bump.diff("y1").eval(np.zeros(src.dim))
+    slope = bump.diff("y1").compile()(np.zeros((1, src.dim)))[0]
     if abs(slope) < 1e-12:
         raise ValueError("perturbation does not clear singularity at 0")
     comps = {name: constant(src, 0.0) for name in Y.components}

@@ -402,8 +402,8 @@ def _np_div(num, den):
 
 
 def _np_pow(base, k: int):
-    # A plain-float base, from a constant or a one-point call, goes through
-    # numpy's pow too: Python's float ** raises where numpy gives inf.
+    # A constant base is a plain float; it goes through numpy's pow too:
+    # Python's float ** raises where numpy gives inf.
     v = np.float64(base) ** k if np.ndim(base) == 0 else base ** k
     # Also catches 0^-k, which numpy makes inf.
     _check_rows(np.isinf(v) & np.isfinite(base), "power overflow")
@@ -471,10 +471,9 @@ class CompiledExprs:
     """Expressions on one chart, compiled to one generated function.
 
     ``batch`` evaluates an ``(N, dim)`` point array with numpy ufuncs and
-    returns ``(N, len(exprs))``; ``scalar`` calls the same function on one
-    point's coordinates as plain floats and returns a tuple.  Periodic
-    coordinates are reduced like ``Chart.reduce``.  Both raise
-    EvaluationError on the same inputs, with the same reason.
+    returns ``(N, len(exprs))``, reducing periodic coordinates like
+    ``Chart.reduce``.  It raises EvaluationError naming the first row that
+    fails, its point and the reason.
 
     ``columns`` is the bare generated function: one array per coordinate
     in, one array (or float, for a constant) per expression out.  It raises
@@ -503,15 +502,19 @@ class CompiledExprs:
                 values = self.columns(*np.ascontiguousarray(pts.T))
         except RowError as exc:
             # exc.row failed the first check that failed anywhere; an earlier
-            # row may fail a later check.  One-point calls find the first
+            # row may fail a later check.  One-row calls find the first
             # failing row and say why it fails, as the tree walk would.
             row, reason = exc.row, str(exc)
-            for i in range(exc.row + 1):
-                try:
-                    self.scalar(*pts[i])
-                except EvaluationError as err:
-                    row, reason = i, str(err)
-                    break
+            with np.errstate(all="ignore"):
+                for i in range(exc.row + 1):
+                    try:
+                        values = self.columns(*pts[i:i + 1].T)
+                    except RowError as err:
+                        row, reason = i, str(err)
+                        break
+                    if not all(np.isfinite(v).all() for v in values):
+                        row, reason = i, "non-finite value"
+                        break
             raise EvaluationError(
                 f"row {row}, point {pts[row].tolist()}: {reason}") from None
         out = np.empty((len(pts), len(values)))
@@ -523,24 +526,18 @@ class CompiledExprs:
                 f"row {row}, point {pts[row].tolist()}: non-finite value")
         return out
 
-    def scalar(self, *coords: float) -> tuple[float, ...]:
-        if len(coords) != self.chart.dim:
-            raise ValueError(f"point has {len(coords)} coordinates, chart dim "
-                             f"is {self.chart.dim}")
-        try:
-            with np.errstate(all="ignore"):
-                out = self.columns(*map(float, coords))
-        except RowError as exc:
-            raise EvaluationError(str(exc)) from None
-        if not all(map(math.isfinite, out)):
-            raise EvaluationError("non-finite value")
-        return out
-
 
 @functools.lru_cache(maxsize=512)
 def compile_exprs(chart: Chart, exprs: tuple[Expr, ...]) -> CompiledExprs:
     """Compile expressions once per (chart, exprs); later calls hit a cache."""
     return CompiledExprs(chart, exprs)
+
+
+def sup_abs(chart: Chart, fields, points) -> float:
+    """Largest |value| of fields on chart over the points, in one batch; 0
+    for no fields or no points."""
+    values = compile_exprs(chart, tuple(f.expr for f in fields)).batch(points)
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +563,6 @@ class ExprField:
     def diff(self, var: str) -> "ExprField":
         self.chart.index(var)  # raises UnknownVariable
         return ExprField(self.chart, self.expr.diff(var))
-
-    def eval(self, point: Sequence[float]) -> float:
-        """The field at one point: a one-point call into the compiled
-        function."""
-        return compile_exprs(self.chart, (self.expr,)).scalar(*point)[0]
 
     def compile(self) -> Callable[[np.ndarray], np.ndarray]:
         """Batched evaluator from (N, dim) points to (N,) values (cached)."""
@@ -640,9 +632,6 @@ class VectorFieldExpr:
             if c.chart != self.chart:
                 raise ChartMismatch("component on wrong chart")
 
-    def eval(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components])
-
     def apply(self, field: ExprField) -> ExprField:
         """Directional derivative V(f), symbolically."""
         if field.chart != self.chart:
@@ -690,18 +679,11 @@ class SmoothMapExpr:
             if c.chart != self.source:
                 raise ChartMismatch("map component on wrong chart")
 
-    def eval(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components])
-
     @functools.cached_property
     def jacobian_fields(self) -> tuple[tuple[ExprField, ...], ...]:
         """d(target_i)/d(source_j) at [i][j], as fields on the source chart."""
         return tuple(tuple(c.diff(v) for v in self.source.var_names)
                      for c in self.components)
-
-    def jacobian(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([[f.eval(point) for f in row]
-                         for row in self.jacobian_fields])
 
     def compose_field(self, field: ExprField) -> ExprField:
         """Pull a target-chart scalar field back through the map, symbolically."""
@@ -712,13 +694,6 @@ class SmoothMapExpr:
             for name, comp in zip(self.target.var_names, self.components)
         }
         return ExprField(self.source, field.expr.subs(mapping))
-
-    def compose(self, other: "SmoothMapExpr") -> "SmoothMapExpr":
-        """self after other: other.source -> self.target."""
-        if other.target != self.source:
-            raise ChartMismatch("maps are not composable")
-        comps = tuple(other.compose_field(c) for c in self.components)
-        return SmoothMapExpr(other.source, self.target, comps)
 
 
 def pushforward_field(map_: SmoothMapExpr, V: VectorFieldExpr

@@ -1,16 +1,17 @@
 """Exterior calculus on coordinate charts.
 
 A DiffForm stores sparse ExprField coefficients keyed by strictly increasing
-multi-indices. The evaluation convention is determinant-based without a 1/k!
-factor, so the standard volume normalization comes out as n! on the canonical
-frame.
+multi-indices. The convention is determinant-based without a 1/k! factor:
+omega(v_1, ..., v_k) sums coeff_I times the determinant of the I-rows of the
+vectors, so the standard volume normalization comes out as n! on the
+canonical frame.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -71,23 +72,6 @@ class DiffForm:
 
     def coeff(self, idx: MultiIndex) -> ExprField:
         return self.coeffs.get(tuple(idx), ExprField(self.chart, Const(0.0)))
-
-    def evaluate(self, point: Sequence[float],
-                 vectors: Sequence[Sequence[float]]) -> float:
-        """Sum over indices of coeff(point) * det of the index-rows of vectors."""
-        vecs = [np.asarray(v, dtype=float) for v in vectors]
-        if len(vecs) != self.degree:
-            raise ValueError(
-                f"need {self.degree} vectors, got {len(vecs)}")
-        if self.degree == 0:
-            return self.coeff(()).eval(point)
-        V = np.column_stack(vecs)  # dim x k
-        values = compile_exprs(self.chart, tuple(
-            c.expr for c in self.coeffs.values())).scalar(*point)
-        total = 0.0
-        for idx, v in zip(self.coeffs, values):
-            total += v * np.linalg.det(V[list(idx), :])
-        return total
 
     def coeff_array(self, points) -> np.ndarray:
         """Coefficients at N points through the compiled batch path.

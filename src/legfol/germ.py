@@ -26,6 +26,7 @@ from .fields import (
     compile_exprs,
     constant,
     coordinate,
+    sup_abs,
 )
 
 # scan_points draws the base coordinates from [-SCAN_BOX, SCAN_BOX] and the
@@ -72,10 +73,7 @@ class FoliatedInput:
         covecs = self.beta.coeff_array(points)
         line = compile_exprs(self.beta.chart, tuple(
             c.expr for c in self.line_field.components)).batch(points)
-        # beta(L), summed as DiffForm.evaluate sums it
-        pairing = 0.0
-        for (i,) in self.beta.coeffs:
-            pairing = pairing + covecs[:, i] * line[:, i]
+        pairing = np.sum(covecs * line, axis=1)  # beta(L)
         vanishes = np.linalg.norm(covecs, axis=1) <= tol
         bad = np.flatnonzero(vanishes | (pairing <= 0))
         if len(bad) and vanishes[bad[0]]:
@@ -93,7 +91,7 @@ def frobenius_residual(beta: fm.DiffForm,
         return 0.0
     # a 3-form on a coordinate 3-frame is its coefficient there
     three = fm.wedge(beta, fm.exterior_d(beta))
-    return float(np.max(np.abs(three.coeff_array(points)), initial=0.0))
+    return sup_abs(three.chart, three.coeffs.values(), points)
 
 
 @dataclass(frozen=True)
@@ -125,12 +123,9 @@ class GermForm:
             constant(src, 0.0) if v in self.zero_section_vars
             else coordinate(src, v) for v in total.var_names))
 
+    @functools.cached_property
     def restricted(self) -> fm.DiffForm:
         """alpha pulled back to the zero section, built once per germ."""
-        return self._restricted
-
-    @functools.cached_property
-    def _restricted(self) -> fm.DiffForm:
         return fm.pullback(self.zero_section_map(), self.alpha)
 
     @functools.cached_property
@@ -294,7 +289,7 @@ def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
     and (for singular builds) that the restricted form vanishes exactly on
     the expected singular set.
     """
-    restricted = g.restricted()
+    restricted = g.restricted
     base = restricted.chart
     if expected.chart != base or expected.degree != 1:
         raise ValueError("expected form must be a 1-form on the section chart")
@@ -331,7 +326,7 @@ def coorientation_sign(g: GermForm, point: Sequence[float]) -> int:
     singular-section point (singular builds only)."""
     if g.fiber_pair is None:
         raise ValueError("germ has no singular fiber pair")
-    restricted = g.restricted()
+    restricted = g.restricted
     base = restricted.chart
     d = fm.exterior_d(restricted)
     i0, i1 = base.index(g.fiber_pair[0]), base.index(g.fiber_pair[1])
@@ -386,7 +381,7 @@ def interpolation_contactness(g0: GermForm, g1: GermForm,
                 "reason": "zero-section foliations disagree",
                 "zs0": zs0["passed"], "zs1": zs1["passed"]}
     if g0.fiber_pair is not None and g1.fiber_pair is not None:
-        origin = np.zeros(g0.restricted().chart.dim)
+        origin = np.zeros(g0.restricted.chart.dim)
         s0 = coorientation_sign(g0, origin)
         s1 = coorientation_sign(g1, origin)
         if s0 != s1 or s0 == 0:

@@ -258,7 +258,7 @@ def _section_form(base: Chart, form: fm.DiffForm | None,
 
 
 def _zero_section(rng, target, form, f, tol, samples) -> dict:
-    base = target.restricted().chart
+    base = target.restricted.chart
     expected = _section_form(base, form, f)
     pts = rng.uniform(-0.9, 0.9, (samples, base.dim))
     res = gm.zero_section_foliation_check(target, expected, pts, tol=tol)
@@ -268,7 +268,7 @@ def _zero_section(rng, target, form, f, tol, samples) -> dict:
 
 
 def _interpolation(rng, first, second, form, f, tol, samples) -> dict:
-    expected = _section_form(first.restricted().chart, form, f)
+    expected = _section_form(first.restricted.chart, form, f)
     res = gm.interpolation_contactness(
         first, second, expected, gm.scan_points(first, rng, samples), tol=tol)
     if res["refused"]:

@@ -181,9 +181,6 @@ class SympForm:
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def pair(self, u: Sequence[float], v: Sequence[float]) -> float:
-        return float(np.asarray(u) @ self.matrix @ np.asarray(v))
-
 
 def symp_complement(W: LinSubspace, omega: SympForm) -> LinSubspace:
     """W^perp = {v : omega(v, w) = 0 for all w in W}."""

@@ -1,36 +1,50 @@
 """Numeric oracles that the symbolic paths of legfol are compared with:
 finite differences for derivatives, the Jacobian for pushforwards, the
-standard symplectic form for the linear algebra and a full SVD for hyperplane
-kernel bases."""
+determinant convention for forms on vectors, the standard symplectic form
+for the linear algebra and a full SVD for hyperplane kernel bases."""
 
-from typing import Sequence
+import itertools
 
 import numpy as np
 
-from legfol.fields import ChartMismatch, ExprField, SmoothMapExpr, VectorFieldExpr
+from legfol.fields import ChartMismatch, compile_exprs
 from legfol.symplin import SympForm
 
 
-def fd_partial(field: ExprField, point: Sequence[float], var: str,
-               step: float = 1e-5) -> float:
-    """Central-difference partial derivative, independent of the symbolic path."""
+def values(fields, points) -> np.ndarray:
+    """Fields on one chart at N points, (N, len(fields)), in one batch."""
+    exprs = tuple(f.expr for f in fields)
+    return compile_exprs(fields[0].chart, exprs).batch(points)
+
+
+def fd_partial(field, points, var: str, step: float = 1e-5) -> np.ndarray:
+    """Central-difference partial derivative at N points, independent of the
+    symbolic path."""
     if step <= 0:
         raise ValueError("step must be positive")
-    i = field.chart.index(var)
-    p = np.asarray(point, dtype=float)
-    hi = p.copy()
-    hi[i] += step
-    lo = p.copy()
-    lo[i] -= step
-    return (field.eval(hi) - field.eval(lo)) / (2.0 * step)
+    offset = step * np.eye(field.chart.dim)[field.chart.index(var)]
+    f, pts = field.compile(), np.asarray(points, dtype=float)
+    return (f(pts + offset) - f(pts - offset)) / (2.0 * step)
 
 
-def pushforward(map_: SmoothMapExpr, V: VectorFieldExpr,
-                point: Sequence[float]) -> np.ndarray:
-    """Jacobian of the map applied to V at the given source point."""
+def pushforward(map_, V, points) -> np.ndarray:
+    """Jacobian of the map applied to V at N source points, (N, target dim)."""
     if V.chart != map_.source:
         raise ChartMismatch("vector field not on the map's source chart")
-    return map_.jacobian(point) @ V.eval(point)
+    J = values([f for row in map_.jacobian_fields for f in row], points)
+    return np.einsum("pij,pj->pi", J.reshape(len(J), map_.target.dim, -1),
+                     values(V.components, points))
+
+
+def form_values(omega, points, vectors) -> np.ndarray:
+    """omega at N points on k vectors each, (N,): the sum over multi-indices
+    I of coeff_I times the determinant of the vectors' I-coordinates.
+    vectors is (N, k, dim), or (k, dim) for the same vectors everywhere."""
+    V = np.broadcast_to(np.asarray(vectors, dtype=float),
+                        (len(points), omega.degree, omega.chart.dim))
+    idxs = itertools.combinations(range(omega.chart.dim), omega.degree)
+    return sum(c * np.linalg.det(V[:, :, list(idx)])
+               for c, idx in zip(omega.coeff_array(points).T, idxs))
 
 
 def standard_symplectic(n: int) -> SympForm:

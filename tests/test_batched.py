@@ -1,9 +1,10 @@
 """The batched checks against the per-sample loops they replaced.
 
 Each reference below is the loop a check ran before it moved onto the
-compiled batch: it evaluates one sample at a time through one-point calls
-(ExprField.eval, DiffForm.evaluate), with one SVD or scipy null space per
-sample.  The batched checks must give the same verdicts, refusals, kernel
+compiled batch.  It evaluates its fields over the samples through the batch,
+forms on vectors by the determinant convention (oracles.form_values), and
+then loops over the samples, with one SVD or scipy null space per sample.
+The batched checks must give the same verdicts, refusals, kernel
 dimensions, counts, diagnostics and mismatch lists (in the same order),
 residuals within 1e-12 relative (1e-15 absolute near zero), and raise
 EvaluationError on the same samples.  Two checks replaced a comparison
@@ -47,7 +48,7 @@ from legfol.fields import (
     vector_field,
 )
 from legfol.scenario import Scenario, parse_scenario
-from oracles import svd_hyperplane_bases
+from oracles import form_values, svd_hyperplane_bases, values
 
 
 def close(a, b):
@@ -59,27 +60,34 @@ def close(a, b):
 # ---------------------------------------------------------------------------
 
 
-def max_coeff(form, p):
-    """Largest |coefficient| of a form at one point (0 for none)."""
-    return max((abs(c.eval(p)) for c in form.coeffs.values()), default=0.0)
+def max_coeffs(form, points):
+    """Largest |coefficient| of a form at each point, (N,), 0 for none."""
+    return np.max(np.abs(form.coeff_array(points)), axis=1, initial=0.0)
 
 
-def walk_residuals(Y, point):
+def walk_residuals(Y, points):
+    """Per point, every residual equation's value and the two maxima."""
     fams = co.residual_fields(Y)
-    out = {key: {idx: f.eval(point) for idx, f in fam.items()}
-           for key, fam in fams.items()}
-    binding = [v for key in ("eq_abn", "eq_abyn", "eq_a")
-               for v in out[key].values()]
-    out["max_residual"] = max((abs(v) for v in binding), default=0.0)
-    out["redundant_max"] = max(
-        (abs(v) for v in out["eq_abc"].values()), default=0.0)
+    labels = [(key, idx) for key, fam in fams.items() for idx in fam]
+    vals = compile_exprs(Y.source_chart, tuple(  # no labels when n = 1
+        fams[key][idx].expr for key, idx in labels)).batch(points)
+    out = []
+    for row in vals:
+        r = {key: {} for key in fams}
+        for (key, idx), v in zip(labels, row):
+            r[key][idx] = float(v)
+        binding = [v for key in ("eq_abn", "eq_abyn", "eq_a")
+                   for v in r[key].values()]
+        r["max_residual"] = max((abs(v) for v in binding), default=0.0)
+        r["redundant_max"] = max(
+            (abs(v) for v in r["eq_abc"].values()), default=0.0)
+        out.append(r)
     return out
 
 
 def walk_claim(Y, points, tol):
     bad = []
-    for p in points:
-        r = walk_residuals(Y, p)
+    for p, r in zip(points, walk_residuals(Y, points)):
         if r["max_residual"] > tol:
             bad.append((list(map(float, p)), r["max_residual"]))
     if bad:
@@ -90,35 +98,36 @@ def walk_claim(Y, points, tol):
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
     emb = Y.embedding
+    image = values(emb.components, points)
     res = dict.fromkeys(("i_V_alpha", "i_V_dlambda", "bracket",
                          "lie_lambda", "lambda_ab"), 0.0)
+
+    def update(key, per_point):
+        res[key] = float(np.max(np.abs(per_point), initial=res[key]))
+
     for Vt, Va in zip(tilde, ambient):
-        ival = fm.interior(Va, alpha).coeff(())
-        idl = fm.interior(Vt, dlam)
-        ld = fm.lie_derivative(Vt, lam)
-        for p in points:
-            res["i_V_alpha"] = max(res["i_V_alpha"],
-                                   abs(ival.eval(emb.eval(p))))
-            res["i_V_dlambda"] = max(res["i_V_dlambda"], max_coeff(idl, p))
-            res["lie_lambda"] = max(res["lie_lambda"], max_coeff(ld, p))
+        update("i_V_alpha", fm.interior(Va, alpha).coeff(()).compile()(image))
+        update("i_V_dlambda", max_coeffs(fm.interior(Vt, dlam), points))
+        update("lie_lambda", max_coeffs(fm.lie_derivative(Vt, lam), points))
     for Vt, Wt in itertools.combinations(tilde, 2):
-        pushed = pushforward_field(emb, lie_bracket(Vt, Wt))
-        for p in points:
-            res["bracket"] = max(res["bracket"],
-                                 max(abs(c.eval(p)) for c in pushed))
-    for f in co.residual_fields(Y)["lambda_ab"].values():
-        for p in points:
-            res["lambda_ab"] = max(res["lambda_ab"], abs(f.eval(p)))
+        update("bracket", values(
+            pushforward_field(emb, lie_bracket(Vt, Wt)), points))
+    lambda_ab = list(co.residual_fields(Y)["lambda_ab"].values())
+    if lambda_ab:
+        update("lambda_ab", values(lambda_ab, points))
     res["refused"] = False
     return res
 
 
-def walk_contraction_matrix(omega, p):
+def walk_contraction_matrix(omega, coeffs):
+    """The matrix of i_(.) omega from omega's coefficients at one point, in
+    coeff_array's column order."""
+    dim = omega.chart.dim
     rows = {idx: r for r, idx in enumerate(
-        itertools.combinations(range(omega.chart.dim), omega.degree - 1))}
-    M = np.zeros((len(rows), omega.chart.dim))
-    for idx, c in omega.coeffs.items():
-        v = c.eval(p)
+        itertools.combinations(range(dim), omega.degree - 1))}
+    M = np.zeros((len(rows), dim))
+    for idx, v in zip(itertools.combinations(range(dim), omega.degree),
+                      coeffs):
         for pos, i in enumerate(idx):
             M[rows[idx[:pos] + idx[pos + 1:]], i] += (-1) ** pos * v
     return M
@@ -134,39 +143,40 @@ def walk_char_foliation(Y, points, tol):
     integ = fm.pullback(emb, fm.wedge_power(dalpha, k - n)) \
         if 2 * (k - n) <= k else None
     lam = Y.lambda_form
-    dims, worst = [], 0.0
-    for p in points:
-        if max_coeff(lam, p) <= tol:
+    deg = 2 * (k - n)
+    dims, at, frames = [], [], []
+    for p, covec, lmax, oc in zip(points, lam.coeff_array(points),
+                                  max_coeffs(lam, points),
+                                  omega.coeff_array(points)):
+        if lmax <= tol:
             continue
-        M = walk_contraction_matrix(omega, p)
+        M = walk_contraction_matrix(omega, oc)
         s = np.linalg.svd(M, compute_uv=False)
         dims.append(k - int(np.sum(s > tol * max(1.0, np.max(np.abs(M))))))
-        covec = np.zeros(k)
-        for (i,), c in lam.coeffs.items():
-            covec[i] = c.eval(p)
         W = null_space(covec.reshape(1, -1), rcond=1e-12).T
-        deg = 2 * (k - n)
         if integ is not None and deg <= len(W):
             for combo in itertools.combinations(range(len(W)), deg):
-                worst = max(worst, abs(integ.evaluate(p, [W[i]
-                                                          for i in combo])))
+                at.append(p)
+                frames.append(W[list(combo)])
+    worst = float(np.max(np.abs(form_values(integ, at, frames)))) \
+        if frames else 0.0
     return {"kernel_dims": dims, "integrability_residual": worst,
             "samples_used": len(dims)}
 
 
 def walk_char_kernel(Y, points, tol):
-    """dim ker(d lambda on ker lambda) at each nonsingular sample: the walked
+    """dim ker(d lambda on ker lambda) at each nonsingular sample: the
     covector, scipy's kernel basis B of it and the SVD rank of B M B^T, with
     M the walked matrix of d lambda."""
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
     dims = []
-    for p in points:
-        covec = np.array([lam.coeff((i,)).eval(p) for i in range(Y.k)])
+    for covec, M in zip(lam.coeff_array(points),
+                        walk_form_matrices(dlam, points)):
         if np.max(np.abs(covec)) <= tol:
             continue
         B = null_space(covec[None], rcond=1e-12).T
-        S = B @ walk_form_matrix(dlam, p) @ B.T
+        S = B @ M @ B.T
         s = np.linalg.svd(S, compute_uv=False)
         rank = int(np.sum(s > tol * max(1.0, np.max(np.abs(S)))))
         dims.append(len(B) - rank)
@@ -174,14 +184,15 @@ def walk_char_kernel(Y, points, tol):
 
 
 def walk_zero_section(g, expected, points, tol):
-    restricted = g.restricted()
+    restricted = g.restricted
     base = restricted.chart
     diff = restricted - expected
+    idxs = list(set(restricted.coeffs) | set(expected.coeffs))
+    residuals = np.abs(values([diff.coeff(idx) for idx in idxs], points))
     mismatches = []
     max_resid = 0.0
-    for p in points:
-        for idx in set(restricted.coeffs) | set(expected.coeffs):
-            r = abs(diff.coeff(idx).eval(p))
+    for p, row in zip(points, residuals):
+        for idx, r in zip(idxs, row):
             if r > tol:
                 mismatches.append(
                     {"point": list(map(float, p)),
@@ -190,11 +201,8 @@ def walk_zero_section(g, expected, points, tol):
             max_resid = max(max_resid, r)
     kernel_ok = True
     singular_points = 0
-    for p in points:
-        covec = np.array([restricted.coeff((i,)).eval(p)
-                          for i in range(base.dim)])
-        exp_covec = np.array([expected.coeff((i,)).eval(p)
-                              for i in range(base.dim)])
+    for covec, exp_covec in zip(restricted.coeff_array(points),
+                                expected.coeff_array(points)):
         if np.linalg.norm(exp_covec) <= 1e-8:
             singular_points += 1
             if np.linalg.norm(covec) > 1e-8:
@@ -217,33 +225,25 @@ def walk_flatness(bundle, points):
     worst = 0.0
     for a, b in itertools.combinations(range(len(lifts)), 2):
         br = lie_bracket(lifts[a], lifts[b])
-        for p in points:
-            worst = max(worst, abs(br.components[iu].eval(p)),
-                        abs(br.components[iv].eval(p)))
+        vertical = values([br.components[iu], br.components[iv]], points)
+        worst = max(worst, float(np.max(np.abs(vertical))))
     return worst
 
 
 def walk_foliation_residual(Y, points):
     alpha = co.standard_alpha(Y.n)
     three = fm.pullback(Y.embedding, fm.wedge(alpha, fm.exterior_d(alpha)))
-    return max(max_coeff(three, p) for p in points)
+    return float(np.max(max_coeffs(three, points)))
 
 
 def walk_ccl_grid(bundle, beta, grid_step=0.1):
     """min |beta| away from the origin and min d beta over the fiber grid."""
     grid = bd._fiber_grid(bundle.radius, grid_step)
-
-    def covec(p):
-        c = np.zeros(2)
-        for (i,), f in beta.coeffs.items():
-            c[i] = f.eval(p)
-        return c
-
     away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * grid_step]
-    min_away = min(np.linalg.norm(covec(p)) for p in away)
+    min_away = min(np.linalg.norm(c) for c in beta.coeff_array(away))
     dbeta = fm.exterior_d(beta)
     frame = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    min_db = min(bundle.orientation * dbeta.evaluate(p, frame) for p in grid)
+    min_db = min(bundle.orientation * form_values(dbeta, grid, frame))
     return min_away, min_db
 
 
@@ -299,8 +299,7 @@ class TestResiduals:
 
     def compare(self, Y, pts):
         table = co.residual_values(Y, pts)
-        for row, p in enumerate(pts):
-            want = walk_residuals(Y, p)
+        for row, (p, want) in enumerate(zip(pts, walk_residuals(Y, pts))):
             one = co.residual_values(Y, [p])
             for key in ("max_residual", "redundant_max"):
                 assert close(table[key][row], want[key])
@@ -434,7 +433,7 @@ def singular_germ(rates=(0.7,)):
 
 
 def section_form(g, **texts):
-    base = g.restricted().chart
+    base = g.restricted.chart
     return fm.one_form(base, {v: parse_field(base, t)
                               for v, t in texts.items()})
 
@@ -463,7 +462,7 @@ class TestZeroSection:
     def test_against_walk(self, make, texts, rng):
         g = make()
         expected = section_form(g, **texts)
-        base = g.restricted().chart
+        base = g.restricted.chart
         pts = rng.uniform(-0.9, 0.9, (30, base.dim))
         # a sample on the fiber origin, the singular set of singular builds
         pts[0, [base.index(v) for v in ("u", "v") if v in base.var_names]] = 0
@@ -611,11 +610,10 @@ def walk_frobenius(beta, points):
         return 0.0
     three = fm.wedge(beta, fm.exterior_d(beta))
     eye = np.eye(ch.dim)
-    worst = 0.0
-    for p in points:
-        worst = max(worst, max_coeff(three, p))
-        for combo in itertools.combinations(range(ch.dim), 3):
-            worst = max(worst, abs(three.evaluate(p, [eye[i] for i in combo])))
+    worst = float(np.max(max_coeffs(three, points)))
+    for combo in itertools.combinations(range(ch.dim), 3):
+        worst = max(worst, float(np.max(np.abs(form_values(
+            three, points, [eye[i] for i in combo])))))
     return worst
 
 
@@ -623,13 +621,11 @@ def walk_validate(inp, points, tol=1e-8):
     frob = walk_frobenius(inp.beta, points)
     if frob > tol:
         raise gm.GermBuildError(f"foliation form not integrable: {frob:g}")
-    ch = inp.beta.chart
-    for p in points:
-        covec = np.array([inp.beta.coeff((i,)).eval(p)
-                          for i in range(ch.dim)])
+    line = values(inp.line_field.components, points)
+    pairings = form_values(inp.beta, points, line[:, None, :])
+    for covec, pairing in zip(inp.beta.coeff_array(points), pairings):
         if np.linalg.norm(covec) <= tol:
             raise gm.GermBuildError("defining form vanishes at a sample")
-        pairing = inp.beta.evaluate(p, [inp.line_field.eval(p)])
         if pairing <= 0:
             raise gm.GermBuildError("line field not positively transverse")
 
@@ -637,12 +633,10 @@ def walk_validate(inp, points, tol=1e-8):
 def walk_local_data(inp, points, tol=1e-10):
     ch = inp.beta.chart
     for i in range(1, ch.dim):
-        c = inp.beta.coeff((i,))
-        for p in points:
-            if abs(c.eval(p)) > tol:
-                raise gm.GermBuildError(
-                    "defining form has a leafwise component; chart is not "
-                    "adapted to the foliation")
+        if np.any(np.abs(inp.beta.coeff((i,)).compile()(points)) > tol):
+            raise gm.GermBuildError(
+                "defining form has a leafwise component; chart is not "
+                "adapted to the foliation")
     Lt = inp.line_field.components[0]
     return inp.beta.coeff((0,)), [inp.line_field.components[i] / Lt
                                   for i in range(1, ch.dim)]
@@ -655,13 +649,14 @@ def walk_invariance_probe(bundle, beta):
         (bundle.base_dim + d,): c.on_chart(total)
         for (d,), c in beta.coeffs.items()})
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total.dim))
-    return [max(max_coeff(fm.lie_derivative(bundle.lift(j), beta_tot), p)
-                for p in probe) for j in range(bundle.base_dim)]
+    return [float(np.max(max_coeffs(
+        fm.lie_derivative(bundle.lift(j), beta_tot), probe)))
+        for j in range(bundle.base_dim)]
 
 
 def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
     """parallel_transport as one solve_ivp per path segment and point, with
-    the lift evaluated one point at a time."""
+    the lift evaluated as a one-row batch at each stage."""
     verts = [np.asarray(v, dtype=float) for v in path]
     x = np.asarray(x0, dtype=float)
     if np.hypot(*x) >= bundle.radius:
@@ -671,12 +666,13 @@ def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
     escaped = False
     b = bundle.base_dim
     lift = compile_exprs(bundle.total_chart, tuple(
-        c.expr for c in bundle.lift_u + bundle.lift_v)).scalar
+        c.expr for c in bundle.lift_u + bundle.lift_v)).batch
     for P, Q in zip(verts[:-1], verts[1:]):
         p0, dp = P.tolist(), (Q - P).tolist()
 
         def rhs(t, y):
-            comps = lift(*[a + t * d for a, d in zip(p0, dp)], *y.tolist())
+            comps = lift([[*(a + t * d for a, d in zip(p0, dp)),
+                           *y.tolist()]])[0]
             return [sum(d * c for d, c in zip(dp, comps[:b])),
                     sum(d * c for d, c in zip(dp, comps[b:]))]
 
@@ -735,34 +731,31 @@ def walk_ccl_invariance(bundle, beta, count=8):
     angles = rng.uniform(0, 2 * np.pi, count)
     pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
-    def covec(p):
-        c = np.zeros(2)
-        for (i,), f in beta.coeffs.items():
-            c[i] = f.eval(p)
-        return c
-
-    worst, escapes, steps, nfev = 0.0, 0, 0, 0
+    kept, escapes, steps, nfev = [], 0, 0, 0
     for g in range(bundle.base_dim):
         for hs in walk_holonomy(bundle, g, pts):
             steps, nfev = steps + hs.steps, nfev + hs.nfev
             if hs.escaped or hs.jacobian is None:
                 escapes += 1
                 continue
-            resid = np.linalg.norm(hs.jacobian.T @ covec(np.array(hs.image))
-                                   - covec(np.array(hs.point)))
-            worst = max(worst, float(resid))
+            kept.append(hs)
+    worst = 0.0
+    if kept:
+        at_image = beta.coeff_array([hs.image for hs in kept])
+        at_point = beta.coeff_array([hs.point for hs in kept])
+        worst = max(float(np.linalg.norm(hs.jacobian.T @ b - a))
+                    for hs, b, a in zip(kept, at_image, at_point))
     return worst, escapes, steps, nfev
 
 
-def walk_form_matrix(w, p):
-    """M[i, j] = w(e_i, e_j), one evaluation per entry."""
+def walk_form_matrices(w, points):
+    """M[p, i, j] = w(e_i, e_j), one evaluation per entry over the points."""
     k = w.chart.dim
     eye = np.eye(k)
-    M = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            M[i, j] = w.evaluate(p, [eye[i], eye[j]])
-            M[j, i] = -M[i, j]
+    M = np.zeros((len(points), k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        M[:, i, j] = form_values(w, points, [eye[i], eye[j]])
+        M[:, j, i] = -M[:, i, j]
     return M
 
 
@@ -770,18 +763,20 @@ def walk_flat_structure(Y, points, tol=1e-8):
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
     tilde, _ = co.build_Vk(Y)
-    bases, memb, integ, cov = [], 0.0, 0.0, 0.0
-    for p in points:
-        M = walk_form_matrix(dlam, p)
+    bases = []
+    for M in walk_form_matrices(dlam, points):
         if sl.numeric_rank(M, tol) != 2:
             raise ValueError("non-generic singular structure")
         bases.append(null_space(M, rcond=tol).T)
-        for V in tilde:
-            memb = max(memb, max_coeff(fm.interior(V, dlam), p))
-            cov = max(cov, max_coeff(fm.lie_derivative(V, lam), p))
-        for Va, Vb in itertools.combinations(tilde, 2):
-            integ = max(integ, max_coeff(
-                fm.interior(lie_bracket(Va, Vb), dlam), p))
+
+    def worst(forms):
+        return max((float(np.max(max_coeffs(w, points))) for w in forms),
+                   default=0.0)
+
+    memb = worst(fm.interior(V, dlam) for V in tilde)
+    cov = worst(fm.lie_derivative(V, lam) for V in tilde)
+    integ = worst(fm.interior(lie_bracket(Va, Vb), dlam)
+                  for Va, Vb in itertools.combinations(tilde, 2))
     return {"kernel_bases": bases, "membership_residual": memb,
             "integrability_residual": integ,
             "covariant_constancy_residual": cov}
@@ -1504,10 +1499,10 @@ class TestRestriction:
         fiber = b.fiber_chart
         g = gm.build_singular_germ(b, fm.one_form(fiber, {
             "u": parse_field(fiber, "-v"), "v": parse_field(fiber, "u")}))
-        first = g.restricted()
-        assert g.restricted() is first and len(calls) == 1
+        first = g.restricted
+        assert g.restricted is first and len(calls) == 1
         flipped = dataclasses.replace(g, orientation=-1)
-        assert flipped.restricted() is not first and len(calls) == 2
+        assert flipped.restricted is not first and len(calls) == 2
 
     def test_once_per_germ_in_a_run(self, monkeypatch):
         calls = []
@@ -1588,17 +1583,15 @@ class TestFormMatrices:
         Y = graph(n, k, z=f"x1 * y{n} + sin(x{n}) * y{n}^2")
         dlam = fm.exterior_d(Y.lambda_form)
         pts = samples(Y, rng, 10)
-        got = fm.form_matrices(dlam, pts)
-        for M, p in zip(got, pts):
-            np.testing.assert_array_equal(M, walk_form_matrix(dlam, p))
+        np.testing.assert_array_equal(fm.form_matrices(dlam, pts),
+                                      walk_form_matrices(dlam, pts))
 
     def test_random_two_form(self, rng):
         ch = Chart(("a", "b", "c", "d", "e"))
         w = fm.exterior_d(random_one_form(ch, rng))
         pts = rng.uniform(-1, 1, (10, 5))
-        got = fm.form_matrices(w, pts)
-        for M, p in zip(got, pts):
-            np.testing.assert_array_equal(M, walk_form_matrix(w, p))
+        np.testing.assert_array_equal(fm.form_matrices(w, pts),
+                                      walk_form_matrices(w, pts))
 
     @pytest.mark.parametrize("point", [[0.3, 0.0, 0.0], [0.3, 0.1, -0.2],
                                        [0.0, 0.0, 1e-9]])
@@ -1606,10 +1599,10 @@ class TestFormMatrices:
         Y = generic_hypersurface(2)
         got = co.singular_normal_data(Y, point)
         lam = Y.lambda_form
-        if max_coeff(lam, point) > 1e-8:
+        if max_coeffs(lam, [point])[0] > 1e-8:
             assert got == {"singular": False, "tag": "not singular"}
             return
-        M = walk_form_matrix(fm.exterior_d(lam), point)
+        M = walk_form_matrices(fm.exterior_d(lam), [point])[0]
         val = M[Y.source_chart.index("x2"), Y.source_chart.index("y2")]
         assert got["rank"] == sl.numeric_rank(M, 1e-8)
         assert got["normal_value"] == val
@@ -1641,14 +1634,15 @@ class TestFormMatrices:
 
     def test_coorientation_sign(self):
         g = singular_germ()
-        base = g.restricted().chart
-        d = fm.exterior_d(g.restricted())
+        base = g.restricted.chart
+        d = fm.exterior_d(g.restricted)
         eye = np.eye(base.dim)
         i0, i1 = (base.index(v) for v in g.fiber_pair)
+        pts = [[0.0, 0.0, 0.0], [0.2, -0.1, 0.3]]
+        normal = form_values(d, pts, [eye[i0], eye[i1]])
         for flip in (1, -1):
             gf = dataclasses.replace(g, orientation=flip)
-            for p in ([0.0, 0.0, 0.0], [0.2, -0.1, 0.3]):
-                want = flip * d.evaluate(p, [eye[i0], eye[i1]])
+            for p, want in zip(pts, flip * normal):
                 assert gm.coorientation_sign(gf, p) == int(np.sign(want))
 
     def test_contact_hyperplane(self, rng):
@@ -1657,8 +1651,8 @@ class TestFormMatrices:
         for p in rng.uniform(-1, 1, (5, 5)):
             xi, omega = sl.contact_hyperplane(alpha, p)
             B = xi.basis
-            want = np.array([[dalpha.evaluate(p, [u, v]) for v in B]
-                             for u in B])
+            want = form_values(dalpha, [p] * len(B) ** 2, [
+                [u, v] for u in B for v in B]).reshape(len(B), len(B))
             np.testing.assert_allclose(omega.matrix, want, rtol=0,
                                        atol=1e-14)
 
@@ -1667,9 +1661,8 @@ class TestFormMatrices:
         Yp = co.perturb_legendrian(Y, parse_field(
             Y.source_chart, "0.1 * y1 * exp(0 - y1^2)"))
         pts = samples(Y, rng)
-        want = max(float(np.max(np.abs(Y.embedding.eval(p)
-                                       - Yp.embedding.eval(p))))
-                   for p in pts)
+        want = float(np.max(np.abs(values(Y.embedding.components, pts)
+                                   - values(Yp.embedding.components, pts))))
         assert close(co.perturbation_sup_norm(Y, Yp, pts), want)
 
 
@@ -1781,7 +1774,7 @@ class TestZeroDivisor:
         with pytest.raises(EvaluationError):
             co.residual_values(self.Y, pts)
         with pytest.raises(EvaluationError):
-            [walk_residuals(self.Y, p) for p in pts]
+            walk_residuals(self.Y, pts)
 
     def test_claim(self, rng):
         pts = self.points(rng)

@@ -11,7 +11,7 @@ from legfol.fields import CompiledExprs, parse_field
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
 
-from oracles import pushforward
+from oracles import pushforward, values
 
 
 class TestConstruction:
@@ -33,9 +33,11 @@ class TestConstruction:
         # lambda = dz - y1 dx1 - y2 dx2 = (x2 - y2) dx2 + y2 dy2
         p = [0.3, 0.8, -0.4]
         src = Y.source_chart
-        assert lam.coeff((src.index("x1"),)).eval(p) == 0.0
-        assert lam.coeff((src.index("x2"),)).eval(p) == pytest.approx(1.2)
-        assert lam.coeff((src.index("y2"),)).eval(p) == pytest.approx(-0.4)
+        c = lam.coeff_array([p])[0]  # dx1, dx2, dy2
+        assert src.var_names == src_names
+        assert c[0] == 0.0
+        assert c[1] == pytest.approx(1.2)
+        assert c[2] == pytest.approx(-0.4)
 
     @pytest.mark.parametrize("name", ["source_chart", "ambient", "embedding",
                                       "lambda_form"])
@@ -133,12 +135,11 @@ class TestCommutingFrame:
         alpha = co.standard_alpha(2)
         tilde, _ = co.build_Vk(Y)
         emb = Y.embedding
-        for p in rng.uniform(-0.9, 0.9, (10, 3)):
-            q = emb.eval(p)
-            covec = np.array([alpha.coeff((i,)).eval(q) for i in range(5)])
-            for Vt in tilde:
-                vec = pushforward(emb, Vt, p)
-                assert abs(covec @ vec) < 1e-10
+        pts = rng.uniform(-0.9, 0.9, (10, 3))
+        covecs = alpha.coeff_array(values(emb.components, pts))
+        for Vt in tilde:
+            pairing = np.einsum("pi,pi->p", covecs, pushforward(emb, Vt, pts))
+            assert np.max(np.abs(pairing)) < 1e-10
 
     def test_requires_standard_slice(self):
         Y = co.graph_submanifold(2, 3, free_y=(1,))
@@ -344,13 +345,14 @@ def test_clean_scan_assembles_no_rows(monkeypatch):
     """A scan with no fault evaluates the generated function on the grid's
     columns: the default grid of every bundled scan graph makes no call to
     CompiledExprs.batch, which assembles an (N, m) array of rows."""
+    Y = co.legendrian_model(2)
+    bump = parse_field(Y.source_chart, "0.1 * y1 * exp(0 - y1^2)")
+    targets = (Y, hypersurface(2, "(x2^2 + y2^2) / 2"),
+               co.perturb_legendrian(Y, bump))
     calls = []
     monkeypatch.setattr(CompiledExprs, "batch",
                         lambda self, points: calls.append(len(points)))
-    Y = co.legendrian_model(2)
-    bump = parse_field(Y.source_chart, "0.1 * y1 * exp(0 - y1^2)")
-    for target in (Y, hypersurface(2, "(x2^2 + y2^2) / 2"),
-                   co.perturb_legendrian(Y, bump)):
+    for target in targets:
         assert co.singular_scan(target).hits.shape[1] == 3
     assert calls == []
 

@@ -1,6 +1,7 @@
-"""The compiled evaluation, over a batch of points and at one point, against
-a recursive tree walk on ``math``, which is the reference, and against sympy
-as a second oracle."""
+"""The compiled batch evaluation, over N rows and over one row, against a
+recursive tree walk on ``math``, which is the reference, and against sympy as
+a second oracle.  A row evaluated alone fails with the reason that an N-row
+batch gives for it."""
 
 import math
 import warnings
@@ -14,11 +15,11 @@ from legfol import forms as fm
 from legfol.fields import (
     Add,
     Chart,
+    CompiledExprs,
     Const,
     Cos,
     EvaluationError,
     Exp,
-    ExprField,
     Mul,
     Pow,
     Sin,
@@ -130,6 +131,20 @@ def walk(expr, point, chart=XY):
     return value if math.isfinite(value) else None
 
 
+def fault(compiled, points) -> str:
+    """The EvaluationError text of a batch over points."""
+    with pytest.raises(EvaluationError) as got:
+        compiled.batch(points)
+    return str(got.value)
+
+
+def alone(compiled, points, i) -> str:
+    """Row i's fault evaluated alone, numbered as row i of the batch."""
+    text = fault(compiled, [points[i]])
+    assert text.startswith("row 0, ")
+    return f"row {i}, {text[len('row 0, '):]}"
+
+
 def assert_close(got, expr, point):
     want, scale = magnitude(expr, dict(zip(("x", "y"), point)))
     assert abs(got - want) <= REL * max(abs(want), scale), (got, want)
@@ -173,23 +188,19 @@ POINTS = st.lists(st.tuples(COORD, COORD), min_size=1, max_size=5)
 class TestAgainstTreeWalk:
     @given(TEXTS, POINTS)
     @settings(max_examples=300)
-    def test_batch_and_scalar_match_walk(self, text, points):
+    def test_batch_matches_walk(self, text, points):
         expr = parse_expr(text)
-        field = ExprField(XY, expr)
         compiled = compile_exprs(XY, (expr,))
         expected = [walk(expr, p) for p in points]
         for p, want in zip(points, expected):
             if want is None:
                 with pytest.raises(EvaluationError):
-                    compiled.scalar(*p)
-                with pytest.raises(EvaluationError):
-                    field.eval(p)
+                    compiled.batch([p])
             else:
-                assert_close(compiled.scalar(*p)[0], expr, p)
-                assert field.eval(p) == compiled.scalar(*p)[0]
-        if any(w is None for w in expected):
-            with pytest.raises(EvaluationError):
-                compiled.batch(points)
+                assert_close(compiled.batch([p])[0, 0], expr, p)
+        bad = [i for i, want in enumerate(expected) if want is None]
+        if bad:
+            assert fault(compiled, points) == alone(compiled, points, bad[0])
         else:
             for p, got in zip(points, compiled.batch(points)[:, 0]):
                 assert_close(got, expr, p)
@@ -230,26 +241,28 @@ class TestAgainstTreeWalk:
 
 
 class TestErrors:
+    OVERFLOW_REASONS = {"exp(x)": "exp overflow", "x^400": "power overflow",
+                        "1 / x^400": "power overflow",
+                        "sin(x*x*x*x)": "non-finite value",  # sin(inf)
+                        "1 / cos(x*x*x*x)": "non-finite value"}
+
     @pytest.mark.parametrize("text, point", [
         ("exp(x)", [1000.0, 0.0]),
         ("x^400", [10.0, 0.0]),
         ("1 / x^400", [10.0, 0.0]),
-        ("sin(x*x*x*x)", [1e80, 0.0]),  # sin(inf)
+        ("sin(x*x*x*x)", [1e80, 0.0]),
         ("1 / cos(x*x*x*x)", [1e80, 0.0]),
     ])
     def test_overflow_raises_without_warning(self, text, point):
-        field = parse_field(XY, text)
-        compiled = compile_exprs(XY, (field.expr,))
+        reason = self.OVERFLOW_REASONS[text]
+        compiled = compile_exprs(XY, (parse_expr(text),))
+        pts = [[1.0, 0.0], point, [1.0, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert walk(field.expr, point) is None
-            with pytest.raises(EvaluationError):
-                field.eval(point)
-            with pytest.raises(EvaluationError) as one_point:
-                compiled.scalar(*point)
-            with pytest.raises(EvaluationError) as one_row:
-                compiled.batch([point])
-        assert str(one_row.value) == f"row 0, point {point}: {one_point.value}"
+            assert walk(parse_expr(text), point) is None
+            assert fault(compiled, [point]) == \
+                f"row 0, point {point}: {reason}"
+            assert fault(compiled, pts) == alone(compiled, pts, 1)
 
     @pytest.mark.parametrize("text", ["0^-1", "10^400", "x + (0 * 3)^-2",
                                       "exp(-(1e100)^4)"])
@@ -260,21 +273,20 @@ class TestErrors:
         assert any(isinstance(e, Pow) and isinstance(e.base, Const)
                    for e in subtrees(field.expr))
         compiled = compile_exprs(XY, (field.expr,))
-        assert walk(field.expr, [0.5, 0.0]) is None
-        with pytest.raises(EvaluationError):
-            field.eval([0.5, 0.0])
-        with pytest.raises(EvaluationError):
-            compiled.scalar(0.5, 0.0)
-        with pytest.raises(EvaluationError, match="row 0"):
-            compiled.batch([[0.5, 0.0], [1.0, 1.0]])
+        pts = [[0.5, 0.0], [1.0, 1.0]]
+        assert walk(field.expr, pts[0]) is None
+        assert fault(compiled, pts) == alone(compiled, pts, 0) == \
+            "row 0, point [0.5, 0.0]: power overflow"
 
     @pytest.mark.parametrize("base, k", [(0.0, -1), (-0.0, -3), (10.0, 400)])
     def test_constant_base_power_in_both_bindings(self, base, k):
+        # The base is a plain float in the generated code, in a one-row
+        # batch and in an N-row batch alike.
         compiled = compile_exprs(XY, (Pow(Const(base), k),))
-        with pytest.raises(EvaluationError):
-            compiled.scalar(1.0, 2.0)
-        with pytest.raises(EvaluationError, match="row 0"):
-            compiled.batch([[1.0, 2.0]])
+        assert fault(compiled, [[1.0, 2.0]]) == \
+            "row 0, point [1.0, 2.0]: power overflow"
+        assert fault(compiled, [[1.0, 2.0], [3.0, 4.0]]) == \
+            "row 0, point [1.0, 2.0]: power overflow"
 
     def test_finite_constant_powers_still_fold(self):
         assert parse_expr("2^3") == Const(8.0)
@@ -288,21 +300,16 @@ class TestErrors:
         field = parse_field(XY, "exp(-1/(x-x))")
         compiled = compile_exprs(XY, (field.expr,))
         assert walk(field.expr, [0.5, 0.0]) is None
-        with pytest.raises(EvaluationError):
-            field.eval([0.5, 0.0])
-        with pytest.raises(EvaluationError):
-            compiled.scalar(0.5, 0.0)
-        with pytest.raises(EvaluationError, match="row 0"):
-            compiled.batch([[0.5, 0.0]])
+        assert fault(compiled, [[0.5, 0.0]]) == \
+            "row 0, point [0.5, 0.0]: division by zero"
 
     @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]])
     def test_wrong_point_length(self, point):
         # Chart.reduce refuses such a point too.
-        with pytest.raises(ValueError, match="chart dim is 2"):
-            parse_field(XY, "x + y").eval(point)
-        with pytest.raises(ValueError, match="chart dim is 2"):
-            fm.one_form(XY, {"x": parse_field(XY, "y")}).evaluate(
-                point, [[1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
+            parse_field(XY, "x + y").compile()([point])
+        with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
+            fm.one_form(XY, {"x": parse_field(XY, "y")}).coeff_array([point])
 
     def test_batch_names_first_bad_row(self):
         # The division is checked before the exponential, and fails on a
@@ -317,16 +324,23 @@ class TestErrors:
         # sin(inf) is NaN, and fails only at the output.
         compiled = compile_exprs(XY, (parse_expr("sin(x*x*x*x) + 1/y"),))
         pts = [[1e80, 1.0], [0.0, 0.0]]
-        with pytest.raises(EvaluationError) as got:
-            compiled.batch(pts)
-        assert str(got.value) == "row 0, point [1e+80, 1.0]: non-finite value"
-        for p in pts:
-            with pytest.raises(EvaluationError) as one_row:
-                compiled.batch([p])
-            with pytest.raises(EvaluationError) as one_point:
-                compiled.scalar(*p)
-            assert str(one_row.value) == \
-                f"row 0, point {p}: {one_point.value}"
+        assert fault(compiled, pts) == alone(compiled, pts, 0) == \
+            "row 0, point [1e+80, 1.0]: non-finite value"
+        assert alone(compiled, pts, 1) == \
+            "row 1, point [0.0, 0.0]: division by zero"
+
+    @pytest.mark.parametrize("text, reason", [
+        ("1/x", "division by zero"), ("exp(1000 + x)", "exp overflow")])
+    def test_one_row_batch_names_row_0(self, text, reason, monkeypatch):
+        # The search for the failing row calls the generated function one
+        # row at a time; it never re-enters batch.
+        compiled = compile_exprs(XY, (parse_expr(text),))
+        calls, real = [], CompiledExprs.batch
+        monkeypatch.setattr(CompiledExprs, "batch", lambda self, points: (
+            calls.append(len(points)) or real(self, points)))
+        assert fault(compiled, [[0.0, 0.0]]) == \
+            f"row 0, point [0.0, 0.0]: {reason}"
+        assert calls == [1]
 
     def test_non_finite_output_names_row(self):
         field = parse_field(XY, "x * 1e300 * 1e300")
@@ -366,7 +380,7 @@ class TestCompiler:
         for p, row in zip(pts, batch):
             reduced = ch.reduce(p)
             assert row[:3].tolist() == reduced.tolist()
-            assert list(compiled.scalar(*p))[:3] == reduced.tolist()
+            assert compiled.batch([p])[0, :3].tolist() == reduced.tolist()
             assert row[3] == pytest.approx(walk(exprs[3], p, ch), rel=1e-12)
 
 

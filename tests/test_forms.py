@@ -1,6 +1,6 @@
-"""Differential forms: evaluation convention, wedge against the shuffle-sum
-oracle, exterior derivative identities, interior products, Lie derivatives
-against a flow-pullback oracle, and pullbacks."""
+"""Differential forms: the determinant convention, wedge against the
+shuffle-sum oracle, exterior derivative identities, interior products, Lie
+derivatives against a flow-pullback oracle, and pullbacks."""
 
 import itertools
 import math
@@ -18,6 +18,8 @@ from legfol.fields import (
     parse_field,
     vector_field,
 )
+
+from oracles import form_values, values
 
 XYZ = Chart(("x", "y", "z"))
 ABCD = Chart(("a", "b", "c", "d"))
@@ -39,13 +41,18 @@ def random_form(chart, degree, rng, terms=3):
     return out
 
 
+def at(omega, point, vectors):
+    """omega at one point on vectors, by the determinant convention."""
+    return form_values(omega, [point], vectors)[0]
+
+
 def eval_oracle(omega, point, vectors):
     """Evaluate by the alternating sum over permutations of coefficient
     products, one coordinate slot at a time."""
     k = omega.degree
     total = 0.0
     for idx, coeff in omega.coeffs.items():
-        c = coeff.eval(point)
+        c = coeff.compile()([point])[0]
         for perm in itertools.permutations(range(k)):
             sign = _perm_sign(perm)
             prod = 1.0
@@ -68,8 +75,8 @@ class TestEvaluation:
         w = fm.wedge(fm.one_form(XYZ, {"x": 1.0}),
                      fm.one_form(XYZ, {"y": 1.0}))
         e = np.eye(3)
-        assert w.evaluate([0, 0, 0], [e[0], e[1]]) == 1.0
-        assert w.evaluate([0, 0, 0], [e[1], e[0]]) == -1.0
+        assert at(w, [0, 0, 0], [e[0], e[1]]) == 1.0
+        assert at(w, [0, 0, 0], [e[1], e[0]]) == -1.0
 
     def test_matches_permutation_oracle(self, rng):
         for degree in (1, 2, 3):
@@ -77,15 +84,15 @@ class TestEvaluation:
                 w = random_form(ABCD, degree, rng)
                 p = rng.uniform(-1, 1, 4)
                 vecs = rng.uniform(-1, 1, (degree, 4))
-                assert w.evaluate(p, vecs) == pytest.approx(
+                assert at(w, p, vecs) == pytest.approx(
                     eval_oracle(w, p, vecs), rel=1e-10, abs=1e-10)
 
     def test_antisymmetry_in_arguments(self, rng):
         w = random_form(ABCD, 2, rng)
         p = rng.uniform(-1, 1, 4)
         u, v = rng.uniform(-1, 1, (2, 4))
-        assert w.evaluate(p, [u, v]) == pytest.approx(
-            -w.evaluate(p, [v, u]), rel=1e-10, abs=1e-12)
+        assert at(w, p, [u, v]) == pytest.approx(
+            -at(w, p, [v, u]), rel=1e-10, abs=1e-12)
 
 
 class TestWedge:
@@ -100,10 +107,10 @@ class TestWedge:
             for I in itertools.combinations(range(dp + dq), dp):
                 J = tuple(i for i in range(dp + dq) if i not in I)
                 sign = _perm_sign(I + J)
-                total += sign * w.evaluate(p, [vecs[i] for i in I]) \
-                    * t.evaluate(p, [vecs[j] for j in J])
-            assert wt.evaluate(p, vecs) == pytest.approx(total, rel=1e-9,
-                                                         abs=1e-9)
+                total += sign * at(w, p, [vecs[i] for i in I]) \
+                    * at(t, p, [vecs[j] for j in J])
+            assert at(wt, p, vecs) == pytest.approx(total, rel=1e-9,
+                                                    abs=1e-9)
 
     def test_graded_commutativity(self, rng):
         w = random_form(ABCD, 1, rng)
@@ -112,8 +119,8 @@ class TestWedge:
         rhs = fm.wedge(t, w)
         p = rng.uniform(-1, 1, 4)
         vecs = rng.uniform(-1, 1, (3, 4))
-        assert lhs.evaluate(p, vecs) == pytest.approx(
-            (-1) ** (1 * 2) * rhs.evaluate(p, vecs), rel=1e-10, abs=1e-10)
+        assert at(lhs, p, vecs) == pytest.approx(
+            (-1) ** (1 * 2) * at(rhs, p, vecs), rel=1e-10, abs=1e-10)
 
     def test_overflow_degree(self):
         w = fm.one_form(XYZ, {"x": 1.0})
@@ -139,15 +146,15 @@ class TestExteriorDerivative:
         rhs = fm.wedge(fm.exterior_d(w), t) - fm.wedge(w, fm.exterior_d(t))
         p = rng.uniform(-1, 1, 4)
         vecs = rng.uniform(-1, 1, (3, 4))
-        assert lhs.evaluate(p, vecs) == pytest.approx(
-            rhs.evaluate(p, vecs), rel=1e-9, abs=1e-9)
+        assert at(lhs, p, vecs) == pytest.approx(
+            at(rhs, p, vecs), rel=1e-9, abs=1e-9)
 
     def test_d_of_function_is_gradient(self):
         f = parse_field(XYZ, "x^2*y + sin(z)")
         df = fm.exterior_d(fm.function_form(f))
         p = [0.5, -1.0, 0.3]
-        grad = [f.diff(v).eval(p) for v in XYZ.var_names]
-        assert np.allclose([df.coeff((i,)).eval(p) for i in range(3)], grad)
+        grad = values([f.diff(v) for v in XYZ.var_names], [p])[0]
+        assert np.allclose(df.coeff_array([p])[0], grad)
 
 
 class TestInterior:
@@ -157,8 +164,8 @@ class TestInterior:
         iw = fm.interior(V, w)
         p = rng.uniform(-1, 1, 4)
         u = rng.uniform(-1, 1, 4)
-        assert iw.evaluate(p, [u]) == pytest.approx(
-            w.evaluate(p, [V.eval(p), u]), rel=1e-10, abs=1e-10)
+        assert at(iw, p, [u]) == pytest.approx(
+            at(w, p, [values(V.components, [p])[0], u]), rel=1e-10, abs=1e-10)
 
     def test_antiderivation(self, rng):
         w = random_form(ABCD, 1, rng)
@@ -169,31 +176,27 @@ class TestInterior:
         rhs = fm.wedge(fm.interior(V, w), t) - fm.wedge(w, fm.interior(V, t))
         p = rng.uniform(-1, 1, 4)
         u = rng.uniform(-1, 1, 4)
-        assert lhs.evaluate(p, [u]) == pytest.approx(
-            rhs.evaluate(p, [u]), rel=1e-9, abs=1e-9)
+        assert at(lhs, p, [u]) == pytest.approx(
+            at(rhs, p, [u]), rel=1e-9, abs=1e-9)
 
 
 def flow_pullback_value(V, omega, point, vectors, t):
     """(Phi_t^* omega) at `point` on `vectors`, with the flow integrated
-    numerically and its derivative taken by finite differences."""
+    numerically and its derivative taken by finite differences: the point
+    and its 2 dim offsets flow together, as one system."""
     dim = omega.chart.dim
+    h = 1e-5
+    steps = h * np.eye(dim)
+    starts = np.asarray(point, dtype=float) + np.vstack(
+        [np.zeros(dim), steps, -steps])
 
     def rhs(_, y):
-        return V.eval(y)
+        return values(V.components, y.reshape(-1, dim)).ravel()
 
-    def flow(q):
-        sol = solve_ivp(rhs, (0, t), np.asarray(q, dtype=float),
-                        rtol=1e-11, atol=1e-12, dense_output=False)
-        return sol.y[:, -1]
-
-    h = 1e-5
-    base = np.asarray(point, dtype=float)
-    J = np.zeros((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        J[:, j] = (flow(base + e) - flow(base - e)) / (2 * h)
-    return omega.evaluate(flow(base), [J @ v for v in vectors])
+    ends = solve_ivp(rhs, (0, t), starts.ravel(), rtol=1e-11, atol=1e-12
+                     ).y[:, -1].reshape(-1, dim)
+    J = (ends[1:dim + 1] - ends[dim + 1:]).T / (2 * h)
+    return at(omega, ends[0], [J @ v for v in vectors])
 
 
 class TestLieDerivative:
@@ -206,8 +209,8 @@ class TestLieDerivative:
             + fm.exterior_d(fm.interior(V, w))
         p = rng.uniform(-1, 1, 4)
         vecs = rng.uniform(-1, 1, (2, 4))
-        assert lhs.evaluate(p, vecs) == pytest.approx(
-            rhs.evaluate(p, vecs), rel=1e-9, abs=1e-9)
+        assert at(lhs, p, vecs) == pytest.approx(
+            at(rhs, p, vecs), rel=1e-9, abs=1e-9)
 
     def test_flow_pullback_oracle(self, rng):
         w = random_form(XYZ, 1, rng)
@@ -220,15 +223,15 @@ class TestLieDerivative:
         plus = flow_pullback_value(V, w, p, vecs, t)
         minus = flow_pullback_value(V, w, p, vecs, -t)
         numeric = (plus - minus) / (2 * t)
-        assert ld.evaluate(p, vecs) == pytest.approx(numeric, rel=1e-5,
-                                                     abs=1e-6)
+        assert at(ld, p, vecs) == pytest.approx(numeric, rel=1e-5,
+                                                abs=1e-6)
 
     def test_function_case(self):
         f = fm.function_form(parse_field(XYZ, "x*y"))
         V = vector_field(XYZ, [1.0, 2.0, 0.0])
         ld = fm.lie_derivative(V, f)
         p = [0.3, 0.7, 0.0]
-        assert ld.coeff(()).eval(p) == pytest.approx(0.7 + 2 * 0.3)
+        assert ld.coeff_array([p])[0, 0] == pytest.approx(0.7 + 2 * 0.3)
 
 
 class TestPullback:
@@ -245,8 +248,8 @@ class TestPullback:
         rhs = fm.exterior_d(fm.pullback(phi, w))
         p = [0.8, 1.2]
         vecs = rng.uniform(-1, 1, (2, 2))
-        assert lhs.evaluate(p, vecs) == pytest.approx(
-            rhs.evaluate(p, vecs), rel=1e-9, abs=1e-9)
+        assert at(lhs, p, vecs) == pytest.approx(
+            at(rhs, p, vecs), rel=1e-9, abs=1e-9)
 
     def test_area_form_in_polar(self):
         phi = self.polar()
@@ -256,7 +259,7 @@ class TestPullback:
         # dx ^ dy pulls back to r dr ^ dt
         p = [0.7, 0.4]
         e = np.eye(2)
-        assert pulled.evaluate(p, [e[0], e[1]]) == pytest.approx(0.7)
+        assert at(pulled, p, [e[0], e[1]]) == pytest.approx(0.7)
 
     def test_functoriality(self, rng):
         rt = Chart(("r", "t"))
@@ -267,11 +270,13 @@ class TestPullback:
         phi = self.polar()
         w = random_form(XYZ, 1, rng)
         lhs = fm.pullback(psi, fm.pullback(phi, w))
-        rhs = fm.pullback(phi.compose(psi), w)
+        composite = SmoothMapExpr(psi.source, phi.target, tuple(
+            psi.compose_field(c) for c in phi.components))
+        rhs = fm.pullback(composite, w)
         p = [0.3]
         v = [[1.0]]
-        assert lhs.evaluate(p, v) == pytest.approx(rhs.evaluate(p, v),
-                                                   rel=1e-9, abs=1e-9)
+        assert at(lhs, p, v) == pytest.approx(at(rhs, p, v),
+                                              rel=1e-9, abs=1e-9)
 
 
 class TestContractionMatrix:
@@ -290,7 +295,7 @@ class TestContractionMatrix:
         from scipy.linalg import null_space
         for v in null_space(M, rcond=1e-12).T:
             u = rng.uniform(-1, 1, 4)
-            assert w.evaluate(p, [v, u]) == pytest.approx(0.0, abs=1e-9)
+            assert at(w, p, [v, u]) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestContactTopForm:
@@ -305,5 +310,5 @@ class TestContactTopForm:
                 alpha = alpha + fm.one_form(
                     ch, {f"x{i}": -coordinate(ch, f"y{i}")})
             top = fm.wedge(alpha, fm.wedge_power(fm.exterior_d(alpha), n))
-            val = top.coeff(tuple(range(ch.dim))).eval(np.zeros(ch.dim))
+            val = top.coeff_array([np.zeros(ch.dim)])[0, 0]
             assert abs(val) == pytest.approx(math.factorial(n))

@@ -56,7 +56,7 @@ class TestNonsingular:
     def test_zero_section_restriction(self, rng):
         inp = make_input(2, "2 + sin(x1)", ["x2", "0"])
         g = gm.build_nonsingular_germ(inp)
-        base = g.restricted().chart
+        base = g.restricted.chart
         expected = fm.one_form(base, {"t": parse_field(base, "2 + sin(x1)")})
         pts = rng.uniform(-0.9, 0.9, (20, base.dim))
         res = gm.zero_section_foliation_check(g, expected, pts)
@@ -98,7 +98,7 @@ class TestSingular:
 
     def test_zero_section_is_fiber_form(self, rng):
         g, _ = singular_pair()
-        base = g.restricted().chart
+        base = g.restricted.chart
         expected = fm.one_form(base, {"u": -coordinate(base, "v"),
                                       "v": coordinate(base, "u")})
         pts = rng.uniform(-0.9, 0.9, (20, base.dim))
@@ -204,7 +204,7 @@ class TestSingularMemo:
 class TestInterpolation:
     def test_matched_pencil_passes(self, rng):
         g0, g1 = singular_pair()
-        base = g0.restricted().chart
+        base = g0.restricted.chart
         expected = fm.one_form(base, {"u": -coordinate(base, "v"),
                                       "v": coordinate(base, "u")})
         pts = gm.scan_points(g0, rng, 40)
@@ -215,7 +215,7 @@ class TestInterpolation:
     def test_flipped_orientation_refused(self, rng):
         g0, g1 = singular_pair()
         flipped = dataclasses.replace(g1, orientation=-1)
-        base = g0.restricted().chart
+        base = g0.restricted.chart
         expected = fm.one_form(base, {"u": -coordinate(base, "v"),
                                       "v": coordinate(base, "u")})
         pts = gm.scan_points(g0, rng, 40)
@@ -230,7 +230,7 @@ class TestInterpolation:
                               {"u": parse_field(b.fiber_chart, "-2*v"),
                                "v": parse_field(b.fiber_chart, "2*u")})
         g2 = gm.build_singular_germ(b, doubled)
-        base = g0.restricted().chart
+        base = g0.restricted.chart
         expected = fm.one_form(base, {"u": -coordinate(base, "v"),
                                       "v": coordinate(base, "u")})
         pts = gm.scan_points(g0, rng, 40)

@@ -105,9 +105,9 @@ class TestInterning:
         assert Const(nan) is not Const(nan)
 
     def test_compile_cache_keeps_the_sign_of_zero(self):
-        neg = compile_exprs(XY, (Const(-0.0),)).scalar(1.0, 2.0)
-        pos = compile_exprs(XY, (Const(0.0),)).scalar(1.0, 2.0)
-        assert [math.copysign(1.0, v) for v in neg + pos] == [-1.0, 1.0]
+        neg = compile_exprs(XY, (Const(-0.0),)).batch([[1.0, 2.0]])[0, 0]
+        pos = compile_exprs(XY, (Const(0.0),)).batch([[1.0, 2.0]])[0, 0]
+        assert [math.copysign(1.0, v) for v in (neg, pos)] == [-1.0, 1.0]
 
     def test_dead_nodes_leave_the_table(self):
         gc.collect()
@@ -151,8 +151,8 @@ class TestInterning:
         swapped = e.subs({"x": Var("y")})
         assert swapped.variables() == {"y"}
         ch = Chart(("x", "y"))
-        assert compile_exprs(ch, (dx,)).scalar(0.5, 1.0) == (1.0,)
-        assert ExprField(ch, swapped).eval([0.0, 0.0]) \
+        assert compile_exprs(ch, (dx,)).batch([[0.5, 1.0]]).tolist() == [[1.0]]
+        assert ExprField(ch, swapped).compile()([[0.0, 0.0]])[0] \
             == pytest.approx(depth)
 
 

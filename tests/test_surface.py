@@ -1,5 +1,7 @@
 """The library surface: every public module-level function or class of
-legfol is used inside the package, or is listed here with its reason.
+legfol, and every public method of a public class, is used inside the
+package, or is listed here with its reason.  A method counts as used when
+its name is read as an attribute outside its own definition.
 
 A name that only tests call is dead weight unless it is an oracle that tests
 compare the package with, a statement of the paper that waits to become a
@@ -24,6 +26,8 @@ LIBRARY_ONLY = {
     "coiso.singular_normal_data": "paper: the generic singular normal form",
     "bundle.extract_flat_structure": "paper: the flat disk bundle read off "
                                      "a singular coisotropic graph",
+    "symplin.LinSubspace.equals": "oracle: the subspace comparison that "
+                                  "batched kernel bases are held to",
 }
 
 
@@ -36,18 +40,24 @@ def library_only_names() -> set[str]:
                 uses.setdefault(node.id, []).append((module, node.lineno))
             elif isinstance(node, ast.Attribute):
                 uses.setdefault(node.attr, []).append((module, node.lineno))
+
+    def public(body):
+        return [node for node in body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+
     unused = set()
     for module, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
-                continue
-            outside = [
-                (m, line) for m, line in uses.get(node.name, [])
-                if m != module
-                or not node.lineno <= line <= node.end_lineno]
-            if not outside:
-                unused.add(f"{module}.{node.name}")
+        for node in public(tree.body):
+            named = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                named += [(f"{module}.{node.name}.{m.name}", m)
+                          for m in public(node.body)]
+            for name, defn in named:
+                if not any(m != module
+                           or not defn.lineno <= line <= defn.end_lineno
+                           for m, line in uses.get(defn.name, [])):
+                    unused.add(name)
     return unused
 
 
