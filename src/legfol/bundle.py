@@ -711,7 +711,7 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     tilde, _ = co.build_Vk(Y)
     k = Y.source_chart.dim
     M = fm.form_matrices(dlam, points)
-    if np.any(sl.numeric_rank(M, tol) != 2):
+    if np.any(sl.skew_rank(M, tol) != 2):
         raise ValueError("non-generic singular structure")
 
     src = Y.source_chart

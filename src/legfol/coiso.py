@@ -533,7 +533,7 @@ def char_foliation_form(Y: GraphSubmanifold,
     S = P @ fm.form_matrices(fm.exterior_d(lam), pts) @ P.transpose(0, 2, 1)
     # exactly skew: a principal minor's det is then Pf^2 up to rounding
     S = (S - S.transpose(0, 2, 1)) / 2
-    kernel_dims = (k - 1) - sl.numeric_rank(S, tol)
+    kernel_dims = (k - 1) - sl.skew_rank(S, tol)
     max_residual = 0.0
     deg = 2 * (k - n)
     if len(pts) and deg <= k - 1:
@@ -620,7 +620,7 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
     src = Y.source_chart
     k = src.dim
     M = fm.form_matrices(fm.exterior_d(lam), [point])[0]
-    rank = int(sl.numeric_rank(M, tol))
+    rank = sl.skew_rank(M, tol)
     if normal_pair is None:
         normal_pair = (f"x{Y.n}", f"y{Y.free_y[-1]}")
     i0, j0 = src.index(normal_pair[0]), src.index(normal_pair[1])

@@ -62,19 +62,6 @@ class Chart:
                 f"variable {name!r} not in chart {self.var_names}"
             ) from None
 
-    def reduce(self, point: Sequence[float]) -> np.ndarray:
-        """Reduce periodic coordinates modulo their period."""
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            raise ValueError(f"point has shape {p.shape}, chart dim is {self.dim}")
-        if all(per is None for per in self.periods):
-            return p
-        out = p.copy()
-        for i, per in enumerate(self.periods):
-            if per is not None:
-                out[i] = out[i] % per
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Expression nodes
@@ -471,9 +458,9 @@ class CompiledExprs:
     """Expressions on one chart, compiled to one generated function.
 
     ``batch`` evaluates an ``(N, dim)`` point array with numpy ufuncs and
-    returns ``(N, len(exprs))``, reducing periodic coordinates like
-    ``Chart.reduce``.  It raises EvaluationError naming the first row that
-    fails, its point and the reason.
+    returns ``(N, len(exprs))``, reducing periodic coordinates modulo their
+    period.  It raises EvaluationError naming the first row that fails, its
+    point and the reason.
 
     ``columns`` is the bare generated function: one array per coordinate
     in, one array (or float, for a constant) per expression out.  It raises
@@ -502,21 +489,22 @@ class CompiledExprs:
                 values = self.columns(*np.ascontiguousarray(pts.T))
         except RowError as exc:
             # exc.row failed the first check that failed anywhere; an earlier
-            # row may fail a later check.  One-row calls find the first
-            # failing row and say why it fails, as the tree walk would.
-            row, reason = exc.row, str(exc)
+            # row may fail a later check.  Rows are evaluated independently,
+            # so a prefix of the rows fails iff one of its rows does: bisect
+            # for the shortest failing prefix, then say why its last row
+            # fails alone, as the tree walk would.
+            lo, hi = 0, exc.row + 1
             with np.errstate(all="ignore"):
-                for i in range(exc.row + 1):
-                    try:
-                        values = self.columns(*pts[i:i + 1].T)
-                    except RowError as err:
-                        row, reason = i, str(err)
-                        break
-                    if not all(np.isfinite(v).all() for v in values):
-                        row, reason = i, "non-finite value"
-                        break
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if self._fault(pts[:mid]) is None:
+                        lo = mid
+                    else:
+                        hi = mid
+                reason = self._fault(pts[hi - 1:hi])
             raise EvaluationError(
-                f"row {row}, point {pts[row].tolist()}: {reason}") from None
+                f"row {hi - 1}, point {pts[hi - 1].tolist()}: {reason}"
+            ) from None
         out = np.empty((len(pts), len(values)))
         for j, v in enumerate(values):
             out[:, j] = v
@@ -525,6 +513,17 @@ class CompiledExprs:
             raise EvaluationError(
                 f"row {row}, point {pts[row].tolist()}: non-finite value")
         return out
+
+    def _fault(self, pts: np.ndarray) -> Optional[str]:
+        """Why some row of pts fails, or None if every row evaluates to
+        finite values; call under np.errstate(all="ignore")."""
+        try:
+            values = self.columns(*np.ascontiguousarray(pts.T))
+        except RowError as err:
+            return str(err)
+        if not all(np.isfinite(v).all() for v in values):
+            return "non-finite value"
+        return None
 
 
 @functools.lru_cache(maxsize=512)

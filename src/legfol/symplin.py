@@ -1,9 +1,11 @@
 """Pointwise symplectic and contact linear algebra.
 
 Subspaces are given by explicit bases; equality and containment are rank tests
-on row-normalized stacked bases. Ranks and null spaces come from SVD,
-deterministic for a fixed input ordering; a covector's kernel basis has a
-closed form, one Householder reflector.
+on row-normalized stacked bases, by SVD. Null spaces come from SVD too,
+deterministic for a fixed input ordering. Ranks of 2-form matrices come from a
+certified skew elimination that falls back to the SVD only where its bounds
+leave the count open, and a covector's kernel basis has a closed form, one
+Householder reflector.
 """
 
 from __future__ import annotations
@@ -41,16 +43,89 @@ def _rank(A: np.ndarray, tol: float = TOL) -> int:
     return int(stacked_rank(A[None], tol)[0])
 
 
-def numeric_rank(M: np.ndarray, tol: float) -> np.ndarray:
-    """Rank of a matrix, or of each matrix in an (N, r, c) stack.
+def skew_rank(S: np.ndarray, tol: float):
+    """Rank of a skew matrix, or of each matrix in an (N, m, m) skew stack.
 
-    One batched SVD; singular values count above tol * max(1, largest
-    |entry| of that matrix).
+    The rank is the SVD count: singular values above thr = tol * max(1,
+    max |S|) of that matrix.  It comes from a skew elimination, certified
+    matrix by matrix; only matrices the certificate leaves open go through
+    one batched SVD.  The input must be exactly skew, S == -S^T.
+
+    Elimination.  Step s takes the largest |A_ij| of the current matrix A as
+    its pivot p (complete pivoting) and, if |p| > thr, applies the rank-2
+    Schur update A += (a_j a_i^T - a_i a_j^T) / p, with a_i column i: it
+    zeroes rows and columns i and j and keeps A exactly skew in floating
+    point.  A matrix whose pivot is at most thr stops; after m // 2 steps
+    or a stop, r accepted pivots give the candidate rank 2r, and delta is
+    the largest |entry| left (the rejected pivot, or 0).
+
+    Certificate.  In exact arithmetic, permuting the pivot pairs first,
+    S = L D L^T with L unit lower triangular, D = blockdiag(p_1 J, ...,
+    p_r J, R), J = [[0, 1], [-1, 0]] and R the (m - 2r)-square remainder.
+    The multipliers A_kj / p and A_ki / p are at most 1 in magnitude.
+    - S = L diag(D_r, 0) L^T + diag(0, R), the first term of rank 2r, so
+      sigma_{2r+1} <= |R|_2 <= (m - 2r) delta.
+    - |(L^-1)_kl| <= 2^(k-l-1) below the diagonal, so |L^-1|_1 and
+      |L^-1|_inf are at most 2^(m-1), sigma_min(L) >= 2^(1-m), and
+      sigma_{2r} >= sigma_min(L)^2 sigma_{2r}(D) >= min |p| / 4^(m-1).
+    Slack.  With unit roundoff u = eps / 2, step s changes each entry of
+    the remainder by at most 9u |p_s| + O(u^2) beyond the exact update:
+    the update is a_j u^T - u a_j^T with u = a_i / p of magnitude at most 1,
+    so two products of magnitude at most |p_s|, their difference and the
+    sum, of magnitudes at most 2 |p_s| and 3 |p_s|.  Carried back through the
+    Schur complements, which are linear in the trailing block, the computed
+    pivots and remainder are exact for S + E, |E|_2 <= 5 m eps sum |p_s|.
+    LAPACK's singular values are exact for a perturbation of norm at most
+    p(m) u |S|_2 <= p(m) u m max|S|, with p(m) taken to be at most 8 m.  So
+    with slack = 8 m eps (sum |p_s| + m max|S|), a matrix with
+    (m - 2r) delta + slack < thr and min |p| / 4^(m-1) - slack > thr has
+    SVD count 2r; the others get the count from np.linalg.svd.
     """
-    M = np.asarray(M, dtype=float)
-    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
-    s = np.linalg.svd(M, compute_uv=False)
-    return np.sum(s > tol * scale[..., None], axis=-1)
+    S = np.asarray(S, dtype=float)
+    if S.ndim == 2:
+        return int(skew_rank(S[None], tol)[0])
+    N, m = S.shape[:2]
+    A = S.transpose(1, 2, 0).copy()  # (m, m, N), C order: loops over N
+    if not np.array_equal(A, -A.transpose(1, 0, 2)):
+        raise ValueError("skew_rank needs exactly skew matrices")
+    cols = np.arange(N)
+    scale, delta, thr = np.zeros(N), np.zeros(N), np.full(N, float(tol))
+    accepted = np.zeros(N, dtype=int)
+    smallest, total = np.full(N, np.inf), np.zeros(N)
+    size = np.empty((m * m, N))
+    outer, update = np.empty_like(A), np.empty_like(A)
+    for step in range(m // 2):
+        np.abs(A.reshape(m * m, N), out=size)
+        at = np.argmax(size, axis=0)
+        pivot = size[at, cols]
+        if step == 0:
+            scale = pivot
+            thr = tol * np.maximum(1.0, scale)
+        take = pivot > thr
+        delta = np.where(take, 0.0, pivot)  # a rejected matrix stays as is
+        if not take.any():
+            break
+        i, j = np.divmod(at, m)
+        # (a_j a_i^T - a_i a_j^T) / p as a_j u^T - u a_j^T, u = a_i / p
+        u = A[:, i, cols] / np.where(take, A[i, j, cols], np.inf)
+        np.multiply(A[:, j, cols][:, None], u[None], out=outer)
+        np.subtract(outer, outer.transpose(1, 0, 2), out=update)
+        A += update
+        # rounding leaves ulps where the exact update has zeros
+        for k in (i[take], j[take]):
+            A[k, :, cols[take]] = 0.0
+            A[:, k, cols[take]] = 0.0
+        accepted += take
+        smallest = np.where(take, np.minimum(smallest, pivot), smallest)
+        total += np.where(take, pivot, 0.0)
+    slack = 8 * m * np.finfo(float).eps * (total + m * scale)
+    rank = 2 * accepted
+    certified = ((m - rank) * delta + slack < thr) \
+        & (smallest / 4.0 ** (m - 1) - slack > thr)
+    if not certified.all():
+        s = np.linalg.svd(S[~certified], compute_uv=False)
+        rank[~certified] = np.sum(s > thr[~certified, None], axis=-1)
+    return rank
 
 
 def null_space(A: np.ndarray, rcond: float) -> np.ndarray:

@@ -10,3 +10,17 @@ settings.load_profile("legfol")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """np.linalg.svd, counted: the list gets the shape of each input."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls

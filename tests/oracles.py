@@ -1,7 +1,8 @@
 """Numeric oracles that the symbolic paths of legfol are compared with:
-finite differences for derivatives, the Jacobian for pushforwards, the
-determinant convention for forms on vectors, the standard symplectic form
-for the linear algebra and a full SVD for hyperplane kernel bases."""
+periodic reduction of a point, finite differences for derivatives, the
+Jacobian for pushforwards, the determinant convention for forms on
+vectors, the standard symplectic form for the linear algebra, the SVD
+count for ranks and a full SVD for hyperplane kernel bases."""
 
 import itertools
 
@@ -15,6 +16,20 @@ def values(fields, points) -> np.ndarray:
     """Fields on one chart at N points, (N, len(fields)), in one batch."""
     exprs = tuple(f.expr for f in fields)
     return compile_exprs(fields[0].chart, exprs).batch(points)
+
+
+def reduce_point(chart, point) -> np.ndarray:
+    """A point with each periodic coordinate of the chart reduced modulo
+    its period, one coordinate at a time; a point of the wrong length is a
+    ValueError."""
+    out = np.array(point, dtype=float)
+    if out.shape != (chart.dim,):
+        raise ValueError(f"point has shape {out.shape}, chart dim is "
+                         f"{chart.dim}")
+    for i, per in enumerate(chart.periods):
+        if per is not None:
+            out[i] = out[i] % per
+    return out
 
 
 def fd_partial(field, points, var: str, step: float = 1e-5) -> np.ndarray:
@@ -63,3 +78,13 @@ def svd_hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
     rcond < 1."""
     C = np.asarray(covecs, dtype=float)
     return np.linalg.svd(C[:, None, :], full_matrices=True)[2][:, 1:]
+
+
+def svd_count(M, tol: float):
+    """Singular values above tol * max(1, largest |entry|) of a matrix, or
+    of each matrix in an (N, r, c) stack: the rank symplin.skew_rank
+    returns."""
+    M = np.asarray(M, dtype=float)
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), initial=0.0))
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.sum(s > tol * scale[..., None], axis=-1)

@@ -48,7 +48,7 @@ from legfol.fields import (
     vector_field,
 )
 from legfol.scenario import Scenario, parse_scenario
-from oracles import form_values, svd_hyperplane_bases, values
+from oracles import form_values, svd_count, svd_hyperplane_bases, values
 
 
 def close(a, b):
@@ -372,6 +372,21 @@ class TestCharFoliation:
     ], ids=["twisted", "curved-n2k4", "curved-n3k5"])
     def test_curved(self, Y, coisotropic, rng):
         self.compare(Y, samples(Y, rng), coisotropic)
+
+    @pytest.mark.parametrize("n, k", [(2, 3), (3, 4), (3, 5), (3, 6)],
+                             ids=["hyper2", "hyper3", "flat-codim2",
+                                  "flat-codim1"])
+    def test_benchmark_shapes_make_no_svd(self, n, k, rng, svd_calls):
+        """The graph shapes of the pointwise-identities benchmark: every
+        sample's rank is certified by the skew elimination, so no SVD runs,
+        and the kernel dimensions are the SVD's."""
+        Y = random_coisotropic(n, rng) if k == n + 1 \
+            else co.graph_submanifold(n, k)
+        pts = rng.uniform(-0.9, 0.9, (1000, Y.source_chart.dim))
+        got = co.char_foliation_form(Y, pts, 1e-8)
+        assert svd_calls == []
+        assert got["kernel_dims"] == walk_char_kernel(Y, pts, 1e-8)
+        assert got["kernel_ok"]
 
     def compare(self, Y, pts, coisotropic=True):
         got = co.char_foliation_form(Y, pts, 1e-8)
@@ -765,7 +780,7 @@ def walk_flat_structure(Y, points, tol=1e-8):
     tilde, _ = co.build_Vk(Y)
     bases = []
     for M in walk_form_matrices(dlam, points):
-        if sl.numeric_rank(M, tol) != 2:
+        if svd_count(M, tol) != 2:
             raise ValueError("non-generic singular structure")
         bases.append(null_space(M, rcond=tol).T)
 
@@ -1604,7 +1619,7 @@ class TestFormMatrices:
             return
         M = walk_form_matrices(fm.exterior_d(lam), [point])[0]
         val = M[Y.source_chart.index("x2"), Y.source_chart.index("y2")]
-        assert got["rank"] == sl.numeric_rank(M, 1e-8)
+        assert got["rank"] == svd_count(M, 1e-8)
         assert got["normal_value"] == val
         assert got["orientation_sign"] == int(np.sign(val))
 
@@ -1679,13 +1694,18 @@ class TestStackedLinearAlgebra:
         mats[2::7, :, 1:] *= 1e-12
         assert sl.stacked_rank(mats).tolist() \
             == [sl._rank(M) for M in mats]
+        X = rng.normal(size=(30, 5, 4))
+        X[::3, :, 2:] = 0.0  # rank 2, rank 4 elsewhere
+        skew = X @ np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) \
+            @ X.transpose(0, 2, 1)
+        skew[1::5] = 0.0
+        skew[2::7, :, 1:] *= 1e-12
+        skew = (skew - skew.transpose(0, 2, 1)) / 2
         for tol in (1e-8, 1e-3):
-            assert sl.numeric_rank(mats, tol).tolist() == [
-                int(np.sum(np.linalg.svd(M, compute_uv=False)
-                           > tol * max(1.0, np.max(np.abs(M)))))
-                for M in mats]
-        assert sl.numeric_rank(np.zeros((3, 1, 4)), 1e-8).tolist() == [0] * 3
-        assert sl.numeric_rank(np.ones((1, 4)), 1e-8) == 1
+            assert sl.skew_rank(skew, tol).tolist() == [
+                int(svd_count(S, tol)) for S in skew]
+        assert sl.skew_rank(np.zeros((3, 1, 1)), 1e-8).tolist() == [0] * 3
+        assert sl.skew_rank(np.array([[0.0, 1.0], [-1.0, 0.0]]), 1e-8) == 2
 
     def test_hyperplanes_match_null_space(self, rng):
         covecs = rng.normal(size=(20, 5))

@@ -30,6 +30,8 @@ from legfol.fields import (
     parse_field,
 )
 
+from oracles import reduce_point
+
 XY = Chart(("x", "y"))
 
 # Bound on the relative error rounding may cause, measured against the
@@ -123,7 +125,7 @@ def subtrees(e):
 def walk(expr, point, chart=XY):
     """The tree walk at one point after periodic reduction, or None where it
     raises EvaluationError or ends non-finite."""
-    env = dict(zip(chart.var_names, chart.reduce(point).tolist()))
+    env = dict(zip(chart.var_names, reduce_point(chart, point).tolist()))
     try:
         value, _ = magnitude(expr, env)
     except EvaluationError:
@@ -305,11 +307,35 @@ class TestErrors:
 
     @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0, 3.0]])
     def test_wrong_point_length(self, point):
-        # Chart.reduce refuses such a point too.
+        # reduce_point refuses such a point too.
         with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
             parse_field(XY, "x + y").compile()([point])
         with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
             fm.one_form(XY, {"x": parse_field(XY, "y")}).coeff_array([point])
+
+    @pytest.mark.parametrize("text, y, reason", [
+        ("1/(x - 1) + exp(y)", 1000.0, "exp overflow"),
+        ("1/(x - 1) + exp(400 * y) * exp(400 * y)", 0.9, "non-finite value"),
+    ], ids=["exp", "product"])
+    def test_late_fault_takes_log_calls(self, text, y, reason, monkeypatch):
+        # The full batch fails its division at row 900; row 700 fails
+        # later in the tree, and bisection over prefixes finds it with
+        # about log2 N calls of the generated function.
+        compiled = CompiledExprs(XY, (parse_expr(text),))
+        pts = np.zeros((1000, 2))
+        pts[700, 1], pts[900, 0] = y, 1.0
+        calls = []
+        columns = compiled.columns
+
+        def counted(*cols):
+            calls.append(len(cols[0]))
+            return columns(*cols)
+
+        monkeypatch.setattr(compiled, "columns", counted)
+        assert fault(compiled, pts) == f"row 700, point [0.0, {y}]: {reason}"
+        assert calls[0] == len(pts) and calls[-1] == 1
+        assert len(calls) <= 2 * math.ceil(math.log2(len(pts))) + 2
+        assert fault(compiled, pts) == alone(compiled, pts, 700)
 
     def test_batch_names_first_bad_row(self):
         # The division is checked before the exponential, and fails on a
@@ -378,7 +404,7 @@ class TestCompiler:
         compiled = compile_exprs(ch, exprs)
         batch = compiled.batch(pts)
         for p, row in zip(pts, batch):
-            reduced = ch.reduce(p)
+            reduced = reduce_point(ch, p)
             assert row[:3].tolist() == reduced.tolist()
             assert compiled.batch([p])[0, :3].tolist() == reduced.tolist()
             assert row[3] == pytest.approx(walk(exprs[3], p, ch), rel=1e-12)

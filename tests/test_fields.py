@@ -25,7 +25,7 @@ from legfol.fields import (
     vector_field,
 )
 
-from oracles import fd_partial, pushforward, values
+from oracles import fd_partial, pushforward, reduce_point, values
 
 XY = Chart(("x", "y"))
 XYZ = Chart(("x", "y", "z"))
@@ -226,9 +226,12 @@ class TestSmoothMaps:
 class TestChart:
     def test_periodic_reduce(self):
         ch = Chart(("s", "u"), (1.0, None))
-        red = ch.reduce([2.25, 3.0])
+        red = reduce_point(ch, [2.25, 3.0])
         assert red[0] == pytest.approx(0.25)
         assert red[1] == 3.0
+        got = values([coordinate(ch, "s"), coordinate(ch, "u")],
+                     [[2.25, 3.0]])
+        assert got[0].tolist() == red.tolist()
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):

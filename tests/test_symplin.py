@@ -9,7 +9,7 @@ from legfol import forms as fm
 from legfol import symplin as sl
 from legfol.fields import Chart, coordinate
 
-from oracles import standard_symplectic
+from oracles import standard_symplectic, svd_count
 
 
 def std(n):
@@ -157,3 +157,79 @@ class TestContactHyperplane:
         a = fm.one_form(ch, {"z": coordinate(ch, "x")})
         with pytest.raises(sl.NotContact):
             sl.contact_hyperplane(a, [0.0, 1.0, 0.0])
+
+
+def skew_with_singular_values(rng, m, sigmas):
+    """Q diag(s_1 J, s_2 J, ...) Q^T for a random rotation Q, made exactly
+    skew: singular values s_1, s_1, s_2, s_2, ... and zeros."""
+    Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    D = np.zeros((m, m))
+    for t, s in enumerate(sigmas):
+        D[2 * t, 2 * t + 1], D[2 * t + 1, 2 * t] = s, -s
+    S = Q @ D @ Q.T
+    return (S - S.T) / 2
+
+
+class TestSkewRank:
+    """symplin.skew_rank against the SVD count of the same matrices."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-5])
+    def test_singular_values_at_the_threshold(self, m, tol, rng):
+        # Every singular value is at most 1, so max |S| <= 1 and the
+        # threshold is tol; one pair sits at tol * (1 +- 1e-3).
+        stack, want = [], []
+        for t in range(40):
+            big = rng.integers(0, m // 2 + 1)
+            sigmas, rank = list(rng.uniform(0.05, 1.0, big)), 2 * big
+            if big < m // 2:  # above the threshold for even t
+                sigmas.append(tol * (1 + 1e-3 * (-1) ** t))
+                rank += 2 * (t % 2 == 0)
+            stack.append(skew_with_singular_values(rng, m, sigmas))
+            want.append(rank)
+        stack = np.array(stack)
+        got = sl.skew_rank(stack, tol)
+        assert got.tolist() == svd_count(stack, tol).tolist() == want
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("noise", [1e-12, 1e-9, 1e-8, 1e-7, 1e-4])
+    def test_low_rank_plus_noise(self, m, noise, rng):
+        X = rng.normal(size=(50, m, 2 * (m // 2)))
+        X *= np.arange(X.shape[2]) < 2 * rng.integers(0, m // 2 + 1,
+                                                      (50, 1, 1))
+        J = np.kron(np.eye(m // 2), [[0.0, 1.0], [-1.0, 0.0]])
+        S = X @ J @ X.transpose(0, 2, 1) * 10.0 ** rng.uniform(-2, 2,
+                                                             (50, 1, 1))
+        S += noise * rng.normal(size=S.shape)
+        S = (S - S.transpose(0, 2, 1)) / 2
+        assert sl.skew_rank(S, 1e-8).tolist() \
+            == svd_count(S, 1e-8).tolist()
+
+    def test_edge_shapes(self, rng):
+        assert sl.skew_rank(np.zeros((5, 4, 4)), 1e-8).tolist() == [0] * 5
+        assert sl.skew_rank(np.zeros((3, 1, 1)), 1e-8).tolist() == [0] * 3
+        empty = sl.skew_rank(np.zeros((0, 4, 4)), 1e-8)
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
+        for m in (1, 2, 3, 5):  # odd m: at most m - 1
+            A = rng.normal(size=(m, m))
+            S = A - A.T
+            kept = S.copy()
+            got = sl.skew_rank(S, 1e-8)
+            np.testing.assert_array_equal(S, kept)  # the input is not reused
+            assert isinstance(got, int)
+            assert got == svd_count(S, 1e-8) == m - m % 2
+
+    def test_certified_stacks_skip_the_svd(self, rng, svd_calls):
+        far = np.array([skew_with_singular_values(rng, 5, [1.0, 0.5])
+                        for _ in range(20)])
+        far[::4] = 0.0
+        assert sl.skew_rank(far, 1e-8).tolist() == [0, 4, 4, 4] * 5
+        assert svd_calls == []
+        near = far.copy()
+        near[3] = skew_with_singular_values(rng, 5, [1.0, 1e-8 * 1.001])
+        assert sl.skew_rank(near, 1e-8)[3] == 4
+        assert svd_calls == [(1, 5, 5)]
+
+    def test_needs_exactly_skew_input(self):
+        with pytest.raises(ValueError, match="exactly skew"):
+            sl.skew_rank(np.array([[0.0, 1.0], [-1.0 + 1e-12, 0.0]]), 1e-8)
