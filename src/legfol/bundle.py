@@ -31,7 +31,7 @@ from .fields import (
     sup_abs,
 )
 
-DEFAULT_ODE_TOL = 1e-8
+ODE_TOL = 1e-8  # the ODE's rtol and atol
 MAX_STEPS = 10 ** 6
 
 
@@ -97,14 +97,14 @@ class FlatDiskBundle:
 
     @functools.cached_property
     def _ccl_reports(self) -> dict:
-        """ccl_check reports on this bundle, by id(beta) and the other
-        arguments: (beta, report).  Holding beta keeps its id unique."""
+        """ccl_check reports on this bundle, by id(beta) and tol: (beta,
+        report).  Holding beta keeps its id unique."""
         return {}
 
     @functools.cached_property
     def _germs(self) -> dict:
-        """germ.build_singular_germ results on this bundle, by id(beta) and
-        tol: (beta, germ)."""
+        """germ.build_singular_germ results on this bundle, by id(beta):
+        (beta, germ)."""
         return {}
 
     def lifts(self) -> list[VectorFieldExpr]:
@@ -153,13 +153,10 @@ def flatness_check(bundle: FlatDiskBundle,
 
 @dataclass(frozen=True)
 class TransportResult:
-    start: tuple[float, float]
     end: tuple[float, float]
-    path: tuple[tuple[float, ...], ...]
     escaped: bool
     steps: int
     nfev: int
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -371,8 +368,7 @@ def _path(bundle: FlatDiskBundle, path) -> np.ndarray:
 
 
 def transport_batch(bundle: FlatDiskBundle, paths,
-                    starts: Sequence[Sequence[float]],
-                    ode_tol: float = DEFAULT_ODE_TOL) -> BatchTransport:
+                    starts: Sequence[Sequence[float]]) -> BatchTransport:
     """Integrate the horizontal-lift ODE along piecewise-linear base paths
     for N fiber points at once.
 
@@ -415,7 +411,6 @@ def transport_batch(bundle: FlatDiskBundle, paths,
             lift.batch(np.column_stack(cols))
         return out
 
-    rtol = max(ode_tol, 100 * np.finfo(float).eps)  # scipy's floor
     escaped = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)
     nfev = np.zeros(n, dtype=int)
@@ -425,68 +420,65 @@ def transport_batch(bundle: FlatDiskBundle, paths,
             break
         P = paths[live, k]
         y[live], escaped[live], seg_steps, seg_nfev = _integrate_segment(
-            rhs, y[live], P, paths[live, k + 1] - P, rtol, ode_tol,
+            rhs, y[live], P, paths[live, k + 1] - P, ODE_TOL, ODE_TOL,
             bundle.radius ** 2, MAX_STEPS - steps[live])
         steps[live] += seg_steps
         nfev[live] += seg_nfev
     return BatchTransport(end=y, escaped=escaped, steps=steps, nfev=nfev)
 
 
-def _row_keys(path: np.ndarray, starts: np.ndarray,
-              ode_tol: float) -> list[tuple]:
-    """The memo key of each row: its path, start and ode_tol."""
+def _row_keys(path: np.ndarray, starts: np.ndarray) -> list[tuple]:
+    """The memo key of each row: its path and start."""
     path_key, raw = path.tobytes(), starts.tobytes()
-    return [(path_key, raw[i:i + 16], ode_tol)  # 16 bytes: one (u, v) row
+    return [(path_key, raw[i:i + 16])  # 16 bytes: one (u, v) row
             for i in range(0, len(raw), 16)]
 
 
 def plan_transport(bundle: FlatDiskBundle, path,
                    starts: Sequence[Sequence[float]]) -> None:
-    """Record rows that a later request on this bundle will make at the
-    default ode_tol, so that the first request missing the row memo
-    integrates them in its sweep.  Raises ValueError for a row that
-    transport_batch would refuse."""
+    """Record rows that a later request on this bundle will make, so that
+    the first request missing the row memo integrates them in its sweep.
+    Raises ValueError for a row that transport_batch would refuse."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
-    bundle._planned.update(zip(_row_keys(path, starts, DEFAULT_ODE_TOL),
+    bundle._planned.update(zip(_row_keys(path, starts),
                                zip(itertools.repeat(path), starts)))
 
 
-def _sweep(bundle: FlatDiskBundle, rows: dict, ode_tol: float) -> None:
+def _sweep(bundle: FlatDiskBundle, rows: dict) -> None:
     """Integrate rows, {key: (path, start)}, in one batch and memoize
     them."""
     paths, starts = zip(*rows.values())
-    res = transport_batch(bundle, np.stack(paths), np.stack(starts), ode_tol)
+    res = transport_batch(bundle, np.stack(paths), np.stack(starts))
     bundle._transported.update(zip(rows, zip(
         res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
         res.nfev.tolist())))
 
 
 def _transport_rows(bundle: FlatDiskBundle, path,
-                    starts: Sequence[Sequence[float]],
-                    ode_tol: float) -> BatchTransport:
-    """transport_batch through the bundle's row memo, keyed by path, start
-    and ode_tol.
+                    starts: Sequence[Sequence[float]]) -> BatchTransport:
+    """transport_batch through the bundle's row memo, keyed by path and
+    start.
 
     A miss integrates the missing rows together with every missing planned
-    row of the same ode_tol and vertex count.  If that sweep raises, nothing
-    is memoized, the plan is dropped and the missing rows are integrated on
+    row of the same vertex count.  If that sweep raises, nothing is
+    memoized, the plan is dropped and the missing rows are integrated on
     their own, so a fault in one check's rows never becomes another's.
     """
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
     memo = bundle._transported
-    keys = _row_keys(path, starts, ode_tol)
+    keys = _row_keys(path, starts)
     missing = {k: (path, x) for k, x in zip(keys, starts) if k not in memo}
     if missing:
         planned = {k: row for k, row in bundle._planned.items()
-                   if k[2] == ode_tol and row[0].shape == path.shape
+                   if row[0].shape == path.shape
                    and k not in memo and k not in missing}
         try:
-            _sweep(bundle, {**missing, **planned}, ode_tol)
+            _sweep(bundle, {**missing, **planned})
         except (ValueError, RuntimeError, ArithmeticError):
             if not planned:
                 raise
             bundle._planned.clear()
-            _sweep(bundle, missing, ode_tol)
+            _sweep(bundle, missing)
     rows = [memo[k] for k in keys]
     return BatchTransport(end=np.array([r[0] for r in rows]).reshape(-1, 2),
                           escaped=np.array([r[1] for r in rows], dtype=bool),
@@ -496,17 +488,14 @@ def _transport_rows(bundle: FlatDiskBundle, path,
 
 def parallel_transport(bundle: FlatDiskBundle,
                        path: Sequence[Sequence[float]],
-                       x0: Sequence[float],
-                       ode_tol: float = DEFAULT_ODE_TOL) -> TransportResult:
+                       x0: Sequence[float]) -> TransportResult:
     """Integrate the horizontal-lift ODE along a piecewise-linear base path,
     through the bundle's row memo."""
-    res = _transport_rows(bundle, path, [x0], ode_tol)
+    res = _transport_rows(bundle, path, [x0])
     end = res.end[0]
     return TransportResult(
-        start=(float(x0[0]), float(x0[1])), end=(float(end[0]), float(end[1])),
-        path=tuple(tuple(map(float, v)) for v in path),
-        escaped=bool(res.escaped[0]), steps=int(res.steps[0]),
-        nfev=int(res.nfev[0]), tol=ode_tol)
+        end=(float(end[0]), float(end[1])), escaped=bool(res.escaped[0]),
+        steps=int(res.steps[0]), nfev=int(res.nfev[0]))
 
 
 def generator_loop(bundle: FlatDiskBundle, index: int
@@ -535,33 +524,32 @@ class HolonomySample:
 
 
 FD_STEP = 1e-5
-CCL_SAMPLES = 8  # ccl_check's default invariance samples
+CCL_SAMPLES = 8  # ccl_check's invariance samples
+CCL_GRID_STEP = 0.1  # ccl_check's fiber grid step, in fiber radii
 # Each sample's rows in holonomy's batch: x, x + h e1, x - h e1, x + h e2,
 # x - h e2, for the central-difference Jacobian.
 _FD_OFFSETS = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                         [0.0, -1.0]])
 
 
-def _fd_rows(bundle: FlatDiskBundle, pts: np.ndarray,
-             fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+def _fd_rows(bundle: FlatDiskBundle,
+             pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every sample's five rows, (N * 5, 2), and which start inside the
     disk; a row outside voids its sample's Jacobian."""
-    rows = (pts[:, None, :] + fd_step * _FD_OFFSETS).reshape(-1, 2)
+    rows = (pts[:, None, :] + FD_STEP * _FD_OFFSETS).reshape(-1, 2)
     return rows, np.hypot(rows[:, 0], rows[:, 1]) < bundle.radius
 
 
 def holonomy(bundle: FlatDiskBundle, generator: int,
-             samples: Sequence[Sequence[float]],
-             ode_tol: float = DEFAULT_ODE_TOL,
-             fd_step: float = FD_STEP) -> list[HolonomySample]:
+             samples: Sequence[Sequence[float]]) -> list[HolonomySample]:
     """Sampled holonomy around a generator loop, with FD Jacobians.
 
     The five transports per sample are rows of the bundle's row memo.
     """
     loop = generator_loop(bundle, generator)
     pts = _disk_points(bundle, samples)
-    rows, inside = _fd_rows(bundle, pts, fd_step)
-    res = _transport_rows(bundle, loop, rows[inside], ode_tol)
+    rows, inside = _fd_rows(bundle, pts)
+    res = _transport_rows(bundle, loop, rows[inside])
     end = np.zeros_like(rows)
     end[inside] = res.end
     void = ~inside
@@ -570,7 +558,7 @@ def holonomy(bundle: FlatDiskBundle, generator: int,
     counts[inside] = np.stack([res.steps, res.nfev], axis=1)
     end, void = end.reshape(-1, 5, 2), void.reshape(-1, 5)
     J = np.stack([end[:, 1] - end[:, 2], end[:, 3] - end[:, 4]],
-                 axis=2) / (2 * fd_step)
+                 axis=2) / (2 * FD_STEP)
     return [HolonomySample(tuple(x), tuple(e), escaped,
                            None if bad else j, steps, nfev)
             for x, e, escaped, bad, j, (steps, nfev) in zip(
@@ -591,53 +579,54 @@ def _fiber_grid(radius: float, step: float) -> np.ndarray:
 
 
 @functools.cache
-def _ccl_draws(count: int) -> tuple[np.ndarray, np.ndarray]:
+def _ccl_draws() -> tuple[np.ndarray, np.ndarray]:
     """ccl_check's seeded draws: radii in units of the fiber radius, and
     angles."""
     rng = np.random.default_rng(0)
-    draws = rng.uniform(0.2, 0.7, count), rng.uniform(0, 2 * np.pi, count)
+    draws = (rng.uniform(0.2, 0.7, CCL_SAMPLES),
+             rng.uniform(0, 2 * np.pi, CCL_SAMPLES))
     for a in draws:
         a.flags.writeable = False  # shared by every call
     return draws
 
 
-def _ccl_samples(bundle: FlatDiskBundle, count: int) -> np.ndarray:
-    """ccl_check's invariance samples: count seeded points of the annulus
-    0.2 r <= |x| < 0.7 r."""
-    unit, angles = _ccl_draws(count)
+def _ccl_samples(bundle: FlatDiskBundle) -> np.ndarray:
+    """ccl_check's invariance samples: CCL_SAMPLES seeded points of the
+    annulus 0.2 r <= |x| < 0.7 r."""
+    unit, angles = _ccl_draws()
     radii = unit * bundle.radius
     return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
 
 def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
-              grid_step: float = 0.1, tol: float = 1e-6,
-              ode_tol: float = DEFAULT_ODE_TOL,
-              invariance_samples: int = CCL_SAMPLES) -> dict:
+              tol: float = 1e-6) -> dict:
     """Validate the three defining conditions of a fiber 1-form.
 
     (1) invariance under the sampled holonomy of each generator,
     (2) vanishing exactly at the fiber origin,
     (3) positive exterior derivative on the oriented fiber frame.
-    Failures are report entries, never exceptions.  grid_step, the step of
-    the fiber grid for (2) and (3), is in units of the fiber radius.
+    Failures are report entries, never exceptions.  (2) and (3) are read on
+    the fiber grid of step CCL_GRID_STEP fiber radii inside 0.98 of the
+    radius, (1) at CCL_SAMPLES seeded points of the annulus 0.2 r <= |x| <
+    0.7 r.
 
-    The report is memoized on the bundle per form object and arguments, and
-    each call gets its own copy; a call that raises memoizes nothing.
+    The report is memoized on the bundle per form object and tol, and each
+    call gets its own copy; a call that raises memoizes nothing.
     """
     memo = bundle._ccl_reports
-    key = (id(beta), grid_step, tol, ode_tol, invariance_samples)
+    key = (id(beta), tol)
     if key not in memo:
-        memo[key] = beta, _ccl_report(bundle, beta, *key[1:])
+        memo[key] = beta, _ccl_report(bundle, beta, tol)
     return {k: dict(v) if isinstance(v, dict) else v
             for k, v in memo[key][1].items()}
 
 
-def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm, grid_step: float,
-                tol: float, ode_tol: float, invariance_samples: int) -> dict:
+def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
+                tol: float) -> dict:
     fiber = bundle.fiber_chart
     if beta.chart != fiber or beta.degree != 1:
         raise ValueError("beta must be a 1-form on the fiber chart (u, v)")
-    step = grid_step * bundle.radius
+    step = CCL_GRID_STEP * bundle.radius
     grid = _fiber_grid(bundle.radius, step)
     origin_norm = float(np.linalg.norm(beta.coeff_array([[0.0, 0.0]])))
     away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * step]
@@ -648,9 +637,9 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm, grid_step: float,
     db_vals = bundle.orientation * fm.exterior_d(beta).coeff_array(grid)[:, 0]
     positivity_ok = bool(np.min(db_vals) > tol)
 
-    samples = _ccl_samples(bundle, invariance_samples)
+    samples = _ccl_samples(bundle)
     found = [hs for g in range(bundle.base_dim)
-             for hs in holonomy(bundle, g, samples, ode_tol)]
+             for hs in holonomy(bundle, g, samples)]
     mapped = [hs for hs in found if hs.jacobian is not None]
     escapes = len(found) - len(mapped)
     at_point = beta.coeff_array([hs.point for hs in mapped])
@@ -674,13 +663,12 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm, grid_step: float,
 
 
 def plan_ccl(bundle: FlatDiskBundle) -> None:
-    """Plan the holonomy rows of ccl_check(bundle, beta) at its defaults,
-    for every generator.  Over one generator with nothing else planned they
-    are one request anyway, so there is nothing to join and no plan."""
+    """Plan the holonomy rows of ccl_check(bundle, beta) for every
+    generator.  Over one generator with nothing else planned they are one
+    request anyway, so there is nothing to join and no plan."""
     if bundle.base_dim == 1 and not bundle._planned:
         return
-    rows, inside = _fd_rows(bundle, _ccl_samples(bundle, CCL_SAMPLES),
-                            FD_STEP)
+    rows, inside = _fd_rows(bundle, _ccl_samples(bundle))
     for g in range(bundle.base_dim):
         plan_transport(bundle, generator_loop(bundle, g), rows[inside])
 
@@ -717,7 +705,8 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     src = Y.source_chart
     return {
         "rank": k - 2,
-        "kernel_bases": [sl.null_space(m, rcond=tol).T for m in M],
+        # rank 2 is certified, so each kernel is the last k - 2 rows of vh
+        "kernel_bases": np.linalg.svd(M)[2][:, 2:],
         "membership_residual": sup_abs(src, [
             c for V in tilde for c in fm.interior(V, dlam).coeffs.values()],
             points),

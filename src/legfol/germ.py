@@ -34,6 +34,11 @@ from .fields import (
 SCAN_BOX = 0.9
 SCAN_FIBER_RADIUS = 0.5
 PENCIL_T = tuple(i / 10 for i in range(11))
+# FoliatedInput.validate: the largest Frobenius residual and the largest
+# |beta| that count as zero.  extract_local_data: the largest leafwise
+# coefficient of beta that counts as zero.
+INPUT_TOL = 1e-8
+LEAFWISE_TOL = 1e-10
 
 
 class GermBuildError(ValueError):
@@ -63,18 +68,17 @@ class FoliatedInput:
         if self.line_field.chart != ch:
             raise ValueError("line field must live on the foliated chart")
 
-    def validate(self, points: Sequence[Sequence[float]],
-                 tol: float = 1e-8) -> None:
+    def validate(self, points: Sequence[Sequence[float]]) -> None:
         """Refuse at the first sample, in sample order, where beta vanishes
         or else beta(L) <= 0."""
         frob = frobenius_residual(self.beta, points)
-        if frob > tol:
+        if frob > INPUT_TOL:
             raise GermBuildError(f"foliation form not integrable: {frob:g}")
         covecs = self.beta.coeff_array(points)
         line = compile_exprs(self.beta.chart, tuple(
             c.expr for c in self.line_field.components)).batch(points)
         pairing = np.sum(covecs * line, axis=1)  # beta(L)
-        vanishes = np.linalg.norm(covecs, axis=1) <= tol
+        vanishes = np.linalg.norm(covecs, axis=1) <= INPUT_TOL
         bad = np.flatnonzero(vanishes | (pairing <= 0))
         if len(bad) and vanishes[bad[0]]:
             raise GermBuildError("defining form vanishes at a sample")
@@ -145,14 +149,14 @@ def germ_chart(n: int) -> Chart:
 
 
 def extract_local_data(inp: FoliatedInput,
-                       points: Sequence[Sequence[float]],
-                       tol: float = 1e-10) -> tuple[ExprField, list[ExprField]]:
+                       points: Sequence[Sequence[float]]
+                       ) -> tuple[ExprField, list[ExprField]]:
     """(f, R_i) from (beta, L): f is the dt coefficient, R_i the x-components
     of L scaled to unit t-component."""
     dim = inp.beta.chart.dim
     f = inp.beta.coeff((0,))
     # the chart is already foliated: dx-components of beta must vanish
-    if np.any(np.abs(inp.beta.coeff_array(points)[:, 1:]) > tol):
+    if np.any(np.abs(inp.beta.coeff_array(points)[:, 1:]) > LEAFWISE_TOL):
         raise GermBuildError(
             "defining form has a leafwise component; chart is not "
             "adapted to the foliation")
@@ -161,15 +165,13 @@ def extract_local_data(inp: FoliatedInput,
     return f, Rs
 
 
-def build_nonsingular_germ(inp: FoliatedInput,
-                           points: Sequence[Sequence[float]] | None = None,
-                           tol: float = 1e-8) -> GermForm:
-    """alpha = (f + sum R_i y_i) dt - sum y_i dx_i on the doubled chart."""
+def build_nonsingular_germ(inp: FoliatedInput) -> GermForm:
+    """alpha = (f + sum R_i y_i) dt - sum y_i dx_i on the doubled chart.
+
+    The input is validated at 25 seeded points of [-0.9, 0.9]^(n+1)."""
     n = inp.n
-    if points is None:
-        rng = np.random.default_rng(0)
-        points = rng.uniform(-0.9, 0.9, (25, n + 1))
-    inp.validate(points, tol)
+    points = np.random.default_rng(0).uniform(-0.9, 0.9, (25, n + 1))
+    inp.validate(points)
     f, Rs = extract_local_data(inp, points)
     total = germ_chart(n)
     f_t = f.on_chart(total)
@@ -191,29 +193,29 @@ def singular_germ_chart(n: int) -> Chart:
     return Chart(names)
 
 
-def build_singular_germ(bundle: bd.FlatDiskBundle, beta: fm.DiffForm,
-                        tol: float = 1e-6) -> GermForm:
+def build_singular_germ(bundle: bd.FlatDiskBundle,
+                        beta: fm.DiffForm) -> GermForm:
     """alpha = dz + beta - sum y_j ds_j, for holonomy-invariant fiber forms.
 
     Supported bundles are those whose invariant extension of beta is beta
     itself in the given trivialization (trivial and rotation holonomy); the
-    CCL conditions are checked first and failures refuse the build.
+    CCL conditions (bd.ccl_check at its tolerance) are checked first and
+    failures refuse the build.
 
-    The germ is memoized on the bundle per form object and tol, like
-    bd.ccl_check's report; a build that raises memoizes nothing, so every
-    later build on the pair raises too.
+    The germ is memoized on the bundle per form object, like bd.ccl_check's
+    report; a build that raises memoizes nothing, so every later build on
+    the pair raises too.
     """
     memo = bundle._germs
-    key = (id(beta), tol)
-    if key not in memo:
-        memo[key] = beta, _build_singular_germ(bundle, beta, tol)
-    return memo[key][1]
+    if id(beta) not in memo:
+        memo[id(beta)] = beta, _build_singular_germ(bundle, beta)
+    return memo[id(beta)][1]
 
 
-def _build_singular_germ(bundle: bd.FlatDiskBundle, beta: fm.DiffForm,
-                         tol: float) -> GermForm:
+def _build_singular_germ(bundle: bd.FlatDiskBundle,
+                         beta: fm.DiffForm) -> GermForm:
     n = bundle.base_dim + 1
-    report = bd.ccl_check(bundle, beta, tol=tol)
+    report = bd.ccl_check(bundle, beta)
     if not report["ok"]:
         failed = [k for k in ("vanishing", "positivity", "invariance")
                   if not report[k]["ok"]]
@@ -254,18 +256,22 @@ def top_form(alpha: fm.DiffForm, n: int) -> fm.DiffForm:
     return fm.wedge(alpha, fm.wedge_power(fm.exterior_d(alpha), n))
 
 
+def _sign_verdict(vals: np.ndarray) -> tuple[float, int]:
+    """min |vals|, and the sign all of vals share: 0 if they have none or
+    are zero."""
+    signs = set(np.sign(vals).ravel().astype(int).tolist())
+    return float(np.min(np.abs(vals))), signs.pop() if len(signs) == 1 else 0
+
+
 def contactness_scan(g: GermForm, points: Sequence[Sequence[float]],
                      threshold: float = 1e-10) -> dict:
     """Min |top form| on the canonical frame and a sign-consistency flag."""
-    vals = g.top.coeff_array(points)[:, 0]
-    min_abs = float(np.min(np.abs(vals)))
-    signs = set(np.sign(vals).astype(int).tolist())
-    sign_consistent = len(signs) == 1 and 0 not in signs
+    min_abs, sign = _sign_verdict(g.top.coeff_array(points)[:, 0])
     return {
         "min_abs": min_abs,
-        "sign": signs.pop() if sign_consistent else 0,
-        "sign_consistent": sign_consistent,
-        "passed": sign_consistent and min_abs > threshold,
+        "sign": sign,
+        "sign_consistent": sign != 0,
+        "passed": sign != 0 and min_abs > threshold,
         "samples": len(points),
     }
 
@@ -388,15 +394,12 @@ def interpolation_contactness(g0: GermForm, g1: GermForm,
             return {"refused": True,
                     "reason": "co-orientation mismatch at the singular set",
                     "signs": (s0, s1)}
-    vals = pencil_values(g0, g1, points)
-    min_abs = float(np.min(np.abs(vals)))
-    signs = set(np.sign(vals).ravel().astype(int).tolist())
-    sign_consistent = len(signs) == 1 and 0 not in signs
+    min_abs, sign = _sign_verdict(pencil_values(g0, g1, points))
     return {
         "refused": False,
         "min_abs": min_abs,
-        "sign_consistent": sign_consistent,
-        "passed": sign_consistent and min_abs > tol,
+        "sign_consistent": sign != 0,
+        "passed": sign != 0 and min_abs > tol,
     }
 
 

@@ -607,7 +607,7 @@ class TestSatellitePorts:
         fiber = b.fiber_chart
         beta = fm.one_form(fiber, {v: parse_field(fiber, t)
                                    for v, t in texts.items()})
-        res = bd.ccl_check(b, beta, invariance_samples=1)
+        res = bd.ccl_check(b, beta)
         min_away, min_db = walk_ccl_grid(b, beta)
         assert close(res["vanishing"]["min_away"], min_away)
         assert close(res["positivity"]["min_dbeta"], min_db)
@@ -669,7 +669,7 @@ def walk_invariance_probe(bundle, beta):
         for j in range(bundle.base_dim)]
 
 
-def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
+def walk_transport(bundle, path, x0):
     """parallel_transport as one solve_ivp per path segment and point, with
     the lift evaluated as a one-row batch at each stage."""
     verts = [np.asarray(v, dtype=float) for v in path]
@@ -696,8 +696,8 @@ def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
 
         escape.terminal = True
         escape.direction = 1
-        sol = solve_ivp(rhs, (0.0, 1.0), x, method="RK45", rtol=ode_tol,
-                        atol=ode_tol, events=escape, max_step=1.0)
+        sol = solve_ivp(rhs, (0.0, 1.0), x, method="RK45", rtol=bd.ODE_TOL,
+                        atol=bd.ODE_TOL, events=escape, max_step=1.0)
         assert sol.success
         steps += len(sol.t) - 1
         nfev += sol.nfev
@@ -705,14 +705,11 @@ def walk_transport(bundle, path, x0, ode_tol=bd.DEFAULT_ODE_TOL):
         if sol.status == 1:
             escaped = True
             break
-    return bd.TransportResult(
-        start=(float(x0[0]), float(x0[1])), end=(float(x[0]), float(x[1])),
-        path=tuple(tuple(map(float, v)) for v in verts),
-        escaped=escaped, steps=steps, nfev=nfev, tol=ode_tol)
+    return bd.TransportResult(end=(float(x[0]), float(x[1])),
+                              escaped=escaped, steps=steps, nfev=nfev)
 
 
-def walk_holonomy(bundle, generator, samples, ode_tol=bd.DEFAULT_ODE_TOL,
-                  fd_step=1e-5):
+def walk_holonomy(bundle, generator, samples):
     """holonomy as one walk_transport call per sample and finite-difference
     row (x, x + h e1, x - h e1, x + h e2, x - h e2) inside the disk."""
     loop = bd.generator_loop(bundle, generator)
@@ -722,8 +719,8 @@ def walk_holonomy(bundle, generator, samples, ode_tol=bd.DEFAULT_ODE_TOL,
         for offset in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
             try:
                 rows.append(walk_transport(
-                    bundle, loop, np.asarray(x) + fd_step * np.array(offset),
-                    ode_tol))
+                    bundle, loop,
+                    np.asarray(x) + bd.FD_STEP * np.array(offset)))
             except ValueError:  # starts outside the disk
                 rows.append(None)
         res = rows[0]
@@ -731,7 +728,7 @@ def walk_holonomy(bundle, generator, samples, ode_tol=bd.DEFAULT_ODE_TOL,
         if all(r is not None and not r.escaped for r in rows):
             ends = [np.array(r.end) for r in rows]
             J = np.stack([ends[1] - ends[2], ends[3] - ends[4]], axis=1) \
-                / (2 * fd_step)
+                / (2 * bd.FD_STEP)
         done = [r for r in rows if r is not None]
         out.append(bd.HolonomySample(
             tuple(map(float, x)), res.end, res.escaped, J,
@@ -926,7 +923,7 @@ class TestCCLInvariance:
         assert (got["steps"], got["nfev"]) == (steps, nfev)
         # The oracle integrates on its own, so endpoints agree to a few ulp
         # (~1e-15), not bit for bit; the FD Jacobian divides that by
-        # 2 fd_step = 2e-5, and |beta| <= 2 at the images.
+        # 2 FD_STEP = 2e-5, and |beta| <= 2 at the images.
         assert abs(got["max_residual"] - worst) <= 1e-10
         assert got["ok"] == (escapes == 0 and worst <= 1e-6)
 
@@ -1022,9 +1019,9 @@ class TestBatchedTransport:
 
 class TestBatchedHolonomy:
     @staticmethod
-    def assert_samples_match(bundle, generator, samples, fd_step=1e-5):
-        got = bd.holonomy(bundle, generator, samples, fd_step=fd_step)
-        want = walk_holonomy(bundle, generator, samples, fd_step=fd_step)
+    def assert_samples_match(bundle, generator, samples):
+        got = bd.holonomy(bundle, generator, samples)
+        want = walk_holonomy(bundle, generator, samples)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.point == b.point and a.escaped == b.escaped
@@ -1032,9 +1029,9 @@ class TestBatchedHolonomy:
             assert np.max(np.abs(np.subtract(a.image, b.image))) <= 1e-13
             assert (a.jacobian is None) == (b.jacobian is None)
             if a.jacobian is not None:
-                # FD quotients scale the endpoint bound by 1 / (2 fd_step)
+                # FD quotients scale the endpoint bound by 1 / (2 FD_STEP)
                 assert np.max(np.abs(a.jacobian - b.jacobian)) \
-                    <= 1e-13 / fd_step
+                    <= 1e-13 / bd.FD_STEP
         return got
 
     @pytest.mark.parametrize("make, generator", [
@@ -1055,10 +1052,9 @@ class TestBatchedHolonomy:
     def test_fd_rows_outside_disk(self):
         # x + h e1 and x - h e2 start outside the disk: no Jacobian, but an
         # image
-        h = 1e-5
+        h = bd.FD_STEP
         samples = [[1 - h / 2, 0.0], [0.0, -(1 - h / 2)], [0.3, 0.2]]
-        got = self.assert_samples_match(bd.rotation_bundle([0.7]), 0, samples,
-                                        fd_step=h)
+        got = self.assert_samples_match(bd.rotation_bundle([0.7]), 0, samples)
         assert [hs.jacobian is None for hs in got] == [True, True, False]
         assert not any(hs.escaped for hs in got)
 
@@ -1190,19 +1186,17 @@ class TestHolonomyMemo:
         first = bd.holonomy(b, 0, pts)
         again = bd.holonomy(b, 0, [list(p) for p in pts])
         assert [hs.image for hs in again] == [hs.image for hs in first]
-        for args, kwargs in (((1, pts), {}), ((0, pts[:1]), {}),
-                             ((0, pts), {"ode_tol": 1e-9}),
-                             ((0, pts), {"fd_step": 1e-4})):
-            bd.holonomy(b, *args, **kwargs)
-        # a row is keyed by its path, start and ode_tol: the rows of pts[:1]
-        # are memoized, and rows at another fd_step share only the centres
-        assert batches == [10, 10, 10, 8]
+        bd.holonomy(b, 1, pts)
+        bd.holonomy(b, 0, pts[:1])
+        # a row is keyed by its path and start: the rows of pts[:1] are
+        # memoized
+        assert batches == [10, 10]
         # parallel_transport reads the same rows
         res = bd.parallel_transport(b, bd.generator_loop(b, 0), pts[0])
-        assert res.end == first[0].image and len(batches) == 4
+        assert res.end == first[0].image and len(batches) == 2
         # another bundle with the same lifts has its own memo
         bd.holonomy(bd.rotation_bundle([0.9, 1.7]), 0, pts)
-        assert len(batches) == 5
+        assert len(batches) == 3
 
     def test_transport_check_reports_steps(self):
         report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
@@ -1348,7 +1342,7 @@ def transport_through_batch(bundle, generator, starts):
     P = np.zeros((len(starts), bundle.base_dim))
     dP = np.zeros_like(P)
     dP[:, generator] = bundle.periods[generator]
-    tol = bd.DEFAULT_ODE_TOL
+    tol = bd.ODE_TOL
     return bd._integrate_segment(batch_rhs(bundle), starts, P, dP, tol, tol,
                                  bundle.radius ** 2,
                                  np.full(len(starts), bd.MAX_STEPS))
@@ -1471,10 +1465,9 @@ class TestCCLMemo:
         first = bd.ccl_check(b, beta)
         assert bd.ccl_check(b, beta) == first and len(grids) == 1
         bd.ccl_check(b, beta, tol=1e-7)
-        bd.ccl_check(b, beta, grid_step=0.2)
         bd.ccl_check(b, area())  # an equal form, but another object
         bd.ccl_check(bd.rotation_bundle([0.7]), beta)
-        assert len(grids) == 5
+        assert len(grids) == 4
 
     def test_callers_do_not_share_a_report(self):
         b = bd.rotation_bundle([0.7])

@@ -168,7 +168,7 @@ end
 
 
 class TestSingularMemo:
-    """A singular germ is built once per bundle, form object and tol; a
+    """A singular germ is built once per bundle and form object; a
     refused build is not memoized, so it refuses every germ on the pair."""
 
     @pytest.fixture
@@ -185,10 +185,9 @@ class TestSingularMemo:
         g = gm.build_singular_germ(b, beta)
         assert len(probes) == 2  # one invariance probe per lift
         assert gm.build_singular_germ(b, beta) is g and len(probes) == 2
-        gm.build_singular_germ(b, beta, tol=1e-7)
         gm.build_singular_germ(b, area_form(b.fiber_chart))  # another object
         gm.build_singular_germ(bd.rotation_bundle([0.7, 1.1]), beta)
-        assert len(probes) == 8
+        assert len(probes) == 6
 
     def test_refusal_reaches_every_germ_on_the_pair(self, probes):
         sc = parse_scenario(FULL_TURN)
