@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -91,8 +91,8 @@ class FlatDiskBundle:
 
     @functools.cached_property
     def _planned(self) -> dict:
-        """Rows a run will request on this bundle, by _row_keys: (path,
-        start).  The first request that misses the memo integrates them."""
+        """This bundle's place in a run's plan, by path vertex count: (the
+        plan group, this bundle's _Block in it).  See plan_transport."""
         return {}
 
     @functools.cached_property
@@ -237,20 +237,30 @@ def _escape_time(K, t_old, h, y_old, t_new, r2) -> np.ndarray:
     return np.where(np.abs(g(lo)) < np.abs(g(hi)), lo, hi)
 
 
+class IntegrationError(ArithmeticError):
+    """The adaptive RK45 integration of a row failed: its step budget ran
+    out, or its step size fell below the spacing of floats at its time.
+    A numerical fault, never a refusal."""
+
+
 @np.errstate(all="ignore")  # rhs checks the values it computes
-def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
-                       rtol: float, atol: float, r2: float,
+def _integrate_segment(rhs: Sequence, block: np.ndarray, y0: np.ndarray,
+                       P: np.ndarray, dP: np.ndarray, r2: np.ndarray,
                        budget: np.ndarray):
     """Integrate y' = rhs(P + t dP, y) from t = 0 to 1 for every row at
     once, where row i's segment starts at base point P[i] and runs along
-    dP[i].  rhs(x, y, dP, out) takes the base points and dP transposed,
-    (base_dim, rows), and writes y' to out and returns it.
+    dP[i].
 
-    Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1)
-    takes for it alone, with the terminal event |y|^2 = r2 crossed upwards.
-    A row that takes more than its ``budget`` of accepted steps raises.
-    Returns per row the end point, the escape flag, the accepted steps and
-    nfev.
+    The rows form contiguous blocks: block[i], non-decreasing, indexes the
+    right-hand side of row i in ``rhs``.  Each rhs(x, y, dP, out) takes its
+    block's live rows, base points and dP transposed (base_dim, rows),
+    writes y' to out and returns it.
+
+    Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1,
+    rtol=ODE_TOL, atol=ODE_TOL) takes for it alone, with the terminal event
+    |y|^2 = r2[i] crossed upwards.  A row that takes more than its
+    ``budget`` of accepted steps raises IntegrationError.  Returns per row
+    the end point, the escape flag, the accepted steps and nfev.
     """
     n = len(y0)
     end = np.empty((n, 2))
@@ -260,15 +270,28 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
     # State of the rows still integrating; rows[i] is the row of entry i.
     rows = np.arange(n)
     P, dP = P.T.copy(), dP.T.copy()
+
+    def live_blocks():  # (rhs, rows, dP of the rows) of each live block
+        at = np.searchsorted(block, np.arange(len(rhs) + 1)).tolist()
+        return [(f, slice(a, b), dP[:, a:b])
+                for f, a, b in zip(rhs, at, at[1:]) if a < b]
+
+    calls = live_blocks()
+
+    def stage(x, y, out):
+        for f, at, dp in calls:
+            f(x[:, at], y[at], dp, out[at])
+        return out
+
     y = y0.copy()
     t = np.zeros(n)
-    f = rhs(P + t * dP, y, dP, np.empty((n, 2)))
+    f = stage(P + t * dP, y, np.empty((n, 2)))
     # initial step selection
-    scale = atol + np.abs(y) * rtol
+    scale = ODE_TOL + np.abs(y) * ODE_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.minimum(
         np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), 1.0)
-    d2 = _rms((rhs(P + h0 * dP, y + h0[:, None] * f, dP, np.empty((n, 2)))
+    d2 = _rms((stage(P + h0 * dP, y + h0[:, None] * f, np.empty((n, 2)))
                - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
@@ -277,18 +300,19 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
     nf = np.full(n, 2)
     st = np.zeros(n, dtype=int)
     g = y[:, 0] ** 2 + y[:, 1] ** 2 - r2
-    rejected = np.zeros(n, dtype=bool)
+    rejected, any_rejected = np.zeros(n, dtype=bool), False
     stages, times = np.empty((n, 7, 2)), np.empty((6, n))
     while rows.size:
         # a new step starts clamped to [min_step, MAX_STEP]; a retry of a
         # rejected one is not clamped, and fails below min_step
         min_step = 10 * np.spacing(t)
-        h = np.where(rejected, h_abs,
-                     np.minimum(np.maximum(h_abs, min_step), MAX_STEP))
+        h = np.minimum(np.maximum(h_abs, min_step), MAX_STEP)
+        if any_rejected:
+            h = np.where(rejected, h_abs, h)
         if (h < min_step).any():
-            raise RuntimeError("transport integration failed: Required "
-                               "step size is less than spacing between "
-                               "numbers.")
+            raise IntegrationError("transport integration failed: Required "
+                                   "step size is less than spacing between "
+                                   "numbers.")
         t_new = np.minimum(t + h, 1.0)
         h = t_new - t
         hc = h[:, None]
@@ -301,11 +325,11 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
         K[:, 0] = f
         for s in range(1, 6):
             dy = np.einsum("nsk,s->nk", K[:, :s], RK_A[s, :s]) * hc
-            rhs(X[:, s - 1], y + dy, dP, K[:, s])
+            stage(X[:, s - 1], y + dy, K[:, s])
         y_new = y + hc * np.einsum("nsk,s->nk", K[:, :6], RK_B)
-        f_new = rhs(X[:, 5], y_new, dP, K[:, 6])
+        f_new = stage(X[:, 5], y_new, K[:, 6])
         nf += 6
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
         err = _rms(np.einsum("nsk,s->nk", K, RK_E) * hc / scale)
         # scipy's step factor: at most MAX_FACTOR (1 after a rejection) if
         # err < 1, else at least MIN_FACTOR.  grow >= SAFETY where err < 1,
@@ -314,22 +338,27 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
         grow = SAFETY * err ** ERROR_EXPONENT  # inf where err == 0
         ok = err < 1
         h_abs = h * np.maximum(MIN_FACTOR, np.minimum(
-            np.where(rejected, 1.0, MAX_FACTOR), grow))
+            np.where(rejected, 1.0, MAX_FACTOR) if any_rejected
+            else MAX_FACTOR, grow))
         rejected = ~ok
+        any_rejected = not ok.all()
         st += ok
         if (st > budget).any():
-            raise RuntimeError("step budget exceeded")
+            raise IntegrationError("step budget exceeded")
         g_new = y_new[:, 0] ** 2 + y_new[:, 1] ** 2 - r2
         up = ok & (g <= 0) & (g_new >= 0)
         y_old, t_old = y, t
-        y = np.where(ok[:, None], y_new, y)
-        f = np.where(ok[:, None], f_new, f)
-        t = np.where(ok, t_new, t)
-        g = np.where(ok, g_new, g)
+        if any_rejected:
+            y = np.where(ok[:, None], y_new, y)
+            f = np.where(ok[:, None], f_new, f)
+            t = np.where(ok, t_new, t)
+            g = np.where(ok, g_new, g)
+        else:  # f_new lives in the stage buffer
+            y, f, t, g = y_new, f_new.copy(), t_new, g_new
         if up.any():
             # freeze the row where it leaves the disk
             args = K[up], t_old[up], h[up], y_old[up]
-            y[up] = _dense(*args, _escape_time(*args, t_new[up], r2))
+            y[up] = _dense(*args, _escape_time(*args, t_new[up], r2[up]))
         done = up | (t >= 1.0)
         if done.any():
             out = rows[done]
@@ -339,7 +368,8 @@ def _integrate_segment(rhs, y0: np.ndarray, P: np.ndarray, dP: np.ndarray,
             rows, y, t, f, g = rows[keep], y[keep], t[keep], f[keep], g[keep]
             P, dP, budget = P[:, keep], dP[:, keep], budget[keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-            st, nf = st[keep], nf[keep]
+            st, nf, r2, block = st[keep], nf[keep], r2[keep], block[keep]
+            calls = live_blocks()
     return end, escaped, steps, nfev
 
 
@@ -367,28 +397,10 @@ def _path(bundle: FlatDiskBundle, path) -> np.ndarray:
     return np.stack(verts)
 
 
-def transport_batch(bundle: FlatDiskBundle, paths,
-                    starts: Sequence[Sequence[float]]) -> BatchTransport:
-    """Integrate the horizontal-lift ODE along piecewise-linear base paths
-    for N fiber points at once.
-
-    ``paths`` is one path for every row, or an (N, V, base_dim) array of one
-    path per row, all with V vertices.  Every row takes the adaptive RK45
-    steps it would take alone, restarted at each of its path's vertices, and
-    stops where it first leaves the fiber disk.
-    """
-    y = _disk_points(bundle, starts)
-    n = len(y)
-    paths = np.asarray(paths, dtype=float)
-    if paths.ndim == 2:  # one path for every row
-        paths = np.broadcast_to(paths, (n,) + paths.shape)
-    if paths.ndim != 3 or len(paths) != n:
-        raise ValueError("need one path for every row or one per row")
-    if paths.shape[1] < 2:
-        raise ValueError("path needs at least two vertices")
+def _lift_rhs(bundle: FlatDiskBundle):
+    """The lift ODE's right-hand side for _integrate_segment.  It holds the
+    compiled lift, not the bundle."""
     b = bundle.base_dim
-    if paths.shape[2] != b:
-        raise ValueError("path vertex has wrong dimension")
     lift = compile_exprs(bundle.total_chart, tuple(
         c.expr for c in bundle.lift_u + bundle.lift_v))
 
@@ -410,7 +422,20 @@ def transport_batch(bundle: FlatDiskBundle, paths,
         if not ok:  # batch raises what it says about these points, if any
             lift.batch(np.column_stack(cols))
         return out
+    return rhs
 
+
+def _sweep(parts) -> BatchTransport:
+    """transport_batch for the rows of several bundles at once.  ``parts``
+    holds per bundle its _lift_rhs, its fiber radius squared, an (N, V,
+    base_dim) array of one path per row and N starts, with one V and
+    base_dim for all.  Returns the rows of every part in order."""
+    rhs, r2, paths, starts = zip(*parts)
+    sizes = [len(x) for x in starts]
+    block = np.repeat(np.arange(len(parts)), sizes)
+    r2 = np.repeat(r2, sizes)
+    paths, y = np.concatenate(paths), np.concatenate(starts)
+    n = len(y)
     escaped = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)
     nfev = np.zeros(n, dtype=int)
@@ -420,11 +445,35 @@ def transport_batch(bundle: FlatDiskBundle, paths,
             break
         P = paths[live, k]
         y[live], escaped[live], seg_steps, seg_nfev = _integrate_segment(
-            rhs, y[live], P, paths[live, k + 1] - P, ODE_TOL, ODE_TOL,
-            bundle.radius ** 2, MAX_STEPS - steps[live])
+            rhs, block[live], y[live], P, paths[live, k + 1] - P, r2[live],
+            MAX_STEPS - steps[live])
         steps[live] += seg_steps
         nfev[live] += seg_nfev
     return BatchTransport(end=y, escaped=escaped, steps=steps, nfev=nfev)
+
+
+def transport_batch(bundle: FlatDiskBundle, paths,
+                    starts: Sequence[Sequence[float]]) -> BatchTransport:
+    """Integrate the horizontal-lift ODE along piecewise-linear base paths
+    for N fiber points at once: the one-bundle case of _sweep.
+
+    ``paths`` is one path for every row, or an (N, V, base_dim) array of one
+    path per row, all with V vertices.  Every row takes the adaptive RK45
+    steps it would take alone, restarted at each of its path's vertices, and
+    stops where it first leaves the fiber disk.
+    """
+    y = _disk_points(bundle, starts)
+    n = len(y)
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim == 2:  # one path for every row
+        paths = np.broadcast_to(paths, (n,) + paths.shape)
+    if paths.ndim != 3 or len(paths) != n:
+        raise ValueError("need one path for every row or one per row")
+    if paths.shape[1] < 2:
+        raise ValueError("path needs at least two vertices")
+    if paths.shape[2] != bundle.base_dim:
+        raise ValueError("path vertex has wrong dimension")
+    return _sweep([(_lift_rhs(bundle), bundle.radius ** 2, paths, y)])
 
 
 def _row_keys(path: np.ndarray, starts: np.ndarray) -> list[tuple]:
@@ -434,51 +483,80 @@ def _row_keys(path: np.ndarray, starts: np.ndarray) -> list[tuple]:
             for i in range(0, len(raw), 16)]
 
 
-def plan_transport(bundle: FlatDiskBundle, path,
+class _Block(NamedTuple):
+    """One bundle's share of a sweep: its row memo, its _lift_rhs, its fiber
+    radius squared and its rows, {key: (path, start)}.  It holds no
+    reference to the bundle, so a run's plan makes no reference cycle."""
+
+    memo: dict
+    rhs: Callable
+    r2: float
+    rows: dict
+
+
+def plan_transport(plan: dict, bundle: FlatDiskBundle, path,
                    starts: Sequence[Sequence[float]]) -> None:
-    """Record rows that a later request on this bundle will make, so that
-    the first request missing the row memo integrates them in its sweep.
-    Raises ValueError for a row that transport_batch would refuse."""
+    """Record in a run's plan rows that a later request on this bundle will
+    make.  The plan maps (base_dim, vertex count) to a group: one _Block per
+    bundle that has rows of that shape planned.  The first request that
+    misses the row memo of a bundle in a group integrates every planned row
+    of the group in its sweep.  Raises ValueError for a row that
+    transport_batch would refuse."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
-    bundle._planned.update(zip(_row_keys(path, starts),
-                               zip(itertools.repeat(path), starts)))
+    if len(path) not in bundle._planned:
+        block = _Block(bundle._transported, _lift_rhs(bundle),
+                       bundle.radius ** 2, {})
+        group = plan.setdefault((bundle.base_dim, len(path)), [])
+        group.append(block)
+        bundle._planned[len(path)] = group, block
+    bundle._planned[len(path)][1].rows.update(zip(
+        _row_keys(path, starts), zip(itertools.repeat(path), starts)))
 
 
-def _sweep(bundle: FlatDiskBundle, rows: dict) -> None:
-    """Integrate rows, {key: (path, start)}, in one batch and memoize
-    them."""
-    paths, starts = zip(*rows.values())
-    res = transport_batch(bundle, np.stack(paths), np.stack(starts))
-    bundle._transported.update(zip(rows, zip(
-        res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
-        res.nfev.tolist())))
+def _sweep_blocks(blocks: Sequence[_Block]) -> None:
+    """Integrate the rows of every block in one sweep and memoize each row
+    in its block's memo; a sweep that raises memoizes nothing."""
+    blocks = [b for b in blocks if b.rows]
+    res = _sweep([(b.rhs, b.r2, *map(np.stack, zip(*b.rows.values())))
+                  for b in blocks])
+    rows = zip(res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
+               res.nfev.tolist())
+    for b in blocks:
+        b.memo.update(zip(b.rows, itertools.islice(rows, len(b.rows))))
 
 
 def _transport_rows(bundle: FlatDiskBundle, path,
                     starts: Sequence[Sequence[float]]) -> BatchTransport:
-    """transport_batch through the bundle's row memo, keyed by path and
-    start.
+    """transport_batch's rows through the bundle's row memo, keyed by path
+    and start.
 
-    A miss integrates the missing rows together with every missing planned
-    row of the same vertex count.  If that sweep raises, nothing is
-    memoized, the plan is dropped and the missing rows are integrated on
-    their own, so a fault in one check's rows never becomes another's.
+    A miss integrates the missing rows in one sweep with every missing row
+    of the bundle's plan group: the rows planned on every bundle of the run
+    with the same base_dim and vertex count, this one included.  That
+    consumes the group's plan.  If the sweep raises, nothing is memoized
+    and the missing rows are integrated on their own, so a fault in one
+    check's rows, or in one bundle's, never becomes another's.
     """
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
     memo = bundle._transported
     keys = _row_keys(path, starts)
     missing = {k: (path, x) for k, x in zip(keys, starts) if k not in memo}
     if missing:
-        planned = {k: row for k, row in bundle._planned.items()
-                   if row[0].shape == path.shape
-                   and k not in memo and k not in missing}
+        alone = _Block(memo, _lift_rhs(bundle), bundle.radius ** 2, missing)
+        group, own = bundle._planned.get(len(path), ([], None))
+        joint = [b._replace(rows={
+            **(missing if b is own else {}),
+            **{k: row for k, row in b.rows.items() if k not in b.memo}})
+            for b in group] + ([] if own else [alone])
         try:
-            _sweep(bundle, {**missing, **planned})
+            _sweep_blocks(joint)
         except (ValueError, RuntimeError, ArithmeticError):
-            if not planned:
+            if sum(len(b.rows) for b in joint) == len(missing):
                 raise
-            bundle._planned.clear()
-            _sweep(bundle, missing)
+            _sweep_blocks([alone])
+        finally:
+            for b in group:
+                b.rows.clear()
     rows = [memo[k] for k in keys]
     return BatchTransport(end=np.array([r[0] for r in rows]).reshape(-1, 2),
                           escaped=np.array([r[1] for r in rows], dtype=bool),
@@ -662,15 +740,19 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
     }
 
 
-def plan_ccl(bundle: FlatDiskBundle) -> None:
-    """Plan the holonomy rows of ccl_check(bundle, beta) for every
-    generator.  Over one generator with nothing else planned they are one
-    request anyway, so there is nothing to join and no plan."""
-    if bundle.base_dim == 1 and not bundle._planned:
-        return
-    rows, inside = _fd_rows(bundle, _ccl_samples(bundle))
-    for g in range(bundle.base_dim):
-        plan_transport(bundle, generator_loop(bundle, g), rows[inside])
+def plan_ccl(plan: dict, bundles: Sequence[FlatDiskBundle]) -> None:
+    """Plan in a run's plan (see plan_transport) the holonomy rows of
+    ccl_check(bundle, beta) for every generator of each bundle.  A lone
+    one-generator bundle with nothing else planned in its group makes them
+    one request anyway, so there is nothing to join and no plan."""
+    if sum(b.base_dim == 1 for b in bundles) == 1 \
+            and not any(b.rows for b in plan.get((1, 2), ())):
+        bundles = [b for b in bundles if b.base_dim > 1]
+    for bundle in bundles:
+        rows, inside = _fd_rows(bundle, _ccl_samples(bundle))
+        for g in range(bundle.base_dim):
+            plan_transport(plan, bundle, generator_loop(bundle, g),
+                           rows[inside])
 
 
 # ---------------------------------------------------------------------------

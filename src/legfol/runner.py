@@ -479,29 +479,31 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
 
 
 def _plan(sc: Scenario, env: _Env) -> None:
-    """Record on each bundle the transport rows its checks will request: a
-    transport check's start, and then the CCL rows of every generator where
-    a ccl check, or a singular germ that a check names, names the bundle.
-    The first request that misses a bundle's row memo then integrates them
-    all in one sweep, whatever the check order."""
+    """Plan the transport rows the checks will request: each transport
+    check's start, and then the CCL rows of every generator of each bundle
+    that a ccl check, or a singular germ that a check names, names.  The
+    first request that misses a bundle's row memo then integrates the
+    planned rows of every bundle with the same base_dim and path vertex
+    count in one sweep, whatever the check order."""
     germ_bundles = {b.name: b.get("bundle") for b in sc.blocks
                     if b.kind == "germ"}
-    ccl = set()
+    plan, ccl = {}, {}  # ccl: bundle names in check order
     for b, args in env.args.items():
         kind = b.require("kind")
         if kind == "transport":
             target = env.objects["bundle", args["target"]]
             try:
-                bd.plan_transport(target, bd.generator_loop(
+                bd.plan_transport(plan, target, bd.generator_loop(
                     target, args["generator"]), [args["start"]])
             except ValueError:  # the check refuses this row when it runs
                 pass
         elif kind == "ccl":
-            ccl.add(args["target"])
-        ccl.update(germ_bundles[args[key]] for key, decl
-                   in KINDS[kind].names.items() if decl == "germ")
-    for name in ccl - {None}:
-        bd.plan_ccl(env.objects["bundle", name])
+            ccl[args["target"]] = None
+        ccl.update(dict.fromkeys(germ_bundles[args[key]] for key, decl
+                                 in KINDS[kind].names.items()
+                                 if decl == "germ"))
+    bd.plan_ccl(plan, [env.objects["bundle", name]
+                       for name in ccl if name is not None])
 
 
 def _jsonable(value):

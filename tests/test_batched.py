@@ -21,7 +21,10 @@ two kernels agree.
 
 import copy
 import dataclasses
+import gc
 import itertools
+import math
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -1114,6 +1117,19 @@ end
 """
 
 
+def counted_sweeps(monkeypatch):
+    """The row count of every _integrate_segment call from now on: one per
+    sweep, where every path has one segment."""
+    rows, real = [], bd._integrate_segment
+
+    def counted(rhs, block, y0, *args):
+        rows.append(len(y0))
+        return real(rhs, block, y0, *args)
+
+    monkeypatch.setattr(bd, "_integrate_segment", counted)
+    return rows
+
+
 class TestHolonomyMemo:
     """The transport rows of a bundle (every generator loop's CCL rows and
     the transport checks' starts) are integrated in one sweep per run,
@@ -1121,15 +1137,7 @@ class TestHolonomyMemo:
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        rows = []
-        real = bd.transport_batch
-
-        def counted(bundle, paths, starts, *args, **kwargs):
-            rows.append(len(starts))
-            return real(bundle, paths, starts, *args, **kwargs)
-
-        monkeypatch.setattr(bd, "transport_batch", counted)
-        return rows
+        return counted_sweeps(monkeypatch)
 
     def test_once_per_run(self, batches):
         report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
@@ -1250,6 +1258,101 @@ class TestMixedSweep:
             assert 0 < got.escaped.sum() < len(starts)
 
 
+def on_torus(bundle, radius=1.0):
+    """A circle bundle's lift along s1 and none along s2, over the torus of
+    periods (1, 1), with fiber radius ``radius``."""
+    total = Chart(("s1", "s2", "u", "v"), (1.0, 1.0, None, None))
+    zero = constant(total, 0.0)
+    return bd.FlatDiskBundle(2, (1.0, 1.0), radius,
+                             (bundle.lift_u[0].on_chart(total), zero),
+                             (bundle.lift_v[0].on_chart(total), zero))
+
+
+# Rotation, sheared, trig and radial bundles of one base_dim, on paths of one
+# vertex count, with fiber radii 1, 1.3 and 0.8: the generator loops over
+# the circle, and the CONTRACTIBLE loop both ways over the torus, where each
+# row restarts at four vertices.
+JOINT_SWEEPS = {
+    "circle": (lambda: [bd.rotation_bundle([0.7], radius=1.3), trig_bundle(),
+                        radial_bundle()],
+               [[[0.0], [1.0]], [[1.0], [0.0]]]),
+    "torus": (lambda: [bd.rotation_bundle([0.9, 1.7], radius=0.8),
+                       sheared_bundle(), on_torus(trig_bundle(), 1.3),
+                       on_torus(radial_bundle())],
+              [CONTRACTIBLE, CONTRACTIBLE[::-1]]),
+}
+
+
+class TestJointSweep:
+    """One sweep of the rows of several bundles: each row equals the row
+    swept with its own bundle alone, bit for bit, and the solve_ivp oracle
+    within 1e-13."""
+
+    @pytest.mark.parametrize("base", JOINT_SWEEPS)
+    def test_rows_equal_their_bundles_alone(self, base, rng):
+        make, loops = JOINT_SWEEPS[base]
+        bundles, loops = make(), np.array(loops)
+        parts = []
+        for b in bundles:
+            starts = disk_points(rng, 10, 0.95 * b.radius)
+            parts.append((b, loops[np.arange(len(starts)) % len(loops)],
+                          starts))
+        got = bd._sweep([(bd._lift_rhs(b), b.radius ** 2, paths, starts)
+                         for b, paths, starts in parts])
+        i = 0
+        for b, paths, starts in parts:
+            for path, x in zip(paths, starts):
+                alone = bd.transport_batch(b, path, [x])
+                assert got.end[i].tobytes() == alone.end[0].tobytes()
+                assert (got.escaped[i], got.steps[i], got.nfev[i]) == \
+                    (alone.escaped[0], alone.steps[0], alone.nfev[0])
+                want = walk_transport(b, path, x)
+                assert (bool(got.escaped[i]), got.steps[i], got.nfev[i]) \
+                    == (want.escaped, want.steps, want.nfev)
+                assert np.max(np.abs(got.end[i] - want.end)) <= 1e-13
+                i += 1
+        assert 0 < got.escaped.sum() < len(got.escaped)
+
+    def test_plan_joins_bundles(self, monkeypatch, rng):
+        # rows planned on three circles: the first request integrates them
+        # all, and the other bundles' requests read their memos
+        batches = counted_sweeps(monkeypatch)
+        bundles = JOINT_SWEEPS["circle"][0]()
+        plan, rows = {}, []
+        for b in bundles:
+            rows.append(disk_points(rng, 6, 0.95 * b.radius))
+            bd.plan_transport(plan, b, bd.generator_loop(b, 0), rows[-1])
+        got = [bd._transport_rows(b, bd.generator_loop(b, 0), x)
+               for b, x in zip(bundles, rows)]
+        assert batches == [sum(map(len, rows))]
+        for b, x, res in zip(bundles, rows, got):
+            alone = bd.transport_batch(b, bd.generator_loop(b, 0), x)
+            assert res.end.tobytes() == alone.end.tobytes()
+            assert (res.escaped.tolist(), res.steps.tolist(),
+                    res.nfev.tolist()) == (alone.escaped.tolist(),
+                                           alone.steps.tolist(),
+                                           alone.nfev.tolist())
+        assert all(not block.rows for block in plan[1, 2])  # consumed
+
+    def test_run_frees_its_bundles(self, monkeypatch):
+        # the plan holds memos, lifts and rows, never a bundle, so a run's
+        # bundles die with the run, without the cyclic collector
+        refs, real = [], bd.rotation_bundle
+
+        def tracked(*args):
+            bundle = real(*args)
+            refs.append(weakref.ref(bundle))
+            return bundle
+
+        monkeypatch.setattr(bd, "rotation_bundle", tracked)
+        gc.disable()
+        try:
+            assert runner.run_scenario(parse_scenario(THREE_CIRCLES))["passed"]
+            assert len(refs) == 3 and all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+
 OVERFLOW_SCENARIO = """scenario overflow
 
 bundle circle
@@ -1289,16 +1392,40 @@ def overflowing_bundle(rates, periods, radius):
                              (parse_field(total, f"u * {rate}"),))
 
 
+TWO_BUNDLE_OVERFLOW = OVERFLOW_SCENARIO + """
+bundle healthy
+  type = rotation
+  rates = 0.7
+end
+
+form healthy-area
+  on = fiber healthy
+  u = -v
+  v = u
+end
+
+check healthy-endpoint
+  kind = transport
+  target = healthy
+  start = 0.5 0
+  end = 0.38242109364224425 0.3221088436188455
+end
+
+check healthy-ccl
+  kind = ccl
+  target = healthy
+  form = healthy-area
+end
+"""
+
+
 class TestFaultAttribution:
     """A fault in one check's rows stays that check's outcome, although the
     plan puts every row of the bundle into the first sweep."""
 
     def test_fault_stays_with_its_check(self, monkeypatch):
         monkeypatch.setattr(bd, "rotation_bundle", overflowing_bundle)
-        batches = []
-        real = bd.transport_batch
-        monkeypatch.setattr(bd, "transport_batch", lambda b, p, starts, *a: (
-            batches.append(len(starts)) or real(b, p, starts, *a)))
+        batches = counted_sweeps(monkeypatch)
         sc = parse_scenario(OVERFLOW_SCENARIO)
         report = runner.run_scenario(sc)
         endpoint, ccl = report["checks"]
@@ -1312,6 +1439,28 @@ class TestFaultAttribution:
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
         alone = runner.run_scenario(sc)
         assert batches[3:] == [1, 40]
+        report.pop("wall_time"), alone.pop("wall_time")
+        assert report == alone
+
+    def test_fault_stays_with_its_bundle(self, monkeypatch):
+        # the overflowing circle beside a healthy one: the first request
+        # sweeps both bundles' rows, the sweep raises, and every check then
+        # gets the outcome it gets in a run of its own bundle alone
+        real = bd.rotation_bundle
+        monkeypatch.setattr(bd, "rotation_bundle", lambda rates, *a: (
+            overflowing_bundle if rates == [1.0] else real)(rates, *a))
+        batches = counted_sweeps(monkeypatch)
+        one = runner.run_scenario(parse_scenario(OVERFLOW_SCENARIO))
+        sc = parse_scenario(TWO_BUNDLE_OVERFLOW)
+        report = runner.run_scenario(sc)
+        assert [c["ok"] for c in report["checks"]] == [True, False, True,
+                                                       True]
+        ccl = report["checks"][1]
+        assert not ccl["detail"]["refused"]
+        assert ccl["error"] == one["checks"][1]["error"]
+        assert batches[3:] == [82, 1, 40, 1, 40]
+        monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
+        alone = runner.run_scenario(sc)
         report.pop("wall_time"), alone.pop("wall_time")
         assert report == alone
 
@@ -1342,10 +1491,10 @@ def transport_through_batch(bundle, generator, starts):
     P = np.zeros((len(starts), bundle.base_dim))
     dP = np.zeros_like(P)
     dP[:, generator] = bundle.periods[generator]
-    tol = bd.ODE_TOL
-    return bd._integrate_segment(batch_rhs(bundle), starts, P, dP, tol, tol,
-                                 bundle.radius ** 2,
-                                 np.full(len(starts), bd.MAX_STEPS))
+    n = len(starts)
+    return bd._integrate_segment([batch_rhs(bundle)], np.zeros(n, dtype=int),
+                                 starts, P, dP, np.full(n, bundle.radius ** 2),
+                                 np.full(n, bd.MAX_STEPS))
 
 
 def product_overflow_bundle():
@@ -1398,33 +1547,142 @@ class TestStageEvaluation:
         assert reason in str(got.value)
 
 
+def ode_work(monkeypatch):
+    """Record from now on each _integrate_segment call's row count, each
+    call's rhs calls per block of rows, and each sweep's rows, accepted
+    steps and nfev."""
+    segments, stages, sweeps = [], [], []
+    real_segment, real_sweep = bd._integrate_segment, bd._sweep
+
+    def segment(rhs, block, y0, *args):
+        segments.append(len(y0))
+        calls = [0] * len(rhs)
+
+        def counted(i):
+            def f(*a):
+                calls[i] += 1
+                return rhs[i](*a)
+            return f
+        stages.append(calls)  # counted as the segment runs
+        return real_segment([counted(i) for i in range(len(rhs))], block,
+                            y0, *args)
+
+    def sweep(parts):
+        res = real_sweep(parts)
+        sweeps.append((len(res.end), int(res.steps.sum()),
+                       int(res.nfev.sum())))
+        return res
+
+    monkeypatch.setattr(bd, "_integrate_segment", segment)
+    monkeypatch.setattr(bd, "_sweep", sweep)
+    return segments, stages, sweeps
+
+
+THREE_CIRCLES = "scenario three-circles\n" + "".join(f"""
+bundle {name}
+  type = rotation
+  rates = {rate}
+end
+
+form {name}-area
+  on = fiber {name}
+  u = -v
+  v = u
+end
+
+check {name}-endpoint
+  kind = transport
+  target = {name}
+  start = 0.5 0
+  end = {0.5 * math.cos(rate)!r} {0.5 * math.sin(rate)!r}
+end
+
+check {name}-ccl
+  kind = ccl
+  target = {name}
+  form = {name}-area
+end
+""" for name, rate in (("slow", 0.7), ("mid", -1.3), ("fast", 2.1)))
+
+
 class TestOdeWork:
     """The RK work of MEMO_SCENARIO's one sweep, pinned: a leaner step
     takes fewer numpy calls, never fewer steps or lift evaluations."""
 
     def test_memo_scenario(self, monkeypatch):
-        segments, stages, sweeps = [], [], []
-        real_segment, real_batch = bd._integrate_segment, bd.transport_batch
-
-        def segment(rhs, y0, *args):
-            segments.append(len(y0))
-            return real_segment(lambda *a: stages.append(1) or rhs(*a),
-                                y0, *args)
-
-        def batch(bundle, paths, starts, *args):
-            res = real_batch(bundle, paths, starts, *args)
-            sweeps.append((len(starts), int(res.steps.sum()),
-                           int(res.nfev.sum())))
-            return res
-
-        monkeypatch.setattr(bd, "_integrate_segment", segment)
-        monkeypatch.setattr(bd, "transport_batch", batch)
+        segments, stages, sweeps = ode_work(monkeypatch)
         assert runner.run_scenario(parse_scenario(MEMO_SCENARIO))["passed"]
         # one sweep of 81 rows on one segment: 2 evaluations to pick the
         # first step, then 16 RK iterations of 6 stages each
         assert segments == [81]
-        assert len(stages) == 2 + 6 * 16
+        assert stages == [[2 + 6 * 16]]
         assert sweeps == [(81, 965, 5952)]
+
+    def test_three_circles(self, monkeypatch):
+        segments, stages, sweeps = ode_work(monkeypatch)
+        sc = parse_scenario(THREE_CIRCLES)
+        assert runner.run_scenario(sc)["passed"]
+        # the three bundles' 3 x 41 rows in one sweep: each block of rows
+        # takes 2 evaluations, then 6 per RK iteration while it has live
+        # rows, so 20 iterations in place of 8 + 13 + 20 in three sweeps:
+        # the 2.1-rad circle's rows take the most steps
+        assert segments == [123]
+        assert stages == [[2 + 6 * 8, 2 + 6 * 13, 2 + 6 * 20]]
+        assert sweeps == [(123, 1539, 9480)]
+        # the same rows, steps and nfev as one sweep per request
+        monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
+        assert runner.run_scenario(sc)["passed"]
+        assert segments[1:] == [1, 40, 1, 40, 1, 40]
+        assert [sum(x) for x in zip(*sweeps[1:])] == list(sweeps[0])
+
+    def test_germ_singular_demo(self, monkeypatch):
+        # two circle bundles with no transport check: their germs' CCL rows
+        # in one sweep
+        batches = counted_sweeps(monkeypatch)
+        text = (resources.files("legfol") / "scenarios"
+                / "germ-singular.scn").read_text()
+        assert runner.run_scenario(parse_scenario(text))["passed"]
+        assert batches == [80]
+
+
+BUDGET_SCENARIO = """scenario budget
+
+bundle circle
+  type = rotation
+  rates = 1
+end
+
+check endpoint
+  kind = transport
+  target = circle
+  start = 0.5 0
+  end = 0.2701511529340699 0.42073549240394825
+  expect = refuse
+end
+"""
+
+
+class TestIntegrationFault:
+    """A failed integration is a numerical fault: the outcome error, which
+    satisfies no expectation, never a refusal."""
+
+    def test_step_budget(self):
+        b = bd.rotation_bundle([0.9])
+        starts = np.array([[0.3, 0.1], [0.1, -0.2]])
+        with pytest.raises(bd.IntegrationError, match="step budget exceeded"):
+            bd._integrate_segment(
+                [bd._lift_rhs(b)], np.zeros(2, dtype=int), starts,
+                np.zeros((2, 1)), np.ones((2, 1)), np.ones(2),
+                np.array([bd.MAX_STEPS, 3]))
+        assert issubclass(bd.IntegrationError, ArithmeticError)
+
+    def test_refusal_control_does_not_pass(self, monkeypatch):
+        monkeypatch.setattr(bd, "MAX_STEPS", 3)
+        report = runner.run_scenario(parse_scenario(BUDGET_SCENARIO))
+        endpoint = report["checks"][0]
+        assert endpoint["expect"] == "refuse" and not endpoint["ok"]
+        assert not endpoint["detail"]["refused"]
+        assert endpoint["error"] == "IntegrationError: step budget exceeded"
 
 
 class TestCCLMemo:

@@ -30,6 +30,8 @@ LIBRARY_ONLY = {
     "coiso.singular_normal_data": "paper: the generic singular normal form",
     "bundle.extract_flat_structure": "paper: the flat disk bundle read off "
                                      "a singular coisotropic graph",
+    "bundle.transport_batch": "oracle: the one-bundle sweep that every row "
+                              "of a joint sweep equals bit for bit",
     "symplin.LinSubspace.equals": "oracle: the subspace comparison that "
                                   "batched kernel bases are held to",
 }
