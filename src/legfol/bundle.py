@@ -25,10 +25,10 @@ from .fields import (
     ExprField,
     RowError,
     VectorFieldExpr,
+    brackets,
     compile_exprs,
     constant,
-    lie_bracket,
-    sup_abs,
+    values_and_partials,
 )
 
 ODE_TOL = 1e-8  # the ODE's rtol and atol
@@ -140,15 +140,15 @@ def rotation_bundle(rates: Sequence[float], periods: Sequence[float] | None = No
 
 def flatness_check(bundle: FlatDiskBundle,
                    points: Sequence[Sequence[float]]) -> float:
-    """Max vertical component of pairwise lift brackets over sample points."""
+    """Max vertical component of pairwise lift brackets over sample points,
+    from the lifts' values and first partials (fields.brackets)."""
+    total = bundle.total_chart
     lifts = bundle.lifts()
-    iu, iv = bundle.base_dim, bundle.base_dim + 1
-    vertical = [
-        br.components[i]
-        for br in itertools.starmap(lie_bracket,
-                                    itertools.combinations(lifts, 2))
-        for i in (iu, iv)]
-    return sup_abs(bundle.total_chart, vertical, points)
+    vals, J = values_and_partials(total, tuple(
+        c.expr for lift in lifts for c in lift.components), points)
+    V = vals.reshape(-1, len(lifts), total.dim)
+    JV = J.reshape(-1, len(lifts), total.dim, total.dim)
+    return float(co._max_abs(brackets(V, JV)[:, :, bundle.base_dim:]))
 
 
 @dataclass(frozen=True)
@@ -769,35 +769,26 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     Verifies the singular component is generic, then reports the rank-(n-1)
     kernel distribution at sample points, its integrability residual and the
     covariant-constancy residual of the restricted form along the spanning
-    frame.
+    frame: the frame residuals of coiso.frame_residuals, which verify_claim
+    shares.
     """
     scan = co.singular_scan(Y, box=scan_box, step=scan_step)
     if not scan.clusters:
         raise ValueError("no singular component found in the scan region")
     if any(flag != "generic" for flag in scan.flags):
         raise ValueError("non-generic singular structure")
-    lam = Y.lambda_form
-    dlam = fm.exterior_d(lam)
-    tilde, _ = co.build_Vk(Y)
-    k = Y.source_chart.dim
-    M = fm.form_matrices(dlam, points)
+    frame = co.frame_residuals(Y, points)
+    M = frame["dlambda"]
     if np.any(sl.skew_rank(M, tol) != 2):
         raise ValueError("non-generic singular structure")
-
-    src = Y.source_chart
     return {
-        "rank": k - 2,
+        "rank": Y.source_chart.dim - 2,
         # rank 2 is certified, so each kernel is the last k - 2 rows of vh
         "kernel_bases": np.linalg.svd(M)[2][:, 2:],
-        "membership_residual": sup_abs(src, [
-            c for V in tilde for c in fm.interior(V, dlam).coeffs.values()],
-            points),
-        "integrability_residual": sup_abs(src, [
-            c for Va, Vb in itertools.combinations(tilde, 2)
-            for c in fm.interior(lie_bracket(Va, Vb), dlam).coeffs.values()],
-            points),
-        "covariant_constancy_residual": sup_abs(src, [
-            c for V in tilde
-            for c in fm.lie_derivative(V, lam).coeffs.values()], points),
+        "membership_residual": float(co._max_abs(frame["i_V_dlambda"])),
+        # i_[V_a, V_b] d lambda
+        "integrability_residual": float(co._max_abs(frame["bracket"] @ M)),
+        "covariant_constancy_residual": float(co._max_abs(
+            frame["lie_lambda"])),
         "scan_flags": scan.flags,
     }

@@ -24,12 +24,11 @@ from .fields import (
     RowError,
     SmoothMapExpr,
     VectorFieldExpr,
+    brackets,
     compile_exprs,
     constant,
     coordinate,
-    lie_bracket,
-    pushforward_field,
-    sup_abs,
+    values_and_partials,
 )
 
 RANK_TOL = 1e-8
@@ -421,44 +420,66 @@ def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def build_Vk(Y: GraphSubmanifold) -> tuple[list[VectorFieldExpr],
-                                           list[VectorFieldExpr]]:
-    """The n-1 commuting fields on the source chart and their ambient images.
+def build_Vk(Y: GraphSubmanifold) -> list[VectorFieldExpr]:
+    """The n-1 commuting fields on the source chart:
+    d/dx_a - (dy_a/dy_n) d/dx_n + (dy_a/dx_n) d/dy_n.
 
-    Source fields: d/dx_a - (dy_a/dy_n) d/dx_n + (dy_a/dx_n) d/dy_n.
-    Ambient images are the symbolic pushforwards, extended off the graph by
-    keeping their source-variable coefficients constant in the other
-    directions.
+    Their ambient images are the pushforwards J_emb V, which the checks take
+    on arrays (verify_claim).
     """
     _require_standard(Y)
     n = Y.n
-    if n == 1:
-        return [], []
     src = Y.source_chart
-    amb = Y.ambient
-    emb = Y.embedding
     xn, yn = f"x{n}", f"y{n}"
-    tilde, ambient = [], []
+    tilde = []
     for a in range(1, n):
         ya = Y.components[f"y{a}"]
         comps = [constant(src, 0.0) for _ in range(src.dim)]
         comps[src.index(f"x{a}")] = constant(src, 1.0)
         comps[src.index(xn)] = comps[src.index(xn)] - ya.diff(yn)
         comps[src.index(yn)] = ya.diff(xn)
-        Vt = VectorFieldExpr(src, tuple(comps))
-        tilde.append(Vt)
-        push = pushforward_field(emb, Vt)
-        amb_comps = tuple(c.on_chart(amb) for c in push)
-        ambient.append(VectorFieldExpr(amb, amb_comps))
-    return tilde, ambient
+        tilde.append(VectorFieldExpr(src, tuple(comps)))
+    return tilde
+
+
+def frame_residuals(Y: GraphSubmanifold,
+                    points: Sequence[Sequence[float]]) -> dict:
+    """The identities of the commuting frame V_a of build_Vk at N points.
+
+    One batch evaluates the frame's components, the coefficients of lambda
+    and their first partials; the rest is array contraction, with W the
+    matrix of d lambda:
+    - "frame": the fields' values V (N, m, k);
+    - "dlambda": W (N, k, k), W_ij = d_i lambda_j - d_j lambda_i;
+    - "i_V_dlambda": (i_V d lambda)_j = V^i W_ij, (N, m, k);
+    - "bracket": [V_a, V_b] for a < b (fields.brackets), (N, pairs, k);
+    - "lie_lambda": L_V lambda (forms.lie_coeffs), (N, m, k).
+    """
+    tilde = build_Vk(Y)
+    src = Y.source_chart
+    k, m = src.dim, len(tilde)
+    lam = Y.lambda_form
+    vals, J = values_and_partials(src, tuple(
+        c.expr for V in tilde for c in V.components) + tuple(
+        lam.coeff((i,)).expr for i in range(k)), points)
+    V = vals[:, :m * k].reshape(-1, m, k)
+    JV = J[:, :m * k].reshape(-1, m, k, k)
+    lam_v, lam_J = vals[:, m * k:], J[:, m * k:]
+    W = lam_J.transpose(0, 2, 1) - lam_J
+    return {"frame": V, "dlambda": W, "i_V_dlambda": V @ W,
+            "bracket": brackets(V, JV),
+            "lie_lambda": fm.lie_coeffs(V, JV, lam_v, lam_J)}
 
 
 def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
                  tol: float = 1e-8) -> dict:
     """Check the four identities satisfied by the commuting fields.
 
-    Refuses when the residual equations fail at any sample (the identities
-    are conditional on coisotropy).
+    The frame's identities come from frame_residuals.  Its ambient images
+    are the pushforwards J_emb V, on which alpha is evaluated at the image
+    of each sample; brackets are pushed forward the same way.  Refuses when
+    the residual equations fail at any sample (the identities are
+    conditional on coisotropy).
     """
     _require_standard(Y)
     points = np.asarray(points, dtype=float)
@@ -473,31 +494,22 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
                             for i in bad[:10]],
             "num_bad": len(bad),
         }
-    tilde, ambient = build_Vk(Y)
-    alpha = standard_alpha(Y.n)
-    lam = Y.lambda_form
-    dlam = fm.exterior_d(lam)
+    frame = frame_residuals(Y, points)
     emb = Y.embedding
-    src, amb = Y.source_chart, Y.ambient
-
-    res = {"i_V_alpha": 0.0}
-    if tilde:  # the embedding is evaluated only where a field needs it
-        image = compile_exprs(src, tuple(c.expr for c in emb.components)
-                              ).batch(points)
-        res["i_V_alpha"] = sup_abs(amb, [
-            fm.interior(Va, alpha).coeff(()) for Va in ambient], image)
-    res["i_V_dlambda"] = sup_abs(src, [
-        c for Vt in tilde for c in fm.interior(Vt, dlam).coeffs.values()],
-        points)
-    res["bracket"] = sup_abs(src, [
-        c for Vt, Wt in itertools.combinations(tilde, 2)
-        for c in pushforward_field(emb, lie_bracket(Vt, Wt))], points)
-    res["lie_lambda"] = sup_abs(src, [
-        c for Vt in tilde
-        for c in fm.lie_derivative(Vt, lam).coeffs.values()], points)
-    res["lambda_ab"] = float(_max_abs(np.array(
-        list(table["lambda_ab"].values()))))
-    res["refused"] = False
+    image, J_emb = values_and_partials(Y.source_chart, tuple(
+        c.expr for c in emb.components), points)
+    J_emb_T = J_emb.transpose(0, 2, 1)  # pushforward: J_emb V = V @ J_emb^T
+    # alpha at the image on J_emb V, as (J_emb^T alpha) . V
+    alpha_back = J_emb_T @ standard_alpha(Y.n).coeff_array(image)[:, :, None]
+    res = {
+        "i_V_alpha": float(_max_abs(frame["frame"] @ alpha_back)),
+        "i_V_dlambda": float(_max_abs(frame["i_V_dlambda"])),
+        "bracket": float(_max_abs(frame["bracket"] @ J_emb_T)),
+        "lie_lambda": float(_max_abs(frame["lie_lambda"])),
+        "lambda_ab": float(_max_abs(np.array(
+            list(table["lambda_ab"].values())))),
+        "refused": False,
+    }
     res["max_residual"] = max(
         res[k] for k in ("i_V_alpha", "i_V_dlambda", "bracket",
                          "lie_lambda", "lambda_ab"))

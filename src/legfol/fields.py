@@ -5,6 +5,10 @@ object, or an existing one where an equal expression node is alive (nodes are
 interned). Simplification is deliberately limited to constant folding and 0/1
 absorption so that evaluation stays predictable and the finite-difference
 oracle remains a genuinely independent cross-check.
+
+Derivatives are symbolic; brackets and pushforwards of vector fields are
+array contractions on their compiled values and first partials
+(values_and_partials, brackets).
 """
 
 from __future__ import annotations
@@ -532,11 +536,18 @@ def compile_exprs(chart: Chart, exprs: tuple[Expr, ...]) -> CompiledExprs:
     return CompiledExprs(chart, exprs)
 
 
-def sup_abs(chart: Chart, fields, points) -> float:
-    """Largest |value| of fields on chart over the points, in one batch; 0
-    for no fields or no points."""
-    values = compile_exprs(chart, tuple(f.expr for f in fields)).batch(points)
-    return float(np.max(np.abs(values), initial=0.0))
+def values_and_partials(chart: Chart, exprs: tuple[Expr, ...], points
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Expressions and their first partials at N points, in one batch.
+
+    Returns the values (N, F) and the Jacobians (N, F, dim), with
+    J[p, f, i] the partial of exprs[f] in the chart's i-th coordinate.  The
+    partials come from Expr.diff's memo; the batch raises as ``batch`` does.
+    """
+    partials = tuple(e.diff(v) for e in exprs for v in chart.var_names)
+    out = compile_exprs(chart, exprs + partials).batch(points)
+    count = len(exprs)
+    return out[:, :count], out[:, count:].reshape(len(out), count, chart.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +642,6 @@ class VectorFieldExpr:
             if c.chart != self.chart:
                 raise ChartMismatch("component on wrong chart")
 
-    def apply(self, field: ExprField) -> ExprField:
-        """Directional derivative V(f), symbolically."""
-        if field.chart != self.chart:
-            raise ChartMismatch("field and vector field on different charts")
-        acc = Const(0.0)
-        for name, comp in zip(self.chart.var_names, self.components):
-            acc = add(acc, mul(comp.expr, field.expr.diff(name)))
-        return ExprField(self.chart, acc)
-
 
 def as_field(chart: Chart, c: ExprField | Expr | float) -> ExprField:
     """A field on chart: a field rechartered, an expression or a number."""
@@ -654,13 +656,16 @@ def vector_field(chart: Chart, components: Sequence[ExprField | Expr | float]
                                         for c in components))
 
 
-def lie_bracket(V: VectorFieldExpr, W: VectorFieldExpr) -> VectorFieldExpr:
-    """[V, W] = (V . grad) W - (W . grad) V, computed symbolically."""
-    if V.chart != W.chart:
-        raise ChartMismatch("bracket operands on different charts")
-    return VectorFieldExpr(V.chart, tuple(
-        ExprField(V.chart, sub(V.apply(wi).expr, W.apply(vi).expr))
-        for wi, vi in zip(W.components, V.components)))
+def brackets(V: np.ndarray, JV: np.ndarray) -> np.ndarray:
+    """Brackets of m vector fields at N points, from their values V (N, m,
+    dim) and Jacobians JV (N, m, dim, dim), JV[p, a, i, j] the partial of
+    component i of field a in coordinate j.
+
+    [V_a, V_b] = J_b V_a - J_a V_b for each pair a < b, in the order of
+    itertools.combinations: (N, m (m - 1) / 2, dim).
+    """
+    a, b = np.triu_indices(V.shape[1], 1)
+    return (JV[:, b] @ V[:, a, :, None] - JV[:, a] @ V[:, b, :, None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -693,24 +698,6 @@ class SmoothMapExpr:
             for name, comp in zip(self.target.var_names, self.components)
         }
         return ExprField(self.source, field.expr.subs(mapping))
-
-
-def pushforward_field(map_: SmoothMapExpr, V: VectorFieldExpr
-                      ) -> tuple[ExprField, ...]:
-    """Symbolic pushforward of V along the map.
-
-    Returns one source-chart ExprField per target coordinate; meaningful
-    pointwise along the image of the map.
-    """
-    if V.chart != map_.source:
-        raise ChartMismatch("vector field not on the map's source chart")
-    comps = []
-    for row in map_.jacobian_fields:
-        acc = Const(0.0)
-        for entry, v in zip(row, V.components):
-            acc = add(acc, mul(entry.expr, v.expr))
-        comps.append(ExprField(map_.source, acc))
-    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------

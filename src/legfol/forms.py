@@ -5,6 +5,10 @@ multi-indices. The convention is determinant-based without a 1/k! factor:
 omega(v_1, ..., v_k) sums coeff_I times the determinant of the I-rows of the
 vectors, so the standard volume normalization comes out as n! on the
 canonical frame.
+
+Forms are built symbolically (d, wedge, pullback); contractions with vector
+fields are taken on arrays of values and first partials (form_matrices,
+lie_coeffs).
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .fields import (
     Expr,
     ExprField,
     SmoothMapExpr,
-    VectorFieldExpr,
     add,
     as_field,
     compile_exprs,
@@ -176,36 +179,6 @@ def exterior_d(omega: DiffForm) -> DiffForm:
                     {i: ExprField(chart, e) for i, e in out.items()})
 
 
-def interior(V: VectorFieldExpr, omega: DiffForm) -> DiffForm:
-    """Contraction in the first slot: (i_V w)(u...) = w(V, u...)."""
-    if V.chart != omega.chart:
-        raise ChartMismatch("interior product operands on different charts")
-    if omega.degree < 1:
-        raise ValueError("interior product needs degree >= 1")
-    out: dict[MultiIndex, Expr] = {}
-    for idx, c in omega.coeffs.items():
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            term = mul(Const(float((-1) ** pos)),
-                       mul(V.components[i].expr, c.expr))
-            out[rest] = add(out[rest], term) if rest in out else term
-    return DiffForm(omega.chart, omega.degree - 1,
-                    {i: ExprField(omega.chart, e) for i, e in out.items()})
-
-
-def lie_derivative(V: VectorFieldExpr, omega: DiffForm) -> DiffForm:
-    """Cartan's formula: L_V w = d(i_V w) + i_V(dw)."""
-    if V.chart != omega.chart:
-        raise ChartMismatch("Lie derivative operands on different charts")
-    if omega.degree == 0:
-        return function_form(V.apply(omega.coeff(())))
-    term1 = exterior_d(interior(V, omega))
-    if omega.degree == omega.chart.dim:
-        return term1
-    term2 = interior(V, exterior_d(omega))
-    return term1 + term2
-
-
 def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
     """Assemble phi^* omega symbolically on the source chart."""
     if omega.chart != phi.target:
@@ -256,3 +229,15 @@ def form_matrices(omega: DiffForm, points) -> np.ndarray:
         M[:, i, j] = vals[:, col]
         M[:, j, i] = -vals[:, col]
     return M
+
+
+def lie_coeffs(V: np.ndarray, JV: np.ndarray, w: np.ndarray,
+               Jw: np.ndarray) -> np.ndarray:
+    """Coefficients of L_V w for m vector fields and a 1-form at N points.
+
+    From the fields' values V (N, m, dim) and Jacobians JV (N, m, dim, dim)
+    and the form's coefficients w (N, dim) and Jacobian Jw (N, dim, dim),
+    J[..., i, j] the partial of component i in coordinate j:
+    (L_V w)_i = V^j d_j w_i + w_j d_i V^j, as (N, m, dim).
+    """
+    return V @ Jw.transpose(0, 2, 1) + (w[:, None, None, :] @ JV)[:, :, 0]

@@ -9,6 +9,7 @@ assembles dz + beta - sum y_j ds_j from a flat disk bundle carrying a CCL fiber
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,13 +21,14 @@ from . import forms as fm
 from . import symplin as sl
 from .fields import (
     Chart,
+    Const,
     ExprField,
     SmoothMapExpr,
     VectorFieldExpr,
     compile_exprs,
     constant,
     coordinate,
-    sup_abs,
+    values_and_partials,
 )
 
 # scan_points draws the base coordinates from [-SCAN_BOX, SCAN_BOX] and the
@@ -88,14 +90,22 @@ class FoliatedInput:
 
 def frobenius_residual(beta: fm.DiffForm,
                        points: Sequence[Sequence[float]]) -> float:
-    """Max of beta ^ d(beta) over coordinate 3-frames at sample points."""
+    """Max of beta ^ d(beta) over coordinate 3-frames at sample points.
+
+    From beta's coefficients and first partials, with W the matrix of
+    d beta: (beta ^ d beta)_ijk = beta_i W_jk - beta_j W_ik + beta_k W_ij.
+    """
     if beta.degree != 1:
         raise ValueError("needs a 1-form")
-    if beta.chart.dim < 3:
+    chart = beta.chart
+    if chart.dim < 3:
         return 0.0
-    # a 3-form on a coordinate 3-frame is its coefficient there
-    three = fm.wedge(beta, fm.exterior_d(beta))
-    return sup_abs(three.chart, three.coeffs.values(), points)
+    b, Jb = values_and_partials(chart, tuple(
+        beta.coeff((i,)).expr for i in range(chart.dim)), points)
+    W = Jb.transpose(0, 2, 1) - Jb
+    i, j, k = np.array(list(itertools.combinations(range(chart.dim), 3))).T
+    three = b[:, i] * W[:, j, k] - b[:, j] * W[:, i, k] + b[:, k] * W[:, i, j]
+    return float(np.max(np.abs(three), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -220,16 +230,18 @@ def _build_singular_germ(bundle: bd.FlatDiskBundle,
         failed = [k for k in ("vanishing", "positivity", "invariance")
                   if not report[k]["ok"]]
         raise GermBuildError(f"fiber form fails CCL conditions: {failed}")
-    # invariant-extension check: Lie derivative along each lift must vanish
+    # invariant-extension check: L_lift beta must vanish along each lift,
+    # with beta on the total chart through its fiber coordinates
     total_b = bundle.total_chart
-    beta_tot = fm.DiffForm(total_b, 1, {
-        (bundle.base_dim + d,): c.on_chart(total_b)
-        for (d,), c in beta.coeffs.items()})
-    rng = np.random.default_rng(0)
-    probe = rng.uniform(-0.4, 0.4, (10, total_b.dim))
-    for j in range(bundle.base_dim):
-        ld = fm.lie_derivative(bundle.lift(j), beta_tot)
-        if np.any(np.abs(ld.coeff_array(probe)) > 1e-8):
+    beta_tot = (Const(0.0),) * bundle.base_dim + tuple(
+        beta.coeff((d,)).expr for d in (0, 1))
+    probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total_b.dim))
+    b, Jb = values_and_partials(total_b, beta_tot, probe)
+    for lift in bundle.lifts():
+        V, JV = values_and_partials(total_b, tuple(
+            c.expr for c in lift.components), probe)
+        if np.any(np.abs(fm.lie_coeffs(V[:, None], JV[:, None], b, Jb))
+                  > 1e-8):
             raise GermBuildError(
                 "no closed-form invariant extension in this trivialization; "
                 "only trivial and rotation holonomy are supported")

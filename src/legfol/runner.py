@@ -19,6 +19,7 @@ from .fields import (
     Chart,
     ParseError,
     UnknownVariable,
+    compile_exprs,
     constant,
     parse_field,
     vector_field,
@@ -143,7 +144,13 @@ class _Env:
 
 def _graph_points(rng: np.random.Generator, Y: co.GraphSubmanifold,
                   count: int) -> np.ndarray:
-    return rng.uniform(-0.9, 0.9, (count, Y.source_chart.dim))
+    """count samples of the graph's source box.  The graph's components are
+    evaluated there, so a component undefined at a sample is an error of
+    every check on the graph, also of one that reads only its derivatives."""
+    pts = rng.uniform(-0.9, 0.9, (count, Y.source_chart.dim))
+    compile_exprs(Y.source_chart, tuple(
+        c.expr for c in Y.components.values())).batch(pts)
+    return pts
 
 
 def _claim(rng, target, tol, samples) -> dict:

@@ -1,14 +1,26 @@
-"""Numeric oracles that the symbolic paths of legfol are compared with:
-periodic reduction of a point, finite differences for derivatives, the
-Jacobian for pushforwards, the determinant convention for forms on
-vectors, the standard symplectic form for the linear algebra, the SVD
-count for ranks and a full SVD for hyperplane kernel bases."""
+"""Oracles that the paths of legfol are compared with: periodic reduction
+of a point, finite differences for derivatives, the Jacobian for
+pushforwards, the determinant convention for forms on vectors, the standard
+symplectic form for the linear algebra, the SVD count for ranks, a full SVD
+for hyperplane kernel bases, and the symbolic Cartan calculus (directional
+derivative, bracket, pushforward, interior product and Lie derivative as
+expression trees) that the package's array contractions are held to."""
 
 import itertools
 
 import numpy as np
 
-from legfol.fields import ChartMismatch, compile_exprs
+from legfol import forms as fm
+from legfol.fields import (
+    ChartMismatch,
+    Const,
+    ExprField,
+    VectorFieldExpr,
+    add,
+    compile_exprs,
+    mul,
+    sub,
+)
 from legfol.symplin import SympForm
 
 
@@ -88,3 +100,70 @@ def svd_count(M, tol: float):
     scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), initial=0.0))
     s = np.linalg.svd(M, compute_uv=False)
     return np.sum(s > tol * scale[..., None], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# The symbolic Cartan calculus: a second engine for the array contractions
+# ---------------------------------------------------------------------------
+
+
+def apply(V, field) -> ExprField:
+    """Directional derivative V(f), symbolically."""
+    if field.chart != V.chart:
+        raise ChartMismatch("field and vector field on different charts")
+    acc = Const(0.0)
+    for name, comp in zip(V.chart.var_names, V.components):
+        acc = add(acc, mul(comp.expr, field.expr.diff(name)))
+    return ExprField(V.chart, acc)
+
+
+def lie_bracket(V, W) -> VectorFieldExpr:
+    """[V, W] = (V . grad) W - (W . grad) V, computed symbolically."""
+    if V.chart != W.chart:
+        raise ChartMismatch("bracket operands on different charts")
+    return VectorFieldExpr(V.chart, tuple(
+        ExprField(V.chart, sub(apply(V, wi).expr, apply(W, vi).expr))
+        for wi, vi in zip(W.components, V.components)))
+
+
+def pushforward_field(map_, V) -> tuple:
+    """Symbolic pushforward of V along the map: one source-chart ExprField
+    per target coordinate, meaningful pointwise along the image."""
+    if V.chart != map_.source:
+        raise ChartMismatch("vector field not on the map's source chart")
+    comps = []
+    for row in map_.jacobian_fields:
+        acc = Const(0.0)
+        for entry, v in zip(row, V.components):
+            acc = add(acc, mul(entry.expr, v.expr))
+        comps.append(ExprField(map_.source, acc))
+    return tuple(comps)
+
+
+def interior(V, omega):
+    """Contraction in the first slot: (i_V w)(u...) = w(V, u...)."""
+    if V.chart != omega.chart:
+        raise ChartMismatch("interior product operands on different charts")
+    if omega.degree < 1:
+        raise ValueError("interior product needs degree >= 1")
+    out = {}
+    for idx, c in omega.coeffs.items():
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            term = mul(Const(float((-1) ** pos)),
+                       mul(V.components[i].expr, c.expr))
+            out[rest] = add(out[rest], term) if rest in out else term
+    return fm.DiffForm(omega.chart, omega.degree - 1,
+                       {i: ExprField(omega.chart, e) for i, e in out.items()})
+
+
+def lie_derivative(V, omega):
+    """Cartan's formula: L_V w = d(i_V w) + i_V(dw)."""
+    if V.chart != omega.chart:
+        raise ChartMismatch("Lie derivative operands on different charts")
+    if omega.degree == 0:
+        return fm.function_form(apply(V, omega.coeff(())))
+    term1 = fm.exterior_d(interior(V, omega))
+    if omega.degree == omega.chart.dim:
+        return term1
+    return term1 + interior(V, fm.exterior_d(omega))

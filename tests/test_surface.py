@@ -172,3 +172,37 @@ def unset_defaults() -> set[str]:
 def test_every_default_is_set_by_a_caller():
     assert sorted(unset_defaults()) == [], \
         "defaults no caller sets: make each a module constant"
+
+
+# The symbolic Cartan calculus is the tests' second engine (tests/oracles.py):
+# the package contracts arrays of values and first partials instead.
+SYMBOLIC_OPERATORS = {"interior", "lie_derivative", "lie_bracket",
+                      "pushforward_field"}
+
+
+def symbolic_operator_uses() -> list[str]:
+    """module:line of each definition or call in the package of a symbolic
+    operator, or of VectorFieldExpr.apply."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) \
+                    and node.name in SYMBOLIC_OPERATORS:
+                found.append(f"{path.stem}:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.ClassDef) \
+                    and node.name == "VectorFieldExpr":
+                found += [f"{path.stem}:{m.lineno} defines {node.name}.apply"
+                          for m in node.body if isinstance(m, ast.FunctionDef)
+                          and m.name == "apply"]
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                if name in SYMBOLIC_OPERATORS | {"apply"}:
+                    found.append(f"{path.stem}:{node.lineno} calls {name}")
+    return found
+
+
+def test_no_symbolic_cartan_calculus():
+    assert symbolic_operator_uses() == [], \
+        "contract values and partials on arrays; the symbolic operators " \
+        "are the oracle in tests/oracles.py"
