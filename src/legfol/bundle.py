@@ -9,6 +9,7 @@ diffeomorphisms have no finite description.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -22,6 +23,7 @@ from . import forms as fm
 from . import symplin as sl
 from .fields import (
     Chart,
+    CompiledExprs,
     ExprField,
     RowError,
     VectorFieldExpr,
@@ -206,8 +208,8 @@ MAX_STEP = 1.0
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
-    """Row-wise RMS norm of an (N, 2) array."""
-    return np.sqrt(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]) / 2 ** 0.5
+    """Column-wise RMS norm of a (2, N) array."""
+    return np.sqrt(x[0] * x[0] + x[1] * x[1]) / 2 ** 0.5
 
 
 def _dense(K: np.ndarray, t_old, h, y_old, t) -> np.ndarray:
@@ -243,18 +245,21 @@ class IntegrationError(ArithmeticError):
     A numerical fault, never a refusal."""
 
 
-@np.errstate(all="ignore")  # rhs checks the values it computes
-def _integrate_segment(rhs: Sequence, block: np.ndarray, y0: np.ndarray,
+@np.errstate(all="ignore")  # the stages check the values they compute
+def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
                        P: np.ndarray, dP: np.ndarray, r2: np.ndarray,
                        budget: np.ndarray):
-    """Integrate y' = rhs(P + t dP, y) from t = 0 to 1 for every row at
-    once, where row i's segment starts at base point P[i] and runs along
-    dP[i].
+    """Integrate the lift ODE y' = sum_j dP_j lift_j(P + t dP, y) from t = 0
+    to 1 for every row at once, where row i's segment starts at base point
+    P[i] and runs along dP[i].
 
     The rows form contiguous blocks: block[i], non-decreasing, indexes the
-    right-hand side of row i in ``rhs``.  Each rhs(x, y, dP, out) takes its
-    block's live rows, base points and dP transposed (base_dim, rows),
-    writes y' to out and returns it.
+    _lift_rhs of row i's bundle in ``lifts``.  The state is samples-last: y
+    is (2, rows), the stages (7, 2, rows).  A stage is one kernel call per
+    run of consecutive live blocks whose lifts share a kernel, with their
+    constants as per-row columns.  If the call fails a check or gives a
+    non-finite value, each block's rows go through its lift's ``batch``,
+    in block order, to raise that block's EvaluationError.
 
     Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1,
     rtol=ODE_TOL, atol=ODE_TOL) takes for it alone, with the terminal event
@@ -270,28 +275,55 @@ def _integrate_segment(rhs: Sequence, block: np.ndarray, y0: np.ndarray,
     # State of the rows still integrating; rows[i] is the row of entry i.
     rows = np.arange(n)
     P, dP = P.T.copy(), dP.T.copy()
+    b = len(P)
 
-    def live_blocks():  # (rhs, rows, dP of the rows) of each live block
-        at = np.searchsorted(block, np.arange(len(rhs) + 1)).tolist()
-        return [(f, slice(a, b), dP[:, a:b])
-                for f, a, b in zip(rhs, at, at[1:]) if a < b]
+    def live_runs():
+        # per run: kernel, rows, dP, constants, (batch, rows) per block
+        at = np.searchsorted(block, np.arange(len(lifts) + 1)).tolist()
+        live = [(f, a, z) for f, a, z in zip(lifts, at, at[1:]) if a < z]
+        runs = []
+        for kernel, run in itertools.groupby(live, lambda r: r[0].kernel):
+            fs, a, z = zip(*run)
+            consts = np.repeat(np.array([f.consts for f in fs]).T,
+                               np.subtract(z, a), axis=1)
+            runs.append((kernel, slice(a[0], z[-1]), dP[:, a[0]:z[-1]],
+                         tuple(consts), [(f.batch, slice(i - a[0], j - a[0]))
+                                         for f, i, j in zip(fs, a, z)]))
+        return runs
 
-    calls = live_blocks()
+    runs = live_runs()
 
     def stage(x, y, out):
-        for f, at, dp in calls:
-            f(x[:, at], y[at], dp, out[at])
+        for kernel, at, dp, consts, blocks in runs:
+            cols = (*x[:, at], *y[:, at])
+            try:
+                comps = kernel(*cols, *consts)
+                # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), in j order
+                u = v = 0.0
+                for j in range(b):
+                    u = u + dp[j] * comps[j]
+                    v = v + dp[j] * comps[b + j]
+                out[0, at], out[1, at] = u, v
+                # a non-finite lift value makes the total non-finite; an
+                # overflowing total only costs batch calls
+                ok = math.isfinite(np.add.reduce(out[:, at], axis=None))
+            except RowError:
+                ok = False
+            if not ok:  # batch raises what it says about a block, if any
+                points = np.column_stack(cols)
+                for batch, block_rows in blocks:
+                    batch(points[block_rows])
         return out
 
-    y = y0.copy()
+    y = y0.T.copy()
     t = np.zeros(n)
-    f = stage(P + t * dP, y, np.empty((n, 2)))
+    f = stage(P + t * dP, y, np.empty((2, n)))
     # initial step selection
     scale = ODE_TOL + np.abs(y) * ODE_TOL
     d0, d1 = _rms(y / scale), _rms(f / scale)
     h0 = np.minimum(
         np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1), 1.0)
-    d2 = _rms((stage(P + h0 * dP, y + h0[:, None] * f, np.empty((n, 2)))
+    d2 = _rms((stage(P + h0 * dP, y + h0 * f, np.empty((2, n)))
                - f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
@@ -299,9 +331,9 @@ def _integrate_segment(rhs: Sequence, block: np.ndarray, y0: np.ndarray,
     h_abs = np.minimum(np.minimum(100 * h0, h1), MAX_STEP)
     nf = np.full(n, 2)
     st = np.zeros(n, dtype=int)
-    g = y[:, 0] ** 2 + y[:, 1] ** 2 - r2
+    g = y[0] ** 2 + y[1] ** 2 - r2
     rejected, any_rejected = np.zeros(n, dtype=bool), False
-    stages, times = np.empty((n, 7, 2)), np.empty((6, n))
+    stages, times = np.empty((7, 2, n)), np.empty((6, n))
     while rows.size:
         # a new step starts clamped to [min_step, MAX_STEP]; a retry of a
         # rejected one is not clamped, and fails below min_step
@@ -315,22 +347,21 @@ def _integrate_segment(rhs: Sequence, block: np.ndarray, y0: np.ndarray,
                                    "numbers.")
         t_new = np.minimum(t + h, 1.0)
         h = t_new - t
-        hc = h[:, None]
         m = len(rows)
-        K, T = stages[:m], times[:, :m]
+        K, T = stages[:, :, :m], times[:, :m]
         # X[:, s - 1]: the base points of stage s, at t + C_s h, and of t_new
         T[:5] = t + np.multiply.outer(RK_C[1:], h)
         T[5] = t_new
         X = P[:, None] + T * dP[:, None]
-        K[:, 0] = f
+        K[0] = f
         for s in range(1, 6):
-            dy = np.einsum("nsk,s->nk", K[:, :s], RK_A[s, :s]) * hc
-            stage(X[:, s - 1], y + dy, K[:, s])
-        y_new = y + hc * np.einsum("nsk,s->nk", K[:, :6], RK_B)
-        f_new = stage(X[:, 5], y_new, K[:, 6])
+            dy = np.einsum("s,skn->kn", RK_A[s, :s], K[:s]) * h
+            stage(X[:, s - 1], y + dy, K[s])
+        y_new = y + h * np.einsum("s,skn->kn", RK_B, K[:6])
+        f_new = stage(X[:, 5], y_new, K[6])
         nf += 6
         scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
-        err = _rms(np.einsum("nsk,s->nk", K, RK_E) * hc / scale)
+        err = _rms(np.einsum("s,skn->kn", RK_E, K) * h / scale)
         # scipy's step factor: at most MAX_FACTOR (1 after a rejection) if
         # err < 1, else at least MIN_FACTOR.  grow >= SAFETY where err < 1,
         # grow <= SAFETY elsewhere and MIN_FACTOR < SAFETY < 1, so one clip
@@ -345,31 +376,32 @@ def _integrate_segment(rhs: Sequence, block: np.ndarray, y0: np.ndarray,
         st += ok
         if (st > budget).any():
             raise IntegrationError("step budget exceeded")
-        g_new = y_new[:, 0] ** 2 + y_new[:, 1] ** 2 - r2
+        g_new = y_new[0] ** 2 + y_new[1] ** 2 - r2
         up = ok & (g <= 0) & (g_new >= 0)
         y_old, t_old = y, t
         if any_rejected:
-            y = np.where(ok[:, None], y_new, y)
-            f = np.where(ok[:, None], f_new, f)
+            y = np.where(ok, y_new, y)
+            f = np.where(ok, f_new, f)
             t = np.where(ok, t_new, t)
             g = np.where(ok, g_new, g)
         else:  # f_new lives in the stage buffer
             y, f, t, g = y_new, f_new.copy(), t_new, g_new
         if up.any():
             # freeze the row where it leaves the disk
-            args = K[up], t_old[up], h[up], y_old[up]
-            y[up] = _dense(*args, _escape_time(*args, t_new[up], r2[up]))
+            args = (np.moveaxis(K[:, :, up], 2, 0).copy(), t_old[up], h[up],
+                    y_old[:, up].T)  # (rows, stages, 2) and (rows, 2)
+            y[:, up] = _dense(*args, _escape_time(*args, t_new[up], r2[up])).T
         done = up | (t >= 1.0)
         if done.any():
             out = rows[done]
-            end[out], escaped[out] = y[done], up[done]
+            end[out], escaped[out] = y[:, done].T, up[done]
             steps[out], nfev[out] = st[done], nf[done]
             keep = ~done
-            rows, y, t, f, g = rows[keep], y[keep], t[keep], f[keep], g[keep]
-            P, dP, budget = P[:, keep], dP[:, keep], budget[keep]
+            rows, t, g, budget = rows[keep], t[keep], g[keep], budget[keep]
+            y, f, P, dP = y[:, keep], f[:, keep], P[:, keep], dP[:, keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
             st, nf, r2, block = st[keep], nf[keep], r2[keep], block[keep]
-            calls = live_blocks()
+            runs = live_runs()
     return end, escaped, steps, nfev
 
 
@@ -397,32 +429,11 @@ def _path(bundle: FlatDiskBundle, path) -> np.ndarray:
     return np.stack(verts)
 
 
-def _lift_rhs(bundle: FlatDiskBundle):
-    """The lift ODE's right-hand side for _integrate_segment.  It holds the
-    compiled lift, not the bundle."""
-    b = bundle.base_dim
-    lift = compile_exprs(bundle.total_chart, tuple(
+def _lift_rhs(bundle: FlatDiskBundle) -> CompiledExprs:
+    """The lift ODE's right-hand side for _integrate_segment: the compiled
+    lift_u then lift_v, which holds no reference to the bundle."""
+    return compile_exprs(bundle.total_chart, tuple(
         c.expr for c in bundle.lift_u + bundle.lift_v))
-
-    def rhs(x, yt, dP, out):
-        # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), summed in j order
-        cols = (*x, yt[:, 0], yt[:, 1])
-        try:
-            comps = lift.columns(*cols)
-            u = v = 0.0
-            for j in range(b):
-                u = u + dP[j] * comps[j]
-                v = v + dP[j] * comps[b + j]
-            out[:, 0], out[:, 1] = u, v
-            # a non-finite lift value makes its stage value, so the total,
-            # non-finite; an overflowing total only costs a batch call
-            ok = math.isfinite(np.add.reduce(out, axis=None))
-        except RowError:
-            ok = False
-        if not ok:  # batch raises what it says about these points, if any
-            lift.batch(np.column_stack(cols))
-        return out
-    return rhs
 
 
 def _sweep(parts) -> BatchTransport:
@@ -517,12 +528,17 @@ def _sweep_blocks(blocks: Sequence[_Block]) -> None:
     """Integrate the rows of every block in one sweep and memoize each row
     in its block's memo; a sweep that raises memoizes nothing."""
     blocks = [b for b in blocks if b.rows]
+    if not blocks:
+        return
     res = _sweep([(b.rhs, b.r2, *map(np.stack, zip(*b.rows.values())))
                   for b in blocks])
     rows = zip(res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
                res.nfev.tolist())
     for b in blocks:
         b.memo.update(zip(b.rows, itertools.islice(rows, len(b.rows))))
+
+
+_FAULTS = (ValueError, RuntimeError, ArithmeticError)  # of a failed sweep
 
 
 def _transport_rows(bundle: FlatDiskBundle, path,
@@ -533,8 +549,9 @@ def _transport_rows(bundle: FlatDiskBundle, path,
     A miss integrates the missing rows in one sweep with every missing row
     of the bundle's plan group: the rows planned on every bundle of the run
     with the same base_dim and vertex count, this one included.  That
-    consumes the group's plan.  If the sweep raises, nothing is memoized
-    and the missing rows are integrated on their own, so a fault in one
+    consumes the group's plan.  If the sweep raises, nothing is memoized,
+    the missing rows are integrated on their own and the other bundles'
+    rows in one more sweep (dropped if it raises too), so a fault in one
     check's rows, or in one bundle's, never becomes another's.
     """
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
@@ -550,10 +567,14 @@ def _transport_rows(bundle: FlatDiskBundle, path,
             for b in group] + ([] if own else [alone])
         try:
             _sweep_blocks(joint)
-        except (ValueError, RuntimeError, ArithmeticError):
+        except _FAULTS:
             if sum(len(b.rows) for b in joint) == len(missing):
                 raise
-            _sweep_blocks([alone])
+            try:
+                _sweep_blocks([alone])
+            finally:
+                with contextlib.suppress(*_FAULTS):
+                    _sweep_blocks([b for b in joint if b.memo is not memo])
         finally:
             for b in group:
                 b.rows.clear()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -417,21 +418,28 @@ _INFIX = {Add: "+", Sub: "-", Mul: "*"}
 _CALLS = {Div: "_div", Sin: "_sin", Cos: "_cos", Exp: "_exp"}
 
 
-def _literal(v: float) -> str:
-    return repr(v) if math.isfinite(v) else f"float('{v!r}')"
-
-
-def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> str:
-    """Source of ``_fn(x0, ..., x{dim-1})`` returning one value per expression.
+def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> tuple[str, tuple]:
+    """Source of ``_fn(x0, ..., x{dim-1}, c0, ...)`` returning one value per
+    expression, and the constants c0, ...: the distinct Const leaves and the
+    periods, in order of first use.  So expressions that differ only in
+    constants give one source.
 
     Each distinct node gets one temporary, so a subtree shared by several
     expressions, or repeated inside one, is computed once per call.
     """
     lines: list[str] = []
     names: dict[Expr, str] = {}
+    consts, values = {}, []  # Const node or period's coordinate -> name
+
+    def param(key, value: float) -> str:
+        if key not in consts:
+            consts[key] = f"c{len(values)}"
+            values.append(value)
+        return consts[key]
+
     for e in _postorder(exprs):
         if isinstance(e, Const):
-            names[e] = _literal(e.value)
+            names[e] = param(e, e.value)
             continue
         if isinstance(e, Var):
             i = chart.index(e.name)
@@ -439,7 +447,7 @@ def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> str:
             if per is None:
                 names[e] = f"x{i}"
                 continue
-            code = f"x{i} % {float(per)!r}"
+            code = f"x{i} % {param(i, float(per))}"
         elif isinstance(e, Pow):
             code = f"_pow({names[e.base]}, {e.exponent})"
         elif type(e) in _INFIX:
@@ -452,10 +460,18 @@ def _codegen(chart: Chart, exprs: tuple[Expr, ...]) -> str:
             raise TypeError(f"cannot compile {type(e).__name__}")
         names[e] = f"t{len(lines)}"
         lines.append(f"    {names[e]} = {code}")
-    args = ", ".join(f"x{i}" for i in range(chart.dim))
-    return "\n".join([f"def _fn({args}):", *lines,
+    args = [f"x{i}" for i in range(chart.dim)] + list(consts.values())
+    return "\n".join([f"def _fn({', '.join(args)}):", *lines,
                       f"    return ({''.join(names[e] + ', ' for e in exprs)})",
-                      ""])
+                      ""]), tuple(values)
+
+
+@functools.lru_cache(maxsize=512)
+def _kernel(source: str) -> Callable:
+    """The generated function of a source, compiled once per source."""
+    namespace = dict(_NUMPY_OPS)
+    exec(compile(source, "<legfol compiled fields>", "exec"), namespace)
+    return namespace["_fn"]
 
 
 class CompiledExprs:
@@ -470,16 +486,20 @@ class CompiledExprs:
     in, one array (or float, for a constant) per expression out.  It raises
     RowError where ``batch`` raises EvaluationError, under the caller's
     errstate, and leaves non-finite values for the caller to check.
+
+    ``kernel`` takes the constants (``consts``, which ``columns`` binds as
+    defaults) as trailing arguments.  Expressions that differ only in
+    constants share it, so one call can evaluate several of them, with
+    per-row constant columns.
     """
 
     def __init__(self, chart: Chart, exprs: tuple[Expr, ...]):
         self.chart = chart
         self._outputs = len(exprs)
-        self.source = _codegen(chart, exprs)
-        namespace = dict(_NUMPY_OPS)
-        exec(compile(self.source, "<legfol compiled fields>", "exec"),
-             namespace)
-        self.columns = namespace["_fn"]
+        self.source, self.consts = _codegen(chart, exprs)
+        self.kernel = _kernel(self.source)
+        self.columns = types.FunctionType(
+            self.kernel.__code__, self.kernel.__globals__, "_fn", self.consts)
 
     def batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

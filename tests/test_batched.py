@@ -26,6 +26,7 @@ import itertools
 import math
 import weakref
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1393,12 +1394,12 @@ end
 """
 
 
-def overflowing_bundle(rates, periods, radius):
-    """Fiber rotation at rate 1 + exp(1e5 (u^2 + v^2 - 0.04)): rate 1 on
-    the transport check's orbit |x| = 0.05, and an overflowing lift beyond
-    |x| = 0.22, where ccl_check's samples lie."""
+def overflowing_bundle(rates, periods, radius, gain="100000"):
+    """Fiber rotation at rate 1 + exp(gain (u^2 + v^2 - 0.04)); at gain
+    1e5, rate 1 on the transport check's orbit |x| = 0.05, and an
+    overflowing lift beyond |x| = 0.22, where ccl_check's samples lie."""
     total = Chart(("s1", "u", "v"), (1.0, None, None))
-    rate = "(1 + exp(100000 * (u^2 + v^2 - 0.04)))"
+    rate = f"(1 + exp({gain} * (u^2 + v^2 - 0.04)))"
     return bd.FlatDiskBundle(1, (1.0,), radius,
                              (parse_field(total, f"-v * {rate}"),),
                              (parse_field(total, f"u * {rate}"),))
@@ -1470,7 +1471,9 @@ class TestFaultAttribution:
         ccl = report["checks"][1]
         assert not ccl["detail"]["refused"]
         assert ccl["error"] == one["checks"][1]["error"]
-        assert batches[3:] == [82, 1, 40, 1, 40]
+        # the failed joint sweep, the request's own row, the healthy
+        # circle's rows still joined, and the overflowing CCL rows alone
+        assert batches[3:] == [82, 1, 41, 40]
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
         alone = runner.run_scenario(sc)
         report.pop("wall_time"), alone.pop("wall_time")
@@ -1478,22 +1481,16 @@ class TestFaultAttribution:
 
 
 def batch_rhs(bundle):
-    """The lift ODE's right-hand side with every stage evaluated through
-    CompiledExprs.batch: what transport_batch's column call must match, in
-    values and in the EvaluationError it raises."""
-    b = bundle.base_dim
-    lift = compile_exprs(bundle.total_chart, tuple(
+    """The compiled lift with every stage evaluated through
+    CompiledExprs.batch, under a kernel of its own: what transport_batch's
+    kernel call must match, in values and in the EvaluationError it
+    raises."""
+    batch = compile_exprs(bundle.total_chart, tuple(
         c.expr for c in bundle.lift_u + bundle.lift_v)).batch
 
-    def rhs(x, y, dP, out):
-        comps = lift(np.concatenate([x.T, y], axis=1))
-        u = v = 0.0
-        for j in range(b):
-            u = u + dP[j] * comps[:, j]
-            v = v + dP[j] * comps[:, b + j]
-        out[:, 0], out[:, 1] = u, v
-        return out
-    return rhs
+    def kernel(*cols):
+        return tuple(batch(np.column_stack(cols)).T)
+    return SimpleNamespace(kernel=kernel, consts=(), batch=batch)
 
 
 def transport_through_batch(bundle, generator, starts):
@@ -1509,11 +1506,12 @@ def transport_through_batch(bundle, generator, starts):
                                  np.full(n, bd.MAX_STEPS))
 
 
-def product_overflow_bundle():
+def product_overflow_bundle(factors=("1e300", "1e10", "1e-310")):
     """Rotation at rate about 1 + s1 while s1 < 0.018; beyond, s1 * 1e310
-    overflows to inf in a plain product, which no checked operation sees."""
+    overflows to inf in a plain product, which no checked operation sees.
+    Other factors give the same kernel."""
     total = Chart(("s1", "u", "v"), (1.0, None, None))
-    rate = "(1 + s1 * 1e300 * 1e10 * 1e-310)"
+    rate = f"(1 + s1 * {' * '.join(factors)})"
     return bd.FlatDiskBundle(1, (1.0,), 1.0,
                              (parse_field(total, f"-v * {rate}"),),
                              (parse_field(total, f"u * {rate}"),))
@@ -1559,25 +1557,100 @@ class TestStageEvaluation:
         assert reason in str(got.value)
 
 
+class TestMergedSweep:
+    """Consecutive blocks whose lifts share a kernel take one kernel call
+    per stage, with their constants as per-row columns: every row is still
+    the row of its own bundle's transport_batch, bit for bit, and of the
+    solve_ivp oracle, and a fault is still the faulty bundle's own
+    EvaluationError."""
+
+    def test_rows_equal_their_bundles_alone(self, rng):
+        # runs [first, second], [sheared], [third]: the third shares the
+        # first two's kernel but not their run
+        bundles = [bd.rotation_bundle([0.9, 1.7]),
+                   bd.rotation_bundle([-0.4, 0.6], radius=0.8),
+                   sheared_bundle(),
+                   bd.rotation_bundle([1.3, -2.2], radius=1.3)]
+        lifts = [bd._lift_rhs(b) for b in bundles]
+        assert lifts[0].kernel is lifts[1].kernel is lifts[3].kernel
+        assert lifts[2].kernel is not lifts[0].kernel
+        loops = np.array([CONTRACTIBLE, CONTRACTIBLE[::-1]])
+        parts = []
+        for b in bundles:
+            starts = disk_points(rng, 10, 0.99 * b.radius)
+            parts.append((b, loops[np.arange(len(starts)) % 2], starts))
+        got = bd._sweep([(lift, b.radius ** 2, paths, starts)
+                         for lift, (b, paths, starts) in zip(lifts, parts)])
+        at = 0
+        for b, paths, starts in parts:
+            rows = slice(at, at + len(starts))
+            alone = bd.transport_batch(b, paths, starts)
+            assert got.end[rows].tobytes() == alone.end.tobytes()
+            assert (got.escaped[rows].tolist(), got.steps[rows].tolist(),
+                    got.nfev[rows].tolist()) == (alone.escaped.tolist(),
+                                                 alone.steps.tolist(),
+                                                 alone.nfev.tolist())
+            for i, path, x in zip(range(at, rows.stop), paths, starts):
+                want = walk_transport(b, path, x)
+                assert (bool(got.escaped[i]), got.steps[i], got.nfev[i]) \
+                    == (want.escaped, want.steps, want.nfev)
+                assert np.max(np.abs(got.end[i] - want.end)) <= 1e-13
+            at = rows.stop
+        assert 0 < got.escaped.sum() < len(got.escaped)
+
+    @pytest.mark.parametrize("faulty, healthy, starts", [
+        (lambda: product_overflow_bundle(),
+         lambda: product_overflow_bundle(("2", "3", "0.1")),
+         [[0.3, 0.1], [0.1, -0.2]]),
+        (lambda: overflowing_bundle(None, None, 1.0),
+         lambda: overflowing_bundle(None, None, 1.0, gain="0.5"),
+         [[0.05, 0.0], [0.1, 0.2], [0.3, -0.1]]),
+    ], ids=["product", "exp"])
+    @pytest.mark.parametrize("faulty_first", [False, True])
+    def test_fault_is_the_faulty_bundles(self, faulty, healthy, starts,
+                                         faulty_first, rng):
+        faulty, healthy = faulty(), healthy()
+        assert bd._lift_rhs(faulty).kernel is bd._lift_rhs(healthy).kernel
+        blocks = [(healthy, disk_points(rng, 6, 0.7)),
+                  (faulty, np.array(starts))]
+        if faulty_first:
+            blocks.reverse()
+        loop = np.array(bd.generator_loop(faulty, 0))
+        with pytest.raises(EvaluationError) as got:
+            bd._sweep([(bd._lift_rhs(b), 1.0,
+                        np.broadcast_to(loop, (len(x),) + loop.shape), x)
+                       for b, x in blocks])
+        with pytest.raises(EvaluationError) as want:
+            transport_through_batch(faulty, 0, starts)
+        assert str(got.value) == str(want.value)
+
+
 def ode_work(monkeypatch):
     """Record from now on each _integrate_segment call's row count, each
-    call's rhs calls per block of rows, and each sweep's rows, accepted
-    steps and nfev."""
+    call's kernel calls per distinct lift kernel (in block order), and each
+    sweep's rows, accepted steps and nfev."""
     segments, stages, sweeps = [], [], []
     real_segment, real_sweep = bd._integrate_segment, bd._sweep
 
-    def segment(rhs, block, y0, *args):
+    def segment(lifts, block, y0, *args):
         segments.append(len(y0))
-        calls = [0] * len(rhs)
+        calls, counted = [], {}
 
-        def counted(i):
+        def count(kernel):
+            i = len(calls)
+            calls.append(0)
+
             def f(*a):
                 calls[i] += 1
-                return rhs[i](*a)
+                return kernel(*a)
             return f
+        for lift in lifts:
+            if lift.kernel not in counted:
+                counted[lift.kernel] = count(lift.kernel)
         stages.append(calls)  # counted as the segment runs
-        return real_segment([counted(i) for i in range(len(rhs))], block,
-                            y0, *args)
+        return real_segment([SimpleNamespace(
+            kernel=counted[lift.kernel], consts=lift.consts,
+            batch=lift.batch) for lift in lifts], block, y0, *args)
 
     def sweep(parts):
         res = real_sweep(parts)
@@ -1634,12 +1707,12 @@ class TestOdeWork:
         segments, stages, sweeps = ode_work(monkeypatch)
         sc = parse_scenario(THREE_CIRCLES)
         assert runner.run_scenario(sc)["passed"]
-        # the three bundles' 3 x 41 rows in one sweep: each block of rows
-        # takes 2 evaluations, then 6 per RK iteration while it has live
-        # rows, so 20 iterations in place of 8 + 13 + 20 in three sweeps:
-        # the 2.1-rad circle's rows take the most steps
+        # the three bundles' 3 x 41 rows in one sweep: their lifts share
+        # one kernel, so each stage is one kernel call over every live row:
+        # 2 to pick the first step, then 6 per RK iteration, 20 iterations
+        # (the 2.1-rad circle's rows take the most steps)
         assert segments == [123]
-        assert stages == [[2 + 6 * 8, 2 + 6 * 13, 2 + 6 * 20]]
+        assert stages == [[2 + 6 * 20]]
         assert sweeps == [(123, 1539, 9480)]
         # the same rows, steps and nfev as one sweep per request
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)

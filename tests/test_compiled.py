@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from legfol import bundle as bd
 from legfol import forms as fm
 from legfol.fields import (
     Add,
@@ -18,6 +19,7 @@ from legfol.fields import (
     CompiledExprs,
     Const,
     Cos,
+    Div,
     EvaluationError,
     Exp,
     Mul,
@@ -408,6 +410,107 @@ class TestCompiler:
             assert row[:3].tolist() == reduced.tolist()
             assert compiled.batch([p])[0, :3].tolist() == reduced.tolist()
             assert row[3] == pytest.approx(walk(exprs[3], p, ch), rel=1e-12)
+
+
+def shared_template(c0, c1, c2):
+    """c0 x + y / (x - c1), and the constant c2, built node by node so that
+    no fold removes a constant."""
+    x, y = Var("x"), Var("y")
+    return (Add(Mul(Const(c0), x), Div(y, Sub(x, Const(c1)))), Const(c2))
+
+
+def same_bits(a, b) -> bool:
+    return np.array(a, dtype=float).tobytes() == \
+        np.array(b, dtype=float).tobytes()
+
+
+class TestKernelSharing:
+    """Expressions that differ only in constants compile to one kernel, with
+    the constants (Const leaves and periods) as trailing arguments.  Each
+    CompiledExprs binds its own as ``columns``' defaults, and the kernel
+    called with per-row constant columns gives every row the bits of its
+    own ``columns`` and ``batch``, and of the tree walk."""
+
+    # a negative zero, infinities and a NaN among the constants; the NaN
+    # makes the first output non-finite
+    CONSTANTS = [(0.5, 3.0, 2.0), (-0.0, 3.0, 0.25), (2.0, math.inf, -0.0),
+                 (-1.5, -math.inf, math.inf), (math.nan, 3.0, 1.0)]
+    POINTS = np.array([[1.5, 2.0], [-2.0, 0.5], [0.0, -3.0], [4.0, -0.0]])
+
+    def test_one_kernel_for_one_template(self):
+        compiled = [CompiledExprs(XY, shared_template(*c))
+                    for c in self.CONSTANTS]
+        kernel = compiled[0].kernel
+        for c, f in zip(self.CONSTANTS, compiled):
+            assert f.kernel is kernel
+            assert f.columns.__code__ is kernel.__code__
+            assert f.source == compiled[0].source
+            assert same_bits(f.consts, c)
+            assert same_bits(f.columns.__defaults__, c)
+
+    def test_per_row_constants_are_each_rows_own(self):
+        compiled = [CompiledExprs(XY, shared_template(*c))
+                    for c in self.CONSTANTS]
+        n = len(self.POINTS)
+        pts = np.tile(self.POINTS, (len(compiled), 1))
+        consts = np.repeat(np.array(self.CONSTANTS).T, n, axis=1)
+        with np.errstate(all="ignore"):
+            merged = compiled[0].kernel(*pts.T, *consts)
+            for i, (c, f) in enumerate(zip(self.CONSTANTS, compiled)):
+                rows = slice(i * n, (i + 1) * n)
+                own = f.columns(*self.POINTS.T)
+                for got, want in zip(merged, own):
+                    assert same_bits(got[rows], np.broadcast_to(want, n))
+                for j, e in enumerate(shared_template(*c)):
+                    walked = [walk(e, p) for p in self.POINTS]
+                    for got, want in zip(merged[j][rows], walked):
+                        assert same_bits(got, want) if want is not None \
+                            else not math.isfinite(got)
+                if math.isnan(c[0]):
+                    assert fault(f, self.POINTS) == \
+                        "row 0, point [1.5, 2.0]: non-finite value"
+                elif math.isfinite(c[2]):
+                    assert same_bits(f.batch(self.POINTS),
+                                     np.stack(merged, axis=1)[rows])
+
+    def test_periods_are_constants(self):
+        charts = [Chart(("s", "u"), (per, None))
+                  for per in (1.0, 2 * math.pi, 0.75)]
+        exprs = (Sub(Mul(Var("s"), Var("u")), Var("s")),)
+        compiled = [compile_exprs(ch, exprs) for ch in charts]
+        assert len({f.kernel for f in compiled}) == 1
+        assert [f.consts for f in compiled] == [(1.0,), (2 * math.pi,),
+                                                (0.75,)]
+        pts = np.array([[-2.25, 1.5], [13.0, -0.5], [7.5, 2.0], [-0.0, 1.0]])
+        n = len(pts)
+        merged = compiled[0].kernel(
+            *np.tile(pts, (len(charts), 1)).T,
+            np.repeat([per for per, _ in (ch.periods for ch in charts)], n))
+        for i, (ch, f) in enumerate(zip(charts, compiled)):
+            rows = merged[0][i * n:(i + 1) * n]
+            assert same_bits(rows, f.batch(pts)[:, 0])
+            assert same_bits(rows, [walk(exprs[0], p, ch) for p in pts])
+
+    @pytest.mark.parametrize("first, second", [
+        ("x + y", "x * y"),
+        ("2.5 * x", "1 * x"),  # a rate of exactly 1 folds away
+        ("2.5 * x + 3.5 * y", "2.5 * x + 2.5 * y"),  # one constant node
+        ("x * y", "x * y^2"),
+    ])
+    def test_other_structure_other_kernel(self, first, second):
+        assert compile_exprs(XY, (parse_expr(first),)).kernel is not \
+            compile_exprs(XY, (parse_expr(second),)).kernel
+
+    def test_periodic_coordinate_is_structure(self):
+        e = (parse_expr("x + y"),)
+        assert compile_exprs(XY, e).kernel is not compile_exprs(
+            Chart(("x", "y"), (1.0, None)), e).kernel
+
+    def test_rotation_rates(self):
+        kernel = [bd._lift_rhs(bd.rotation_bundle([rate])).kernel
+                  for rate in (0.7, -1.3, 2.1, 1.0)]
+        assert kernel[0] is kernel[1] is kernel[2]
+        assert kernel[3] is not kernel[0]  # rate 1: the v lift is u itself
 
 
 class TestCoeffArray:
