@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,12 +89,6 @@ class FlatDiskBundle:
     def _transported(self) -> dict:
         """Transported rows on this bundle, by _row_keys: (end, escaped,
         steps, nfev)."""
-        return {}
-
-    @functools.cached_property
-    def _planned(self) -> dict:
-        """This bundle's place in a run's plan, by path vertex count: (the
-        plan group, this bundle's _Block in it).  See plan_transport."""
         return {}
 
     @functools.cached_property
@@ -494,90 +488,49 @@ def _row_keys(path: np.ndarray, starts: np.ndarray) -> list[tuple]:
             for i in range(0, len(raw), 16)]
 
 
-class _Block(NamedTuple):
-    """One bundle's share of a sweep: its row memo, its _lift_rhs, its fiber
-    radius squared and its rows, {key: (path, start)}.  It holds no
-    reference to the bundle, so a run's plan makes no reference cycle."""
-
-    memo: dict
-    rhs: Callable
-    r2: float
-    rows: dict
-
-
 def plan_transport(plan: dict, bundle: FlatDiskBundle, path,
                    starts: Sequence[Sequence[float]]) -> None:
     """Record in a run's plan rows that a later request on this bundle will
-    make.  The plan maps (base_dim, vertex count) to a group: one _Block per
-    bundle that has rows of that shape planned.  The first request that
-    misses the row memo of a bundle in a group integrates every planned row
-    of the group in its sweep.  Raises ValueError for a row that
+    make.  The plan maps (base_dim, vertex count) to a group, {id(bundle):
+    (bundle, rows)}, where rows is {key: (path, start)}; sweep_plan
+    integrates each group in one sweep.  Raises ValueError for a row that
     transport_batch would refuse."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
-    if len(path) not in bundle._planned:
-        block = _Block(bundle._transported, _lift_rhs(bundle),
-                       bundle.radius ** 2, {})
-        group = plan.setdefault((bundle.base_dim, len(path)), [])
-        group.append(block)
-        bundle._planned[len(path)] = group, block
-    bundle._planned[len(path)][1].rows.update(zip(
+    group = plan.setdefault((bundle.base_dim, len(path)), {})
+    group.setdefault(id(bundle), (bundle, {}))[1].update(zip(
         _row_keys(path, starts), zip(itertools.repeat(path), starts)))
 
 
-def _sweep_blocks(blocks: Sequence[_Block]) -> None:
-    """Integrate the rows of every block in one sweep and memoize each row
-    in its block's memo; a sweep that raises memoizes nothing."""
-    blocks = [b for b in blocks if b.rows]
-    if not blocks:
-        return
-    res = _sweep([(b.rhs, b.r2, *map(np.stack, zip(*b.rows.values())))
-                  for b in blocks])
-    rows = zip(res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
-               res.nfev.tolist())
-    for b in blocks:
-        b.memo.update(zip(b.rows, itertools.islice(rows, len(b.rows))))
+def _sweep_rows(parts) -> None:
+    """Integrate the rows of every (bundle, rows) part in one sweep and
+    memoize each row on its bundle; a sweep that raises memoizes nothing."""
+    res = _sweep([(_lift_rhs(b), b.radius ** 2,
+                   *map(np.stack, zip(*rows.values()))) for b, rows in parts])
+    out = zip(res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
+              res.nfev.tolist())
+    for b, rows in parts:
+        b._transported.update(zip(rows, itertools.islice(out, len(rows))))
 
 
-_FAULTS = (ValueError, RuntimeError, ArithmeticError)  # of a failed sweep
+def sweep_plan(plan: dict) -> None:
+    """Integrate the rows of a run's plan, one sweep per group.  A group
+    whose sweep raises memoizes nothing: its rows are integrated where a
+    check requests them, on their own, so a fault stays with its check."""
+    for group in plan.values():
+        with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
+            _sweep_rows(group.values())
 
 
 def _transport_rows(bundle: FlatDiskBundle, path,
                     starts: Sequence[Sequence[float]]) -> BatchTransport:
     """transport_batch's rows through the bundle's row memo, keyed by path
-    and start.
-
-    A miss integrates the missing rows in one sweep with every missing row
-    of the bundle's plan group: the rows planned on every bundle of the run
-    with the same base_dim and vertex count, this one included.  That
-    consumes the group's plan.  If the sweep raises, nothing is memoized,
-    the missing rows are integrated on their own and the other bundles'
-    rows in one more sweep (dropped if it raises too), so a fault in one
-    check's rows, or in one bundle's, never becomes another's.
-    """
+    and start; the missing rows are integrated in one sweep."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
     memo = bundle._transported
     keys = _row_keys(path, starts)
     missing = {k: (path, x) for k, x in zip(keys, starts) if k not in memo}
     if missing:
-        alone = _Block(memo, _lift_rhs(bundle), bundle.radius ** 2, missing)
-        group, own = bundle._planned.get(len(path), ([], None))
-        joint = [b._replace(rows={
-            **(missing if b is own else {}),
-            **{k: row for k, row in b.rows.items() if k not in b.memo}})
-            for b in group] + ([] if own else [alone])
-        try:
-            _sweep_blocks(joint)
-        except _FAULTS:
-            if sum(len(b.rows) for b in joint) == len(missing):
-                raise
-            try:
-                _sweep_blocks([alone])
-            finally:
-                with contextlib.suppress(*_FAULTS):
-                    _sweep_blocks([b for b in joint if b.memo is not memo])
-        finally:
-            for b in group:
-                b.rows.clear()
+        _sweep_rows([(bundle, missing)])
     rows = [memo[k] for k in keys]
     return BatchTransport(end=np.array([r[0] for r in rows]).reshape(-1, 2),
                           escaped=np.array([r[1] for r in rows], dtype=bool),
@@ -763,12 +716,7 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
 
 def plan_ccl(plan: dict, bundles: Sequence[FlatDiskBundle]) -> None:
     """Plan in a run's plan (see plan_transport) the holonomy rows of
-    ccl_check(bundle, beta) for every generator of each bundle.  A lone
-    one-generator bundle with nothing else planned in its group makes them
-    one request anyway, so there is nothing to join and no plan."""
-    if sum(b.base_dim == 1 for b in bundles) == 1 \
-            and not any(b.rows for b in plan.get((1, 2), ())):
-        bundles = [b for b in bundles if b.base_dim > 1]
+    ccl_check(bundle, beta) for every generator of each bundle."""
     for bundle in bundles:
         rows, inside = _fd_rows(bundle, _ccl_samples(bundle))
         for g in range(bundle.base_dim):

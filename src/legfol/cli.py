@@ -3,11 +3,12 @@ a deterministic JSON report."""
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 from importlib import resources
-
-import click
+from typing import Sequence
 
 from .runner import run_scenario
 from .scenario import ScenarioError, parse_scenario
@@ -19,49 +20,20 @@ def _run(text: str, source: str, json_path: str | None, seed: int,
         report = run_scenario(parse_scenario(text), seed=seed,
                               overrides={"tol": tol, "samples": samples})
     except ScenarioError as exc:
-        click.echo(f"{source}: {exc}", err=True)
+        print(f"{source}: {exc}", file=sys.stderr)
         return 2
     for c in report["checks"]:
         status = "ok  " if c["ok"] else "FAIL"
-        click.echo(f"{status} {c['name']} [{c['kind']}] "
-                   f"expect={c['expect']}")
+        print(f"{status} {c['name']} [{c['kind']}] expect={c['expect']}")
     verdict = "PASS" if report["passed"] else "FAIL"
-    click.echo(f"{verdict} {report['scenario']} "
-               f"({len(report['checks'])} checks, "
-               f"{report['wall_time']:.2f}s)")
+    print(f"{verdict} {report['scenario']} "
+          f"({len(report['checks'])} checks, "
+          f"{report['wall_time']:.2f}s)")
     if json_path:
         with open(json_path, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     return 0 if report["passed"] else 1
-
-
-@click.group()
-def main() -> None:
-    """Numerical verification scenarios for contact-geometry constructions."""
-
-
-def _common(f):
-    f = click.option("--json", "json_path", type=click.Path(dir_okay=False),
-                     default=None, help="Write the full report as JSON.")(f)
-    f = click.option("--seed", type=int, default=0, show_default=True,
-                     help="Seed for the sample-point generator.")(f)
-    f = click.option("--tol", type=float, default=None,
-                     help="Override every check's tolerance.")(f)
-    f = click.option("--samples", type=click.IntRange(min=1), default=None,
-                     help="Override every check's sample count.")(f)
-    return f
-
-
-@main.command()
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@_common
-def check(file: str, json_path: str | None, seed: int,
-          tol: float | None, samples: int | None) -> None:
-    """Run the checks declared in a scenario FILE."""
-    with open(file) as fh:
-        text = fh.read()
-    sys.exit(_run(text, file, json_path, seed, tol, samples))
 
 
 def demo_names() -> list[str]:
@@ -70,23 +42,63 @@ def demo_names() -> list[str]:
                   if p.name.endswith(".scn"))
 
 
-@main.command()
-@click.argument("name", required=False)
-@_common
-def demo(name: str | None, json_path: str | None, seed: int,
-         tol: float | None, samples: int | None) -> None:
-    """Run a bundled demo scenario; with no NAME, list the available ones."""
-    names = demo_names()
-    if name is None:
-        for n in names:
-            click.echo(n)
-        return
-    if name not in names:
-        click.echo(f"unknown demo '{name}'; available: {', '.join(names)}",
-                   err=True)
-        sys.exit(2)
-    text = (resources.files("legfol") / "scenarios" / f"{name}.scn").read_text()
-    sys.exit(_run(text, name, json_path, seed, tol, samples))
+def _count(text: str) -> int:
+    """A sample count: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"'{text}' is not an integer >= 1")
+    return count
+
+
+def main(argv: Sequence[str] | None = None) -> None:
+    """Numerical verification scenarios for contact-geometry constructions.
+    Exits 0 if every check is ok, 1 if one is not, 2 on malformed input."""
+    parser = argparse.ArgumentParser(prog="legfol", description=main.__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    check = commands.add_parser(
+        "check", help="Run the checks declared in a scenario FILE.")
+    check.add_argument("file", metavar="FILE")
+    demo = commands.add_parser(
+        "demo", help="Run a bundled demo scenario; with no NAME, list the "
+                     "available ones.")
+    demo.add_argument("name", metavar="NAME", nargs="?")
+    for sub in (check, demo):
+        sub.add_argument("--json", dest="json_path", metavar="PATH",
+                         help="Write the full report as JSON.")
+        sub.add_argument("--seed", type=int, default=0,
+                         help="Seed for the sample-point generator "
+                              "(default: 0).")
+        sub.add_argument("--tol", type=float,
+                         help="Override every check's tolerance.")
+        sub.add_argument("--samples", type=_count,
+                         help="Override every check's sample count.")
+    args = parser.parse_args(argv)
+    if args.json_path and os.path.isdir(args.json_path):
+        parser.error(f"argument --json: '{args.json_path}' is a directory")
+    if args.command == "check":
+        try:
+            with open(args.file) as fh:
+                text = fh.read()
+        except OSError as exc:
+            check.error(f"cannot read FILE: {exc}")
+        source = args.file
+    else:
+        names = demo_names()
+        if args.name is None:
+            print(*names, sep="\n")
+            sys.exit(0)
+        if args.name not in names:
+            print(f"unknown demo '{args.name}'; available: "
+                  f"{', '.join(names)}", file=sys.stderr)
+            sys.exit(2)
+        text = (resources.files("legfol") / "scenarios"
+                / f"{args.name}.scn").read_text()
+        source = args.name
+    sys.exit(_run(text, source, args.json_path, args.seed, args.tol,
+                  args.samples))
 
 
 if __name__ == "__main__":

@@ -488,10 +488,9 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
 def _plan(sc: Scenario, env: _Env) -> None:
     """Plan the transport rows the checks will request: each transport
     check's start, and then the CCL rows of every generator of each bundle
-    that a ccl check, or a singular germ that a check names, names.  The
-    first request that misses a bundle's row memo then integrates the
-    planned rows of every bundle with the same base_dim and path vertex
-    count in one sweep, whatever the check order."""
+    that a ccl check, or a singular germ that a check names, names.  Then
+    integrate them: one sweep for the planned rows of every bundle with the
+    same base_dim and path vertex count, before the first check runs."""
     germ_bundles = {b.name: b.get("bundle") for b in sc.blocks
                     if b.kind == "germ"}
     plan, ccl = {}, {}  # ccl: bundle names in check order
@@ -511,6 +510,7 @@ def _plan(sc: Scenario, env: _Env) -> None:
                                  if decl == "germ"))
     bd.plan_ccl(plan, [env.objects["bundle", name]
                        for name in ccl if name is not None])
+    bd.sweep_plan(plan)
 
 
 def _jsonable(value):

@@ -1,17 +1,17 @@
 """Acceptance gate: one test per criterion, each printing a single
 pass/fail line with its headline numbers."""
 
+import contextlib
 import json
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
 from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import forms as fm
 from legfol import germ as gm
-from legfol.cli import demo_names, main
+from legfol.cli import demo_names
 from legfol.fields import (
     Chart,
     constant,
@@ -21,6 +21,7 @@ from legfol.fields import (
 )
 
 from oracles import fd_partial, interior, lie_derivative
+from test_cli import invoke
 from test_forms import at, eval_oracle, random_form
 
 RNG = np.random.default_rng(987654321)
@@ -276,18 +277,15 @@ def test_criterion_7_germs():
                   f"{dt:.1f}s")
 
 
-def test_criterion_8_cli():
+def test_criterion_8_cli(tmp_path):
     t0 = time.perf_counter()
-    runner = CliRunner()
     names = demo_names()
     all_pass = True
     deterministic = True
     for name in names:
-        with runner.isolated_filesystem():
-            r1 = runner.invoke(main, ["demo", name, "--seed", "9",
-                                      "--json", "a.json"])
-            r2 = runner.invoke(main, ["demo", name, "--seed", "9",
-                                      "--json", "b.json"])
+        with contextlib.chdir(tmp_path):
+            r1 = invoke(["demo", name, "--seed", "9", "--json", "a.json"])
+            r2 = invoke(["demo", name, "--seed", "9", "--json", "b.json"])
             all_pass = all_pass and r1.exit_code == 0 and r2.exit_code == 0
             a = json.load(open("a.json"))
             b = json.load(open("b.json"))

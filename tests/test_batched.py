@@ -22,10 +22,12 @@ two kernels agree.
 import copy
 import dataclasses
 import gc
+import importlib.util
 import itertools
 import math
 import weakref
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1180,18 +1182,15 @@ class TestHolonomyMemo:
         assert report["passed"]
         assert batches == [81]
 
-    def test_one_request_is_not_planned(self, batches, monkeypatch):
-        # one generator and no transport check: the CCL rows are one
-        # holonomy request, so the plan has nothing to join
-        planned, plan = [], bd.plan_transport
-        monkeypatch.setattr(bd, "plan_transport",
-                            lambda *a: planned.append(a) or plan(*a))
+    def test_one_request_is_one_sweep(self, batches):
+        # one generator and no transport check: the CCL rows of the one
+        # holonomy request are the whole plan
         sc = parse_scenario(MEMO_SCENARIO.replace("rates = 0.9 1.7",
                                                   "rates = 0.9"))
         report = runner.run_scenario(Scenario(sc.name, tuple(
             b for b in sc.blocks if b.name != "endpoint")))
         assert report["passed"]
-        assert planned == [] and batches == [40]
+        assert batches == [40]
 
     def test_not_shared_between_runs(self, batches):
         sc = parse_scenario(MEMO_SCENARIO)
@@ -1327,17 +1326,19 @@ class TestJointSweep:
         assert 0 < got.escaped.sum() < len(got.escaped)
 
     def test_plan_joins_bundles(self, monkeypatch, rng):
-        # rows planned on three circles: the first request integrates them
-        # all, and the other bundles' requests read their memos
+        # rows planned on three circles: sweep_plan integrates them all in
+        # one sweep, and every bundle's request reads its memo
         batches = counted_sweeps(monkeypatch)
         bundles = JOINT_SWEEPS["circle"][0]()
         plan, rows = {}, []
         for b in bundles:
             rows.append(disk_points(rng, 6, 0.95 * b.radius))
             bd.plan_transport(plan, b, bd.generator_loop(b, 0), rows[-1])
+        bd.sweep_plan(plan)
+        assert batches == [sum(map(len, rows))]
         got = [bd._transport_rows(b, bd.generator_loop(b, 0), x)
                for b, x in zip(bundles, rows)]
-        assert batches == [sum(map(len, rows))]
+        assert batches == [sum(map(len, rows))]  # no sweep after the plan
         for b, x, res in zip(bundles, rows, got):
             alone = bd.transport_batch(b, bd.generator_loop(b, 0), x)
             assert res.end.tobytes() == alone.end.tobytes()
@@ -1345,11 +1346,10 @@ class TestJointSweep:
                     res.nfev.tolist()) == (alone.escaped.tolist(),
                                            alone.steps.tolist(),
                                            alone.nfev.tolist())
-        assert all(not block.rows for block in plan[1, 2])  # consumed
 
     def test_run_frees_its_bundles(self, monkeypatch):
-        # the plan holds memos, lifts and rows, never a bundle, so a run's
-        # bundles die with the run, without the cyclic collector
+        # the plan is a local of the run's planning, so a run's bundles die
+        # with the run, without the cyclic collector
         refs, real = [], bd.rotation_bundle
 
         def tracked(*args):
@@ -1364,6 +1364,54 @@ class TestJointSweep:
             assert len(refs) == 3 and all(r() is None for r in refs)
         finally:
             gc.enable()
+
+
+def bundled_and_benchmark_runs():
+    """(id, seed, text) of every bundled demo at seed 0, and of every
+    benchmark scenario at seeds 0-2."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads",
+        Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    demos = resources.files("legfol") / "scenarios"
+    runs = [(p.name, 0, p.read_text()) for p in sorted(
+        demos.iterdir(), key=lambda p: p.name) if p.name.endswith(".scn")]
+    return runs + [(f"{w}-{seed}-{i}", seed, text)
+                   for w in workloads.WORKLOADS for seed in range(3)
+                   for i, text in enumerate(workloads.generate(w, seed))]
+
+
+class TestPlanCoversRequests:
+    """The run plan holds every row that a check requests: a run makes one
+    sweep per planned group, all of them inside sweep_plan, and none while
+    its checks run.  Every planned path is a generator loop, one segment, so
+    a sweep is one _integrate_segment call."""
+
+    @pytest.mark.parametrize("seed, text", [
+        pytest.param(seed, text, id=name)
+        for name, seed, text in bundled_and_benchmark_runs()])
+    def test_no_check_sweeps(self, monkeypatch, seed, text):
+        groups, sweeping, calls = [], [], []
+        sweep_plan, segment = bd.sweep_plan, bd._integrate_segment
+
+        def planned(plan):
+            groups.append(len(plan))
+            sweeping.append(True)
+            try:
+                sweep_plan(plan)
+            finally:
+                sweeping.pop()
+
+        def counted(*args):
+            calls.append(bool(sweeping))
+            return segment(*args)
+
+        monkeypatch.setattr(bd, "sweep_plan", planned)
+        monkeypatch.setattr(bd, "_integrate_segment", counted)
+        runner.run_scenario(parse_scenario(text), seed=seed)
+        (planned_groups,) = groups
+        assert calls == [True] * planned_groups
 
 
 OVERFLOW_SCENARIO = """scenario overflow
@@ -1434,7 +1482,7 @@ end
 
 class TestFaultAttribution:
     """A fault in one check's rows stays that check's outcome, although the
-    plan puts every row of the bundle into the first sweep."""
+    plan puts every row of the bundle into one sweep before the checks."""
 
     def test_fault_stays_with_its_check(self, monkeypatch):
         monkeypatch.setattr(bd, "rotation_bundle", overflowing_bundle)
@@ -1446,7 +1494,7 @@ class TestFaultAttribution:
         assert not ccl["ok"] and not ccl["detail"]["refused"]
         assert ccl["error"].startswith("EvaluationError: row 0, point ")
         assert "exp overflow" in ccl["error"]
-        # the combined sweep raised; then each check's rows ran on their own
+        # the plan's sweep raised; then each check's rows ran on their own
         assert batches == [41, 1, 40]
         # exactly the report of a run without the plan
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
@@ -1456,9 +1504,9 @@ class TestFaultAttribution:
         assert report == alone
 
     def test_fault_stays_with_its_bundle(self, monkeypatch):
-        # the overflowing circle beside a healthy one: the first request
-        # sweeps both bundles' rows, the sweep raises, and every check then
-        # gets the outcome it gets in a run of its own bundle alone
+        # the overflowing circle beside a healthy one: the plan sweeps both
+        # bundles' rows, the sweep raises, and every check then gets the
+        # outcome it gets in a run of its own bundle alone
         real = bd.rotation_bundle
         monkeypatch.setattr(bd, "rotation_bundle", lambda rates, *a: (
             overflowing_bundle if rates == [1.0] else real)(rates, *a))
@@ -1471,9 +1519,8 @@ class TestFaultAttribution:
         ccl = report["checks"][1]
         assert not ccl["detail"]["refused"]
         assert ccl["error"] == one["checks"][1]["error"]
-        # the failed joint sweep, the request's own row, the healthy
-        # circle's rows still joined, and the overflowing CCL rows alone
-        assert batches[3:] == [82, 1, 41, 40]
+        # the plan's failed sweep, then each check's rows on their own
+        assert batches[3:] == [82, 1, 40, 1, 40]
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
         alone = runner.run_scenario(sc)
         report.pop("wall_time"), alone.pop("wall_time")

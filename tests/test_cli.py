@@ -1,14 +1,16 @@
 """Scenario parsing, report structure and the command-line interface."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from legfol import germ, runner
 from legfol.cli import demo_names, main
@@ -34,6 +36,18 @@ end
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def invoke(argv):
+    """main(argv) as the shell runs it: its exit code, its stdout and stderr
+    together as output, and the SystemExit of a nonzero exit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out), \
+            pytest.raises(SystemExit) as exit:
+        main(argv)
+    code = exit.value.code
+    return SimpleNamespace(exit_code=code, output=out.getvalue(),
+                           exception=exit.value if code else None)
 
 
 class TestParsing:
@@ -93,8 +107,7 @@ class TestCli:
         path = tmp_path / "smoke.scn"
         path.write_text(GOOD)
         out = tmp_path / "report.json"
-        runner = CliRunner()
-        result = runner.invoke(main, ["check", str(path), "--json", str(out)])
+        result = invoke(["check", str(path), "--json", str(out)])
         assert result.exit_code == 0, result.output
         assert "PASS smoke" in result.output
         report = json.loads(out.read_text())
@@ -104,32 +117,41 @@ class TestCli:
         text = GOOD.replace("tol = 1e-10", "tol = 1e-10\n  expect = fail")
         path = tmp_path / "bad.scn"
         path.write_text(text)
-        result = CliRunner().invoke(main, ["check", str(path)])
+        result = invoke(["check", str(path)])
         assert result.exit_code == 1
         assert "FAIL" in result.output
 
     def test_parse_error_exits_two(self, tmp_path):
         path = tmp_path / "broken.scn"
         path.write_text("graph g\n  n 2\nend\n")
-        result = CliRunner().invoke(main, ["check", str(path)])
+        result = invoke(["check", str(path)])
         assert result.exit_code == 2
 
     def test_overrides_rewrite_checks(self, tmp_path):
         path = tmp_path / "smoke.scn"
         path.write_text(GOOD)
         out = tmp_path / "report.json"
-        result = CliRunner().invoke(
-            main, ["check", str(path), "--samples", "5", "--json", str(out)])
+        result = invoke(["check", str(path), "--samples", "5", "--json",
+                         str(out)])
         assert result.exit_code == 0
         report = json.loads(out.read_text())
         assert report["checks"][0]["detail"]["samples"] == 5
 
+    def test_missing_file_exits_two(self, tmp_path):
+        result = invoke(["check", str(tmp_path / "none.scn")])
+        assert result.exit_code == 2
+        assert "cannot read FILE" in result.output
+
+    def test_json_directory_exits_two(self, tmp_path):
+        result = invoke(["demo", "flat-bundle", "--json", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "--json" in result.output and "PASS" not in result.output
+
     def test_demo_listing_and_unknown(self):
-        runner = CliRunner()
-        listing = runner.invoke(main, ["demo"])
+        listing = invoke(["demo"])
         assert listing.exit_code == 0
         assert "flat-bundle" in listing.output
-        bad = runner.invoke(main, ["demo", "no-such-demo"])
+        bad = invoke(["demo", "no-such-demo"])
         assert bad.exit_code == 2
 
 
@@ -170,15 +192,14 @@ class TestSampleCount:
         path = tmp_path / "zero.scn"
         path.write_text(ZERO_SAMPLES.format(
             kind="residuals", target="paraboloid", extra="expect = refuse"))
-        result = CliRunner().invoke(main, ["check", str(path)])
+        result = invoke(["check", str(path)])
         assert result.exit_code == 2
         assert "samples must be at least 1" in result.output
         assert "PASS" not in result.output
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_samples_option_exits_two(self, value):
-        result = CliRunner().invoke(
-            main, ["demo", "commuting-fields-n2", "--samples", value])
+        result = invoke(["demo", "commuting-fields-n2", "--samples", value])
         assert result.exit_code == 2
         assert "--samples" in result.output
 
@@ -186,7 +207,7 @@ class TestSampleCount:
         path = tmp_path / "maybe.scn"
         path.write_text(GOOD.replace("samples = 20",
                                      "samples = 20\n  expect = maybe"))
-        result = CliRunner().invoke(main, ["check", str(path)])
+        result = invoke(["check", str(path)])
         assert result.exit_code == 2
         assert "line 9: expect must be" in result.output
 
@@ -194,7 +215,7 @@ class TestSampleCount:
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", demo_names())
     def test_demo_passes(self, name):
-        result = CliRunner().invoke(main, ["demo", name, "--seed", "5"])
+        result = invoke(["demo", name, "--seed", "5"])
         assert result.exit_code == 0, result.output
 
 
@@ -266,7 +287,7 @@ class TestUnknownNames:
     def exits_two(self, tmp_path, text, message, line):
         path = tmp_path / "probe.scn"
         path.write_text(text)
-        result = CliRunner().invoke(main, ["check", str(path)])
+        result = invoke(["check", str(path)])
         assert result.exit_code == 2, result.output
         assert f"line {line}: {message}" in result.output
         assert not any(row.startswith(("ok", "FAIL", "PASS"))
@@ -432,13 +453,11 @@ class TestOverrides:
 
     def test_samples_skips_kinds_without_samples(self):
         # transport and ccl take no samples
-        result = CliRunner().invoke(main, ["demo", "flat-bundle",
-                                           "--samples", "5"])
+        result = invoke(["demo", "flat-bundle", "--samples", "5"])
         assert result.exit_code == 0, result.output
 
     def test_samples_zero_still_exits_two(self):
-        result = CliRunner().invoke(main, ["demo", "flat-bundle",
-                                           "--samples", "0"])
+        result = invoke(["demo", "flat-bundle", "--samples", "0"])
         assert result.exit_code == 2
 
 
@@ -497,8 +516,7 @@ class TestGermBuilds:
                             lambda inp: calls.append(inp) or build(inp))
         path, out = tmp_path / "germ.scn", tmp_path / "report.json"
         path.write_text(NONSINGULAR.format(f=f))
-        result = CliRunner().invoke(main, ["check", str(path),
-                                           "--json", str(out)])
+        result = invoke(["check", str(path), "--json", str(out)])
         assert len(calls) == 1
         return result, json.loads(out.read_text())["checks"]
 
@@ -549,8 +567,7 @@ class TestNumericalFaults:
             .replace("samples = 20", f"samples = 20\n  expect = {expect}")
         path, out = tmp_path / "probe.scn", tmp_path / "report.json"
         path.write_text(text)
-        result = CliRunner().invoke(main, ["check", str(path),
-                                           "--json", str(out)])
+        result = invoke(["check", str(path), "--json", str(out)])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
         assert "FAIL residuals [residuals]" in result.output
@@ -568,8 +585,7 @@ class TestLongSums:
         text = GOOD.replace("(x2^2 + y2^2) / 2  # curved hypersurface", z)
         path, out = tmp_path / "probe.scn", tmp_path / "report.json"
         path.write_text(text)
-        result = CliRunner().invoke(main, ["check", str(path),
-                                           "--json", str(out)])
+        result = invoke(["check", str(path), "--json", str(out)])
         (entry,) = json.loads(out.read_text())["checks"]
         return result, entry
 

@@ -22,8 +22,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "legfol"
 REASONS = ("oracle", "paper", "entry point")
 
 LIBRARY_ONLY = {
-    "cli.check": "entry point: the `legfol check` command",
-    "cli.demo": "entry point: the `legfol demo` command",
     "coiso.pointwise_coisotropy": "oracle: linear-algebra classification "
                                   "that the residuals are compared with",
     "coiso.perturbation_sup_norm": "paper: the perturbation is C^0-small",
