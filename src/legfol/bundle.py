@@ -680,13 +680,14 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
         raise ValueError("beta must be a 1-form on the fiber chart (u, v)")
     step = CCL_GRID_STEP * bundle.radius
     grid = _fiber_grid(bundle.radius, step)
-    origin_norm = float(np.linalg.norm(beta.coeff_array([[0.0, 0.0]])))
-    away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * step]
-    min_away = float(np.min(np.linalg.norm(beta.coeff_array(away), axis=1)))
+    b, W = fm.jet(beta, np.vstack([[0.0, 0.0], grid]))
+    origin_norm = float(np.linalg.norm(b[:1]))
+    away = np.hypot(grid[:, 0], grid[:, 1]) >= 2 * step
+    min_away = float(np.min(np.linalg.norm(b[1:][away], axis=1)))
     vanishing_ok = origin_norm <= tol and min_away > tol
 
-    # d beta on the frame (d/du, d/dv) is its one coefficient
-    db_vals = bundle.orientation * fm.exterior_d(beta).coeff_array(grid)[:, 0]
+    # d beta on the frame (d/du, d/dv)
+    db_vals = bundle.orientation * W[1:, 0, 1]
     positivity_ok = bool(np.min(db_vals) > tol)
 
     samples = _ccl_samples(bundle)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -42,15 +43,16 @@ def demo_names() -> list[str]:
                   if p.name.endswith(".scn"))
 
 
-def _count(text: str) -> int:
-    """A sample count: an integer of at least 1."""
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"'{text}' is not an integer >= 1")
-    return count
+def _checked(cast, ok, what: str):
+    """The argparse type of a value that cast parses and ok accepts."""
+    def parse(text: str):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"'{text}' is not {what}")
+    return parse
 
 
 def main(argv: Sequence[str] | None = None) -> None:
@@ -68,12 +70,16 @@ def main(argv: Sequence[str] | None = None) -> None:
     for sub in (check, demo):
         sub.add_argument("--json", dest="json_path", metavar="PATH",
                          help="Write the full report as JSON.")
-        sub.add_argument("--seed", type=int, default=0,
+        sub.add_argument("--seed", default=0, type=_checked(
+                             int, lambda v: v >= 0, "an integer >= 0"),
                          help="Seed for the sample-point generator "
                               "(default: 0).")
-        sub.add_argument("--tol", type=float,
+        sub.add_argument("--tol", type=_checked(
+                             float, lambda v: 0 < v < math.inf,
+                             "a positive finite number"),
                          help="Override every check's tolerance.")
-        sub.add_argument("--samples", type=_count,
+        sub.add_argument("--samples", type=_checked(
+                             int, lambda v: v >= 1, "an integer >= 1"),
                          help="Override every check's sample count.")
     args = parser.parse_args(argv)
     if args.json_path and os.path.isdir(args.json_path):

@@ -2,7 +2,9 @@
 
 A k-dimensional graph Y lives over source coordinates (x_1..x_n plus a chosen
 set of free y-coordinates); the remaining y's and z are graph components. The
-restricted 1-form is always the symbolic pullback of dz - sum y_i dx_i.
+restricted 1-form is always the symbolic pullback of dz - sum y_i dx_i, read
+with its d by forms.jet; the residual equations of the k = n + 1 model are
+products of arrays of the components' values and partials (residual_values).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import symplin as sl
 from .fields import (
     Chart,
     Const,
+    EvaluationError,
     ExprField,
     RowError,
     SmoothMapExpr,
@@ -142,7 +145,6 @@ def graph_submanifold(n: int, k: int,
 class SingularScanResult:
     box: float
     step: float
-    tol: float
     hits: np.ndarray  # (num_hits, k)
     clusters: tuple[tuple[int, ...], ...]  # index lists into hits
     dims: tuple[int, ...]
@@ -215,8 +217,6 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     when they lie at most three grid steps apart.  The rule is integer
     arithmetic, so it does not depend on box or step.
     """
-    if step <= 0 or box <= 0 or tol <= 0:
-        raise ValueError("box, step and tol must be positive")
     lam = Y.lambda_form
     src = Y.source_chart
     k = src.dim
@@ -274,7 +274,7 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
         else:
             flags.append("other")
     return SingularScanResult(
-        box=box, step=step, tol=tol, hits=hits_arr,
+        box=box, step=step, hits=hits_arr,
         clusters=tuple(tuple(i) for i in clusters),
         dims=tuple(dims), flags=tuple(flags))
 
@@ -298,43 +298,40 @@ def _require_standard(Y: GraphSubmanifold):
             "residual equations require the free fiber coordinate y_n")
 
 
-def _model_data(Y: GraphSubmanifold):
-    """Partials of the graph components in the standard k = n+1 model."""
-    src = Y.source_chart
-    n = Y.n
-    xn = f"x{n}"
-    yn = f"y{n}"
-    ys = {a: Y.components[f"y{a}"] for a in range(1, n)}
-    z = Y.components["z"]
-    d = {
-        "z_x": {a: z.diff(f"x{a}") for a in range(1, n + 1)},
-        "z_yn": z.diff(yn),
-        "y_x": {(a, b): ys[a].diff(f"x{b}")
-                for a in range(1, n) for b in range(1, n + 1)},
-        "y_yn": {a: ys[a].diff(yn) for a in range(1, n)},
-        "y": ys,
-        "yn_var": coordinate(src, yn),
-        "xn": xn,
-        "yn": yn,
-    }
-    return d
+def _max_abs(values: np.ndarray, axis=None):
+    """Largest |value| (0 for none), over all entries or along an axis."""
+    return np.max(np.abs(values), axis=axis, initial=0.0)
 
 
-def residual_fields(Y: GraphSubmanifold) -> dict:
-    """The foliation-residual equations as labeled symbolic fields.
+@np.errstate(all="ignore")  # a non-finite equation raises below
+def residual_values(Y: GraphSubmanifold,
+                    points: Sequence[Sequence[float]]) -> dict:
+    """The foliation-residual equations at N points: products of the graph
+    components y_a (a < n) and z and their first partials, from one batch.
 
-    Keys: "eq_abc" (triples, redundant), "eq_abn", "eq_abyn" (pairs),
-    "eq_a" (singles) and "lambda_ab" (the commutator identity), each mapping
-    index tuples to ExprFields on the source chart.
+    Keys: "eq_abc" (triples, redundant), "eq_abn", "eq_abyn" (pairs), "eq_a"
+    (singles) and "lambda_ab" (the commutator identity), each mapping index
+    tuples to (N,) arrays.  "max_residual" holds, per point, the largest
+    |eq_abn|, |eq_abyn| and |eq_a|; "redundant_max" the largest |eq_abc|,
+    which is excluded from max_residual, being derivable from the others.
+    Raises EvaluationError, as a batch does, at the first point where an
+    equation is not finite.
     """
     _require_standard(Y)
     n = Y.n
-    d = _model_data(Y)
-    zx, zyn = d["z_x"], d["z_yn"]
-    yx, yyn, y = d["y_x"], d["y_yn"], d["y"]
-    yn = d["yn_var"]
+    vals, J = values_and_partials(Y.source_chart, tuple(
+        Y.components[f"y{a}" if a < n else "z"].expr
+        for a in range(1, n + 1)), points)
+    # source coordinates x_1..x_n, y_n: column b - 1 is x_b, column n is y_n
+    y = {a: vals[:, a - 1] for a in range(1, n)}
+    zx = {a: J[:, n - 1, a - 1] for a in range(1, n + 1)}
+    pts = np.asarray(points, dtype=float).reshape(-1, n + 1)
+    zyn, yn = J[:, n - 1, n], pts[:, n]
+    yx = {(a, b): J[:, a - 1, b - 1] for a in range(1, n)
+          for b in range(1, n + 1)}
+    yyn = {a: J[:, a - 1, n] for a in range(1, n)}
 
-    def A(a):  # dz/dx_a - y_a, with y_a the graph component for a < n
+    def A(a):  # dz/dx_a - y_a
         return zx[a] - y[a]
 
     out = {"eq_abc": {}, "eq_abn": {}, "eq_abyn": {}, "eq_a": {},
@@ -357,34 +354,16 @@ def residual_fields(Y: GraphSubmanifold) -> dict:
             + yx[(a, b)] - yx[(b, a)])
     for a in rng:
         out["eq_a"][a] = zx[a] - (zx[n] - yn) * yyn[a] + zyn * yx[(a, n)] - y[a]
-    return out
-
-
-def _max_abs(values: np.ndarray, axis=None):
-    """Largest |value| (0 for none), over all entries or along an axis."""
-    return np.max(np.abs(values), axis=axis, initial=0.0)
-
-
-def residual_values(Y: GraphSubmanifold,
-                    points: Sequence[Sequence[float]]) -> dict:
-    """Every residual equation at N points, through one compiled batch.
-
-    The keys of residual_fields map each index to an (N,) array.
-    "max_residual" holds, per point, the largest |eq_abn|, |eq_abyn| and
-    |eq_a|; "redundant_max" the largest |eq_abc|, which is recorded but
-    excluded from max_residual, being derivable from the others.
-    """
-    fams = residual_fields(Y)
-    labels = [(key, idx) for key, fam in fams.items() for idx in fam]
-    vals = compile_exprs(Y.source_chart, tuple(
-        fams[key][idx].expr for key, idx in labels)).batch(points)
-    out = {key: {} for key in fams}
-    for col, (key, idx) in enumerate(labels):
-        out[key][idx] = vals[:, col]
 
     def row_max(keys):
-        cols = [col for col, (key, _) in enumerate(labels) if key in keys]
-        return _max_abs(vals[:, cols], axis=1)
+        cols = [v for key in keys for v in out[key].values()]
+        return _max_abs(np.reshape(cols, (len(cols), len(pts))), axis=0)
+
+    bad = ~np.isfinite(row_max(tuple(out)))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise EvaluationError(
+            f"row {row}, point {pts[row].tolist()}: non-finite value")
 
     out["max_residual"] = row_max(("eq_abn", "eq_abyn", "eq_a"))
     out["redundant_max"] = row_max(("eq_abc",))
@@ -395,17 +374,12 @@ def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
                          tol: float = RANK_TOL) -> dict:
     """Classify T_pY intersected with the contact hyperplane, via linear algebra."""
     emb = Y.embedding
-    at = [point]
-    q = compile_exprs(emb.source, tuple(
-        c.expr for c in emb.components)).batch(at)[0]
-    alpha = standard_alpha(Y.n)
-    if _max_abs(Y.lambda_form.coeff_array(at)) <= tol:
+    q, J = values_and_partials(emb.source, tuple(  # J: 1 x (2n+1) x k
+        c.expr for c in emb.components), [point])
+    if _max_abs(Y.lambda_form.coeff_array([point])) <= tol:
         return {"singular": True, "kind": "tangent to xi", "coisotropic": None}
-    J = compile_exprs(emb.source, tuple(  # (2n+1) x k
-        f.expr for row in emb.jacobian_fields for f in row)
-    ).batch(at).reshape(emb.target.dim, emb.source.dim)
-    tangent = sl.span(J.T, Y.ambient.dim)
-    xi, omega = sl.contact_hyperplane(alpha, q)
+    tangent = sl.span(J[0].T, Y.ambient.dim)
+    xi, omega = sl.contact_hyperplane(standard_alpha(Y.n), q[0])
     W_amb = tangent.intersect(xi)
     W_coords = sl.coords_in_basis(xi.basis, W_amb.basis)
     cls = sl.classify_subspace(
@@ -481,7 +455,6 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
     the residual equations fail at any sample (the identities are
     conditional on coisotropy).
     """
-    _require_standard(Y)
     points = np.asarray(points, dtype=float)
     table = residual_values(Y, points)
     binding = table["max_residual"]
@@ -537,18 +510,16 @@ def char_foliation_form(Y: GraphSubmanifold,
     hyperplane: (k-n)! |Pf| = (k-n)! sqrt(det) of a principal minor of S.
     """
     n, k = Y.n, Y.k
-    lam = Y.lambda_form
-    covecs = lam.coeff_array(points)
+    covecs, W = fm.jet(Y.lambda_form, points)
     keep = _max_abs(covecs, axis=1) > tol  # nonsingular samples only
-    pts = np.asarray(points, dtype=float)[keep]
     P = sl.hyperplane_bases(covecs[keep])
-    S = P @ fm.form_matrices(fm.exterior_d(lam), pts) @ P.transpose(0, 2, 1)
+    S = P @ W[keep] @ P.transpose(0, 2, 1)
     # exactly skew: a principal minor's det is then Pf^2 up to rounding
     S = (S - S.transpose(0, 2, 1)) / 2
     kernel_dims = (k - 1) - sl.skew_rank(S, tol)
     max_residual = 0.0
     deg = 2 * (k - n)
-    if len(pts) and deg <= k - 1:
+    if len(S) and deg <= k - 1:
         minors = np.array(list(itertools.combinations(range(k - 1), deg)))
         dets = np.linalg.det(S[:, minors[:, :, None], minors[:, None, :]])
         max_residual = math.factorial(k - n) * float(
@@ -559,7 +530,7 @@ def char_foliation_form(Y: GraphSubmanifold,
         "kernel_dims": kernel_dims.tolist(),
         "kernel_ok": bool(np.all(kernel_dims == expected)),
         "integrability_residual": max_residual,
-        "samples_used": len(pts),
+        "samples_used": len(S),
     }
 
 
@@ -626,17 +597,16 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
     The orientation sign is that of the two-form on the declared normal pair
     of source coordinates (default: x_n and the last free y).
     """
-    lam = Y.lambda_form
-    if _max_abs(lam.coeff_array([point])) > tol:
+    covec, W = fm.jet(Y.lambda_form, [point])
+    if _max_abs(covec) > tol:
         return {"singular": False, "tag": "not singular"}
     src = Y.source_chart
     k = src.dim
-    M = fm.form_matrices(fm.exterior_d(lam), [point])[0]
-    rank = sl.skew_rank(M, tol)
+    rank = sl.skew_rank(W[0], tol)
     if normal_pair is None:
         normal_pair = (f"x{Y.n}", f"y{Y.free_y[-1]}")
     i0, j0 = src.index(normal_pair[0]), src.index(normal_pair[1])
-    val = M[i0, j0]
+    val = W[0, i0, j0]
     return {
         "singular": True,
         "rank": rank,

@@ -6,9 +6,9 @@ omega(v_1, ..., v_k) sums coeff_I times the determinant of the I-rows of the
 vectors, so the standard volume normalization comes out as n! on the
 canonical frame.
 
-Forms are built symbolically (d, wedge, pullback); contractions with vector
-fields are taken on arrays of values and first partials (form_matrices,
-lie_coeffs).
+Forms are built symbolically (d, wedge, pullback).  A 1-form and its d are
+evaluated together on arrays (jet); contractions with vector fields are taken
+on arrays of values and first partials (lie_coeffs).
 """
 
 from __future__ import annotations
@@ -212,23 +212,26 @@ def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
                     {i: ExprField(src, e) for i, e in out.items()})
 
 
-def form_matrices(omega: DiffForm, points) -> np.ndarray:
-    """Matrices of a 2-form on the coordinate vectors at N points.
+def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:
+    """A 1-form's coefficients and the matrix of its d at N points.
 
-    Returns (N, dim, dim) with M[p, i, j] = omega(e_i, e_j) at points[p]:
-    the coefficient of dx_i ^ dx_j above the diagonal and its negative below.
-    The coefficients are evaluated in one compiled batch.
+    Returns the coefficients (N, dim) and W (N, dim, dim), W[p, i, j] =
+    d omega(e_i, e_j) at points[p]: the coefficient of dx_i ^ dx_j above the
+    diagonal and its negative below.  One compiled batch evaluates the
+    coefficients, then the coefficients of exterior_d(omega).
     """
-    if omega.degree != 2:
-        raise ValueError("form_matrices needs a 2-form")
+    if omega.degree != 1:
+        raise ValueError("jet needs a 1-form")
     dim = omega.chart.dim
+    d = exterior_d(omega)
     vals = compile_exprs(omega.chart, tuple(
-        c.expr for c in omega.coeffs.values())).batch(points)
-    M = np.zeros((len(vals), dim, dim))
-    for col, (i, j) in enumerate(omega.coeffs):
-        M[:, i, j] = vals[:, col]
-        M[:, j, i] = -vals[:, col]
-    return M
+        omega.coeff((i,)).expr for i in range(dim)) + tuple(
+        c.expr for c in d.coeffs.values())).batch(points)
+    W = np.zeros((len(vals), dim, dim))
+    for col, (i, j) in enumerate(d.coeffs, dim):
+        W[:, i, j] = vals[:, col]
+        W[:, j, i] = -vals[:, col]
+    return vals[:, :dim], W
 
 
 def lie_coeffs(V: np.ndarray, JV: np.ndarray, w: np.ndarray,

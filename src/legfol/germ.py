@@ -92,18 +92,12 @@ def frobenius_residual(beta: fm.DiffForm,
                        points: Sequence[Sequence[float]]) -> float:
     """Max of beta ^ d(beta) over coordinate 3-frames at sample points.
 
-    From beta's coefficients and first partials, with W the matrix of
-    d beta: (beta ^ d beta)_ijk = beta_i W_jk - beta_j W_ik + beta_k W_ij.
+    From beta's coefficients and the matrix W of d beta (forms.jet):
+    (beta ^ d beta)_ijk = beta_i W_jk - beta_j W_ik + beta_k W_ij.
     """
-    if beta.degree != 1:
-        raise ValueError("needs a 1-form")
-    chart = beta.chart
-    if chart.dim < 3:
-        return 0.0
-    b, Jb = values_and_partials(chart, tuple(
-        beta.coeff((i,)).expr for i in range(chart.dim)), points)
-    W = Jb.transpose(0, 2, 1) - Jb
-    i, j, k = np.array(list(itertools.combinations(range(chart.dim), 3))).T
+    b, W = fm.jet(beta, points)
+    i, j, k = np.array([*itertools.combinations(range(beta.chart.dim), 3)],
+                       dtype=int).reshape(-1, 3).T  # none below dim 3
     three = b[:, i] * W[:, j, k] - b[:, j] * W[:, i, k] + b[:, k] * W[:, i, j]
     return float(np.max(np.abs(three), initial=0.0))
 
@@ -312,18 +306,15 @@ def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
     if expected.chart != base or expected.degree != 1:
         raise ValueError("expected form must be a 1-form on the section chart")
     points = np.asarray(points, dtype=float)
-    diff = restricted - expected
-    idxs = list(set(restricted.coeffs) | set(expected.coeffs))
-    resid = np.abs(compile_exprs(base, tuple(
-        diff.coeff(idx).expr for idx in idxs)).batch(points))
-    # sample-major, then in the order of idxs
+    covec = restricted.coeff_array(points)
+    exp_covec = expected.coeff_array(points)
+    resid = np.abs(covec - exp_covec)
+    # sample-major, then in coordinate order
     mismatches = [{"point": points[row].tolist(),
-                   "index": [base.var_names[i] for i in idxs[col]],
+                   "index": [base.var_names[col]],
                    "residual": float(resid[row, col])}
                   for row, col in np.argwhere(resid > tol)[:10]]
     max_resid = float(np.max(resid, initial=0.0))
-    covec = restricted.coeff_array(points)
-    exp_covec = expected.coeff_array(points)
     singular = np.linalg.norm(exp_covec, axis=1) <= 1e-8
     # At singular samples the restricted form must vanish too; elsewhere the
     # kernels must agree, and a zero covector's kernel is the whole space.
@@ -344,11 +335,8 @@ def coorientation_sign(g: GermForm, point: Sequence[float]) -> int:
     singular-section point (singular builds only)."""
     if g.fiber_pair is None:
         raise ValueError("germ has no singular fiber pair")
-    restricted = g.restricted
-    base = restricted.chart
-    d = fm.exterior_d(restricted)
-    i0, i1 = base.index(g.fiber_pair[0]), base.index(g.fiber_pair[1])
-    val = g.orientation * fm.form_matrices(d, [point])[0, i0, i1]
+    i0, i1 = map(g.restricted.chart.index, g.fiber_pair)
+    val = g.orientation * fm.jet(g.restricted, [point])[1][0, i0, i1]
     return 1 if val > 0 else -1 if val < 0 else 0
 
 

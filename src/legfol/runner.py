@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
 from typing import Callable
 
@@ -297,12 +298,20 @@ def _samples(raw: str, line: int) -> int:
     return count
 
 
+def _positive(raw: str, line: int) -> float:
+    value = parse_float(raw, line)
+    if not 0 < value < math.inf:
+        raise ScenarioError(f"expected a positive finite number, got "
+                            f"'{raw}'", line)
+    return value
+
+
 def _text(raw: str, line: int) -> str:
     return raw
 
 
 def _tol(default: str, samples: str | None = None) -> dict:
-    keys = {"tol": (parse_float, default)}
+    keys = {"tol": (_positive, default)}
     if samples is not None:
         keys["samples"] = (_samples, samples)
     return keys
@@ -327,7 +336,7 @@ class Kind:
     verify: Callable[..., dict]
 
 
-GRID = {"box": (parse_float, "1.0"), "step": (parse_float, "0.05")}
+GRID = {"box": (_positive, "1.0"), "step": (_positive, "0.05")}
 
 KINDS = {
     "claim": Kind(
@@ -425,10 +434,11 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
     gives, with an override replacing a value key its kind declares.
 
     Input errors are an unknown check kind, key or expectation, an unknown
-    declaration type or key, a missing or malformed value (samples below 1
-    included), and a name that no declaration of the right kind carries: a
-    check's name keys, a singular germ's bundle and form, and the bundle or
-    chart a form lives on.
+    declaration type or key, a missing or malformed value (samples below 1,
+    and a box, step or tol that is not a positive finite number, included),
+    and a name that no declaration of the right kind carries: a check's name
+    keys, a singular germ's bundle and form, and the bundle or chart a form
+    lives on.
     Declarations may name only earlier declarations, as they are built in
     order; checks may name any.  Each error is a ScenarioError with the
     block's line.

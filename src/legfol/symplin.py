@@ -304,14 +304,11 @@ def contact_hyperplane(alpha: "_forms.DiffForm", point: Sequence[float]
 
     Returns a basis of ker(alpha_p) and the matrix of (d alpha)_p in it.
     """
-    if alpha.degree != 1:
-        raise ValueError("contact_hyperplane needs a 1-form")
-    covec = alpha.coeff_array([point])
+    covec, W = _forms.jet(alpha, [point])
     if np.linalg.norm(covec) < TOL:
         raise NotContact("form vanishes at the point")
     xi = LinSubspace(alpha.chart.dim, null_space(covec, rcond=TOL).T)
-    W = _forms.form_matrices(_forms.exterior_d(alpha), [point])[0]
-    M = xi.basis @ W @ xi.basis.T
+    M = xi.basis @ W[0] @ xi.basis.T
     try:
         form = SympForm(M)
     except ValueError:

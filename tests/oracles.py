@@ -1,10 +1,12 @@
 """Oracles that the paths of legfol are compared with: periodic reduction
 of a point, finite differences for derivatives, the Jacobian for
-pushforwards, the determinant convention for forms on vectors, the standard
-symplectic form for the linear algebra, the SVD count for ranks, a full SVD
-for hyperplane kernel bases, and the symbolic Cartan calculus (directional
-derivative, bracket, pushforward, interior product and Lie derivative as
-expression trees) that the package's array contractions are held to."""
+pushforwards, the determinant convention for forms on vectors, a 2-form's
+coefficients placed in a skew matrix, the standard symplectic form for the
+linear algebra, the SVD count for ranks, a full SVD for hyperplane kernel
+bases, and two symbolic engines that the package's arrays are held to: the
+Cartan calculus (directional derivative, bracket, pushforward, interior
+product and Lie derivative as expression trees) and the residual equations
+of a coisotropic graph."""
 
 import itertools
 
@@ -18,6 +20,7 @@ from legfol.fields import (
     VectorFieldExpr,
     add,
     compile_exprs,
+    coordinate,
     mul,
     sub,
 )
@@ -72,6 +75,22 @@ def form_values(omega, points, vectors) -> np.ndarray:
     idxs = itertools.combinations(range(omega.chart.dim), omega.degree)
     return sum(c * np.linalg.det(V[:, :, list(idx)])
                for c, idx in zip(omega.coeff_array(points).T, idxs))
+
+
+def form_matrices(omega, points) -> np.ndarray:
+    """Matrices of a 2-form on the coordinate vectors at N points, (N, dim,
+    dim): M[p, i, j] = omega(e_i, e_j), the coefficient of dx_i ^ dx_j above
+    the diagonal and its negative below, evaluated in one batch."""
+    if omega.degree != 2:
+        raise ValueError("form_matrices needs a 2-form")
+    dim = omega.chart.dim
+    vals = compile_exprs(omega.chart, tuple(
+        c.expr for c in omega.coeffs.values())).batch(points)
+    M = np.zeros((len(vals), dim, dim))
+    for col, (i, j) in enumerate(omega.coeffs):
+        M[:, i, j] = vals[:, col]
+        M[:, j, i] = -vals[:, col]
+    return M
 
 
 def standard_symplectic(n: int) -> SympForm:
@@ -167,3 +186,54 @@ def lie_derivative(V, omega):
     if omega.degree == omega.chart.dim:
         return term1
     return term1 + interior(V, fm.exterior_d(omega))
+
+
+# ---------------------------------------------------------------------------
+# The residual equations as expression trees: a second engine for
+# coiso.residual_values
+# ---------------------------------------------------------------------------
+
+
+def residual_fields(Y) -> dict:
+    """The foliation-residual equations of a k = n + 1 graph with free
+    fiber coordinate y_n, as symbolic fields on its source chart.
+
+    Keys: "eq_abc" (triples), "eq_abn", "eq_abyn" (pairs), "eq_a" (singles)
+    and "lambda_ab" (the commutator identity), each mapping index tuples to
+    ExprFields, built from the partials of the graph components.
+    """
+    n = Y.n
+    yn_name = f"y{n}"
+    y = {a: Y.components[f"y{a}"] for a in range(1, n)}
+    z = Y.components["z"]
+    zx = {a: z.diff(f"x{a}") for a in range(1, n + 1)}
+    zyn = z.diff(yn_name)
+    yx = {(a, b): y[a].diff(f"x{b}")
+          for a in range(1, n) for b in range(1, n + 1)}
+    yyn = {a: y[a].diff(yn_name) for a in range(1, n)}
+    yn = coordinate(Y.source_chart, yn_name)
+
+    def A(a):  # dz/dx_a - y_a
+        return zx[a] - y[a]
+
+    out = {"eq_abc": {}, "eq_abn": {}, "eq_abyn": {}, "eq_a": {},
+           "lambda_ab": {}}
+    rng = range(1, n)
+    for a, b, c in itertools.combinations(rng, 3):
+        out["eq_abc"][(a, b, c)] = (
+            A(a) * (yx[(b, c)] - yx[(c, b)])
+            - A(b) * (yx[(a, c)] - yx[(c, a)])
+            + A(c) * (yx[(a, b)] - yx[(b, a)]))
+    for a, b in itertools.combinations(rng, 2):
+        out["eq_abn"][(a, b)] = (
+            A(a) * yx[(b, n)] - A(b) * yx[(a, n)]
+            + (zx[n] - yn) * (yx[(a, b)] - yx[(b, a)]))
+        out["eq_abyn"][(a, b)] = (
+            A(a) * yyn[b] - A(b) * yyn[a]
+            + zyn * (yx[(a, b)] - yx[(b, a)]))
+        out["lambda_ab"][(a, b)] = (
+            yyn[a] * yx[(b, n)] - yyn[b] * yx[(a, n)]
+            + yx[(a, b)] - yx[(b, a)])
+    for a in rng:
+        out["eq_a"][a] = zx[a] - (zx[n] - yn) * yyn[a] + zyn * yx[(a, n)] - y[a]
+    return out

@@ -58,6 +58,7 @@ from oracles import (
     lie_bracket,
     lie_derivative,
     pushforward_field,
+    residual_fields,
     svd_count,
     svd_hyperplane_bases,
     values,
@@ -79,8 +80,9 @@ def max_coeffs(form, points):
 
 
 def walk_residuals(Y, points):
-    """Per point, every residual equation's value and the two maxima."""
-    fams = co.residual_fields(Y)
+    """Per point, every residual equation's value and the two maxima, from
+    the symbolic equations of oracles.residual_fields."""
+    fams = residual_fields(Y)
     labels = [(key, idx) for key, fam in fams.items() for idx in fam]
     vals = compile_exprs(Y.source_chart, tuple(  # no labels when n = 1
         fams[key][idx].expr for key, idx in labels)).batch(points)
@@ -130,7 +132,7 @@ def walk_claim(Y, points, tol):
     for Vt, Wt in itertools.combinations(tilde, 2):
         update("bracket", values(
             pushforward_field(emb, lie_bracket(Vt, Wt)), points))
-    lambda_ab = list(co.residual_fields(Y)["lambda_ab"].values())
+    lambda_ab = list(residual_fields(Y)["lambda_ab"].values())
     if lambda_ab:
         update("lambda_ab", values(lambda_ab, points))
     res["refused"] = False
@@ -205,7 +207,7 @@ def walk_zero_section(g, expected, points, tol):
     restricted = g.restricted
     base = restricted.chart
     diff = restricted - expected
-    idxs = list(set(restricted.coeffs) | set(expected.coeffs))
+    idxs = [(i,) for i in range(base.dim)]  # coordinate order
     residuals = np.abs(values([diff.coeff(idx) for idx in idxs], points))
     mismatches = []
     max_resid = 0.0
@@ -315,6 +317,16 @@ class TestResiduals:
         Y = graph(n, **texts)
         self.compare(Y, samples(Y, rng))
 
+    def test_overflow_raises_as_a_batch_does(self):
+        # finite partials whose product overflows at row 3 only
+        Y = graph(2, y1="exp(400 * y2)", z="exp(400 * x2)")
+        pts = np.zeros((5, 3))
+        pts[3] = [0.1, 0.9, 0.9]
+        want = outcome(walk_residuals, Y, pts)
+        assert want == (EvaluationError,
+                        "row 3, point [0.1, 0.9, 0.9]: non-finite value")
+        assert outcome(co.residual_values, Y, pts) == want
+
     def compare(self, Y, pts):
         table = co.residual_values(Y, pts)
         for row, (p, want) in enumerate(zip(pts, walk_residuals(Y, pts))):
@@ -322,7 +334,7 @@ class TestResiduals:
             for key in ("max_residual", "redundant_max"):
                 assert close(table[key][row], want[key])
                 assert close(one[key][0], want[key])
-            for key in co.residual_fields(Y):
+            for key in residual_fields(Y):
                 assert set(table[key]) == set(want[key])
                 for idx, v in want[key].items():
                     assert close(table[key][idx][row], v)
@@ -1975,21 +1987,24 @@ class TestCCLGrid:
         assert sizes[0] == sizes[1] == sizes[2]
 
 
+def assert_jet(w, pts):
+    """forms.jet's coefficients and matrix of d w, bit for bit against
+    coeff_array and the walked matrix of exterior_d(w)."""
+    a, W = fm.jet(w, pts)
+    np.testing.assert_array_equal(a, w.coeff_array(pts))
+    np.testing.assert_array_equal(W, walk_form_matrices(fm.exterior_d(w),
+                                                        pts))
+
+
 class TestFormMatrices:
     @pytest.mark.parametrize("n, k", [(2, 3), (3, 5), (4, 6)])
     def test_graph_two_form(self, n, k, rng):
         Y = graph(n, k, z=f"x1 * y{n} + sin(x{n}) * y{n}^2")
-        dlam = fm.exterior_d(Y.lambda_form)
-        pts = samples(Y, rng, 10)
-        np.testing.assert_array_equal(fm.form_matrices(dlam, pts),
-                                      walk_form_matrices(dlam, pts))
+        assert_jet(Y.lambda_form, samples(Y, rng, 10))
 
     def test_random_two_form(self, rng):
         ch = Chart(("a", "b", "c", "d", "e"))
-        w = fm.exterior_d(random_one_form(ch, rng))
-        pts = rng.uniform(-1, 1, (10, 5))
-        np.testing.assert_array_equal(fm.form_matrices(w, pts),
-                                      walk_form_matrices(w, pts))
+        assert_jet(random_one_form(ch, rng), rng.uniform(-1, 1, (10, 5)))
 
     @pytest.mark.parametrize("point", [[0.3, 0.0, 0.0], [0.3, 0.1, -0.2],
                                        [0.0, 0.0, 1e-9]])

@@ -212,6 +212,44 @@ class TestSampleCount:
         assert "line 9: expect must be" in result.output
 
 
+SCAN = GOOD + """
+check zeros
+  kind = scan
+  target = paraboloid
+  {entry}
+  expect = refuse
+end
+"""
+
+
+class TestPositiveValues:
+    """box, step and tol are positive finite numbers: a typo such as
+    step = 0 exits 2 with the block's line or the option's name, and is
+    never a refusal."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", "0"), ("tol", "-1"), ("box", "nan")])
+    def test_scan_value_exits_two(self, tmp_path, key, value):
+        text = SCAN.format(entry=f"{key} = {value}")
+        line = text.splitlines().index("check zeros") + 1
+        path = tmp_path / "scan.scn"
+        path.write_text(text)
+        result = invoke(["check", str(path)])
+        assert result.exit_code == 2, result.output
+        assert f"line {line}: expected a positive finite number, got " \
+               f"'{value}'" in result.output
+        assert "PASS" not in result.output
+
+    @pytest.mark.parametrize("option, value", [
+        ("--tol", "0"), ("--tol", "-1"), ("--tol", "inf"),
+        ("--seed", "-1"), ("--seed", "1.5")])
+    def test_option_exits_two(self, option, value):
+        result = invoke(["demo", "commuting-fields-n2", option, value])
+        assert result.exit_code == 2, result.output
+        assert f"argument {option}: '{value}'" in result.output
+        assert "PASS" not in result.output
+
+
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", demo_names())
     def test_demo_passes(self, name):

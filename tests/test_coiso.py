@@ -144,7 +144,7 @@ class TestCommutingFrame:
     def test_requires_standard_slice(self):
         Y = co.graph_submanifold(2, 3, free_y=(1,))
         with pytest.raises(co.NotStandardModel):
-            co.residual_fields(Y)
+            co.residual_values(Y, [[0.0, 0.0, 0.0]])
 
 
 UNDEFINED_GRAPH = """\

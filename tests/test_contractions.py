@@ -1,7 +1,7 @@
 """The array contractions of legfol against the symbolic Cartan calculus.
 
 The package contracts compiled values and first partials: interior products
-(V @ M with M = forms.form_matrices), Lie derivatives of 1-forms
+(V @ M with M the matrix of the 2-form), Lie derivatives of 1-forms
 (forms.lie_coeffs), brackets (fields.brackets), pushforwards (J V) and
 beta ^ d beta (germ.frobenius_residual).  tests/oracles.py keeps the same
 operators as expression trees, compiled and evaluated as one more field.
@@ -36,6 +36,7 @@ from legfol.fields import (
 
 from oracles import (
     fd_partial,
+    form_matrices,
     interior,
     lie_bracket,
     lie_derivative,
@@ -147,7 +148,7 @@ class TestRandomFields:
         fields = random_vector_fields(ABCD, 3, rng)
         w = random_dense_form(ABCD, 2, rng)
         V, _ = frame(ABCD, fields, pts)
-        M = fm.form_matrices(w, pts)
+        M = form_matrices(w, pts)
         want = np.stack([interior(F, w).coeff_array(pts) for F in fields],
                         axis=1)
         assert_within(V @ M, want, interior_terms(V, M))
@@ -228,7 +229,7 @@ class TestGraphFrames:
         dlam = fm.exterior_d(lam)
         V, JV = frame(src, tilde, pts)
         coeffs, Jl = one_form(lam, pts)
-        W = fm.form_matrices(dlam, pts)
+        W = form_matrices(dlam, pts)
         # the same differences of the same partials, up to the sign of 0
         np.testing.assert_array_equal(np.abs(got["dlambda"]), np.abs(W))
         assert_within(got["i_V_dlambda"], np.stack(

@@ -19,7 +19,13 @@ from legfol.fields import (
     vector_field,
 )
 
-from oracles import form_values, interior, lie_derivative, values
+from oracles import (
+    form_matrices,
+    form_values,
+    interior,
+    lie_derivative,
+    values,
+)
 
 XYZ = Chart(("x", "y", "z"))
 ABCD = Chart(("a", "b", "c", "d"))
@@ -280,18 +286,26 @@ class TestPullback:
 
 
 class TestContractionMatrix:
-    """form_matrices: row i of M is i_{e_i} w, so M[i, j] = w(e_i, e_j)."""
+    """The matrix of a 2-form (oracles.form_matrices): row i of M is
+    i_{e_i} w, so M[i, j] = w(e_i, e_j).  forms.jet gives it for d of a
+    1-form."""
 
     @pytest.mark.parametrize("degree", [0, 1, 3, 4])
     def test_other_degrees_raise(self, degree, rng):
         w = random_form(ABCD, degree, rng)
         with pytest.raises(ValueError, match="2-form"):
-            fm.form_matrices(w, [[0.0] * 4])
+            form_matrices(w, [[0.0] * 4])
+
+    @pytest.mark.parametrize("degree", [0, 2, 3, 4])
+    def test_jet_needs_a_one_form(self, degree, rng):
+        w = random_form(ABCD, degree, rng)
+        with pytest.raises(ValueError, match="1-form"):
+            fm.jet(w, [[0.0] * 4])
 
     def test_kernel_vector_annihilates(self, rng):
         w = random_form(ABCD, 2, rng)
         p = rng.uniform(-1, 1, 4)
-        M = fm.form_matrices(w, [p])[0]
+        M = form_matrices(w, [p])[0]
         from scipy.linalg import null_space
         for v in null_space(M, rcond=1e-12).T:
             u = rng.uniform(-1, 1, 4)

@@ -204,3 +204,38 @@ def test_no_symbolic_cartan_calculus():
     assert symbolic_operator_uses() == [], \
         "contract values and partials on arrays; the symbolic operators " \
         "are the oracle in tests/oracles.py"
+
+
+# A 1-form and its d are evaluated in one batch (forms.jet), and the residual
+# equations are products of arrays (coiso.residual_values); their symbolic
+# forms are oracles in tests/oracles.py.  Only jet and the top form take d.
+RETIRED = {"form_matrices", "residual_fields", "_model_data"}
+EXTERIOR_D_CALLERS = {"forms.jet", "germ.top_form"}
+
+
+def symbolic_form_uses() -> list[str]:
+    """module:line of each definition of or reference to a retired helper
+    in the package, and of each call of exterior_d outside
+    EXTERIOR_D_CALLERS."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = getattr(node, "name", getattr(node, "id", getattr(
+                node, "attr", None)))
+            if name in RETIRED:
+                found.append(f"{path.stem}:{node.lineno} names {name}")
+        for top in tree.body:
+            owner = f"{path.stem}.{getattr(top, 'name', None)}"
+            found += [f"{path.stem}:{node.lineno} calls exterior_d"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and getattr(
+                          node.func, "id", getattr(node.func, "attr", None))
+                      == "exterior_d" and owner not in EXTERIOR_D_CALLERS]
+    return found
+
+
+def test_one_batch_for_a_one_form_and_its_d():
+    assert symbolic_form_uses() == [], \
+        "evaluate a 1-form and its d with forms.jet; the symbolic residual " \
+        "equations and 2-form matrices are oracles in tests/oracles.py"
