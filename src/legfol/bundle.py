@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,10 @@ from .fields import (
     brackets,
     compile_exprs,
     constant,
+    coordinate,
+    max_abs,
     values_and_partials,
+    vector_field,
 )
 
 ODE_TOL = 1e-8  # the ODE's rtol and atol
@@ -73,17 +76,13 @@ class FlatDiskBundle:
 
     @property
     def total_chart(self) -> Chart:
-        names = tuple(f"s{j}" for j in range(1, self.base_dim + 1)) + ("u", "v")
-        return Chart(names, self.periods + (None, None))
+        return _total_chart(self.periods)
 
     def lift(self, j: int) -> VectorFieldExpr:
         """Horizontal lift of d/ds_j (zero-based index)."""
-        total = self.total_chart
-        comps = [constant(total, 0.0) for _ in range(total.dim)]
-        comps[j] = constant(total, 1.0)
-        comps[self.base_dim] = self.lift_u[j]
-        comps[self.base_dim + 1] = self.lift_v[j]
-        return VectorFieldExpr(total, tuple(comps))
+        return vector_field(self.total_chart, [
+            float(i == j) for i in range(self.base_dim)] + [
+            self.lift_u[j], self.lift_v[j]])
 
     @functools.cached_property
     def _transported(self) -> dict:
@@ -97,22 +96,20 @@ class FlatDiskBundle:
         report).  Holding beta keeps its id unique."""
         return {}
 
-    @functools.cached_property
-    def _germs(self) -> dict:
-        """germ.build_singular_germ results on this bundle, by id(beta):
-        (beta, germ)."""
-        return {}
-
     def lifts(self) -> list[VectorFieldExpr]:
         return [self.lift(j) for j in range(self.base_dim)]
+
+
+def _total_chart(periods: tuple[float, ...]) -> Chart:
+    """The chart (s1, ..., sb, u, v) over the base box of these periods."""
+    names = tuple(f"s{j}" for j in range(1, len(periods) + 1)) + ("u", "v")
+    return Chart(names, periods + (None, None))
 
 
 def trivial_bundle(base_dim: int = 1, periods: Sequence[float] | None = None,
                    radius: float = 1.0) -> FlatDiskBundle:
     periods = tuple(periods) if periods else (1.0,) * base_dim
-    names = tuple(f"s{j}" for j in range(1, base_dim + 1)) + ("u", "v")
-    total = Chart(names, periods + (None, None))
-    zero = constant(total, 0.0)
+    zero = constant(_total_chart(periods), 0.0)
     return FlatDiskBundle(base_dim, periods, radius,
                           (zero,) * base_dim, (zero,) * base_dim)
 
@@ -123,9 +120,7 @@ def rotation_bundle(rates: Sequence[float], periods: Sequence[float] | None = No
     rates = tuple(float(c) for c in rates)
     b = len(rates)
     periods = tuple(periods) if periods else (1.0,) * b
-    names = tuple(f"s{j}" for j in range(1, b + 1)) + ("u", "v")
-    total = Chart(names, periods + (None, None))
-    from .fields import coordinate
+    total = _total_chart(periods)
     u = coordinate(total, "u")
     v = coordinate(total, "v")
     return FlatDiskBundle(
@@ -144,7 +139,7 @@ def flatness_check(bundle: FlatDiskBundle,
         c.expr for lift in lifts for c in lift.components), points)
     V = vals.reshape(-1, len(lifts), total.dim)
     JV = J.reshape(-1, len(lifts), total.dim, total.dim)
-    return float(co._max_abs(brackets(V, JV)[:, :, bundle.base_dim:]))
+    return float(max_abs(brackets(V, JV)[:, :, bundle.base_dim:]))
 
 
 @dataclass(frozen=True)
@@ -248,12 +243,12 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     P[i] and runs along dP[i].
 
     The rows form contiguous blocks: block[i], non-decreasing, indexes the
-    _lift_rhs of row i's bundle in ``lifts``.  The state is samples-last: y
-    is (2, rows), the stages (7, 2, rows).  A stage is one kernel call per
-    run of consecutive live blocks whose lifts share a kernel, with their
-    constants as per-row columns.  If the call fails a check or gives a
-    non-finite value, each block's rows go through its lift's ``batch``,
-    in block order, to raise that block's EvaluationError.
+    _lift_rhs of row i's bundle in ``lifts``, and all of them share one
+    kernel.  The state is samples-last: y is (2, rows), the stages (7, 2,
+    rows) and the lifts' constants (C, rows).  A stage is one kernel call
+    over the live rows.  If the call fails a check or gives a non-finite
+    value, each block's rows go through its lift's ``batch``, in block
+    order, to raise that block's EvaluationError.
 
     Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1,
     rtol=ODE_TOL, atol=ODE_TOL) takes for it alone, with the terminal event
@@ -261,6 +256,9 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     ``budget`` of accepted steps raises IntegrationError.  Returns per row
     the end point, the escape flag, the accepted steps and nfev.
     """
+    kernel = lifts[0].kernel
+    if any(f.kernel is not kernel for f in lifts):
+        raise ValueError("the lifts of one sweep must share one kernel")
     n = len(y0)
     end = np.empty((n, 2))
     escaped = np.zeros(n, dtype=bool)
@@ -269,44 +267,28 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     # State of the rows still integrating; rows[i] is the row of entry i.
     rows = np.arange(n)
     P, dP = P.T.copy(), dP.T.copy()
+    consts = np.array([f.consts for f in lifts]).T[:, block]
     b = len(P)
 
-    def live_runs():
-        # per run: kernel, rows, dP, constants, (batch, rows) per block
-        at = np.searchsorted(block, np.arange(len(lifts) + 1)).tolist()
-        live = [(f, a, z) for f, a, z in zip(lifts, at, at[1:]) if a < z]
-        runs = []
-        for kernel, run in itertools.groupby(live, lambda r: r[0].kernel):
-            fs, a, z = zip(*run)
-            consts = np.repeat(np.array([f.consts for f in fs]).T,
-                               np.subtract(z, a), axis=1)
-            runs.append((kernel, slice(a[0], z[-1]), dP[:, a[0]:z[-1]],
-                         tuple(consts), [(f.batch, slice(i - a[0], j - a[0]))
-                                         for f, i, j in zip(fs, a, z)]))
-        return runs
-
-    runs = live_runs()
-
     def stage(x, y, out):
-        for kernel, at, dp, consts, blocks in runs:
-            cols = (*x[:, at], *y[:, at])
-            try:
-                comps = kernel(*cols, *consts)
-                # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), in j order
-                u = v = 0.0
-                for j in range(b):
-                    u = u + dp[j] * comps[j]
-                    v = v + dp[j] * comps[b + j]
-                out[0, at], out[1, at] = u, v
-                # a non-finite lift value makes the total non-finite; an
-                # overflowing total only costs batch calls
-                ok = math.isfinite(np.add.reduce(out[:, at], axis=None))
-            except RowError:
-                ok = False
-            if not ok:  # batch raises what it says about a block, if any
-                points = np.column_stack(cols)
-                for batch, block_rows in blocks:
-                    batch(points[block_rows])
+        cols = (*x, *y)
+        try:
+            comps = kernel(*cols, *consts)
+            # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), in j order
+            u = v = 0.0
+            for j in range(b):
+                u = u + dP[j] * comps[j]
+                v = v + dP[j] * comps[b + j]
+            out[0], out[1] = u, v
+            # a non-finite lift value makes the total non-finite; an
+            # overflowing total only costs batch calls
+            ok = math.isfinite(np.add.reduce(out, axis=None))
+        except RowError:
+            ok = False
+        if not ok:  # batch raises what it says about a block, if any
+            points = np.column_stack(cols)
+            for i, f in enumerate(lifts):
+                f.batch(points[block == i])
         return out
 
     y = y0.T.copy()
@@ -395,7 +377,7 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
             y, f, P, dP = y[:, keep], f[:, keep], P[:, keep], dP[:, keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
             st, nf, r2, block = st[keep], nf[keep], r2[keep], block[keep]
-            runs = live_runs()
+            consts = consts[:, keep]
     return end, escaped, steps, nfev
 
 
@@ -491,12 +473,13 @@ def _row_keys(path: np.ndarray, starts: np.ndarray) -> list[tuple]:
 def plan_transport(plan: dict, bundle: FlatDiskBundle, path,
                    starts: Sequence[Sequence[float]]) -> None:
     """Record in a run's plan rows that a later request on this bundle will
-    make.  The plan maps (base_dim, vertex count) to a group, {id(bundle):
-    (bundle, rows)}, where rows is {key: (path, start)}; sweep_plan
-    integrates each group in one sweep.  Raises ValueError for a row that
-    transport_batch would refuse."""
+    make.  The plan maps (base_dim, vertex count, lift kernel) to a group,
+    {id(bundle): (bundle, rows)}, where rows is {key: (path, start)};
+    sweep_plan integrates each group in one sweep.  Raises ValueError for a
+    row that transport_batch would refuse."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
-    group = plan.setdefault((bundle.base_dim, len(path)), {})
+    group = plan.setdefault(
+        (bundle.base_dim, len(path), _lift_rhs(bundle).kernel), {})
     group.setdefault(id(bundle), (bundle, {}))[1].update(zip(
         _row_keys(path, starts), zip(itertools.repeat(path), starts)))
 
@@ -531,11 +514,9 @@ def _transport_rows(bundle: FlatDiskBundle, path,
     missing = {k: (path, x) for k, x in zip(keys, starts) if k not in memo}
     if missing:
         _sweep_rows([(bundle, missing)])
-    rows = [memo[k] for k in keys]
-    return BatchTransport(end=np.array([r[0] for r in rows]).reshape(-1, 2),
-                          escaped=np.array([r[1] for r in rows], dtype=bool),
-                          steps=np.array([r[2] for r in rows], dtype=int),
-                          nfev=np.array([r[3] for r in rows], dtype=int))
+    end, escaped, steps, nfev = zip(*map(memo.get, keys)) if keys else [()] * 4
+    return BatchTransport(np.reshape(end, (-1, 2)), np.array(escaped, bool),
+                          np.array(steps, int), np.array(nfev, int))
 
 
 def parallel_transport(bundle: FlatDiskBundle,
@@ -544,10 +525,8 @@ def parallel_transport(bundle: FlatDiskBundle,
     """Integrate the horizontal-lift ODE along a piecewise-linear base path,
     through the bundle's row memo."""
     res = _transport_rows(bundle, path, [x0])
-    end = res.end[0]
-    return TransportResult(
-        end=(float(end[0]), float(end[1])), escaped=bool(res.escaped[0]),
-        steps=int(res.steps[0]), nfev=int(res.nfev[0]))
+    return TransportResult(tuple(res.end[0].tolist()), *(
+        x[0].item() for x in (res.escaped, res.steps, res.nfev)))
 
 
 def generator_loop(bundle: FlatDiskBundle, index: int
@@ -555,24 +534,24 @@ def generator_loop(bundle: FlatDiskBundle, index: int
     """The loop running once around base coordinate `index` (zero-based)."""
     if not 0 <= index < bundle.base_dim:
         raise ValueError("generator index out of range")
-    start = np.zeros(bundle.base_dim)
-    end = start.copy()
-    end[index] = bundle.periods[index]
-    return [start, end]
+    return [np.zeros(bundle.base_dim),
+            np.eye(bundle.base_dim)[index] * bundle.periods[index]]
 
 
 @dataclass(frozen=True)
-class HolonomySample:
-    """One sample of a holonomy map; steps and nfev are summed over the
-    sample's transported rows (the point and its finite-difference
-    neighbours inside the disk)."""
+class Holonomy:
+    """A holonomy map sampled at N points: (N, 2) points and images, (N,)
+    escape flags, (N,) flags of the mapped samples (whose five rows all
+    start and stay in the disk), (N, 2, 2) Jacobians (NaN where not
+    mapped), and (N,) steps and nfev summed over each sample's rows."""
 
-    point: tuple[float, float]
-    image: tuple[float, float]
-    escaped: bool
-    jacobian: Optional[np.ndarray]
-    steps: int
-    nfev: int
+    point: np.ndarray
+    image: np.ndarray
+    escaped: np.ndarray
+    mapped: np.ndarray
+    jacobian: np.ndarray
+    steps: np.ndarray
+    nfev: np.ndarray
 
 
 FD_STEP = 1e-5
@@ -593,7 +572,7 @@ def _fd_rows(bundle: FlatDiskBundle,
 
 
 def holonomy(bundle: FlatDiskBundle, generator: int,
-             samples: Sequence[Sequence[float]]) -> list[HolonomySample]:
+             samples: Sequence[Sequence[float]]) -> Holonomy:
     """Sampled holonomy around a generator loop, with FD Jacobians.
 
     The five transports per sample are rows of the bundle's row memo.
@@ -606,17 +585,15 @@ def holonomy(bundle: FlatDiskBundle, generator: int,
     end[inside] = res.end
     void = ~inside
     void[inside] = res.escaped
-    counts = np.zeros((len(rows), 2), dtype=int)
-    counts[inside] = np.stack([res.steps, res.nfev], axis=1)
+    counts = np.zeros((2, len(rows)), dtype=int)
+    counts[:, inside] = res.steps, res.nfev
     end, void = end.reshape(-1, 5, 2), void.reshape(-1, 5)
+    mapped = ~void.any(axis=1)
     J = np.stack([end[:, 1] - end[:, 2], end[:, 3] - end[:, 4]],
                  axis=2) / (2 * FD_STEP)
-    return [HolonomySample(tuple(x), tuple(e), escaped,
-                           None if bad else j, steps, nfev)
-            for x, e, escaped, bad, j, (steps, nfev) in zip(
-                pts.tolist(), end[:, 0].tolist(), void[:, 0].tolist(),
-                void.any(axis=1).tolist(), J,
-                counts.reshape(-1, 5, 2).sum(axis=1).tolist())]
+    J[~mapped] = np.nan
+    steps, nfev = counts.reshape(2, -1, 5).sum(axis=2)
+    return Holonomy(pts, end[:, 0], void[:, 0], mapped, J, steps, nfev)
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +667,18 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
     db_vals = bundle.orientation * W[1:, 0, 1]
     positivity_ok = bool(np.min(db_vals) > tol)
 
-    samples = _ccl_samples(bundle)
-    found = [hs for g in range(bundle.base_dim)
-             for hs in holonomy(bundle, g, samples)]
-    mapped = [hs for hs in found if hs.jacobian is not None]
-    escapes = len(found) - len(mapped)
-    at_point = beta.coeff_array([hs.point for hs in mapped])
-    at_image = beta.coeff_array([hs.image for hs in mapped])
+    found = [holonomy(bundle, g, _ccl_samples(bundle))
+             for g in range(bundle.base_dim)]
+    mapped = np.concatenate([h.mapped for h in found])
+    escapes = int(np.sum(~mapped))
+    J = np.concatenate([h.jacobian for h in found])[mapped]
+    # beta at the mapped samples' points, then at their images
+    ends = np.concatenate([[h.point, h.image] for h in found], axis=1)
+    b_x, b_img = beta.coeff_array(ends[:, mapped].reshape(-1, 2)).reshape(
+        2, -1, 2)
     # pullback through the sampled map: (Phi^* beta)_x = J^T beta_img
-    inv_residual = max((float(np.linalg.norm(hs.jacobian.T @ b_img - b_x))
-                        for hs, b_x, b_img in zip(mapped, at_point, at_image)),
-                       default=0.0)
+    inv_residual = float(np.max(np.linalg.norm(
+        np.einsum("nji,nj->ni", J, b_img) - b_x, axis=1), initial=0.0))
     invariance_ok = escapes == 0 and inv_residual <= max(tol, 1e-6)
     return {
         "vanishing": {"origin_norm": origin_norm, "min_away": min_away,
@@ -708,8 +686,8 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
         "positivity": {"min_dbeta": float(np.min(db_vals)),
                        "ok": positivity_ok},
         "invariance": {"max_residual": inv_residual, "escapes": escapes,
-                       "steps": sum(hs.steps for hs in found),
-                       "nfev": sum(hs.nfev for hs in found),
+                       "steps": int(sum(h.steps.sum() for h in found)),
+                       "nfev": int(sum(h.nfev.sum() for h in found)),
                        "ok": invariance_ok},
         "ok": vanishing_ok and positivity_ok and invariance_ok,
     }
@@ -755,10 +733,9 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
         "rank": Y.source_chart.dim - 2,
         # rank 2 is certified, so each kernel is the last k - 2 rows of vh
         "kernel_bases": np.linalg.svd(M)[2][:, 2:],
-        "membership_residual": float(co._max_abs(frame["i_V_dlambda"])),
+        "membership_residual": float(max_abs(frame["i_V_dlambda"])),
         # i_[V_a, V_b] d lambda
-        "integrability_residual": float(co._max_abs(frame["bracket"] @ M)),
-        "covariant_constancy_residual": float(co._max_abs(
-            frame["lie_lambda"])),
+        "integrability_residual": float(max_abs(frame["bracket"] @ M)),
+        "covariant_constancy_residual": float(max_abs(frame["lie_lambda"])),
         "scan_flags": scan.flags,
     }

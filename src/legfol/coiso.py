@@ -27,10 +27,12 @@ from .fields import (
     RowError,
     SmoothMapExpr,
     VectorFieldExpr,
+    as_field,
     brackets,
     compile_exprs,
     constant,
     coordinate,
+    max_abs,
     values_and_partials,
 )
 
@@ -49,8 +51,7 @@ def ambient_chart(n: int) -> Chart:
 def standard_alpha(n: int) -> fm.DiffForm:
     """dz - sum_i y_i dx_i on the (2n+1)-chart."""
     ch = ambient_chart(n)
-    coeffs = {"z": 1.0}
-    form = fm.one_form(ch, coeffs)
+    form = fm.one_form(ch, {"z": 1.0})
     for i in range(1, n + 1):
         form = form + fm.one_form(ch, {f"x{i}": -coordinate(ch, f"y{i}")})
     return form
@@ -99,13 +100,10 @@ class GraphSubmanifold:
     @functools.cached_property
     def embedding(self) -> SmoothMapExpr:
         src = self.source_chart
-        comps = []
-        for name in self.ambient.var_names:
-            if name in src.var_names:
-                comps.append(coordinate(src, name))
-            else:
-                comps.append(self.components[name].on_chart(src))
-        return SmoothMapExpr(src, self.ambient, tuple(comps))
+        return SmoothMapExpr(src, self.ambient, tuple(
+            coordinate(src, name) if name in src.var_names
+            else self.components[name].on_chart(src)
+            for name in self.ambient.var_names))
 
     @functools.cached_property
     def lambda_form(self) -> fm.DiffForm:
@@ -124,13 +122,7 @@ def graph_submanifold(n: int, k: int,
     src = Chart(src_names)
     needed = [f"y{i}" for i in range(1, n + 1) if i not in free] + ["z"]
     given = dict(components or {})
-    comps: dict[str, ExprField] = {}
-    for name in needed:
-        c = given.pop(name, 0.0)
-        if isinstance(c, ExprField):
-            comps[name] = c.on_chart(src)
-        else:
-            comps[name] = constant(src, float(c))
+    comps = {name: as_field(src, given.pop(name, 0.0)) for name in needed}
     if given:
         raise ValueError(f"unexpected components {sorted(given)}")
     return GraphSubmanifold(n, k, free, comps)
@@ -298,11 +290,6 @@ def _require_standard(Y: GraphSubmanifold):
             "residual equations require the free fiber coordinate y_n")
 
 
-def _max_abs(values: np.ndarray, axis=None):
-    """Largest |value| (0 for none), over all entries or along an axis."""
-    return np.max(np.abs(values), axis=axis, initial=0.0)
-
-
 @np.errstate(all="ignore")  # a non-finite equation raises below
 def residual_values(Y: GraphSubmanifold,
                     points: Sequence[Sequence[float]]) -> dict:
@@ -357,7 +344,7 @@ def residual_values(Y: GraphSubmanifold,
 
     def row_max(keys):
         cols = [v for key in keys for v in out[key].values()]
-        return _max_abs(np.reshape(cols, (len(cols), len(pts))), axis=0)
+        return max_abs(np.reshape(cols, (len(cols), len(pts))), axis=0)
 
     bad = ~np.isfinite(row_max(tuple(out)))
     if bad.any():
@@ -376,7 +363,7 @@ def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
     emb = Y.embedding
     q, J = values_and_partials(emb.source, tuple(  # J: 1 x (2n+1) x k
         c.expr for c in emb.components), [point])
-    if _max_abs(Y.lambda_form.coeff_array([point])) <= tol:
+    if max_abs(Y.lambda_form.coeff_array([point])) <= tol:
         return {"singular": True, "kind": "tangent to xi", "coisotropic": None}
     tangent = sl.span(J[0].T, Y.ambient.dim)
     xi, omega = sl.contact_hyperplane(standard_alpha(Y.n), q[0])
@@ -475,11 +462,11 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
     # alpha at the image on J_emb V, as (J_emb^T alpha) . V
     alpha_back = J_emb_T @ standard_alpha(Y.n).coeff_array(image)[:, :, None]
     res = {
-        "i_V_alpha": float(_max_abs(frame["frame"] @ alpha_back)),
-        "i_V_dlambda": float(_max_abs(frame["i_V_dlambda"])),
-        "bracket": float(_max_abs(frame["bracket"] @ J_emb_T)),
-        "lie_lambda": float(_max_abs(frame["lie_lambda"])),
-        "lambda_ab": float(_max_abs(np.array(
+        "i_V_alpha": float(max_abs(frame["frame"] @ alpha_back)),
+        "i_V_dlambda": float(max_abs(frame["i_V_dlambda"])),
+        "bracket": float(max_abs(frame["bracket"] @ J_emb_T)),
+        "lie_lambda": float(max_abs(frame["lie_lambda"])),
+        "lambda_ab": float(max_abs(np.array(
             list(table["lambda_ab"].values())))),
         "refused": False,
     }
@@ -511,7 +498,7 @@ def char_foliation_form(Y: GraphSubmanifold,
     """
     n, k = Y.n, Y.k
     covecs, W = fm.jet(Y.lambda_form, points)
-    keep = _max_abs(covecs, axis=1) > tol  # nonsingular samples only
+    keep = max_abs(covecs, axis=1) > tol  # nonsingular samples only
     P = sl.hyperplane_bases(covecs[keep])
     S = P @ W[keep] @ P.transpose(0, 2, 1)
     # exactly skew: a principal minor's det is then Pf^2 up to rounding
@@ -581,7 +568,7 @@ def perturbation_sup_norm(Y0: GraphSubmanifold, Y1: GraphSubmanifold,
         return compile_exprs(emb.source, tuple(
             c.expr for c in emb.components)).batch(points)
 
-    return float(_max_abs(image(Y0) - image(Y1)))
+    return float(max_abs(image(Y0) - image(Y1)))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +585,7 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
     of source coordinates (default: x_n and the last free y).
     """
     covec, W = fm.jet(Y.lambda_form, [point])
-    if _max_abs(covec) > tol:
+    if max_abs(covec) > tol:
         return {"singular": False, "tag": "not singular"}
     src = Y.source_chart
     k = src.dim

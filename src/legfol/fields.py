@@ -570,6 +570,11 @@ def values_and_partials(chart: Chart, exprs: tuple[Expr, ...], points
     return out[:, :count], out[:, count:].reshape(len(out), count, chart.dim)
 
 
+def max_abs(values: np.ndarray, axis=None):
+    """Largest |value| (0 for none), over all entries or along an axis."""
+    return np.max(np.abs(values), axis=axis, initial=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Fields, vector fields, maps
 # ---------------------------------------------------------------------------

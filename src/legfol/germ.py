@@ -28,6 +28,7 @@ from .fields import (
     compile_exprs,
     constant,
     coordinate,
+    max_abs,
     values_and_partials,
 )
 
@@ -37,8 +38,8 @@ SCAN_BOX = 0.9
 SCAN_FIBER_RADIUS = 0.5
 PENCIL_T = tuple(i / 10 for i in range(11))
 # FoliatedInput.validate: the largest Frobenius residual and the largest
-# |beta| that count as zero.  extract_local_data: the largest leafwise
-# coefficient of beta that counts as zero.
+# |beta| that count as zero, and the largest leafwise coefficient of beta
+# that counts as zero.
 INPUT_TOL = 1e-8
 LEAFWISE_TOL = 1e-10
 
@@ -71,35 +72,45 @@ class FoliatedInput:
             raise ValueError("line field must live on the foliated chart")
 
     def validate(self, points: Sequence[Sequence[float]]) -> None:
-        """Refuse at the first sample, in sample order, where beta vanishes
-        or else beta(L) <= 0."""
-        frob = frobenius_residual(self.beta, points)
+        """Refuse where beta ^ d beta is not zero; then at the first sample,
+        in sample order, where beta vanishes or else beta(L) <= 0; then
+        where beta has a leafwise component.  beta and d beta come from one
+        forms.jet."""
+        b, W = fm.jet(self.beta, points)
+        frob = _frobenius(b, W)
         if frob > INPUT_TOL:
             raise GermBuildError(f"foliation form not integrable: {frob:g}")
-        covecs = self.beta.coeff_array(points)
         line = compile_exprs(self.beta.chart, tuple(
             c.expr for c in self.line_field.components)).batch(points)
-        pairing = np.sum(covecs * line, axis=1)  # beta(L)
-        vanishes = np.linalg.norm(covecs, axis=1) <= INPUT_TOL
+        pairing = np.sum(b * line, axis=1)  # beta(L)
+        vanishes = np.linalg.norm(b, axis=1) <= INPUT_TOL
         bad = np.flatnonzero(vanishes | (pairing <= 0))
         if len(bad) and vanishes[bad[0]]:
             raise GermBuildError("defining form vanishes at a sample")
         if len(bad):
             raise GermBuildError("line field not positively transverse")
+        # the chart is already foliated: dx-components of beta must vanish
+        if np.any(np.abs(b[:, 1:]) > LEAFWISE_TOL):
+            raise GermBuildError(
+                "defining form has a leafwise component; chart is not "
+                "adapted to the foliation")
+
+
+def _frobenius(b: np.ndarray, W: np.ndarray) -> float:
+    """Max of beta ^ d(beta) over coordinate 3-frames, from beta's
+    coefficients b and the matrix W of d beta (forms.jet):
+    (beta ^ d beta)_ijk = beta_i W_jk - beta_j W_ik + beta_k W_ij.
+    """
+    i, j, k = np.array([*itertools.combinations(range(b.shape[1]), 3)],
+                       dtype=int).reshape(-1, 3).T  # none below dim 3
+    return float(max_abs(
+        b[:, i] * W[:, j, k] - b[:, j] * W[:, i, k] + b[:, k] * W[:, i, j]))
 
 
 def frobenius_residual(beta: fm.DiffForm,
                        points: Sequence[Sequence[float]]) -> float:
-    """Max of beta ^ d(beta) over coordinate 3-frames at sample points.
-
-    From beta's coefficients and the matrix W of d beta (forms.jet):
-    (beta ^ d beta)_ijk = beta_i W_jk - beta_j W_ik + beta_k W_ij.
-    """
-    b, W = fm.jet(beta, points)
-    i, j, k = np.array([*itertools.combinations(range(beta.chart.dim), 3)],
-                       dtype=int).reshape(-1, 3).T  # none below dim 3
-    three = b[:, i] * W[:, j, k] - b[:, j] * W[:, i, k] + b[:, k] * W[:, i, j]
-    return float(np.max(np.abs(three), initial=0.0))
+    """Max of beta ^ d(beta) over coordinate 3-frames at sample points."""
+    return _frobenius(*fm.jet(beta, points))
 
 
 @dataclass(frozen=True)
@@ -152,21 +163,13 @@ def germ_chart(n: int) -> Chart:
                  + tuple(f"y{i}" for i in range(1, n + 1)))
 
 
-def extract_local_data(inp: FoliatedInput,
-                       points: Sequence[Sequence[float]]
+def extract_local_data(inp: FoliatedInput
                        ) -> tuple[ExprField, list[ExprField]]:
     """(f, R_i) from (beta, L): f is the dt coefficient, R_i the x-components
-    of L scaled to unit t-component."""
-    dim = inp.beta.chart.dim
-    f = inp.beta.coeff((0,))
-    # the chart is already foliated: dx-components of beta must vanish
-    if np.any(np.abs(inp.beta.coeff_array(points)[:, 1:]) > LEAFWISE_TOL):
-        raise GermBuildError(
-            "defining form has a leafwise component; chart is not "
-            "adapted to the foliation")
-    Lt = inp.line_field.components[0]
-    Rs = [inp.line_field.components[i] / Lt for i in range(1, dim)]
-    return f, Rs
+    of L scaled to unit t-component.  FoliatedInput.validate checks that
+    beta is f dt."""
+    Lt, *Ls = inp.line_field.components
+    return inp.beta.coeff((0,)), [c / Lt for c in Ls]
 
 
 def build_nonsingular_germ(inp: FoliatedInput) -> GermForm:
@@ -176,14 +179,12 @@ def build_nonsingular_germ(inp: FoliatedInput) -> GermForm:
     n = inp.n
     points = np.random.default_rng(0).uniform(-0.9, 0.9, (25, n + 1))
     inp.validate(points)
-    f, Rs = extract_local_data(inp, points)
+    f, Rs = extract_local_data(inp)
     total = germ_chart(n)
-    f_t = f.on_chart(total)
-    dt_coeff = f_t
+    dt_coeff = f.on_chart(total)
     for i in range(1, n + 1):
         dt_coeff = dt_coeff + Rs[i - 1].on_chart(total) * coordinate(total, f"y{i}")
-    coeffs = {"t": dt_coeff}
-    alpha = fm.one_form(total, coeffs)
+    alpha = fm.one_form(total, {"t": dt_coeff})
     for i in range(1, n + 1):
         alpha = alpha + fm.one_form(total, {f"x{i}": -coordinate(total, f"y{i}")})
     return GermForm(n=n, alpha=alpha,
@@ -205,19 +206,7 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
     itself in the given trivialization (trivial and rotation holonomy); the
     CCL conditions (bd.ccl_check at its tolerance) are checked first and
     failures refuse the build.
-
-    The germ is memoized on the bundle per form object, like bd.ccl_check's
-    report; a build that raises memoizes nothing, so every later build on
-    the pair raises too.
     """
-    memo = bundle._germs
-    if id(beta) not in memo:
-        memo[id(beta)] = beta, _build_singular_germ(bundle, beta)
-    return memo[id(beta)][1]
-
-
-def _build_singular_germ(bundle: bd.FlatDiskBundle,
-                         beta: fm.DiffForm) -> GermForm:
     n = bundle.base_dim + 1
     report = bd.ccl_check(bundle, beta)
     if not report["ok"]:
@@ -265,8 +254,8 @@ def top_form(alpha: fm.DiffForm, n: int) -> fm.DiffForm:
 def _sign_verdict(vals: np.ndarray) -> tuple[float, int]:
     """min |vals|, and the sign all of vals share: 0 if they have none or
     are zero."""
-    signs = set(np.sign(vals).ravel().astype(int).tolist())
-    return float(np.min(np.abs(vals))), signs.pop() if len(signs) == 1 else 0
+    lo, hi = np.sign([np.min(vals), np.max(vals)])
+    return float(np.min(np.abs(vals))), int(lo) if lo == hi else 0
 
 
 def contactness_scan(g: GermForm, points: Sequence[Sequence[float]],
@@ -410,16 +399,11 @@ def volume_identity_residual(g: GermForm, f: ExprField,
     Both sides are evaluated on the frame (x1, y1, ..., xn, yn, t), the
     orientation in which the canonical volume is +1.
     """
-    n = g.n
     total = g.chart
-    top = g.top
-    frame_names = []
-    for i in range(1, n + 1):
-        frame_names += [f"x{i}", f"y{i}"]
-    frame_names.append("t")
-    eye = np.eye(total.dim)
-    frame = np.column_stack([eye[total.index(v)] for v in frame_names])
+    frame = np.eye(total.dim)[:, [total.index(v) for i in range(1, g.n + 1)
+                                  for v in (f"x{i}", f"y{i}")]
+                              + [total.index("t")]]
     # A top form has one coefficient; on the frame it scales by det(frame).
-    lhs = top.coeff_array(points)[:, 0] * np.linalg.det(frame)
-    rhs = math.factorial(n) * f.on_chart(total).compile()(points)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
+    lhs = g.top.coeff_array(points)[:, 0] * np.linalg.det(frame)
+    rhs = math.factorial(g.n) * f.on_chart(total).compile()(points)
+    return float(max_abs(lhs - rhs))

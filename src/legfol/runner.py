@@ -45,13 +45,16 @@ class _Env:
     """Objects built from declaration blocks, by (kind, name), and the
     resolved keyword arguments of each check block.  A germ is built when a
     check first names it, so a refused or faulty build belongs to the checks
-    that name it."""
+    that name it.  The singular germs on one (bundle, form) pair share one
+    build; a build that raises is not kept, so each of them runs it
+    again."""
 
     def __init__(self, sc: Scenario, rng: np.random.Generator,
                  args: dict[Block, dict]):
         self.rng = rng
         self.args = args
         self.objects: dict[tuple[str, str], object] = {}
+        self.singular: dict[tuple[str, str], gm.GermForm] = {}
         for b in sc.blocks:
             if b.kind == "check":
                 continue
@@ -128,12 +131,15 @@ class _Env:
             inp = gm.FoliatedInput(n=n, beta=fm.one_form(ch, {"t": f}),
                                    line_field=vector_field(ch, comps))
             return lambda: gm.build_nonsingular_germ(inp)
-        bundle = self.objects["bundle", b.require("bundle")]
-        beta = self.objects["form", b.require("form")]
+        pair = (b.require("bundle"), b.require("form"))
         orient = parse_int(b.get("orientation", "1"), b.line)
 
         def build() -> gm.GermForm:
-            g = gm.build_singular_germ(bundle, beta)
+            if pair not in self.singular:
+                self.singular[pair] = gm.build_singular_germ(
+                    self.objects["bundle", pair[0]],
+                    self.objects["form", pair[1]])
+            g = self.singular[pair]
             return dataclasses.replace(g, orientation=-1) \
                 if orient == -1 else g
         return build
@@ -291,14 +297,14 @@ def _interpolation(rng, first, second, form, f, tol, samples) -> dict:
 REQUIRED = "required"  # the default of a value key the block must give
 
 
-def _samples(raw: str, line: int) -> int:
+def _samples(raw: str, line: int | None) -> int:
     count = parse_int(raw, line)
     if count < 1:
         raise ScenarioError(f"samples must be at least 1, got {raw}", line)
     return count
 
 
-def _positive(raw: str, line: int) -> float:
+def _positive(raw: str, line: int | None) -> float:
     value = parse_float(raw, line)
     if not 0 < value < math.inf:
         raise ScenarioError(f"expected a positive finite number, got "
@@ -306,14 +312,33 @@ def _positive(raw: str, line: int) -> float:
     return value
 
 
-def _text(raw: str, line: int) -> str:
+def _text(raw: str, line: int | None) -> str:
     return raw
 
 
+# The parser of each value key, which checks its rule: a block's raw value
+# and a run's override go through the same one.
+VALUES = {"tol": _positive, "samples": _samples, "box": _positive,
+          "step": _positive, "clusters": parse_int, "dim": parse_int,
+          "flag": _text, "n": parse_int, "delta": parse_float, "bump": _text,
+          "generator": parse_int, "start": parse_number_list,
+          "end": parse_number_list, "f": _text}
+
+
+def _overrides(overrides: dict) -> dict:
+    """The overrides that are not None, each parsed from its text by its
+    key's parser, so that a value its key's rule refuses is an input error,
+    and so is a key with no parser."""
+    if unknown := sorted(overrides.keys() - VALUES.keys()):
+        raise ScenarioError(f"unknown override keys {unknown}", None)
+    return {key: VALUES[key](str(value), None)
+            for key, value in overrides.items() if value is not None}
+
+
 def _tol(default: str, samples: str | None = None) -> dict:
-    keys = {"tol": (_positive, default)}
+    keys = {"tol": default}
     if samples is not None:
-        keys["samples"] = (_samples, samples)
+        keys["samples"] = samples
     return keys
 
 
@@ -324,19 +349,19 @@ class Kind:
     identity: one-line statement of what the check verifies.
     names: each name-valued key and the declaration kind it names; all are
         required, except that `form` may be left out where `f` is given.
-    values: each value key as (parser, default), where the default is a raw
-        value, REQUIRED, or None for an optional key with no default.
+    values: each value key (parsed by VALUES) and its default: a raw value,
+        REQUIRED, or None for an optional key with no default.
     verify: called with the sample generator and every key as a keyword
         argument; returns the report's detail dict.
     """
 
     identity: str
     names: dict[str, str]
-    values: dict[str, tuple[Callable[[str, int], object], str | None]]
+    values: dict[str, str | None]
     verify: Callable[..., dict]
 
 
-GRID = {"box": (_positive, "1.0"), "step": (_positive, "0.05")}
+GRID = {"box": "1.0", "step": "0.05"}
 
 KINDS = {
     "claim": Kind(
@@ -348,12 +373,12 @@ KINDS = {
     "scan": Kind(
         "zero locus of the restricted 1-form: count, dimension, type",
         {"target": "graph"},
-        {**GRID, **_tol("1e-6"), "clusters": (parse_int, None),
-         "dim": (parse_int, None), "flag": (_text, None)}, _scan),
+        {**GRID, **_tol("1e-6"), "clusters": None, "dim": None,
+         "flag": None}, _scan),
     "perturb": Kind(
         "restricted alpha ^ d alpha = 0 and no zeros after perturbation",
-        {}, {"n": (parse_int, REQUIRED), "delta": (parse_float, "0.1"),
-             "bump": (_text, None), **GRID, **_tol("1e-10", "100")},
+        {}, {"n": REQUIRED, "delta": "0.1", "bump": None, **GRID,
+             **_tol("1e-10", "100")},
         _perturb),
     "char-foliation": Kind(
         "dim ker(d lambda on ker lambda) = 2n-k+1; "
@@ -365,14 +390,14 @@ KINDS = {
     "transport": Kind(
         "horizontal-lift ODE endpoint matches the expected fiber point",
         {"target": "bundle"},
-        {"generator": (parse_int, "0"), "start": (parse_number_list, REQUIRED),
-         "end": (parse_number_list, REQUIRED), **_tol("1e-6")}, _transport),
+        {"generator": "0", "start": REQUIRED, "end": REQUIRED,
+         **_tol("1e-6")}, _transport),
     "ccl": Kind(
         "fiber form holonomy-invariant, vanishing only at 0, d beta > 0",
         {"target": "bundle", "form": "form"}, _tol("1e-6"), _ccl),
     "germ-volume": Kind(
         "alpha ^ (d alpha)^n = n! f vol",
-        {"target": "germ"}, {"f": (_text, REQUIRED), **_tol("1e-10", "100")},
+        {"target": "germ"}, {"f": REQUIRED, **_tol("1e-10", "100")},
         _germ_volume),
     "contact-scan": Kind(
         "alpha ^ (d alpha)^n nonvanishing with constant sign",
@@ -381,11 +406,11 @@ KINDS = {
         "alpha restricted to the zero section equals the declared foliation "
         "form",
         {"target": "germ", "form": "form"},
-        {"f": (_text, None), **_tol("1e-10", "50")}, _zero_section),
+        {"f": None, **_tol("1e-10", "50")}, _zero_section),
     "interpolation": Kind(
         "(1-t) alpha_0 + t alpha_1 is contact for every t",
         {"first": "germ", "second": "germ", "form": "form"},
-        {"f": (_text, None), **_tol("1e-10", "50")}, _interpolation),
+        {"f": None, **_tol("1e-10", "50")}, _interpolation),
 }
 
 
@@ -435,7 +460,8 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
 
     Input errors are an unknown check kind, key or expectation, an unknown
     declaration type or key, a missing or malformed value (samples below 1,
-    and a box, step or tol that is not a positive finite number, included),
+    and a box, step or tol that is not a positive finite number, included)
+    in a block or an override, an override of an unknown key,
     and a name that no declaration of the right kind carries: a check's name
     keys, a singular germ's bundle and form, and the bundle or chart a form
     lives on.
@@ -443,6 +469,7 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
     order; checks may name any.  Each error is a ScenarioError with the
     block's line.
     """
+    overrides = _overrides(overrides)
     declared: set[tuple[str, str]] = set()
 
     def resolve(b: Block, key: str, kind: str, name: str | None = None):
@@ -480,13 +507,13 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
             raise ScenarioError(f"expect must be pass, fail or refuse, "
                                 f"got '{expect}'", b.line)
         args = {}
-        for key, (parse, default) in kind.values.items():
+        for key, default in kind.values.items():
             raw = b.require(key) if default == REQUIRED \
                 else b.get(key, default)
-            if overrides.get(key) is not None:
+            if key in overrides:
                 args[key] = overrides[key]
             else:
-                args[key] = None if raw is None else parse(raw, b.line)
+                args[key] = None if raw is None else VALUES[key](raw, b.line)
         for key, decl in kind.names.items():
             left_out = key == "form" and b.get(key) is None \
                 and args.get("f") is not None
@@ -530,14 +557,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+        return value.tolist()
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def run_scenario(sc: Scenario, seed: int = 0,
@@ -547,7 +568,8 @@ def run_scenario(sc: Scenario, seed: int = 0,
     raises a numerical fault has the outcome error, which matches none.
     overrides maps value keys such as tol or samples to a value that
     replaces the block's in every check whose kind declares the key; a None
-    value overrides nothing."""
+    value overrides nothing.  Each is checked by its key's parser in VALUES,
+    as a block's value is, before anything is built."""
     t0 = time.perf_counter()
     args = _resolve(sc, overrides or {})
     env = _Env(sc, np.random.default_rng(seed), args)

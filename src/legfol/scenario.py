@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 
 class ScenarioError(ValueError):
-    """A scenario file is malformed; carries 1-based line position."""
+    """A scenario file is malformed; carries 1-based line position, or None
+    for a value that comes from outside the file (a run's override)."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None):
+        super().__init__(
+            message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -119,22 +121,19 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(name=name, blocks=tuple(blocks))
 
 
-def parse_number_list(raw: str, line: int) -> list[float]:
-    try:
-        return [float(p) for p in raw.replace(",", " ").split()]
-    except ValueError:
-        raise ScenarioError(f"expected numbers, got '{raw}'", line) from None
+def _value_parser(cast, what: str):
+    """parse(raw, line): cast(raw), or a ScenarioError at line that expected
+    what."""
+    def parse(raw: str, line: int | None):
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ScenarioError(f"expected {what}, got '{raw}'",
+                                line) from None
+    return parse
 
 
-def parse_int(raw: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"expected an integer, got '{raw}'", line) from None
-
-
-def parse_float(raw: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"expected a number, got '{raw}'", line) from None
+parse_number_list = _value_parser(
+    lambda raw: [float(p) for p in raw.replace(",", " ").split()], "numbers")
+parse_int = _value_parser(int, "an integer")
+parse_float = _value_parser(float, "a number")

@@ -741,7 +741,8 @@ def walk_transport(bundle, path, x0):
 
 def walk_holonomy(bundle, generator, samples):
     """holonomy as one walk_transport call per sample and finite-difference
-    row (x, x + h e1, x - h e1, x + h e2, x - h e2) inside the disk."""
+    row (x, x + h e1, x - h e1, x + h e2, x - h e2) inside the disk, one
+    sample at a time."""
     loop = bd.generator_loop(bundle, generator)
     out = []
     for x in samples:
@@ -754,16 +755,16 @@ def walk_holonomy(bundle, generator, samples):
             except ValueError:  # starts outside the disk
                 rows.append(None)
         res = rows[0]
-        J = None
-        if all(r is not None and not r.escaped for r in rows):
+        mapped = all(r is not None and not r.escaped for r in rows)
+        J = np.full((2, 2), np.nan)
+        if mapped:
             ends = [np.array(r.end) for r in rows]
             J = np.stack([ends[1] - ends[2], ends[3] - ends[4]], axis=1) \
                 / (2 * bd.FD_STEP)
         done = [r for r in rows if r is not None]
-        out.append(bd.HolonomySample(
-            tuple(map(float, x)), res.end, res.escaped, J,
-            sum(r.steps for r in done), sum(r.nfev for r in done)))
-    return out
+        out.append((x, res.end, res.escaped, mapped, J,
+                    sum(r.steps for r in done), sum(r.nfev for r in done)))
+    return bd.Holonomy(*map(np.array, zip(*out)))
 
 
 def walk_ccl_invariance(bundle, beta, count=8):
@@ -775,18 +776,17 @@ def walk_ccl_invariance(bundle, beta, count=8):
 
     kept, escapes, steps, nfev = [], 0, 0, 0
     for g in range(bundle.base_dim):
-        for hs in walk_holonomy(bundle, g, pts):
-            steps, nfev = steps + hs.steps, nfev + hs.nfev
-            if hs.escaped or hs.jacobian is None:
+        hol = walk_holonomy(bundle, g, pts)
+        for i in range(len(pts)):
+            steps, nfev = steps + int(hol.steps[i]), nfev + int(hol.nfev[i])
+            if hol.escaped[i] or not hol.mapped[i]:
                 escapes += 1
                 continue
-            kept.append(hs)
+            kept.append((hol.point[i], hol.image[i], hol.jacobian[i]))
     worst = 0.0
-    if kept:
-        at_image = beta.coeff_array([hs.image for hs in kept])
-        at_point = beta.coeff_array([hs.point for hs in kept])
-        worst = max(float(np.linalg.norm(hs.jacobian.T @ b - a))
-                    for hs, b, a in zip(kept, at_image, at_point))
+    for x, image, J in kept:
+        b, a = beta.coeff_array([image, x])
+        worst = max(worst, float(np.linalg.norm(J.T @ b - a)))
     return worst, escapes, steps, nfev
 
 
@@ -898,15 +898,17 @@ class TestGermPreconditions:
         ({"t": "2 + x1", "x2": "1e-9 * x1"}, True),
     ], ids=["adapted", "below-tol", "leafwise"])
     def test_local_data(self, texts, refused, rng):
+        # validate's last test: only the leafwise components refuse here
         inp = foliated_input(2, ["2", "x2", "0.5"], **texts)
         pts = rng.uniform(-0.9, 0.9, (25, 3))
-        got, want = outcome(gm.extract_local_data, inp, pts), \
+        assert outcome(walk_validate, inp, pts) == ("ok", None)
+        got, want = outcome(inp.validate, pts), \
             outcome(walk_local_data, inp, pts)
-        assert got[0] == want[0]
         if refused:
             assert got == want and got[0] is gm.GermBuildError
         else:
-            (f, Rs), (wf, wRs) = got[1], want[1]
+            assert got == ("ok", None) and want[0] == "ok"
+            (f, Rs), (wf, wRs) = gm.extract_local_data(inp), want[1]
             assert f == wf and Rs == wRs
 
     @pytest.mark.parametrize("bundle, texts, refused", [
@@ -1052,16 +1054,18 @@ class TestBatchedHolonomy:
     def assert_samples_match(bundle, generator, samples):
         got = bd.holonomy(bundle, generator, samples)
         want = walk_holonomy(bundle, generator, samples)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.point == b.point and a.escaped == b.escaped
-            assert (a.steps, a.nfev) == (b.steps, b.nfev)
-            assert np.max(np.abs(np.subtract(a.image, b.image))) <= 1e-13
-            assert (a.jacobian is None) == (b.jacobian is None)
-            if a.jacobian is not None:
-                # FD quotients scale the endpoint bound by 1 / (2 FD_STEP)
-                assert np.max(np.abs(a.jacobian - b.jacobian)) \
-                    <= 1e-13 / bd.FD_STEP
+        assert got.point.shape == (len(samples), 2)
+        for field in ("point", "escaped", "mapped", "steps", "nfev"):
+            assert getattr(got, field).tolist() == \
+                getattr(want, field).tolist(), field
+        assert np.max(np.abs(got.image - want.image)) <= 1e-13
+        # NaN exactly where a sample is not mapped; FD quotients scale the
+        # endpoint bound by 1 / (2 FD_STEP)
+        assert np.array_equal(np.isnan(got.jacobian),
+                              np.isnan(want.jacobian))
+        assert np.all(np.isnan(got.jacobian[~got.mapped]))
+        assert np.max(np.abs(got.jacobian - want.jacobian)[got.mapped],
+                      initial=0.0) <= 1e-13 / bd.FD_STEP
         return got
 
     @pytest.mark.parametrize("make, generator", [
@@ -1076,8 +1080,7 @@ class TestBatchedHolonomy:
     def test_radial_escapes(self, rng):
         got = self.assert_samples_match(radial_bundle(), 0,
                                         disk_points(rng, 12))
-        assert any(hs.escaped for hs in got)
-        assert any(hs.jacobian is not None for hs in got)
+        assert got.escaped.any() and got.mapped.any()
 
     def test_fd_rows_outside_disk(self):
         # x + h e1 and x - h e2 start outside the disk: no Jacobian, but an
@@ -1085,8 +1088,8 @@ class TestBatchedHolonomy:
         h = bd.FD_STEP
         samples = [[1 - h / 2, 0.0], [0.0, -(1 - h / 2)], [0.3, 0.2]]
         got = self.assert_samples_match(bd.rotation_bundle([0.7]), 0, samples)
-        assert [hs.jacobian is None for hs in got] == [True, True, False]
-        assert not any(hs.escaped for hs in got)
+        assert got.mapped.tolist() == [False, False, True]
+        assert not got.escaped.any()
 
 
 MEMO_SCENARIO = """scenario memo
@@ -1217,7 +1220,7 @@ class TestHolonomyMemo:
         pts = [[0.3, 0.1], [-0.2, 0.4]]
         first = bd.holonomy(b, 0, pts)
         again = bd.holonomy(b, 0, [list(p) for p in pts])
-        assert [hs.image for hs in again] == [hs.image for hs in first]
+        assert again.image.tobytes() == first.image.tobytes()
         bd.holonomy(b, 1, pts)
         bd.holonomy(b, 0, pts[:1])
         # a row is keyed by its path and start: the rows of pts[:1] are
@@ -1225,7 +1228,8 @@ class TestHolonomyMemo:
         assert batches == [10, 10]
         # parallel_transport reads the same rows
         res = bd.parallel_transport(b, bd.generator_loop(b, 0), pts[0])
-        assert res.end == first[0].image and len(batches) == 2
+        assert res.end == tuple(first.image[0].tolist()) \
+            and len(batches) == 2
         # another bundle with the same lifts has its own memo
         bd.holonomy(bd.rotation_bundle([0.9, 1.7]), 0, pts)
         assert len(batches) == 3
@@ -1295,22 +1299,45 @@ def on_torus(bundle, radius=1.0):
 # Rotation, sheared, trig and radial bundles of one base_dim, on paths of one
 # vertex count, with fiber radii 1, 1.3 and 0.8: the generator loops over
 # the circle, and the CONTRACTIBLE loop both ways over the torus, where each
-# row restarts at four vertices.
+# row restarts at four vertices.  The first and last bundle of each share a
+# lift kernel.
 JOINT_SWEEPS = {
     "circle": (lambda: [bd.rotation_bundle([0.7], radius=1.3), trig_bundle(),
-                        radial_bundle()],
+                        radial_bundle(), bd.rotation_bundle([-1.1])],
                [[[0.0], [1.0]], [[1.0], [0.0]]]),
     "torus": (lambda: [bd.rotation_bundle([0.9, 1.7], radius=0.8),
                        sheared_bundle(), on_torus(trig_bundle(), 1.3),
-                       on_torus(radial_bundle())],
+                       on_torus(radial_bundle()),
+                       bd.rotation_bundle([-0.4, 0.6])],
               [CONTRACTIBLE, CONTRACTIBLE[::-1]]),
 }
 
 
+def sweep_by_kernel(parts):
+    """Sweep (bundle, paths, starts) parts as sweep_plan sweeps a run plan:
+    one _sweep per lift kernel, over the parts with that kernel in order.
+    Returns each part's rows as a BatchTransport, in part order, and the
+    number of sweeps."""
+    groups = {}
+    for i, (b, _, _) in enumerate(parts):
+        groups.setdefault(bd._lift_rhs(b).kernel, []).append(i)
+    out = {}
+    for members in groups.values():
+        res = bd._sweep([(bd._lift_rhs(b), b.radius ** 2, paths, starts)
+                         for b, paths, starts in (parts[i] for i in members)])
+        at = 0
+        for i in members:
+            rows = slice(at, at + len(parts[i][2]))
+            out[i] = bd.BatchTransport(res.end[rows], res.escaped[rows],
+                                       res.steps[rows], res.nfev[rows])
+            at = rows.stop
+    return [out[i] for i in range(len(parts))], len(groups)
+
+
 class TestJointSweep:
-    """One sweep of the rows of several bundles: each row equals the row
-    swept with its own bundle alone, bit for bit, and the solve_ivp oracle
-    within 1e-13."""
+    """One sweep of the rows of several bundles that share a lift kernel:
+    each row equals the row swept with its own bundle alone, bit for bit,
+    and the solve_ivp oracle within 1e-13."""
 
     @pytest.mark.parametrize("base", JOINT_SWEEPS)
     def test_rows_equal_their_bundles_alone(self, base, rng):
@@ -1321,25 +1348,33 @@ class TestJointSweep:
             starts = disk_points(rng, 10, 0.95 * b.radius)
             parts.append((b, loops[np.arange(len(starts)) % len(loops)],
                           starts))
-        got = bd._sweep([(bd._lift_rhs(b), b.radius ** 2, paths, starts)
-                         for b, paths, starts in parts])
-        i = 0
-        for b, paths, starts in parts:
-            for path, x in zip(paths, starts):
+        got, sweeps = sweep_by_kernel(parts)
+        assert sweeps == len(bundles) - 1  # the first and last joined
+        for (b, paths, starts), res in zip(parts, got):
+            for i, (path, x) in enumerate(zip(paths, starts)):
                 alone = bd.transport_batch(b, path, [x])
-                assert got.end[i].tobytes() == alone.end[0].tobytes()
-                assert (got.escaped[i], got.steps[i], got.nfev[i]) == \
+                assert res.end[i].tobytes() == alone.end[0].tobytes()
+                assert (res.escaped[i], res.steps[i], res.nfev[i]) == \
                     (alone.escaped[0], alone.steps[0], alone.nfev[0])
                 want = walk_transport(b, path, x)
-                assert (bool(got.escaped[i]), got.steps[i], got.nfev[i]) \
+                assert (bool(res.escaped[i]), res.steps[i], res.nfev[i]) \
                     == (want.escaped, want.steps, want.nfev)
-                assert np.max(np.abs(got.end[i] - want.end)) <= 1e-13
-                i += 1
-        assert 0 < got.escaped.sum() < len(got.escaped)
+                assert np.max(np.abs(res.end[i] - want.end)) <= 1e-13
+        escaped = np.concatenate([res.escaped for res in got])
+        assert 0 < escaped.sum() < len(escaped)
+
+    def test_one_sweep_per_kernel(self):
+        # a sweep's lifts share one kernel: the plan groups rows by it
+        b, other = bd.rotation_bundle([0.7]), trig_bundle()
+        loop = np.array([bd.generator_loop(b, 0)])
+        with pytest.raises(ValueError, match="share one kernel"):
+            bd._sweep([(bd._lift_rhs(x), 1.0, loop, np.array([[0.3, 0.1]]))
+                       for x in (b, other)])
 
     def test_plan_joins_bundles(self, monkeypatch, rng):
-        # rows planned on three circles: sweep_plan integrates them all in
-        # one sweep, and every bundle's request reads its memo
+        # rows planned on four circles with three lift kernels: sweep_plan
+        # integrates them in one sweep per kernel, which joins the two
+        # rotations, and every bundle's request reads its memo
         batches = counted_sweeps(monkeypatch)
         bundles = JOINT_SWEEPS["circle"][0]()
         plan, rows = {}, []
@@ -1347,10 +1382,11 @@ class TestJointSweep:
             rows.append(disk_points(rng, 6, 0.95 * b.radius))
             bd.plan_transport(plan, b, bd.generator_loop(b, 0), rows[-1])
         bd.sweep_plan(plan)
-        assert batches == [sum(map(len, rows))]
+        sizes = [len(rows[0]) + len(rows[3]), len(rows[1]), len(rows[2])]
+        assert batches == sizes
         got = [bd._transport_rows(b, bd.generator_loop(b, 0), x)
                for b, x in zip(bundles, rows)]
-        assert batches == [sum(map(len, rows))]  # no sweep after the plan
+        assert batches == sizes  # no sweep after the plan
         for b, x, res in zip(bundles, rows, got):
             alone = bd.transport_batch(b, bd.generator_loop(b, 0), x)
             assert res.end.tobytes() == alone.end.tobytes()
@@ -1516,8 +1552,7 @@ class TestFaultAttribution:
         assert report == alone
 
     def test_fault_stays_with_its_bundle(self, monkeypatch):
-        # the overflowing circle beside a healthy one: the plan sweeps both
-        # bundles' rows, the sweep raises, and every check then gets the
+        # the overflowing circle beside a healthy one: every check gets the
         # outcome it gets in a run of its own bundle alone
         real = bd.rotation_bundle
         monkeypatch.setattr(bd, "rotation_bundle", lambda rates, *a: (
@@ -1531,8 +1566,11 @@ class TestFaultAttribution:
         ccl = report["checks"][1]
         assert not ccl["detail"]["refused"]
         assert ccl["error"] == one["checks"][1]["error"]
-        # the plan's failed sweep, then each check's rows on their own
-        assert batches[3:] == [82, 1, 40, 1, 40]
+        # their lifts have two kernels, so the plan sweeps them apart: the
+        # overflowing circle's sweep raises, the healthy circle's rows are
+        # memoized, and the overflowing circle's checks then integrate
+        # their own rows
+        assert batches[3:] == [41, 41, 1, 40]
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
         alone = runner.run_scenario(sc)
         report.pop("wall_time"), alone.pop("wall_time")
@@ -1617,15 +1655,14 @@ class TestStageEvaluation:
 
 
 class TestMergedSweep:
-    """Consecutive blocks whose lifts share a kernel take one kernel call
-    per stage, with their constants as per-row columns: every row is still
-    the row of its own bundle's transport_batch, bit for bit, and of the
-    solve_ivp oracle, and a fault is still the faulty bundle's own
-    EvaluationError."""
+    """Bundles whose lifts share a kernel take one kernel call per stage,
+    with their constants as per-row columns: every row is still the row of
+    its own bundle's transport_batch, bit for bit, and of the solve_ivp
+    oracle, and a fault is still the faulty bundle's own EvaluationError."""
 
     def test_rows_equal_their_bundles_alone(self, rng):
-        # runs [first, second], [sheared], [third]: the third shares the
-        # first two's kernel but not their run
+        # two sweeps: [first, second, fourth], which share a kernel, and
+        # [sheared]
         bundles = [bd.rotation_bundle([0.9, 1.7]),
                    bd.rotation_bundle([-0.4, 0.6], radius=0.8),
                    sheared_bundle(),
@@ -1638,24 +1675,22 @@ class TestMergedSweep:
         for b in bundles:
             starts = disk_points(rng, 10, 0.99 * b.radius)
             parts.append((b, loops[np.arange(len(starts)) % 2], starts))
-        got = bd._sweep([(lift, b.radius ** 2, paths, starts)
-                         for lift, (b, paths, starts) in zip(lifts, parts)])
-        at = 0
-        for b, paths, starts in parts:
-            rows = slice(at, at + len(starts))
+        got, sweeps = sweep_by_kernel(parts)
+        assert sweeps == 2
+        for (b, paths, starts), res in zip(parts, got):
             alone = bd.transport_batch(b, paths, starts)
-            assert got.end[rows].tobytes() == alone.end.tobytes()
-            assert (got.escaped[rows].tolist(), got.steps[rows].tolist(),
-                    got.nfev[rows].tolist()) == (alone.escaped.tolist(),
-                                                 alone.steps.tolist(),
-                                                 alone.nfev.tolist())
-            for i, path, x in zip(range(at, rows.stop), paths, starts):
+            assert res.end.tobytes() == alone.end.tobytes()
+            assert (res.escaped.tolist(), res.steps.tolist(),
+                    res.nfev.tolist()) == (alone.escaped.tolist(),
+                                           alone.steps.tolist(),
+                                           alone.nfev.tolist())
+            for i, path, x in zip(range(len(starts)), paths, starts):
                 want = walk_transport(b, path, x)
-                assert (bool(got.escaped[i]), got.steps[i], got.nfev[i]) \
+                assert (bool(res.escaped[i]), res.steps[i], res.nfev[i]) \
                     == (want.escaped, want.steps, want.nfev)
-                assert np.max(np.abs(got.end[i] - want.end)) <= 1e-13
-            at = rows.stop
-        assert 0 < got.escaped.sum() < len(got.escaped)
+                assert np.max(np.abs(res.end[i] - want.end)) <= 1e-13
+        escaped = np.concatenate([res.escaped for res in got])
+        assert 0 < escaped.sum() < len(escaped)
 
     @pytest.mark.parametrize("faulty, healthy, starts", [
         (lambda: product_overflow_bundle(),

@@ -86,11 +86,12 @@ class TestHolonomy:
         b = bd.rotation_bundle([c])
         samples = [[0.3, 0.1], [-0.2, 0.4]]
         R = np.array([[np.cos(c), -np.sin(c)], [np.sin(c), np.cos(c)]])
-        for hs in bd.holonomy(b, 0, samples):
-            assert not hs.escaped
-            assert np.allclose(hs.image, R @ np.array(hs.point), atol=1e-6)
-            assert np.allclose(hs.jacobian, R, atol=1e-4)
-            assert np.linalg.det(hs.jacobian) == pytest.approx(1.0, abs=1e-4)
+        hol = bd.holonomy(b, 0, samples)
+        assert not hol.escaped.any() and hol.mapped.all()
+        assert np.allclose(hol.image, hol.point @ R.T, atol=1e-6)
+        for J in hol.jacobian:
+            assert np.allclose(J, R, atol=1e-4)
+            assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-4)
 
 
 class TestCclCheck:

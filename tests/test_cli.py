@@ -498,6 +498,39 @@ class TestOverrides:
         result = invoke(["demo", "flat-bundle", "--samples", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("tol", -1.0, "expected a positive finite number, got '-1.0'"),
+        ("tol", 0.0, "expected a positive finite number, got '0.0'"),
+        ("samples", 0, "samples must be at least 1, got 0"),
+        ("tolerance", 1e-9, "unknown override keys ['tolerance']"),
+    ], ids=["tol-negative", "tol-zero", "samples-zero", "unknown-key"])
+    def test_api_override_is_checked(self, monkeypatch, key, value,
+                                     message):
+        # run_scenario checks an override by its key's rule, as a block's
+        # value, before anything is built: never a refusal or a fail
+        built = []
+        monkeypatch.setattr(runner._Env, "__init__",
+                            lambda *args: built.append(args))
+        sc = parse_scenario((ROOT / "src" / "legfol" / "scenarios"
+                             / "commuting-fields-n2.scn").read_text())
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(sc, overrides={key: value})
+        assert str(exc.value) == message and exc.value.line is None
+        assert built == []
+
+    def test_every_value_key_has_one_parser(self):
+        assert runner.VALUES.keys() == {
+            key for kind in KINDS.values() for key in kind.values}
+
+    def test_api_override_is_the_parsed_value(self):
+        sc = parse_scenario(GOOD)
+        got = run_scenario(sc, overrides={"tol": 1e-9, "samples": 7})
+        want = run_scenario(parse_scenario(GOOD.replace(
+            "tol = 1e-10", "tol = 1e-9").replace("samples = 20",
+                                                 "samples = 7")))
+        got.pop("wall_time"), want.pop("wall_time")
+        assert got == want
+
 
 def test_benchmark_and_demo_inputs_resolve():
     """Every scenario the benchmark generates, and every demo, uses only the
@@ -538,7 +571,7 @@ def test_readme_table_is_kinds():
         names = ", ".join(f"`{key}` ({decl})"
                           for key, decl in kind.names.items()) or "none"
         values = ", ".join(value(key, default)
-                           for key, (_, default) in kind.values.items())
+                           for key, default in kind.values.items())
         rows.append(f"| `{name}` | {names} | {values} |")
     readme = (ROOT / "README.md").read_text().splitlines()
     assert [line for line in readme if line.startswith("| `")] == rows

@@ -8,7 +8,13 @@ import pytest
 from legfol import bundle as bd
 from legfol import forms as fm
 from legfol import germ as gm
-from legfol.fields import constant, coordinate, parse_field, vector_field
+from legfol.fields import (
+    CompiledExprs,
+    constant,
+    coordinate,
+    parse_field,
+    vector_field,
+)
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
 
@@ -79,6 +85,16 @@ class TestNonsingular:
                                line_field=vector_field(ch, [1.0, 0.0, 0.0]))
         with pytest.raises(gm.GermBuildError):
             gm.build_nonsingular_germ(inp)
+
+    def test_one_jet_per_build(self, monkeypatch):
+        # validate reads beta and d beta from one forms.jet at the 25
+        # seeded points; the line field is the other batch
+        calls = []
+        real = CompiledExprs.batch
+        monkeypatch.setattr(CompiledExprs, "batch", lambda self, pts: (
+            calls.append(len(pts)) or real(self, pts)))
+        gm.build_nonsingular_germ(make_input(2, "2 + sin(x1)", ["x2", "0"]))
+        assert calls == [25, 25]
 
     def test_frobenius_residual_detects_twist(self, rng):
         ch = gm.foliated_chart(2)
@@ -167,9 +183,55 @@ end
 """
 
 
+SHARED_PAIR = """scenario shared-pair
+
+bundle torus
+  type = rotation
+  rates = 0.7 1.1
+end
+
+form area
+  on = fiber torus
+  u = -v
+  v = u
+end
+
+form same-area
+  on = fiber torus
+  u = -v
+  v = u
+end
+
+germ first
+  type = singular
+  bundle = torus
+  form = area
+end
+
+germ flipped
+  type = singular
+  bundle = torus
+  form = area
+  orientation = -1
+end
+
+germ other
+  type = singular
+  bundle = torus
+  form = same-area
+end
+""" + "".join(f"""
+check {name}-contact
+  kind = contact-scan
+  target = {name}
+  samples = 5
+end
+""" for name in ("first", "flipped", "other"))
+
+
 class TestSingularMemo:
-    """A singular germ is built once per bundle and form object; a
-    refused build is not memoized, so it refuses every germ on the pair."""
+    """A run builds a singular germ once per (bundle, form) pair of blocks;
+    a refused build is not kept, so it refuses every germ on the pair."""
 
     @pytest.fixture
     def probes(self, monkeypatch):
@@ -179,15 +241,20 @@ class TestSingularMemo:
                             or real(*a))
         return calls
 
-    def test_second_build_is_the_first(self, probes):
-        b = bd.rotation_bundle([0.7, 1.1])
-        beta = area_form(b.fiber_chart)
-        g = gm.build_singular_germ(b, beta)
-        assert len(probes) == 2  # one invariance probe per lift
-        assert gm.build_singular_germ(b, beta) is g and len(probes) == 2
-        gm.build_singular_germ(b, area_form(b.fiber_chart))  # another object
-        gm.build_singular_germ(bd.rotation_bundle([0.7, 1.1]), beta)
-        assert len(probes) == 6
+    def test_second_build_is_the_first(self, probes, monkeypatch):
+        builds = []
+        real = gm.build_singular_germ
+        monkeypatch.setattr(gm, "build_singular_germ", lambda *a: (
+            builds.append(a) or real(*a)))
+        sc = parse_scenario(SHARED_PAIR)
+        assert run_scenario(sc)["passed"]
+        # first and flipped share (torus, area); other names another form
+        # block with the same coefficients, so it is built on its own
+        assert len(builds) == 2 and builds[0][0] is builds[1][0]
+        assert builds[0][1] is not builds[1][1]
+        assert len(probes) == 4  # one invariance probe per lift and build
+        run_scenario(sc)  # a new run builds its germs again
+        assert len(builds) == 4 and len(probes) == 8
 
     def test_refusal_reaches_every_germ_on_the_pair(self, probes):
         sc = parse_scenario(FULL_TURN)

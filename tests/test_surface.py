@@ -11,7 +11,8 @@ is deleted, fails it until the list is brought up to date.
 
 Likewise every defaulted parameter of a function the package calls is set
 by some call inside the package: a default that no caller overrides is a
-constant, not an option.
+constant, not an option.  And no module reads a private name that another
+module defines.
 """
 
 import ast
@@ -239,3 +240,55 @@ def test_one_batch_for_a_one_form_and_its_d():
     assert symbolic_form_uses() == [], \
         "evaluate a 1-form and its d with forms.jet; the symbolic residual " \
         "equations and 2-form matrices are oracles in tests/oracles.py"
+
+
+def _private(name) -> bool:
+    return isinstance(name, str) and name.startswith("_") \
+        and not name.startswith("__")
+
+
+def _defined_names(node) -> list:
+    """The names a node defines: a function's, class's or method's, or the
+    name or attribute an assignment stores."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Name, ast.Attribute)) \
+            and isinstance(node.ctx, ast.Store):
+        return [getattr(node, "id", getattr(node, "attr", None))]
+    return []
+
+
+def _read_names(node) -> list:
+    """The names a node reads from another object or module: an
+    attribute's, or a from-import's."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
+def private_reads(src: Path = SRC) -> list[str]:
+    """module:line of each read of a private name (one leading underscore)
+    that another module of the package defines and the reading module does
+    not, such as bd._germs or a from-import of a private helper."""
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(src.glob("*.py"))}
+    defined = {module: {name for node in ast.walk(tree)
+                        for name in _defined_names(node) if _private(name)}
+               for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            for name in _read_names(node):
+                owners = sorted(m for m, names in defined.items()
+                                if name in names and m != module)
+                if _private(name) and name not in defined[module] and owners:
+                    found.append(f"{module}:{node.lineno} reads "
+                                 f"{owners[0]}.{name}")
+    return found
+
+
+def test_no_module_reads_anothers_private_names():
+    assert private_reads() == [], \
+        "make the name public, or move the code that reads it to its module"
