@@ -86,8 +86,8 @@ class FlatDiskBundle:
 
     @functools.cached_property
     def _transported(self) -> dict:
-        """Transported rows on this bundle, by _row_keys: (end, escaped,
-        steps, nfev)."""
+        """Transported requests on this bundle, by the bytes of their path
+        and starts: read-only BatchTransport rows."""
         return {}
 
     @functools.cached_property
@@ -246,9 +246,10 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     _lift_rhs of row i's bundle in ``lifts``, and all of them share one
     kernel.  The state is samples-last: y is (2, rows), the stages (7, 2,
     rows) and the lifts' constants (C, rows).  A stage is one kernel call
-    over the live rows.  If the call fails a check or gives a non-finite
-    value, each block's rows go through its lift's ``batch``, in block
-    order, to raise that block's EvaluationError.
+    over the live rows; a step's stages are checked together.  If a call
+    fails a check or a step is not finite, the step runs again stage by
+    stage: at the first such stage, each block's rows go through its lift's
+    ``batch``, in block order, to raise that block's EvaluationError.
 
     Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1,
     rtol=ODE_TOL, atol=ODE_TOL) takes for it alone, with the terminal event
@@ -270,7 +271,7 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     consts = np.array([f.consts for f in lifts]).T[:, block]
     b = len(P)
 
-    def stage(x, y, out):
+    def stage(x, y, out, checked=True):
         cols = (*x, *y)
         try:
             comps = kernel(*cols, *consts)
@@ -282,14 +283,27 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
             out[0], out[1] = u, v
             # a non-finite lift value makes the total non-finite; an
             # overflowing total only costs batch calls
-            ok = math.isfinite(np.add.reduce(out, axis=None))
-        except RowError:
+            ok = not checked or math.isfinite(np.add.reduce(out, axis=None))
+        except RowError if checked else ():
             ok = False
         if not ok:  # batch raises what it says about a block, if any
             points = np.column_stack(cols)
             for i, f in enumerate(lifts):
                 f.batch(points[block == i])
         return out
+
+    def rk_stages(K, X, y, h, checked=False):
+        """Stages 1-6 of a step into K, K[0] given; returns y_new.  Checked
+        once, together; if that fails, they run again, each checked."""
+        with contextlib.suppress(RowError):
+            for s in range(1, 6):
+                dy = np.einsum("s,skn->kn", RK_A[s, :s], K[:s]) * h
+                stage(X[:, s - 1], y + dy, K[s], checked)
+            y_new = y + h * np.einsum("s,skn->kn", RK_B, K[:6])
+            stage(X[:, 5], y_new, K[6], checked)
+            if checked or math.isfinite(np.add.reduce(K, axis=None)):
+                return y_new
+        return rk_stages(K, X, y, h, True)
 
     y = y0.T.copy()
     t = np.zeros(n)
@@ -317,10 +331,10 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
         h = np.minimum(np.maximum(h_abs, min_step), MAX_STEP)
         if any_rejected:
             h = np.where(rejected, h_abs, h)
-        if (h < min_step).any():
-            raise IntegrationError("transport integration failed: Required "
-                                   "step size is less than spacing between "
-                                   "numbers.")
+            if (h < min_step).any():
+                raise IntegrationError(
+                    "transport integration failed: Required step size is "
+                    "less than spacing between numbers.")
         t_new = np.minimum(t + h, 1.0)
         h = t_new - t
         m = len(rows)
@@ -330,11 +344,7 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
         T[5] = t_new
         X = P[:, None] + T * dP[:, None]
         K[0] = f
-        for s in range(1, 6):
-            dy = np.einsum("s,skn->kn", RK_A[s, :s], K[:s]) * h
-            stage(X[:, s - 1], y + dy, K[s])
-        y_new = y + h * np.einsum("s,skn->kn", RK_B, K[:6])
-        f_new = stage(X[:, 5], y_new, K[6])
+        y_new, f_new = rk_stages(K, X, y, h), K[6]
         nf += 6
         scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
         err = _rms(np.einsum("s,skn->kn", RK_E, K) * h / scale)
@@ -463,42 +473,40 @@ def transport_batch(bundle: FlatDiskBundle, paths,
     return _sweep([(_lift_rhs(bundle), bundle.radius ** 2, paths, y)])
 
 
-def _row_keys(path: np.ndarray, starts: np.ndarray) -> list[tuple]:
-    """The memo key of each row: its path and start."""
-    path_key, raw = path.tobytes(), starts.tobytes()
-    return [(path_key, raw[i:i + 16])  # 16 bytes: one (u, v) row
-            for i in range(0, len(raw), 16)]
-
-
 def plan_transport(plan: dict, bundle: FlatDiskBundle, path,
                    starts: Sequence[Sequence[float]]) -> None:
-    """Record in a run's plan rows that a later request on this bundle will
-    make.  The plan maps (base_dim, vertex count, lift kernel) to a group,
-    {id(bundle): (bundle, rows)}, where rows is {key: (path, start)};
-    sweep_plan integrates each group in one sweep.  Raises ValueError for a
-    row that transport_batch would refuse."""
+    """Record in a run's plan a request that a check will make on this
+    bundle.  The plan maps (base_dim, vertex count, lift kernel) to a group,
+    {id(bundle): (bundle, requests)}, where requests maps a memo key to
+    (path, starts); sweep_plan integrates each group in one sweep.  Raises
+    ValueError for a request that transport_batch would refuse."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
     group = plan.setdefault(
         (bundle.base_dim, len(path), _lift_rhs(bundle).kernel), {})
-    group.setdefault(id(bundle), (bundle, {}))[1].update(zip(
-        _row_keys(path, starts), zip(itertools.repeat(path), starts)))
+    group.setdefault(id(bundle), (bundle, {}))[1].setdefault(
+        (path.tobytes(), starts.tobytes()), (path, starts))
 
 
 def _sweep_rows(parts) -> None:
-    """Integrate the rows of every (bundle, rows) part in one sweep and
-    memoize each row on its bundle; a sweep that raises memoizes nothing."""
-    res = _sweep([(_lift_rhs(b), b.radius ** 2,
-                   *map(np.stack, zip(*rows.values()))) for b, rows in parts])
-    out = zip(res.end.tolist(), res.escaped.tolist(), res.steps.tolist(),
-              res.nfev.tolist())
-    for b, rows in parts:
-        b._transported.update(zip(rows, itertools.islice(out, len(rows))))
+    """Integrate the requests of every (bundle, requests) part in one sweep
+    and memoize each request's rows on its bundle, read-only; a sweep that
+    raises memoizes nothing."""
+    res = _sweep([(_lift_rhs(b), b.radius ** 2, np.concatenate([
+        np.broadcast_to(p, (len(x),) + p.shape) for p, x in reqs.values()]),
+        np.concatenate([x for _, x in reqs.values()])) for b, reqs in parts])
+    cuts = np.cumsum([len(x) for _, reqs in parts for _, x in reqs.values()])
+    for a in vars(res).values():
+        a.flags.writeable = False  # shared by every reader of a request
+    rows = itertools.starmap(BatchTransport, zip(*(
+        np.split(a, cuts[:-1]) for a in vars(res).values())))
+    for b, reqs in parts:
+        b._transported.update(zip(reqs, rows))
 
 
 def sweep_plan(plan: dict) -> None:
-    """Integrate the rows of a run's plan, one sweep per group.  A group
-    whose sweep raises memoizes nothing: its rows are integrated where a
-    check requests them, on their own, so a fault stays with its check."""
+    """Integrate the requests of a run's plan, one sweep per group.  A group
+    whose sweep raises memoizes nothing: its requests are integrated where a
+    check makes them, on their own, so a fault stays with its check."""
     for group in plan.values():
         with contextlib.suppress(ValueError, RuntimeError, ArithmeticError):
             _sweep_rows(group.values())
@@ -506,24 +514,21 @@ def sweep_plan(plan: dict) -> None:
 
 def _transport_rows(bundle: FlatDiskBundle, path,
                     starts: Sequence[Sequence[float]]) -> BatchTransport:
-    """transport_batch's rows through the bundle's row memo, keyed by path
-    and start; the missing rows are integrated in one sweep."""
+    """transport_batch's rows through the bundle's memo of requests, keyed
+    by the bytes of the path and of the starts; a request that misses is
+    integrated in one sweep of its own."""
     path, starts = _path(bundle, path), _disk_points(bundle, starts)
-    memo = bundle._transported
-    keys = _row_keys(path, starts)
-    missing = {k: (path, x) for k, x in zip(keys, starts) if k not in memo}
-    if missing:
-        _sweep_rows([(bundle, missing)])
-    end, escaped, steps, nfev = zip(*map(memo.get, keys)) if keys else [()] * 4
-    return BatchTransport(np.reshape(end, (-1, 2)), np.array(escaped, bool),
-                          np.array(steps, int), np.array(nfev, int))
+    memo, key = bundle._transported, (path.tobytes(), starts.tobytes())
+    if key not in memo:
+        _sweep_rows([(bundle, {key: (path, starts)})])
+    return memo[key]
 
 
 def parallel_transport(bundle: FlatDiskBundle,
                        path: Sequence[Sequence[float]],
                        x0: Sequence[float]) -> TransportResult:
     """Integrate the horizontal-lift ODE along a piecewise-linear base path,
-    through the bundle's row memo."""
+    through the bundle's memo of requests."""
     res = _transport_rows(bundle, path, [x0])
     return TransportResult(tuple(res.end[0].tolist()), *(
         x[0].item() for x in (res.escaped, res.steps, res.nfev)))
@@ -575,7 +580,7 @@ def holonomy(bundle: FlatDiskBundle, generator: int,
              samples: Sequence[Sequence[float]]) -> Holonomy:
     """Sampled holonomy around a generator loop, with FD Jacobians.
 
-    The five transports per sample are rows of the bundle's row memo.
+    The five transports per sample are rows of one memoized request.
     """
     loop = generator_loop(bundle, generator)
     pts = _disk_points(bundle, samples)
@@ -601,10 +606,14 @@ def holonomy(bundle: FlatDiskBundle, generator: int,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
 def _fiber_grid(radius: float, step: float) -> np.ndarray:
+    """The fiber grid inside 0.98 of the radius: read-only, and shared."""
     axis = np.arange(-radius, radius + step / 2, step)
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    return pts[np.hypot(pts[:, 0], pts[:, 1]) < radius * 0.98]
+    grid = pts[np.hypot(pts[:, 0], pts[:, 1]) < radius * 0.98]
+    grid.flags.writeable = False
+    return grid
 
 
 @functools.cache

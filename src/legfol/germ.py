@@ -219,15 +219,16 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
     beta_tot = (Const(0.0),) * bundle.base_dim + tuple(
         beta.coeff((d,)).expr for d in (0, 1))
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total_b.dim))
-    b, Jb = values_and_partials(total_b, beta_tot, probe)
-    for lift in bundle.lifts():
-        V, JV = values_and_partials(total_b, tuple(
-            c.expr for c in lift.components), probe)
-        if np.any(np.abs(fm.lie_coeffs(V[:, None], JV[:, None], b, Jb))
-                  > 1e-8):
-            raise GermBuildError(
-                "no closed-form invariant extension in this trivialization; "
-                "only trivial and rotation holonomy are supported")
+    vals, J = values_and_partials(total_b, beta_tot + tuple(
+        c.expr for lift in bundle.lifts() for c in lift.components), probe)
+    # per probe point: beta, then the lifts, each as (dim,) and (dim, dim)
+    d = total_b.dim
+    vals, J = vals.reshape(len(probe), -1, d), J.reshape(len(probe), -1, d, d)
+    if np.any(np.abs(fm.lie_coeffs(vals[:, 1:], J[:, 1:], vals[:, 0],
+                                   J[:, 0])) > 1e-8):
+        raise GermBuildError(
+            "no closed-form invariant extension in this trivialization; "
+            "only trivial and rotation holonomy are supported")
     total = singular_germ_chart(n)
     iu = total.index("u")
     alpha = fm.one_form(total, {"z": 1.0})

@@ -1223,16 +1223,31 @@ class TestHolonomyMemo:
         assert again.image.tobytes() == first.image.tobytes()
         bd.holonomy(b, 1, pts)
         bd.holonomy(b, 0, pts[:1])
-        # a row is keyed by its path and start: the rows of pts[:1] are
-        # memoized
-        assert batches == [10, 10]
-        # parallel_transport reads the same rows
+        # a request is keyed by its path and all its starts: the rows of
+        # pts[:1] are a new request, with the same rows as before
+        assert batches == [10, 10, 5]
+        sub = bd.holonomy(b, 0, pts[:1])
+        assert sub.image.tobytes() == first.image[:1].tobytes()
+        # so is parallel_transport's one row, which reads the same end
         res = bd.parallel_transport(b, bd.generator_loop(b, 0), pts[0])
         assert res.end == tuple(first.image[0].tolist()) \
-            and len(batches) == 2
+            and batches == [10, 10, 5, 1]
         # another bundle with the same lifts has its own memo
         bd.holonomy(bd.rotation_bundle([0.9, 1.7]), 0, pts)
-        assert len(batches) == 3
+        assert len(batches) == 5
+
+    def test_equal_request_is_a_hit(self, batches):
+        # the key is the request's bytes, not the objects that carry them
+        b = bd.rotation_bundle([0.9])
+        loop, start = bd.generator_loop(b, 0), [0.3, 0.1]
+        first = bd.parallel_transport(b, loop, start)
+        again = bd.parallel_transport(
+            b, [list(map(float, v)) for v in loop], list(start))
+        assert again == first and batches == [1]
+        rows = bd._transport_rows(b, loop, np.array([start]))
+        assert batches == [1] and not rows.end.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows.end[0, 0] = 0.0
 
     def test_transport_check_reports_steps(self):
         report = runner.run_scenario(parse_scenario(MEMO_SCENARIO))
@@ -1654,6 +1669,69 @@ class TestStageEvaluation:
         assert reason in str(got.value)
 
 
+def exp_overflow_bundle(gain):
+    """Rotation at rate 1 + 1e-320 exp(gain s1): rate 1 to within 2e-12
+    until exp overflows, a checked RowError, at s1 = 709.78 / gain."""
+    total = Chart(("s1", "u", "v"), (1.0, None, None))
+    rate = f"(1 + 1e-320 * exp({gain} * s1))"
+    return bd.FlatDiskBundle(1, (1.0,), 1.0,
+                             (parse_field(total, f"-v * {rate}"),),
+                             (parse_field(total, f"u * {rate}"),))
+
+
+def first_faulty_stage(bundle, starts):
+    """Integrate around generator 0 with a kernel that records, per call,
+    whether it raised RowError or gave a non-finite value; returns the
+    EvaluationError and the first such call's stage in its step (1-6; the
+    two calls that pick the first step come before every step)."""
+    lift = bd._lift_rhs(bundle)
+    healthy = []
+
+    def kernel(*cols):
+        healthy.append(False)
+        out = lift.kernel(*cols)
+        healthy[-1] = all(np.isfinite(c).all() for c in out)
+        return out
+    n = len(starts)
+    dP = np.zeros((n, 1))
+    dP[:, 0] = bundle.periods[0]
+    with pytest.raises(EvaluationError) as err:
+        bd._integrate_segment(
+            [SimpleNamespace(kernel=kernel, consts=lift.consts,
+                             batch=lift.batch)], np.zeros(n, dtype=int),
+            np.array(starts), np.zeros((n, 1)), dP, np.ones(n),
+            np.full(n, bd.MAX_STEPS))
+    first = healthy.index(False)
+    assert first >= 2  # not in the initial step selection
+    return err.value, (first - 2) % 6 + 1
+
+
+class TestStepCheck:
+    """A step's six stages are checked once, after the step; a step with a
+    failed or non-finite stage runs again stage by stage, so a fault that
+    first shows at a later stage of a step still raises the EvaluationError
+    of an all-batch integration."""
+
+    @pytest.mark.parametrize("make, stage, reason", [
+        (lambda: product_overflow_bundle(("1e300", "3e9", "1e-310")), 3,
+         "non-finite value"),
+        (lambda: product_overflow_bundle(("1e300", "1.5e10", "1e-310")), 5,
+         "non-finite value"),
+        (lambda: exp_overflow_bundle(2000), 3, "exp overflow"),
+        (lambda: exp_overflow_bundle(1000), 5, "exp overflow"),
+    ], ids=["product-3", "product-5", "exp-3", "exp-5"])
+    def test_later_stage_fault_is_batchs(self, make, stage, reason):
+        b, starts = make(), [[0.3, 0.1], [0.1, -0.2]]
+        got, faulty = first_faulty_stage(b, starts)
+        assert faulty == stage
+        with pytest.raises(EvaluationError) as alone:
+            bd.transport_batch(b, bd.generator_loop(b, 0), starts)
+        with pytest.raises(EvaluationError) as want:
+            transport_through_batch(b, 0, starts)
+        assert str(got) == str(alone.value) == str(want.value)
+        assert reason in str(got)
+
+
 class TestMergedSweep:
     """Bundles whose lifts share a kernel take one kernel call per stage,
     with their constants as per-row columns: every row is still the row of
@@ -1721,9 +1799,10 @@ class TestMergedSweep:
 
 def ode_work(monkeypatch):
     """Record from now on each _integrate_segment call's row count, each
-    call's kernel calls per distinct lift kernel (in block order), and each
-    sweep's rows, accepted steps and nfev."""
-    segments, stages, sweeps = [], [], []
+    call's kernel calls per distinct lift kernel (in block order), each
+    sweep's rows, accepted steps and nfev, and the row count of every
+    lift's batch call."""
+    segments, stages, sweeps, batches = [], [], [], []
     real_segment, real_sweep = bd._integrate_segment, bd._sweep
 
     def segment(lifts, block, y0, *args):
@@ -1744,7 +1823,8 @@ def ode_work(monkeypatch):
         stages.append(calls)  # counted as the segment runs
         return real_segment([SimpleNamespace(
             kernel=counted[lift.kernel], consts=lift.consts,
-            batch=lift.batch) for lift in lifts], block, y0, *args)
+            batch=lambda pts, f=lift.batch: batches.append(len(pts))
+            or f(pts)) for lift in lifts], block, y0, *args)
 
     def sweep(parts):
         res = real_sweep(parts)
@@ -1754,7 +1834,7 @@ def ode_work(monkeypatch):
 
     monkeypatch.setattr(bd, "_integrate_segment", segment)
     monkeypatch.setattr(bd, "_sweep", sweep)
-    return segments, stages, sweeps
+    return segments, stages, sweeps, batches
 
 
 THREE_CIRCLES = "scenario three-circles\n" + "".join(f"""
@@ -1789,7 +1869,7 @@ class TestOdeWork:
     takes fewer numpy calls, never fewer steps or lift evaluations."""
 
     def test_memo_scenario(self, monkeypatch):
-        segments, stages, sweeps = ode_work(monkeypatch)
+        segments, stages, sweeps, _ = ode_work(monkeypatch)
         assert runner.run_scenario(parse_scenario(MEMO_SCENARIO))["passed"]
         # one sweep of 81 rows on one segment: 2 evaluations to pick the
         # first step, then 16 RK iterations of 6 stages each
@@ -1798,15 +1878,17 @@ class TestOdeWork:
         assert sweeps == [(81, 965, 5952)]
 
     def test_three_circles(self, monkeypatch):
-        segments, stages, sweeps = ode_work(monkeypatch)
+        segments, stages, sweeps, batches = ode_work(monkeypatch)
         sc = parse_scenario(THREE_CIRCLES)
         assert runner.run_scenario(sc)["passed"]
         # the three bundles' 3 x 41 rows in one sweep: their lifts share
         # one kernel, so each stage is one kernel call over every live row:
         # 2 to pick the first step, then 6 per RK iteration, 20 iterations
-        # (the 2.1-rad circle's rows take the most steps)
+        # (the 2.1-rad circle's rows take the most steps); every step's
+        # check passes, so no stage runs again and no batch is called
         assert segments == [123]
         assert stages == [[2 + 6 * 20]]
+        assert batches == []
         assert sweeps == [(123, 1539, 9480)]
         # the same rows, steps and nfev as one sweep per request
         monkeypatch.setattr(runner, "_plan", lambda sc, env: None)
@@ -1854,6 +1936,25 @@ class TestIntegrationFault:
                 np.zeros((2, 1)), np.ones((2, 1)), np.ones(2),
                 np.array([bd.MAX_STEPS, 3]))
         assert issubclass(bd.IntegrationError, ArithmeticError)
+
+    def test_step_below_spacing(self):
+        # du/ds jumps by 1e10 at s1 = 0.5: every step across the jump is
+        # rejected until the retry falls below the spacing of floats, where
+        # solve_ivp fails with the same message
+        def jump(s1, u, v):
+            return np.where(s1 > 0.5, 1e10, 0.0), np.zeros_like(s1)
+        want = solve_ivp(lambda t, y: [1e10 if t > 0.5 else 0.0, 0.0],
+                         (0, 1), [0.1, 0.2], method="RK45", rtol=bd.ODE_TOL,
+                         atol=bd.ODE_TOL, max_step=bd.MAX_STEP)
+        assert want.status == -1
+        with pytest.raises(bd.IntegrationError) as got:
+            bd._integrate_segment(
+                [SimpleNamespace(kernel=jump, consts=(), batch=None)],
+                np.zeros(2, dtype=int), np.array([[0.1, 0.2], [0.3, -0.1]]),
+                np.zeros((2, 1)), np.ones((2, 1)), np.ones(2),
+                np.full(2, bd.MAX_STEPS))
+        assert str(got.value) == "transport integration failed: " \
+            + want.message
 
     def test_refusal_control_does_not_pass(self, monkeypatch):
         monkeypatch.setattr(bd, "MAX_STEPS", 3)
@@ -2020,6 +2121,13 @@ class TestCCLGrid:
             bd.ccl_check(b, fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
                                                 "v": parse_field(fiber, "u")}))
         assert sizes[0] == sizes[1] == sizes[2]
+
+    def test_grid_built_once(self):
+        # every ccl_check at one radius shares one read-only grid
+        grid = bd._fiber_grid(0.5, 0.05)
+        assert bd._fiber_grid(0.5, 0.05) is grid
+        assert not grid.flags.writeable
+        assert bd._fiber_grid(0.5, 0.1) is not grid
 
 
 def assert_jet(w, pts):

@@ -140,6 +140,19 @@ class TestSingular:
         with pytest.raises(gm.GermBuildError):
             gm.build_singular_germ(b, beta)
 
+    def test_one_probe_batch(self, monkeypatch):
+        # beta and both lifts of a torus, with their partials, in one batch
+        # at the 10 probe points; the CCL report is read from its memo
+        b = bd.rotation_bundle([0.9, 1.7])
+        beta = area_form(b.fiber_chart)
+        bd.ccl_check(b, beta)
+        calls = []
+        real = CompiledExprs.batch
+        monkeypatch.setattr(CompiledExprs, "batch", lambda self, pts: (
+            calls.append(len(pts)) or real(self, pts)))
+        gm.build_singular_germ(b, beta)
+        assert calls == [10]
+
 
 FULL_TURN = """scenario full-turn
 
@@ -252,9 +265,9 @@ class TestSingularMemo:
         # block with the same coefficients, so it is built on its own
         assert len(builds) == 2 and builds[0][0] is builds[1][0]
         assert builds[0][1] is not builds[1][1]
-        assert len(probes) == 4  # one invariance probe per lift and build
+        assert len(probes) == 2  # one invariance probe per build
         run_scenario(sc)  # a new run builds its germs again
-        assert len(builds) == 4 and len(probes) == 8
+        assert len(builds) == 4 and len(probes) == 4
 
     def test_refusal_reaches_every_germ_on_the_pair(self, probes):
         sc = parse_scenario(FULL_TURN)
