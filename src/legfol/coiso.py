@@ -2,9 +2,10 @@
 
 A k-dimensional graph Y lives over source coordinates (x_1..x_n plus a chosen
 set of free y-coordinates); the remaining y's and z are graph components. The
-restricted 1-form is always the symbolic pullback of dz - sum y_i dx_i, read
-with its d by forms.jet; the residual equations of the k = n + 1 model are
-products of arrays of the components' values and partials (residual_values).
+restricted 1-form lambda, dz - sum y_i dx_i on Y, is built in closed form from
+the components (GraphSubmanifold.lambda_form) and read with its d by
+forms.jet; the residual equations of the k = n + 1 model are products of
+arrays of the components' values and partials (residual_values).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .fields import (
     Chart,
     Const,
     EvaluationError,
+    Expr,
     ExprField,
     RowError,
-    SmoothMapExpr,
     VectorFieldExpr,
     as_field,
     brackets,
@@ -98,16 +99,23 @@ class GraphSubmanifold:
         return ambient_chart(self.n)
 
     @functools.cached_property
-    def embedding(self) -> SmoothMapExpr:
-        src = self.source_chart
-        return SmoothMapExpr(src, self.ambient, tuple(
-            coordinate(src, name) if name in src.var_names
-            else self.components[name].on_chart(src)
-            for name in self.ambient.var_names))
+    def embedding(self) -> tuple[Expr, ...]:
+        """The ambient coordinates on Y, as expressions on the source chart."""
+        return tuple(coordinate(self.source_chart, name).expr
+                     if name in self.source_chart.var_names
+                     else self.components[name].expr
+                     for name in self.ambient.var_names)
 
     @functools.cached_property
     def lambda_form(self) -> fm.DiffForm:
-        return fm.pullback(self.embedding, standard_alpha(self.n))
+        """dz - sum y_i dx_i on Y: dz/dx_j - y_j on x_j, where y_j is a
+        component or the free coordinate itself, and dz/dy_f on a free
+        y_f."""
+        src, z = self.source_chart, self.components["z"]
+        on_y = dict(zip(self.ambient.var_names, self.embedding))
+        return fm.one_form(src, {
+            v: z.diff(v) - on_y[v.replace("x", "y")] if v[0] == "x"
+            else z.diff(v) for v in src.var_names})
 
 
 def graph_submanifold(n: int, k: int,
@@ -360,9 +368,8 @@ def residual_values(Y: GraphSubmanifold,
 def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
                          tol: float = RANK_TOL) -> dict:
     """Classify T_pY intersected with the contact hyperplane, via linear algebra."""
-    emb = Y.embedding
-    q, J = values_and_partials(emb.source, tuple(  # J: 1 x (2n+1) x k
-        c.expr for c in emb.components), [point])
+    q, J = values_and_partials(  # J: 1 x (2n+1) x k
+        Y.source_chart, Y.embedding, [point])
     if max_abs(Y.lambda_form.coeff_array([point])) <= tol:
         return {"singular": True, "kind": "tangent to xi", "coisotropic": None}
     tangent = sl.span(J[0].T, Y.ambient.dim)
@@ -455,9 +462,7 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
             "num_bad": len(bad),
         }
     frame = frame_residuals(Y, points)
-    emb = Y.embedding
-    image, J_emb = values_and_partials(Y.source_chart, tuple(
-        c.expr for c in emb.components), points)
+    image, J_emb = values_and_partials(Y.source_chart, Y.embedding, points)
     J_emb_T = J_emb.transpose(0, 2, 1)  # pushforward: J_emb V = V @ J_emb^T
     # alpha at the image on J_emb V, as (J_emb^T alpha) . V
     alpha_back = J_emb_T @ standard_alpha(Y.n).coeff_array(image)[:, :, None]
@@ -564,9 +569,7 @@ def perturbation_sup_norm(Y0: GraphSubmanifold, Y1: GraphSubmanifold,
                           points: Sequence[Sequence[float]]) -> float:
     """Max displacement between the two embeddings over sample points."""
     def image(Y):
-        emb = Y.embedding
-        return compile_exprs(emb.source, tuple(
-            c.expr for c in emb.components)).batch(points)
+        return compile_exprs(Y.source_chart, Y.embedding).batch(points)
 
     return float(max_abs(image(Y0) - image(Y1)))
 

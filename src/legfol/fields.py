@@ -1,4 +1,4 @@
-"""Expression-tree scalar fields, vector fields and smooth maps on coordinate charts.
+"""Expression-tree scalar fields and vector fields on coordinate charts.
 
 Everything here is immutable: building a derivative or a composite returns a new
 object, or an existing one where an equal expression node is alive (nodes are
@@ -691,38 +691,6 @@ def brackets(V: np.ndarray, JV: np.ndarray) -> np.ndarray:
     """
     a, b = np.triu_indices(V.shape[1], 1)
     return (JV[:, b] @ V[:, a, :, None] - JV[:, a] @ V[:, b, :, None])[..., 0]
-
-
-@dataclass(frozen=True)
-class SmoothMapExpr:
-    """A smooth map between charts, one source-chart ExprField per target coord."""
-
-    source: Chart
-    target: Chart
-    components: tuple[ExprField, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.target.dim:
-            raise ValueError("component count must equal target dim")
-        for c in self.components:
-            if c.chart != self.source:
-                raise ChartMismatch("map component on wrong chart")
-
-    @functools.cached_property
-    def jacobian_fields(self) -> tuple[tuple[ExprField, ...], ...]:
-        """d(target_i)/d(source_j) at [i][j], as fields on the source chart."""
-        return tuple(tuple(c.diff(v) for v in self.source.var_names)
-                     for c in self.components)
-
-    def compose_field(self, field: ExprField) -> ExprField:
-        """Pull a target-chart scalar field back through the map, symbolically."""
-        if field.chart != self.target:
-            raise ChartMismatch("field not on the map's target chart")
-        mapping = {
-            name: comp.expr
-            for name, comp in zip(self.target.var_names, self.components)
-        }
-        return ExprField(self.source, field.expr.subs(mapping))
 
 
 # ---------------------------------------------------------------------------

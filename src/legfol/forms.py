@@ -6,9 +6,11 @@ omega(v_1, ..., v_k) sums coeff_I times the determinant of the I-rows of the
 vectors, so the standard volume normalization comes out as n! on the
 canonical frame.
 
-Forms are built symbolically (d, wedge, pullback).  A 1-form and its d are
-evaluated together on arrays (jet); contractions with vector fields are taken
-on arrays of values and first partials (lie_coeffs).
+Forms are built symbolically (d, wedge); restrictions to a graph or to a
+zero section are built in closed form where they are needed (coiso, germ).
+A 1-form and its d are evaluated together on arrays (jet); contractions with
+vector fields are taken on arrays of values and first partials
+(lie_coeffs).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .fields import (
     Const,
     Expr,
     ExprField,
-    SmoothMapExpr,
     add,
     as_field,
     compile_exprs,
@@ -177,39 +178,6 @@ def exterior_d(omega: DiffForm) -> DiffForm:
             out[nidx] = add(out[nidx], term) if nidx in out else term
     return DiffForm(chart, omega.degree + 1,
                     {i: ExprField(chart, e) for i, e in out.items()})
-
-
-def pullback(phi: SmoothMapExpr, omega: DiffForm) -> DiffForm:
-    """Assemble phi^* omega symbolically on the source chart."""
-    if omega.chart != phi.target:
-        raise ChartMismatch("form not on the map's target chart")
-    src = phi.source
-    if omega.degree > src.dim:
-        return zero_form(src, src.dim)
-    # d(phi_i) expanded in source coordinates, reused across coefficients
-    dphi = [{j: f.expr for j, f in enumerate(row)
-             if not (isinstance(f.expr, Const) and f.expr.value == 0.0)}
-            for row in phi.jacobian_fields]
-    out: dict[MultiIndex, Expr] = {}
-    for idx, c in omega.coeffs.items():
-        pulled_c = phi.compose_field(c).expr
-        # wedge of the pulled-back coordinate differentials d(phi_{i1})^...
-        terms: dict[MultiIndex, Expr] = {(): Const(1.0)}
-        for i in idx:
-            nxt: dict[MultiIndex, Expr] = {}
-            for pidx, pexpr in terms.items():
-                for j, dje in dphi[i].items():
-                    sign, nidx = _merge_sign(pidx, (j,))
-                    if sign == 0:
-                        continue
-                    term = mul(Const(float(sign)), mul(pexpr, dje))
-                    nxt[nidx] = add(nxt[nidx], term) if nidx in nxt else term
-            terms = nxt
-        for pidx, pexpr in terms.items():
-            term = mul(pulled_c, pexpr)
-            out[pidx] = add(out[pidx], term) if pidx in out else term
-    return DiffForm(src, omega.degree,
-                    {i: ExprField(src, e) for i, e in out.items()})
 
 
 def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:

@@ -23,10 +23,8 @@ from .fields import (
     Chart,
     Const,
     ExprField,
-    SmoothMapExpr,
     VectorFieldExpr,
     compile_exprs,
-    constant,
     coordinate,
     max_abs,
     values_and_partials,
@@ -132,20 +130,16 @@ class GermForm:
     def chart(self) -> Chart:
         return self.alpha.chart
 
-    def zero_section_map(self) -> SmoothMapExpr:
-        """Inclusion of the zero section into the total chart."""
-        total = self.chart
-        base_vars = [v for v in total.var_names
-                     if v not in self.zero_section_vars]
-        src = Chart(tuple(base_vars))
-        return SmoothMapExpr(src, total, tuple(
-            constant(src, 0.0) if v in self.zero_section_vars
-            else coordinate(src, v) for v in total.var_names))
-
     @functools.cached_property
     def restricted(self) -> fm.DiffForm:
-        """alpha pulled back to the zero section, built once per germ."""
-        return fm.pullback(self.zero_section_map(), self.alpha)
+        """alpha restricted to the zero section, built once per germ: its
+        coefficients on the base coordinates, with every zero-section
+        coordinate set to 0, on the chart of the base coordinates."""
+        zero = {v: Const(0.0) for v in self.zero_section_vars}
+        base = Chart(tuple(v for v in self.chart.var_names if v not in zero))
+        return fm.one_form(base, {
+            v: self.alpha.coeff((self.chart.index(v),)).expr.subs(zero)
+            for v in base.var_names})
 
     @functools.cached_property
     def top(self) -> fm.DiffForm:

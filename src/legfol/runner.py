@@ -297,11 +297,14 @@ def _interpolation(rng, first, second, form, f, tol, samples) -> dict:
 REQUIRED = "required"  # the default of a value key the block must give
 
 
-def _samples(raw: str, line: int | None) -> int:
-    count = parse_int(raw, line)
-    if count < 1:
-        raise ScenarioError(f"samples must be at least 1, got {raw}", line)
-    return count
+def _at_least_one(key: str) -> Callable[[str, int | None], int]:
+    """The parser of an integer key whose value is at least 1."""
+    def parse(raw: str, line: int | None) -> int:
+        count = parse_int(raw, line)
+        if count < 1:
+            raise ScenarioError(f"{key} must be at least 1, got {raw}", line)
+        return count
+    return parse
 
 
 def _positive(raw: str, line: int | None) -> float:
@@ -318,9 +321,10 @@ def _text(raw: str, line: int | None) -> str:
 
 # The parser of each value key, which checks its rule: a block's raw value
 # and a run's override go through the same one.
-VALUES = {"tol": _positive, "samples": _samples, "box": _positive,
-          "step": _positive, "clusters": parse_int, "dim": parse_int,
-          "flag": _text, "n": parse_int, "delta": parse_float, "bump": _text,
+VALUES = {"tol": _positive, "samples": _at_least_one("samples"),
+          "box": _positive, "step": _positive, "clusters": parse_int,
+          "dim": parse_int, "flag": _text, "n": _at_least_one("n"),
+          "delta": parse_float, "bump": _text,
           "generator": parse_int, "start": parse_number_list,
           "end": parse_number_list, "f": _text}
 
@@ -427,15 +431,21 @@ DECLARATIONS = {
 
 
 def _check_declaration_keys(b: Block) -> None:
-    """Reject an unknown type, or a key the declaration does not read."""
+    """Reject an unknown type, a key the declaration does not read, or a
+    germ's dimension n below 1 or orientation other than 1 and -1."""
     types = DECLARATIONS[b.kind]
     btype = None if None in types else b.require("type")
     if btype not in types:
         raise ScenarioError(f"unknown {b.kind} type '{btype}'", b.line)
     keys = types[btype]
     if btype == "nonsingular":
-        n = parse_int(b.require("n"), b.line)
+        n = VALUES["n"](b.require("n"), b.line)
         keys = keys | {f"r{i}" for i in range(1, n + 1)}
+    elif btype == "singular":
+        raw = b.get("orientation", "1")
+        if parse_int(raw, b.line) not in (1, -1):
+            raise ScenarioError(f"orientation must be 1 or -1, got {raw}",
+                                b.line)
     for key, _ in b.items():
         if key not in keys:
             raise ScenarioError(f"unknown key '{key}' for {b.kind} "
@@ -459,9 +469,10 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
     gives, with an override replacing a value key its kind declares.
 
     Input errors are an unknown check kind, key or expectation, an unknown
-    declaration type or key, a missing or malformed value (samples below 1,
-    and a box, step or tol that is not a positive finite number, included)
-    in a block or an override, an override of an unknown key,
+    declaration type or key, a missing or malformed value (samples or n
+    below 1, a germ's orientation other than 1 and -1, and a box, step or
+    tol that is not a positive finite number, included) in a block or an
+    override, an override of an unknown key,
     and a name that no declaration of the right kind carries: a check's name
     keys, a singular germ's bundle and form, and the bundle or chart a form
     lives on.

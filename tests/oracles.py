@@ -3,23 +3,30 @@ of a point, finite differences for derivatives, the Jacobian for
 pushforwards, the determinant convention for forms on vectors, a 2-form's
 coefficients placed in a skew matrix, the standard symplectic form for the
 linear algebra, the SVD count for ranks, a full SVD for hyperplane kernel
-bases, and two symbolic engines that the package's arrays are held to: the
-Cartan calculus (directional derivative, bracket, pushforward, interior
-product and Lie derivative as expression trees) and the residual equations
-of a coisotropic graph."""
+bases, and three symbolic engines that the package's arrays and closed forms
+are held to: the Cartan calculus (directional derivative, bracket,
+pushforward, interior product and Lie derivative as expression trees), the
+residual equations of a coisotropic graph, and smooth maps with the pullback
+of forms through them, which builds the restricted forms of a graph
+(embedding) and of a germ's zero section (zero_section_map) the general
+way."""
 
+import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from legfol import forms as fm
 from legfol.fields import (
+    Chart,
     ChartMismatch,
     Const,
     ExprField,
     VectorFieldExpr,
     add,
     compile_exprs,
+    constant,
     coordinate,
     mul,
     sub,
@@ -237,3 +244,78 @@ def residual_fields(Y) -> dict:
     for a in rng:
         out["eq_a"][a] = zx[a] - (zx[n] - yn) * yyn[a] + zyn * yx[(a, n)] - y[a]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Smooth maps and the pullback of forms: a second engine for the restricted
+# forms that coiso and germ build in closed form
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SmoothMapExpr:
+    """A smooth map between charts, one source-chart ExprField per target
+    coordinate."""
+
+    source: Chart
+    target: Chart
+    components: tuple[ExprField, ...]
+
+    def __post_init__(self):
+        if len(self.components) != self.target.dim:
+            raise ValueError("component count must equal target dim")
+        for c in self.components:
+            if c.chart != self.source:
+                raise ChartMismatch("map component on wrong chart")
+
+    @functools.cached_property
+    def jacobian_fields(self) -> tuple[tuple[ExprField, ...], ...]:
+        """d(target_i)/d(source_j) at [i][j], as fields on the source chart."""
+        return tuple(tuple(c.diff(v) for v in self.source.var_names)
+                     for c in self.components)
+
+    def compose_field(self, field: ExprField) -> ExprField:
+        """Pull a target-chart scalar field back through the map,
+        symbolically."""
+        if field.chart != self.target:
+            raise ChartMismatch("field not on the map's target chart")
+        mapping = {name: comp.expr for name, comp
+                   in zip(self.target.var_names, self.components)}
+        return ExprField(self.source, field.expr.subs(mapping))
+
+
+def pullback(phi: SmoothMapExpr, omega):
+    """phi^* omega on the source chart, symbolically: the sum over omega's
+    coefficients c_I of (c_I o phi) d(phi_i1) ^ ... ^ d(phi_ik)."""
+    if omega.chart != phi.target:
+        raise ChartMismatch("form not on the map's target chart")
+    src = phi.source
+    if omega.degree > src.dim:
+        return fm.zero_form(src, src.dim)
+    dphi = [fm.DiffForm(src, 1, {(j,): f for j, f in enumerate(row)})
+            for row in phi.jacobian_fields]
+    out = fm.zero_form(src, omega.degree)
+    for idx, c in omega.coeffs.items():
+        term = fm.function_form(constant(src, 1.0))
+        for i in idx:
+            term = fm.wedge(term, dphi[i])
+        out = out + term.scale(phi.compose_field(c))
+    return out
+
+
+def embedding(Y) -> SmoothMapExpr:
+    """A graph's inclusion into its ambient chart."""
+    src = Y.source_chart
+    return SmoothMapExpr(src, Y.ambient, tuple(
+        ExprField(src, e) for e in Y.embedding))
+
+
+def zero_section_map(g) -> SmoothMapExpr:
+    """A germ's zero section as the inclusion of the base coordinates into
+    its chart."""
+    total = g.chart
+    src = Chart(tuple(v for v in total.var_names
+                      if v not in g.zero_section_vars))
+    return SmoothMapExpr(src, total, tuple(
+        constant(src, 0.0) if v in g.zero_section_vars
+        else coordinate(src, v) for v in total.var_names))

@@ -21,6 +21,7 @@ two kernels agree.
 
 import copy
 import dataclasses
+import functools
 import gc
 import importlib.util
 import itertools
@@ -53,10 +54,12 @@ from legfol.fields import (
 )
 from legfol.scenario import Scenario, parse_scenario
 from oracles import (
+    embedding,
     form_values,
     interior,
     lie_bracket,
     lie_derivative,
+    pullback,
     pushforward_field,
     residual_fields,
     svd_count,
@@ -112,7 +115,7 @@ def walk_claim(Y, points, tol):
     alpha = co.standard_alpha(Y.n)
     lam = Y.lambda_form
     dlam = fm.exterior_d(lam)
-    emb = Y.embedding
+    emb = embedding(Y)
     # each field's ambient image, extended off the graph by keeping its
     # source-variable coefficients constant in the other directions
     ambient = [vector_field(Y.ambient, [c.on_chart(Y.ambient) for c in
@@ -157,10 +160,10 @@ def walk_char_foliation(Y, points, tol):
     n, k = Y.n, Y.k
     alpha = co.standard_alpha(n)
     dalpha = fm.exterior_d(alpha)
-    emb = Y.embedding
-    omega = fm.pullback(emb, fm.wedge(alpha, fm.wedge_power(dalpha,
-                                                            k - n - 1)))
-    integ = fm.pullback(emb, fm.wedge_power(dalpha, k - n)) \
+    emb = embedding(Y)
+    omega = pullback(emb, fm.wedge(alpha, fm.wedge_power(dalpha,
+                                                         k - n - 1)))
+    integ = pullback(emb, fm.wedge_power(dalpha, k - n)) \
         if 2 * (k - n) <= k else None
     lam = Y.lambda_form
     deg = 2 * (k - n)
@@ -252,7 +255,7 @@ def walk_flatness(bundle, points):
 
 def walk_foliation_residual(Y, points):
     alpha = co.standard_alpha(Y.n)
-    three = fm.pullback(Y.embedding, fm.wedge(alpha, fm.exterior_d(alpha)))
+    three = pullback(embedding(Y), fm.wedge(alpha, fm.exterior_d(alpha)))
     return float(np.max(max_coeffs(three, points)))
 
 
@@ -2034,13 +2037,21 @@ class TestCCLMemo:
 
 
 class TestRestriction:
-    """A germ pulls alpha back to its zero section once."""
+    """A germ restricts alpha to its zero section once."""
+
+    @staticmethod
+    def builds(monkeypatch) -> list:
+        """The germs whose restriction is built from now on, in order."""
+        calls = []
+        real = gm.GermForm.restricted.func
+        counted = functools.cached_property(
+            lambda g: calls.append(g) or real(g))
+        counted.__set_name__(gm.GermForm, "restricted")
+        monkeypatch.setattr(gm.GermForm, "restricted", counted)
+        return calls
 
     def test_once_per_germ(self, monkeypatch):
-        calls = []
-        real = fm.pullback
-        monkeypatch.setattr(fm, "pullback", lambda *a: calls.append(a)
-                            or real(*a))
+        calls = self.builds(monkeypatch)
         b = bd.rotation_bundle([0.7])
         fiber = b.fiber_chart
         g = gm.build_singular_germ(b, fm.one_form(fiber, {
@@ -2051,10 +2062,7 @@ class TestRestriction:
         assert flipped.restricted is not first and len(calls) == 2
 
     def test_once_per_germ_in_a_run(self, monkeypatch):
-        calls = []
-        real = fm.pullback
-        monkeypatch.setattr(fm, "pullback", lambda *a: calls.append(a)
-                            or real(*a))
+        calls = self.builds(monkeypatch)
         text = resources.files("legfol").joinpath(
             "scenarios/germ-singular.scn").read_text()
         assert runner.run_scenario(parse_scenario(text))["passed"]
@@ -2217,8 +2225,8 @@ class TestFormMatrices:
         Yp = co.perturb_legendrian(Y, parse_field(
             Y.source_chart, "0.1 * y1 * exp(0 - y1^2)"))
         pts = samples(Y, rng)
-        want = float(np.max(np.abs(values(Y.embedding.components, pts)
-                                   - values(Yp.embedding.components, pts))))
+        want = float(np.max(np.abs(values(embedding(Y).components, pts)
+                                   - values(embedding(Yp).components, pts))))
         assert close(co.perturbation_sup_norm(Y, Yp, pts), want)
 
 

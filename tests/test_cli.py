@@ -212,6 +212,53 @@ class TestSampleCount:
         assert "line 9: expect must be" in result.output
 
 
+GERM_SINGULAR = (ROOT / "src" / "legfol" / "scenarios"
+                 / "germ-singular.scn").read_text()
+
+FLAT_GERM = """\
+germ flat
+  type = nonsingular
+  n = 0
+  f = 1
+end
+
+check contact
+  kind = contact-scan
+  target = flat
+end
+"""
+
+PERTURB = """\
+check bump
+  kind = perturb
+  n = 0
+end
+"""
+
+
+class TestPaperRanges:
+    """A germ's orientation is 1 or -1 and every dimension n is at least 1:
+    any other value exits 2 with the block's line, before it can become a
+    verdict or a refusal."""
+
+    @pytest.mark.parametrize("text, header, message", [
+        (GERM_SINGULAR.replace("orientation = -1", "orientation = 2"),
+         "germ flipped", "orientation must be 1 or -1, got 2"),
+        (GERM_SINGULAR.replace("orientation = -1", "orientation = 0"),
+         "germ flipped", "orientation must be 1 or -1, got 0"),
+        (FLAT_GERM, "germ flat", "n must be at least 1, got 0"),
+        (PERTURB, "check bump", "n must be at least 1, got 0"),
+    ], ids=["orientation-2", "orientation-0", "germ-n-0", "perturb-n-0"])
+    def test_exits_two(self, tmp_path, text, header, message):
+        path = tmp_path / "range.scn"
+        path.write_text(text)
+        result = invoke(["check", str(path)])
+        line = text.splitlines().index(header) + 1
+        assert result.exit_code == 2
+        assert f"line {line}: {message}" in result.output
+        assert "PASS" not in result.output and "FAIL" not in result.output
+
+
 SCAN = GOOD + """
 check zeros
   kind = scan
@@ -502,8 +549,10 @@ class TestOverrides:
         ("tol", -1.0, "expected a positive finite number, got '-1.0'"),
         ("tol", 0.0, "expected a positive finite number, got '0.0'"),
         ("samples", 0, "samples must be at least 1, got 0"),
+        ("n", 0, "n must be at least 1, got 0"),
         ("tolerance", 1e-9, "unknown override keys ['tolerance']"),
-    ], ids=["tol-negative", "tol-zero", "samples-zero", "unknown-key"])
+    ], ids=["tol-negative", "tol-zero", "samples-zero", "n-zero",
+            "unknown-key"])
     def test_api_override_is_checked(self, monkeypatch, key, value,
                                      message):
         # run_scenario checks an override by its key's rule, as a block's

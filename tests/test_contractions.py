@@ -26,7 +26,6 @@ from legfol import forms as fm
 from legfol import germ as gm
 from legfol.fields import (
     Chart,
-    SmoothMapExpr,
     brackets,
     coordinate,
     parse_field,
@@ -35,6 +34,7 @@ from legfol.fields import (
 )
 
 from oracles import (
+    SmoothMapExpr,
     fd_partial,
     form_matrices,
     interior,

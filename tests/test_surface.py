@@ -207,10 +207,14 @@ def test_no_symbolic_cartan_calculus():
         "are the oracle in tests/oracles.py"
 
 
-# A 1-form and its d are evaluated in one batch (forms.jet), and the residual
-# equations are products of arrays (coiso.residual_values); their symbolic
-# forms are oracles in tests/oracles.py.  Only jet and the top form take d.
-RETIRED = {"form_matrices", "residual_fields", "_model_data"}
+# A 1-form and its d are evaluated in one batch (forms.jet), the residual
+# equations are products of arrays (coiso.residual_values), and the restricted
+# forms of a graph and of a germ's zero section are built in closed form; the
+# symbolic 2-form matrices, residual equations, smooth maps and pullbacks are
+# oracles in tests/oracles.py.  Only jet and the top form take d.
+RETIRED = {"form_matrices", "residual_fields", "_model_data", "pullback",
+           "SmoothMapExpr", "compose_field", "jacobian_fields",
+           "zero_section_map"}
 EXTERIOR_D_CALLERS = {"forms.jet", "germ.top_form"}
 
 
@@ -238,8 +242,9 @@ def symbolic_form_uses() -> list[str]:
 
 def test_one_batch_for_a_one_form_and_its_d():
     assert symbolic_form_uses() == [], \
-        "evaluate a 1-form and its d with forms.jet; the symbolic residual " \
-        "equations and 2-form matrices are oracles in tests/oracles.py"
+        "evaluate a 1-form and its d with forms.jet and build restrictions " \
+        "in closed form; the symbolic residual equations, 2-form matrices " \
+        "and pullbacks are oracles in tests/oracles.py"
 
 
 def _private(name) -> bool:
