@@ -38,8 +38,9 @@ from .fields import (
 )
 
 RANK_TOL = 1e-8
-# Grid rows evaluated per batch in singular_scan: bounds the memory of the
-# coefficient and gradient arrays for any grid size.
+# Grid rows evaluated per block in singular_scan, on the sub-grid of the
+# coordinates its outputs read: bounds the memory of the coefficient and
+# gradient arrays for any grid size, also when every coordinate is read.
 SCAN_BLOCK_ROWS = 4096
 
 
@@ -207,54 +208,79 @@ def _cluster(cells: np.ndarray) -> list[list[int]]:
     return [members[s:e] for s, e in zip([0, *cuts], [*cuts, m])]
 
 
+def _raise_scan_fault(compiled, axis: np.ndarray, shape: tuple[int, ...]):
+    """Raise the EvaluationError of CompiledExprs.batch for the first block of
+    SCAN_BLOCK_ROWS full-grid rows that holds a failing point, with its row
+    counted from the block's start."""
+    size = math.prod(shape)
+    for start in range(0, size, SCAN_BLOCK_ROWS):
+        flat = np.arange(start, min(start + SCAN_BLOCK_ROWS, size))
+        compiled.batch(axis[np.stack(np.unravel_index(flat, shape), axis=1)])
+    raise AssertionError("a point that failed on the sub-grid passed batch")
+
+
 def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
                   tol: float = 1e-6) -> SingularScanResult:
     """Grid scan for zeros of the restricted form, with PCA dimension estimates.
 
     A point is a hit when every coefficient of the restricted form is below
-    tol * (1 + local gradient norm).  Hits form single-linkage components:
-    two hits are linked when their grid index offset d has d.d <= 9, that is
-    when they lie at most three grid steps apart.  The rule is integer
-    arithmetic, so it does not depend on box or step.
+    tol * (1 + local gradient norm).  The coefficients and gradients are
+    evaluated only on the sub-grid of the source coordinates they read, and
+    the hits are broadcast along the others; the graph's components are
+    evaluated with them, so an undefined component raises.  Hits form
+    single-linkage components: two hits are linked when their grid index
+    offset d has d.d <= 9, that is when they lie at most three grid steps
+    apart.  The rule is integer arithmetic, so it does not depend on box or
+    step.
     """
     lam = Y.lambda_form
     src = Y.source_chart
     k = src.dim
     coeff_fields = [lam.coeff((i,)) for i in range(k)]
     grad_fields = [c.diff(v) for c in coeff_fields for v in src.var_names]
-    compiled = compile_exprs(
-        src, tuple(f.expr for f in coeff_fields + grad_fields))
+    exprs = tuple(f.expr for f in coeff_fields + grad_fields) + tuple(
+        c.expr for c in Y.components.values())
+    compiled = compile_exprs(src, exprs)
     axis = np.arange(-box, box + step / 2, step)
-    # The grid as k columns, one per source coordinate, in "ij" row order.
-    cols = np.empty((k,) + (len(axis),) * k)
-    for j in range(k):
-        cols[j] = axis.reshape((-1,) + (1,) * (k - 1 - j))
-    cols = cols.reshape(k, -1)
-    is_hit = np.empty(cols.shape[1], dtype=bool)
+    shape = (len(axis),) * k
+    names = frozenset().union(*(e.variables() for e in exprs))
+    read = [j for j, v in enumerate(src.var_names) if v in names]
+    # The sub-grid of the read coordinates as columns, in "ij" row order.
+    # The generated code never names an unread coordinate, so it gets None.
+    r = len(read)
+    sub = np.empty((r,) + (len(axis),) * r)
+    for i in range(r):
+        sub[i] = axis.reshape((-1,) + (1,) * (r - 1 - i))
+    sub = sub.reshape(r, len(axis) ** r)
+    cols = [None] * k
+    is_hit = np.empty(sub.shape[1], dtype=bool)
     with np.errstate(all="ignore"):
         for start in range(0, len(is_hit), SCAN_BLOCK_ROWS):
             rows = slice(start, start + SCAN_BLOCK_ROWS)
+            for j, col in zip(read, sub[:, rows]):
+                cols[j] = col
             try:
-                out = compiled.columns(*cols[:, rows])
-                gsq = 0.0
-                for g in out[k:]:  # in field order; g * g is numpy's g ** 2
-                    gsq = gsq + g * g
-                thresh = tol * (1.0 + np.sqrt(gsq))
-                hit, total = True, gsq
-                for v in out[:k]:
-                    hit = hit & (np.abs(v) <= thresh)
-                    total = total + v
-                is_hit[rows] = hit
-                # a non-finite output makes the total non-finite; an
-                # overflowing total only costs a batch call
-                ok = math.isfinite(np.add.reduce(total, axis=None))
+                out = compiled.columns(*cols)
+                ok = all(np.isfinite(v).all() for v in out)
             except RowError:
                 ok = False
-            if not ok:  # batch raises what it says about these points, if any
-                compiled.batch(cols[:, rows].T)
-    hits_arr = cols.T[is_hit]
-    cells = np.unravel_index(np.flatnonzero(is_hit), (len(axis),) * k)
-    clusters = _cluster(np.stack(cells, axis=1))
+            if not ok:
+                _raise_scan_fault(compiled, axis, shape)
+            gsq = 0.0
+            for g in out[k:k + k * k]:  # field order; g * g is numpy's g ** 2
+                gsq = gsq + g * g
+            thresh = tol * (1.0 + np.sqrt(gsq))
+            hit = True
+            for v in out[:k]:
+                hit = hit & (np.abs(v) <= thresh)
+            is_hit[rows] = hit
+    # Broadcast along the unread coordinates; the hits in the full grid's C
+    # order, with their coordinates read off the axis.
+    is_hit = is_hit.reshape([len(axis) if j in read else 1 for j in range(k)])
+    cells = np.stack(np.unravel_index(
+        np.flatnonzero(np.broadcast_to(is_hit, shape)), shape), axis=1)
+    hits_arr = axis[cells]
+    clusters = _cluster(cells)
     dims, flags = [], []
     cutoff = (2.0 * step) ** 2
     for idx in clusters:

@@ -26,6 +26,7 @@ import gc
 import importlib.util
 import itertools
 import math
+import tracemalloc
 import weakref
 from importlib import resources
 from pathlib import Path
@@ -2431,6 +2432,21 @@ def bump_cleared_plane():
         Y.source_chart, "0.1 * y1 * exp(0 - y1^2)"))
 
 
+# A graph whose coefficients and gradients read every source coordinate.
+DENSE_Z = "sin(x1 * x2 * y2) + (x2^2 + y2^2) / 2"
+
+
+def constant_form(*coeffs):
+    """The Legendrian model with its restricted form set to constants.  No
+    graph has such a form: d lambda is dx_f ^ dy_f on a free pair, so some
+    coefficient reads a coordinate.  The scan then reads none."""
+    Y = co.legendrian_model(2)
+    src = Y.source_chart
+    Y.__dict__["lambda_form"] = fm.one_form(
+        src, dict(zip(src.var_names, coeffs)))
+    return Y
+
+
 SCAN_FAULT = """\
 graph steep
   n = 2
@@ -2446,12 +2462,14 @@ end
 
 
 class TestScanColumns:
-    """singular_scan evaluates each block of grid points with the generated
-    function on columns, and calls CompiledExprs.batch on a block only when
-    an output fails a check or is not finite.  The hits are bit-equal to the
-    block loop over batch (walk_scan), with its dtype and C order; the
-    clusters, dims and flags are equal; a fault raises batch's
-    EvaluationError, whose row is relative to its block."""
+    """singular_scan evaluates the generated function on columns, in blocks
+    of the sub-grid of the source coordinates that some output reads, and
+    broadcasts the hits along the others.  It calls CompiledExprs.batch
+    only when an output fails a check or is not finite, on the full grid's
+    blocks, which then raises.  The hits are bit-equal to the block loop
+    over batch on the full grid (walk_scan), with its dtype and C order;
+    the clusters, dims and flags are equal; a fault raises batch's
+    EvaluationError, whose row is relative to its full-grid block."""
 
     @staticmethod
     def assert_same_scan(Y, **grid):
@@ -2465,28 +2483,70 @@ class TestScanColumns:
         assert (res.clusters, res.dims, res.flags) == (clusters, dims, flags)
         return res
 
-    @pytest.mark.parametrize("make, hits, batches", [
-        # the second and third coefficients and every gradient are constants
-        (lambda: co.legendrian_model(2), 1681, 0),
-        (lambda: graph(2, z="(x2^2 + y2^2) / 2"), 41, 0),
-        (bump_cleared_plane, 0, 0),
-        # the gradient norm, so the total of the outputs, overflows at
-        # x1 = 1 and every threshold there is inf, with every output finite:
-        # batch is called on the last block and raises nothing
-        (lambda: graph(2, z="exp(360 * x1) + (x2^2 + y2^2) / 2"), 1700, 1),
-    ], ids=["plane", "paraboloid-curve", "bump", "overflowing-total"])
-    def test_bundled_grid(self, make, hits, batches, monkeypatch):
+    @pytest.mark.parametrize("make, hits, points", [
+        # the outputs read y1 on the plane and the bump, x2 and y2 on the
+        # curve: 41 and 1,681 distinct points
+        (lambda: co.legendrian_model(2), 1681, 41),
+        (lambda: graph(2, z="(x2^2 + y2^2) / 2"), 41, 41 ** 2),
+        (bump_cleared_plane, 0, 41),
+        # the gradient norm overflows at x1 = 1 and every threshold there
+        # is inf, with every output finite
+        (lambda: graph(2, z="exp(360 * x1) + (x2^2 + y2^2) / 2"), 1700,
+         41 ** 3),
+        (lambda: graph(2, z=DENSE_Z), 41, 41 ** 3),
+        # no coordinate read: one point, broadcast to every grid point
+        (lambda: constant_form(0.0, 0.0, 0.0), 41 ** 3, 1),
+        (lambda: constant_form(0.0, 1e-3, 0.0), 0, 1),
+    ], ids=["plane", "paraboloid-curve", "bump", "overflowing-total", "dense",
+            "constant-zero", "constant"])
+    def test_bundled_grid(self, make, hits, points, monkeypatch):
         """The demo grid: 41^3 = 68,921 points, 16 whole blocks and 3,385
-        rows in the last."""
+        rows in the last when every coordinate is read.  points counts the
+        rows the generated function sees; with every output finite, batch
+        is not called."""
         assert 41 ** 3 % co.SCAN_BLOCK_ROWS
-        Y, calls, batch = make(), [], CompiledExprs.batch
+        Y, calls, seen = make(), [], []
+        batch, compile_ = CompiledExprs.batch, co.compile_exprs
         monkeypatch.setattr(CompiledExprs, "batch",
                             lambda self, pts: calls.append(1) or batch(
                                 self, pts))
+
+        def counted(chart, exprs):
+            compiled = compile_(chart, exprs)
+            columns = compiled.columns
+            monkeypatch.setattr(
+                compiled, "columns", lambda *cols: seen.append(next(
+                    (len(c) for c in cols if c is not None), 1)) or columns(
+                        *cols))
+            return compiled
+
+        monkeypatch.setattr(co, "compile_exprs", counted)
         co.singular_scan(Y)
-        assert len(calls) == batches
-        monkeypatch.setattr(CompiledExprs, "batch", batch)
+        assert calls == []
+        assert sum(seen) == points
+        assert len(seen) == -(-points // co.SCAN_BLOCK_ROWS)
+        monkeypatch.undo()
         assert self.assert_same_scan(Y).num_hits == hits
+
+    @pytest.mark.parametrize("make, limit_mb", [
+        (lambda: graph(2, z="(x2^2 + y2^2) / 2"), 0.5),
+        (bump_cleared_plane, 0.5),
+        (lambda: graph(2, z=DENSE_Z), 5.0),
+    ], ids=["curve", "bump", "dense"])
+    def test_traced_memory(self, make, limit_mb):
+        """Peak traced memory of a demo-grid scan: the curve and the bump
+        read at most two coordinates, so no full-grid float array is built;
+        the dense graph reads all three and stays within its blocks (one
+        broadcast call over the whole grid peaks near 19 MB)."""
+        Y = make()
+        co.singular_scan(Y)  # compiled once, outside the trace
+        tracemalloc.start()
+        try:
+            co.singular_scan(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6
 
     @pytest.mark.parametrize("box, step, points", [
         (0.75, 0.1, 16 ** 3),  # exactly one block

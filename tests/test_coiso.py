@@ -218,14 +218,15 @@ check {kind}
   kind = {kind}
   target = undefined
 end
-""" for kind in ("claim", "residuals", "char-foliation"))
+""" for kind in ("claim", "residuals", "char-foliation", "scan"))
 
 
 def test_undefined_component_is_an_error_of_every_graph_check():
-    """z = 1 / 0 everywhere.  residuals and char-foliation read only its
-    derivatives, which are defined; every check still evaluates z at its
-    samples and reports the same fault.  (0 * (1 / (x1 - x1)) folds to the
-    constant 0 when parsed, so no evaluation can see it.)"""
+    """z = 1 / 0 everywhere.  residuals, char-foliation and scan read only
+    its derivatives, which are defined; every check still evaluates z at
+    its samples, or on its grid, and reports the same fault.
+    (0 * (1 / (x1 - x1)) folds to the constant 0 when parsed, so no
+    evaluation can see it.)"""
     report = run_scenario(parse_scenario(UNDEFINED_GRAPH))
     assert not report["passed"]
     for entry in report["checks"]:
