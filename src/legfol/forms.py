@@ -6,18 +6,23 @@ omega(v_1, ..., v_k) sums coeff_I times the determinant of the I-rows of the
 vectors, so the standard volume normalization comes out as n! on the
 canonical frame.
 
-Forms are built symbolically (d, wedge); restrictions to a graph or to a
-zero section are built in closed form where they are needed (coiso, germ).
-A 1-form and its d are evaluated together on arrays (jet); contractions with
-vector fields are taken on arrays of values and first partials
-(lie_coeffs).
+Forms are built from their coefficients (one_form, +); restrictions to a
+graph or to a zero section are built in closed form where they are needed
+(coiso, germ).  A 1-form's d has one definition (d_coeffs).  The top
+coefficient of alpha ^ (d alpha)^n is one bordered-Pfaffian expression
+(top_coeff), so no k-form algebra is built; wedge products and the d of
+k-forms are the oracle in tests/oracles.py.  A 1-form and its d are
+evaluated together on arrays (jet); contractions with vector fields are
+taken on arrays of values and first partials (lie_coeffs).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -31,20 +36,10 @@ from .fields import (
     as_field,
     compile_exprs,
     mul,
+    sub,
 )
 
 MultiIndex = tuple[int, ...]
-
-
-def _merge_sign(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex]:
-    """Sign and sorted index of dx_a ^ dx_b; (0, ()) when a and b overlap."""
-    inv = 0  # the inversions between the two sorted halves
-    for x in a:
-        for y in b:
-            if x == y:
-                return 0, ()
-            inv += x > y
-    return (-1) ** inv, tuple(sorted(a + b))
 
 
 @dataclass(frozen=True)
@@ -98,29 +93,6 @@ class DiffForm:
         return DiffForm(self.chart, self.degree,
                         {i: ExprField(self.chart, e) for i, e in out.items()})
 
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float | Expr | ExprField) -> "DiffForm":
-        if isinstance(factor, ExprField):
-            fe = factor.expr
-        elif isinstance(factor, Expr):
-            fe = factor
-        else:
-            fe = Const(float(factor))
-        return DiffForm(
-            self.chart, self.degree,
-            {i: ExprField(self.chart, mul(fe, c.expr))
-             for i, c in self.coeffs.items()})
-
-
-def zero_form(chart: Chart, degree: int) -> DiffForm:
-    return DiffForm(chart, degree, {})
-
-
-def function_form(f: ExprField) -> DiffForm:
-    return DiffForm(f.chart, 0, {(): f})
-
 
 def one_form(chart: Chart, coeffs: Mapping[str, ExprField | Expr | float]
              ) -> DiffForm:
@@ -128,56 +100,50 @@ def one_form(chart: Chart, coeffs: Mapping[str, ExprField | Expr | float]
                                for name, c in coeffs.items()})
 
 
-def wedge(omega: DiffForm, tau: DiffForm) -> DiffForm:
-    """Graded-antisymmetric product under the determinant convention."""
-    if omega.chart != tau.chart:
-        raise ChartMismatch("wedge operands on different charts")
-    deg = omega.degree + tau.degree
-    if deg > omega.chart.dim:
-        raise ValueError(
-            f"wedge degree {deg} exceeds chart dim {omega.chart.dim}")
-    out: dict[MultiIndex, Expr] = {}
-    for ia, ca in omega.coeffs.items():
-        for ib, cb in tau.coeffs.items():
-            sign, idx = _merge_sign(ia, ib)
-            if sign == 0:
-                continue
-            term = mul(Const(float(sign)), mul(ca.expr, cb.expr))
-            out[idx] = add(out[idx], term) if idx in out else term
-    return DiffForm(omega.chart, deg,
-                    {i: ExprField(omega.chart, e) for i, e in out.items()})
+def d_coeffs(coeffs: Sequence[Expr], names: Sequence[str]
+             ) -> dict[tuple[int, int], Expr]:
+    """d of the 1-form sum_i coeffs[i] dx_i, with x_i = names[i]: its
+    nonzero coefficients d_i a_j - d_j a_i of dx_i ^ dx_j, keyed (i, j) with
+    i < j.  The coefficients may read variables other than names, which are
+    held fixed."""
+    out = {}
+    for i, j in itertools.combinations(range(len(names)), 2):
+        e = sub(coeffs[j].diff(names[i]), coeffs[i].diff(names[j]))
+        if not (isinstance(e, Const) and e.value == 0.0):
+            out[i, j] = e
+    return out
 
 
-def wedge_power(omega: DiffForm, k: int) -> DiffForm:
-    """omega ^ ... ^ omega (k factors); k = 0 gives the constant 1."""
-    if k == 0:
-        return function_form(ExprField(omega.chart, Const(1.0)))
-    acc = omega
-    for _ in range(k - 1):
-        acc = wedge(acc, omega)
-    return acc
+def top_coeff(coeffs: Sequence[Expr], names: Sequence[str]) -> Expr:
+    """The one coefficient of alpha ^ (d alpha)^n for the 1-form alpha =
+    sum_i coeffs[i] dx_i on the 2n + 1 coordinates names.
 
+    It is n! Pf(B) for the bordered skew matrix B = [[0, a], [-a^T, W]],
+    a the coefficient row and W the matrix of d alpha (Wimmer, ACM TOMS 38
+    (2012), arXiv:1102.3440).  The Pfaffian is expanded along the first
+    row of each minor, and each minor's Pfaffian, keyed by its remaining
+    rows, is built once; zero entries of B add no term.
+    """
+    upper = {(0, i + 1): c for i, c in enumerate(coeffs)
+             if not (isinstance(c, Const) and c.value == 0.0)}
+    upper.update({(i + 1, j + 1): e
+                  for (i, j), e in d_coeffs(coeffs, names).items()})
 
-def exterior_d(omega: DiffForm) -> DiffForm:
-    """Coefficientwise symbolic differentiation with alternating signs."""
-    chart = omega.chart
-    if omega.degree >= chart.dim:
-        if omega.degree == chart.dim:
-            return zero_form(chart, chart.dim)  # top forms are closed
-        raise ValueError("degree out of range")
-    out: dict[MultiIndex, Expr] = {}
-    for idx, c in omega.coeffs.items():
-        for j, name in enumerate(chart.var_names):
-            dc = c.expr.diff(name)
-            if isinstance(dc, Const) and dc.value == 0.0:
-                continue
-            sign, nidx = _merge_sign((j,), idx)
-            if sign == 0:
-                continue
-            term = mul(Const(float(sign)), dc)
-            out[nidx] = add(out[nidx], term) if nidx in out else term
-    return DiffForm(chart, omega.degree + 1,
-                    {i: ExprField(chart, e) for i, e in out.items()})
+    @functools.cache
+    def pfaffian(rows: tuple[int, ...]) -> Expr:
+        if not rows:
+            return Const(1.0)
+        first, rest = rows[0], rows[1:]
+        acc = Const(0.0)
+        for p, j in enumerate(rest):
+            if (first, j) in upper:
+                term = mul(upper[first, j],
+                           pfaffian(rest[:p] + rest[p + 1:]))
+                acc = sub(acc, term) if p % 2 else add(acc, term)
+        return acc
+
+    return mul(Const(float(math.factorial(len(names) // 2))),
+               pfaffian(tuple(range(len(names) + 1))))
 
 
 def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:
@@ -186,17 +152,17 @@ def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:
     Returns the coefficients (N, dim) and W (N, dim, dim), W[p, i, j] =
     d omega(e_i, e_j) at points[p]: the coefficient of dx_i ^ dx_j above the
     diagonal and its negative below.  One compiled batch evaluates the
-    coefficients, then the coefficients of exterior_d(omega).
+    coefficients, then those of d omega (d_coeffs).
     """
     if omega.degree != 1:
         raise ValueError("jet needs a 1-form")
     dim = omega.chart.dim
-    d = exterior_d(omega)
-    vals = compile_exprs(omega.chart, tuple(
-        omega.coeff((i,)).expr for i in range(dim)) + tuple(
-        c.expr for c in d.coeffs.values())).batch(points)
+    coeffs = tuple(omega.coeff((i,)).expr for i in range(dim))
+    d = d_coeffs(coeffs, omega.chart.var_names)
+    vals = compile_exprs(omega.chart, coeffs + tuple(d.values())
+                         ).batch(points)
     W = np.zeros((len(vals), dim, dim))
-    for col, (i, j) in enumerate(d.coeffs, dim):
+    for col, (i, j) in enumerate(d, dim):
         W[:, i, j] = vals[:, col]
         W[:, j, i] = -vals[:, col]
     return vals[:, :dim], W

@@ -4,6 +4,10 @@ Two builders: the nonsingular one assembles (f + sum R_i y_i) dt - sum y_i dx_i
 from a foliated chart with a transverse line field, and the singular one
 assembles dz + beta - sum y_j ds_j from a flat disk bundle carrying a CCL fiber
 1-form with closed-form invariant extension (trivial or rotation holonomy).
+The contact checks read one number, the coefficient of alpha ^ (d alpha)^n,
+built once per germ as n! times the Pfaffian of the bordered matrix of alpha
+and d alpha (forms.top_coeff); the interpolation pencil builds it once in a
+variable tau.
 """
 
 from __future__ import annotations
@@ -126,6 +130,13 @@ class GermForm:
     fiber_pair: Optional[tuple[str, str]] = None  # oriented singular normal pair
     orientation: int = 1
 
+    def __post_init__(self):
+        if self.n < 1 or self.alpha.degree != 1 \
+                or self.chart.dim != 2 * self.n + 1:
+            raise ValueError(f"a germ with n = {self.n} needs a 1-form on "
+                             f"2n + 1 >= 3 coordinates, not a "
+                             f"{self.alpha.degree}-form on {self.chart.dim}")
+
     @property
     def chart(self) -> Chart:
         return self.alpha.chart
@@ -142,9 +153,12 @@ class GermForm:
             for v in base.var_names})
 
     @functools.cached_property
-    def top(self) -> fm.DiffForm:
-        """alpha ^ (d alpha)^n, built once per germ."""
-        return top_form(self.alpha, self.n)
+    def top(self) -> ExprField:
+        """The coefficient of alpha ^ (d alpha)^n on the chart's
+        coordinates in order, built once per germ."""
+        return ExprField(self.chart, fm.top_coeff(tuple(
+            self.alpha.coeff((i,)).expr for i in range(self.chart.dim)),
+            self.chart.var_names))
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +255,6 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
 # ---------------------------------------------------------------------------
 
 
-def top_form(alpha: fm.DiffForm, n: int) -> fm.DiffForm:
-    """alpha ^ (d alpha)^n."""
-    return fm.wedge(alpha, fm.wedge_power(fm.exterior_d(alpha), n))
-
-
 def _sign_verdict(vals: np.ndarray) -> tuple[float, int]:
     """min |vals|, and the sign all of vals share: 0 if they have none or
     are zero."""
@@ -256,7 +265,7 @@ def _sign_verdict(vals: np.ndarray) -> tuple[float, int]:
 def contactness_scan(g: GermForm, points: Sequence[Sequence[float]],
                      threshold: float = 1e-10) -> dict:
     """Min |top form| on the canonical frame and a sign-consistency flag."""
-    min_abs, sign = _sign_verdict(g.top.coeff_array(points)[:, 0])
+    min_abs, sign = _sign_verdict(g.top.compile()(points))
     return {
         "min_abs": min_abs,
         "sign": sign,
@@ -328,23 +337,20 @@ def pencil_values(g0: GermForm, g1: GermForm,
                   points: Sequence[Sequence[float]]) -> np.ndarray:
     """The top form of (1-t) alpha_0 + t alpha_1 at each t of PENCIL_T.
 
-    The pencil is built and compiled once, on the germ chart extended by a
-    coordinate tau, as the top form's coefficient on the germ coordinates;
-    no term with d tau reaches it.  It is evaluated on N rows per t, which
-    keeps the generated function's temporaries N rows long.  Returns
-    (len(PENCIL_T), N).
+    The pencil's coefficients are built once, in the germ coordinates and a
+    variable tau, and its top coefficient is taken over the germ
+    coordinates only (forms.top_coeff), so no d tau term is built.  It is
+    compiled once and evaluated on N rows per t, which keeps the generated
+    function's temporaries N rows long.  Returns (len(PENCIL_T), N).
     """
     chart = g0.chart
     ext = Chart(chart.var_names + ("tau",), chart.periods + (None,))
     tau = coordinate(ext, "tau")
-
-    def lift(alpha: fm.DiffForm) -> fm.DiffForm:
-        return fm.DiffForm(ext, 1, {idx: c.on_chart(ext)
-                                    for idx, c in alpha.coeffs.items()})
-
-    pencil = lift(g0.alpha).scale(1 - tau) + lift(g1.alpha).scale(tau)
-    coeff = top_form(pencil, g0.n).coeff(tuple(range(chart.dim)))
-    fn, pts = coeff.compile(), np.asarray(points, dtype=float)
+    coeffs = tuple(((1 - tau) * g0.alpha.coeff((i,)).on_chart(ext)
+                    + tau * g1.alpha.coeff((i,)).on_chart(ext)).expr
+                   for i in range(chart.dim))
+    fn = ExprField(ext, fm.top_coeff(coeffs, chart.var_names)).compile()
+    pts = np.asarray(points, dtype=float)
     return np.array([fn(np.column_stack([pts, np.full(len(pts), t)]))
                      for t in PENCIL_T])
 
@@ -399,6 +405,6 @@ def volume_identity_residual(g: GermForm, f: ExprField,
                                   for v in (f"x{i}", f"y{i}")]
                               + [total.index("t")]]
     # A top form has one coefficient; on the frame it scales by det(frame).
-    lhs = g.top.coeff_array(points)[:, 0] * np.linalg.det(frame)
+    lhs = g.top.compile()(points) * np.linalg.det(frame)
     rhs = math.factorial(g.n) * f.on_chart(total).compile()(points)
     return float(max_abs(lhs - rhs))

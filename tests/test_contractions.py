@@ -35,6 +35,7 @@ from legfol.fields import (
 
 from oracles import (
     SmoothMapExpr,
+    exterior_d,
     fd_partial,
     form_matrices,
     interior,
@@ -42,6 +43,7 @@ from oracles import (
     lie_derivative,
     pushforward_field,
     values,
+    wedge,
 )
 from test_batched import graph, radial_bundle, sheared_bundle, trig_bundle
 
@@ -189,7 +191,7 @@ class TestRandomFields:
         chart = Chart(tuple(f"x{i}" for i in range(dim)))
         beta = random_dense_form(chart, 1, rng)
         pts = rng.uniform(-0.9, 0.9, (30, dim))
-        three = fm.wedge(beta, fm.exterior_d(beta))
+        three = wedge(beta, exterior_d(beta))
         want = np.max(np.abs(three.coeff_array(pts)))
         # the terms beta_i W_jk, over every entry: frobenius_residual
         # reports the largest |entry|
@@ -226,7 +228,7 @@ class TestGraphFrames:
         got = co.frame_residuals(Y, pts)
         tilde = co.build_Vk(Y)
         lam = Y.lambda_form
-        dlam = fm.exterior_d(lam)
+        dlam = exterior_d(lam)
         V, JV = frame(src, tilde, pts)
         coeffs, Jl = one_form(lam, pts)
         W = form_matrices(dlam, pts)

@@ -2,21 +2,32 @@
 zero-section restrictions, contactness scans, and the interpolation gate."""
 
 import dataclasses
+import functools
+import math
 
+import numpy as np
 import pytest
 
 from legfol import bundle as bd
 from legfol import forms as fm
 from legfol import germ as gm
 from legfol.fields import (
+    Chart,
     CompiledExprs,
+    ExprField,
+    Sin,
+    Var,
+    add,
     constant,
     coordinate,
+    mul,
     parse_field,
     vector_field,
 )
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
+
+from oracles import top_form
 
 
 def make_input(n, f_text, r_texts=None):
@@ -47,9 +58,9 @@ class TestNonsingular:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_volume_identity(self, n, rng, monkeypatch):
         builds = []
-        top_form = gm.top_form
-        monkeypatch.setattr(gm, "top_form",
-                            lambda *a: builds.append(a) or top_form(*a))
+        top_coeff = fm.top_coeff
+        monkeypatch.setattr(fm, "top_coeff",
+                            lambda *a: builds.append(a) or top_coeff(*a))
         inp = make_input(n, "2 + sin(x1)",
                          ["x1 * x%d" % n] + ["0"] * (n - 1))
         g = gm.build_nonsingular_germ(inp)
@@ -102,6 +113,117 @@ class TestNonsingular:
                                    "x2": parse_field(ch, "x1")})
         pts = rng.uniform(-1, 1, (10, 3))
         assert gm.frobenius_residual(twisted, pts) > 0.5
+
+
+class TestShape:
+    """A germ is a 1-form on 2n + 1 coordinates with n >= 1."""
+
+    def custom(self, n, names, degree=1):
+        ch = Chart(names)
+        alpha = fm.DiffForm(ch, degree, {
+            tuple(range(degree)): constant(ch, 1.0)})
+        return gm.GermForm(n=n, alpha=alpha, zero_section_vars=(names[-1],),
+                           kind="custom")
+
+    def test_chart_too_large(self):
+        # n = 1 on four coordinates: alpha ^ d alpha is a 3-form with four
+        # coefficients, not a top form
+        with pytest.raises(ValueError, match="2n [+] 1"):
+            self.custom(1, ("t", "x1", "y1", "w"))
+
+    @pytest.mark.parametrize("n, names", [
+        (2, ("t", "x1", "y1")), (1, ("t", "x1")), (0, ("t",))])
+    def test_chart_too_small(self, n, names):
+        with pytest.raises(ValueError, match="2n [+] 1"):
+            self.custom(n, names)
+
+    def test_not_a_one_form(self):
+        with pytest.raises(ValueError, match="2-form"):
+            self.custom(1, ("t", "x1", "y1"), degree=2)
+
+    def test_right_shape_scans(self, rng):
+        g = self.custom(1, ("t", "x1", "y1"))  # alpha = dt, d alpha = 0
+        assert not gm.contactness_scan(g, rng.uniform(-1, 1, (5, 3)))[
+            "passed"]
+
+
+def dense_custom(n, rng):
+    """A custom germ whose coefficients read every coordinate and whose d
+    has no zero entry: a_i = c_i + sum_k C_ik x_k + e_i sin(x_i x_(i+1))."""
+    ch = gm.germ_chart(n)
+    xs = [Var(v) for v in ch.var_names]
+    C = rng.uniform(-1, 1, (ch.dim, ch.dim + 2))
+    coeffs = {}
+    for i, v in enumerate(ch.var_names):
+        acc = constant(ch, C[i, -2]).expr
+        for k, x in enumerate(xs):
+            acc = add(acc, mul(constant(ch, C[i, k]).expr, x))
+        acc = add(acc, mul(constant(ch, C[i, -1]).expr,
+                           Sin(mul(xs[i], xs[(i + 1) % ch.dim]))))
+        coeffs[v] = ExprField(ch, acc)
+    return gm.GermForm(n=n, alpha=fm.one_form(ch, coeffs),
+                       zero_section_vars=tuple(f"y{i}"
+                                               for i in range(1, n + 1)),
+                       kind="custom")
+
+
+def largest_term(g, points):
+    """n! times the largest |product| over the perfect matchings of the
+    bordered matrix B = [[0, a], [-a^T, W]]: the size of the largest term
+    of n! Pf(B), with a and W from forms.jet."""
+    a, W = fm.jet(g.alpha, points)
+    m = g.chart.dim + 1
+    B = np.zeros((len(points), m, m))
+    B[:, 0, 1:], B[:, 1:, 1:] = a, W
+    B = np.abs(B)
+
+    @functools.cache
+    def biggest(rows):
+        if not rows:
+            return np.ones(len(points))
+        rest = rows[1:]
+        return np.max([B[:, rows[0], j] * biggest(rest[:p] + rest[p + 1:])
+                       for p, j in enumerate(rest)], axis=0)
+    return math.factorial(g.n) * biggest(tuple(range(m)))
+
+
+class TestPfaffian:
+    """GermForm.top, n! Pf(B), against the wedge powers of the oracle."""
+
+    def compare(self, g, rng):
+        pts = gm.scan_points(g, rng, 30)
+        got = g.top.compile()(pts)
+        want = top_form(g.alpha, g.n).coeff_array(pts)[:, 0]
+        return got, want, pts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dense_custom(self, n, rng):
+        g = dense_custom(n, rng)
+        got, want, pts = self.compare(g, rng)
+        assert np.all(np.abs(got - want) <= 1e-12 * largest_term(g, pts))
+        assert np.min(np.abs(want)) > 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_nonsingular(self, n, rng):
+        g = gm.build_nonsingular_germ(make_input(
+            n, "2 + sin(x1) * cos(t)",
+            [f"x{i % n + 1} * t + sin(x{i})" for i in range(1, n + 1)]))
+        got, want, pts = self.compare(g, rng)
+        assert np.all(np.abs(got - want) <= 1e-12 * largest_term(g, pts))
+
+    @pytest.mark.parametrize("rates", [(0.7,), (0.7, 1.3), (0.7, 1.3, 0.4),
+                                       (0.7, 1.3, 0.4, 2.2)])
+    @pytest.mark.parametrize("radial", ["1", "1 + u^2 + v^2"])
+    def test_singular(self, rates, radial, rng):
+        b = bd.rotation_bundle(list(rates))
+        g = gm.build_singular_germ(b, fm.one_form(b.fiber_chart, {
+            "u": parse_field(b.fiber_chart, f"-v * ({radial})"),
+            "v": parse_field(b.fiber_chart, f"u * ({radial})")}))
+        got, want, pts = self.compare(g, rng)
+        if radial == "1":  # the area form: integer arithmetic, both exact
+            assert np.array_equal(got, want)
+            assert set(np.abs(got)) == {math.factorial(g.n) * 2.0}
+        assert np.all(np.abs(got - want) <= 1e-12 * largest_term(g, pts))
 
 
 class TestSingular:

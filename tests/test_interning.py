@@ -1,6 +1,7 @@
 """Interned expression nodes: equal subtrees are one object, the intern key
 keeps what evaluation can tell apart, the table lets dead nodes go, every
-walk is a loop, and symbolic size follows distinct nodes up to n = 7."""
+walk is a loop, and symbolic size follows distinct nodes: up to n = 7 for
+the wedge powers of the oracle, up to n = 12 for the package's Pfaffian."""
 
 import dataclasses
 import gc
@@ -28,6 +29,8 @@ from legfol.fields import (
 )
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
+
+from oracles import top_form
 
 XY = Chart(("x", "y"))
 
@@ -156,8 +159,17 @@ class TestInterning:
             == pytest.approx(depth)
 
 
+def dense_germ(n: int) -> gm.GermForm:
+    ch = gm.foliated_chart(n)
+    return gm.build_nonsingular_germ(gm.FoliatedInput(
+        n=n, beta=fm.one_form(ch, {"t": parse_field(ch, DENSE_F)}),
+        line_field=vector_field(ch, [constant(ch, 1.0)] + [
+            parse_field(ch, r) for r in dense_r(n)])))
+
+
 # (n, tree nodes, distinct nodes) of the top-form coefficient of the dense
-# germ: the tree grows about 7-fold a dimension, the distinct nodes 2-fold.
+# germ built by the oracle's wedge powers: the tree grows about 7-fold a
+# dimension, the distinct nodes 2-fold.
 TOP_FORM_NODES = [
     (2, 77, 34),
     (3, 213, 62),
@@ -167,22 +179,48 @@ TOP_FORM_NODES = [
     (7, 152_105, 939),
 ]
 
+# The same coefficient as the package builds it, n! Pf(B) expanded along
+# first rows (forms.top_coeff): both counts grow about linearly in n.
+PFAFFIAN_NODES = [
+    (2, 57, 31),
+    (3, 85, 46),
+    (4, 109, 58),
+    (5, 123, 65),
+    (6, 149, 78),
+    (7, 185, 96),
+    (8, 209, 108),
+    (9, 215, 111),
+    (10, 241, 124),
+    (11, 285, 146),
+    (12, 309, 158),
+]
+
 
 class TestHighDimension:
     @pytest.mark.parametrize("n, tree, distinct", TOP_FORM_NODES)
     def test_top_form_node_counts(self, n, tree, distinct):
-        ch = gm.foliated_chart(n)
-        g = gm.build_nonsingular_germ(gm.FoliatedInput(
-            n=n, beta=fm.one_form(ch, {"t": parse_field(ch, DENSE_F)}),
-            line_field=vector_field(ch, [constant(ch, 1.0)] + [
-                parse_field(ch, r) for r in dense_r(n)])))
-        (coeff,) = gm.top_form(g.alpha, n).coeffs.values()
+        (coeff,) = top_form(dense_germ(n).alpha, n).coeffs.values()
         # one object per distinct structure
         assert node_counts(coeff.expr) == (tree, distinct, distinct)
+
+    @pytest.mark.parametrize("n, tree, distinct", PFAFFIAN_NODES)
+    def test_pfaffian_node_counts(self, n, tree, distinct):
+        top = dense_germ(n).top.expr
+        assert node_counts(top) == (tree, distinct, distinct)
 
     def test_dense_germ_at_n7_passes(self):
         report = run_scenario(parse_scenario(dense_germ_text(7)))
         assert [(c["name"], c["ok"], c["detail"]["passed"], "error" in c)
                 for c in report["checks"]] \
             == [("volume", True, True, False), ("contact", True, True, False)]
+
+    def test_dense_germ_at_n12(self):
+        # contact-scan passes; germ-volume fails this correct germ, because
+        # its tol = 1e-10 is absolute and n! f is near 1e9 at n = 12
+        report = run_scenario(parse_scenario(dense_germ_text(12)))
+        assert [(c["name"], c["ok"], c["detail"]["passed"], "error" in c)
+                for c in report["checks"]] \
+            == [("volume", False, False, False),
+                ("contact", True, True, False)]
+        assert report["checks"][0]["detail"]["max_residual"] > 1e-10
 

@@ -207,44 +207,38 @@ def test_no_symbolic_cartan_calculus():
         "are the oracle in tests/oracles.py"
 
 
-# A 1-form and its d are evaluated in one batch (forms.jet), the residual
-# equations are products of arrays (coiso.residual_values), and the restricted
-# forms of a graph and of a germ's zero section are built in closed form; the
-# symbolic 2-form matrices, residual equations, smooth maps and pullbacks are
-# oracles in tests/oracles.py.  Only jet and the top form take d.
+# A 1-form and its d are evaluated in one batch (forms.jet), the top
+# coefficient of alpha ^ (d alpha)^n is one Pfaffian expression
+# (forms.top_coeff), the residual equations are products of arrays
+# (coiso.residual_values), and the restricted forms of a graph and of a
+# germ's zero section are built in closed form; the exterior algebra of
+# sparse forms, the symbolic 2-form matrices, residual equations, smooth maps
+# and pullbacks are oracles in tests/oracles.py.
 RETIRED = {"form_matrices", "residual_fields", "_model_data", "pullback",
            "SmoothMapExpr", "compose_field", "jacobian_fields",
-           "zero_section_map"}
-EXTERIOR_D_CALLERS = {"forms.jet", "germ.top_form"}
+           "zero_section_map", "wedge", "wedge_power", "exterior_d",
+           "_merge_sign", "zero_form", "function_form"}
 
 
 def symbolic_form_uses() -> list[str]:
     """module:line of each definition of or reference to a retired helper
-    in the package, and of each call of exterior_d outside
-    EXTERIOR_D_CALLERS."""
+    in the package."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "name", getattr(node, "id", getattr(
                 node, "attr", None)))
             if name in RETIRED:
                 found.append(f"{path.stem}:{node.lineno} names {name}")
-        for top in tree.body:
-            owner = f"{path.stem}.{getattr(top, 'name', None)}"
-            found += [f"{path.stem}:{node.lineno} calls exterior_d"
-                      for node in ast.walk(top)
-                      if isinstance(node, ast.Call) and getattr(
-                          node.func, "id", getattr(node.func, "attr", None))
-                      == "exterior_d" and owner not in EXTERIOR_D_CALLERS]
     return found
 
 
 def test_one_batch_for_a_one_form_and_its_d():
     assert symbolic_form_uses() == [], \
-        "evaluate a 1-form and its d with forms.jet and build restrictions " \
-        "in closed form; the symbolic residual equations, 2-form matrices " \
-        "and pullbacks are oracles in tests/oracles.py"
+        "evaluate a 1-form and its d with forms.jet, take top forms with " \
+        "forms.top_coeff and build restrictions in closed form; the " \
+        "exterior algebra, the symbolic residual equations, 2-form " \
+        "matrices and pullbacks are oracles in tests/oracles.py"
 
 
 def _private(name) -> bool:
