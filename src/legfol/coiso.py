@@ -156,17 +156,17 @@ class SingularScanResult:
         return len(self.hits)
 
 
-def _cluster(cells: np.ndarray) -> list[list[int]]:
-    """Single-linkage clustering of distinct integer grid cells.
+def _link(cells: np.ndarray) -> np.ndarray:
+    """Single-linkage components of distinct integer grid cells.
 
     Two cells join when their offset d has d.d <= 9, that is when they lie
-    at most three grid steps apart.  Groups are ordered by their smallest
-    index, members ascending.
+    at most three grid steps apart.  Returns each cell's root: the smallest
+    index in its component.
     """
     cells = np.asarray(cells, dtype=np.int64)
     m, k = cells.shape
-    if m == 0:
-        return []
+    if m < 2:
+        return np.arange(m)
     # One slot per cell of the bounding box, padded by 3 on every side so
     # that no offset wraps; -1 marks an empty slot.
     rel = cells - cells.min(axis=0) + 3
@@ -202,20 +202,35 @@ def _cluster(cells: np.ndarray) -> list[list[int]]:
             parent = jumped
     # Every parent is at most its child, so each root is the smallest index
     # of its component.
-    members = np.argsort(parent, kind="stable")
-    cuts = (np.flatnonzero(np.diff(parent[members])) + 1).tolist()
+    return parent
+
+
+def _groups(labels: np.ndarray) -> list[list[int]]:
+    """Indices grouped by label: groups in label order, members ascending."""
+    if not len(labels):
+        return []
+    members = np.argsort(labels, kind="stable")
+    cuts = (np.flatnonzero(np.diff(labels[members])) + 1).tolist()
     members = members.tolist()
-    return [members[s:e] for s, e in zip([0, *cuts], [*cuts, m])]
+    return [members[s:e] for s, e in zip([0, *cuts], [*cuts, len(members)])]
 
 
-def _raise_scan_fault(compiled, axis: np.ndarray, shape: tuple[int, ...]):
+def _cells(flat: np.ndarray, size: int, dim: int) -> np.ndarray:
+    """The cells of the grid {0..size-1}^dim at C-order flat indices, as an
+    (len(flat), dim) integer array; every index is 0 when dim = 0."""
+    if not dim:
+        return np.zeros((len(flat), 0), dtype=np.int64)
+    return np.stack(np.unravel_index(flat, (size,) * dim), axis=1)
+
+
+def _raise_scan_fault(compiled, axis: np.ndarray, k: int):
     """Raise the EvaluationError of CompiledExprs.batch for the first block of
-    SCAN_BLOCK_ROWS full-grid rows that holds a failing point, with its row
-    counted from the block's start."""
-    size = math.prod(shape)
+    SCAN_BLOCK_ROWS rows of the full k-dimensional grid that holds a failing
+    point, with its row counted from the block's start."""
+    size = len(axis) ** k
     for start in range(0, size, SCAN_BLOCK_ROWS):
         flat = np.arange(start, min(start + SCAN_BLOCK_ROWS, size))
-        compiled.batch(axis[np.stack(np.unravel_index(flat, shape), axis=1)])
+        compiled.batch(axis[_cells(flat, len(axis), k)])
     raise AssertionError("a point that failed on the sub-grid passed batch")
 
 
@@ -225,13 +240,15 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
 
     A point is a hit when every coefficient of the restricted form is below
     tol * (1 + local gradient norm).  The coefficients and gradients are
-    evaluated only on the sub-grid of the source coordinates they read, and
-    the hits are broadcast along the others; the graph's components are
-    evaluated with them, so an undefined component raises.  Hits form
-    single-linkage components: two hits are linked when their grid index
-    offset d has d.d <= 9, that is when they lie at most three grid steps
-    apart.  The rule is integer arithmetic, so it does not depend on box or
-    step.
+    evaluated only on the sub-grid of the source coordinates they read; the
+    graph's components are evaluated with them, so an undefined component
+    raises.  Hits form single-linkage components: two hits are linked when
+    their grid index offset d has d.d <= 9, that is when they lie at most
+    three grid steps apart.  The rule is integer arithmetic, so it does not
+    depend on box or step.  The full hit set is (sub-grid hits) x (the cube
+    of the unread axes), and its components are the sub-grid hits'
+    components times that cube, so only the sub-grid hits are clustered.
+    Memory follows the hits and one block of the sub-grid, not the grid.
     """
     lam = Y.lambda_form
     src = Y.source_chart
@@ -242,56 +259,58 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
         c.expr for c in Y.components.values())
     compiled = compile_exprs(src, exprs)
     axis = np.arange(-box, box + step / 2, step)
-    shape = (len(axis),) * k
+    side = len(axis)
     names = frozenset().union(*(e.variables() for e in exprs))
     read = [j for j, v in enumerate(src.var_names) if v in names]
-    # The sub-grid of the read coordinates as columns, in "ij" row order.
-    # The generated code never names an unread coordinate, so it gets None.
-    r = len(read)
-    sub = np.empty((r,) + (len(axis),) * r)
-    for i in range(r):
-        sub[i] = axis.reshape((-1,) + (1,) * (r - 1 - i))
-    sub = sub.reshape(r, len(axis) ** r)
+    unread = [j for j in range(k) if j not in read]
+    # The sub-grid of the read coordinates, in C order, in blocks of flat
+    # indices; each block's columns are read off the axis by its cells.  The
+    # generated code never names an unread coordinate, so it gets None.
+    size = side ** len(read)
     cols = [None] * k
-    is_hit = np.empty(sub.shape[1], dtype=bool)
+    found = []
     with np.errstate(all="ignore"):
-        for start in range(0, len(is_hit), SCAN_BLOCK_ROWS):
-            rows = slice(start, start + SCAN_BLOCK_ROWS)
-            for j, col in zip(read, sub[:, rows]):
-                cols[j] = col
+        for start in range(0, size, SCAN_BLOCK_ROWS):
+            flat = np.arange(start, min(start + SCAN_BLOCK_ROWS, size))
+            for j, idx in zip(read, _cells(flat, side, len(read)).T):
+                cols[j] = axis[idx]
             try:
                 out = compiled.columns(*cols)
                 ok = all(np.isfinite(v).all() for v in out)
             except RowError:
                 ok = False
             if not ok:
-                _raise_scan_fault(compiled, axis, shape)
+                _raise_scan_fault(compiled, axis, k)
             gsq = 0.0
             for g in out[k:k + k * k]:  # field order; g * g is numpy's g ** 2
                 gsq = gsq + g * g
             thresh = tol * (1.0 + np.sqrt(gsq))
-            hit = True
+            hit = np.ones(len(flat), dtype=bool)
             for v in out[:k]:
-                hit = hit & (np.abs(v) <= thresh)
-            is_hit[rows] = hit
-    # Broadcast along the unread coordinates; the hits in the full grid's C
-    # order, with their coordinates read off the axis.
-    is_hit = is_hit.reshape([len(axis) if j in read else 1 for j in range(k)])
-    cells = np.stack(np.unravel_index(
-        np.flatnonzero(np.broadcast_to(is_hit, shape)), shape), axis=1)
-    hits_arr = axis[cells]
-    clusters = _cluster(cells)
+                hit &= np.abs(v) <= thresh
+            found.append(flat[hit])
+    sub = np.concatenate(found)
+    if not len(sub):
+        return SingularScanResult(box=box, step=step, hits=np.empty((0, k)),
+                                  clusters=(), dims=(), flags=())
+    # Every unread coordinate is constant on the outputs, so the hits are
+    # (sub-grid hits) x (unread cube): full-grid flat index base + offset.
+    strides = side ** np.arange(k - 1, -1, -1)
+    sub_cells = _cells(sub, side, len(read))
+    cube = _cells(np.arange(side ** len(unread)), side, len(unread))
+    full = (sub_cells @ strides[read])[:, None] + cube @ strides[unread]
+    order = np.argsort(full, axis=None)
+    hits_arr = axis[_cells(full.ravel()[order], side, k)]
+    # A link between two product cells links their sub-grid cells, and the
+    # cube is connected, so the components are the sub-grid components times
+    # the cube.  A component's smallest full index is its smallest sub-grid
+    # hit's base, so root order is the order of smallest full indices.
+    clusters = _groups(np.repeat(_link(sub_cells), len(cube))[order])
     dims, flags = [], []
     cutoff = (2.0 * step) ** 2
-    for idx in clusters:
-        cloud = hits_arr[idx]
-        if len(cloud) == 1:
-            dim = 0
-        else:
-            cov = np.cov(cloud.T, bias=True)
-            cov = np.atleast_2d(cov)
-            eig = np.linalg.eigvalsh(cov)
-            dim = int(np.sum(eig > cutoff))
+    for idx in clusters:  # the covariance of one point is 0: dimension 0
+        eig = np.linalg.eigvalsh(np.cov(hits_arr[idx].T, bias=True))
+        dim = int(np.sum(eig > cutoff))
         dims.append(dim)
         if dim == 2 * Y.n - Y.k:
             flags.append("generic")
@@ -456,8 +475,9 @@ def frame_residuals(Y: GraphSubmanifold,
     vals, J = values_and_partials(src, tuple(
         c.expr for V in tilde for c in V.components) + tuple(
         lam.coeff((i,)).expr for i in range(k)), points)
-    V = vals[:, :m * k].reshape(-1, m, k)
-    JV = J[:, :m * k].reshape(-1, m, k, k)
+    N = len(vals)  # the frame is empty at n = 1, so -1 cannot be inferred
+    V = vals[:, :m * k].reshape(N, m, k)
+    JV = J[:, :m * k].reshape(N, m, k, k)
     lam_v, lam_J = vals[:, m * k:], J[:, m * k:]
     W = lam_J.transpose(0, 2, 1) - lam_J
     return {"frame": V, "dlambda": W, "i_V_dlambda": V @ W,

@@ -2428,7 +2428,7 @@ def walk_scan(Y, box=1.0, step=0.05, tol=1e-6):
         is_hit[rows] = np.all(np.abs(vals) <= thresh[:, None], axis=1)
     hits_arr = pts[is_hit]
     cells = np.unravel_index(np.flatnonzero(is_hit), (len(axis),) * k)
-    clusters = co._cluster(np.stack(cells, axis=1))
+    clusters = co._groups(co._link(np.stack(cells, axis=1)))
     dims, flags = [], []
     cutoff = (2.0 * step) ** 2
     for idx in clusters:
@@ -2461,14 +2461,17 @@ def bump_cleared_plane():
 DENSE_Z = "sin(x1 * x2 * y2) + (x2^2 + y2^2) / 2"
 
 
-def constant_form(*coeffs):
-    """The Legendrian model with its restricted form set to constants.  No
-    graph has such a form: d lambda is dx_f ^ dy_f on a free pair, so some
-    coefficient reads a coordinate.  The scan then reads none."""
+def with_form(*coeffs):
+    """The Legendrian model over (x1, x2, y1) with its restricted form set to
+    coeffs, numbers or field texts; the scan reads what they read.  No graph
+    has a form that reads no coordinate, or one that leaves its last source
+    coordinate unread: d lambda is dx_f ^ dy_f on a free pair, and the free
+    y's come last."""
     Y = co.legendrian_model(2)
     src = Y.source_chart
-    Y.__dict__["lambda_form"] = fm.one_form(
-        src, dict(zip(src.var_names, coeffs)))
+    Y.__dict__["lambda_form"] = fm.one_form(src, {
+        v: parse_field(src, c) if isinstance(c, str) else c
+        for v, c in zip(src.var_names, coeffs)})
     return Y
 
 
@@ -2489,7 +2492,7 @@ end
 class TestScanColumns:
     """singular_scan evaluates the generated function on columns, in blocks
     of the sub-grid of the source coordinates that some output reads, and
-    broadcasts the hits along the others.  It calls CompiledExprs.batch
+    extends the hits along the others.  It calls CompiledExprs.batch
     only when an output fails a check or is not finite, on the full grid's
     blocks, which then raises.  The hits are bit-equal to the block loop
     over batch on the full grid (walk_scan), with its dtype and C order;
@@ -2519,9 +2522,9 @@ class TestScanColumns:
         (lambda: graph(2, z="exp(360 * x1) + (x2^2 + y2^2) / 2"), 1700,
          41 ** 3),
         (lambda: graph(2, z=DENSE_Z), 41, 41 ** 3),
-        # no coordinate read: one point, broadcast to every grid point
-        (lambda: constant_form(0.0, 0.0, 0.0), 41 ** 3, 1),
-        (lambda: constant_form(0.0, 1e-3, 0.0), 0, 1),
+        # no coordinate read: one point, extended to every grid point
+        (lambda: with_form(0.0, 0.0, 0.0), 41 ** 3, 1),
+        (lambda: with_form(0.0, 1e-3, 0.0), 0, 1),
     ], ids=["plane", "paraboloid-curve", "bump", "overflowing-total", "dense",
             "constant-zero", "constant"])
     def test_bundled_grid(self, make, hits, points, monkeypatch):
@@ -2555,14 +2558,19 @@ class TestScanColumns:
 
     @pytest.mark.parametrize("make, limit_mb", [
         (lambda: graph(2, z="(x2^2 + y2^2) / 2"), 0.5),
+        (lambda: co.legendrian_model(2), 0.5),
         (bump_cleared_plane, 0.5),
-        (lambda: graph(2, z=DENSE_Z), 5.0),
-    ], ids=["curve", "bump", "dense"])
+        (lambda: graph(2, z=DENSE_Z), 3.0),
+        (lambda: co.legendrian_model(3), 20.0),
+    ], ids=["curve", "plane", "bump", "dense", "plane-k4"])
     def test_traced_memory(self, make, limit_mb):
-        """Peak traced memory of a demo-grid scan: the curve and the bump
-        read at most two coordinates, so no full-grid float array is built;
-        the dense graph reads all three and stays within its blocks (one
-        broadcast call over the whole grid peaks near 19 MB)."""
+        """Peak traced memory of a demo-grid scan: the curve, the plane and
+        the bump read at most two coordinates, so no full-grid array is
+        built; the dense graph reads all three and stays within its blocks
+        (one broadcast call over the whole grid peaks near 19 MB).  The k = 4
+        plane has 68,921 hits from one sub-grid hit, and its memory follows
+        the hits (a full-grid hit mask and clustering of every hit cell
+        peaked at 266 MB)."""
         Y = make()
         co.singular_scan(Y)  # compiled once, outside the trace
         tracemalloc.start()
@@ -2596,6 +2604,48 @@ class TestScanColumns:
         Y = graph(2, 4, z="x1 * y1 + (x2^2 + y2^2) / 2")
         res = self.assert_same_scan(Y, box=0.5, step=0.1)
         assert res.num_hits == 11 and res.dims == (1,)
+
+    @pytest.mark.parametrize("make, hits, dims", [
+        # over (x1, x2, x3, y3), reads x1, x3 and y3: x2 is in the middle
+        (lambda: graph(3, z="(x1^2 + x3^2 + y3^2) / 2"), 11, (1,)),
+        # reads x1 and x2: the unread y1 comes last
+        (lambda: with_form("x1", "x2", 0.0), 11, (1,)),
+        # over (x1, x2, x3, y3), reads x3 and y3: two unread axes first
+        (lambda: graph(3, z="(x3^2 + y3^2) / 2"), 121, (2,)),
+        # one hit, at the origin: a cluster of one point has dimension 0
+        (lambda: with_form("x1", "x2", "y1"), 1, (0,)),
+    ], ids=["unread-middle", "unread-last", "unread-pair", "point"])
+    def test_product_extension(self, make, hits, dims):
+        """The hits are (sub-grid hits) x (unread cube), in the full grid's C
+        order; their clusters are the sub-grid clusters times the cube.  The
+        oracle clusters every full-grid hit cell.  test_bundled_grid holds
+        the unread axis first (paraboloid-curve), none read (constant-zero)
+        and every axis read (dense)."""
+        res = self.assert_same_scan(make(), box=0.5, step=0.1)
+        assert (res.num_hits, res.dims) == (hits, dims)
+
+    def test_interleaved_components(self):
+        """Three singular lines along the unread x1, at x2 = -0.5, 0 and 0.5:
+        in the full grid's C order their hits alternate, so each cluster
+        holds every third hit."""
+        res = self.assert_same_scan(
+            graph(2, z="(x2^2 - 0.25)^2 / 4 + y2^2 / 2"))
+        assert res.num_hits == 123
+        assert res.clusters == tuple(
+            tuple(range(i, 123, 3)) for i in range(3))
+        assert res.dims == (1, 1, 1)
+        assert res.flags == ("generic",) * 3
+
+    def test_sub_grid_components(self):
+        """Four sub-grid hits on (x2, y1), at grid offsets (0, 0), (2, 1),
+        (4, 2) and (-3, 1) from the origin: the first three link (d.d = 5),
+        the last lies at d.d = 10 and stays apart.  Every x1 repeats them,
+        and the lone point comes first in C order."""
+        Y = with_form(0.0, "(x2 - 2 * y1) * (x2 + 3 * y1)",
+                      "y1 * (y1 - 0.1) * (y1 - 0.2)")
+        res = self.assert_same_scan(Y, box=0.5, step=0.1)
+        assert res.num_hits == 44
+        assert [len(c) for c in res.clusters] == [11, 33]
 
     def test_hits_in_many_blocks(self):
         """The plane y1 = 0 on a box-1.2 grid: hits in every block."""

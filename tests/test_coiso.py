@@ -2,6 +2,7 @@
 linear-algebra oracle, the commuting frame and its identities, singular-set
 scans and the graphical perturbation."""
 
+import time
 from importlib import resources
 
 import numpy as np
@@ -168,6 +169,20 @@ class TestResidualOracle:
             assert co.residual_values(Y, [p])["max_residual"][0] == 0.0
 
 
+CLAIM_N1 = """\
+graph surface
+  n = 1
+  k = 2
+  z = {z}
+end
+
+check frame
+  kind = claim
+  target = surface
+end
+"""
+
+
 class TestCommutingFrame:
     @pytest.mark.parametrize("n", [2, 3])
     def test_identities_hold(self, n, rng):
@@ -200,6 +215,26 @@ class TestCommutingFrame:
         for Vt in tilde:
             pairing = np.einsum("pi,pi->p", covecs, pushforward(emb, Vt, pts))
             assert np.max(np.abs(pairing)) < 1e-10
+
+    @pytest.mark.parametrize("z", ["0", "(x1^2 + y1^2) / 2"],
+                             ids=["flat", "paraboloid"])
+    def test_empty_frame_at_n1(self, z, rng):
+        """At n = 1 the frame V_1 .. V_{n-1} is empty, so its identities hold
+        vacuously: every residual is 0, and the claim check passes."""
+        Y = hypersurface(1, z)
+        pts = rng.uniform(-0.9, 0.9, (30, 2))
+        frame = co.frame_residuals(Y, pts)
+        assert frame["frame"].shape == (30, 0, 2)
+        assert frame["bracket"].shape[:2] == (30, 0)
+        res = co.verify_claim(Y, pts)
+        assert res["passed"] and not res["refused"]
+        for key in ("i_V_alpha", "i_V_dlambda", "bracket", "lie_lambda",
+                    "lambda_ab", "max_residual"):
+            assert res[key] == 0.0
+        (entry,) = run_scenario(parse_scenario(CLAIM_N1.format(z=z)))[
+            "checks"]
+        assert entry["ok"] and entry["detail"]["passed"]
+        assert entry["detail"]["max_residual"] == 0.0
 
     def test_requires_standard_slice(self):
         Y = co.graph_submanifold(2, 3, free_y=(1,))
@@ -267,9 +302,15 @@ class TestSingularScan:
         assert data["generic"]
 
 
+def cluster(cells):
+    """The scan's clustering of distinct integer cells: groups ordered by
+    their smallest index, members ascending."""
+    return co._groups(co._link(cells))
+
+
 def union_find_clusters(points, radius):
     """O(m^2) single-linkage clustering within radius: the oracle for
-    _cluster, exact at radius 3 on integer cells."""
+    cluster, exact at radius 3 on integer cells."""
     m = len(points)
     parent = list(range(m))
 
@@ -304,7 +345,7 @@ def lattice(lo, hi, dim):
 
 
 class TestCluster:
-    """_cluster on integer cells against the union-find oracle at radius 3,
+    """cluster on integer cells against the union-find oracle at radius 3,
     which is exact on small integers."""
 
     def test_flat_plane_hits(self):
@@ -312,7 +353,7 @@ class TestCluster:
         hits = co.singular_scan(co.legendrian_model(2), box=1.0, step=step).hits
         assert len(hits) == 1681
         cells = grid_cells(hits, 1.0, step)
-        assert co._cluster(cells) == union_find_clusters(cells, 3)
+        assert cluster(cells) == union_find_clusters(cells, 3)
 
     @pytest.mark.parametrize("m, dim, radius", [
         (300, 2, 0.08), (500, 3, 0.15), (200, 1, 0.01),
@@ -324,7 +365,7 @@ class TestCluster:
         cells = np.floor(rng.uniform(-1, 1, (m, dim)) / (radius / 3))
         _, first = np.unique(cells, axis=0, return_index=True)
         cells = cells[np.sort(first)].astype(np.int64)
-        got = co._cluster(cells)
+        got = cluster(cells)
         assert got == union_find_clusters(cells, 3)
         assert 1 < len(got) < len(cells)
 
@@ -332,9 +373,9 @@ class TestCluster:
         """Offsets with d.d = 9 and 8 join; d.d = 10 and 12 do not."""
         cells = np.array([[0, 0], [3, 0], [10, 0], [12, 2], [20, 0], [23, 1],
                           [30, 0], [30, -3]])
-        assert co._cluster(cells) == [[0, 1], [2, 3], [4], [5], [6, 7]]
+        assert cluster(cells) == [[0, 1], [2, 3], [4], [5], [6, 7]]
         cells = np.array([[0, 0, 0], [2, 2, 1], [10, 0, 0], [12, 2, 2]])
-        assert co._cluster(cells) == [[0, 1], [2], [3]]
+        assert cluster(cells) == [[0, 1], [2], [3]]
 
     @pytest.mark.parametrize("fill", [0.5, 0.1, 0.3])
     def test_cell_boundaries(self, fill, rng):
@@ -345,19 +386,19 @@ class TestCluster:
         cells = 3 * lattice(-4, 4, 3)
         corner = np.all(np.abs(cells) == 12, axis=1)
         cells = cells[corner | (rng.uniform(size=len(cells)) < fill)]
-        got = co._cluster(cells)
+        got = cluster(cells)
         assert got == union_find_clusters(cells, 3)
         assert 1 < len(got) < len(cells)
         flat = cells[cells[:, 2] == 0]  # one axis spans a single index
-        assert co._cluster(flat) == union_find_clusters(flat, 3)
+        assert cluster(flat) == union_find_clusters(flat, 3)
 
     def test_radius_beyond_the_cloud(self, rng):
         """Clouds whose every neighbour is within three steps, in random
         order: one cluster."""
         cells = rng.permutation(lattice(0, 1, 4))
-        assert co._cluster(cells) == [list(range(16))]
+        assert cluster(cells) == [list(range(16))]
         line = rng.permutation(120)[:, None]
-        assert co._cluster(line) == [list(range(120))]
+        assert cluster(line) == [list(range(120))]
 
     def test_scan_grid_three_step_pairs(self):
         """Every third scan-grid point on each axis of the box-2 plane:
@@ -369,14 +410,14 @@ class TestCluster:
         cells = grid_cells(hits, 2.0, step)
         cells = cells[np.all(cells[:, :2] % 3 == 0, axis=1)]
         assert len(cells) == 729
-        got = co._cluster(cells)
+        got = cluster(cells)
         assert got == union_find_clusters(cells, 3)
         assert got == [list(range(729))]
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_tiny_inputs(self, m):
         cells = np.zeros((m, 3), dtype=np.int64)
-        assert co._cluster(cells) == union_find_clusters(cells, 3)
+        assert cluster(cells) == union_find_clusters(cells, 3)
 
 
 THREE_STEPS = """\
@@ -470,6 +511,18 @@ class TestPerturbation:
         bump = parse_field(Y.source_chart, "y1^3")
         with pytest.raises(ValueError, match="does not clear"):
             co.perturb_legendrian(Y, bump)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_high_n_check(self, n):
+        """The bump reads y1 alone, so the scan evaluates 41 points of the
+        41^(n+1) grid and, with no hit there, builds nothing over the full
+        grid (at n = 5 its hit mask alone would take 4.4 GiB)."""
+        text = f"check bump\n  kind = perturb\n  n = {n}\nend\n"
+        start = time.perf_counter()
+        (entry,) = run_scenario(parse_scenario(text))["checks"]
+        assert time.perf_counter() - start < 1.0
+        assert entry["ok"] and "error" not in entry
+        assert entry["detail"]["num_hits"] == 0
 
     def test_zero_bump_is_identity(self):
         Y = co.legendrian_model(2)
