@@ -3,9 +3,10 @@
 A k-dimensional graph Y lives over source coordinates (x_1..x_n plus a chosen
 set of free y-coordinates); the remaining y's and z are graph components. The
 restricted 1-form lambda, dz - sum y_i dx_i on Y, is built in closed form from
-the components (GraphSubmanifold.lambda_form) and read with its d by
-forms.jet; the residual equations of the k = n + 1 model are products of
-arrays of the components' values and partials (residual_values).
+the components (GraphSubmanifold.lambda_form).  Its coefficients and the
+matrix of its d are arrays of the components' values and first partials
+(GraphSubmanifold.lambda_jet), and so are the residual equations of the
+k = n + 1 model (residual_values).
 """
 
 from __future__ import annotations
@@ -117,6 +118,36 @@ class GraphSubmanifold:
         return fm.one_form(src, {
             v: z.diff(v) - on_y[v.replace("x", "y")] if v[0] == "x"
             else z.diff(v) for v in src.var_names})
+
+    def lambda_jet(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """lambda's coefficients (k, N) and the matrix W (k, k, N) of
+        d lambda at N points, samples last, from one batch of the
+        components and their first partials.
+
+        d(lambda) is the pullback of sum dx_j ^ dy_j, so W = Dx^T Dy -
+        Dy^T Dx with Dx and Dy the Jacobians of the embedding's x and y
+        parts; Dx = [I | 0], so W = M - M^T with M[:n] = Dy and M[n:] = 0.
+        No second derivative of z is built.  The batch raises as forms.jet's
+        does.
+        """
+        n, k = self.n, self.k
+        dep = [a - 1 for a in range(1, n + 1) if a not in self.free_y]
+        free = [f - 1 for f in self.free_y]
+        vals, J = values_and_partials(self.source_chart, tuple(
+            self.components[f"y{a + 1}"].expr for a in dep) + (
+            self.components["z"].expr,), points)
+        N = len(vals)
+        J = J.transpose(1, 2, 0)  # (components, k, N)
+        W = np.zeros((k, k, N))
+        W[dep] = J[:-1]  # W[:n] = Dy; the i-th free y is coordinate n + i
+        W[free, range(n, k)] = 1.0
+        top = W[:n, :n]
+        top -= top.transpose(1, 0, 2).copy()
+        np.negative(W[:n, n:].transpose(1, 0, 2), out=W[n:, :n])
+        coeffs = J[-1].copy()  # dz/ds, less y_j on x_j
+        coeffs[dep] -= vals[:, :-1].T
+        coeffs[free] -= np.reshape(points, (N, k))[:, n:].T
+        return coeffs, W
 
 
 def graph_submanifold(n: int, k: int,
@@ -540,20 +571,20 @@ def char_foliation_form(Y: GraphSubmanifold,
                         tol: float = RANK_TOL) -> dict:
     """Kernel dimension and integrability of d lambda on ker lambda.
 
-    At a nonsingular sample, S = P W P^T is the matrix of d lambda on the
-    hyperplane ker lambda, with P an orthonormal basis of the hyperplane and
-    W[i, j] = d lambda(e_i, e_j).  The characteristic foliation is ker S,
+    At a nonsingular sample, S is the matrix of d lambda on the hyperplane
+    ker lambda in an orthonormal basis of it (symplin.restrict_to_kernel),
+    from lambda's coefficients and the matrix of d lambda
+    (GraphSubmanifold.lambda_jet).  The characteristic foliation is ker S,
     of dimension 2n-k+1 on a coisotropic Y.  The integrability residual is
     the largest |(d lambda)^(k-n)| on 2(k-n) basis vectors of the
     hyperplane: (k-n)! |Pf| = (k-n)! sqrt(det) of a principal minor of S.
     """
     n, k = Y.n, Y.k
-    covecs, W = fm.jet(Y.lambda_form, points)
-    keep = max_abs(covecs, axis=1) > tol  # nonsingular samples only
-    P = sl.hyperplane_bases(covecs[keep])
-    S = P @ W[keep] @ P.transpose(0, 2, 1)
-    # exactly skew: a principal minor's det is then Pf^2 up to rounding
-    S = (S - S.transpose(0, 2, 1)) / 2
+    a, W = Y.lambda_jet(points)  # samples last
+    keep = max_abs(a, axis=0) > tol  # nonsingular samples only
+    if not keep.all():
+        a, W = a[:, keep], W[:, :, keep]
+    S = sl.restrict_to_kernel(a, W).transpose(2, 0, 1)
     kernel_dims = (k - 1) - sl.skew_rank(S, tol)
     max_residual = 0.0
     deg = 2 * (k - n)

@@ -4,12 +4,14 @@ Subspaces are given by explicit bases; equality and containment are rank tests
 on row-normalized stacked bases, by SVD. Null spaces come from SVD too,
 deterministic for a fixed input ordering. Ranks of 2-form matrices come from a
 certified skew elimination that falls back to the SVD only where its bounds
-leave the count open, and a covector's kernel basis has a closed form, one
-Householder reflector.
+leave the count open.  Two covectors' kernels are compared in closed form,
+by the distance of the unit covectors (same_kernels), with row norms that
+keep hypot's range at the cost of one sum of squares (row_norms).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,6 +20,7 @@ import numpy as np
 from . import forms as _forms
 
 TOL = 1e-9
+SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class NotContact(ValueError):
@@ -140,22 +143,46 @@ def null_space(A: np.ndarray, rcond: float) -> np.ndarray:
     return vh[num:].T
 
 
-def hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel bases of N covectors on R^dim: (N, dim - 1, dim).
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, dim) array.
 
-    Block i is rows 1..dim-1 of the Householder reflector I - v v^T / (1 +
-    |u_0|), where u = covecs[i] / |covecs[i]| and v = u + sign(u_0) e_0, sign
-    +1 at u_0 = +-0, so |v|^2 = 2 (1 + |u_0|) (Golub & Van Loan, 5.1).  A
-    zero or non-finite covector has no hyperplane and raises ValueError.
+    The square root of each row's sum of squares; where some sum overflows,
+    underflows below the smallest normal float or is NaN, those rows take
+    hypot's norm, so no row gets an infinite or a zero norm that hypot
+    would not give.
     """
-    C = np.asarray(covecs, dtype=float)
-    length = np.hypot.reduce(C, axis=1, keepdims=True)
-    if not np.all((length > 0) & (length < np.inf)):
-        raise ValueError("hyperplane_bases needs nonzero finite covectors")
-    u = C / length
-    v = u + np.eye(C.shape[1])[0] * np.where(u[:, :1] < 0, -1.0, 1.0)
-    w = u[:, 1:] / (1.0 + np.abs(u[:, :1]))
-    return np.eye(C.shape[1])[1:] - w[:, :, None] * v[:, None, :]
+    sq = np.einsum("ij,ij->i", A, A)
+    norms = np.sqrt(sq)
+    # two reductions cost less than the mask below on small arrays
+    if not (sq.min(initial=np.inf) >= SMALLEST_NORMAL
+            and sq.max(initial=0.0) < np.inf):
+        bad = ~((sq >= SMALLEST_NORMAL) & (sq < np.inf))
+        norms[bad] = np.hypot.reduce(A[bad], axis=1)
+    return norms
+
+
+def restrict_to_kernel(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The matrix of a 2-form on the kernel of a covector, samples last.
+
+    From N nonzero finite covectors a (k, N) and exactly skew matrices W
+    (k, k, N), returns S (k - 1, k - 1, N), S = P W P^T with P the
+    orthonormal kernel basis of rows 1..k-1 of the Householder reflector
+    I - v v^T / (1 + |u_0|), u = a / |a|, v = u + sign(u_0) e_0 with sign
+    +1 at u_0 = +-0 (Golub & Van Loan, 5.1).  P = E - w v^T, with E rows
+    1..k-1 of I and w = u[1:] / (1 + |u_0|), and v^T W v = 0, so S is the
+    rank-2 update S = W[1:, 1:] + (w q^T - q w^T) with q = (W v)[1:].
+    Formed as D = w q^T, then D - D^T, then W[1:, 1:] added, S is exactly
+    skew in floating point.
+    """
+    u = a / row_norms(a.T)
+    v0 = u[0] + np.where(u[0] < 0, -1.0, 1.0)
+    w = u[1:] / (1.0 + np.abs(u[0]))
+    # q = (W v)[1:], and v[1:] = u[1:]
+    q = np.einsum("ijn,jn->in", W[1:, 1:], u[1:]) + W[1:, 0] * v0
+    D = w[:, None] * q[None]
+    S = D - D.transpose(1, 0, 2)
+    S += W[1:, 1:]
+    return S
 
 
 def same_kernels(c0: np.ndarray, c1: np.ndarray,
@@ -166,15 +193,16 @@ def same_kernels(c0: np.ndarray, c1: np.ndarray,
     most tol * sqrt(2) * (2 dim - 2).  That distance is sqrt(2) times the
     smallest nonzero singular value of any orthonormal kernel bases, stacked,
     so this is the rank test LinSubspace.equals makes on them.  Lengths come
-    from hypot, which does not overflow where squares would; a zero row
-    gives NaN and never shares a kernel.
+    from row_norms, which does not overflow or underflow where squares
+    would; a zero row gives NaN and never shares a kernel.
     """
+    c = np.concatenate([c0, c1])  # one row_norms call: half the overhead
     with np.errstate(invalid="ignore", divide="ignore"):
-        u0 = c0 / np.hypot.reduce(c0, axis=1, keepdims=True)
-        u1 = c1 / np.hypot.reduce(c1, axis=1, keepdims=True)
-        sign = np.sign(np.sum(u0 * u1, axis=1, keepdims=True))
-        gap = np.linalg.norm(u0 - sign * u1, axis=1)
-    return gap <= tol * np.sqrt(2) * (2 * c0.shape[1] - 2)
+        u = c / row_norms(c)[:, None]
+        u0, u1 = u[:len(c0)], u[len(c0):]
+        d = u0 - np.sign(np.einsum("ij,ij->i", u0, u1))[:, None] * u1
+        gap = np.sqrt(np.einsum("ij,ij->i", d, d))
+    return gap <= tol * math.sqrt(2) * (2 * c0.shape[1] - 2)
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 of a point, finite differences for derivatives, the Jacobian for
 pushforwards, the determinant convention for forms on vectors, a 2-form's
 coefficients placed in a skew matrix, the standard symplectic form for the
-linear algebra, the SVD count for ranks, a full SVD for hyperplane kernel
-bases, and four symbolic engines that the package's arrays and closed forms
-are held to: the exterior algebra of sparse forms (wedge, wedge powers and
-d, which build the top form alpha ^ (d alpha)^n that forms.top_coeff's
-Pfaffian is held to), the Cartan calculus (directional derivative, bracket,
-pushforward, interior product and Lie derivative as expression trees), the
-residual equations of a coisotropic graph, and smooth maps with the pullback
-of forms through them, which builds the restricted forms of a graph
-(embedding) and of a germ's zero section (zero_section_map) the general
-way."""
+linear algebra, the SVD count for ranks, a full SVD and one Householder
+reflector for hyperplane kernel bases, and four symbolic engines that the
+package's arrays and closed forms are held to: the exterior algebra of
+sparse forms (wedge, wedge powers and d, which build the top form
+alpha ^ (d alpha)^n that forms.top_coeff's Pfaffian is held to), the Cartan
+calculus (directional derivative, bracket, pushforward, interior product and
+Lie derivative as expression trees), the residual equations of a coisotropic
+graph, and smooth maps with the pullback of forms through them, which builds
+the restricted forms of a graph (embedding) and of a germ's zero section
+(zero_section_map) the general way."""
 
 import functools
 import itertools
@@ -214,6 +214,25 @@ def svd_hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
     rcond < 1."""
     C = np.asarray(covecs, dtype=float)
     return np.linalg.svd(C[:, None, :], full_matrices=True)[2][:, 1:]
+
+
+def hyperplane_bases(covecs: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel bases of N covectors on R^dim: (N, dim - 1, dim).
+
+    Block i is rows 1..dim-1 of the Householder reflector I - v v^T / (1 +
+    |u_0|), where u = covecs[i] / |covecs[i]| and v = u + sign(u_0) e_0, sign
+    +1 at u_0 = +-0, so |v|^2 = 2 (1 + |u_0|) (Golub & Van Loan, 5.1).  A
+    zero or non-finite covector has no hyperplane and raises ValueError.
+    char_foliation_form's S is P W P^T for these bases P.
+    """
+    C = np.asarray(covecs, dtype=float)
+    length = np.hypot.reduce(C, axis=1, keepdims=True)
+    if not np.all((length > 0) & (length < np.inf)):
+        raise ValueError("hyperplane_bases needs nonzero finite covectors")
+    u = C / length
+    v = u + np.eye(C.shape[1])[0] * np.where(u[:, :1] < 0, -1.0, 1.0)
+    w = u[:, 1:] / (1.0 + np.abs(u[:, :1]))
+    return np.eye(C.shape[1])[1:] - w[:, :, None] * v[:, None, :]
 
 
 def svd_count(M, tol: float):

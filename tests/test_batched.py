@@ -11,9 +11,11 @@ EvaluationError on the same samples.  Two checks replaced a comparison
 rather than a loop: zero-section's closed-form kernel test is held to the
 SVD comparison it replaced (svd_same_kernels), and interpolation's one pencil
 build over tau to one build per parameter value (walk_pencil).  The closed
-form of symplin's kernel bases, one Householder reflector, is held to the
-SVD (oracles.svd_hyperplane_bases).  char-foliation's kernel, d lambda on
-ker lambda, is held to a per-sample loop of that definition on every graph
+form of the kernel bases, one Householder reflector
+(oracles.hyperplane_bases), is held to the SVD (oracles.svd_hyperplane_bases),
+and char-foliation's rank-2 update of d lambda (symplin.restrict_to_kernel)
+to P W P^T on those bases.  char-foliation's kernel, d lambda on ker lambda,
+is held to a per-sample loop of that definition on every graph
 (walk_char_kernel), and to the defining-form loop it replaced
 (walk_char_foliation) on the coisotropic graphs, where the paper says the
 two kernels agree.
@@ -26,6 +28,7 @@ import gc
 import importlib.util
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from importlib import resources
@@ -60,6 +63,7 @@ from oracles import (
     embedding,
     exterior_d,
     form_values,
+    hyperplane_bases,
     interior,
     lie_bracket,
     lie_derivative,
@@ -1459,17 +1463,28 @@ class TestJointSweep:
             gc.enable()
 
 
-def bundled_and_benchmark_runs():
-    """(id, seed, text) of every bundled demo at seed 0, and of every
-    benchmark scenario at seeds 0-2."""
+def benchmark_workloads():
+    """perfbench/workloads.py, the benchmark's scenario generators."""
     spec = importlib.util.spec_from_file_location(
         "workloads",
         Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bundled_demos():
+    """(file name, text) of every bundled demo, by name."""
     demos = resources.files("legfol") / "scenarios"
-    runs = [(p.name, 0, p.read_text()) for p in sorted(
+    return [(p.name, p.read_text()) for p in sorted(
         demos.iterdir(), key=lambda p: p.name) if p.name.endswith(".scn")]
+
+
+def bundled_and_benchmark_runs():
+    """(id, seed, text) of every bundled demo at seed 0, and of every
+    benchmark scenario at seeds 0-2."""
+    workloads = benchmark_workloads()
+    runs = [(name, 0, text) for name, text in bundled_demos()]
     return runs + [(f"{w}-{seed}-{i}", seed, text)
                    for w in workloads.WORKLOADS for seed in range(3)
                    for i, text in enumerate(workloads.generate(w, seed))]
@@ -2285,7 +2300,7 @@ class TestStackedLinearAlgebra:
     def test_hyperplanes_match_null_space(self, rng):
         covecs = rng.normal(size=(20, 5))
         covecs[3] = [0.0, 0.0, 1e-9, 0.0, 0.0]
-        bases = sl.hyperplane_bases(covecs)
+        bases = hyperplane_bases(covecs)
         for c, B in zip(covecs, bases):
             ref = sl.span(null_space(c[None], rcond=1e-12).T)
             assert sl.span(B).equals(ref, 1e-8)
@@ -2296,9 +2311,35 @@ class TestStackedLinearAlgebra:
             sl.span(A).equals(sl.span(B)) for A, B in zip(bases,
                                                          bases[::-1])]
         # lengths whose squares overflow or underflow
-        for scale in (1.0, 1e-170, 1e170):
+        for scale in (1.0, 1e-170, 1e170, 1e-300, 1e300):
             assert sl.same_kernels(scale * covecs, covecs[::-1],
                                    sl.TOL).tolist() == other.tolist()
+            # a zero row and a -0 row never share a kernel, not even with
+            # each other
+            zeros = np.zeros((2, 5))
+            zeros[1] = -0.0
+            for c0, c1 in ((zeros, scale * covecs[:2]),
+                           (scale * covecs[:2], zeros), (zeros, zeros),
+                           (zeros, zeros[::-1])):
+                assert not sl.same_kernels(c0, c1, sl.TOL).any()
+
+    def test_row_norms_keep_hypot_range(self, rng):
+        """Where squares overflow, underflow or vanish, row_norms is hypot's
+        norm; elsewhere it is within a few ulps of it."""
+        rows = rng.normal(size=(60, 6))
+        rows[::4] *= 1e-300
+        rows[1::4] *= 1e300
+        rows[2::8] *= 1e-160  # squares subnormal
+        rows[5] = 0.0
+        rows[9] = -0.0
+        rows[13, :3] = 0.0
+        want = np.hypot.reduce(rows, axis=1)
+        got = sl.row_norms(rows)
+        np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps,
+                                   atol=0.0)
+        assert got[5] == got[9] == 0.0
+        assert np.all(got[[i for i in range(60) if i not in (5, 9)]] > 0)
+        assert np.isfinite(got).all()
 
     @pytest.mark.parametrize("dim", range(2, 10))
     def test_householder_bases(self, dim, rng):
@@ -2310,7 +2351,7 @@ class TestStackedLinearAlgebra:
             covecs = rng.normal(size=(40, dim))
             covecs[:, 0] = first * np.abs(covecs[:, 0]) if first else first
             covecs *= scale
-            bases = sl.hyperplane_bases(covecs)
+            bases = hyperplane_bases(covecs)
             assert bases.shape == (40, dim - 1, dim)
             np.testing.assert_allclose(
                 bases @ bases.transpose(0, 2, 1),
@@ -2329,7 +2370,30 @@ class TestStackedLinearAlgebra:
         covecs = np.ones((3, len(row)))
         covecs[1] = row
         with pytest.raises(ValueError, match="nonzero finite"):
-            sl.hyperplane_bases(covecs)
+            hyperplane_bases(covecs)
+
+    @pytest.mark.parametrize("dim", range(2, 10))
+    def test_rank2_restriction(self, dim, rng):
+        """restrict_to_kernel's rank-2 update of W is exactly skew and has
+        the singular values of P W P^T on the oracle's reflector bases, at
+        covector scales whose squares underflow or overflow and with a first
+        component of either sign or zero."""
+        for scale, first in itertools.product((1e-170, 1.0, 1e170),
+                                              (2.0, -2.0, 0.0, -0.0)):
+            covecs = rng.normal(size=(40, dim))
+            covecs[:, 0] = first * np.abs(covecs[:, 0]) if first else first
+            covecs *= scale
+            X = rng.normal(size=(40, dim, dim))
+            W = X - X.transpose(0, 2, 1)
+            S = sl.restrict_to_kernel(covecs.T, W.transpose(1, 2, 0))
+            assert S.shape == (dim - 1, dim - 1, 40)
+            assert np.array_equal(S, -S.transpose(1, 0, 2))
+            P = hyperplane_bases(covecs)
+            want = np.linalg.svd(P @ W @ P.transpose(0, 2, 1),
+                                 compute_uv=False)
+            got = np.linalg.svd(S.transpose(2, 0, 1), compute_uv=False)
+            bound = 1e-13 * np.max(np.abs(W), axis=(1, 2))
+            assert np.all(np.abs(got - want) <= bound[:, None])
 
     def test_closed_form_kernel_sweep(self):
         """same_kernels decides as the SVD comparison on every pair: dims 2-9,
@@ -2380,7 +2444,8 @@ class TestZeroDivisor:
 
     def test_char_foliation(self, rng):
         pts = self.points(rng)
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match=re.escape(
+                f"row 4, point {pts[4].tolist()}: division by zero")):
             co.char_foliation_form(self.Y, pts)
         with pytest.raises(EvaluationError):
             walk_char_foliation(self.Y, pts, 1e-8)

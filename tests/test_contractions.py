@@ -2,8 +2,11 @@
 
 The package contracts compiled values and first partials: interior products
 (V @ M with M the matrix of the 2-form), Lie derivatives of 1-forms
-(forms.lie_coeffs), brackets (fields.brackets), pushforwards (J V) and
-beta ^ d beta (germ.frobenius_residual).  tests/oracles.py keeps the same
+(forms.lie_coeffs), brackets (fields.brackets), pushforwards (J V),
+beta ^ d beta (germ.frobenius_residual), and a graph's lambda with the
+matrix of d lambda from the components' first partials
+(GraphSubmanifold.lambda_jet), which forms.jet builds from lambda's
+symbolic coefficients and their d.  tests/oracles.py keeps the same
 operators as expression trees, compiled and evaluated as one more field.
 The two engines must agree within 1e-13 times the largest term of each
 entry of the contraction.
@@ -24,6 +27,7 @@ from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import forms as fm
 from legfol import germ as gm
+from legfol import runner
 from legfol.fields import (
     Chart,
     brackets,
@@ -32,6 +36,7 @@ from legfol.fields import (
     values_and_partials,
     vector_field,
 )
+from legfol.scenario import parse_scenario
 
 from oracles import (
     SmoothMapExpr,
@@ -45,7 +50,14 @@ from oracles import (
     values,
     wedge,
 )
-from test_batched import graph, radial_bundle, sheared_bundle, trig_bundle
+from test_batched import (
+    benchmark_workloads,
+    bundled_demos,
+    graph,
+    radial_bundle,
+    sheared_bundle,
+    trig_bundle,
+)
 
 REL = 1e-13
 ABCD = Chart(("a", "b", "c", "d"))
@@ -254,6 +266,94 @@ class TestGraphFrames:
         got = co.frame_residuals(Y, pts)
         for key in ("i_V_dlambda", "lie_lambda", "bracket"):
             assert np.max(np.abs(got[key])) > 0.1, key
+
+
+def scenario_graphs():
+    """Every graph of the bundled demos and of the pointwise-identities
+    scenarios at seeds 1-3, with its scenario and name as id."""
+    workloads = benchmark_workloads()
+    texts = [(name[:-4], text) for name, text in bundled_demos()]
+    texts += [(f"pointwise-{seed}-{i}", text) for seed in (1, 2, 3)
+              for i, text in enumerate(
+                  workloads.generate("pointwise-identities", seed))]
+    found = []
+    for name, text in texts:
+        sc = parse_scenario(text)
+        env = runner._Env(sc, np.random.default_rng(0),
+                          runner._resolve(sc, {}))
+        found += [pytest.param(env.get("graph", b.name),
+                               id=f"{name}:{b.name}")
+                  for b in sc.blocks if b.kind == "graph"]
+    return found
+
+
+def random_graphs():
+    """Graphs with random O(1) components, each reading every source
+    coordinate, at n = 1, 2, 3, every k from n + 1 to 2n and every choice of
+    free y's."""
+    rng = np.random.default_rng(20261020)
+    found = []
+    for n in (1, 2, 3):
+        for k in range(n + 1, 2 * n + 1):
+            for free in itertools.combinations(range(1, n + 1), k - n):
+                src = co.graph_submanifold(n, k, free_y=free).source_chart
+                every = " + ".join(src.var_names)
+
+                def component():
+                    return random_field(src, rng) + parse_field(
+                        src, f"{rng.uniform(0.5, 1.5)!r} * sin({every})")
+
+                comps = {f"y{a}": component()
+                         for a in range(1, n + 1) if a not in free}
+                comps["z"] = component()
+                found.append(pytest.param(
+                    co.graph_submanifold(n, k, comps, free),
+                    id=f"n{n}-k{k}-free{''.join(map(str, free))}"))
+    return found
+
+
+def assert_graph_jet(Y, pts):
+    """lambda_jet against forms.jet, each entry within REL times its
+    largest term: dz/ds_i and y_i for a coefficient; for W_ij, the partials
+    d_j a_i and d_i a_j of lambda's coefficients a, the second partials
+    z_ij and z_ji, and Dy_ij and Dy_ji of the y part's Jacobian."""
+    n, k = Y.n, Y.k
+    src = Y.source_chart
+    got_a, got_W = Y.lambda_jet(pts)
+    want_a, want_W = fm.jet(Y.lambda_form, pts)
+    emb, J_emb = values_and_partials(src, Y.embedding, pts)
+    y = np.zeros((len(pts), k))
+    y[:, :n] = emb[:, n:2 * n]
+    assert_within(got_a.T, want_a, np.stack([J_emb[:, 2 * n], y], axis=-1))
+    _, Ja = one_form(Y.lambda_form, pts)
+    _, Hz = values_and_partials(src, tuple(
+        Y.components["z"].expr.diff(v) for v in src.var_names), pts)
+    Dy = np.zeros((len(pts), k, k))
+    Dy[:, :n] = J_emb[:, n:2 * n]
+    terms = np.stack([Ja, Ja.transpose(0, 2, 1), Hz, Hz.transpose(0, 2, 1),
+                      Dy, Dy.transpose(0, 2, 1)], axis=-1)
+    assert_within(got_W.transpose(2, 0, 1), want_W, terms)
+
+
+class TestGraphJet:
+    @pytest.mark.parametrize("Y", scenario_graphs())
+    def test_scenario_graphs(self, Y, rng):
+        assert_graph_jet(Y, rng.uniform(-0.9, 0.9, (200, Y.source_chart.dim)))
+
+    @pytest.mark.parametrize("Y", random_graphs())
+    def test_random_graphs(self, Y, rng):
+        pts = rng.uniform(-0.9, 0.9, (40, Y.source_chart.dim))
+        assert_graph_jet(Y, pts)
+        # every kind of entry is far from zero, so the comparison is not
+        # between zeros
+        a, W = Y.lambda_jet(pts)
+        assert np.min(np.max(np.abs(a), axis=1)) > 0.01
+        assert np.max(np.abs(W)) > 0.1
+
+    def test_empty(self):
+        Y = graph(2, 4)
+        a, W = Y.lambda_jet(np.empty((0, 4)))
+        assert a.shape == (4, 0) and W.shape == (4, 4, 0)
 
 
 # ---------------------------------------------------------------------------

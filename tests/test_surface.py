@@ -213,11 +213,13 @@ def test_no_symbolic_cartan_calculus():
 # (coiso.residual_values), and the restricted forms of a graph and of a
 # germ's zero section are built in closed form; the exterior algebra of
 # sparse forms, the symbolic 2-form matrices, residual equations, smooth maps
-# and pullbacks are oracles in tests/oracles.py.
+# and pullbacks are oracles in tests/oracles.py.  char-foliation takes
+# d lambda on ker lambda as a rank-2 update of d lambda, so the explicit
+# Householder kernel bases are an oracle too.
 RETIRED = {"form_matrices", "residual_fields", "_model_data", "pullback",
            "SmoothMapExpr", "compose_field", "jacobian_fields",
            "zero_section_map", "wedge", "wedge_power", "exterior_d",
-           "_merge_sign", "zero_form", "function_form"}
+           "_merge_sign", "zero_form", "function_form", "hyperplane_bases"}
 
 
 def symbolic_form_uses() -> list[str]:
