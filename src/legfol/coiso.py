@@ -5,8 +5,9 @@ set of free y-coordinates); the remaining y's and z are graph components. The
 restricted 1-form lambda, dz - sum y_i dx_i on Y, is built in closed form from
 the components (GraphSubmanifold.lambda_form).  Its coefficients and the
 matrix of its d are arrays of the components' values and first partials
-(GraphSubmanifold.lambda_jet), and so are the residual equations of the
-k = n + 1 model (residual_values).
+(GraphSubmanifold.lambda_jet), and the residual equations of the k = n + 1
+model (residual_values) are the components of lambda ^ d lambda on them
+(forms.frobenius).
 """
 
 from __future__ import annotations
@@ -92,9 +93,8 @@ class GraphSubmanifold:
 
     @functools.cached_property
     def source_chart(self) -> Chart:
-        names = tuple(f"x{i}" for i in range(1, self.n + 1)) \
-            + tuple(f"y{j}" for j in self.free_y)
-        return Chart(names)
+        return Chart(tuple(f"x{i}" for i in range(1, self.n + 1))
+                     + tuple(f"y{j}" for j in self.free_y))
 
     @functools.cached_property
     def ambient(self) -> Chart:
@@ -157,9 +157,8 @@ def graph_submanifold(n: int, k: int,
     if free_y is None:
         free_y = tuple(range(2 * n - k + 1, n + 1))
     free = tuple(sorted(free_y))
-    src_names = tuple(f"x{i}" for i in range(1, n + 1)) \
-        + tuple(f"y{j}" for j in free)
-    src = Chart(src_names)
+    src = Chart(tuple(f"x{i}" for i in range(1, n + 1))
+                + tuple(f"y{j}" for j in free))
     needed = [f"y{i}" for i in range(1, n + 1) if i not in free] + ["z"]
     given = dict(components or {})
     comps = {name: as_field(src, given.pop(name, 0.0)) for name in needed}
@@ -254,14 +253,21 @@ def _cells(flat: np.ndarray, size: int, dim: int) -> np.ndarray:
     return np.stack(np.unravel_index(flat, (size,) * dim), axis=1)
 
 
-def _raise_scan_fault(compiled, axis: np.ndarray, k: int):
-    """Raise the EvaluationError of CompiledExprs.batch for the first block of
-    SCAN_BLOCK_ROWS rows of the full k-dimensional grid that holds a failing
-    point, with its row counted from the block's start."""
-    size = len(axis) ** k
-    for start in range(0, size, SCAN_BLOCK_ROWS):
-        flat = np.arange(start, min(start + SCAN_BLOCK_ROWS, size))
-        compiled.batch(axis[_cells(flat, len(axis), k)])
+def _raise_scan_fault(compiled, axis: np.ndarray, read: list[int],
+                      flat: np.ndarray):
+    """Raise batch's EvaluationError on the first SCAN_BLOCK_ROWS-row block of
+    the full grid with a failing point: the first of the failing sub-grid
+    block flat to fail, with each unread coordinate at axis[0]."""
+    side, k = len(axis), compiled.chart.dim
+    cells = np.zeros((len(flat), k), dtype=np.int64)
+    cells[:, read] = _cells(flat, side, len(read))
+    try:
+        compiled.batch(axis[cells])
+    except EvaluationError as exc:
+        first = np.ravel_multi_index(cells[exc.row], (side,) * k)
+        start = first - first % SCAN_BLOCK_ROWS
+        compiled.batch(axis[_cells(np.arange(
+            start, min(start + SCAN_BLOCK_ROWS, side ** k)), side, k)])
     raise AssertionError("a point that failed on the sub-grid passed batch")
 
 
@@ -311,7 +317,7 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
             except RowError:
                 ok = False
             if not ok:
-                _raise_scan_fault(compiled, axis, k)
+                _raise_scan_fault(compiled, axis, read, flat)
             gsq = 0.0
             for g in out[k:k + k * k]:  # field order; g * g is numpy's g ** 2
                 gsq = gsq + g * g
@@ -377,54 +383,27 @@ def _require_standard(Y: GraphSubmanifold):
 @np.errstate(all="ignore")  # a non-finite equation raises below
 def residual_values(Y: GraphSubmanifold,
                     points: Sequence[Sequence[float]]) -> dict:
-    """The foliation-residual equations at N points: products of the graph
-    components y_a (a < n) and z and their first partials, from one batch.
-
-    Keys: "eq_abc" (triples, redundant), "eq_abn", "eq_abyn" (pairs), "eq_a"
-    (singles) and "lambda_ab" (the commutator identity), each mapping index
-    tuples to (N,) arrays.  "max_residual" holds, per point, the largest
-    |eq_abn|, |eq_abyn| and |eq_a|; "redundant_max" the largest |eq_abc|,
-    which is excluded from max_residual, being derivable from the others.
-    Raises EvaluationError, as a batch does, at the first point where an
-    equation is not finite.
-    """
+    """The foliation-residual equations at N points: lambda ^ d lambda
+    (forms.frobenius) on the graph's jet, by whether a triple meets x_n and
+    y_n: "eq_abc" (neither; redundant), "eq_abn", "eq_abyn" (one), "eq_a"
+    (both); and "lambda_ab" = d lambda(V_a, V_b); each maps 1-based indices
+    to (N,) arrays.  "max_residual" is, per point, the largest |eq_abn|,
+    |eq_abyn| and |eq_a|; "redundant_max" the largest |eq_abc|.  Raises
+    EvaluationError, as a batch does, where an equation is not finite."""
     _require_standard(Y)
     n = Y.n
-    vals, J = values_and_partials(Y.source_chart, tuple(
-        Y.components[f"y{a}" if a < n else "z"].expr
-        for a in range(1, n + 1)), points)
-    # source coordinates x_1..x_n, y_n: column b - 1 is x_b, column n is y_n
-    y = {a: vals[:, a - 1] for a in range(1, n)}
-    zx = {a: J[:, n - 1, a - 1] for a in range(1, n + 1)}
     pts = np.asarray(points, dtype=float).reshape(-1, n + 1)
-    zyn, yn = J[:, n - 1, n], pts[:, n]
-    yx = {(a, b): J[:, a - 1, b - 1] for a in range(1, n)
-          for b in range(1, n + 1)}
-    yyn = {a: J[:, a - 1, n] for a in range(1, n)}
-
-    def A(a):  # dz/dx_a - y_a
-        return zx[a] - y[a]
-
-    out = {"eq_abc": {}, "eq_abn": {}, "eq_abyn": {}, "eq_a": {},
-           "lambda_ab": {}}
-    rng = range(1, n)
-    for a, b, c in itertools.combinations(rng, 3):
-        out["eq_abc"][(a, b, c)] = (
-            A(a) * (yx[(b, c)] - yx[(c, b)])
-            - A(b) * (yx[(a, c)] - yx[(c, a)])
-            + A(c) * (yx[(a, b)] - yx[(b, a)]))
-    for a, b in itertools.combinations(rng, 2):
-        out["eq_abn"][(a, b)] = (
-            A(a) * yx[(b, n)] - A(b) * yx[(a, n)]
-            + (zx[n] - yn) * (yx[(a, b)] - yx[(b, a)]))
-        out["eq_abyn"][(a, b)] = (
-            A(a) * yyn[b] - A(b) * yyn[a]
-            + zyn * (yx[(a, b)] - yx[(b, a)]))
-        out["lambda_ab"][(a, b)] = (
-            yyn[a] * yx[(b, n)] - yyn[b] * yx[(a, n)]
-            + yx[(a, b)] - yx[(b, a)])
-    for a in rng:
-        out["eq_a"][a] = zx[a] - (zx[n] - yn) * yyn[a] + zyn * yx[(a, n)] - y[a]
+    a, W = Y.lambda_jet(pts)
+    # 1-based source coordinates: x_1..x_n, then y_n as n + 1
+    frob = dict(zip(itertools.combinations(range(1, n + 2), 3),
+                    fm.frobenius(a, W)))
+    out = {"eq_abc": {t: v for t, v in frob.items() if t[2] < n},
+           "eq_abn": {t[:2]: v for t, v in frob.items() if t[1] < n == t[2]},
+           "eq_abyn": {t[:2]: v for t, v in frob.items() if t[1] < n < t[2]},
+           "eq_a": {t[0]: v for t, v in frob.items() if t[1] == n},
+           "lambda_ab": {(i + 1, j + 1): W[i, n] * W[j, n - 1]
+                         - W[j, n] * W[i, n - 1] + W[i, j] for i, j
+                         in itertools.combinations(range(n - 1), 2)}}
 
     def row_max(keys):
         cols = [v for key in keys for v in out[key].values()]
@@ -435,7 +414,6 @@ def residual_values(Y: GraphSubmanifold,
         row = int(np.argmax(bad))
         raise EvaluationError(
             f"row {row}, point {pts[row].tolist()}: non-finite value")
-
     out["max_residual"] = row_max(("eq_abn", "eq_abyn", "eq_a"))
     out["redundant_max"] = row_max(("eq_abc",))
     return out
@@ -550,15 +528,10 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
         "lie_lambda": float(max_abs(frame["lie_lambda"])),
         "lambda_ab": float(max_abs(np.array(
             list(table["lambda_ab"].values())))),
-        "refused": False,
     }
-    res["max_residual"] = max(
-        res[k] for k in ("i_V_alpha", "i_V_dlambda", "bracket",
-                         "lie_lambda", "lambda_ab"))
-    res["passed"] = res["max_residual"] <= tol
-    res["tolerance"] = tol
-    res["samples"] = len(points)
-    return res
+    worst = max(res.values())
+    return {**res, "refused": False, "max_residual": worst,
+            "passed": worst <= tol, "tolerance": tol, "samples": len(points)}
 
 
 # ---------------------------------------------------------------------------
@@ -628,18 +601,14 @@ def perturb_legendrian(Y: GraphSubmanifold,
             raise ValueError("input components must vanish (normal form)")
     src = Y.source_chart
     bump = bump.on_chart(src)
-    allowed = {"y1"}
-    if not bump.expr.variables() <= allowed:
+    if not bump.expr.variables() <= {"y1"}:
         raise ValueError("bump must depend on y1 only")
     if isinstance(bump.expr, Const) and bump.expr.value == 0.0:
         return Y
     slope = bump.diff("y1").compile()(np.zeros((1, src.dim)))[0]
     if abs(slope) < 1e-12:
         raise ValueError("perturbation does not clear singularity at 0")
-    comps = {name: constant(src, 0.0) for name in Y.components}
-    comps["z"] = bump
-    out = GraphSubmanifold(Y.n, Y.k, Y.free_y, comps)
-    return out
+    return GraphSubmanifold(Y.n, Y.k, Y.free_y, {**Y.components, "z": bump})
 
 
 def perturbation_sup_norm(Y0: GraphSubmanifold, Y1: GraphSubmanifold,
@@ -664,16 +633,16 @@ def singular_normal_data(Y: GraphSubmanifold, point: Sequence[float],
     The orientation sign is that of the two-form on the declared normal pair
     of source coordinates (default: x_n and the last free y).
     """
-    covec, W = fm.jet(Y.lambda_form, [point])
+    covec, W = Y.lambda_jet([point])
     if max_abs(covec) > tol:
         return {"singular": False, "tag": "not singular"}
     src = Y.source_chart
     k = src.dim
-    rank = sl.skew_rank(W[0], tol)
+    rank = sl.skew_rank(W[:, :, 0], tol)
     if normal_pair is None:
         normal_pair = (f"x{Y.n}", f"y{Y.free_y[-1]}")
     i0, j0 = src.index(normal_pair[0]), src.index(normal_pair[1])
-    val = W[0, i0, j0]
+    val = W[i0, j0, 0]
     return {
         "singular": True,
         "rank": rank,

@@ -32,7 +32,8 @@ class UnknownVariable(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """Evaluation produced a non-finite value."""
+    """Evaluation produced a non-finite value; one that CompiledExprs.batch
+    raises has row, the first row that failed."""
 
 
 @dataclass(frozen=True)
@@ -479,8 +480,8 @@ class CompiledExprs:
 
     ``batch`` evaluates an ``(N, dim)`` point array with numpy ufuncs and
     returns ``(N, len(exprs))``, reducing periodic coordinates modulo their
-    period.  It raises EvaluationError naming the first row that fails, its
-    point and the reason.
+    period.  It raises EvaluationError naming the first row that fails (also
+    as its row), its point and the reason.
 
     ``columns`` is the bare generated function: one array per coordinate
     in, one array (or float, for a constant) per expression out.  It raises
@@ -526,17 +527,19 @@ class CompiledExprs:
                     else:
                         hi = mid
                 reason = self._fault(pts[hi - 1:hi])
-            raise EvaluationError(
-                f"row {hi - 1}, point {pts[hi - 1].tolist()}: {reason}"
-            ) from None
-        out = np.empty((len(pts), len(values)))
-        for j, v in enumerate(values):
-            out[:, j] = v
-        if not np.isfinite(out).all():  # the per-row mask names the row
+            row = hi - 1
+        else:
+            out = np.empty((len(pts), len(values)))
+            for j, v in enumerate(values):
+                out[:, j] = v
+            if np.isfinite(out).all():
+                return out
             row = int(np.argmax(~np.isfinite(out).all(axis=1)))
-            raise EvaluationError(
-                f"row {row}, point {pts[row].tolist()}: non-finite value")
-        return out
+            reason = "non-finite value"
+        error = EvaluationError(
+            f"row {row}, point {pts[row].tolist()}: {reason}")
+        error.row = row
+        raise error
 
     def _fault(self, pts: np.ndarray) -> Optional[str]:
         """Why some row of pts fails, or None if every row evaluates to

@@ -12,8 +12,9 @@ graph or to a zero section are built in closed form where they are needed
 coefficient of alpha ^ (d alpha)^n is one bordered-Pfaffian expression
 (top_coeff), so no k-form algebra is built; wedge products and the d of
 k-forms are the oracle in tests/oracles.py.  A 1-form and its d are
-evaluated together on arrays (jet); contractions with vector fields are
-taken on arrays of values and first partials (lie_coeffs).
+evaluated together on arrays (jet); alpha ^ d alpha has one definition on
+those arrays (frobenius), and contractions with vector fields are taken on
+arrays of values and first partials (lie_coeffs).
 """
 
 from __future__ import annotations
@@ -166,6 +167,16 @@ def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:
         W[:, i, j] = vals[:, col]
         W[:, j, i] = -vals[:, col]
     return vals[:, :dim], W
+
+
+def frobenius(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The components a_i W_jk - a_j W_ik + a_k W_ij of a ^ da, (C(dim, 3),
+    N) over triples i < j < k in lexicographic order, from a 1-form's
+    coefficients a (dim, N) and the matrix W (dim, dim, N) of its d, samples
+    last as GraphSubmanifold.lambda_jet gives them."""
+    i, j, k = np.array([*itertools.combinations(range(len(a)), 3)],
+                       dtype=int).reshape(-1, 3).T  # none below dim 3
+    return a[i] * W[j, k] - a[j] * W[i, k] + a[k] * W[i, j]
 
 
 def lie_coeffs(V: np.ndarray, JV: np.ndarray, w: np.ndarray,

@@ -7,13 +7,13 @@ assembles dz + beta - sum y_j ds_j from a flat disk bundle carrying a CCL fiber
 The contact checks read one number, the coefficient of alpha ^ (d alpha)^n,
 built once per germ as n! times the Pfaffian of the bordered matrix of alpha
 and d alpha (forms.top_coeff); the interpolation pencil builds it once in a
-variable tau.
+variable tau.  The nonsingular builder's input check reads beta ^ d beta
+from forms.frobenius, the one definition of that 3-form.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -74,12 +74,12 @@ class FoliatedInput:
             raise ValueError("line field must live on the foliated chart")
 
     def validate(self, points: Sequence[Sequence[float]]) -> None:
-        """Refuse where beta ^ d beta is not zero; then at the first sample,
-        in sample order, where beta vanishes or else beta(L) <= 0; then
-        where beta has a leafwise component.  beta and d beta come from one
-        forms.jet."""
+        """Refuse where beta ^ d beta (forms.frobenius) is not zero; then at
+        the first sample, in sample order, where beta vanishes or else
+        beta(L) <= 0; then where beta has a leafwise component.  beta and
+        d beta come from one forms.jet."""
         b, W = fm.jet(self.beta, points)
-        frob = _frobenius(b, W)
+        frob = float(max_abs(fm.frobenius(b.T, W.transpose(1, 2, 0))))
         if frob > INPUT_TOL:
             raise GermBuildError(f"foliation form not integrable: {frob:g}")
         line = compile_exprs(self.beta.chart, tuple(
@@ -96,23 +96,6 @@ class FoliatedInput:
             raise GermBuildError(
                 "defining form has a leafwise component; chart is not "
                 "adapted to the foliation")
-
-
-def _frobenius(b: np.ndarray, W: np.ndarray) -> float:
-    """Max of beta ^ d(beta) over coordinate 3-frames, from beta's
-    coefficients b and the matrix W of d beta (forms.jet):
-    (beta ^ d beta)_ijk = beta_i W_jk - beta_j W_ik + beta_k W_ij.
-    """
-    i, j, k = np.array([*itertools.combinations(range(b.shape[1]), 3)],
-                       dtype=int).reshape(-1, 3).T  # none below dim 3
-    return float(max_abs(
-        b[:, i] * W[:, j, k] - b[:, j] * W[:, i, k] + b[:, k] * W[:, i, j]))
-
-
-def frobenius_residual(beta: fm.DiffForm,
-                       points: Sequence[Sequence[float]]) -> float:
-    """Max of beta ^ d(beta) over coordinate 3-frames at sample points."""
-    return _frobenius(*fm.jet(beta, points))
 
 
 @dataclass(frozen=True)

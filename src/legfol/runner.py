@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import time
 from typing import Callable
 
@@ -20,8 +19,8 @@ from .fields import (
     Chart,
     ParseError,
     UnknownVariable,
-    compile_exprs,
     constant,
+    max_abs,
     parse_field,
     vector_field,
 )
@@ -32,6 +31,7 @@ from .scenario import (
     parse_float,
     parse_int,
     parse_number_list,
+    parse_positive,
 )
 
 SCHEMA_VERSION = 1
@@ -88,9 +88,7 @@ class _Env:
         free_raw = b.get("free_y")
         free = tuple(int(x) for x in free_raw.replace(",", " ").split()) \
             if free_raw else None
-        src = Chart(tuple(f"x{i}" for i in range(1, n + 1)) + tuple(
-            f"y{j}" for j in (free if free is not None
-                              else range(2 * n - k + 1, n + 1))))
+        src = co.graph_submanifold(n, k, free_y=free).source_chart
         comps = {key: parse_field(src, val) for key, val in b.items()
                  if key not in ("n", "k", "free_y")}
         return co.graph_submanifold(n, k, comps, free)
@@ -151,13 +149,9 @@ class _Env:
 
 def _graph_points(rng: np.random.Generator, Y: co.GraphSubmanifold,
                   count: int) -> np.ndarray:
-    """count samples of the graph's source box.  The graph's components are
-    evaluated there, so a component undefined at a sample is an error of
-    every check on the graph, also of one that reads only its derivatives."""
-    pts = rng.uniform(-0.9, 0.9, (count, Y.source_chart.dim))
-    compile_exprs(Y.source_chart, tuple(
-        c.expr for c in Y.components.values())).batch(pts)
-    return pts
+    """count samples of the graph's source box.  Each graph check evaluates
+    all components there (lambda_jet): an undefined one is its error."""
+    return rng.uniform(-0.9, 0.9, (count, Y.source_chart.dim))
 
 
 def _claim(rng, target, tol, samples) -> dict:
@@ -197,8 +191,8 @@ def _perturb(rng, n, delta, bump, box, step, tol, samples) -> dict:
         bump = f"{delta} * y1 * exp(0 - y1^2)"
     Yp = co.perturb_legendrian(Y, parse_field(Y.source_chart, bump))
     scan = co.singular_scan(Yp, box=box, step=step)
-    resid = gm.frobenius_residual(Yp.lambda_form,
-                                  _graph_points(rng, Yp, samples))
+    resid = max_abs(fm.frobenius(*Yp.lambda_jet(
+        _graph_points(rng, Yp, samples))))
     return {"passed": scan.num_hits == 0 and resid <= tol,
             "num_hits": int(scan.num_hits),
             "foliation_residual": float(resid), "tolerance": tol}
@@ -307,24 +301,16 @@ def _at_least_one(key: str) -> Callable[[str, int | None], int]:
     return parse
 
 
-def _positive(raw: str, line: int | None) -> float:
-    value = parse_float(raw, line)
-    if not 0 < value < math.inf:
-        raise ScenarioError(f"expected a positive finite number, got "
-                            f"'{raw}'", line)
-    return value
-
-
 def _text(raw: str, line: int | None) -> str:
     return raw
 
 
 # The parser of each value key, which checks its rule: a block's raw value
 # and a run's override go through the same one.
-VALUES = {"tol": _positive, "samples": _at_least_one("samples"),
-          "box": _positive, "step": _positive, "clusters": parse_int,
-          "dim": parse_int, "flag": _text, "n": _at_least_one("n"),
-          "delta": parse_float, "bump": _text,
+VALUES = {"tol": parse_positive, "samples": _at_least_one("samples"),
+          "box": parse_positive, "step": parse_positive,
+          "clusters": parse_int, "dim": parse_int, "flag": _text,
+          "n": _at_least_one("n"), "delta": parse_float, "bump": _text,
           "generator": parse_int, "start": parse_number_list,
           "end": parse_number_list, "f": _text}
 

@@ -17,6 +17,7 @@ runner can bind them to the right chart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -133,7 +134,24 @@ def _value_parser(cast, what: str):
     return parse
 
 
+def _finite(raw: str) -> float:
+    """float(raw), or a ValueError for nan, inf and overflows (1e400)."""
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(raw)
+    return value
+
+
 parse_number_list = _value_parser(
-    lambda raw: [float(p) for p in raw.replace(",", " ").split()], "numbers")
+    lambda raw: [_finite(p) for p in raw.replace(",", " ").split()],
+    "finite numbers")
 parse_int = _value_parser(int, "an integer")
-parse_float = _value_parser(float, "a number")
+parse_float = _value_parser(_finite, "a finite number")
+_parse_number = _value_parser(float, "a number")
+
+
+def parse_positive(raw: str, line: int | None) -> float:
+    """A positive finite number, such as a box, step or tolerance."""
+    if not 0 < (value := _parse_number(raw, line)) < math.inf:
+        raise ScenarioError(f"expected a positive finite number, got "
+                            f"'{raw}'", line)
+    return value

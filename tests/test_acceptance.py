@@ -171,8 +171,8 @@ def test_criterion_4_singular_scans():
     bump = parse_field(leg.source_chart, "0.1 * y1 * exp(-(y1^2))")
     pert = co.perturb_legendrian(leg, bump)
     pert_scan = co.singular_scan(pert, box=0.8, step=0.05)
-    resid = gm.frobenius_residual(pert.lambda_form,
-                                  RNG.uniform(-0.9, 0.9, (100, 3)))
+    resid = np.max(np.abs(fm.frobenius(*pert.lambda_jet(
+        RNG.uniform(-0.9, 0.9, (100, 3))))))
     pert_ok = pert_scan.num_hits == 0 and resid <= 1e-10
     ok = model_ok and leg_ok and pert_ok
     report(4, ok, f"scans: model cluster dim {model.dims}, flat plane "

@@ -29,6 +29,7 @@ import importlib.util
 import itertools
 import math
 import re
+import time
 import tracemalloc
 import weakref
 from importlib import resources
@@ -654,8 +655,24 @@ class TestSatellitePorts:
     ], ids=["perturbed", "paraboloid", "curved-n3k5"])
     def test_foliation_residual(self, Y, rng):
         pts = samples(Y, rng)
-        assert close(gm.frobenius_residual(Y.lambda_form, pts),
-                     walk_foliation_residual(Y, pts))
+        got = fm.frobenius(*Y.lambda_jet(pts))
+        assert close(np.max(np.abs(got)), walk_foliation_residual(Y, pts))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bump", [None, "0.3 * sin(2 * y1) + y1^3"],
+                             ids=["default", "odd"])
+    def test_perturb_residual(self, n, bump):
+        """perturb's foliation_residual, forms.frobenius on the perturbed
+        graph's jet at the check's samples, against the symbolic
+        lambda ^ d lambda at the same samples."""
+        got = runner._perturb(np.random.default_rng(7), n, 0.1, bump, 1.0,
+                              0.5, 1e-10, 40)
+        Y = co.legendrian_model(n)
+        Yp = co.perturb_legendrian(Y, parse_field(
+            Y.source_chart, bump or "0.1 * y1 * exp(0 - y1^2)"))
+        pts = np.random.default_rng(7).uniform(-0.9, 0.9, (40, n + 1))
+        assert close(got["foliation_residual"],
+                     walk_frobenius(Yp.lambda_form, pts))
 
     @pytest.mark.parametrize("texts, orientation", [
         ({"u": "-v", "v": "u"}, 1),
@@ -694,6 +711,13 @@ def walk_frobenius(beta, points):
         worst = max(worst, float(np.max(np.abs(form_values(
             three, points, [eye[i] for i in combo])))))
     return worst
+
+
+def jet_frobenius(beta, points):
+    """beta ^ d beta by the package's path for a 1-form: forms.jet, then
+    forms.frobenius on its arrays, samples last; (C(dim, 3), N)."""
+    b, W = fm.jet(beta, points)
+    return fm.frobenius(b.T, W.transpose(1, 2, 0))
 
 
 def walk_validate(inp, points, tol=1e-8):
@@ -894,7 +918,8 @@ class TestGermPreconditions:
         pts = rng.uniform(-0.9, 0.9, (30, ch.dim))
         for beta in (random_one_form(ch, rng),
                      fm.one_form(ch, {"t": parse_field(ch, "2 + x1^2")})):
-            assert close(gm.frobenius_residual(beta, pts),
+            assert close(np.max(np.abs(jet_frobenius(beta, pts)),
+                                initial=0.0),
                          walk_frobenius(beta, pts))
 
     @pytest.mark.parametrize("inp, column, values, message", [
@@ -2558,8 +2583,9 @@ class TestScanColumns:
     """singular_scan evaluates the generated function on columns, in blocks
     of the sub-grid of the source coordinates that some output reads, and
     extends the hits along the others.  It calls CompiledExprs.batch
-    only when an output fails a check or is not finite, on the full grid's
-    blocks, which then raises.  The hits are bit-equal to the block loop
+    only when an output fails a check or is not finite: on the failing
+    sub-grid block, then on the one full-grid block that holds the first
+    failing point, which raises.  The hits are bit-equal to the block loop
     over batch on the full grid (walk_scan), with its dtype and C order;
     the clusters, dims and flags are equal; a fault raises batch's
     EvaluationError, whose row is relative to its full-grid block."""
@@ -2742,3 +2768,33 @@ class TestScanColumns:
         assert entry["ok"] is False
         assert entry["detail"] == {"passed": False, "refused": False}
         assert entry["error"] == f"EvaluationError: {got.value}"
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_fault_deep_in_the_grid(self, k, monkeypatch):
+        """z = y3 / (x1 - axis[39]) at n = 3: the outputs read x1 and y3,
+        and at k = 5 also the free y2 (on dx2), a sub-grid of 41^2 or 41^3
+        points in the 41^k grid.  Every point with x1 = axis[39] fails, so
+        the first failing grid point is F = 39 * 41^(k-1), past 2.7 million
+        rows at k = 4 and 110 million at k = 5.  The raise runs batch on the
+        failing sub-grid block and on the one grid block that holds F, not
+        on the grid up to F, and names F's row in that block."""
+        Y = graph(3, k, z="y3 / (x1 - 0.9500000000000017)")
+        axis = np.arange(-1.0, 1.025, 0.05)
+        first = 39 * 41 ** (k - 1)
+        want = (f"row {first % co.SCAN_BLOCK_ROWS}, point "
+                f"{[float(axis[39])] + [-1.0] * (k - 1)}: division by zero")
+        assert want.startswith(("row 943, point [0.9500000000000017,",
+                                "row 1799, point [0.9500000000000017,"))
+        calls = []
+        batch = CompiledExprs.batch
+        monkeypatch.setattr(CompiledExprs, "batch", lambda self, pts: (
+            calls.append(len(pts)) or batch(self, pts)))
+        start = time.perf_counter()
+        with pytest.raises(EvaluationError) as got:
+            co.singular_scan(Y)
+        assert time.perf_counter() - start < 1.0
+        assert str(got.value) == want
+        # x1 is the slowest read axis: the failing sub-grid block is the
+        # last, partial one
+        assert calls == [41 ** (k - 2) % co.SCAN_BLOCK_ROWS,
+                         co.SCAN_BLOCK_ROWS]

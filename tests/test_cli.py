@@ -297,6 +297,100 @@ class TestPositiveValues:
         assert "PASS" not in result.output
 
 
+ROTATION = """\
+bundle circle
+  type = rotation
+  rates = {rates}
+  radius = {radius}
+  periods = {periods}
+end
+
+check lifts-commute
+  kind = flatness
+  target = circle
+end
+
+check endpoint
+  kind = transport
+  target = circle
+  start = 0.5 0
+  end = {end}
+  expect = {expect}
+end
+"""
+
+PERTURB = """\
+check bump
+  kind = perturb
+  n = 2
+  delta = {delta}
+end
+"""
+
+
+class TestNonFiniteNumbers:
+    """nan, inf and overflowing numbers such as 1e400 are no values: each
+    exits 2 with its block's line, before any check runs, and never passes
+    as a verdict with the bound it would have set."""
+
+    def exits_two(self, tmp_path, text, message, line):
+        TestUnknownNames.exits_two(self, tmp_path, text, message, line)
+
+    @pytest.mark.parametrize("end", ["nan 0", "inf 0", "1e400 0", "0 -inf"])
+    def test_transport_end(self, tmp_path, end):
+        text = ROTATION.format(rates="0.25", radius="1.0", periods="1.0",
+                               end=end, expect="fail")
+        self.exits_two(tmp_path, text,
+                       f"expected finite numbers, got '{end}'", 13)
+
+    def test_transport_start(self, tmp_path):
+        text = ROTATION.format(rates="0.25", radius="1.0", periods="1.0",
+                               end="0 0.5", expect="fail").replace(
+            "start = 0.5 0", "start = nan 0")
+        self.exits_two(tmp_path, text,
+                       "expected finite numbers, got 'nan 0'", 13)
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "1e400", "-inf"])
+    def test_bundle_radius(self, tmp_path, radius):
+        text = ROTATION.format(rates="0.25", radius=radius, periods="1.0",
+                               end="0 0.5", expect="fail")
+        self.exits_two(tmp_path, text,
+                       f"expected a finite number, got '{radius}'", 1)
+
+    @pytest.mark.parametrize("key", ["rates", "periods"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.25 1e400"])
+    def test_bundle_lists(self, tmp_path, key, value):
+        keys = {"rates": "0.25", "periods": "1.0", key: value}
+        text = ROTATION.format(**keys, radius="1.0", end="0 0.5",
+                               expect="fail")
+        self.exits_two(tmp_path, text,
+                       f"expected finite numbers, got '{value}'", 1)
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-1e400"])
+    def test_perturb_delta(self, tmp_path, delta):
+        self.exits_two(tmp_path, PERTURB.format(delta=delta),
+                       f"expected a finite number, got '{delta}'", 1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta", float("nan")), ("delta", float("inf")),
+        ("end", "nan 0"), ("start", "0 inf")])
+    def test_api_override(self, key, value):
+        sc = parse_scenario(PERTURB.format(delta="0.1") if key == "delta"
+                            else ROTATION.format(
+                                rates="0.25", radius="1.0", periods="1.0",
+                                end="0 0.5", expect="pass"))
+        with pytest.raises(ScenarioError, match="expected (a finite number"
+                           "|finite numbers), got") as exc:
+            run_scenario(sc, overrides={key: value})
+        assert exc.value.line is None
+
+    def test_finite_values_still_run(self):
+        report = run_scenario(parse_scenario(ROTATION.format(
+            rates="0.25", radius="2.5e3", periods="1.0",
+            end="0.5 0", expect="fail")))
+        assert [c["ok"] for c in report["checks"]] == [True, True]
+
+
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", demo_names())
     def test_demo_passes(self, name):

@@ -3,7 +3,7 @@
 The package contracts compiled values and first partials: interior products
 (V @ M with M the matrix of the 2-form), Lie derivatives of 1-forms
 (forms.lie_coeffs), brackets (fields.brackets), pushforwards (J V),
-beta ^ d beta (germ.frobenius_residual), and a graph's lambda with the
+beta ^ d beta (forms.frobenius), and a graph's lambda with the
 matrix of d lambda from the components' first partials
 (GraphSubmanifold.lambda_jet), which forms.jet builds from lambda's
 symbolic coefficients and their d.  tests/oracles.py keeps the same
@@ -26,11 +26,11 @@ import pytest
 from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import forms as fm
-from legfol import germ as gm
 from legfol import runner
 from legfol.fields import (
     Chart,
     brackets,
+    compile_exprs,
     coordinate,
     parse_field,
     values_and_partials,
@@ -47,6 +47,7 @@ from oracles import (
     lie_bracket,
     lie_derivative,
     pushforward_field,
+    residual_fields,
     values,
     wedge,
 )
@@ -54,6 +55,7 @@ from test_batched import (
     benchmark_workloads,
     bundled_demos,
     graph,
+    jet_frobenius,
     radial_bundle,
     sheared_bundle,
     trig_bundle,
@@ -205,14 +207,19 @@ class TestRandomFields:
         pts = rng.uniform(-0.9, 0.9, (30, dim))
         three = wedge(beta, exterior_d(beta))
         want = np.max(np.abs(three.coeff_array(pts)))
-        # the terms beta_i W_jk, over every entry: frobenius_residual
-        # reports the largest |entry|
+        # the terms beta_i W_jk, over every entry: the largest |entry|
         b, Jb = one_form(beta, pts)
         W = Jb.transpose(0, 2, 1) - Jb
         terms = b[:, :, None, None] * W[:, None]
-        got = gm.frobenius_residual(beta, pts)
+        entries = jet_frobenius(beta, pts).T
+        got = np.max(np.abs(entries))
         assert want > 0.1
         assert abs(got - want) <= REL * np.max(np.abs(terms))
+        # and each entry (i, j, k) within REL of its own three terms
+        i, j, k = np.array(list(itertools.combinations(range(dim), 3))).T
+        assert_within(entries, three.coeff_array(pts), np.stack(
+            [b[:, i] * W[:, j, k], b[:, j] * W[:, i, k],
+             b[:, k] * W[:, i, j]], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +361,83 @@ class TestGraphJet:
         Y = graph(2, 4)
         a, W = Y.lambda_jet(np.empty((0, 4)))
         assert a.shape == (4, 0) and W.shape == (4, 4, 0)
+
+
+def standard_graphs():
+    """The k = n + 1 graphs with free y_n among scenario_graphs, and random
+    ones at n = 1-5 whose components read every source coordinate."""
+    found = [p for p in scenario_graphs()
+             if p.values[0].k == p.values[0].n + 1
+             and p.values[0].free_y == (p.values[0].n,)]
+    rng = np.random.default_rng(20261021)
+    for n in range(1, 6):
+        src = co.graph_submanifold(n, n + 1).source_chart
+        every = " + ".join(src.var_names)
+        comps = {name: random_field(src, rng) + parse_field(
+            src, f"{rng.uniform(0.5, 1.5)!r} * sin({every})")
+            for name in [f"y{a}" for a in range(1, n)] + ["z"]}
+        found.append(pytest.param(co.graph_submanifold(n, n + 1, comps),
+                                  id=f"random-n{n}"))
+    return found
+
+
+def residual_terms(Y, pts):
+    """Per point, the terms of each eq_a and lambda_ab as the symbolic
+    equations write them, (N, 4), from the components' first partials."""
+    n = Y.n
+    vals, J = values_and_partials(Y.source_chart, tuple(
+        Y.components[f"y{a}" if a < n else "z"].expr
+        for a in range(1, n + 1)), pts)
+    zx, zyn, yn = J[:, n - 1, :n], J[:, n - 1, n], pts[:, n]
+    yx, yyn = J[:, :n - 1, :n], J[:, :n - 1, n]
+    eq_a = {a: np.stack([zx[:, a - 1], vals[:, a - 1],
+                         (zx[:, n - 1] - yn) * yyn[:, a - 1],
+                         zyn * yx[:, a - 1, n - 1]], axis=-1)
+            for a in range(1, n)}
+    lambda_ab = {(a, b): np.stack([
+        yyn[:, a - 1] * yx[:, b - 1, n - 1],
+        yyn[:, b - 1] * yx[:, a - 1, n - 1],
+        yx[:, a - 1, b - 1], yx[:, b - 1, a - 1]], axis=-1)
+        for a, b in itertools.combinations(range(1, n), 2)}
+    return {"eq_a": eq_a, "lambda_ab": lambda_ab}
+
+
+class TestResidualJet:
+    """residual_values, the components of lambda ^ d lambda on the graph's
+    jet, against the symbolic equations of oracles.residual_fields, family
+    by family and index by index: the families whose terms are the same
+    products of the same partials are bit-equal; eq_a and lambda_ab,
+    summed in another order, agree within REL times their largest term."""
+
+    @pytest.mark.parametrize("Y", standard_graphs())
+    def test_every_equation(self, Y, rng):
+        pts = rng.uniform(-0.9, 0.9, (200, Y.source_chart.dim))
+        got = co.residual_values(Y, pts)
+        fams = residual_fields(Y)
+        labels = [(key, idx) for key, fam in fams.items() for idx in fam]
+        want = compile_exprs(Y.source_chart, tuple(
+            fams[key][idx].expr for key, idx in labels)).batch(pts)
+        terms = residual_terms(Y, pts)
+        assert {key: set(got[key]) for key in fams} \
+            == {key: set(fam) for key, fam in fams.items()}
+        for (key, idx), col in zip(labels, want.T):
+            if key in terms:
+                assert_within(got[key][idx], col, terms[key][idx])
+            else:
+                np.testing.assert_array_equal(got[key][idx], col)
+        binding = [got[key][idx] for key, idx in labels
+                   if key in ("eq_abn", "eq_abyn", "eq_a")]
+        assert np.array_equal(got["max_residual"], np.max(np.abs(np.reshape(
+            binding, (len(binding), len(pts)))), axis=0, initial=0.0))
+
+    def test_every_kind_of_term_is_nonzero(self, rng):
+        """On the random n = 5 graph every equation is far from zero, so
+        the comparison above is not between zeros."""
+        (Y,) = [p.values[0] for p in standard_graphs()
+                if p.id == "random-n5"]
+        got = co.residual_values(Y, rng.uniform(-0.9, 0.9, (50, 6)))
+        for key in ("eq_abc", "eq_abn", "eq_abyn", "eq_a", "lambda_ab"):
+            assert min(np.max(np.abs(v)) for v in got[key].values()) > 0.01
 
 
 # ---------------------------------------------------------------------------

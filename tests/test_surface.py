@@ -209,8 +209,9 @@ def test_no_symbolic_cartan_calculus():
 
 # A 1-form and its d are evaluated in one batch (forms.jet), the top
 # coefficient of alpha ^ (d alpha)^n is one Pfaffian expression
-# (forms.top_coeff), the residual equations are products of arrays
-# (coiso.residual_values), and the restricted forms of a graph and of a
+# (forms.top_coeff), beta ^ d beta has one definition on those arrays
+# (forms.frobenius), the residual equations are its components on a graph's
+# jet (coiso.residual_values), and the restricted forms of a graph and of a
 # germ's zero section are built in closed form; the exterior algebra of
 # sparse forms, the symbolic 2-form matrices, residual equations, smooth maps
 # and pullbacks are oracles in tests/oracles.py.  char-foliation takes
@@ -219,7 +220,8 @@ def test_no_symbolic_cartan_calculus():
 RETIRED = {"form_matrices", "residual_fields", "_model_data", "pullback",
            "SmoothMapExpr", "compose_field", "jacobian_fields",
            "zero_section_map", "wedge", "wedge_power", "exterior_d",
-           "_merge_sign", "zero_form", "function_form", "hyperplane_bases"}
+           "_merge_sign", "zero_form", "function_form", "hyperplane_bases",
+           "frobenius_residual"}
 
 
 def symbolic_form_uses() -> list[str]:
@@ -241,6 +243,23 @@ def test_one_batch_for_a_one_form_and_its_d():
         "forms.top_coeff and build restrictions in closed form; the " \
         "exterior algebra, the symbolic residual equations, 2-form " \
         "matrices and pullbacks are oracles in tests/oracles.py"
+
+
+def graph_jet_bypasses() -> list[str]:
+    """coiso:line of each name jet in coiso.py: a graph's lambda and its d
+    come from GraphSubmanifold.lambda_jet, never from forms.jet, so no
+    third copy of lambda ^ d lambda can read second derivatives of z."""
+    tree = ast.parse((SRC / "coiso.py").read_text())
+    return [f"coiso:{node.lineno} names jet" for node in ast.walk(tree)
+            if "jet" in (getattr(node, "id", None),
+                         getattr(node, "attr", None),
+                         *(getattr(a, "name", a)
+                           for a in getattr(node, "names", ())))]
+
+
+def test_graph_checks_read_the_graph_jet():
+    assert graph_jet_bypasses() == [], \
+        "take a graph's lambda and d lambda from GraphSubmanifold.lambda_jet"
 
 
 def _private(name) -> bool:
