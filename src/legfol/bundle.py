@@ -70,11 +70,11 @@ class FlatDiskBundle:
         object.__setattr__(
             self, "lift_v", tuple(c.on_chart(total) for c in self.lift_v))
 
-    @property
+    @functools.cached_property
     def fiber_chart(self) -> Chart:
         return Chart(("u", "v"))
 
-    @property
+    @functools.cached_property
     def total_chart(self) -> Chart:
         return _total_chart(self.periods)
 
@@ -95,6 +95,19 @@ class FlatDiskBundle:
         """ccl_check reports on this bundle, by id(beta) and tol: (beta,
         report).  Holding beta keeps its id unique."""
         return {}
+
+    @functools.cached_property
+    def _ccl_orbits(self) -> "Holonomy":
+        """ccl_check's sampled holonomy of every generator at _ccl_samples,
+        one read-only Holonomy in generator order: no form changes it, so
+        every form's check reads it.  A call that raises memoizes nothing."""
+        found = [holonomy(self, g, _ccl_samples(self))
+                 for g in range(self.base_dim)]
+        orbits = Holonomy(*map(np.concatenate, zip(*(
+            vars(h).values() for h in found))))
+        for a in vars(orbits).values():
+            a.flags.writeable = False
+        return orbits
 
     def lifts(self) -> list[VectorFieldExpr]:
         return [self.lift(j) for j in range(self.base_dim)]
@@ -198,7 +211,7 @@ MAX_STEP = 1.0
 
 def _rms(x: np.ndarray) -> np.ndarray:
     """Column-wise RMS norm of a (2, N) array."""
-    return np.sqrt(x[0] * x[0] + x[1] * x[1]) / 2 ** 0.5
+    return np.sqrt(np.add.reduce(x * x, axis=0)) / 2 ** 0.5
 
 
 def _dense(K: np.ndarray, t_old, h, y_old, t) -> np.ndarray:
@@ -246,16 +259,23 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     _lift_rhs of row i's bundle in ``lifts``, and all of them share one
     kernel.  The state is samples-last: y is (2, rows), the stages (7, 2,
     rows) and the lifts' constants (C, rows).  A stage is one kernel call
-    over the live rows; a step's stages are checked together.  If a call
-    fails a check or a step is not finite, the step runs again stage by
-    stage: at the first such stage, each block's rows go through its lift's
-    ``batch``, in block order, to raise that block's EvaluationError.
+    over the live rows, summed in place into its slot of the stage array
+    in base-coordinate order.  A step's base points P + t dP are built only
+    if the kernel reads a base coordinate (its ``reads``); otherwise it
+    gets None for them.  The two calls that pick the first step always get
+    theirs.  A step's stages are checked together.  If a call fails a
+    check or a step is not finite, the step runs again stage by stage, with
+    its base points built: at the first such stage, each block's rows go
+    through its lift's ``batch``, in block order, to raise that block's
+    EvaluationError.
 
     Each row takes the steps scipy's solve_ivp(method="RK45", max_step=1,
     rtol=ODE_TOL, atol=ODE_TOL) takes for it alone, with the terminal event
-    |y|^2 = r2[i] crossed upwards.  A row that takes more than its
-    ``budget`` of accepted steps raises IntegrationError.  Returns per row
-    the end point, the escape flag, the accepted steps and nfev.
+    |y|^2 = r2[i] crossed upwards.  Every RK iteration evaluates every live
+    row, so a row that ends after ``it`` iterations has nfev 2 + 6 it.  A
+    row that takes more than its ``budget`` of accepted steps raises
+    IntegrationError.  Returns per row the end point, the escape flag, the
+    accepted steps and nfev.
     """
     kernel = lifts[0].kernel
     if any(f.kernel is not kernel for f in lifts):
@@ -270,17 +290,21 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     P, dP = P.T.copy(), dP.T.copy()
     consts = np.array([f.consts for f in lifts]).T[:, block]
     b = len(P)
+    on_base = any(j < b for j in lifts[0].reads)
+    unread = (None,) * b
 
     def stage(x, y, out, checked=True):
-        cols = (*x, *y)
+        """The lift's (du, dv) at base points x (None if unread) and fiber
+        points y, into out."""
+        cols = (*(unread if x is None else x), *y)
         try:
             comps = kernel(*cols, *consts)
             # (du, dv) = sum_j dP_j (lift_u[j], lift_v[j]), in j order
-            u = v = 0.0
-            for j in range(b):
-                u = u + dP[j] * comps[j]
-                v = v + dP[j] * comps[b + j]
-            out[0], out[1] = u, v
+            np.multiply(dP[0], comps[0], out=out[0])
+            np.multiply(dP[0], comps[b], out=out[1])
+            for j in range(1, b):
+                out[0] += dP[j] * comps[j]
+                out[1] += dP[j] * comps[b + j]
             # a non-finite lift value makes the total non-finite; an
             # overflowing total only costs batch calls
             ok = not checked or math.isfinite(np.add.reduce(out, axis=None))
@@ -292,18 +316,29 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
                 f.batch(points[block == i])
         return out
 
-    def rk_stages(K, X, y, h, checked=False):
+    def rk_stages(K, y, h, checked=False):
         """Stages 1-6 of a step into K, K[0] given; returns y_new.  Checked
-        once, together; if that fails, they run again, each checked."""
-        with contextlib.suppress(RowError):
+        once, together; if that fails, they run again, each checked.  The
+        stages' base points X[:, s - 1], at t + C_s h and at t_new, are
+        built where the lift reads them and for a checked run."""
+        X = None
+        if on_base or checked:
+            T = times[:, :len(h)]
+            T[:5] = t + np.multiply.outer(RK_C[1:], h)
+            T[5] = t_new
+            X = P[:, None] + T * dP[:, None]
+        try:
             for s in range(1, 6):
                 dy = np.einsum("s,skn->kn", RK_A[s, :s], K[:s]) * h
-                stage(X[:, s - 1], y + dy, K[s], checked)
+                stage(None if X is None else X[:, s - 1], y + dy, K[s],
+                      checked)
             y_new = y + h * np.einsum("s,skn->kn", RK_B, K[:6])
-            stage(X[:, 5], y_new, K[6], checked)
+            stage(None if X is None else X[:, 5], y_new, K[6], checked)
             if checked or math.isfinite(np.add.reduce(K, axis=None)):
                 return y_new
-        return rk_stages(K, X, y, h, True)
+        except RowError:
+            pass
+        return rk_stages(K, y, h, True)
 
     y = y0.T.copy()
     t = np.zeros(n)
@@ -319,12 +354,15 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
                   np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d1, d2)) ** (1 / 5))
     h_abs = np.minimum(np.minimum(100 * h0, h1), MAX_STEP)
-    nf = np.full(n, 2)
     st = np.zeros(n, dtype=int)
-    g = y[0] ** 2 + y[1] ** 2 - r2
+    g = np.add.reduce(y * y, axis=0) - r2
     rejected, any_rejected = np.zeros(n, dtype=bool), False
     stages, times = np.empty((7, 2, n)), np.empty((6, n))
+    # st <= it, so no row can exceed its budget before it exceeds the least
+    least_budget = budget.min() if n else 0
+    it = 0
     while rows.size:
+        it += 1
         # a new step starts clamped to [min_step, MAX_STEP]; a retry of a
         # rejected one is not clamped, and fails below min_step
         min_step = 10 * np.spacing(t)
@@ -337,15 +375,10 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
                     "less than spacing between numbers.")
         t_new = np.minimum(t + h, 1.0)
         h = t_new - t
-        m = len(rows)
-        K, T = stages[:, :, :m], times[:, :m]
-        # X[:, s - 1]: the base points of stage s, at t + C_s h, and of t_new
-        T[:5] = t + np.multiply.outer(RK_C[1:], h)
-        T[5] = t_new
-        X = P[:, None] + T * dP[:, None]
+        K = stages[:, :, :len(rows)]
         K[0] = f
-        y_new, f_new = rk_stages(K, X, y, h), K[6]
-        nf += 6
+        y_new = rk_stages(K, y, h)
+        f_new = K[6]  # a view: K[0] takes a copy at the next step
         scale = ODE_TOL + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
         err = _rms(np.einsum("s,skn->kn", RK_E, K) * h / scale)
         # scipy's step factor: at most MAX_FACTOR (1 after a rejection) if
@@ -360,33 +393,34 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
         rejected = ~ok
         any_rejected = not ok.all()
         st += ok
-        if (st > budget).any():
+        if it > least_budget and (st > budget).any():
             raise IntegrationError("step budget exceeded")
-        g_new = y_new[0] ** 2 + y_new[1] ** 2 - r2
+        g_new = np.add.reduce(y_new * y_new, axis=0) - r2
         up = ok & (g <= 0) & (g_new >= 0)
         y_old, t_old = y, t
         if any_rejected:
             y = np.where(ok, y_new, y)
-            f = np.where(ok, f_new, f)
+            f = np.where(ok, f_new, K[0])  # f may share f_new's memory
             t = np.where(ok, t_new, t)
             g = np.where(ok, g_new, g)
-        else:  # f_new lives in the stage buffer
-            y, f, t, g = y_new, f_new.copy(), t_new, g_new
-        if up.any():
-            # freeze the row where it leaves the disk
-            args = (np.moveaxis(K[:, :, up], 2, 0).copy(), t_old[up], h[up],
-                    y_old[:, up].T)  # (rows, stages, 2) and (rows, 2)
-            y[:, up] = _dense(*args, _escape_time(*args, t_new[up], r2[up])).T
+        else:
+            y, f, t, g = y_new, f_new, t_new, g_new
         done = up | (t >= 1.0)
         if done.any():
+            if up.any():
+                # freeze the row where it leaves the disk
+                args = (np.moveaxis(K[:, :, up], 2, 0).copy(), t_old[up],
+                        h[up], y_old[:, up].T)  # (rows, stages, 2), (rows, 2)
+                y[:, up] = _dense(
+                    *args, _escape_time(*args, t_new[up], r2[up])).T
             out = rows[done]
             end[out], escaped[out] = y[:, done].T, up[done]
-            steps[out], nfev[out] = st[done], nf[done]
+            steps[out], nfev[out] = st[done], 2 + 6 * it
             keep = ~done
             rows, t, g, budget = rows[keep], t[keep], g[keep], budget[keep]
             y, f, P, dP = y[:, keep], f[:, keep], P[:, keep], dP[:, keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
-            st, nf, r2, block = st[keep], nf[keep], r2[keep], block[keep]
+            st, r2, block = st[keep], r2[keep], block[keep]
             consts = consts[:, keep]
     return end, escaped, steps, nfev
 
@@ -420,6 +454,13 @@ def _lift_rhs(bundle: FlatDiskBundle) -> CompiledExprs:
     lift_u then lift_v, which holds no reference to the bundle."""
     return compile_exprs(bundle.total_chart, tuple(
         c.expr for c in bundle.lift_u + bundle.lift_v))
+
+
+def _radius_sq(bundle: FlatDiskBundle) -> np.float64:
+    """The fiber radius squared in float64 (by pow, as Python's float **):
+    inf where it overflows, where no row can escape."""
+    with np.errstate(over="ignore"):
+        return np.float64(bundle.radius) ** 2
 
 
 def _sweep(parts) -> BatchTransport:
@@ -470,7 +511,7 @@ def transport_batch(bundle: FlatDiskBundle, paths,
         raise ValueError("path needs at least two vertices")
     if paths.shape[2] != bundle.base_dim:
         raise ValueError("path vertex has wrong dimension")
-    return _sweep([(_lift_rhs(bundle), bundle.radius ** 2, paths, y)])
+    return _sweep([(_lift_rhs(bundle), _radius_sq(bundle), paths, y)])
 
 
 def plan_transport(plan: dict, bundle: FlatDiskBundle, path,
@@ -491,7 +532,7 @@ def _sweep_rows(parts) -> None:
     """Integrate the requests of every (bundle, requests) part in one sweep
     and memoize each request's rows on its bundle, read-only; a sweep that
     raises memoizes nothing."""
-    res = _sweep([(_lift_rhs(b), b.radius ** 2, np.concatenate([
+    res = _sweep([(_lift_rhs(b), _radius_sq(b), np.concatenate([
         np.broadcast_to(p, (len(x),) + p.shape) for p, x in reqs.values()]),
         np.concatenate([x for _, x in reqs.values()])) for b, reqs in parts])
     cuts = np.cumsum([len(x) for _, reqs in parts for _, x in reqs.values()])
@@ -661,6 +702,9 @@ def ccl_check(bundle: FlatDiskBundle, beta: fm.DiffForm,
 
 def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
                 tol: float) -> dict:
+    """ccl_check's report: the form's jet on the fiber grid, then its
+    coefficients at the mapped samples and images of the bundle's memoized
+    _ccl_orbits, pulled back through their Jacobians."""
     fiber = bundle.fiber_chart
     if beta.chart != fiber or beta.degree != 1:
         raise ValueError("beta must be a 1-form on the fiber chart (u, v)")
@@ -676,18 +720,16 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
     db_vals = bundle.orientation * W[1:, 0, 1]
     positivity_ok = bool(np.min(db_vals) > tol)
 
-    found = [holonomy(bundle, g, _ccl_samples(bundle))
-             for g in range(bundle.base_dim)]
-    mapped = np.concatenate([h.mapped for h in found])
+    found = bundle._ccl_orbits
+    mapped = found.mapped
     escapes = int(np.sum(~mapped))
-    J = np.concatenate([h.jacobian for h in found])[mapped]
     # beta at the mapped samples' points, then at their images
-    ends = np.concatenate([[h.point, h.image] for h in found], axis=1)
-    b_x, b_img = beta.coeff_array(ends[:, mapped].reshape(-1, 2)).reshape(
-        2, -1, 2)
+    b_x, b_img = beta.coeff_array(np.concatenate([
+        found.point[mapped], found.image[mapped]])).reshape(2, -1, 2)
     # pullback through the sampled map: (Phi^* beta)_x = J^T beta_img
     inv_residual = float(np.max(np.linalg.norm(
-        np.einsum("nji,nj->ni", J, b_img) - b_x, axis=1), initial=0.0))
+        np.einsum("nji,nj->ni", found.jacobian[mapped], b_img) - b_x,
+        axis=1), initial=0.0))
     invariance_ok = escapes == 0 and inv_residual <= max(tol, 1e-6)
     return {
         "vanishing": {"origin_norm": origin_norm, "min_away": min_away,
@@ -695,9 +737,8 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
         "positivity": {"min_dbeta": float(np.min(db_vals)),
                        "ok": positivity_ok},
         "invariance": {"max_residual": inv_residual, "escapes": escapes,
-                       "steps": int(sum(h.steps.sum() for h in found)),
-                       "nfev": int(sum(h.nfev.sum() for h in found)),
-                       "ok": invariance_ok},
+                       "steps": int(found.steps.sum()),
+                       "nfev": int(found.nfev.sum()), "ok": invariance_ok},
         "ok": vanishing_ok and positivity_ok and invariance_ok,
     }
 

@@ -297,12 +297,11 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     compiled = compile_exprs(src, exprs)
     axis = np.arange(-box, box + step / 2, step)
     side = len(axis)
-    names = frozenset().union(*(e.variables() for e in exprs))
-    read = [j for j, v in enumerate(src.var_names) if v in names]
+    read = list(compiled.reads)
     unread = [j for j in range(k) if j not in read]
     # The sub-grid of the read coordinates, in C order, in blocks of flat
-    # indices; each block's columns are read off the axis by its cells.  The
-    # generated code never names an unread coordinate, so it gets None.
+    # indices; each block's columns are read off the axis by its cells, and
+    # each unread coordinate gets None.
     size = side ** len(read)
     cols = [None] * k
     found = []

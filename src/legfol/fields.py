@@ -492,11 +492,18 @@ class CompiledExprs:
     defaults) as trailing arguments.  Expressions that differ only in
     constants share it, so one call can evaluate several of them, with
     per-row constant columns.
+
+    ``reads`` lists, in chart order, the indices of the coordinates the
+    expressions name.  The generated code never names another coordinate,
+    so ``columns`` and ``kernel`` take None for it.
     """
 
     def __init__(self, chart: Chart, exprs: tuple[Expr, ...]):
         self.chart = chart
         self._outputs = len(exprs)
+        names = frozenset().union(*(e.variables() for e in exprs))
+        self.reads = tuple(i for i, v in enumerate(chart.var_names)
+                           if v in names)
         self.source, self.consts = _codegen(chart, exprs)
         self.kernel = _kernel(self.source)
         self.columns = types.FunctionType(
@@ -839,11 +846,15 @@ class _Parser:
                 break
             else:
                 break
+        text = self.text[start:self.pos]
         try:
-            return Const(float(self.text[start:self.pos]))
+            value = float(text)
         except ValueError:
+            raise ParseError(f"bad number {text!r}", start) from None
+        if not math.isfinite(value):  # an overflow such as 1e400
             raise ParseError(
-                f"bad number {self.text[start:self.pos]!r}", start) from None
+                f"expected a finite number, got {text!r}", start)
+        return Const(value)
 
     def _ident(self) -> Expr:
         start = self.pos

@@ -1664,15 +1664,18 @@ class TestFaultAttribution:
 
 def batch_rhs(bundle):
     """The compiled lift with every stage evaluated through
-    CompiledExprs.batch, under a kernel of its own: what transport_batch's
-    kernel call must match, in values and in the EvaluationError it
-    raises."""
-    batch = compile_exprs(bundle.total_chart, tuple(
+    CompiledExprs.batch, under a kernel of its own that reads every
+    coordinate, so every stage's base points are built: what
+    transport_batch's kernel call must match, in values and in the
+    EvaluationError it raises."""
+    total = bundle.total_chart
+    batch = compile_exprs(total, tuple(
         c.expr for c in bundle.lift_u + bundle.lift_v)).batch
 
     def kernel(*cols):
         return tuple(batch(np.column_stack(cols)).T)
-    return SimpleNamespace(kernel=kernel, consts=(), batch=batch)
+    return SimpleNamespace(kernel=kernel, consts=(), batch=batch,
+                           reads=tuple(range(total.dim)))
 
 
 def transport_through_batch(bundle, generator, starts):
@@ -1722,6 +1725,40 @@ class TestStageEvaluation:
         assert (got.steps.tolist(), got.nfev.tolist()) == \
             (steps.tolist(), nfev.tolist())
 
+    @pytest.mark.parametrize("make, generator, on_base", [
+        (lambda: bd.rotation_bundle([0.9, 1.7]), 1, False),
+        (sheared_bundle, 0, True),
+        (trig_bundle, 0, True),
+    ], ids=["torus", "sheared", "trig"])
+    def test_base_points_only_where_read(self, make, generator, on_base,
+                                         rng):
+        # after the two calls that pick the first step, which get their
+        # base points, a lift that reads no base coordinate gets None for
+        # each at every stage, and one that reads one gets them all; both
+        # are bit-equal to batch_rhs, which reads every coordinate
+        b = make()
+        lift = bd._lift_rhs(b)
+        assert any(j < b.base_dim for j in lift.reads) == on_base
+        unread = []
+
+        def kernel(*cols):
+            unread.append([c is None for c in cols[:b.base_dim]])
+            return lift.kernel(*cols)
+        starts = disk_points(rng, 20)
+        n = len(starts)
+        P = np.zeros((n, b.base_dim))
+        dP = np.zeros_like(P)
+        dP[:, generator] = b.periods[generator]
+        got = bd._integrate_segment(
+            [SimpleNamespace(kernel=kernel, consts=lift.consts,
+                             batch=lift.batch, reads=lift.reads)],
+            np.zeros(n, dtype=int), starts, P, dP,
+            np.full(n, b.radius ** 2), np.full(n, bd.MAX_STEPS))
+        assert unread[:2] == [[False] * b.base_dim] * 2
+        assert unread[2:] == [[not on_base] * b.base_dim] * (len(unread) - 2)
+        want = transport_through_batch(b, generator, starts)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
     @pytest.mark.parametrize("make, starts, reason", [
         (product_overflow_bundle, [[0.3, 0.1], [0.1, -0.2]],
          "non-finite value"),
@@ -1768,7 +1805,8 @@ def first_faulty_stage(bundle, starts):
     with pytest.raises(EvaluationError) as err:
         bd._integrate_segment(
             [SimpleNamespace(kernel=kernel, consts=lift.consts,
-                             batch=lift.batch)], np.zeros(n, dtype=int),
+                             batch=lift.batch, reads=lift.reads)],
+            np.zeros(n, dtype=int),
             np.array(starts), np.zeros((n, 1)), dP, np.ones(n),
             np.full(n, bd.MAX_STEPS))
     first = healthy.index(False)
@@ -1892,7 +1930,7 @@ def ode_work(monkeypatch):
                 counted[lift.kernel] = count(lift.kernel)
         stages.append(calls)  # counted as the segment runs
         return real_segment([SimpleNamespace(
-            kernel=counted[lift.kernel], consts=lift.consts,
+            kernel=counted[lift.kernel], consts=lift.consts, reads=lift.reads,
             batch=lambda pts, f=lift.batch: batches.append(len(pts))
             or f(pts)) for lift in lifts], block, y0, *args)
 
@@ -2019,7 +2057,8 @@ class TestIntegrationFault:
         assert want.status == -1
         with pytest.raises(bd.IntegrationError) as got:
             bd._integrate_segment(
-                [SimpleNamespace(kernel=jump, consts=(), batch=None)],
+                [SimpleNamespace(kernel=jump, consts=(), batch=None,
+                                 reads=(0, 1, 2))],
                 np.zeros(2, dtype=int), np.array([[0.1, 0.2], [0.3, -0.1]]),
                 np.zeros((2, 1)), np.ones((2, 1)), np.ones(2),
                 np.full(2, bd.MAX_STEPS))
@@ -2077,6 +2116,34 @@ class TestCCLMemo:
         bd.ccl_check(bd.rotation_bundle([0.7]), beta)
         assert len(grids) == 4
 
+    @pytest.mark.parametrize("rates", [[0.7], [0.7, -1.3]])
+    def test_orbits_once_per_bundle(self, rates, monkeypatch):
+        # the area form passes and the shear form fails on one bundle: the
+        # second check pulls back through the first's holonomy samples,
+        # whose rows were integrated once per generator, and each report
+        # is bit for bit the report on a fresh bundle
+        orbits, sweeps = [], []
+        real_holonomy, real_sweep = bd.holonomy, bd._sweep_rows
+        monkeypatch.setattr(bd, "holonomy", lambda b, g, x: orbits.append(
+            (b, g)) or real_holonomy(b, g, x))
+        monkeypatch.setattr(bd, "_sweep_rows", lambda parts: sweeps.append(
+            parts) or real_sweep(parts))
+
+        def forms(fiber):
+            return [fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                        "v": parse_field(fiber, "u")}),
+                    fm.one_form(fiber, {"u": parse_field(fiber, "1 + u")})]
+        b = bd.rotation_bundle(rates)
+        reports = [bd.ccl_check(b, beta) for beta in forms(b.fiber_chart)]
+        assert [r["ok"] for r in reports] == [True, False]
+        assert orbits == [(b, g) for g in range(len(rates))]
+        assert len(sweeps) == len(rates)
+        assert not any(a.flags.writeable for a in vars(b._ccl_orbits).values())
+        for beta, report in zip(forms(b.fiber_chart), reports):
+            fresh = bd.rotation_bundle(rates)
+            assert repr(bd.ccl_check(fresh, beta)) == repr(report)
+        assert len(orbits) == len(sweeps) == 3 * len(rates)
+
     def test_callers_do_not_share_a_report(self):
         b = bd.rotation_bundle([0.7])
         fiber = b.fiber_chart
@@ -2098,6 +2165,7 @@ class TestCCLMemo:
             with pytest.raises(EvaluationError, match="exp overflow"):
                 bd.ccl_check(b, beta)
         assert len(grids) == 2 and b._ccl_reports == {}
+        assert "_ccl_orbits" not in vars(b)
         with pytest.raises(ValueError, match="fiber chart"):
             bd.ccl_check(b, fm.one_form(Chart(("a", "b")), {"a": 1.0}))
         assert b._ccl_reports == {}

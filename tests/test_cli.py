@@ -390,6 +390,14 @@ class TestNonFiniteNumbers:
             end="0.5 0", expect="fail")))
         assert [c["ok"] for c in report["checks"]] == [True, True]
 
+    def test_radius_whose_square_overflows_still_runs(self):
+        # r^2 is inf in float64, which only means that no row escapes
+        report = run_scenario(parse_scenario(ROTATION.format(
+            rates="0.25", radius="1e300", periods="1.0",
+            end="0.5 0", expect="fail")))
+        assert [c["ok"] for c in report["checks"]] == [True, True]
+        assert not any("error" in c for c in report["checks"])
+
 
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", demo_names())
@@ -590,8 +598,10 @@ class TestUnknownNames:
          "expected integer exponent", 22),
         (GOOD.replace("(x2^2 + y2^2) / 2", "(" * 300 + "x1" + ")" * 300),
          "nested deeper than 100 levels", 3),
+        (GOOD.replace("(x2^2 + y2^2) / 2", "1e400 * x1 + (x2^2 + y2^2) / 2"),
+         "expected a finite number, got '1e400'", 3),
     ], ids=["unknown-variable", "unfinished-graph", "germ-volume-f",
-            "perturb-bump", "deep-nesting"])
+            "perturb-bump", "deep-nesting", "overflowing-literal"])
     def test_malformed_expression_is_not_a_refusal(self, tmp_path, text,
                                                    message, line):
         self.exits_two(tmp_path, text.replace("samples = 0", "samples = 5"),
@@ -701,6 +711,24 @@ def test_benchmark_tracer_imports():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert Path(tracing.symplin.__file__).is_relative_to(ROOT / "src")
+    # The tracer skips a target that no longer resolves, and its layer then
+    # reads 0: these targets carry the bundle, germ, scan, runner and parse
+    # layers, so each must still be a function of its module.
+    targets = [
+        (tracing.bundle, "parallel_transport"), (tracing.bundle, "ccl_check"),
+        (tracing.germ, "build_singular_germ"),
+        (tracing.germ, "build_nonsingular_germ"),
+        (tracing.germ, "contactness_scan"),
+        (tracing.germ, "volume_identity_residual"),
+        (tracing.germ, "zero_section_foliation_check"),
+        (tracing.germ, "interpolation_contactness"),
+        (tracing.coiso, "singular_scan"), (tracing.runner, "run_scenario"),
+        (tracing.scenario, "parse_scenario")]
+    traced = {target for layer in tracing.SPAN_TARGETS.values()
+              for target in layer}
+    for owner, attr in targets:
+        assert (owner, attr) in traced, attr
+        assert callable(getattr(owner, attr, None)), attr
 
 
 def test_readme_table_is_kinds():

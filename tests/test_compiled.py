@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legfol import bundle as bd
+from legfol import coiso as co
 from legfol import forms as fm
 from legfol.fields import (
     Add,
@@ -410,6 +411,52 @@ class TestCompiler:
             assert row[:3].tolist() == reduced.tolist()
             assert compiled.batch([p])[0, :3].tolist() == reduced.tolist()
             assert row[3] == pytest.approx(walk(exprs[3], p, ch), rel=1e-12)
+
+
+class TestReads:
+    """CompiledExprs.reads: the indices of the chart coordinates that the
+    expressions name, in chart order.  The generated code names no other
+    coordinate, so the scan and the transport sweep pass None for them."""
+
+    def test_scan_kernel(self, monkeypatch):
+        # the plane's coefficients and gradients read y1 alone, and its
+        # components are constant
+        kernels = []
+        monkeypatch.setattr(co, "compile_exprs", lambda *a: kernels.append(
+            compile_exprs(*a)) or kernels[-1])
+        Y = co.legendrian_model(2)
+        assert len(co.singular_scan(Y).hits) == 41 ** 2
+        [scan] = kernels
+        assert scan.chart.var_names == ("x1", "x2", "y1")
+        assert scan.reads == (2,)
+        pts = np.array([[0.3, -0.7, 0.25], [-1.0, 0.5, -0.5]])
+        assert same_bits(columns(scan, pts), scan.batch(pts))
+
+    @pytest.mark.parametrize("lift_u, lift_v, reads", [
+        (("0 - 0.9 * v", "0 - 1.7 * v"), ("0.9 * u", "1.7 * u"), (2, 3)),
+        (("0", "0"), ("0", "0"), ()),
+        (("0", "s1 * v"), ("0 - u", "0"), (0, 2, 3)),
+        (("cos(s2) * v", "0"), ("0", "0"), (1, 3)),
+    ], ids=["torus-rotation", "trivial", "sheared", "s2-v"])
+    def test_lift_kernel(self, lift_u, lift_v, reads):
+        b = bd.FlatDiskBundle(2, (1.0, 1.0), 1.0, *(
+            tuple(parse_field(TOTAL2, text) for text in lift)
+            for lift in (lift_u, lift_v)))
+        lift = bd._lift_rhs(b)
+        assert lift.reads == reads
+        pts = np.array([[0.1, 0.6, 0.3, -0.2], [0.9, -0.4, -0.5, 0.25]])
+        assert same_bits(columns(lift, pts), lift.batch(pts))
+
+
+def columns(compiled, pts: np.ndarray) -> np.ndarray:
+    """``columns`` at pts, with None for every coordinate that is not
+    read, as an (N, outputs) array like ``batch``'s."""
+    out = compiled.columns(*(pts[:, j] if j in compiled.reads else None
+                             for j in range(pts.shape[1])))
+    return np.column_stack(np.broadcast_arrays(*out, pts[:, 0])[:-1])
+
+
+TOTAL2 = Chart(("s1", "s2", "u", "v"), (1.0, 1.0, None, None))
 
 
 def shared_template(c0, c1, c2):

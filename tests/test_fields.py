@@ -70,6 +70,19 @@ class TestParsing:
         f = parse_field(XY, "2.5e-3 * x")
         assert at(f, [4.0, 0]) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("text, pos", [
+        ("1e400 * x", 0), ("x + 2.5E+309", 4), ("y - " + "9" * 400, 4)],
+        ids=["exponent", "signed-exponent", "400-digits"])
+    def test_overflowing_literal_is_a_parse_error(self, text, pos):
+        # float() makes these inf; a literal is a finite number or no value
+        with pytest.raises(ParseError, match="expected a finite number, "
+                           "got '") as exc:
+            parse_field(XY, text)
+        assert exc.value.pos == pos
+
+    def test_underflowing_literal_is_zero(self):
+        assert at(parse_field(XY, "1e-400 + x"), [0.25, 0.0]) == 0.25
+
     def test_long_run_of_signs(self):
         f = parse_field(XY, "-" * 3001 + "+ - x" + " + y")
         assert at(f, [2.0, 5.0]) == 7.0
