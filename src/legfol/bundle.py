@@ -97,7 +97,7 @@ class FlatDiskBundle:
         return {}
 
     @functools.cached_property
-    def _ccl_orbits(self) -> "Holonomy":
+    def _ccl_orbits(self) -> Holonomy:
         """ccl_check's sampled holonomy of every generator at _ccl_samples,
         one read-only Holonomy in generator order: no form changes it, so
         every form's check reads it.  A call that raises memoizes nothing."""
@@ -720,15 +720,15 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
     db_vals = bundle.orientation * W[1:, 0, 1]
     positivity_ok = bool(np.min(db_vals) > tol)
 
-    found = bundle._ccl_orbits
-    mapped = found.mapped
+    orbits = bundle._ccl_orbits
+    mapped = orbits.mapped
     escapes = int(np.sum(~mapped))
     # beta at the mapped samples' points, then at their images
     b_x, b_img = beta.coeff_array(np.concatenate([
-        found.point[mapped], found.image[mapped]])).reshape(2, -1, 2)
+        orbits.point[mapped], orbits.image[mapped]])).reshape(2, -1, 2)
     # pullback through the sampled map: (Phi^* beta)_x = J^T beta_img
     inv_residual = float(np.max(np.linalg.norm(
-        np.einsum("nji,nj->ni", found.jacobian[mapped], b_img) - b_x,
+        np.einsum("nji,nj->ni", orbits.jacobian[mapped], b_img) - b_x,
         axis=1), initial=0.0))
     invariance_ok = escapes == 0 and inv_residual <= max(tol, 1e-6)
     return {
@@ -737,8 +737,8 @@ def _ccl_report(bundle: FlatDiskBundle, beta: fm.DiffForm,
         "positivity": {"min_dbeta": float(np.min(db_vals)),
                        "ok": positivity_ok},
         "invariance": {"max_residual": inv_residual, "escapes": escapes,
-                       "steps": int(found.steps.sum()),
-                       "nfev": int(found.nfev.sum()), "ok": invariance_ok},
+                       "steps": int(orbits.steps.sum()),
+                       "nfev": int(orbits.nfev.sum()), "ok": invariance_ok},
         "ok": vanishing_ok and positivity_ok and invariance_ok,
     }
 
