@@ -32,7 +32,7 @@ from .fields import (
     constant,
     coordinate,
     max_abs,
-    values_and_partials,
+    partials,
     vector_field,
 )
 
@@ -148,11 +148,11 @@ def flatness_check(bundle: FlatDiskBundle,
     from the lifts' values and first partials (fields.brackets)."""
     total = bundle.total_chart
     lifts = bundle.lifts()
-    vals, J = values_and_partials(total, tuple(
+    vals, J = partials(total, tuple(
         c.expr for lift in lifts for c in lift.components), points)
-    V = vals.reshape(-1, len(lifts), total.dim)
-    JV = J.reshape(-1, len(lifts), total.dim, total.dim)
-    return float(max_abs(brackets(V, JV)[:, :, bundle.base_dim:]))
+    m, d = len(lifts), total.dim
+    V, JV = vals.reshape(m, d, -1), J.reshape(m, d, d, -1)
+    return float(max_abs(brackets(V, JV)[:, bundle.base_dim:]))
 
 
 @dataclass(frozen=True)
@@ -776,7 +776,8 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
     if any(flag != "generic" for flag in scan.flags):
         raise ValueError("non-generic singular structure")
     frame = co.frame_residuals(Y, points)
-    M = frame["dlambda"]
+    W = frame["dlambda"]  # samples last
+    M = W.transpose(2, 0, 1)
     if np.any(sl.skew_rank(M, tol) != 2):
         raise ValueError("non-generic singular structure")
     return {
@@ -785,7 +786,8 @@ def extract_flat_structure(Y: "co.GraphSubmanifold",
         "kernel_bases": np.linalg.svd(M)[2][:, 2:],
         "membership_residual": float(max_abs(frame["i_V_dlambda"])),
         # i_[V_a, V_b] d lambda
-        "integrability_residual": float(max_abs(frame["bracket"] @ M)),
+        "integrability_residual": float(max_abs(
+            np.einsum("pin,ijn->pjn", frame["bracket"], W))),
         "covariant_constancy_residual": float(max_abs(frame["lie_lambda"])),
         "scan_flags": scan.flags,
     }

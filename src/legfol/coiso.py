@@ -7,7 +7,8 @@ the components (GraphSubmanifold.lambda_form).  Its coefficients and the
 matrix of its d are arrays of the components' values and first partials
 (GraphSubmanifold.lambda_jet), and the residual equations of the k = n + 1
 model (residual_values) are the components of lambda ^ d lambda on them
-(forms.frobenius).
+(forms.frobenius).  The commuting frame of that model and its identities
+(frame_residuals) read the components' first and second partials.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ from .fields import (
     Expr,
     ExprField,
     RowError,
-    VectorFieldExpr,
     as_field,
     brackets,
     compile_exprs,
-    constant,
     coordinate,
     max_abs,
-    values_and_partials,
+    partials,
 )
 
 RANK_TOL = 1e-8
@@ -119,25 +118,32 @@ class GraphSubmanifold:
             v: z.diff(v) - on_y[v.replace("x", "y")] if v[0] == "x"
             else z.diff(v) for v in src.var_names})
 
-    def lambda_jet(self, points) -> tuple[np.ndarray, np.ndarray]:
+    @functools.cached_property
+    def dependent(self) -> tuple[Expr, ...]:
+        """The dependent y_a in index order, then z: what the graph jet
+        evaluates."""
+        return tuple(self.components[f"y{a}"].expr
+                     for a in range(1, self.n + 1)
+                     if a not in self.free_y) + (self.components["z"].expr,)
+
+    def lambda_jet(self, points, parts: Optional[tuple] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
         """lambda's coefficients (k, N) and the matrix W (k, k, N) of
-        d lambda at N points, samples last, from one batch of the
-        components and their first partials.
+        d lambda at N points, samples last, from the values and first
+        partials of the dependent components: parts, fields.partials of
+        self.dependent at the points, evaluated here when not given.
 
         d(lambda) is the pullback of sum dx_j ^ dy_j, so W = Dx^T Dy -
         Dy^T Dx with Dx and Dy the Jacobians of the embedding's x and y
         parts; Dx = [I | 0], so W = M - M^T with M[:n] = Dy and M[n:] = 0.
-        No second derivative of z is built.  The batch raises as forms.jet's
-        does.
+        No second derivative of z is read.
         """
         n, k = self.n, self.k
         dep = [a - 1 for a in range(1, n + 1) if a not in self.free_y]
         free = [f - 1 for f in self.free_y]
-        vals, J = values_and_partials(self.source_chart, tuple(
-            self.components[f"y{a + 1}"].expr for a in dep) + (
-            self.components["z"].expr,), points)
-        N = len(vals)
-        J = J.transpose(1, 2, 0)  # (components, k, N)
+        vals, J = (parts or partials(
+            self.source_chart, self.dependent, points))[:2]
+        N = vals.shape[1]
         W = np.zeros((k, k, N))
         W[dep] = J[:-1]  # W[:n] = Dy; the i-th free y is coordinate n + i
         W[free, range(n, k)] = 1.0
@@ -145,7 +151,7 @@ class GraphSubmanifold:
         top -= top.transpose(1, 0, 2).copy()
         np.negative(W[:n, n:].transpose(1, 0, 2), out=W[n:, :n])
         coeffs = J[-1].copy()  # dz/ds, less y_j on x_j
-        coeffs[dep] -= vals[:, :-1].T
+        coeffs[dep] -= vals[:-1]
         coeffs[free] -= np.reshape(points, (N, k))[:, n:].T
         return coeffs, W
 
@@ -380,19 +386,21 @@ def _require_standard(Y: GraphSubmanifold):
 
 
 @np.errstate(all="ignore")  # a non-finite equation raises below
-def residual_values(Y: GraphSubmanifold,
-                    points: Sequence[Sequence[float]]) -> dict:
+def residual_values(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
+                    parts: Optional[tuple] = None) -> dict:
     """The foliation-residual equations at N points: lambda ^ d lambda
-    (forms.frobenius) on the graph's jet, by whether a triple meets x_n and
-    y_n: "eq_abc" (neither; redundant), "eq_abn", "eq_abyn" (one), "eq_a"
-    (both); and "lambda_ab" = d lambda(V_a, V_b); each maps 1-based indices
-    to (N,) arrays.  "max_residual" is, per point, the largest |eq_abn|,
-    |eq_abyn| and |eq_a|; "redundant_max" the largest |eq_abc|.  Raises
-    EvaluationError, as a batch does, where an equation is not finite."""
+    (forms.frobenius) on the graph's jet (lambda_jet, which reads parts when
+    given), by whether a triple meets x_n and y_n: "eq_abc" (neither;
+    redundant), "eq_abn", "eq_abyn" (one), "eq_a" (both); and "lambda_ab" =
+    d lambda(V_a, V_b); each maps 1-based indices to (N,) arrays.
+    "max_residual" is, per point, the largest |eq_abn|, |eq_abyn| and
+    |eq_a|; "redundant_max" the largest |eq_abc|.  Raises EvaluationError,
+    as a batch does, where an equation is not finite, and ValueError where
+    the points are not an (N, n + 1) array."""
     _require_standard(Y)
     n = Y.n
-    pts = np.asarray(points, dtype=float).reshape(-1, n + 1)
-    a, W = Y.lambda_jet(pts)
+    pts = np.asarray(points, dtype=float)
+    a, W = Y.lambda_jet(pts, parts)
     # 1-based source coordinates: x_1..x_n, then y_n as n + 1
     frob = dict(zip(itertools.combinations(range(1, n + 2), 3),
                     fm.frobenius(a, W)))
@@ -421,12 +429,12 @@ def residual_values(Y: GraphSubmanifold,
 def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
                          tol: float = RANK_TOL) -> dict:
     """Classify T_pY intersected with the contact hyperplane, via linear algebra."""
-    q, J = values_and_partials(  # J: 1 x (2n+1) x k
+    q, J = partials(  # J: (2n+1) x k x 1
         Y.source_chart, Y.embedding, [point])
     if max_abs(Y.lambda_form.coeff_array([point])) <= tol:
         return {"singular": True, "kind": "tangent to xi", "coisotropic": None}
-    tangent = sl.span(J[0].T, Y.ambient.dim)
-    xi, omega = sl.contact_hyperplane(standard_alpha(Y.n), q[0])
+    tangent = sl.span(J[..., 0].T, Y.ambient.dim)
+    xi, omega = sl.contact_hyperplane(standard_alpha(Y.n), q[:, 0])
     W_amb = tangent.intersect(xi)
     W_coords = sl.coords_in_basis(xi.basis, W_amb.basis)
     cls = sl.classify_subspace(
@@ -441,70 +449,69 @@ def pointwise_coisotropy(Y: GraphSubmanifold, point: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-def build_Vk(Y: GraphSubmanifold) -> list[VectorFieldExpr]:
-    """The n-1 commuting fields on the source chart:
-    d/dx_a - (dy_a/dy_n) d/dx_n + (dy_a/dx_n) d/dy_n.
+def frame_residuals(Y: GraphSubmanifold, points,
+                    parts: Optional[tuple] = None) -> dict:
+    """The commuting frame V_a and its identities at N points, samples
+    last, from the graph's components with their first and second
+    partials: parts, fields.partials of Y.dependent at order 2, evaluated
+    here when not given.
 
-    Their ambient images are the pushforwards J_emb V, which the checks take
-    on arrays (verify_claim).
+    V_a = d/dx_a - (dy_a/dy_n) d/dx_n + (dy_a/dx_n) d/dy_n (a < n), so its
+    components are first partials of y_a and its Jacobian JV second ones.
+    lambda's coefficients a and the matrix W of d lambda come from
+    lambda_jet; lambda's Jacobian d_j a_i is z_ij - d_j y_i, y_n being the
+    coordinate n.  The embedding's Jacobian J_emb keeps the x's and y_n and
+    maps the dependent y's and z by their partials.  Returns "frame": V
+    (m, k, N); "dlambda": W (k, k, N); "i_V_alpha": alpha at the image on
+    J_emb V_a, which is lambda(V_a) = V^i a_i (m, N); "i_V_dlambda":
+    V^i W_ij (m, k, N); "bracket": [V_a, V_b] for a < b (fields.brackets),
+    (pairs, k, N), and "ambient_bracket": J_emb [V_a, V_b]
+    (pairs, 2n + 1, N); "lie_lambda": L_V lambda (forms.lie_coeffs),
+    (m, k, N).
     """
     _require_standard(Y)
-    n = Y.n
-    src = Y.source_chart
-    xn, yn = f"x{n}", f"y{n}"
-    tilde = []
-    for a in range(1, n):
-        ya = Y.components[f"y{a}"]
-        comps = [constant(src, 0.0) for _ in range(src.dim)]
-        comps[src.index(f"x{a}")] = constant(src, 1.0)
-        comps[src.index(xn)] = comps[src.index(xn)] - ya.diff(yn)
-        comps[src.index(yn)] = ya.diff(xn)
-        tilde.append(VectorFieldExpr(src, tuple(comps)))
-    return tilde
-
-
-def frame_residuals(Y: GraphSubmanifold,
-                    points: Sequence[Sequence[float]]) -> dict:
-    """The identities of the commuting frame V_a of build_Vk at N points.
-
-    One batch evaluates the frame's components, the coefficients of lambda
-    and their first partials; the rest is array contraction, with W the
-    matrix of d lambda:
-    - "frame": the fields' values V (N, m, k);
-    - "dlambda": W (N, k, k), W_ij = d_i lambda_j - d_j lambda_i;
-    - "i_V_dlambda": (i_V d lambda)_j = V^i W_ij, (N, m, k);
-    - "bracket": [V_a, V_b] for a < b (fields.brackets), (N, pairs, k);
-    - "lie_lambda": L_V lambda (forms.lie_coeffs), (N, m, k).
-    """
-    tilde = build_Vk(Y)
-    src = Y.source_chart
-    k, m = src.dim, len(tilde)
-    lam = Y.lambda_form
-    vals, J = values_and_partials(src, tuple(
-        c.expr for V in tilde for c in V.components) + tuple(
-        lam.coeff((i,)).expr for i in range(k)), points)
-    N = len(vals)  # the frame is empty at n = 1, so -1 cannot be inferred
-    V = vals[:, :m * k].reshape(N, m, k)
-    JV = J[:, :m * k].reshape(N, m, k, k)
-    lam_v, lam_J = vals[:, m * k:], J[:, m * k:]
-    W = lam_J.transpose(0, 2, 1) - lam_J
-    return {"frame": V, "dlambda": W, "i_V_dlambda": V @ W,
-            "bracket": brackets(V, JV),
-            "lie_lambda": fm.lie_coeffs(V, JV, lam_v, lam_J)}
+    n, k = Y.n, Y.k
+    points = np.asarray(points, dtype=float)
+    vals, J, H = parts or partials(
+        Y.source_chart, Y.dependent, points, order=2)
+    a, W = Y.lambda_jet(points, (vals, J))
+    m, N = n - 1, vals.shape[1]
+    V = np.zeros((m, k, N))
+    V[range(m), range(m)] = 1.0
+    V[:, n - 1] = -J[:m, n]
+    V[:, n] = J[:m, n - 1]
+    JV = np.zeros((m, k, k, N))
+    JV[:, n - 1] = -H[:m, n]
+    JV[:, n] = H[:m, n - 1]
+    Ja = H[-1].copy()
+    Ja[:m] -= J[:m]
+    Ja[n - 1, n] -= 1.0
+    bracket = brackets(V, JV)
+    pushed = np.einsum("fjn,pjn->pfn", J, bracket)  # y_1..y_m, then z
+    return {"frame": V, "dlambda": W,
+            "i_V_alpha": np.einsum("ain,in->an", V, a),
+            "i_V_dlambda": np.einsum("ain,ijn->ajn", V, W),
+            "bracket": bracket,
+            "ambient_bracket": np.concatenate(
+                [bracket[:, :n], pushed[:, :m], bracket[:, n:],
+                 pushed[:, m:]], axis=1),
+            "lie_lambda": fm.lie_coeffs(V, JV, a, Ja)}
 
 
 def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
                  tol: float = 1e-8) -> dict:
     """Check the four identities satisfied by the commuting fields.
 
-    The frame's identities come from frame_residuals.  Its ambient images
-    are the pushforwards J_emb V, on which alpha is evaluated at the image
-    of each sample; brackets are pushed forward the same way.  Refuses when
-    the residual equations fail at any sample (the identities are
-    conditional on coisotropy).
+    One batch evaluates the graph's components with their first and second
+    partials; the residual table and the frame's identities
+    (frame_residuals, on the frame's ambient images J_emb V_a) are read off
+    it.  Refuses when the residual equations fail at any sample (the
+    identities are conditional on coisotropy).
     """
+    _require_standard(Y)
     points = np.asarray(points, dtype=float)
-    table = residual_values(Y, points)
+    parts = partials(Y.source_chart, Y.dependent, points, order=2)
+    table = residual_values(Y, points, parts)
     binding = table["max_residual"]
     bad = np.flatnonzero(binding > tol)
     if len(bad):
@@ -515,19 +522,13 @@ def verify_claim(Y: GraphSubmanifold, points: Sequence[Sequence[float]],
                             for i in bad[:10]],
             "num_bad": len(bad),
         }
-    frame = frame_residuals(Y, points)
-    image, J_emb = values_and_partials(Y.source_chart, Y.embedding, points)
-    J_emb_T = J_emb.transpose(0, 2, 1)  # pushforward: J_emb V = V @ J_emb^T
-    # alpha at the image on J_emb V, as (J_emb^T alpha) . V
-    alpha_back = J_emb_T @ standard_alpha(Y.n).coeff_array(image)[:, :, None]
-    res = {
-        "i_V_alpha": float(max_abs(frame["frame"] @ alpha_back)),
-        "i_V_dlambda": float(max_abs(frame["i_V_dlambda"])),
-        "bracket": float(max_abs(frame["bracket"] @ J_emb_T)),
-        "lie_lambda": float(max_abs(frame["lie_lambda"])),
-        "lambda_ab": float(max_abs(np.array(
-            list(table["lambda_ab"].values())))),
-    }
+    frame = frame_residuals(Y, points, parts)
+    res = {key: float(max_abs(v)) for key, v in (
+        ("i_V_alpha", frame["i_V_alpha"]),
+        ("i_V_dlambda", frame["i_V_dlambda"]),
+        ("bracket", frame["ambient_bracket"]),
+        ("lie_lambda", frame["lie_lambda"]),
+        ("lambda_ab", np.array(list(table["lambda_ab"].values()))))}
     worst = max(res.values())
     return {**res, "refused": False, "max_residual": worst,
             "passed": worst <= tol, "tolerance": tol, "samples": len(points)}
@@ -547,30 +548,31 @@ def char_foliation_form(Y: GraphSubmanifold,
     ker lambda in an orthonormal basis of it (symplin.restrict_to_kernel),
     from lambda's coefficients and the matrix of d lambda
     (GraphSubmanifold.lambda_jet).  The characteristic foliation is ker S,
-    of dimension 2n-k+1 on a coisotropic Y.  The integrability residual is
-    the largest |(d lambda)^(k-n)| on 2(k-n) basis vectors of the
-    hyperplane: (k-n)! |Pf| = (k-n)! sqrt(det) of a principal minor of S.
+    of dimension 2n-k+1 on a coisotropic Y.  With m = k - n, the
+    integrability residual is the largest m! |p_1 ... p_m| over the
+    samples, p the pivots of S's skew elimination (symplin.skew_rank):
+    |(d lambda)^m| on the 2m basis vectors of its pivot rows, m! |Pf| of
+    that principal minor.  It is 0 where rank S < 2m, which is
+    (d lambda)^m = 0 on ker lambda, and 0 when 2m > k - 1.
     """
     n, k = Y.n, Y.k
+    m = k - n
     a, W = Y.lambda_jet(points)  # samples last
     keep = max_abs(a, axis=0) > tol  # nonsingular samples only
     if not keep.all():
         a, W = a[:, keep], W[:, :, keep]
     S = sl.restrict_to_kernel(a, W).transpose(2, 0, 1)
-    kernel_dims = (k - 1) - sl.skew_rank(S, tol)
-    max_residual = 0.0
-    deg = 2 * (k - n)
-    if len(S) and deg <= k - 1:
-        minors = np.array(list(itertools.combinations(range(k - 1), deg)))
-        dets = np.linalg.det(S[:, minors[:, :, None], minors[:, None, :]])
-        max_residual = math.factorial(k - n) * float(
-            np.sqrt(np.max(dets, initial=0.0)))
+    steps = m if 2 * m <= k - 1 else 0
+    rank, pivots = sl.skew_rank(S, tol, steps)
+    kernel_dims = (k - 1) - rank
+    residual = math.factorial(m) * float(
+        max_abs(np.prod(pivots, axis=0))) if steps else 0.0
     expected = 2 * n - k + 1
     return {
         "expected_kernel_dim": expected,
         "kernel_dims": kernel_dims.tolist(),
         "kernel_ok": bool(np.all(kernel_dims == expected)),
-        "integrability_residual": max_residual,
+        "integrability_residual": residual,
         "samples_used": len(S),
     }
 

@@ -7,13 +7,14 @@ absorption so that evaluation stays predictable and the finite-difference
 oracle remains a genuinely independent cross-check.
 
 Derivatives are symbolic; brackets and pushforwards of vector fields are
-array contractions on their compiled values and first partials
-(values_and_partials, brackets).
+array contractions on their compiled values and partials, samples last
+(partials, brackets).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import types
 import weakref
@@ -536,12 +537,13 @@ class CompiledExprs:
                 reason = self._fault(pts[hi - 1:hi])
             row = hi - 1
         else:
-            out = np.empty((len(pts), len(values)))
+            # filled samples last, so batch(points).T is C-contiguous
+            out = np.empty((len(values), len(pts)))
             for j, v in enumerate(values):
-                out[:, j] = v
+                out[j] = v
             if np.isfinite(out).all():
-                return out
-            row = int(np.argmax(~np.isfinite(out).all(axis=1)))
+                return out.T
+            row = int(np.argmax(~np.isfinite(out).all(axis=0)))
             reason = "non-finite value"
         error = EvaluationError(
             f"row {row}, point {pts[row].tolist()}: {reason}")
@@ -566,18 +568,32 @@ def compile_exprs(chart: Chart, exprs: tuple[Expr, ...]) -> CompiledExprs:
     return CompiledExprs(chart, exprs)
 
 
-def values_and_partials(chart: Chart, exprs: tuple[Expr, ...], points
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Expressions and their first partials at N points, in one batch.
+def partials(chart: Chart, exprs: tuple[Expr, ...], points, order: int = 1
+             ) -> tuple[np.ndarray, ...]:
+    """Expressions and their partials up to order 1 or 2 at N points, from
+    one batch, samples last.
 
-    Returns the values (N, F) and the Jacobians (N, F, dim), with
-    J[p, f, i] the partial of exprs[f] in the chart's i-th coordinate.  The
-    partials come from Expr.diff's memo; the batch raises as ``batch`` does.
+    Returns the values (F, N) and the first partials (F, dim, N), J[f, i]
+    the partial of exprs[f] in the chart's i-th coordinate; at order 2 also
+    the second partials (F, dim, dim, N), H[f, i, j] = d_j d_i exprs[f] for
+    i <= j and its mirror H[f, j, i].  The partials come from Expr.diff's
+    memo; the batch raises as ``batch`` does.
     """
-    partials = tuple(e.diff(v) for e in exprs for v in chart.var_names)
-    out = compile_exprs(chart, exprs + partials).batch(points)
-    count = len(exprs)
-    return out[:, :count], out[:, count:].reshape(len(out), count, chart.dim)
+    names, dim, count = chart.var_names, chart.dim, len(exprs)
+    first = tuple(e.diff(v) for e in exprs for v in names)
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)
+             ] if order == 2 else []
+    out = compile_exprs(chart, exprs + first + tuple(
+        first[f * dim + i].diff(names[j])
+        for f in range(count) for i, j in upper)).batch(points).T
+    vals = out[:count]
+    J = out[count:count * (dim + 1)].reshape(count, dim, -1)
+    if order == 1:
+        return vals, J
+    at = np.empty((dim, dim), dtype=int)  # the row of d_j d_i in out
+    for row, (i, j) in enumerate(upper, count * (dim + 1)):
+        at[i, j] = at[j, i] = row
+    return vals, J, out[at + len(upper) * np.arange(count)[:, None, None]]
 
 
 def max_abs(values: np.ndarray, axis=None):
@@ -692,15 +708,17 @@ def vector_field(chart: Chart, components: Sequence[ExprField | Expr | float]
 
 
 def brackets(V: np.ndarray, JV: np.ndarray) -> np.ndarray:
-    """Brackets of m vector fields at N points, from their values V (N, m,
-    dim) and Jacobians JV (N, m, dim, dim), JV[p, a, i, j] the partial of
-    component i of field a in coordinate j.
+    """Brackets of m vector fields at N points, samples last, from their
+    values V (m, dim, N) and Jacobians JV (m, dim, dim, N), JV[a, i, j] the
+    partial of component i of field a in coordinate j.
 
     [V_a, V_b] = J_b V_a - J_a V_b for each pair a < b, in the order of
-    itertools.combinations: (N, m (m - 1) / 2, dim).
+    itertools.combinations: (m (m - 1) / 2, dim, N).
     """
-    a, b = np.triu_indices(V.shape[1], 1)
-    return (JV[:, b] @ V[:, a, :, None] - JV[:, a] @ V[:, b, :, None])[..., 0]
+    a, b = np.array([*itertools.combinations(range(len(V)), 2)],
+                    dtype=int).reshape(-1, 2).T
+    return np.einsum("pijn,pjn->pin", JV[b], V[a]) \
+        - np.einsum("pijn,pjn->pin", JV[a], V[b])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ coefficient of alpha ^ (d alpha)^n is one bordered-Pfaffian expression
 k-forms are the oracle in tests/oracles.py.  A 1-form and its d are
 evaluated together on arrays (jet); alpha ^ d alpha has one definition on
 those arrays (frobenius), and contractions with vector fields are taken on
-arrays of values and first partials (lie_coeffs).
+arrays of values and first partials, samples last (lie_coeffs).
 """
 
 from __future__ import annotations
@@ -181,11 +181,12 @@ def frobenius(a: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def lie_coeffs(V: np.ndarray, JV: np.ndarray, w: np.ndarray,
                Jw: np.ndarray) -> np.ndarray:
-    """Coefficients of L_V w for m vector fields and a 1-form at N points.
+    """Coefficients of L_V w for m vector fields and a 1-form at N points,
+    samples last.
 
-    From the fields' values V (N, m, dim) and Jacobians JV (N, m, dim, dim)
-    and the form's coefficients w (N, dim) and Jacobian Jw (N, dim, dim),
-    J[..., i, j] the partial of component i in coordinate j:
-    (L_V w)_i = V^j d_j w_i + w_j d_i V^j, as (N, m, dim).
+    From the fields' values V (m, dim, N) and Jacobians JV (m, dim, dim, N)
+    and the form's coefficients w (dim, N) and Jacobian Jw (dim, dim, N),
+    J[..., i, j, :] the partial of component i in coordinate j:
+    (L_V w)_i = V^j d_j w_i + w_j d_i V^j, as (m, dim, N).
     """
-    return V @ Jw.transpose(0, 2, 1) + (w[:, None, None, :] @ JV)[:, :, 0]
+    return np.einsum("ajn,ijn->ain", V, Jw) + np.einsum("jn,ajin->ain", w, JV)

@@ -31,7 +31,7 @@ from .fields import (
     compile_exprs,
     coordinate,
     max_abs,
-    values_and_partials,
+    partials,
 )
 
 # scan_points draws the base coordinates from [-SCAN_BOX, SCAN_BOX] and the
@@ -210,13 +210,12 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
     beta_tot = (Const(0.0),) * bundle.base_dim + tuple(
         beta.coeff((d,)).expr for d in (0, 1))
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total_b.dim))
-    vals, J = values_and_partials(total_b, beta_tot + tuple(
+    vals, J = partials(total_b, beta_tot + tuple(
         c.expr for lift in bundle.lifts() for c in lift.components), probe)
-    # per probe point: beta, then the lifts, each as (dim,) and (dim, dim)
+    # beta, then the lifts, each as (dim, N) and (dim, dim, N)
     d = total_b.dim
-    vals, J = vals.reshape(len(probe), -1, d), J.reshape(len(probe), -1, d, d)
-    if np.any(np.abs(fm.lie_coeffs(vals[:, 1:], J[:, 1:], vals[:, 0],
-                                   J[:, 0])) > 1e-8):
+    vals, J = vals.reshape(-1, d, len(probe)), J.reshape(-1, d, d, len(probe))
+    if np.any(np.abs(fm.lie_coeffs(vals[1:], J[1:], vals[0], J[0])) > 1e-8):
         raise GermBuildError(
             "no closed-form invariant extension in this trivialization; "
             "only trivial and rotation holonomy are supported")

@@ -46,7 +46,7 @@ def _rank(A: np.ndarray, tol: float = TOL) -> int:
     return int(stacked_rank(A[None], tol)[0])
 
 
-def skew_rank(S: np.ndarray, tol: float):
+def skew_rank(S: np.ndarray, tol: float, pivots: int | None = None):
     """Rank of a skew matrix, or of each matrix in an (N, m, m) skew stack.
 
     The rank is the SVD count: singular values above thr = tol * max(1,
@@ -55,12 +55,21 @@ def skew_rank(S: np.ndarray, tol: float):
     one batched SVD.  The input must be exactly skew, S == -S^T.
 
     Elimination.  Step s takes the largest |A_ij| of the current matrix A as
-    its pivot p (complete pivoting) and, if |p| > thr, applies the rank-2
-    Schur update A += (a_j a_i^T - a_i a_j^T) / p, with a_i column i: it
-    zeroes rows and columns i and j and keeps A exactly skew in floating
-    point.  A matrix whose pivot is at most thr stops; after m // 2 steps
-    or a stop, r accepted pivots give the candidate rank 2r, and delta is
-    the largest |entry| left (the rejected pivot, or 0).
+    its pivot p (complete pivoting, searched over i < j: in C order the
+    first largest entry of a nonzero skew matrix lies above the diagonal)
+    and, if |p| > thr, applies the rank-2 Schur update A += (a_j a_i^T -
+    a_i a_j^T) / p, with a_i column i: it zeroes rows and columns i and j
+    and keeps A exactly skew in floating point.  A matrix whose pivot is at
+    most thr stops; after m // 2 steps or a stop, r accepted pivots give the
+    candidate rank 2r, and delta is the largest |entry| left (the rejected
+    pivot, or 0).
+
+    Pivots.  Given pivots = q (2q <= m), each matrix's first q pivot
+    magnitudes come back after the ranks, (q, N); a matrix that stops
+    early keeps eliminating for them, its rank and certificate those of
+    the stop.  In exact arithmetic |p_1 ... p_q| is |Pf| of the principal
+    2q-minor on the pivot rows (each step divides it by its pivot, a Schur
+    complement), 0 exactly when the rank is below 2q.
 
     Certificate.  In exact arithmetic, permuting the pivot pairs first,
     S = L D L^T with L unit lower triangular, D = blockdiag(p_1 J, ...,
@@ -92,32 +101,40 @@ def skew_rank(S: np.ndarray, tol: float):
     if not np.array_equal(A, -A.transpose(1, 0, 2)):
         raise ValueError("skew_rank needs exactly skew matrices")
     cols = np.arange(N)
+    rows, columns = np.nonzero(~np.tri(m, dtype=bool))  # i < j, C order
     scale, delta, thr = np.zeros(N), np.zeros(N), np.full(N, float(tol))
-    accepted = np.zeros(N, dtype=int)
+    accepted, stopped = np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
     smallest, total = np.full(N, np.inf), np.zeros(N)
-    size = np.empty((m * m, N))
+    found = np.zeros((pivots or 0, N))
+    size = np.empty((len(rows), N))
     outer, update = np.empty_like(A), np.empty_like(A)
     for step in range(m // 2):
-        np.abs(A.reshape(m * m, N), out=size)
+        np.take(A.reshape(m * m, N), rows * m + columns, axis=0, out=size)
+        np.abs(size, out=size)
         at = np.argmax(size, axis=0)
         pivot = size[at, cols]
         if step == 0:
             scale = pivot
             thr = tol * np.maximum(1.0, scale)
-        take = pivot > thr
-        delta = np.where(take, 0.0, pivot)  # a rejected matrix stays as is
-        if not take.any():
+        take = (pivot > thr) & ~stopped
+        # a stopped matrix keeps its delta; it changes only to find pivots
+        delta = np.where(stopped, delta, np.where(take, 0.0, pivot))
+        stopped |= ~take
+        if step < len(found):
+            found[step] = pivot
+        go = take | ((step + 1 < len(found)) & (pivot > 0.0))
+        if not go.any():
             break
-        i, j = np.divmod(at, m)
+        i, j = rows[at], columns[at]
         # (a_j a_i^T - a_i a_j^T) / p as a_j u^T - u a_j^T, u = a_i / p
-        u = A[:, i, cols] / np.where(take, A[i, j, cols], np.inf)
+        u = A[:, i, cols] / np.where(go, A[i, j, cols], np.inf)
         np.multiply(A[:, j, cols][:, None], u[None], out=outer)
         np.subtract(outer, outer.transpose(1, 0, 2), out=update)
         A += update
         # rounding leaves ulps where the exact update has zeros
-        for k in (i[take], j[take]):
-            A[k, :, cols[take]] = 0.0
-            A[:, k, cols[take]] = 0.0
+        for k in (i[go], j[go]):
+            A[k, :, cols[go]] = 0.0
+            A[:, k, cols[go]] = 0.0
         accepted += take
         smallest = np.where(take, np.minimum(smallest, pivot), smallest)
         total += np.where(take, pivot, 0.0)
@@ -128,7 +145,7 @@ def skew_rank(S: np.ndarray, tol: float):
     if not certified.all():
         s = np.linalg.svd(S[~certified], compute_uv=False)
         rank[~certified] = np.sum(s > thr[~certified, None], axis=-1)
-    return rank
+    return rank if pivots is None else (rank, found)
 
 
 def null_space(A: np.ndarray, rcond: float) -> np.ndarray:

@@ -3,22 +3,26 @@ of a point, finite differences for derivatives, the Jacobian for
 pushforwards, the determinant convention for forms on vectors, a 2-form's
 coefficients placed in a skew matrix, the standard symplectic form for the
 linear algebra, the SVD count for ranks, a full SVD and one Householder
-reflector for hyperplane kernel bases, and four symbolic engines that the
-package's arrays and closed forms are held to: the exterior algebra of
-sparse forms (wedge, wedge powers and d, which build the top form
-alpha ^ (d alpha)^n that forms.top_coeff's Pfaffian is held to), the Cartan
-calculus (directional derivative, bracket, pushforward, interior product and
-Lie derivative as expression trees), the residual equations of a coisotropic
-graph, and smooth maps with the pullback of forms through them, which builds
-the restricted forms of a graph (embedding) and of a germ's zero section
-(zero_section_map) the general way."""
+reflector for hyperplane kernel bases, the principal minors for the
+integrability residual, and five symbolic engines that the package's arrays
+and closed forms are held to: the exterior algebra of sparse forms (wedge,
+wedge powers and d, which build the top form alpha ^ (d alpha)^n that
+forms.top_coeff's Pfaffian is held to), the Cartan calculus (directional
+derivative, bracket, pushforward, interior product and Lie derivative as
+expression trees), a graph's commuting frame with its identities, the
+residual equations of a coisotropic graph, and smooth maps with the
+pullback of forms through them, which builds the restricted forms of a
+graph (embedding) and of a germ's zero section (zero_section_map) the
+general way."""
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from legfol import coiso as co
 from legfol import forms as fm
 from legfol.fields import (
     Chart,
@@ -310,6 +314,86 @@ def lie_derivative(V, omega):
     if omega.degree == omega.chart.dim:
         return term1
     return term1 + interior(V, exterior_d(omega))
+
+
+# ---------------------------------------------------------------------------
+# The commuting frame of a graph and its identities as expression trees: a
+# second engine for coiso.frame_residuals and claim
+# ---------------------------------------------------------------------------
+
+
+def build_Vk(Y) -> list[VectorFieldExpr]:
+    """The n-1 commuting fields on the source chart of a k = n + 1 graph
+    with free y_n: d/dx_a - (dy_a/dy_n) d/dx_n + (dy_a/dx_n) d/dy_n."""
+    if Y.k != Y.n + 1 or Y.free_y != (Y.n,):
+        raise ValueError("the frame needs the k = n + 1 graph with free y_n")
+    n = Y.n
+    src = Y.source_chart
+    xn, yn = f"x{n}", f"y{n}"
+    tilde = []
+    for a in range(1, n):
+        ya = Y.components[f"y{a}"]
+        comps = [constant(src, 0.0) for _ in range(src.dim)]
+        comps[src.index(f"x{a}")] = constant(src, 1.0)
+        comps[src.index(xn)] = comps[src.index(xn)] - ya.diff(yn)
+        comps[src.index(yn)] = ya.diff(xn)
+        tilde.append(VectorFieldExpr(src, tuple(comps)))
+    return tilde
+
+
+def frame_identities(Y, points) -> dict:
+    """The arrays of coiso.frame_residuals from the symbolic engines, at N
+    points, samples last: the frame of build_Vk; alpha (coiso.standard_alpha)
+    at the image of each point on the pushforward of each field through the
+    embedding; i_V d lambda and L_V lambda on lambda's form and its
+    exterior_d; the brackets, and their pushforwards through the embedding.
+    """
+    tilde = build_Vk(Y)
+    lam = Y.lambda_form
+    dlam = exterior_d(lam)
+    emb = embedding(Y)
+    alpha = co.standard_alpha(Y.n)
+    src, N = Y.source_chart, len(points)
+
+    def stack(rows, width):
+        """Source-chart fields in rows of width, at the points: (rows,
+        width, N)."""
+        flat = [f for row in rows for f in row]
+        if not flat:
+            return np.zeros((len(rows), width, N))
+        return values(flat, points).T.reshape(len(rows), width, N)
+
+    def alpha_on(V):
+        acc = Const(0.0)
+        for (i,), c in alpha.coeffs.items():
+            acc = add(acc, mul(emb.compose_field(c).expr,
+                               pushforward_field(emb, V)[i].expr))
+        return [ExprField(src, acc)]
+
+    brackets = [lie_bracket(F, G)
+                for F, G in itertools.combinations(tilde, 2)]
+    k = src.dim
+    return {
+        "frame": stack([V.components for V in tilde], k),
+        "i_V_alpha": stack([alpha_on(V) for V in tilde], 1)[:, 0],
+        "i_V_dlambda": stack([[interior(V, dlam).coeff((j,))
+                               for j in range(k)] for V in tilde], k),
+        "lie_lambda": stack([[lie_derivative(V, lam).coeff((j,))
+                              for j in range(k)] for V in tilde], k),
+        "bracket": stack([B.components for B in brackets], k),
+        "ambient_bracket": stack([pushforward_field(emb, B)
+                                  for B in brackets], Y.ambient.dim),
+    }
+
+
+def principal_minor_residual(S: np.ndarray, m: int) -> np.ndarray:
+    """m! |Pf| = m! sqrt(det), the largest over the principal 2m-minors of
+    each skew matrix in an (N, d, d) stack, (N,): |(d lambda)^m| at its
+    largest on 2m of the basis vectors of ker lambda, the integrability
+    residual that char_foliation_form's pivot product is held to."""
+    minors = np.array(list(itertools.combinations(range(S.shape[1]), 2 * m)))
+    dets = np.linalg.det(S[:, minors[:, :, None], minors[:, None, :]])
+    return math.factorial(m) * np.sqrt(np.max(dets, axis=1, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

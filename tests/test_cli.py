@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -746,6 +747,13 @@ def test_readme_table_is_kinds():
         rows.append(f"| `{name}` | {names} | {values} |")
     readme = (ROOT / "README.md").read_text().splitlines()
     assert [line for line in readme if line.startswith("| `")] == rows
+
+
+def test_readme_lists_every_demo():
+    readme = (ROOT / "README.md").read_text()
+    listed = re.findall(r"^- `([a-z0-9-]+)`: ", readme.split(
+        "The bundled demos")[1].split("Exit codes")[0], flags=re.M)
+    assert listed == demo_names()
 
 
 class TestGermBuilds:

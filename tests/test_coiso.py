@@ -2,23 +2,29 @@
 linear-algebra oracle, the commuting frame and its identities, singular-set
 scans and the graphical perturbation."""
 
+import math
+import re
 import time
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import forms as fm
 from legfol import germ as gm
 from legfol import runner
+from legfol import symplin as sl
 from legfol.cli import demo_names
 from legfol.fields import CompiledExprs, parse_field
 from legfol.runner import run_scenario
 from legfol.scenario import parse_scenario
 
 from oracles import (
+    build_Vk,
     embedding,
+    principal_minor_residual,
     pullback,
     pushforward,
     values,
@@ -107,6 +113,12 @@ class TestClosedFormRestrictions:
         src = co.graph_submanifold(n, k).source_chart
         assert_graph_restriction(co.graph_submanifold(n, k, {
             key: parse_field(src, t) for key, t in texts.items()}), rng)
+
+
+def graph_of(n, k, **texts):
+    src = co.graph_submanifold(n, k).source_chart
+    return co.graph_submanifold(
+        n, k, {name: parse_field(src, t) for name, t in texts.items()})
 
 
 def hypersurface(n, g_text):
@@ -208,7 +220,7 @@ class TestCommutingFrame:
         # alpha with the pushforward of each frame field via the Jacobian
         Y = hypersurface(2, COISOTROPIC[2][0])
         alpha = co.standard_alpha(2)
-        tilde = co.build_Vk(Y)
+        tilde = build_Vk(Y)
         emb = embedding(Y)
         pts = rng.uniform(-0.9, 0.9, (10, 3))
         covecs = alpha.coeff_array(values(emb.components, pts))
@@ -224,8 +236,8 @@ class TestCommutingFrame:
         Y = hypersurface(1, z)
         pts = rng.uniform(-0.9, 0.9, (30, 2))
         frame = co.frame_residuals(Y, pts)
-        assert frame["frame"].shape == (30, 0, 2)
-        assert frame["bracket"].shape[:2] == (30, 0)
+        assert frame["frame"].shape == (0, 2, 30)
+        assert frame["bracket"].shape == (0, 2, 30)
         res = co.verify_claim(Y, pts)
         assert res["passed"] and not res["refused"]
         for key in ("i_V_alpha", "i_V_dlambda", "bracket", "lie_lambda",
@@ -547,3 +559,119 @@ class TestCharFoliation:
         res = co.char_foliation_form(Y, pts)
         assert res["kernel_ok"]
         assert res["integrability_residual"] <= 1e-8
+
+    def test_pivot_residual_against_the_minors(self):
+        """m! |p_1 ... p_m| from skew_rank's pivots, which char_foliation_form
+        reports, against the largest m! |Pf| of a principal 2m-minor
+        (oracles.principal_minor_residual) on seeded skew matrices of every
+        size d = k - 1 up to 8: never above it, equal to it at m = 1 and at
+        2m = d, and at most the pinned factor below it otherwise."""
+        rng = np.random.default_rng(20261020)
+        worst = 0.0
+        for d in range(2, 9):
+            for m in range(1, d // 2 + 1):
+                A = rng.normal(size=(200, d, d))
+                S = A - A.transpose(0, 2, 1)
+                _, pivots = sl.skew_rank(S, 1e-8, m)
+                ratio = principal_minor_residual(S, m) / (
+                    math.factorial(m) * np.prod(pivots, axis=0))
+                assert ratio.min() >= 1 - 1e-13, (d, m)
+                if m == 1 or 2 * m == d:
+                    assert ratio.max() <= 1 + 1e-13, (d, m)
+                worst = max(worst, ratio.max())
+        assert worst == pytest.approx(2.3869301534071394, rel=1e-9)
+
+    def test_residual_on_a_graph(self, rng):
+        """On a graph that fails integrability with 2m < k - 1 (n = 4,
+        k = 6), the reported residual is the largest pivot product over the
+        samples, nonzero, and at most the minors' largest."""
+        Y = graph_of(4, 6, z="x1 * y4 + x2 * y3 * y4 + sin(x3) * y3")
+        pts = rng.uniform(-0.9, 0.9, (30, 6))
+        got = co.char_foliation_form(Y, pts)["integrability_residual"]
+        S = sl.restrict_to_kernel(*Y.lambda_jet(pts)).transpose(2, 0, 1)
+        _, pivots = sl.skew_rank(S, 1e-8, 2)
+        assert got == 2 * np.max(np.abs(np.prod(pivots, axis=0)))
+        assert 0.01 < got <= np.max(principal_minor_residual(S, 2))
+
+    def test_large_dimension(self):
+        """n = 14, k = 21: the principal-minor loop took 4.5 s over its
+        C(20, 14) = 38,760 minors per sample; the pivots take one
+        elimination."""
+        Y = co.graph_submanifold(14, 21)
+        pts = np.random.default_rng(3).uniform(-0.9, 0.9, (40, 21))
+        co.char_foliation_form(Y, pts)  # compiles the graph's jet
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            res = co.char_foliation_form(Y, pts)
+            elapsed.append(time.perf_counter() - start)
+        assert res["kernel_ok"] and res["integrability_residual"] <= 1e-8
+        assert min(elapsed) < 0.1
+
+
+class TestOneBatch:
+    """What each graph check evaluates and calls."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """CompiledExprs.batch, counted."""
+        calls = []
+        batch = CompiledExprs.batch
+
+        def counted(self, points):
+            calls.append(np.shape(points))
+            return batch(self, points)
+
+        monkeypatch.setattr(CompiledExprs, "batch", counted)
+        return calls
+
+    @pytest.mark.parametrize("texts, refused", [
+        ({"z": "(x2^2 + y2^2) / 2"}, False), ({"y1": "x1 * x2"}, True)])
+    def test_claim_is_one_batch(self, texts, refused, batches, rng):
+        Y = graph_of(2, 3, **texts)
+        pts = rng.uniform(-0.9, 0.9, (25, 3))
+        assert co.verify_claim(Y, pts)["refused"] == refused
+        assert batches == [(25, 3)]
+
+    def test_char_foliation_reads_pivots(self, monkeypatch, rng):
+        def no_det(*args):
+            raise AssertionError("np.linalg.det called")
+
+        calls = []
+        skew_rank = sl.skew_rank
+
+        def counted(*args):
+            calls.append(args[1:])
+            return skew_rank(*args)
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        monkeypatch.setattr(sl, "skew_rank", counted)
+        Y = graph_of(3, 5, z="x1 * y3 + x2^2 * y2")
+        res = co.char_foliation_form(Y, rng.uniform(-0.9, 0.9, (25, 5)))
+        assert res["samples_used"] == 25
+        assert calls == [(1e-8, 2)]
+
+    def test_extraction_reads_the_shared_frame(self, monkeypatch, rng):
+        calls = []
+        frame = co.frame_residuals
+
+        def counted(Y, points):
+            calls.append(len(points))
+            return frame(Y, points)
+
+        monkeypatch.setattr(co, "frame_residuals", counted)
+        Y = hypersurface(2, "(x2^2 + y2^2) / 2")
+        res = bd.extract_flat_structure(Y, rng.uniform(-0.4, 0.4, (10, 3)))
+        assert calls == [10]
+        assert res["membership_residual"] <= 1e-10
+
+    def test_residuals_reject_points_of_another_width(self):
+        """Six points of width 2 at n = 2 are no three points of width 3,
+        for residual_values as for the other graph checks."""
+        Y = hypersurface(2, "(x2^2 + y2^2) / 2")
+        pts = np.zeros((6, 2))
+        for check in (co.residual_values, co.verify_claim,
+                      co.char_foliation_form):
+            with pytest.raises(ValueError, match=re.escape(
+                    "points have shape (6, 2), expected (N, 3)")):
+                check(Y, pts)

@@ -1,15 +1,17 @@
 """The array contractions of legfol against the symbolic Cartan calculus.
 
-The package contracts compiled values and first partials: interior products
-(V @ M with M the matrix of the 2-form), Lie derivatives of 1-forms
-(forms.lie_coeffs), brackets (fields.brackets), pushforwards (J V),
-beta ^ d beta (forms.frobenius), and a graph's lambda with the
-matrix of d lambda from the components' first partials
-(GraphSubmanifold.lambda_jet), which forms.jet builds from lambda's
-symbolic coefficients and their d.  tests/oracles.py keeps the same
+The package contracts compiled values and partials, samples last: interior
+products (V @ M with M the matrix of the 2-form), Lie derivatives of
+1-forms (forms.lie_coeffs), brackets (fields.brackets), pushforwards (J V),
+beta ^ d beta (forms.frobenius), a graph's lambda with the matrix of
+d lambda from the components' first partials (GraphSubmanifold.lambda_jet),
+which forms.jet builds from lambda's symbolic coefficients and their d, and
+the identities of claim's commuting frame from the components' first and
+second partials (coiso.frame_residuals).  tests/oracles.py keeps the same
 operators as expression trees, compiled and evaluated as one more field.
 The two engines must agree within 1e-13 times the largest term of each
-entry of the contraction.
+entry of the contraction.  The comparisons are made samples first: first
+and last move the sample axis.
 
 The graphs and bundles of the checks make most of these contractions
 vanish exactly in both engines, so the comparisons run on random O(1)
@@ -33,16 +35,18 @@ from legfol.fields import (
     compile_exprs,
     coordinate,
     parse_field,
-    values_and_partials,
+    partials,
     vector_field,
 )
 from legfol.scenario import parse_scenario
 
 from oracles import (
     SmoothMapExpr,
+    build_Vk,
     exterior_d,
     fd_partial,
     form_matrices,
+    frame_identities,
     interior,
     lie_bracket,
     lie_derivative,
@@ -99,18 +103,38 @@ def random_dense_form(chart, degree, rng):
         for idx in itertools.combinations(range(chart.dim), degree)})
 
 
+def first(a):
+    """The sample axis moved from last to first."""
+    return np.moveaxis(a, -1, 0)
+
+
+def last(a):
+    """The sample axis moved from first to last."""
+    return np.moveaxis(a, 0, -1)
+
+
 def frame(chart, fields, points):
     """Values (N, m, dim) and Jacobians (N, m, dim, dim) of vector fields."""
-    vals, J = values_and_partials(chart, tuple(
+    vals, J = partials(chart, tuple(
         c.expr for V in fields for c in V.components), points)
-    return (vals.reshape(len(points), len(fields), chart.dim),
-            J.reshape(len(points), len(fields), chart.dim, chart.dim))
+    return (first(vals).reshape(len(points), len(fields), chart.dim),
+            first(J).reshape(len(points), len(fields), chart.dim, chart.dim))
 
 
 def one_form(omega, points):
     """Coefficients (N, dim) and Jacobian (N, dim, dim) of a 1-form."""
-    return values_and_partials(omega.chart, tuple(
-        omega.coeff((i,)).expr for i in range(omega.chart.dim)), points)
+    return tuple(first(a) for a in partials(omega.chart, tuple(
+        omega.coeff((i,)).expr for i in range(omega.chart.dim)), points))
+
+
+def lie(V, JV, w, Jw):
+    """forms.lie_coeffs on samples-first arrays."""
+    return first(fm.lie_coeffs(last(V), last(JV), last(w), last(Jw)))
+
+
+def bracket(V, JV):
+    """fields.brackets on samples-first arrays."""
+    return first(brackets(last(V), last(JV)))
 
 
 def interior_terms(V, M):
@@ -142,13 +166,18 @@ def pts(rng):
 class TestRandomFields:
     def test_jacobian_layout(self, rng, pts):
         fields = [random_field(ABCD, rng) for _ in range(3)]
-        vals, J = values_and_partials(ABCD, tuple(f.expr for f in fields),
-                                      pts)
-        np.testing.assert_array_equal(vals, values(fields, pts))
+        exprs = tuple(f.expr for f in fields)
+        vals, J, H = partials(ABCD, exprs, pts, 2)
+        np.testing.assert_array_equal(vals.T, values(fields, pts))
+        for got, want in zip(partials(ABCD, exprs, pts), (vals, J)):
+            np.testing.assert_array_equal(got, want)
         for f, field in enumerate(fields):
             for i, name in enumerate(ABCD.var_names):
-                assert J[:, f, i] == pytest.approx(
+                assert J[f, i] == pytest.approx(
                     fd_partial(field, pts, name), rel=1e-6, abs=1e-6)
+                for j, other in enumerate(ABCD.var_names):
+                    assert H[f, i, j] == pytest.approx(fd_partial(
+                        field.diff(name), pts, other), rel=1e-6, abs=1e-6)
 
     def test_interior_one_form(self, rng, pts):
         fields = random_vector_fields(ABCD, 3, rng)
@@ -176,7 +205,7 @@ class TestRandomFields:
         coeffs, Jw = one_form(w, pts)
         want = np.stack([lie_derivative(F, w).coeff_array(pts)
                          for F in fields], axis=1)
-        assert_within(fm.lie_coeffs(V, JV, coeffs, Jw), want,
+        assert_within(lie(V, JV, coeffs, Jw), want,
                       lie_terms(V, JV, coeffs, Jw))
 
     def test_brackets(self, rng, pts):
@@ -185,7 +214,7 @@ class TestRandomFields:
         want = np.stack([values(lie_bracket(F, G).components, pts)
                          for F, G in itertools.combinations(fields, 2)],
                         axis=1)
-        assert_within(brackets(V, JV), want, bracket_terms(V, JV))
+        assert_within(bracket(V, JV), want, bracket_terms(V, JV))
 
     def test_pushforward(self, rng):
         phi = SmoothMapExpr(PQR, ABCD, tuple(
@@ -193,8 +222,8 @@ class TestRandomFields:
         fields = random_vector_fields(PQR, 3, rng)
         pts = rng.uniform(-0.9, 0.9, (30, PQR.dim))
         V, _ = frame(PQR, fields, pts)
-        _, J = values_and_partials(PQR, tuple(
-            c.expr for c in phi.components), pts)
+        J = first(partials(PQR, tuple(
+            c.expr for c in phi.components), pts)[1])
         want = np.stack([values(pushforward_field(phi, F), pts)
                          for F in fields], axis=1)
         terms = V[:, :, None, :] * J[:, None]
@@ -233,45 +262,80 @@ GRAPHS = {
     "hyper3": graph(3, z="(-0.9 * x3^2 + 1.6 * y3^2) / 2"
                          " - 0.2 * sin(x3) * y3"),
     "twisted": graph(2, y1="1.3 * x1 * x2"),
+    "curved-n2": graph(2, y1="x1 * sin(x2 + y2) + 0.7 * x2 * y2",
+                       z="x1 * y2 + cos(x2 - y2)"),
     "curved-n3": graph(3, y1="sin(x2 + y3) + x3 * y3",
                        y2="0.5 * exp(x1 / 2) * y3", z="x1 * x2 + cos(y3)"),
 }
 
 
+def frame_terms(Y, pts):
+    """Per identity of coiso.frame_residuals, samples first, the terms the
+    package sums for each entry, from the symbolic frame's values and
+    Jacobians and the components' partials, with lambda's coefficients
+    a_i = dz/ds_i - y_i and their Jacobian z_ij - Dy_ij split into their
+    parts, and W = Dy - Dy^T read as the parts z_ij, z_ji, Dy_ij and Dy_ji
+    of the symbolic d lambda."""
+    n, k = Y.n, Y.k
+    src = Y.source_chart
+    N = len(pts)
+    V, JV = frame(src, build_Vk(Y), pts)
+    vals, J, H = (first(a) for a in partials(src, Y.dependent, pts, 2))
+    Jz, Hz = J[:, -1], H[:, -1]
+    y = np.zeros((N, k))  # the y_i paired with x_i, y_n the coordinate n
+    y[:, :n - 1], y[:, n - 1] = vals[:, :-1], pts[:, n]
+    Dy = np.zeros((N, k, k))  # Dy_ij = d_j y_i
+    Dy[:, :n - 1], Dy[:, n - 1, n] = J[:, :-1], 1.0
+    flip = (0, 2, 1)
+    bracket = bracket_terms(V, JV)  # (N, pairs, k, 2k)
+    # J_emb [V_a, V_b]: a bracket entry on the x's and y_n, and sum_j
+    # J_fj [V_a, V_b]^j on a dependent y_f and z
+    width = 2 * k * k
+    pad = np.zeros(bracket.shape[:3] + (width - 2 * k,))
+    kept = np.concatenate([bracket, pad], axis=-1)
+    pushed = (J[:, None, :, :, None] * bracket[:, :, None]).reshape(
+        N, bracket.shape[1], n, width)
+    return {
+        "i_V_alpha": np.concatenate(
+            [V * Jz[:, None], V * y[:, None]], axis=-1),
+        "i_V_dlambda": np.concatenate(
+            [interior_terms(V, X) for X in
+             (Hz, Hz.transpose(flip), Dy, Dy.transpose(flip))], axis=-1),
+        "lie_lambda": np.concatenate(
+            [lie_terms(V, JV, Jz, Hz), lie_terms(V, JV, y, Dy)], axis=-1),
+        "bracket": bracket,
+        "ambient_bracket": np.concatenate(
+            [kept[:, :, :n], pushed[:, :, :-1], kept[:, :, n:],
+             pushed[:, :, -1:]], axis=2),
+    }
+
+
 class TestGraphFrames:
     @pytest.mark.parametrize("name", GRAPHS)
     def test_frame_residuals(self, name, rng):
+        """claim's identities from the graph's one second-order batch
+        against the symbolic frame, forms and pushforwards."""
         Y = GRAPHS[name]
-        src = Y.source_chart
-        pts = rng.uniform(-0.9, 0.9, (40, src.dim))
+        pts = rng.uniform(-0.9, 0.9, (40, Y.source_chart.dim))
         got = co.frame_residuals(Y, pts)
-        tilde = co.build_Vk(Y)
-        lam = Y.lambda_form
-        dlam = exterior_d(lam)
-        V, JV = frame(src, tilde, pts)
-        coeffs, Jl = one_form(lam, pts)
-        W = form_matrices(dlam, pts)
-        # the same differences of the same partials, up to the sign of 0
-        np.testing.assert_array_equal(np.abs(got["dlambda"]), np.abs(W))
-        assert_within(got["i_V_dlambda"], np.stack(
-            [interior(F, dlam).coeff_array(pts) for F in tilde], axis=1),
-            interior_terms(V, W))
-        assert_within(got["lie_lambda"], np.stack(
-            [lie_derivative(F, lam).coeff_array(pts) for F in tilde],
-            axis=1), lie_terms(V, JV, coeffs, Jl))
-        pairs = list(itertools.combinations(tilde, 2))
-        want = np.stack([values(lie_bracket(F, G).components, pts)
-                         for F, G in pairs], axis=1) if pairs \
-            else np.zeros((len(pts), 0, src.dim))
-        assert_within(got["bracket"], want, bracket_terms(V, JV))
+        want = frame_identities(Y, pts)
+        # the same partials, up to the sign of 0
+        np.testing.assert_array_equal(np.abs(got["frame"]),
+                                      np.abs(want["frame"]))
+        np.testing.assert_array_equal(got["dlambda"], Y.lambda_jet(pts)[1])
+        for key, terms in frame_terms(Y, pts).items():
+            assert_within(first(got[key]), first(want[key]), terms)
 
     def test_nonzero_entries(self, rng):
-        """On the curved graph every kind of contraction has entries far
-        from zero, so the comparison above is not between zeros."""
+        """On the curved n = 3 graph every kind of contraction has entries
+        far from zero, so the comparison above is not between zeros.  (At
+        n = 2, V_1 spans the kernel of d lambda, so i_V d lambda is 0 on
+        every graph.)"""
         Y = GRAPHS["curved-n3"]
         pts = rng.uniform(-0.9, 0.9, (40, Y.source_chart.dim))
         got = co.frame_residuals(Y, pts)
-        for key in ("i_V_dlambda", "lie_lambda", "bracket"):
+        for key in ("i_V_alpha", "i_V_dlambda", "lie_lambda", "bracket",
+                    "ambient_bracket"):
             assert np.max(np.abs(got[key])) > 0.1, key
 
 
@@ -328,13 +392,12 @@ def assert_graph_jet(Y, pts):
     src = Y.source_chart
     got_a, got_W = Y.lambda_jet(pts)
     want_a, want_W = fm.jet(Y.lambda_form, pts)
-    emb, J_emb = values_and_partials(src, Y.embedding, pts)
+    emb, J_emb = (first(a) for a in partials(src, Y.embedding, pts))
     y = np.zeros((len(pts), k))
     y[:, :n] = emb[:, n:2 * n]
     assert_within(got_a.T, want_a, np.stack([J_emb[:, 2 * n], y], axis=-1))
     _, Ja = one_form(Y.lambda_form, pts)
-    _, Hz = values_and_partials(src, tuple(
-        Y.components["z"].expr.diff(v) for v in src.var_names), pts)
+    Hz = first(partials(src, (Y.components["z"].expr,), pts, 2)[2][0])
     Dy = np.zeros((len(pts), k, k))
     Dy[:, :n] = J_emb[:, n:2 * n]
     terms = np.stack([Ja, Ja.transpose(0, 2, 1), Hz, Hz.transpose(0, 2, 1),
@@ -385,9 +448,9 @@ def residual_terms(Y, pts):
     """Per point, the terms of each eq_a and lambda_ab as the symbolic
     equations write them, (N, 4), from the components' first partials."""
     n = Y.n
-    vals, J = values_and_partials(Y.source_chart, tuple(
+    vals, J = (first(a) for a in partials(Y.source_chart, tuple(
         Y.components[f"y{a}" if a < n else "z"].expr
-        for a in range(1, n + 1)), pts)
+        for a in range(1, n + 1)), pts))
     zx, zyn, yn = J[:, n - 1, :n], J[:, n - 1, n], pts[:, n]
     yx, yyn = J[:, :n - 1, :n], J[:, :n - 1, n]
     eq_a = {a: np.stack([zx[:, a - 1], vals[:, a - 1],
@@ -463,7 +526,7 @@ class TestBundleLifts:
         want = np.stack([values(lie_bracket(F, G).components, pts)
                          for F, G in itertools.combinations(fields, 2)],
                         axis=1)
-        assert_within(brackets(V, JV), want, bracket_terms(V, JV))
+        assert_within(bracket(V, JV), want, bracket_terms(V, JV))
 
     @pytest.mark.parametrize("name", BUNDLES)
     def test_lie_along_lifts(self, name, rng):
@@ -479,5 +542,5 @@ class TestBundleLifts:
             coeffs, Jw = one_form(w, pts)
             want = np.stack([lie_derivative(F, w).coeff_array(pts)
                              for F in b.lifts()], axis=1)
-            assert_within(fm.lie_coeffs(V, JV, coeffs, Jw), want,
+            assert_within(lie(V, JV, coeffs, Jw), want,
                           lie_terms(V, JV, coeffs, Jw))

@@ -216,12 +216,16 @@ def test_no_symbolic_cartan_calculus():
 # sparse forms, the symbolic 2-form matrices, residual equations, smooth maps
 # and pullbacks are oracles in tests/oracles.py.  char-foliation takes
 # d lambda on ker lambda as a rank-2 update of d lambda, so the explicit
-# Householder kernel bases are an oracle too.
+# Householder kernel bases are an oracle too, and reads its integrability
+# residual off skew_rank's pivots, so the principal minors are one.  claim
+# reads its commuting frame off the graph's second-order batch, so the
+# symbolic frame with its identities is one.
 RETIRED = {"form_matrices", "residual_fields", "_model_data", "pullback",
            "SmoothMapExpr", "compose_field", "jacobian_fields",
            "zero_section_map", "wedge", "wedge_power", "exterior_d",
            "_merge_sign", "zero_form", "function_form", "hyperplane_bases",
-           "frobenius_residual"}
+           "frobenius_residual", "build_Vk", "frame_identities",
+           "principal_minor_residual"}
 
 
 def symbolic_form_uses() -> list[str]:

@@ -170,8 +170,41 @@ def skew_with_singular_values(rng, m, sigmas):
     return (S - S.T) / 2
 
 
+def full_search_pivots(S, steps):
+    """The first steps pivot magnitudes of each skew matrix in an
+    (N, m, m) stack, by skew_rank's elimination with the pivot searched
+    over all m^2 entries in C order, eliminating past any threshold until
+    what is left is 0.  Each pivot it finds lies above the diagonal."""
+    out = np.zeros((steps, len(S)))
+    for n, A in enumerate(np.array(S, dtype=float)):
+        for step in range(steps):
+            i, j = np.unravel_index(np.argmax(np.abs(A)), A.shape)
+            out[step, n] = abs(A[i, j])
+            if A[i, j] == 0.0:
+                break
+            assert i < j
+            u = A[:, i] / A[i, j]
+            outer = A[:, j][:, None] * u[None]
+            A += outer - outer.T
+            A[[i, j]] = 0.0
+            A[:, [i, j]] = 0.0
+    return out
+
+
 class TestSkewRank:
     """symplin.skew_rank against the SVD count of the same matrices."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+    def test_pivots_of_the_full_search(self, m, rng):
+        """Small integer entries tie in magnitude everywhere, and the
+        search over i < j picks the pivots of the search over every entry:
+        the same magnitudes at every step, so the same elimination."""
+        A = rng.integers(-2, 3, (300, m, m)).astype(float)
+        S = np.triu(A, 1) - np.triu(A, 1).transpose(0, 2, 1)
+        rank, pivots = sl.skew_rank(S, 1e-8, m // 2)
+        np.testing.assert_array_equal(pivots, full_search_pivots(S, m // 2))
+        assert rank.tolist() == sl.skew_rank(S, 1e-8).tolist() \
+            == svd_count(S, 1e-8).tolist()
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("tol", [1e-8, 1e-5])
