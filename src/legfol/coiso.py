@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -36,6 +36,7 @@ from .fields import (
     coordinate,
     max_abs,
     partials,
+    sub,
 )
 
 RANK_TOL = 1e-8
@@ -68,17 +69,12 @@ class GraphSubmanifold:
     k: int
     free_y: tuple[int, ...]
     components: Mapping[str, ExprField]  # dependent y's and z, on source chart
+    source_chart: Chart = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not self.n + 1 <= self.k <= 2 * self.n:
-            raise ValueError(f"k={self.k} outside [n+1, 2n] for n={self.n}")
-        free = tuple(sorted(self.free_y))
-        if len(free) != self.k - self.n or any(
-                not 1 <= j <= self.n for j in free):
-            raise ValueError("free_y must be k-n distinct indices in 1..n")
+        free, src = graph_chart(self.n, self.k, self.free_y)
         object.__setattr__(self, "free_y", free)
+        object.__setattr__(self, "source_chart", src)
         expected = {f"y{i}" for i in range(1, self.n + 1)
                     if i not in free} | {"z"}
         comps = dict(self.components)
@@ -86,14 +82,8 @@ class GraphSubmanifold:
             raise ValueError(
                 f"components must be exactly {sorted(expected)}, "
                 f"got {sorted(comps)}")
-        src = self.source_chart
         comps = {name: c.on_chart(src) for name, c in comps.items()}
         object.__setattr__(self, "components", comps)
-
-    @functools.cached_property
-    def source_chart(self) -> Chart:
-        return Chart(tuple(f"x{i}" for i in range(1, self.n + 1))
-                     + tuple(f"y{j}" for j in self.free_y))
 
     @functools.cached_property
     def ambient(self) -> Chart:
@@ -109,14 +99,11 @@ class GraphSubmanifold:
 
     @functools.cached_property
     def lambda_form(self) -> fm.DiffForm:
-        """dz - sum y_i dx_i on Y: dz/dx_j - y_j on x_j, where y_j is a
-        component or the free coordinate itself, and dz/dy_f on a free
-        y_f."""
-        src, z = self.source_chart, self.components["z"]
-        on_y = dict(zip(self.ambient.var_names, self.embedding))
-        return fm.one_form(src, {
-            v: z.diff(v) - on_y[v.replace("x", "y")] if v[0] == "x"
-            else z.diff(v) for v in src.var_names})
+        """dz - sum y_i dx_i on Y (_lambda_coeffs)."""
+        src = self.source_chart
+        return fm.DiffForm(src, 1, {
+            (i,): ExprField(src, e) for i, e in enumerate(
+                _lambda_coeffs(src.var_names, self.embedding))})
 
     @functools.cached_property
     def dependent(self) -> tuple[Expr, ...]:
@@ -156,15 +143,41 @@ class GraphSubmanifold:
         return coeffs, W
 
 
+@functools.lru_cache(maxsize=fm.DERIVATION_MEMO)
+def _lambda_coeffs(names: tuple[str, ...], embedding: tuple[Expr, ...]
+                   ) -> tuple[Expr, ...]:
+    """The coefficients of dz - sum y_i dx_i on a graph, on its source
+    coordinates names, from its embedding (x's, y's, then z): dz/dx_j - y_j
+    on x_j, where y_j is a component or the free coordinate itself, and
+    dz/dy_f on a free y_f.  Memoized per distinct embedding."""
+    n, z = len(embedding) // 2, embedding[-1]
+    return tuple(sub(z.diff(v), embedding[n + i]) if i < n else z.diff(v)
+                 for i, v in enumerate(names))
+
+
+def graph_chart(n: int, k: int, free_y: Sequence[int] | None = None
+                ) -> tuple[tuple[int, ...], Chart]:
+    """The free y indices of a k-dimensional graph over n, sorted (by
+    default the last k - n), and its source chart: x_1..x_n, then the free
+    y's.  Raises ValueError where n, k or free_y is out of range."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not n + 1 <= k <= 2 * n:
+        raise ValueError(f"k={k} outside [n+1, 2n] for n={n}")
+    free = tuple(sorted(range(2 * n - k + 1, n + 1) if free_y is None
+                        else free_y))
+    if not len(set(free)) == len(free) == k - n or any(
+            not 1 <= j <= n for j in free):
+        raise ValueError("free_y must be k-n distinct indices in 1..n")
+    return free, Chart(tuple(f"x{i}" for i in range(1, n + 1))
+                       + tuple(f"y{j}" for j in free))
+
+
 def graph_submanifold(n: int, k: int,
                       components: Mapping[str, ExprField | float] | None = None,
                       free_y: Sequence[int] | None = None) -> GraphSubmanifold:
     """Build a graph; unspecified components default to zero."""
-    if free_y is None:
-        free_y = tuple(range(2 * n - k + 1, n + 1))
-    free = tuple(sorted(free_y))
-    src = Chart(tuple(f"x{i}" for i in range(1, n + 1))
-                + tuple(f"y{j}" for j in free))
+    free, src = graph_chart(n, k, free_y)
     needed = [f"y{i}" for i in range(1, n + 1) if i not in free] + ["z"]
     given = dict(components or {})
     comps = {name: as_field(src, given.pop(name, 0.0)) for name in needed}
@@ -259,6 +272,15 @@ def _cells(flat: np.ndarray, size: int, dim: int) -> np.ndarray:
     return np.stack(np.unravel_index(flat, (size,) * dim), axis=1)
 
 
+@functools.lru_cache(maxsize=fm.DERIVATION_MEMO)
+def _scan_exprs(names: tuple[str, ...], coeffs: tuple[Expr, ...],
+                comps: tuple[Expr, ...]) -> tuple[Expr, ...]:
+    """singular_scan's outputs on the coordinates names: the restricted
+    form's coefficients, their gradients coefficient by coefficient, then
+    the graph's components.  Memoized per distinct expression tuple."""
+    return coeffs + tuple(c.diff(v) for c in coeffs for v in names) + comps
+
+
 def _raise_scan_fault(compiled, axis: np.ndarray, read: list[int],
                       flat: np.ndarray):
     """Raise batch's EvaluationError on the first SCAN_BLOCK_ROWS-row block of
@@ -293,14 +315,11 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     components times that cube, so only the sub-grid hits are clustered.
     Memory follows the hits and one block of the sub-grid, not the grid.
     """
-    lam = Y.lambda_form
-    src = Y.source_chart
+    lam, src = Y.lambda_form, Y.source_chart
     k = src.dim
-    coeff_fields = [lam.coeff((i,)) for i in range(k)]
-    grad_fields = [c.diff(v) for c in coeff_fields for v in src.var_names]
-    exprs = tuple(f.expr for f in coeff_fields + grad_fields) + tuple(
-        c.expr for c in Y.components.values())
-    compiled = compile_exprs(src, exprs)
+    compiled = compile_exprs(src, _scan_exprs(
+        src.var_names, tuple(lam.coeff((i,)).expr for i in range(k)),
+        tuple(c.expr for c in Y.components.values())))
     axis = np.arange(-box, box + step / 2, step)
     side = len(axis)
     read = list(compiled.reads)

@@ -77,14 +77,17 @@ class Chart:
 # match a live node's returns that node.  Structurally equal subtrees are
 # therefore one object, and equality and hashing are by identity.  The table
 # holds nodes weakly, so a node leaves it when nothing else holds it.  Each
-# node keeps its children, its variables and a memo of its derivatives, and
-# every walk over a tree is a loop that visits each distinct node once.
+# node keeps its children, its variables and memos of its derivatives and
+# substitutions, and every walk over a tree is a loop that visits each
+# distinct node once.
 # ---------------------------------------------------------------------------
 
 # Intern key -> live node.  A key names children by id, so the table keeps
 # no node alive; a node holds its children, and its entry goes when it dies,
 # so the ids in a key are those of live nodes.
 _TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Parsed text -> its live node (parse_expr), held as weakly as _TABLE.
+_PARSED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _NO_VARS: frozenset = frozenset()
 
 
@@ -100,7 +103,8 @@ def _intern(cls, key, fields: tuple, kids: tuple = (),
         for k in kids:
             variables = variables if k._vars <= variables \
                 else k._vars if variables <= k._vars else variables | k._vars
-        node._kids, node._vars, node._diffs = kids, variables, None
+        node._kids, node._vars = kids, variables
+        node._diffs = node._substs = None
         _TABLE[key] = node
     return node
 
@@ -206,7 +210,7 @@ class Expr:
     construction.
     """
 
-    __slots__ = ("_kids", "_vars", "_diffs", "__weakref__")
+    __slots__ = ("_kids", "_vars", "_diffs", "_substs", "__weakref__")
 
     def variables(self) -> frozenset[str]:
         return self._vars
@@ -224,10 +228,16 @@ class Expr:
 
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         """Variables replaced by expressions; each distinct node is rebuilt
-        once, through the folds."""
+        once, through the folds.  Memoized on this node by the mapping."""
+        key = frozenset(mapping.items())
+        if self._substs is not None and key in self._substs:
+            return self._substs[key]
         new: dict[Expr, Expr] = {}
         for e in _postorder((self,)):
             new[e] = e._rebuild([new[k] for k in e._kids], mapping)
+        if self._substs is None:
+            self._substs = {}
+        self._substs[key] = new[self]
         return new[self]
 
 
@@ -890,8 +900,13 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse an infix expression; raises ParseError with a column number."""
-    return _Parser(text).parse()
+    """Parse an infix expression; raises ParseError with a column number.
+    A text is parsed once while its node is alive; a malformed one raises
+    on every call."""
+    node = _PARSED.get(text)
+    if node is None:
+        node = _PARSED[text] = _Parser(text).parse()
+    return node
 
 
 def parse_field(chart: Chart, text: str) -> ExprField:

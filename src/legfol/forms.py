@@ -22,8 +22,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -71,7 +72,8 @@ class DiffForm:
         object.__setattr__(self, "coeffs", clean)
 
     def coeff(self, idx: MultiIndex) -> ExprField:
-        return self.coeffs.get(tuple(idx), ExprField(self.chart, Const(0.0)))
+        c = self.coeffs.get(tuple(idx))
+        return ExprField(self.chart, Const(0.0)) if c is None else c
 
     def coeff_array(self, points) -> np.ndarray:
         """Coefficients at N points through the compiled batch path.
@@ -101,35 +103,49 @@ def one_form(chart: Chart, coeffs: Mapping[str, ExprField | Expr | float]
                                for name, c in coeffs.items()})
 
 
-def d_coeffs(coeffs: Sequence[Expr], names: Sequence[str]
-             ) -> dict[tuple[int, int], Expr]:
+# The symbolic derivations below are memoized once per distinct tuple of
+# interned coefficients and names, like compile_exprs; the bound keeps the
+# expressions they hold alive for at most that many keys.
+DERIVATION_MEMO = 256
+
+
+@functools.lru_cache(maxsize=DERIVATION_MEMO)
+def d_coeffs(coeffs: tuple[Expr, ...], names: tuple[str, ...]
+             ) -> Mapping[tuple[int, int], Expr]:
     """d of the 1-form sum_i coeffs[i] dx_i, with x_i = names[i]: its
     nonzero coefficients d_i a_j - d_j a_i of dx_i ^ dx_j, keyed (i, j) with
-    i < j.  The coefficients may read variables other than names, which are
-    held fixed."""
+    i < j, as a read-only mapping.  The coefficients may read variables
+    other than names, which are held fixed."""
     out = {}
     for i, j in itertools.combinations(range(len(names)), 2):
         e = sub(coeffs[j].diff(names[i]), coeffs[i].diff(names[j]))
         if not (isinstance(e, Const) and e.value == 0.0):
             out[i, j] = e
-    return out
+    return types.MappingProxyType(out)
 
 
-def top_coeff(coeffs: Sequence[Expr], names: Sequence[str]) -> Expr:
+@functools.lru_cache(maxsize=DERIVATION_MEMO)
+def top_coeff(coeffs: tuple[Expr, ...], names: tuple[str, ...]) -> Expr:
     """The one coefficient of alpha ^ (d alpha)^n for the 1-form alpha =
     sum_i coeffs[i] dx_i on the 2n + 1 coordinates names.
 
     It is n! Pf(B) for the bordered skew matrix B = [[0, a], [-a^T, W]],
     a the coefficient row and W the matrix of d alpha (Wimmer, ACM TOMS 38
-    (2012), arXiv:1102.3440).  The Pfaffian is expanded along the first
-    row of each minor, and each minor's Pfaffian, keyed by its remaining
-    rows, is built once; zero entries of B add no term.
+    (2012), arXiv:1102.3440).
     """
     upper = {(0, i + 1): c for i, c in enumerate(coeffs)
              if not (isinstance(c, Const) and c.value == 0.0)}
     upper.update({(i + 1, j + 1): e
                   for (i, j), e in d_coeffs(coeffs, names).items()})
+    return mul(Const(float(math.factorial(len(names) // 2))),
+               _pfaffian(upper, len(names) + 1))
 
+
+def _pfaffian(upper: Mapping[tuple[int, int], Expr], size: int) -> Expr:
+    """The Pfaffian of the size x size skew matrix whose nonzero entries
+    above the diagonal are upper, keyed (i, j) with i < j.  It is expanded
+    along the first row of each minor, and each minor's Pfaffian, keyed by
+    its remaining rows, is built once; zero entries add no term."""
     @functools.cache
     def pfaffian(rows: tuple[int, ...]) -> Expr:
         if not rows:
@@ -143,8 +159,7 @@ def top_coeff(coeffs: Sequence[Expr], names: Sequence[str]) -> Expr:
                 acc = sub(acc, term) if p % 2 else add(acc, term)
         return acc
 
-    return mul(Const(float(math.factorial(len(names) // 2))),
-               pfaffian(tuple(range(len(names) + 1))))
+    return pfaffian(tuple(range(size)))
 
 
 def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:
