@@ -24,6 +24,7 @@ from . import symplin as sl
 from .fields import (
     Chart,
     CompiledExprs,
+    Expr,
     ExprField,
     RowError,
     VectorFieldExpr,
@@ -112,6 +113,13 @@ class FlatDiskBundle:
     def lifts(self) -> list[VectorFieldExpr]:
         return [self.lift(j) for j in range(self.base_dim)]
 
+    @functools.cached_property
+    def lift_exprs(self) -> tuple[Expr, ...]:
+        """The components of every lift, lift by lift, built once per
+        bundle: what flatness_check and the singular germ's invariance probe
+        evaluate."""
+        return tuple(c.expr for lift in self.lifts() for c in lift.components)
+
 
 def _total_chart(periods: tuple[float, ...]) -> Chart:
     """The chart (s1, ..., sb, u, v) over the base box of these periods."""
@@ -147,10 +155,8 @@ def flatness_check(bundle: FlatDiskBundle,
     """Max vertical component of pairwise lift brackets over sample points,
     from the lifts' values and first partials (fields.brackets)."""
     total = bundle.total_chart
-    lifts = bundle.lifts()
-    vals, J = partials(total, tuple(
-        c.expr for lift in lifts for c in lift.components), points)
-    m, d = len(lifts), total.dim
+    vals, J = partials(total, bundle.lift_exprs, points)
+    m, d = bundle.base_dim, total.dim
     V, JV = vals.reshape(m, d, -1), J.reshape(m, d, d, -1)
     return float(max_abs(brackets(V, JV)[:, bundle.base_dim:]))
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import forms as fm
 from . import symplin as sl
 from .fields import (
+    SCAN_BLOCK_ROWS,
     Chart,
     Const,
     EvaluationError,
@@ -40,10 +41,6 @@ from .fields import (
 )
 
 RANK_TOL = 1e-8
-# Grid rows evaluated per block in singular_scan, on the sub-grid of the
-# coordinates its outputs read: bounds the memory of the coefficient and
-# gradient arrays for any grid size, also when every coordinate is read.
-SCAN_BLOCK_ROWS = 4096
 
 
 def ambient_chart(n: int) -> Chart:
@@ -69,10 +66,14 @@ class GraphSubmanifold:
     k: int
     free_y: tuple[int, ...]
     components: Mapping[str, ExprField]  # dependent y's and z, on source chart
-    source_chart: Chart = field(init=False, repr=False, compare=False)
+    # The chart of graph_chart(n, k, free_y), from a builder that has called
+    # it and passes its free_y (graph_submanifold); built here when None
+    source_chart: Optional[Chart] = field(default=None, repr=False,
+                                          compare=False, kw_only=True)
 
     def __post_init__(self):
-        free, src = graph_chart(self.n, self.k, self.free_y)
+        free, src = graph_chart(self.n, self.k, self.free_y) \
+            if self.source_chart is None else (self.free_y, self.source_chart)
         object.__setattr__(self, "free_y", free)
         object.__setattr__(self, "source_chart", src)
         expected = {f"y{i}" for i in range(1, self.n + 1)
@@ -175,15 +176,18 @@ def graph_chart(n: int, k: int, free_y: Sequence[int] | None = None
 
 def graph_submanifold(n: int, k: int,
                       components: Mapping[str, ExprField | float] | None = None,
-                      free_y: Sequence[int] | None = None) -> GraphSubmanifold:
-    """Build a graph; unspecified components default to zero."""
-    free, src = graph_chart(n, k, free_y)
+                      free_y: Sequence[int] | None = None,
+                      source: tuple[tuple[int, ...], Chart] | None = None
+                      ) -> GraphSubmanifold:
+    """Build a graph; unspecified components default to zero.  source is
+    graph_chart(n, k, free_y) where the caller has built it."""
+    free, src = source or graph_chart(n, k, free_y)
     needed = [f"y{i}" for i in range(1, n + 1) if i not in free] + ["z"]
     given = dict(components or {})
     comps = {name: as_field(src, given.pop(name, 0.0)) for name in needed}
     if given:
         raise ValueError(f"unexpected components {sorted(given)}")
-    return GraphSubmanifold(n, k, free, comps)
+    return GraphSubmanifold(n, k, free, comps, source_chart=src)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +632,8 @@ def perturb_legendrian(Y: GraphSubmanifold,
     slope = bump.diff("y1").compile()(np.zeros((1, src.dim)))[0]
     if abs(slope) < 1e-12:
         raise ValueError("perturbation does not clear singularity at 0")
-    return GraphSubmanifold(Y.n, Y.k, Y.free_y, {**Y.components, "z": bump})
+    return GraphSubmanifold(Y.n, Y.k, Y.free_y, {**Y.components, "z": bump},
+                            source_chart=src)
 
 
 def perturbation_sup_norm(Y0: GraphSubmanifold, Y1: GraphSubmanifold,

@@ -572,6 +572,13 @@ class CompiledExprs:
         return None
 
 
+# Rows per batch where a caller has more rows than it must evaluate at once
+# (coiso.singular_scan's grid, germ.pencil_values' pencil rows): every
+# temporary of a generated function is as long as its batch, so this bounds
+# their memory for any number of rows.
+SCAN_BLOCK_ROWS = 4096
+
+
 @functools.lru_cache(maxsize=512)
 def compile_exprs(chart: Chart, exprs: tuple[Expr, ...]) -> CompiledExprs:
     """Compile expressions once per (chart, exprs); later calls hit a cache."""

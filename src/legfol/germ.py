@@ -24,14 +24,23 @@ from . import bundle as bd
 from . import forms as fm
 from . import symplin as sl
 from .fields import (
+    SCAN_BLOCK_ROWS,
     Chart,
+    CompiledExprs,
     Const,
+    EvaluationError,
+    Expr,
     ExprField,
+    Var,
     VectorFieldExpr,
+    add,
     compile_exprs,
+    constant,
     coordinate,
     max_abs,
+    mul,
     partials,
+    sub,
 )
 
 # scan_points draws the base coordinates from [-SCAN_BOX, SCAN_BOX] and the
@@ -136,12 +145,17 @@ class GermForm:
             for v in base.var_names})
 
     @functools.cached_property
+    def coeffs(self) -> tuple[Expr, ...]:
+        """alpha's coefficients on the chart's coordinates in order."""
+        return tuple(self.alpha.coeff((i,)).expr
+                     for i in range(self.chart.dim))
+
+    @functools.cached_property
     def top(self) -> ExprField:
         """The coefficient of alpha ^ (d alpha)^n on the chart's
         coordinates in order, built once per germ."""
-        return ExprField(self.chart, fm.top_coeff(tuple(
-            self.alpha.coeff((i,)).expr for i in range(self.chart.dim)),
-            self.chart.var_names))
+        return ExprField(self.chart, fm.top_coeff(self.coeffs,
+                                                  self.chart.var_names))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +224,7 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
     beta_tot = (Const(0.0),) * bundle.base_dim + tuple(
         beta.coeff((d,)).expr for d in (0, 1))
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total_b.dim))
-    vals, J = partials(total_b, beta_tot + tuple(
-        c.expr for lift in bundle.lifts() for c in lift.components), probe)
+    vals, J = partials(total_b, beta_tot + bundle.lift_exprs, probe)
     # beta, then the lifts, each as (dim, N) and (dim, dim, N)
     d = total_b.dim
     vals, J = vals.reshape(-1, d, len(probe)), J.reshape(-1, d, d, len(probe))
@@ -221,11 +234,11 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
             "only trivial and rotation holonomy are supported")
     total = singular_germ_chart(n)
     iu = total.index("u")
-    alpha = fm.one_form(total, {"z": 1.0})
-    alpha = alpha + fm.DiffForm(total, 1, {
-        (iu + d,): c.on_chart(total) for (d,), c in beta.coeffs.items()})
-    for j in range(1, n):
-        alpha = alpha + fm.one_form(total, {f"s{j}": -coordinate(total, f"y{j}")})
+    alpha = fm.DiffForm(total, 1, {
+        (total.index("z"),): constant(total, 1.0),
+        **{(iu + d,): c.on_chart(total) for (d,), c in beta.coeffs.items()},
+        **{(total.index(f"s{j}"),): -coordinate(total, f"y{j}")
+           for j in range(1, n)}})
     return GermForm(n=n, alpha=alpha,
                     zero_section_vars=tuple(f"y{j}" for j in range(1, n)) + ("z",),
                     kind="singular", fiber_pair=("u", "v"),
@@ -267,22 +280,32 @@ def scan_points(g: GermForm, rng: np.random.Generator,
     return pts
 
 
-def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
-                                 points: Sequence[Sequence[float]],
-                                 tol: float = 1e-10) -> dict:
-    """Restriction of alpha to the zero section against the expected form.
+def _coefficients(forms: Sequence[fm.DiffForm], points: np.ndarray
+                  ) -> list[np.ndarray]:
+    """The coefficients (N, dim) of each 1-form, all on one chart, at N
+    points, from one compiled batch.  A fault raises the error that
+    coeff_array raises on the forms in this order: the first form to fail,
+    at its first failing row."""
+    chart = forms[0].chart
+    exprs = tuple(f.coeff((i,)).expr for f in forms for i in range(chart.dim))
+    try:
+        vals = compile_exprs(chart, exprs).batch(points)
+    except EvaluationError:
+        for f in forms:
+            f.coeff_array(points)
+        raise AssertionError("forms that failed together passed alone")
+    return np.hsplit(vals, len(forms))
 
-    Checks coefficientwise agreement, kernel agreement at nonsingular samples
-    and (for singular builds) that the restricted form vanishes exactly on
-    the expected singular set.
-    """
-    restricted = g.restricted
-    base = restricted.chart
-    if expected.chart != base or expected.degree != 1:
+
+def _section_chart(g: GermForm, expected: fm.DiffForm) -> None:
+    if expected.chart != g.restricted.chart or expected.degree != 1:
         raise ValueError("expected form must be a 1-form on the section chart")
-    points = np.asarray(points, dtype=float)
-    covec = restricted.coeff_array(points)
-    exp_covec = expected.coeff_array(points)
+
+
+def _section_verdict(base: Chart, points: np.ndarray, covec: np.ndarray,
+                     exp_covec: np.ndarray, tol: float) -> dict:
+    """zero_section_foliation_check's report from the restricted form's
+    coefficients covec and the expected form's exp_covec at points."""
     resid = np.abs(covec - exp_covec)
     # sample-major, then in coordinate order
     mismatches = [{"point": points[row].tolist(),
@@ -305,36 +328,112 @@ def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
     }
 
 
-def coorientation_sign(g: GermForm, point: Sequence[float]) -> int:
-    """Sign of the restricted two-form on the oriented fiber pair at a
-    singular-section point (singular builds only)."""
-    if g.fiber_pair is None:
-        raise ValueError("germ has no singular fiber pair")
-    i0, i1 = map(g.restricted.chart.index, g.fiber_pair)
-    val = g.orientation * fm.jet(g.restricted, [point])[1][0, i0, i1]
-    return 1 if val > 0 else -1 if val < 0 else 0
+def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
+                                 points: Sequence[Sequence[float]],
+                                 tol: float = 1e-10) -> dict:
+    """Restriction of alpha to the zero section against the expected form.
+
+    Checks coefficientwise agreement, kernel agreement at nonsingular samples
+    and (for singular builds) that the restricted form vanishes exactly on
+    the expected singular set.  Both forms are evaluated in one batch.
+    """
+    _section_chart(g, expected)
+    points = np.asarray(points, dtype=float)
+    return _section_verdict(g.restricted.chart, points, *_coefficients(
+        (g.restricted, expected), points), tol)
+
+
+def coorientation_signs(g0: GermForm, g1: GermForm,
+                        point: Sequence[float]) -> tuple[int, int]:
+    """Signs of the restricted two-forms on their oriented fiber pairs at a
+    singular-section point, for singular builds that restrict to one
+    section chart.
+
+    Each is the sign of orientation * W[i, j], (i, j) the fiber pair and W
+    the matrix of the restricted form's d as forms.jet gives it.  Both
+    forms' coefficients and d's coefficients (forms.d_coeffs), what jet
+    evaluates, come from one batch; a fault raises jet's error on g0, else
+    on g1.
+    """
+    chart = g0.restricted.chart
+    exprs, cols = (), []
+    for g in (g0, g1):
+        if g.fiber_pair is None:
+            raise ValueError("germ has no singular fiber pair")
+        coeffs = tuple(g.restricted.coeff((i,)).expr
+                       for i in range(chart.dim))
+        d = fm.d_coeffs(coeffs, chart.var_names)
+        i, j = map(chart.index, g.fiber_pair)
+        # W[i, j] is d's (i, j) coefficient above the diagonal and minus its
+        # (j, i) coefficient below it; a zero coefficient is not in d
+        key = (min(i, j), max(i, j))
+        col = len(exprs) + chart.dim + list(d).index(key) if key in d \
+            else None
+        cols.append((col, g.orientation * (1 if i < j else -1)))
+        exprs += coeffs + tuple(d.values())
+    try:
+        vals = compile_exprs(chart, exprs).batch([point])[0]
+    except EvaluationError:
+        for g in (g0, g1):
+            fm.jet(g.restricted, [point])
+        raise AssertionError("forms that failed together passed alone")
+    return tuple(0 if col is None else int(np.sign(sign * vals[col]))
+                 for col, sign in cols)
+
+
+@functools.lru_cache(maxsize=fm.DERIVATION_MEMO)
+def _pencil(chart: Chart, c0: tuple[Expr, ...], c1: tuple[Expr, ...]
+            ) -> CompiledExprs:
+    """The top coefficient of (1 - tau) alpha_0 + tau alpha_1, alpha_0 and
+    alpha_1 the 1-forms with coefficients c0 and c1 on chart, compiled on
+    chart's coordinates and then tau.  The pencil's coefficients are built
+    in the germ coordinates and tau, and its top coefficient is taken over
+    the germ coordinates only (forms.top_coeff), so no d tau term is built.
+    Memoized per germ pair, like the derivations of forms."""
+    ext = Chart(chart.var_names + ("tau",), chart.periods + (None,))
+    tau = Var("tau")
+    coeffs = tuple(add(mul(sub(Const(1.0), tau), a), mul(tau, b))
+                   for a, b in zip(c0, c1))
+    return compile_exprs(ext, (fm.top_coeff(coeffs, chart.var_names),))
 
 
 def pencil_values(g0: GermForm, g1: GermForm,
                   points: Sequence[Sequence[float]]) -> np.ndarray:
     """The top form of (1-t) alpha_0 + t alpha_1 at each t of PENCIL_T.
 
-    The pencil's coefficients are built once, in the germ coordinates and a
-    variable tau, and its top coefficient is taken over the germ
-    coordinates only (forms.top_coeff), so no d tau term is built.  It is
-    compiled once and evaluated on N rows per t, which keeps the generated
-    function's temporaries N rows long.  Returns (len(PENCIL_T), N).
+    The pencil's top coefficient is compiled once per germ pair (_pencil)
+    and evaluated on the rows (t, sample), t-major, in batches of
+    max(N, SCAN_BLOCK_ROWS) rows: a batch covers consecutive values of t,
+    and at N >= SCAN_BLOCK_ROWS one, so the generated function's
+    temporaries are never longer than N rows or one scan block.  A fault
+    raises the error of the batch of the N rows at the first t that fails:
+    the row among the samples and the point with its tau.  Returns
+    (len(PENCIL_T), N).
     """
-    chart = g0.chart
-    ext = Chart(chart.var_names + ("tau",), chart.periods + (None,))
-    tau = coordinate(ext, "tau")
-    coeffs = tuple(((1 - tau) * g0.alpha.coeff((i,)).on_chart(ext)
-                    + tau * g1.alpha.coeff((i,)).on_chart(ext)).expr
-                   for i in range(chart.dim))
-    fn = ExprField(ext, fm.top_coeff(coeffs, chart.var_names)).compile()
     pts = np.asarray(points, dtype=float)
-    return np.array([fn(np.column_stack([pts, np.full(len(pts), t)]))
-                     for t in PENCIL_T])
+    count = len(pts)
+    compiled = _pencil(g0.chart, g0.coeffs, g1.coeffs)
+    ts = np.array(PENCIL_T)
+    out = np.empty(len(ts) * count)
+    block = max(count, SCAN_BLOCK_ROWS)
+    cols = np.ascontiguousarray(pts.T)
+    for start in range(0, len(out), block):
+        stop = min(start + block, len(out))
+        # rows start..stop - 1 lie in the t-slabs first..last - 1, and start
+        # at sample skip of the first; built coordinate-major, which is
+        # the layout batch evaluates
+        (first, skip), last = divmod(start, count), -(-stop // count)
+        end = skip + stop - start
+        rows = np.empty((len(cols) + 1, stop - start))
+        rows[:-1] = np.tile(cols, last - first)[:, skip:end]
+        rows[-1] = np.repeat(ts[first:last], count)[skip:end]
+        try:
+            out[start:stop] = compiled.batch(rows.T)[:, 0]
+        except EvaluationError as exc:
+            t = ts[(start + exc.row) // count]
+            compiled.batch(np.column_stack([pts, np.full(count, t)]))
+            raise AssertionError("a pencil row that failed passed alone")
+    return out.reshape(len(ts), count)
 
 
 def interpolation_contactness(g0: GermForm, g1: GermForm,
@@ -345,23 +444,30 @@ def interpolation_contactness(g0: GermForm, g1: GermForm,
 
     Both inputs must restrict to the expected zero-section form; for singular
     builds the co-orientation signs at the singular set must match, otherwise
-    the pencil is refused.
+    the pencil is refused.  Both restricted forms and the expected form are
+    evaluated in one batch, the signs in another (coorientation_signs).
     """
     if g0.chart != g1.chart or g0.n != g1.n:
         raise ValueError("germs live on different charts")
     base_idx = [i for i, v in enumerate(g0.chart.var_names)
                 if v not in g0.zero_section_vars]
     base_points = np.asarray(points, dtype=float)[:, base_idx]
-    zs0 = zero_section_foliation_check(g0, expected, base_points, tol=1e-8)
-    zs1 = zero_section_foliation_check(g1, expected, base_points, tol=1e-8)
-    if not (zs0["passed"] and zs1["passed"]):
+    forms = [g0.restricted, expected]
+    _section_chart(g0, expected)
+    try:
+        _section_chart(g1, expected)
+    except ValueError:
+        _coefficients(forms, base_points)  # g0's check comes first
+        raise
+    c0, exp_covec, c1 = _coefficients(forms + [g1.restricted], base_points)
+    zs0, zs1 = (_section_verdict(expected.chart, base_points, c, exp_covec,
+                                 1e-8)["passed"] for c in (c0, c1))
+    if not (zs0 and zs1):
         return {"refused": True,
                 "reason": "zero-section foliations disagree",
-                "zs0": zs0["passed"], "zs1": zs1["passed"]}
+                "zs0": zs0, "zs1": zs1}
     if g0.fiber_pair is not None and g1.fiber_pair is not None:
-        origin = np.zeros(g0.restricted.chart.dim)
-        s0 = coorientation_sign(g0, origin)
-        s1 = coorientation_sign(g1, origin)
+        s0, s1 = coorientation_signs(g0, g1, np.zeros(expected.chart.dim))
         if s0 != s1 or s0 == 0:
             return {"refused": True,
                     "reason": "co-orientation mismatch at the singular set",

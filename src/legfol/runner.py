@@ -88,10 +88,10 @@ class _Env:
         free_raw = b.get("free_y")
         free = tuple(int(x) for x in free_raw.replace(",", " ").split()) \
             if free_raw else None
-        src = co.graph_chart(n, k, free)[1]
-        comps = {key: parse_field(src, val) for key, val in b.items()
+        source = co.graph_chart(n, k, free)
+        comps = {key: parse_field(source[1], val) for key, val in b.items()
                  if key not in ("n", "k", "free_y")}
-        return co.graph_submanifold(n, k, comps, free)
+        return co.graph_submanifold(n, k, comps, free, source)
 
     def _build_bundle(self, b: Block) -> bd.FlatDiskBundle:
         btype = b.require("type")

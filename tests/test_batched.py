@@ -590,13 +590,17 @@ class TestZeroSection:
 
 class TestPencil:
     @pytest.mark.parametrize("rates", [(0.7,), (0.7, 1.3)], ids=["n2", "n3"])
-    def test_singular_bit_equal(self, rates, rng):
+    def test_singular_bit_equal(self, rates, rng, monkeypatch):
         g0 = singular_germ(rates)
         g1 = singular_germ(tuple(2.1 * r for r in rates))
         pts = gm.scan_points(g0, rng, 40)
         got = gm.pencil_values(g0, g1, pts)
         assert got.shape == (len(gm.PENCIL_T), 40)
         assert np.array_equal(got, walk_pencil(g0, g1, pts))
+        # batches that start and end inside a value of t
+        for block in (7, 50, 130):
+            monkeypatch.setattr(gm, "SCAN_BLOCK_ROWS", block)
+            assert np.array_equal(gm.pencil_values(g0, g1, pts), got)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_nonsingular_within_an_ulp(self, n, rng):
@@ -613,6 +617,7 @@ class TestPencil:
         assert np.array_equal(got[1:-1], rebuilt[1:-1])
 
     def test_one_build_per_check(self, rng, monkeypatch):
+        gm._pencil.cache_clear()  # an earlier test may have built this pair
         calls = []
         top_coeff = fm.top_coeff
         monkeypatch.setattr(fm, "top_coeff",
@@ -627,6 +632,141 @@ class TestPencil:
         coeffs, names = calls[0]
         assert names == g0.chart.var_names
         assert any("tau" in c.variables() for c in coeffs)
+
+    @pytest.mark.parametrize("samples, block", [
+        (20, None), (1000, None), (5000, None), (20, 50), (20, 7)])
+    def test_batches_per_check(self, samples, block, rng, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(gm, "SCAN_BLOCK_ROWS", block)
+        block = max(samples, gm.SCAN_BLOCK_ROWS)
+        g0, g1 = singular_germ(), singular_germ((2.1,))
+        expected = section_form(g0, u="-v", v="u")
+        pts = gm.scan_points(g0, rng, samples)
+        # every batch by (rows, columns), and no forms.jet
+        batches = []
+        batch = CompiledExprs.batch
+
+        def counted(self, points):
+            batches.append(np.shape(points))
+            return batch(self, points)
+
+        def no_jet(*args):
+            raise AssertionError("forms.jet called")
+
+        monkeypatch.setattr(CompiledExprs, "batch", counted)
+        monkeypatch.setattr(fm, "jet", no_jet)
+        runs = []
+        for _ in range(2):
+            misses = gm._pencil.cache_info().misses
+            res = gm.interpolation_contactness(g0, g1, expected, pts)
+            assert res["passed"]
+            runs.append((gm._pencil.cache_info().misses - misses,
+                         batches[:]))
+            del batches[:]
+        # the restricted forms with the expected form, the two co-orientation
+        # signs, then the pencil in blocks of at most max(N, block) rows
+        dim, base = g0.chart.dim, expected.chart.dim
+        section, signs, *pencil = runs[0][1]
+        assert section == (samples, base) and signs == (1, base)
+        assert len(pencil) == -(-len(gm.PENCIL_T) * samples // block)
+        assert all(c == dim + 1 and rows <= block for rows, c in pencil)
+        assert sum(rows for rows, _ in pencil) == len(gm.PENCIL_T) * samples
+        # a second run builds no pencil and makes the same batches
+        assert runs[1] == (0, runs[0][1])
+
+    @pytest.mark.parametrize("block", [None, 50, 7])
+    def test_fault_names_the_per_t_row(self, block, rng, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(gm, "SCAN_BLOCK_ROWS", block)
+        # alpha_1 = E dt - y1 dx1 + E dy1, E = exp(700 x1): the pencil's top
+        # coefficient holds (t E)(t d E / dx1), which overflows at t > 0
+        # where x1 is large, and is finite everywhere at t = 0
+        total = gm.germ_chart(1)
+        g0 = nonsingular_germ(1, F)
+        E = parse_field(total, "exp(700 * x1)")
+        alpha1 = fm.one_form(total, {"t": E, "x1": -coordinate(total, "y1"),
+                                     "y1": E})
+        g1 = gm.GermForm(n=1, alpha=alpha1, zero_section_vars=("y1",),
+                         kind="custom")
+        pts = rng.uniform(-0.4, 0.4, (20, 3))
+        pts[[6, 13], 1] = (0.5034, 0.8)  # failing from t = 0.5, from 0.1
+        want = None
+        compiled = gm._pencil(g0.chart, g0.coeffs, g1.coeffs)
+        for t in gm.PENCIL_T:
+            try:
+                compiled.batch(np.column_stack([pts, np.full(20, t)]))
+            except EvaluationError as exc:
+                want = str(exc)
+                break
+        assert want is not None and ", 0.1]: " in want
+        with pytest.raises(EvaluationError) as exc:
+            gm.pencil_values(g0, g1, pts)
+        assert str(exc.value) == want
+
+
+def fiber_germ(u_text):
+    """alpha = dz + a du + u dv on (u, v, z), the zero section z = 0 and
+    the fiber pair (u, v); a is u_text."""
+    total = gm.singular_germ_chart(1)
+    alpha = fm.one_form(total, {"z": 1.0, "u": parse_field(total, u_text),
+                                "v": coordinate(total, "u")})
+    return gm.GermForm(n=1, alpha=alpha, zero_section_vars=("z",),
+                       kind="custom", fiber_pair=("u", "v"))
+
+
+def raised(fn, *args) -> str:
+    with pytest.raises(EvaluationError) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+class TestJointFaults:
+    """interpolation evaluates both germs and the expected form together,
+    and raises the error that evaluating them one by one, in the order the
+    checks read them, raises first."""
+
+    # each text fails at the base point whose u it names; a later form
+    # fails on an earlier row
+    FAULTS = {"g0": "-v + 1 / (u - 0.7)", "expected": "-v + 1 / (u - 0.5)",
+              "g1": "-v + 1 / (u - 0.3)"}
+
+    @pytest.mark.parametrize("faulty", [
+        ("g0", "expected", "g1"), ("expected", "g1"), ("g1",),
+        ("g0", "g1")])
+    def test_section_fault_order(self, faulty, rng):
+        text = {name: self.FAULTS[name] if name in faulty else "-v"
+                for name in self.FAULTS}
+        g0, g1 = fiber_germ(text["g0"]), fiber_germ(text["g1"])
+        expected = section_form(g0, u=text["expected"], v="u")
+        pts = gm.scan_points(g0, rng, 12)
+        pts[[9, 5, 2], 0] = (0.7, 0.5, 0.3)
+        base = pts[:, :2]
+        first = {"g0": g0.restricted, "expected": expected,
+                 "g1": g1.restricted}[faulty[0]]
+        want = raised(first.coeff_array, base)
+        assert raised(gm.interpolation_contactness, g0, g1, expected,
+                      pts) == want
+        if "g1" not in faulty:
+            assert raised(gm.zero_section_foliation_check, g0, expected,
+                          base) == want
+
+    def test_coorientation_fault_order(self):
+        # At the origin g0's u-coefficient overflows a product, which no
+        # check catches, and g1's divides by zero, which the generated code
+        # raises on at once; on the samples both equal the expected -v.
+        huge = "exp(700 - 1000 * (u * u + v * v))"
+        g0 = fiber_germ(f"-v + {huge} * {huge}")
+        g1 = fiber_germ("-v * ((u * u + v * v) / (u * u + v * v))")
+        expected = section_form(g0, u="-v", v="u")
+        pts = np.array([[0.9, 0.9, 0.1], [-0.9, 0.8, 0.0],
+                        [0.85, -0.9, -0.2]])
+        origin = np.zeros((1, 2))
+        for first, second in ((g0, g1), (g1, g0)):
+            with pytest.raises(EvaluationError) as want:
+                fm.jet(first.restricted, origin)
+            assert raised(gm.interpolation_contactness, first, second,
+                          expected, pts) == str(want.value)
+        assert "non-finite" in raised(fm.jet, g0.restricted, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -2353,10 +2493,12 @@ class TestFormMatrices:
         i0, i1 = (base.index(v) for v in g.fiber_pair)
         pts = [[0.0, 0.0, 0.0], [0.2, -0.1, 0.3]]
         normal = form_values(d, pts, [eye[i0], eye[i1]])
-        for flip in (1, -1):
-            gf = dataclasses.replace(g, orientation=flip)
-            for p, want in zip(pts, flip * normal):
-                assert gm.coorientation_sign(gf, p) == int(np.sign(want))
+        flipped = dataclasses.replace(g, orientation=-1)
+        for p, want in zip(pts, normal):
+            assert gm.coorientation_signs(g, flipped, p) \
+                == (int(np.sign(want)), -int(np.sign(want)))
+            assert gm.coorientation_signs(flipped, g, p) \
+                == (-int(np.sign(want)), int(np.sign(want)))
 
     def test_contact_hyperplane(self, rng):
         alpha = co.standard_alpha(2)

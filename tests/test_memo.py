@@ -10,6 +10,7 @@ from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import fields
 from legfol import forms as fm
+from legfol import germ as gm
 from legfol import runner
 from legfol.fields import (
     Chart,
@@ -85,6 +86,7 @@ class TestRepeatedRuns:
         fields._PARSED.clear()
         fm.d_coeffs.cache_clear()
         fm.top_coeff.cache_clear()
+        gm._pencil.cache_clear()
         sc = parse_scenario(text)
         reports, runs = [], []
         for scenario in (sc, sc, parse_scenario(text)):
@@ -109,12 +111,7 @@ class TestRepeatedRuns:
             assert run["pfaffian"] == 0
             assert run["parsed"] <= unread_texts(sc)
 
-    def test_one_graph_per_declaration(self, monkeypatch):
-        built = []
-        real = co.graph_submanifold
-        monkeypatch.setattr(co, "graph_submanifold",
-                            lambda *a, **kw: built.append(a) or real(*a, **kw))
-        text = """\
+    TWO_GRAPHS = """\
 graph one
   n = 2
   k = 3
@@ -133,8 +130,37 @@ check flat
   samples = 5
 end
 """
-        assert runner.run_scenario(parse_scenario(text))["passed"]
+
+    def test_one_graph_per_declaration(self, monkeypatch):
+        built = []
+        real = co.graph_submanifold
+        monkeypatch.setattr(co, "graph_submanifold",
+                            lambda *a, **kw: built.append(a) or real(*a, **kw))
+        assert runner.run_scenario(parse_scenario(self.TWO_GRAPHS))["passed"]
         assert [a[:2] for a in built] == [(2, 3), (3, 5)]
+
+    def test_one_source_chart_per_declaration(self, monkeypatch):
+        built = []
+        real = co.graph_chart
+        monkeypatch.setattr(co, "graph_chart",
+                            lambda *a: built.append(a) or real(*a))
+        assert runner.run_scenario(parse_scenario(self.TWO_GRAPHS))["passed"]
+        assert built == [(2, 3, None), (3, 5, (2, 3))]
+
+    def test_lifts_built_once_per_bundle(self, monkeypatch, rng):
+        built = []
+        real = bd.FlatDiskBundle.lift
+        monkeypatch.setattr(bd.FlatDiskBundle, "lift",
+                            lambda self, j: built.append(j) or real(self, j))
+        b = bd.rotation_bundle([0.7, 1.3])
+        fiber = b.fiber_chart
+        area = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                   "v": parse_field(fiber, "u")})
+        pts = rng.uniform(-0.5, 0.5, (5, b.total_chart.dim))
+        for _ in range(3):
+            bd.flatness_check(b, pts)
+        gm.build_singular_germ(b, area)
+        assert built == [0, 1]
 
 
 class TestParseMemo:
