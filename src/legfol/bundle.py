@@ -38,7 +38,11 @@ from .fields import (
 )
 
 ODE_TOL = 1e-8  # the ODE's rtol and atol
-MAX_STEPS = 10 ** 6
+MAX_STEPS = 10 ** 6  # accepted RK steps per row
+# RK iterations between two checks of a row's pace: a row that, at the pace
+# of its last window, needs more steps to end its segment than its budget
+# has left has stalled
+PACE_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -249,8 +253,9 @@ def _escape_time(K, t_old, h, y_old, t_new, r2) -> np.ndarray:
 
 class IntegrationError(ArithmeticError):
     """The adaptive RK45 integration of a row failed: its step budget ran
-    out, or its step size fell below the spacing of floats at its time.
-    A numerical fault, never a refusal."""
+    out, its pace would run it out, or its step size fell below the
+    spacing of floats at its time.  A numerical fault, never a
+    refusal."""
 
 
 @np.errstate(all="ignore")  # the stages check the values they compute
@@ -280,8 +285,11 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     |y|^2 = r2[i] crossed upwards.  Every RK iteration evaluates every live
     row, so a row that ends after ``it`` iterations has nfev 2 + 6 it.  A
     row that takes more than its ``budget`` of accepted steps raises
-    IntegrationError.  Returns per row the end point, the escape flag, the
-    accepted steps and nfev.
+    IntegrationError, and so does one that stalls: every PACE_WINDOW
+    iterations, a row whose accepted steps in the window, at the pace it
+    advanced in t, would take it past its budget before t = 1 (a step size
+    collapsed near a blow-up, which RK45 accepts without end).  Returns per
+    row the end point, the escape flag, the accepted steps and nfev.
     """
     kernel = lifts[0].kernel
     if any(f.kernel is not kernel for f in lifts):
@@ -366,6 +374,8 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
     stages, times = np.empty((7, 2, n)), np.empty((6, n))
     # st <= it, so no row can exceed its budget before it exceeds the least
     least_budget = budget.min() if n else 0
+    # each row's time and accepted steps at the start of the pace window
+    t_mark, st_mark = t, st.copy()
     it = 0
     while rows.size:
         it += 1
@@ -411,6 +421,13 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
             g = np.where(ok, g_new, g)
         else:
             y, f, t, g = y_new, f_new, t_new, g_new
+        if it % PACE_WINDOW == 0:
+            if ((1.0 - t) * (st - st_mark)
+                    > (budget - st) * (t - t_mark)).any():
+                raise IntegrationError(
+                    "transport integration stalled: at its pace a row "
+                    "would exceed its step budget")
+            t_mark, st_mark = t, st.copy()
         done = up | (t >= 1.0)
         if done.any():
             if up.any():
@@ -427,6 +444,7 @@ def _integrate_segment(lifts: Sequence, block: np.ndarray, y0: np.ndarray,
             y, f, P, dP = y[:, keep], f[:, keep], P[:, keep], dP[:, keep]
             h_abs, rejected = h_abs[keep], rejected[keep]
             st, r2, block = st[keep], r2[keep], block[keep]
+            t_mark, st_mark = t_mark[keep], st_mark[keep]
             consts = consts[:, keep]
     return end, escaped, steps, nfev
 

@@ -280,23 +280,6 @@ def scan_points(g: GermForm, rng: np.random.Generator,
     return pts
 
 
-def _coefficients(forms: Sequence[fm.DiffForm], points: np.ndarray
-                  ) -> list[np.ndarray]:
-    """The coefficients (N, dim) of each 1-form, all on one chart, at N
-    points, from one compiled batch.  A fault raises the error that
-    coeff_array raises on the forms in this order: the first form to fail,
-    at its first failing row."""
-    chart = forms[0].chart
-    exprs = tuple(f.coeff((i,)).expr for f in forms for i in range(chart.dim))
-    try:
-        vals = compile_exprs(chart, exprs).batch(points)
-    except EvaluationError:
-        for f in forms:
-            f.coeff_array(points)
-        raise AssertionError("forms that failed together passed alone")
-    return np.hsplit(vals, len(forms))
-
-
 def _section_chart(g: GermForm, expected: fm.DiffForm) -> None:
     if expected.chart != g.restricted.chart or expected.degree != 1:
         raise ValueError("expected form must be a 1-form on the section chart")
@@ -305,7 +288,9 @@ def _section_chart(g: GermForm, expected: fm.DiffForm) -> None:
 def _section_verdict(base: Chart, points: np.ndarray, covec: np.ndarray,
                      exp_covec: np.ndarray, tol: float) -> dict:
     """zero_section_foliation_check's report from the restricted form's
-    coefficients covec and the expected form's exp_covec at points."""
+    coefficients covec and the expected form's exp_covec at points.  Each
+    test is row by row, so on stacked rows it passes exactly when every
+    part passes: interpolation_contactness relies on that."""
     resid = np.abs(covec - exp_covec)
     # sample-major, then in coordinate order
     mismatches = [{"point": points[row].tolist(),
@@ -335,50 +320,29 @@ def zero_section_foliation_check(g: GermForm, expected: fm.DiffForm,
 
     Checks coefficientwise agreement, kernel agreement at nonsingular samples
     and (for singular builds) that the restricted form vanishes exactly on
-    the expected singular set.  Both forms are evaluated in one batch.
+    the expected singular set.
     """
     _section_chart(g, expected)
     points = np.asarray(points, dtype=float)
-    return _section_verdict(g.restricted.chart, points, *_coefficients(
-        (g.restricted, expected), points), tol)
+    return _section_verdict(g.restricted.chart, points,
+                            g.restricted.coeff_array(points),
+                            expected.coeff_array(points), tol)
 
 
 def coorientation_signs(g0: GermForm, g1: GermForm,
                         point: Sequence[float]) -> tuple[int, int]:
     """Signs of the restricted two-forms on their oriented fiber pairs at a
-    singular-section point, for singular builds that restrict to one
-    section chart.
-
-    Each is the sign of orientation * W[i, j], (i, j) the fiber pair and W
-    the matrix of the restricted form's d as forms.jet gives it.  Both
-    forms' coefficients and d's coefficients (forms.d_coeffs), what jet
-    evaluates, come from one batch; a fault raises jet's error on g0, else
-    on g1.
-    """
-    chart = g0.restricted.chart
-    exprs, cols = (), []
+    singular-section point (singular builds only): for each germ, the sign
+    of orientation * W[i, j], (i, j) the fiber pair and W the matrix of the
+    restricted form's d (forms.jet)."""
+    if g0.fiber_pair is None or g1.fiber_pair is None:
+        raise ValueError("germ has no singular fiber pair")
+    signs = []
     for g in (g0, g1):
-        if g.fiber_pair is None:
-            raise ValueError("germ has no singular fiber pair")
-        coeffs = tuple(g.restricted.coeff((i,)).expr
-                       for i in range(chart.dim))
-        d = fm.d_coeffs(coeffs, chart.var_names)
-        i, j = map(chart.index, g.fiber_pair)
-        # W[i, j] is d's (i, j) coefficient above the diagonal and minus its
-        # (j, i) coefficient below it; a zero coefficient is not in d
-        key = (min(i, j), max(i, j))
-        col = len(exprs) + chart.dim + list(d).index(key) if key in d \
-            else None
-        cols.append((col, g.orientation * (1 if i < j else -1)))
-        exprs += coeffs + tuple(d.values())
-    try:
-        vals = compile_exprs(chart, exprs).batch([point])[0]
-    except EvaluationError:
-        for g in (g0, g1):
-            fm.jet(g.restricted, [point])
-        raise AssertionError("forms that failed together passed alone")
-    return tuple(0 if col is None else int(np.sign(sign * vals[col]))
-                 for col, sign in cols)
+        i, j = map(g.restricted.chart.index, g.fiber_pair)
+        W = fm.jet(g.restricted, [point])[1]
+        signs.append(int(np.sign(g.orientation * W[0, i, j])))
+    return tuple(signs)
 
 
 @functools.lru_cache(maxsize=fm.DERIVATION_MEMO)
@@ -402,38 +366,34 @@ def pencil_values(g0: GermForm, g1: GermForm,
     """The top form of (1-t) alpha_0 + t alpha_1 at each t of PENCIL_T.
 
     The pencil's top coefficient is compiled once per germ pair (_pencil)
-    and evaluated on the rows (t, sample), t-major, in batches of
-    max(N, SCAN_BLOCK_ROWS) rows: a batch covers consecutive values of t,
-    and at N >= SCAN_BLOCK_ROWS one, so the generated function's
-    temporaries are never longer than N rows or one scan block.  A fault
-    raises the error of the batch of the N rows at the first t that fails:
-    the row among the samples and the point with its tau.  Returns
-    (len(PENCIL_T), N).
+    and evaluated on the rows (t, sample), t-major, in batches of whole
+    values of t: SCAN_BLOCK_ROWS // N of them, and at least one, so a batch
+    holds at most max(N, SCAN_BLOCK_ROWS) rows and the generated function's
+    temporaries are never longer.  A fault raises the error of the batch of
+    the N rows at the first t that fails: the row among the samples and the
+    point with its tau.  Returns (len(PENCIL_T), N).
     """
     pts = np.asarray(points, dtype=float)
     count = len(pts)
     compiled = _pencil(g0.chart, g0.coeffs, g1.coeffs)
     ts = np.array(PENCIL_T)
-    out = np.empty(len(ts) * count)
-    block = max(count, SCAN_BLOCK_ROWS)
+    per = max(1, SCAN_BLOCK_ROWS // max(count, 1))
+    out = np.empty((len(ts), count))
     cols = np.ascontiguousarray(pts.T)
-    for start in range(0, len(out), block):
-        stop = min(start + block, len(out))
-        # rows start..stop - 1 lie in the t-slabs first..last - 1, and start
-        # at sample skip of the first; built coordinate-major, which is
-        # the layout batch evaluates
-        (first, skip), last = divmod(start, count), -(-stop // count)
-        end = skip + stop - start
-        rows = np.empty((len(cols) + 1, stop - start))
-        rows[:-1] = np.tile(cols, last - first)[:, skip:end]
-        rows[-1] = np.repeat(ts[first:last], count)[skip:end]
+    for first in range(0, len(ts), per):
+        block = ts[first:first + per]
+        # built coordinate-major, which is the layout batch evaluates
+        rows = np.empty((len(cols) + 1, len(block) * count))
+        rows[:-1] = np.tile(cols, len(block))
+        rows[-1] = np.repeat(block, count)
         try:
-            out[start:stop] = compiled.batch(rows.T)[:, 0]
+            out[first:first + per] = compiled.batch(rows.T)[:, 0].reshape(
+                len(block), count)
         except EvaluationError as exc:
-            t = ts[(start + exc.row) // count]
+            t = block[exc.row // count]
             compiled.batch(np.column_stack([pts, np.full(count, t)]))
             raise AssertionError("a pencil row that failed passed alone")
-    return out.reshape(len(ts), count)
+    return out
 
 
 def interpolation_contactness(g0: GermForm, g1: GermForm,
@@ -444,28 +404,26 @@ def interpolation_contactness(g0: GermForm, g1: GermForm,
 
     Both inputs must restrict to the expected zero-section form; for singular
     builds the co-orientation signs at the singular set must match, otherwise
-    the pencil is refused.  Both restricted forms and the expected form are
-    evaluated in one batch, the signs in another (coorientation_signs).
+    the pencil is refused.  Each form is evaluated alone, in the order the
+    checks read it: g0's restricted form, the expected form, g1's.
     """
     if g0.chart != g1.chart or g0.n != g1.n:
         raise ValueError("germs live on different charts")
     base_idx = [i for i, v in enumerate(g0.chart.var_names)
                 if v not in g0.zero_section_vars]
     base_points = np.asarray(points, dtype=float)[:, base_idx]
-    forms = [g0.restricted, expected]
     _section_chart(g0, expected)
-    try:
-        _section_chart(g1, expected)
-    except ValueError:
-        _coefficients(forms, base_points)  # g0's check comes first
-        raise
-    c0, exp_covec, c1 = _coefficients(forms + [g1.restricted], base_points)
-    zs0, zs1 = (_section_verdict(expected.chart, base_points, c, exp_covec,
-                                 1e-8)["passed"] for c in (c0, c1))
-    if not (zs0 and zs1):
+    c0 = g0.restricted.coeff_array(base_points)
+    exp_covec = expected.coeff_array(base_points)
+    _section_chart(g1, expected)
+    c1 = g1.restricted.coeff_array(base_points)
+    # every test of the verdict is row-wise: both germs' rows, stacked,
+    # pass exactly when each germ's rows pass
+    if not _section_verdict(expected.chart, np.vstack((base_points,) * 2),
+                            np.vstack((c0, c1)),
+                            np.vstack((exp_covec,) * 2), 1e-8)["passed"]:
         return {"refused": True,
-                "reason": "zero-section foliations disagree",
-                "zs0": zs0, "zs1": zs1}
+                "reason": "zero-section foliations disagree"}
     if g0.fiber_pair is not None and g1.fiber_pair is not None:
         s0, s1 = coorientation_signs(g0, g1, np.zeros(expected.chart.dim))
         if s0 != s1 or s0 == 0:

@@ -305,14 +305,21 @@ def _text(raw: str, line: int | None) -> str:
     return raw
 
 
+def _pair(raw: str, line: int | None) -> list[float]:
+    """A fiber point (u, v): exactly two finite numbers."""
+    if len(value := parse_number_list(raw, line)) != 2:
+        raise ScenarioError(f"expected one (u, v) pair, got '{raw}'", line)
+    return value
+
+
 # The parser of each value key, which checks its rule: a block's raw value
 # and a run's override go through the same one.
 VALUES = {"tol": parse_positive, "samples": _at_least_one("samples"),
           "box": parse_positive, "step": parse_positive,
           "clusters": parse_int, "dim": parse_int, "flag": _text,
           "n": _at_least_one("n"), "delta": parse_float, "bump": _text,
-          "generator": parse_int, "start": parse_number_list,
-          "end": parse_number_list, "f": _text}
+          "generator": parse_int, "start": _pair, "end": _pair,
+          "f": _text}
 
 
 def _overrides(overrides: dict) -> dict:
@@ -456,8 +463,9 @@ def _resolve(sc: Scenario, overrides: dict) -> dict[Block, dict]:
 
     Input errors are an unknown check kind, key or expectation, an unknown
     declaration type or key, a missing or malformed value (samples or n
-    below 1, a germ's orientation other than 1 and -1, and a box, step or
-    tol that is not a positive finite number, included) in a block or an
+    below 1, a germ's orientation other than 1 and -1, a box, step or tol
+    that is not a positive finite number, and a start or end that is not
+    one (u, v) pair, included) in a block or an
     override, an override of an unknown key,
     and a name that no declaration of the right kind carries: a check's name
     keys, a singular germ's bundle and form, and the bundle or chart a form
@@ -524,7 +532,9 @@ def _plan(sc: Scenario, env: _Env) -> None:
     check's start, and then the CCL rows of every generator of each bundle
     that a ccl check, or a singular germ that a check names, names.  Then
     integrate them: one sweep for the planned rows of every bundle with the
-    same base_dim and path vertex count, before the first check runs."""
+    same base_dim and path vertex count, before the first check runs.  A
+    transport check's generator index out of range, or its start outside
+    the fiber disk, is an input error at the check's line."""
     germ_bundles = {b.name: b.get("bundle") for b in sc.blocks
                     if b.kind == "germ"}
     plan, ccl = {}, {}  # ccl: bundle names in check order
@@ -535,8 +545,8 @@ def _plan(sc: Scenario, env: _Env) -> None:
             try:
                 bd.plan_transport(plan, target, bd.generator_loop(
                     target, args["generator"]), [args["start"]])
-            except ValueError:  # the check refuses this row when it runs
-                pass
+            except ValueError as exc:  # a loop or start the bundle lacks
+                raise ScenarioError(str(exc), b.line) from exc
         elif kind == "ccl":
             ccl[args["target"]] = None
         ccl.update(dict.fromkeys(germ_bundles[args[key]] for key, decl

@@ -642,37 +642,47 @@ class TestPencil:
         g0, g1 = singular_germ(), singular_germ((2.1,))
         expected = section_form(g0, u="-v", v="u")
         pts = gm.scan_points(g0, rng, samples)
-        # every batch by (rows, columns), and no forms.jet
-        batches = []
-        batch = CompiledExprs.batch
+        # every batch by (rows, columns), and every forms.jet by its form
+        # and points
+        batches, jets = [], []
+        batch, jet = CompiledExprs.batch, fm.jet
 
         def counted(self, points):
             batches.append(np.shape(points))
             return batch(self, points)
 
-        def no_jet(*args):
-            raise AssertionError("forms.jet called")
+        def counted_jet(omega, points):
+            jets.append((omega, np.asarray(points).tolist()))
+            return jet(omega, points)
 
         monkeypatch.setattr(CompiledExprs, "batch", counted)
-        monkeypatch.setattr(fm, "jet", no_jet)
+        monkeypatch.setattr(fm, "jet", counted_jet)
         runs = []
         for _ in range(2):
             misses = gm._pencil.cache_info().misses
             res = gm.interpolation_contactness(g0, g1, expected, pts)
             assert res["passed"]
             runs.append((gm._pencil.cache_info().misses - misses,
-                         batches[:]))
-            del batches[:]
-        # the restricted forms with the expected form, the two co-orientation
-        # signs, then the pencil in blocks of at most max(N, block) rows
+                         batches[:], jets[:]))
+            del batches[:], jets[:]
+        # the coefficients of g0's restricted form, the expected form and
+        # g1's restricted form, one batch each in check order; then one
+        # forms.jet per germ at the origin; then the pencil in batches of
+        # whole values of t, per of them, at most max(N, block) rows each
         dim, base = g0.chart.dim, expected.chart.dim
-        section, signs, *pencil = runs[0][1]
-        assert section == (samples, base) and signs == (1, base)
-        assert len(pencil) == -(-len(gm.PENCIL_T) * samples // block)
-        assert all(c == dim + 1 and rows <= block for rows, c in pencil)
+        origin = [[0.0] * base]
+        assert runs[0][2] == [(g0.restricted, origin), (g1.restricted, origin)]
+        section, signs, pencil = (runs[0][1][:3], runs[0][1][3:5],
+                                  runs[0][1][5:])
+        assert section == [(samples, base)] * 3
+        assert signs == [(1, base)] * 2
+        per = max(1, gm.SCAN_BLOCK_ROWS // samples)
+        assert len(pencil) == -(-len(gm.PENCIL_T) // per)
+        assert all(c == dim + 1 and rows <= block and rows % samples == 0
+                   for rows, c in pencil)
         assert sum(rows for rows, _ in pencil) == len(gm.PENCIL_T) * samples
         # a second run builds no pencil and makes the same batches
-        assert runs[1] == (0, runs[0][1])
+        assert runs[1] == (0, runs[0][1], runs[0][2])
 
     @pytest.mark.parametrize("block", [None, 50, 7])
     def test_fault_names_the_per_t_row(self, block, rng, monkeypatch):
@@ -721,9 +731,10 @@ def raised(fn, *args) -> str:
 
 
 class TestJointFaults:
-    """interpolation evaluates both germs and the expected form together,
-    and raises the error that evaluating them one by one, in the order the
-    checks read them, raises first."""
+    """interpolation evaluates g0's restricted form, the expected form and
+    g1's restricted form alone, in the order the checks read them, and then
+    each germ's jet at the singular set, g0's first: the first of them that
+    fails raises its own error."""
 
     # each text fails at the base point whose u it names; a later form
     # fails on an earlier row
@@ -2186,6 +2197,23 @@ end
 """
 
 
+LONG_TURN = """scenario long-turn
+
+bundle circle
+  type = rotation
+  rates = {rate}
+end
+
+check endpoint
+  kind = transport
+  target = circle
+  start = 0.5 0
+  end = {end}
+  tol = 1e-5
+end
+"""
+
+
 class TestIntegrationFault:
     """A failed integration is a numerical fault: the outcome error, which
     satisfies no expectation, never a refusal."""
@@ -2199,6 +2227,31 @@ class TestIntegrationFault:
                 np.zeros((2, 1)), np.ones((2, 1)), np.ones(2),
                 np.array([bd.MAX_STEPS, 3]))
         assert issubclass(bd.IntegrationError, ArithmeticError)
+
+    def test_spinning_lift_stalls(self, monkeypatch):
+        # du/ds = 1 / (0.5 - u) from u = 0.3 reaches u = 0.5 at s = 0.02,
+        # beyond which the lift has no solution: RK45 accepts steps of
+        # about 1e-13 there without end.  The first pace window still
+        # holds the approach; the second stalls.
+        _, stages, _, _ = ode_work(monkeypatch)
+        total = Chart(("s1", "u", "v"), (1.0, None, None))
+        u = coordinate(total, "u")
+        b = bd.FlatDiskBundle(1, (1.0,), 1.0, (1 / (0.5 - u),),
+                              (constant(total, 0.0),))
+        with pytest.raises(bd.IntegrationError, match="stalled"):
+            bd.parallel_transport(b, bd.generator_loop(b, 0), (0.3, 0.0))
+        assert stages == [[2 + 6 * 2 * bd.PACE_WINDOW]]
+
+    def test_long_turn_runs(self):
+        # 300 rad of fiber turn takes about 2,500 accepted steps at an even
+        # pace: no window stalls
+        rate = 300.0
+        report = runner.run_scenario(parse_scenario(LONG_TURN.format(
+            rate=rate, end=f"{0.5 * math.cos(rate)!r} "
+                           f"{0.5 * math.sin(rate)!r}")))
+        endpoint = report["checks"][0]
+        assert endpoint["ok"] and "error" not in endpoint
+        assert endpoint["detail"]["steps"] > bd.PACE_WINDOW
 
     def test_step_below_spacing(self):
         # du/ds jumps by 1e10 at s1 = 0.5: every step across the jump is

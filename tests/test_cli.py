@@ -400,6 +400,36 @@ class TestNonFiniteNumbers:
         assert not any("error" in c for c in report["checks"])
 
 
+class TestTransportInput:
+    """A transport check's generator, start and end are input: a typo in
+    one exits 2 with the check's line before any check runs, never a
+    refusal or a verdict."""
+
+    def exits_two(self, tmp_path, text, message):
+        TestUnknownNames.exits_two(self, tmp_path, text, message, 13)
+
+    def endpoint(self, **keys):
+        return ROTATION.format(rates="0.25", radius="1.0", periods="1.0",
+                               end=keys.pop("end", "0 0.5"),
+                               expect="refuse").replace(
+            "start = 0.5 0", "\n  ".join(f"{k} = {v}" for k, v in
+                                         {"start": "0.5 0", **keys}.items()))
+
+    def test_generator_out_of_range(self, tmp_path):
+        self.exits_two(tmp_path, self.endpoint(generator="3"),
+                       "generator index out of range")
+
+    @pytest.mark.parametrize("key, value", [
+        ("start", "0.3"), ("end", "0.26"), ("start", "0.1 0.2 0.3")])
+    def test_point_is_not_a_pair(self, tmp_path, key, value):
+        self.exits_two(tmp_path, self.endpoint(**{key: value}),
+                       f"expected one (u, v) pair, got '{value}'")
+
+    def test_start_outside_the_disk(self, tmp_path):
+        self.exits_two(tmp_path, self.endpoint(start="0.8 0.8"),
+                       "start point outside the fiber disk")
+
+
 class TestBundledScenarios:
     @pytest.mark.parametrize("name", demo_names())
     def test_demo_passes(self, name):

@@ -439,3 +439,22 @@ class TestInterpolation:
         res = gm.interpolation_contactness(g0, g2, expected, pts)
         assert res["refused"]
         assert "zero-section" in res["reason"]
+
+    @pytest.mark.parametrize("disagreeing", [0, 1], ids=["g0", "g1"])
+    def test_one_disagreeing_section_refused(self, disagreeing, rng):
+        # one germ restricts to the expected form, the other to twice it:
+        # the pencil is refused whichever of the two disagrees
+        g0, _ = singular_pair()
+        b = bd.rotation_bundle([0.7])
+        doubled = fm.one_form(b.fiber_chart,
+                              {"u": parse_field(b.fiber_chart, "-2*v"),
+                               "v": parse_field(b.fiber_chart, "2*u")})
+        pair = [g0, g0]
+        pair[disagreeing] = gm.build_singular_germ(b, doubled)
+        base = g0.restricted.chart
+        expected = fm.one_form(base, {"u": -coordinate(base, "v"),
+                                      "v": coordinate(base, "u")})
+        pts = gm.scan_points(g0, rng, 40)
+        res = gm.interpolation_contactness(*pair, expected, pts)
+        assert res == {"refused": True,
+                       "reason": "zero-section foliations disagree"}

@@ -11,8 +11,9 @@ is deleted, fails it until the list is brought up to date.
 
 Likewise every defaulted parameter of a function the package calls is set
 by some call inside the package: a default that no caller overrides is a
-constant, not an option.  And no module reads a private name that another
-module defines.
+constant, not an option.  No module reads a private name that another
+module defines.  And every module-level memo is listed with the
+measurement that keeps it.
 """
 
 import ast
@@ -72,6 +73,66 @@ def test_every_library_only_name_is_listed():
         "library-only helpers: give each a caller, a reason or delete it"
     assert sorted(LIBRARY_ONLY.keys() - found) == [], \
         "listed names that are now used or gone: drop them from the list"
+
+
+# Every module-level functools.lru_cache or functools.cache of the package,
+# with the measurement that keeps it.  "Steady" is a repeated in-process
+# pass of the workload at seed 1 with the memo replaced by the function it
+# wraps, alternating with the memo in place; "first" is the first pass in a
+# fresh process.  A memo that no measurement keeps is cost without pay: a
+# new memo fails this test until it is listed, and a listed one that is gone
+# fails it until the list is brought up to date.
+MEMOS = {
+    "fields._kernel": "one kernel per generated source, which the run "
+                      "plan's sweep groups key on; first holonomy-transport "
+                      "pass +22% without it (7/8 pairs)",
+    "fields.compile_exprs": "steady passes +13% to +15% without it on every "
+                            "workload (20/20 pairs each)",
+    "forms.d_coeffs": "steady pointwise-identities pass +2.4% without it "
+                      "(17/20 pairs)",
+    "forms.top_coeff": "steady pointwise-identities pass +3.5% without it "
+                       "(16/20 pairs), first pass +17% (7/8)",
+    "coiso._lambda_coeffs": "with _scan_exprs: steady scan-grid pass +2.3% "
+                            "without both (25/40 pairs)",
+    "coiso._scan_exprs": "kept only jointly: steady scan-grid pass +2.3% "
+                         "without both it and _lambda_coeffs (25/40 "
+                         "pairs); alone no pay shown, +0.6% (11/20) "
+                         "steady and +0.1% (3/8) first pass",
+    "germ._pencil": "first holonomy-transport pass +19% without it "
+                    "(7/8 pairs)",
+    "bundle._fiber_grid": "steady holonomy-transport pass +6.1% without it "
+                          "(18/20 pairs)",
+    "bundle._ccl_draws": "steady holonomy-transport pass +13% without it "
+                         "(16/20 pairs)",
+}
+
+
+def _memoizes(node) -> bool:
+    return any(getattr(n, "attr", getattr(n, "id", None))
+               in ("lru_cache", "cache") for n in ast.walk(node))
+
+
+def module_memos() -> set[str]:
+    """module.name of each module-level function that functools.lru_cache
+    or functools.cache wraps, as a decorator or in an assignment."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) \
+                    and any(map(_memoizes, node.decorator_list)):
+                found.add(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Assign) and _memoizes(node.value):
+                found |= {f"{path.stem}.{t.id}" for t in node.targets
+                          if isinstance(t, ast.Name)}
+    return found
+
+
+def test_every_memo_is_listed():
+    found = module_memos()
+    assert sorted(found - MEMOS.keys()) == [], \
+        "memos with no measurement: measure each or delete it"
+    assert sorted(MEMOS.keys() - found) == [], \
+        "listed memos that are gone: drop them from the list"
 
 
 def test_every_reason_is_oracle_paper_or_entry_point():
