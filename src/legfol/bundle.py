@@ -24,15 +24,17 @@ from . import symplin as sl
 from .fields import (
     Chart,
     CompiledExprs,
+    Const,
     Expr,
     ExprField,
     RowError,
+    Var,
     VectorFieldExpr,
     brackets,
     compile_exprs,
     constant,
-    coordinate,
     max_abs,
+    mul,
     partials,
     vector_field,
 )
@@ -146,12 +148,10 @@ def rotation_bundle(rates: Sequence[float], periods: Sequence[float] | None = No
     b = len(rates)
     periods = tuple(periods) if periods else (1.0,) * b
     total = _total_chart(periods)
-    u = coordinate(total, "u")
-    v = coordinate(total, "v")
     return FlatDiskBundle(
         b, periods, radius,
-        tuple(-c * v for c in rates),
-        tuple(c * u for c in rates))
+        tuple(ExprField(total, mul(Var("v"), Const(-c))) for c in rates),
+        tuple(ExprField(total, mul(Var("u"), Const(c))) for c in rates))
 
 
 def flatness_check(bundle: FlatDiskBundle,

@@ -31,11 +31,12 @@ from .fields import (
     Expr,
     ExprField,
     RowError,
+    Var,
     as_field,
     brackets,
     compile_exprs,
-    coordinate,
     max_abs,
+    mul,
     partials,
     sub,
 )
@@ -51,11 +52,8 @@ def ambient_chart(n: int) -> Chart:
 
 def standard_alpha(n: int) -> fm.DiffForm:
     """dz - sum_i y_i dx_i on the (2n+1)-chart."""
-    ch = ambient_chart(n)
-    form = fm.one_form(ch, {"z": 1.0})
-    for i in range(1, n + 1):
-        form = form + fm.one_form(ch, {f"x{i}": -coordinate(ch, f"y{i}")})
-    return form
+    return fm.one_form(ambient_chart(n), {"z": 1.0, **{
+        f"x{i}": mul(Const(-1.0), Var(f"y{i}")) for i in range(1, n + 1)}})
 
 
 @dataclass(frozen=True)
@@ -93,8 +91,7 @@ class GraphSubmanifold:
     @functools.cached_property
     def embedding(self) -> tuple[Expr, ...]:
         """The ambient coordinates on Y, as expressions on the source chart."""
-        return tuple(coordinate(self.source_chart, name).expr
-                     if name in self.source_chart.var_names
+        return tuple(Var(name) if name in self.source_chart.var_names
                      else self.components[name].expr
                      for name in self.ambient.var_names)
 
@@ -102,9 +99,8 @@ class GraphSubmanifold:
     def lambda_form(self) -> fm.DiffForm:
         """dz - sum y_i dx_i on Y (_lambda_coeffs)."""
         src = self.source_chart
-        return fm.DiffForm(src, 1, {
-            (i,): ExprField(src, e) for i, e in enumerate(
-                _lambda_coeffs(src.var_names, self.embedding))})
+        return fm.DiffForm(src, 1, {(i,): e for i, e in enumerate(
+            _lambda_coeffs(src.var_names, self.embedding))})
 
     @functools.cached_property
     def dependent(self) -> tuple[Expr, ...]:
@@ -276,15 +272,6 @@ def _cells(flat: np.ndarray, size: int, dim: int) -> np.ndarray:
     return np.stack(np.unravel_index(flat, (size,) * dim), axis=1)
 
 
-@functools.lru_cache(maxsize=fm.DERIVATION_MEMO)
-def _scan_exprs(names: tuple[str, ...], coeffs: tuple[Expr, ...],
-                comps: tuple[Expr, ...]) -> tuple[Expr, ...]:
-    """singular_scan's outputs on the coordinates names: the restricted
-    form's coefficients, their gradients coefficient by coefficient, then
-    the graph's components.  Memoized per distinct expression tuple."""
-    return coeffs + tuple(c.diff(v) for c in coeffs for v in names) + comps
-
-
 def _raise_scan_fault(compiled, axis: np.ndarray, read: list[int],
                       flat: np.ndarray):
     """Raise batch's EvaluationError on the first SCAN_BLOCK_ROWS-row block of
@@ -319,11 +306,14 @@ def singular_scan(Y: GraphSubmanifold, box: float = 1.0, step: float = 0.05,
     components times that cube, so only the sub-grid hits are clustered.
     Memory follows the hits and one block of the sub-grid, not the grid.
     """
-    lam, src = Y.lambda_form, Y.source_chart
+    src = Y.source_chart
     k = src.dim
-    compiled = compile_exprs(src, _scan_exprs(
-        src.var_names, tuple(lam.coeff((i,)).expr for i in range(k)),
-        tuple(c.expr for c in Y.components.values())))
+    # the restricted form's coefficients, their gradients coefficient by
+    # coefficient, then the graph's components
+    coeffs = tuple(Y.lambda_form.coeff((i,)) for i in range(k))
+    compiled = compile_exprs(src, coeffs + tuple(
+        c.diff(v) for c in coeffs for v in src.var_names) + tuple(
+        c.expr for c in Y.components.values()))
     axis = np.arange(-box, box + step / 2, step)
     side = len(axis)
     read = list(compiled.reads)

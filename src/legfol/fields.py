@@ -69,6 +69,13 @@ class Chart:
                 f"variable {name!r} not in chart {self.var_names}"
             ) from None
 
+    def require(self, expr: Expr) -> None:
+        """Raise UnknownVariable if expr reads a name outside the chart."""
+        extra = expr.variables() - set(self.var_names)
+        if extra:
+            raise UnknownVariable(f"expression references {sorted(extra)} "
+                                  f"outside chart {self.var_names}")
+
 
 # ---------------------------------------------------------------------------
 # Expression nodes
@@ -631,12 +638,7 @@ class ExprField:
     expr: Expr
 
     def __post_init__(self):
-        extra = self.expr.variables() - set(self.chart.var_names)
-        if extra:
-            raise UnknownVariable(
-                f"expression references {sorted(extra)} outside chart "
-                f"{self.chart.var_names}"
-            )
+        self.chart.require(self.expr)
 
     def diff(self, var: str) -> "ExprField":
         self.chart.index(var)  # raises UnknownVariable
@@ -651,49 +653,9 @@ class ExprField:
         """Recharter the same expression onto a chart containing its variables."""
         return ExprField(chart, self.expr)
 
-    def _lift(self, other) -> Expr:
-        if isinstance(other, ExprField):
-            if other.chart != self.chart:
-                raise ChartMismatch("fields on different charts")
-            return other.expr
-        return _coerce(other)
-
-    def __add__(self, other):
-        return ExprField(self.chart, add(self.expr, self._lift(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ExprField(self.chart, sub(self.expr, self._lift(other)))
-
-    def __rsub__(self, other):
-        return ExprField(self.chart, sub(self._lift(other), self.expr))
-
-    def __mul__(self, other):
-        return ExprField(self.chart, mul(self.expr, self._lift(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ExprField(self.chart, div(self.expr, self._lift(other)))
-
-    def __rtruediv__(self, other):
-        return ExprField(self.chart, div(self._lift(other), self.expr))
-
-    def __pow__(self, k):
-        return ExprField(self.chart, pow_(self.expr, k))
-
-    def __neg__(self):
-        return ExprField(self.chart, mul(Const(-1.0), self.expr))
-
 
 def constant(chart: Chart, value: float) -> ExprField:
     return ExprField(chart, Const(float(value)))
-
-
-def coordinate(chart: Chart, name: str) -> ExprField:
-    chart.index(name)
-    return ExprField(chart, Var(name))
 
 
 @dataclass(frozen=True)
@@ -716,6 +678,19 @@ def as_field(chart: Chart, c: ExprField | Expr | float) -> ExprField:
     if isinstance(c, ExprField):
         return c.on_chart(chart)
     return ExprField(chart, _coerce(c))
+
+
+def as_expr(chart: Chart, c: ExprField | Expr | float) -> Expr:
+    """The expression of a field on chart, an expression or a number, its
+    names checked against chart once: a field on another chart raises
+    ChartMismatch, a name outside chart UnknownVariable."""
+    if isinstance(c, ExprField):
+        if c.chart != chart:
+            raise ChartMismatch("coefficient on wrong chart")
+        return c.expr  # checked when the field was built
+    c = _coerce(c)
+    chart.require(c)
+    return c
 
 
 def vector_field(chart: Chart, components: Sequence[ExprField | Expr | float]

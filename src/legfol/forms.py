@@ -1,10 +1,11 @@
 """Exterior calculus on coordinate charts.
 
-A DiffForm stores sparse ExprField coefficients keyed by strictly increasing
-multi-indices. The convention is determinant-based without a 1/k! factor:
-omega(v_1, ..., v_k) sums coeff_I times the determinant of the I-rows of the
-vectors, so the standard volume normalization comes out as n! on the
-canonical frame.
+A DiffForm stores sparse interned Expr coefficients keyed by strictly
+increasing multi-indices; it takes each from an ExprField on its chart, an
+Expr or a number, and checks its variables against the chart once. The
+convention is determinant-based without a 1/k! factor: omega(v_1, ..., v_k)
+sums coeff_I times the determinant of the I-rows of the vectors, so the
+standard volume normalization comes out as n! on the canonical frame.
 
 Forms are built from their coefficients (one_form, +); restrictions to a
 graph or to a zero section are built in closed form where they are needed
@@ -35,7 +36,7 @@ from .fields import (
     Expr,
     ExprField,
     add,
-    as_field,
+    as_expr,
     compile_exprs,
     mul,
     sub,
@@ -50,13 +51,13 @@ class DiffForm:
 
     chart: Chart
     degree: int
-    coeffs: Mapping[MultiIndex, ExprField] = field(default_factory=dict)
+    coeffs: Mapping[MultiIndex, Expr] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 <= self.degree <= self.chart.dim:
             raise ValueError(
                 f"degree {self.degree} out of range for dim {self.chart.dim}")
-        clean: dict[MultiIndex, ExprField] = {}
+        clean: dict[MultiIndex, Expr] = {}
         for idx, c in self.coeffs.items():
             idx = tuple(idx)
             if len(idx) != self.degree:
@@ -65,15 +66,13 @@ class DiffForm:
                 raise ValueError(f"multi-index {idx} not strictly increasing")
             if idx and (idx[0] < 0 or idx[-1] >= self.chart.dim):
                 raise ValueError(f"multi-index {idx} outside chart")
-            if c.chart != self.chart:
-                raise ChartMismatch("coefficient on wrong chart")
-            if not (isinstance(c.expr, Const) and c.expr.value == 0.0):
+            c = as_expr(self.chart, c)
+            if not (isinstance(c, Const) and c.value == 0.0):
                 clean[idx] = c
         object.__setattr__(self, "coeffs", clean)
 
-    def coeff(self, idx: MultiIndex) -> ExprField:
-        c = self.coeffs.get(tuple(idx))
-        return ExprField(self.chart, Const(0.0)) if c is None else c
+    def coeff(self, idx: MultiIndex) -> Expr:
+        return self.coeffs.get(tuple(idx), Const(0.0))
 
     def coeff_array(self, points) -> np.ndarray:
         """Coefficients at N points through the compiled batch path.
@@ -82,7 +81,7 @@ class DiffForm:
         lexicographic order, zero where the form has no coefficient.
         """
         idxs = itertools.combinations(range(self.chart.dim), self.degree)
-        exprs = tuple(self.coeff(idx).expr for idx in idxs)
+        exprs = tuple(self.coeff(idx) for idx in idxs)
         return compile_exprs(self.chart, exprs).batch(points)
 
     def __add__(self, other: "DiffForm") -> "DiffForm":
@@ -90,16 +89,14 @@ class DiffForm:
             raise ChartMismatch("forms on different charts")
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        out: dict[MultiIndex, Expr] = {}
-        for idx in set(self.coeffs) | set(other.coeffs):
-            out[idx] = add(self.coeff(idx).expr, other.coeff(idx).expr)
-        return DiffForm(self.chart, self.degree,
-                        {i: ExprField(self.chart, e) for i, e in out.items()})
+        return DiffForm(self.chart, self.degree, {
+            idx: add(self.coeff(idx), other.coeff(idx))
+            for idx in set(self.coeffs) | set(other.coeffs)})
 
 
 def one_form(chart: Chart, coeffs: Mapping[str, ExprField | Expr | float]
              ) -> DiffForm:
-    return DiffForm(chart, 1, {(chart.index(name),): as_field(chart, c)
+    return DiffForm(chart, 1, {(chart.index(name),): c
                                for name, c in coeffs.items()})
 
 
@@ -173,7 +170,7 @@ def jet(omega: DiffForm, points) -> tuple[np.ndarray, np.ndarray]:
     if omega.degree != 1:
         raise ValueError("jet needs a 1-form")
     dim = omega.chart.dim
-    coeffs = tuple(omega.coeff((i,)).expr for i in range(dim))
+    coeffs = tuple(omega.coeff((i,)) for i in range(dim))
     d = d_coeffs(coeffs, omega.chart.var_names)
     vals = compile_exprs(omega.chart, coeffs + tuple(d.values())
                          ).batch(points)

@@ -35,8 +35,7 @@ from .fields import (
     VectorFieldExpr,
     add,
     compile_exprs,
-    constant,
-    coordinate,
+    div,
     max_abs,
     mul,
     partials,
@@ -141,14 +140,13 @@ class GermForm:
         zero = {v: Const(0.0) for v in self.zero_section_vars}
         base = Chart(tuple(v for v in self.chart.var_names if v not in zero))
         return fm.one_form(base, {
-            v: self.alpha.coeff((self.chart.index(v),)).expr.subs(zero)
+            v: self.alpha.coeff((self.chart.index(v),)).subs(zero)
             for v in base.var_names})
 
     @functools.cached_property
     def coeffs(self) -> tuple[Expr, ...]:
         """alpha's coefficients on the chart's coordinates in order."""
-        return tuple(self.alpha.coeff((i,)).expr
-                     for i in range(self.chart.dim))
+        return tuple(self.alpha.coeff((i,)) for i in range(self.chart.dim))
 
     @functools.cached_property
     def top(self) -> ExprField:
@@ -168,13 +166,12 @@ def germ_chart(n: int) -> Chart:
                  + tuple(f"y{i}" for i in range(1, n + 1)))
 
 
-def extract_local_data(inp: FoliatedInput
-                       ) -> tuple[ExprField, list[ExprField]]:
+def extract_local_data(inp: FoliatedInput) -> tuple[Expr, list[Expr]]:
     """(f, R_i) from (beta, L): f is the dt coefficient, R_i the x-components
     of L scaled to unit t-component.  FoliatedInput.validate checks that
     beta is f dt."""
     Lt, *Ls = inp.line_field.components
-    return inp.beta.coeff((0,)), [c / Lt for c in Ls]
+    return inp.beta.coeff((0,)), [div(c.expr, Lt.expr) for c in Ls]
 
 
 def build_nonsingular_germ(inp: FoliatedInput) -> GermForm:
@@ -185,13 +182,12 @@ def build_nonsingular_germ(inp: FoliatedInput) -> GermForm:
     points = np.random.default_rng(0).uniform(-0.9, 0.9, (25, n + 1))
     inp.validate(points)
     f, Rs = extract_local_data(inp)
-    total = germ_chart(n)
-    dt_coeff = f.on_chart(total)
     for i in range(1, n + 1):
-        dt_coeff = dt_coeff + Rs[i - 1].on_chart(total) * coordinate(total, f"y{i}")
-    alpha = fm.one_form(total, {"t": dt_coeff})
+        f = add(f, mul(Rs[i - 1], Var(f"y{i}")))
+    alpha = fm.one_form(germ_chart(n), {"t": f})
     for i in range(1, n + 1):
-        alpha = alpha + fm.one_form(total, {f"x{i}": -coordinate(total, f"y{i}")})
+        alpha = alpha + fm.one_form(
+            alpha.chart, {f"x{i}": mul(Const(-1.0), Var(f"y{i}"))})
     return GermForm(n=n, alpha=alpha,
                     zero_section_vars=tuple(f"y{i}" for i in range(1, n + 1)),
                     kind="nonsingular")
@@ -222,7 +218,7 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
     # with beta on the total chart through its fiber coordinates
     total_b = bundle.total_chart
     beta_tot = (Const(0.0),) * bundle.base_dim + tuple(
-        beta.coeff((d,)).expr for d in (0, 1))
+        beta.coeff((d,)) for d in (0, 1))
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total_b.dim))
     vals, J = partials(total_b, beta_tot + bundle.lift_exprs, probe)
     # beta, then the lifts, each as (dim, N) and (dim, dim, N)
@@ -235,9 +231,9 @@ def build_singular_germ(bundle: bd.FlatDiskBundle,
     total = singular_germ_chart(n)
     iu = total.index("u")
     alpha = fm.DiffForm(total, 1, {
-        (total.index("z"),): constant(total, 1.0),
-        **{(iu + d,): c.on_chart(total) for (d,), c in beta.coeffs.items()},
-        **{(total.index(f"s{j}"),): -coordinate(total, f"y{j}")
+        (total.index("z"),): 1.0,
+        **{(iu + d,): c for (d,), c in beta.coeffs.items()},
+        **{(total.index(f"s{j}"),): mul(Const(-1.0), Var(f"y{j}"))
            for j in range(1, n)}})
     return GermForm(n=n, alpha=alpha,
                     zero_section_vars=tuple(f"y{j}" for j in range(1, n)) + ("z",),

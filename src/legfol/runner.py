@@ -261,7 +261,7 @@ def _section_form(base: Chart, form: fm.DiffForm | None,
     onto it, or else f dt."""
     if form is None:
         return fm.one_form(base, {"t": parse_field(base, f)})
-    return fm.one_form(base, {form.chart.var_names[idx[0]]: c.on_chart(base)
+    return fm.one_form(base, {form.chart.var_names[idx[0]]: c
                               for idx, c in form.coeffs.items()})
 
 

@@ -30,13 +30,14 @@ from legfol.fields import (
     Const,
     Expr,
     ExprField,
+    Var,
     VectorFieldExpr,
     add,
+    as_field,
     compile_exprs,
-    constant,
-    coordinate,
     mul,
     sub,
+    vector_field,
 )
 from legfol.symplin import SympForm
 
@@ -67,12 +68,10 @@ def function_form(f):
 
 
 def scale(omega, factor):
-    """factor * omega, for a number, an Expr or an ExprField factor."""
-    fe = factor.expr if isinstance(factor, ExprField) else factor \
-        if isinstance(factor, Expr) else Const(float(factor))
+    """factor * omega, for a number or an Expr factor."""
+    fe = factor if isinstance(factor, Expr) else Const(float(factor))
     return fm.DiffForm(omega.chart, omega.degree, {
-        i: ExprField(omega.chart, mul(fe, c.expr))
-        for i, c in omega.coeffs.items()})
+        i: mul(fe, c) for i, c in omega.coeffs.items()})
 
 
 def difference(omega, tau):
@@ -93,16 +92,15 @@ def wedge(omega, tau):
             sign, idx = _merge_sign(ia, ib)
             if sign == 0:
                 continue
-            term = mul(Const(float(sign)), mul(ca.expr, cb.expr))
+            term = mul(Const(float(sign)), mul(ca, cb))
             out[idx] = add(out[idx], term) if idx in out else term
-    return fm.DiffForm(omega.chart, deg,
-                       {i: ExprField(omega.chart, e) for i, e in out.items()})
+    return fm.DiffForm(omega.chart, deg, out)
 
 
 def wedge_power(omega, k: int):
     """omega ^ ... ^ omega (k factors); k = 0 gives the constant 1."""
     if k == 0:
-        return function_form(ExprField(omega.chart, Const(1.0)))
+        return fm.DiffForm(omega.chart, 0, {(): 1.0})
     acc = omega
     for _ in range(k - 1):
         acc = wedge(acc, omega)
@@ -119,7 +117,7 @@ def exterior_d(omega):
     out = {}
     for idx, c in omega.coeffs.items():
         for j, name in enumerate(chart.var_names):
-            dc = c.expr.diff(name)
+            dc = c.diff(name)
             if isinstance(dc, Const) and dc.value == 0.0:
                 continue
             sign, nidx = _merge_sign((j,), idx)
@@ -127,8 +125,7 @@ def exterior_d(omega):
                 continue
             term = mul(Const(float(sign)), dc)
             out[nidx] = add(out[nidx], term) if nidx in out else term
-    return fm.DiffForm(chart, omega.degree + 1,
-                       {i: ExprField(chart, e) for i, e in out.items()})
+    return fm.DiffForm(chart, omega.degree + 1, out)
 
 
 def top_form(alpha, n: int):
@@ -193,8 +190,8 @@ def form_matrices(omega, points) -> np.ndarray:
     if omega.degree != 2:
         raise ValueError("form_matrices needs a 2-form")
     dim = omega.chart.dim
-    vals = compile_exprs(omega.chart, tuple(
-        c.expr for c in omega.coeffs.values())).batch(points)
+    vals = compile_exprs(omega.chart, tuple(omega.coeffs.values())
+                         ).batch(points)
     M = np.zeros((len(vals), dim, dim))
     for col, (i, j) in enumerate(omega.coeffs):
         M[:, i, j] = vals[:, col]
@@ -254,23 +251,23 @@ def svd_count(M, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def apply(V, field) -> ExprField:
-    """Directional derivative V(f), symbolically."""
-    if field.chart != V.chart:
-        raise ChartMismatch("field and vector field on different charts")
+def apply(V, f: Expr) -> Expr:
+    """Directional derivative V(f) of an expression on V's chart,
+    symbolically."""
+    V.chart.require(f)
     acc = Const(0.0)
     for name, comp in zip(V.chart.var_names, V.components):
-        acc = add(acc, mul(comp.expr, field.expr.diff(name)))
-    return ExprField(V.chart, acc)
+        acc = add(acc, mul(comp.expr, f.diff(name)))
+    return acc
 
 
 def lie_bracket(V, W) -> VectorFieldExpr:
     """[V, W] = (V . grad) W - (W . grad) V, computed symbolically."""
     if V.chart != W.chart:
         raise ChartMismatch("bracket operands on different charts")
-    return VectorFieldExpr(V.chart, tuple(
-        ExprField(V.chart, sub(apply(V, wi).expr, apply(W, vi).expr))
-        for wi, vi in zip(W.components, V.components)))
+    return vector_field(V.chart, [
+        sub(apply(V, wi.expr), apply(W, vi.expr))
+        for wi, vi in zip(W.components, V.components)])
 
 
 def pushforward_field(map_, V) -> tuple:
@@ -298,10 +295,9 @@ def interior(V, omega):
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
             term = mul(Const(float((-1) ** pos)),
-                       mul(V.components[i].expr, c.expr))
+                       mul(V.components[i].expr, c))
             out[rest] = add(out[rest], term) if rest in out else term
-    return fm.DiffForm(omega.chart, omega.degree - 1,
-                       {i: ExprField(omega.chart, e) for i, e in out.items()})
+    return fm.DiffForm(omega.chart, omega.degree - 1, out)
 
 
 def lie_derivative(V, omega):
@@ -309,7 +305,7 @@ def lie_derivative(V, omega):
     if V.chart != omega.chart:
         raise ChartMismatch("Lie derivative operands on different charts")
     if omega.degree == 0:
-        return function_form(apply(V, omega.coeff(())))
+        return fm.DiffForm(V.chart, 0, {(): apply(V, omega.coeff(()))})
     term1 = exterior_d(interior(V, omega))
     if omega.degree == omega.chart.dim:
         return term1
@@ -332,12 +328,12 @@ def build_Vk(Y) -> list[VectorFieldExpr]:
     xn, yn = f"x{n}", f"y{n}"
     tilde = []
     for a in range(1, n):
-        ya = Y.components[f"y{a}"]
-        comps = [constant(src, 0.0) for _ in range(src.dim)]
-        comps[src.index(f"x{a}")] = constant(src, 1.0)
-        comps[src.index(xn)] = comps[src.index(xn)] - ya.diff(yn)
+        ya = Y.components[f"y{a}"].expr
+        comps = [0.0] * src.dim
+        comps[src.index(f"x{a}")] = 1.0
+        comps[src.index(xn)] = sub(Const(0.0), ya.diff(yn))
         comps[src.index(yn)] = ya.diff(xn)
-        tilde.append(VectorFieldExpr(src, tuple(comps)))
+        tilde.append(vector_field(src, comps))
     return tilde
 
 
@@ -356,32 +352,36 @@ def frame_identities(Y, points) -> dict:
     src, N = Y.source_chart, len(points)
 
     def stack(rows, width):
-        """Source-chart fields in rows of width, at the points: (rows,
+        """Source-chart expressions in rows of width, at the points: (rows,
         width, N)."""
-        flat = [f for row in rows for f in row]
+        flat = tuple(e for row in rows for e in row)
         if not flat:
             return np.zeros((len(rows), width, N))
-        return values(flat, points).T.reshape(len(rows), width, N)
+        return compile_exprs(src, flat).batch(points).T.reshape(
+            len(rows), width, N)
+
+    def exprs(fields):
+        return [f.expr for f in fields]
 
     def alpha_on(V):
         acc = Const(0.0)
         for (i,), c in alpha.coeffs.items():
-            acc = add(acc, mul(emb.compose_field(c).expr,
+            acc = add(acc, mul(emb.compose_field(c),
                                pushforward_field(emb, V)[i].expr))
-        return [ExprField(src, acc)]
+        return [acc]
 
     brackets = [lie_bracket(F, G)
                 for F, G in itertools.combinations(tilde, 2)]
     k = src.dim
     return {
-        "frame": stack([V.components for V in tilde], k),
+        "frame": stack([exprs(V.components) for V in tilde], k),
         "i_V_alpha": stack([alpha_on(V) for V in tilde], 1)[:, 0],
         "i_V_dlambda": stack([[interior(V, dlam).coeff((j,))
                                for j in range(k)] for V in tilde], k),
         "lie_lambda": stack([[lie_derivative(V, lam).coeff((j,))
                               for j in range(k)] for V in tilde], k),
-        "bracket": stack([B.components for B in brackets], k),
-        "ambient_bracket": stack([pushforward_field(emb, B)
+        "bracket": stack([exprs(B.components) for B in brackets], k),
+        "ambient_bracket": stack([exprs(pushforward_field(emb, B))
                                   for B in brackets], Y.ambient.dim),
     }
 
@@ -404,46 +404,48 @@ def principal_minor_residual(S: np.ndarray, m: int) -> np.ndarray:
 
 def residual_fields(Y) -> dict:
     """The foliation-residual equations of a k = n + 1 graph with free
-    fiber coordinate y_n, as symbolic fields on its source chart.
+    fiber coordinate y_n, as expressions on its source chart.
 
     Keys: "eq_abc" (triples), "eq_abn", "eq_abyn" (pairs), "eq_a" (singles)
     and "lambda_ab" (the commutator identity), each mapping index tuples to
-    ExprFields, built from the partials of the graph components.
+    Exprs, built from the partials of the graph components.
     """
     n = Y.n
     yn_name = f"y{n}"
-    y = {a: Y.components[f"y{a}"] for a in range(1, n)}
-    z = Y.components["z"]
+    y = {a: Y.components[f"y{a}"].expr for a in range(1, n)}
+    z = Y.components["z"].expr
     zx = {a: z.diff(f"x{a}") for a in range(1, n + 1)}
     zyn = z.diff(yn_name)
     yx = {(a, b): y[a].diff(f"x{b}")
           for a in range(1, n) for b in range(1, n + 1)}
     yyn = {a: y[a].diff(yn_name) for a in range(1, n)}
-    yn = coordinate(Y.source_chart, yn_name)
+    zxn = sub(zx[n], Var(yn_name))  # dz/dx_n - y_n
 
     def A(a):  # dz/dx_a - y_a
-        return zx[a] - y[a]
+        return sub(zx[a], y[a])
+
+    def skew(a, b):  # dy_a/dx_b - dy_b/dx_a
+        return sub(yx[(a, b)], yx[(b, a)])
 
     out = {"eq_abc": {}, "eq_abn": {}, "eq_abyn": {}, "eq_a": {},
            "lambda_ab": {}}
     rng = range(1, n)
     for a, b, c in itertools.combinations(rng, 3):
-        out["eq_abc"][(a, b, c)] = (
-            A(a) * (yx[(b, c)] - yx[(c, b)])
-            - A(b) * (yx[(a, c)] - yx[(c, a)])
-            + A(c) * (yx[(a, b)] - yx[(b, a)]))
+        out["eq_abc"][(a, b, c)] = add(sub(
+            mul(A(a), skew(b, c)), mul(A(b), skew(a, c))),
+            mul(A(c), skew(a, b)))
     for a, b in itertools.combinations(rng, 2):
-        out["eq_abn"][(a, b)] = (
-            A(a) * yx[(b, n)] - A(b) * yx[(a, n)]
-            + (zx[n] - yn) * (yx[(a, b)] - yx[(b, a)]))
-        out["eq_abyn"][(a, b)] = (
-            A(a) * yyn[b] - A(b) * yyn[a]
-            + zyn * (yx[(a, b)] - yx[(b, a)]))
-        out["lambda_ab"][(a, b)] = (
-            yyn[a] * yx[(b, n)] - yyn[b] * yx[(a, n)]
-            + yx[(a, b)] - yx[(b, a)])
+        out["eq_abn"][(a, b)] = add(sub(
+            mul(A(a), yx[(b, n)]), mul(A(b), yx[(a, n)])),
+            mul(zxn, skew(a, b)))
+        out["eq_abyn"][(a, b)] = add(sub(
+            mul(A(a), yyn[b]), mul(A(b), yyn[a])), mul(zyn, skew(a, b)))
+        out["lambda_ab"][(a, b)] = sub(add(sub(
+            mul(yyn[a], yx[(b, n)]), mul(yyn[b], yx[(a, n)])),
+            yx[(a, b)]), yx[(b, a)])
     for a in rng:
-        out["eq_a"][a] = zx[a] - (zx[n] - yn) * yyn[a] + zyn * yx[(a, n)] - y[a]
+        out["eq_a"][a] = sub(add(sub(zx[a], mul(zxn, yyn[a])),
+                                 mul(zyn, yx[(a, n)])), y[a])
     return out
 
 
@@ -475,14 +477,12 @@ class SmoothMapExpr:
         return tuple(tuple(c.diff(v) for v in self.source.var_names)
                      for c in self.components)
 
-    def compose_field(self, field: ExprField) -> ExprField:
-        """Pull a target-chart scalar field back through the map,
-        symbolically."""
-        if field.chart != self.target:
-            raise ChartMismatch("field not on the map's target chart")
-        mapping = {name: comp.expr for name, comp
-                   in zip(self.target.var_names, self.components)}
-        return ExprField(self.source, field.expr.subs(mapping))
+    def compose_field(self, f: Expr) -> Expr:
+        """Pull a target-chart expression back through the map,
+        symbolically, to one on the source chart."""
+        self.target.require(f)
+        return f.subs({name: comp.expr for name, comp
+                       in zip(self.target.var_names, self.components)})
 
 
 def pullback(phi: SmoothMapExpr, omega):
@@ -497,7 +497,7 @@ def pullback(phi: SmoothMapExpr, omega):
             for row in phi.jacobian_fields]
     out = zero_form(src, omega.degree)
     for idx, c in omega.coeffs.items():
-        term = function_form(constant(src, 1.0))
+        term = fm.DiffForm(src, 0, {(): 1.0})
         for i in idx:
             term = wedge(term, dphi[i])
         out = out + scale(term, phi.compose_field(c))
@@ -518,5 +518,5 @@ def zero_section_map(g) -> SmoothMapExpr:
     src = Chart(tuple(v for v in total.var_names
                       if v not in g.zero_section_vars))
     return SmoothMapExpr(src, total, tuple(
-        constant(src, 0.0) if v in g.zero_section_vars
-        else coordinate(src, v) for v in total.var_names))
+        as_field(src, 0.0 if v in g.zero_section_vars else Var(v))
+        for v in total.var_names))

@@ -14,8 +14,13 @@ from legfol import germ as gm
 from legfol.cli import demo_names
 from legfol.fields import (
     Chart,
+    Const,
+    ExprField,
+    Sin,
+    Var,
+    add,
     constant,
-    coordinate,
+    mul,
     parse_field,
     vector_field,
 )
@@ -215,8 +220,8 @@ def test_criterion_6_flat_bundles():
     contr = bd.parallel_transport(b, loop, [0.35, -0.15])
     loop_err = float(np.linalg.norm(np.array(contr.end) - [0.35, -0.15]))
     fiber = rot.fiber_chart
-    good_form = fm.one_form(fiber, {"u": -coordinate(fiber, "v"),
-                                    "v": coordinate(fiber, "u")})
+    good_form = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                                    "v": parse_field(fiber, "u")})
     suite_ok = bd.ccl_check(rot, good_form)["ok"]
     bad1 = bd.ccl_check(bd.trivial_bundle(),
                         fm.one_form(fiber, {"u": 1.0}))
@@ -236,14 +241,15 @@ def test_criterion_6_flat_bundles():
 def _random_foliated_input(n):
     ch = gm.foliated_chart(n)
     a, bcoef = RNG.uniform(-0.45, 0.45, 2)
-    f = constant(ch, 2.0) + a * parse_field(ch, "sin(x1)") \
-        + bcoef * coordinate(ch, "x1")
+    x1 = Var("x1")
+    f = ExprField(ch, add(add(Const(2.0), mul(Sin(x1), Const(a))),
+                          mul(x1, Const(bcoef))))
     comps = [constant(ch, 1.0)]
     for i in range(1, n + 1):
         c0, c1 = RNG.uniform(-1, 1, 2)
-        var = ch.var_names[1 + int(RNG.integers(0, n))]
-        comps.append(c0 * coordinate(ch, var)
-                     + c1 * coordinate(ch, "x1") * coordinate(ch, var))
+        var = Var(ch.var_names[1 + int(RNG.integers(0, n))])
+        comps.append(add(mul(var, Const(c0)),
+                         mul(mul(x1, Const(c1)), var)))
     beta = fm.DiffForm(ch, 1, {(0,): f})
     return gm.FoliatedInput(n=n, beta=beta,
                             line_field=vector_field(ch, comps)), f
@@ -262,13 +268,13 @@ def test_criterion_7_germs():
             scans_ok = scans_ok and gm.contactness_scan(g, pts)["passed"]
     import dataclasses
     fiber = Chart(("u", "v"))
-    area = fm.one_form(fiber, {"u": -coordinate(fiber, "v"),
-                               "v": coordinate(fiber, "u")})
+    area = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                               "v": parse_field(fiber, "u")})
     g0 = gm.build_singular_germ(bd.rotation_bundle([0.7]), area)
     g1 = gm.build_singular_germ(bd.rotation_bundle([2.1]), area)
     base = g0.restricted.chart
-    expected = fm.one_form(base, {"u": -coordinate(base, "v"),
-                                  "v": coordinate(base, "u")})
+    expected = fm.one_form(base, {"u": parse_field(base, "-v"),
+                                  "v": parse_field(base, "u")})
     pts = gm.scan_points(g0, RNG, 60)
     scans_ok = scans_ok and gm.contactness_scan(g0, pts)["passed"]
     matched = gm.interpolation_contactness(g0, g1, expected, pts)

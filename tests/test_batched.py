@@ -29,7 +29,6 @@ import importlib.util
 import itertools
 import math
 import re
-import time
 import tracemalloc
 import weakref
 from importlib import resources
@@ -51,10 +50,9 @@ from legfol.fields import (
     Chart,
     CompiledExprs,
     EvaluationError,
-    ExprField,
     compile_exprs,
     constant,
-    coordinate,
+    div,
     parse_field,
     vector_field,
 )
@@ -103,7 +101,7 @@ def walk_residuals(Y, points):
     fams = residual_fields(Y)
     labels = [(key, idx) for key, fam in fams.items() for idx in fam]
     vals = compile_exprs(Y.source_chart, tuple(  # no labels when n = 1
-        fams[key][idx].expr for key, idx in labels)).batch(points)
+        fams[key][idx] for key, idx in labels)).batch(points)
     out = []
     for row in vals:
         r = {key: {} for key in fams}
@@ -144,15 +142,16 @@ def walk_claim(Y, points, tol):
         res[key] = float(np.max(np.abs(per_point), initial=res[key]))
 
     for Vt, Va in zip(tilde, ambient):
-        update("i_V_alpha", interior(Va, alpha).coeff(()).compile()(image))
+        update("i_V_alpha", interior(Va, alpha).coeff_array(image))
         update("i_V_dlambda", max_coeffs(interior(Vt, dlam), points))
         update("lie_lambda", max_coeffs(lie_derivative(Vt, lam), points))
     for Vt, Wt in itertools.combinations(tilde, 2):
         update("bracket", values(
             pushforward_field(emb, lie_bracket(Vt, Wt)), points))
-    lambda_ab = list(residual_fields(Y)["lambda_ab"].values())
+    lambda_ab = tuple(residual_fields(Y)["lambda_ab"].values())
     if lambda_ab:
-        update("lambda_ab", values(lambda_ab, points))
+        update("lambda_ab", compile_exprs(Y.source_chart, lambda_ab
+                                          ).batch(points))
     res["refused"] = False
     return res
 
@@ -225,7 +224,7 @@ def walk_zero_section(g, expected, points, tol):
     base = restricted.chart
     diff = difference(restricted, expected)
     idxs = [(i,) for i in range(base.dim)]  # coordinate order
-    residuals = np.abs(values([diff.coeff(idx) for idx in idxs], points))
+    residuals = np.abs(diff.coeff_array(points))
     mismatches = []
     max_resid = 0.0
     for p, row in zip(points, residuals):
@@ -492,10 +491,10 @@ def rebuilt_pencil(g0, g1, points):
     rows = []
     for t in gm.PENCIL_T:
         alpha_t = pencil_at(g0, g1, t)
-        top = fm.top_coeff(tuple(alpha_t.coeff((i,)).expr
+        top = fm.top_coeff(tuple(alpha_t.coeff((i,))
                                  for i in range(g0.chart.dim)),
                            g0.chart.var_names)
-        rows.append(ExprField(g0.chart, top).compile()(points))
+        rows.append(compile_exprs(g0.chart, (top,)).batch(points)[:, 0])
     return np.array(rows)
 
 
@@ -516,8 +515,8 @@ def nonsingular_germ(n, f_text):
 def singular_germ(rates=(0.7,)):
     b = bd.rotation_bundle(list(rates))
     fiber = b.fiber_chart
-    area = fm.one_form(fiber, {"u": -coordinate(fiber, "v"),
-                               "v": coordinate(fiber, "u")})
+    area = fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                               "v": parse_field(fiber, "u")})
     return gm.build_singular_germ(b, area)
 
 
@@ -569,8 +568,8 @@ class TestZeroSection:
         # alpha restricts to x1 dt, which vanishes on x1 = 0 where the
         # expected dt does not; elsewhere the two kernels agree
         total = gm.germ_chart(1)
-        alpha = fm.one_form(total, {"t": coordinate(total, "x1"),
-                                    "x1": -coordinate(total, "y1")})
+        alpha = fm.one_form(total, {"t": parse_field(total, "x1"),
+                                    "x1": parse_field(total, "-y1")})
         g = gm.GermForm(n=1, alpha=alpha, zero_section_vars=("y1",),
                         kind="custom")
         expected = section_form(g, t="1")
@@ -694,7 +693,7 @@ class TestPencil:
         total = gm.germ_chart(1)
         g0 = nonsingular_germ(1, F)
         E = parse_field(total, "exp(700 * x1)")
-        alpha1 = fm.one_form(total, {"t": E, "x1": -coordinate(total, "y1"),
+        alpha1 = fm.one_form(total, {"t": E, "x1": parse_field(total, "-y1"),
                                      "y1": E})
         g1 = gm.GermForm(n=1, alpha=alpha1, zero_section_vars=("y1",),
                          kind="custom")
@@ -719,7 +718,7 @@ def fiber_germ(u_text):
     the fiber pair (u, v); a is u_text."""
     total = gm.singular_germ_chart(1)
     alpha = fm.one_form(total, {"z": 1.0, "u": parse_field(total, u_text),
-                                "v": coordinate(total, "u")})
+                                "v": parse_field(total, "u")})
     return gm.GermForm(n=1, alpha=alpha, zero_section_vars=("z",),
                        kind="custom", fiber_pair=("u", "v"))
 
@@ -787,18 +786,18 @@ class TestJointFaults:
 
 def sheared_bundle():
     total = Chart(("s1", "s2", "u", "v"), (1.0, 1.0, None, None))
-    s1, u, v = (coordinate(total, name) for name in ("s1", "u", "v"))
     zero = constant(total, 0.0)
-    return bd.FlatDiskBundle(2, (1.0, 1.0), 1.0, (zero, s1 * v),
-                             (zero - u, zero))
+    return bd.FlatDiskBundle(2, (1.0, 1.0), 1.0,
+                             (zero, parse_field(total, "s1 * v")),
+                             (parse_field(total, "-u"), zero))
 
 
 def radial_bundle():
     """Lift d/ds + 0.6 (u d/du + v d/dv): the loop scales the fiber by
     e^0.6, so samples beyond radius e^-0.6 escape."""
     total = Chart(("s1", "u", "v"), (1.0, None, None))
-    u, v = coordinate(total, "u"), coordinate(total, "v")
-    return bd.FlatDiskBundle(1, (1.0,), 1.0, (0.6 * u,), (0.6 * v,))
+    return bd.FlatDiskBundle(1, (1.0,), 1.0, (parse_field(total, "u * 0.6"),),
+                             (parse_field(total, "v * 0.6"),))
 
 
 class TestSatellitePorts:
@@ -902,12 +901,13 @@ def walk_validate(inp, points, tol=1e-8):
 def walk_local_data(inp, points, tol=1e-10):
     ch = inp.beta.chart
     for i in range(1, ch.dim):
-        if np.any(np.abs(inp.beta.coeff((i,)).compile()(points)) > tol):
+        if np.any(np.abs(compile_exprs(ch, (inp.beta.coeff((i,)),)).batch(
+                points)) > tol):
             raise gm.GermBuildError(
                 "defining form has a leafwise component; chart is not "
                 "adapted to the foliation")
-    Lt = inp.line_field.components[0]
-    return inp.beta.coeff((0,)), [inp.line_field.components[i] / Lt
+    Lt = inp.line_field.components[0].expr
+    return inp.beta.coeff((0,)), [div(inp.line_field.components[i].expr, Lt)
                                   for i in range(1, ch.dim)]
 
 
@@ -915,8 +915,7 @@ def walk_invariance_probe(bundle, beta):
     """build_singular_germ's probe: per lift, the largest |L_lift beta|."""
     total = bundle.total_chart
     beta_tot = fm.DiffForm(total, 1, {
-        (bundle.base_dim + d,): c.on_chart(total)
-        for (d,), c in beta.coeffs.items()})
+        (bundle.base_dim + d,): c for (d,), c in beta.coeffs.items()})
     probe = np.random.default_rng(0).uniform(-0.4, 0.4, (10, total.dim))
     return [float(np.max(max_coeffs(
         lie_derivative(bundle.lift(j), beta_tot), probe)))
@@ -2235,8 +2234,8 @@ class TestIntegrationFault:
         # holds the approach; the second stalls.
         _, stages, _, _ = ode_work(monkeypatch)
         total = Chart(("s1", "u", "v"), (1.0, None, None))
-        u = coordinate(total, "u")
-        b = bd.FlatDiskBundle(1, (1.0,), 1.0, (1 / (0.5 - u),),
+        b = bd.FlatDiskBundle(1, (1.0,), 1.0,
+                              (parse_field(total, "1 / (0.5 - u)"),),
                               (constant(total, 0.0),))
         with pytest.raises(bd.IntegrationError, match="stalled"):
             bd.parallel_transport(b, bd.generator_loop(b, 0), (0.3, 0.0))
@@ -2774,6 +2773,27 @@ class TestZeroDivisor:
 # ---------------------------------------------------------------------------
 
 
+def scan_rows(monkeypatch):
+    """Record from now on the rows of each call of the generated function
+    of the expressions that coiso compiles, singular_scan's: its blocks,
+    and batch's calls with their bisection for a failing row."""
+    rows = []
+    real = co.compile_exprs
+
+    def compile_counted(chart, exprs):
+        compiled = copy.copy(real(chart, exprs))
+        columns = compiled.columns
+
+        def counted(*cols):
+            rows.append(max((len(c) for c in cols if c is not None),
+                            default=1))
+            return columns(*cols)
+        compiled.columns = counted
+        return compiled
+    monkeypatch.setattr(co, "compile_exprs", compile_counted)
+    return rows
+
+
 def walk_scan(Y, box=1.0, step=0.05, tol=1e-6):
     """The scan as it ran through CompiledExprs.batch: an (N, k) grid of rows
     and one (rows, k + k^2) batch per block of SCAN_BLOCK_ROWS rows.
@@ -2781,10 +2801,9 @@ def walk_scan(Y, box=1.0, step=0.05, tol=1e-6):
     lam = Y.lambda_form
     src = Y.source_chart
     k = src.dim
-    coeff_fields = [lam.coeff((i,)) for i in range(k)]
-    grad_fields = [c.diff(v) for c in coeff_fields for v in src.var_names]
-    compiled = compile_exprs(
-        src, tuple(f.expr for f in coeff_fields + grad_fields))
+    coeffs = [lam.coeff((i,)) for i in range(k)]
+    grads = [c.diff(v) for c in coeffs for v in src.var_names]
+    compiled = compile_exprs(src, tuple(coeffs + grads))
     axis = np.arange(-box, box + step / 2, step)
     grids = np.meshgrid(*([axis] * k), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
@@ -3059,7 +3078,8 @@ class TestScanColumns:
         the first failing grid point is F = 39 * 41^(k-1), past 2.7 million
         rows at k = 4 and 110 million at k = 5.  The raise runs batch on the
         failing sub-grid block and on the one grid block that holds F, not
-        on the grid up to F, and names F's row in that block."""
+        on the grid up to F, and names F's row in that block: it evaluates
+        fewer rows than one of the 39 x1-slices of the grid before F."""
         Y = graph(3, k, z="y3 / (x1 - 0.9500000000000017)")
         axis = np.arange(-1.0, 1.025, 0.05)
         first = 39 * 41 ** (k - 1)
@@ -3071,11 +3091,13 @@ class TestScanColumns:
         batch = CompiledExprs.batch
         monkeypatch.setattr(CompiledExprs, "batch", lambda self, pts: (
             calls.append(len(pts)) or batch(self, pts)))
-        start = time.perf_counter()
+        rows = scan_rows(monkeypatch)
         with pytest.raises(EvaluationError) as got:
             co.singular_scan(Y)
-        assert time.perf_counter() - start < 1.0
         assert str(got.value) == want
+        sub = 41 ** (k - 2)  # the scan's blocks cover the sub-grid once
+        assert sum(rows[:-(-sub // co.SCAN_BLOCK_ROWS)]) == sub
+        assert sum(rows) < 41 ** (k - 1)
         # x1 is the slowest read axis: the failing sub-grid block is the
         # last, partial one
         assert calls == [41 ** (k - 2) % co.SCAN_BLOCK_ROWS,

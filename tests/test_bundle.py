@@ -7,12 +7,12 @@ import pytest
 from legfol import bundle as bd
 from legfol import coiso as co
 from legfol import forms as fm
-from legfol.fields import constant, coordinate, parse_field
+from legfol.fields import constant, parse_field
 
 
 def area_form(fiber):
-    return fm.one_form(fiber, {"u": -coordinate(fiber, "v"),
-                               "v": coordinate(fiber, "u")})
+    return fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                               "v": parse_field(fiber, "u")})
 
 
 class TestFlatness:
@@ -25,7 +25,7 @@ class TestFlatness:
         total_names = ("s1", "s2", "u", "v")
         from legfol.fields import Chart
         total = Chart(total_names, (1.0, 1.0, None, None))
-        s1 = coordinate(total, "s1")
+        s1 = parse_field(total, "s1")
         zero = constant(total, 0.0)
         b = bd.FlatDiskBundle(2, (1.0, 1.0), 1.0,
                               (zero, s1), (zero, zero))

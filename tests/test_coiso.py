@@ -30,6 +30,7 @@ from oracles import (
     values,
     zero_section_map,
 )
+from test_batched import scan_rows
 
 
 class TestConstruction:
@@ -525,14 +526,15 @@ class TestPerturbation:
             co.perturb_legendrian(Y, bump)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_high_n_check(self, n):
+    def test_high_n_check(self, n, monkeypatch):
         """The bump reads y1 alone, so the scan evaluates 41 points of the
-        41^(n+1) grid and, with no hit there, builds nothing over the full
-        grid (at n = 5 its hit mask alone would take 4.4 GiB)."""
+        41^(n+1) grid, in one call, and, with no hit there, builds nothing
+        over the full grid (at n = 5 its hit mask alone would take
+        4.4 GiB)."""
         text = f"check bump\n  kind = perturb\n  n = {n}\nend\n"
-        start = time.perf_counter()
+        rows = scan_rows(monkeypatch)
         (entry,) = run_scenario(parse_scenario(text))["checks"]
-        assert time.perf_counter() - start < 1.0
+        assert rows == [41]
         assert entry["ok"] and "error" not in entry
         assert entry["detail"]["num_hits"] == 0
 

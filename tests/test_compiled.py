@@ -572,5 +572,5 @@ class TestCoeffArray:
         for p, row in zip(pts, arr):
             assert row[1] == 0.0
             for col, idx in ((0, (0, 1)), (2, (1, 2))):
-                want = walk(two.coeff(idx).expr, p, ch)
+                want = walk(two.coeff(idx), p, ch)
                 assert row[col] == pytest.approx(want, rel=1e-14)

@@ -31,9 +31,10 @@ from legfol import forms as fm
 from legfol import runner
 from legfol.fields import (
     Chart,
+    add,
     brackets,
     compile_exprs,
-    coordinate,
+    parse_expr,
     parse_field,
     partials,
     vector_field,
@@ -124,7 +125,7 @@ def frame(chart, fields, points):
 def one_form(omega, points):
     """Coefficients (N, dim) and Jacobian (N, dim, dim) of a 1-form."""
     return tuple(first(a) for a in partials(omega.chart, tuple(
-        omega.coeff((i,)).expr for i in range(omega.chart.dim)), points))
+        omega.coeff((i,)) for i in range(omega.chart.dim)), points))
 
 
 def lie(V, JV, w, Jw):
@@ -184,7 +185,7 @@ class TestRandomFields:
         w = random_dense_form(ABCD, 1, rng)
         V, _ = frame(ABCD, fields, pts)
         coeffs = w.coeff_array(pts)
-        want = np.stack([values([interior(F, w).coeff(())], pts)[:, 0]
+        want = np.stack([interior(F, w).coeff_array(pts)[:, 0]
                          for F in fields], axis=1)
         terms = V * coeffs[:, None]
         assert_within(terms.sum(axis=-1), want, terms)
@@ -371,8 +372,8 @@ def random_graphs():
                 every = " + ".join(src.var_names)
 
                 def component():
-                    return random_field(src, rng) + parse_field(
-                        src, f"{rng.uniform(0.5, 1.5)!r} * sin({every})")
+                    return add(random_field(src, rng).expr, parse_expr(
+                        f"{rng.uniform(0.5, 1.5)!r} * sin({every})"))
 
                 comps = {f"y{a}": component()
                          for a in range(1, n + 1) if a not in free}
@@ -436,8 +437,8 @@ def standard_graphs():
     for n in range(1, 6):
         src = co.graph_submanifold(n, n + 1).source_chart
         every = " + ".join(src.var_names)
-        comps = {name: random_field(src, rng) + parse_field(
-            src, f"{rng.uniform(0.5, 1.5)!r} * sin({every})")
+        comps = {name: add(random_field(src, rng).expr, parse_expr(
+            f"{rng.uniform(0.5, 1.5)!r} * sin({every})"))
             for name in [f"y{a}" for a in range(1, n)] + ["z"]}
         found.append(pytest.param(co.graph_submanifold(n, n + 1, comps),
                                   id=f"random-n{n}"))
@@ -479,7 +480,7 @@ class TestResidualJet:
         fams = residual_fields(Y)
         labels = [(key, idx) for key, fam in fams.items() for idx in fam]
         want = compile_exprs(Y.source_chart, tuple(
-            fams[key][idx].expr for key, idx in labels)).batch(pts)
+            fams[key][idx] for key, idx in labels)).batch(pts)
         terms = residual_terms(Y, pts)
         assert {key: set(got[key]) for key in fams} \
             == {key: set(fam) for key, fam in fams.items()}
@@ -534,8 +535,8 @@ class TestBundleLifts:
         random 1-form on it."""
         b = BUNDLES[name]()
         total = b.total_chart
-        u, v = coordinate(total, "u"), coordinate(total, "v")
-        area = fm.one_form(total, {"u": -v, "v": u})
+        area = fm.one_form(total, {"u": parse_field(total, "-v"),
+                                   "v": parse_field(total, "u")})
         pts = rng.uniform(-0.4, 0.4, (30, total.dim))
         V, JV = frame(total, b.lifts(), pts)
         for w in (area, random_dense_form(total, 1, rng)):

@@ -12,8 +12,13 @@ from scipy.integrate import solve_ivp
 from legfol import forms as fm
 from legfol.fields import (
     Chart,
+    ChartMismatch,
+    Const,
+    ExprField,
+    UnknownVariable,
+    compile_exprs,
     constant,
-    coordinate,
+    parse_expr,
     parse_field,
     vector_field,
 )
@@ -65,7 +70,7 @@ def eval_oracle(omega, point, vectors):
     k = omega.degree
     total = 0.0
     for idx, coeff in omega.coeffs.items():
-        c = coeff.compile()([point])[0]
+        c = compile_exprs(omega.chart, (coeff,)).batch([point])[0, 0]
         for perm in itertools.permutations(range(k)):
             sign = _perm_sign(perm)
             prod = 1.0
@@ -81,6 +86,22 @@ def _perm_sign(perm):
         if perm[i] > perm[j]:
             sign = -sign
     return sign
+
+
+class TestCoefficients:
+    def test_interned_and_checked_against_the_chart(self):
+        """A coefficient given as a field, as its expression or, for a
+        constant, as a number is one interned node; one that reads a name
+        outside the chart, or a field on another chart, is refused."""
+        e = parse_expr("x*sin(y)")
+        for given in (parse_field(XYZ, "x*sin(y)"), e):
+            assert fm.one_form(XYZ, {"z": given}).coeff((2,)) is e
+        for given in (constant(XYZ, 2.5), Const(2.5), 2.5):
+            assert fm.one_form(XYZ, {"x": given}).coeff((0,)) is Const(2.5)
+        with pytest.raises(UnknownVariable, match=r"\['w'\]"):
+            fm.one_form(XYZ, {"x": parse_expr("w + x")})
+        with pytest.raises(ChartMismatch):
+            fm.one_form(XYZ, {"x": parse_field(Chart(("x", "y")), "x")})
 
 
 class TestEvaluation:
@@ -284,7 +305,8 @@ class TestPullback:
         w = random_form(XYZ, 1, rng)
         lhs = pullback(psi, pullback(phi, w))
         composite = SmoothMapExpr(psi.source, phi.target, tuple(
-            psi.compose_field(c) for c in phi.components))
+            ExprField(psi.source, psi.compose_field(c.expr))
+            for c in phi.components))
         rhs = pullback(composite, w)
         p = [0.3]
         v = [[1.0]]
@@ -329,7 +351,7 @@ class TestContactTopForm:
             alpha = fm.one_form(ch, {"z": 1.0})
             for i in range(1, n + 1):
                 alpha = alpha + fm.one_form(
-                    ch, {f"x{i}": -coordinate(ch, f"y{i}")})
+                    ch, {f"x{i}": parse_field(ch, f"-y{i}")})
             top = wedge(alpha, wedge_power(exterior_d(alpha), n))
             val = top.coeff_array([np.zeros(ch.dim)])[0, 0]
             assert abs(val) == pytest.approx(math.factorial(n))

@@ -14,12 +14,11 @@ from legfol import germ as gm
 from legfol.fields import (
     Chart,
     CompiledExprs,
-    ExprField,
+    Const,
     Sin,
     Var,
     add,
     constant,
-    coordinate,
     mul,
     parse_field,
     vector_field,
@@ -42,8 +41,8 @@ def make_input(n, f_text, r_texts=None):
 
 
 def area_form(fiber):
-    return fm.one_form(fiber, {"u": -coordinate(fiber, "v"),
-                               "v": coordinate(fiber, "u")})
+    return fm.one_form(fiber, {"u": parse_field(fiber, "-v"),
+                               "v": parse_field(fiber, "u")})
 
 
 def singular_pair(rate0=0.7, rate1=2.1):
@@ -156,12 +155,11 @@ def dense_custom(n, rng):
     C = rng.uniform(-1, 1, (ch.dim, ch.dim + 2))
     coeffs = {}
     for i, v in enumerate(ch.var_names):
-        acc = constant(ch, C[i, -2]).expr
+        acc = Const(C[i, -2])
         for k, x in enumerate(xs):
-            acc = add(acc, mul(constant(ch, C[i, k]).expr, x))
-        acc = add(acc, mul(constant(ch, C[i, -1]).expr,
-                           Sin(mul(xs[i], xs[(i + 1) % ch.dim]))))
-        coeffs[v] = ExprField(ch, acc)
+            acc = add(acc, mul(Const(C[i, k]), x))
+        coeffs[v] = add(acc, mul(Const(C[i, -1]),
+                                 Sin(mul(xs[i], xs[(i + 1) % ch.dim]))))
     return gm.GermForm(n=n, alpha=fm.one_form(ch, coeffs),
                        zero_section_vars=tuple(f"y{i}"
                                                for i in range(1, n + 1)),
@@ -238,8 +236,8 @@ class TestSingular:
     def test_zero_section_is_fiber_form(self, rng):
         g, _ = singular_pair()
         base = g.restricted.chart
-        expected = fm.one_form(base, {"u": -coordinate(base, "v"),
-                                      "v": coordinate(base, "u")})
+        expected = fm.one_form(base, {"u": parse_field(base, "-v"),
+                                      "v": parse_field(base, "u")})
         pts = rng.uniform(-0.9, 0.9, (20, base.dim))
         res = gm.zero_section_foliation_check(g, expected, pts)
         assert res["passed"]
@@ -257,11 +255,8 @@ class TestSingular:
         eps = constant(total, 0.05)
         zero = constant(total, 0.0)
         b = bd.FlatDiskBundle(1, (1.0,), 1.0, (eps,), (zero,))
-        fiber = b.fiber_chart
-        u, v = coordinate(fiber, "u"), coordinate(fiber, "v")
-        beta = fm.one_form(fiber, {"u": -v, "v": u})
         with pytest.raises(gm.GermBuildError):
-            gm.build_singular_germ(b, beta)
+            gm.build_singular_germ(b, area_form(b.fiber_chart))
 
     def test_one_probe_batch(self, monkeypatch):
         # beta and both lifts of a torus, with their partials, in one batch
@@ -407,8 +402,8 @@ class TestInterpolation:
     def test_matched_pencil_passes(self, rng):
         g0, g1 = singular_pair()
         base = g0.restricted.chart
-        expected = fm.one_form(base, {"u": -coordinate(base, "v"),
-                                      "v": coordinate(base, "u")})
+        expected = fm.one_form(base, {"u": parse_field(base, "-v"),
+                                      "v": parse_field(base, "u")})
         pts = gm.scan_points(g0, rng, 40)
         res = gm.interpolation_contactness(g0, g1, expected, pts)
         assert not res["refused"]
@@ -418,8 +413,8 @@ class TestInterpolation:
         g0, g1 = singular_pair()
         flipped = dataclasses.replace(g1, orientation=-1)
         base = g0.restricted.chart
-        expected = fm.one_form(base, {"u": -coordinate(base, "v"),
-                                      "v": coordinate(base, "u")})
+        expected = fm.one_form(base, {"u": parse_field(base, "-v"),
+                                      "v": parse_field(base, "u")})
         pts = gm.scan_points(g0, rng, 40)
         res = gm.interpolation_contactness(g0, flipped, expected, pts)
         assert res["refused"]
@@ -433,8 +428,8 @@ class TestInterpolation:
                                "v": parse_field(b.fiber_chart, "2*u")})
         g2 = gm.build_singular_germ(b, doubled)
         base = g0.restricted.chart
-        expected = fm.one_form(base, {"u": -coordinate(base, "v"),
-                                      "v": coordinate(base, "u")})
+        expected = fm.one_form(base, {"u": parse_field(base, "-v"),
+                                      "v": parse_field(base, "u")})
         pts = gm.scan_points(g0, rng, 40)
         res = gm.interpolation_contactness(g0, g2, expected, pts)
         assert res["refused"]
@@ -452,8 +447,8 @@ class TestInterpolation:
         pair = [g0, g0]
         pair[disagreeing] = gm.build_singular_germ(b, doubled)
         base = g0.restricted.chart
-        expected = fm.one_form(base, {"u": -coordinate(base, "v"),
-                                      "v": coordinate(base, "u")})
+        expected = fm.one_form(base, {"u": parse_field(base, "-v"),
+                                      "v": parse_field(base, "u")})
         pts = gm.scan_points(g0, rng, 40)
         res = gm.interpolation_contactness(*pair, expected, pts)
         assert res == {"refused": True,

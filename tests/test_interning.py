@@ -201,7 +201,7 @@ class TestHighDimension:
     def test_top_form_node_counts(self, n, tree, distinct):
         (coeff,) = top_form(dense_germ(n).alpha, n).coeffs.values()
         # one object per distinct structure
-        assert node_counts(coeff.expr) == (tree, distinct, distinct)
+        assert node_counts(coeff) == (tree, distinct, distinct)
 
     @pytest.mark.parametrize("n, tree, distinct", PFAFFIAN_NODES)
     def test_pfaffian_node_counts(self, n, tree, distinct):

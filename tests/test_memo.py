@@ -220,8 +220,7 @@ class TestDerivationMemos:
                                   ("z", "x", "y"))),
         (co._lambda_coeffs, lambda i: (("x1", "y1"), (
             Var("x1"), Var("y1"), mul_y(i)))),
-        (co._scan_exprs, lambda i: (("x", "y"), (mul_y(i), Var("x")), ())),
-    ], ids=["d_coeffs", "top_coeff", "lambda_coeffs", "scan_exprs"])
+    ], ids=["d_coeffs", "top_coeff", "lambda_coeffs"])
     def test_lru_memos_are_bounded(self, memo, key):
         size = memo.cache_info().maxsize
         assert size == fm.DERIVATION_MEMO

@@ -92,12 +92,10 @@ MEMOS = {
                       "(17/20 pairs)",
     "forms.top_coeff": "steady pointwise-identities pass +3.5% without it "
                        "(16/20 pairs), first pass +17% (7/8)",
-    "coiso._lambda_coeffs": "with _scan_exprs: steady scan-grid pass +2.3% "
-                            "without both (25/40 pairs)",
-    "coiso._scan_exprs": "kept only jointly: steady scan-grid pass +2.3% "
-                         "without both it and _lambda_coeffs (25/40 "
-                         "pairs); alone no pay shown, +0.6% (11/20) "
-                         "steady and +0.1% (3/8) first pass",
+    "coiso._lambda_coeffs": "no pay shown alone: steady scan-grid pass "
+                            "+0.6% without it (memo faster in 24/40 "
+                            "pairs), first pass 3/8; the joint +2.3% "
+                            "(25/40) was with the deleted _scan_exprs",
     "germ._pencil": "first holonomy-transport pass +19% without it "
                     "(7/8 pairs)",
     "bundle._fiber_grid": "steady holonomy-transport pass +6.1% without it "

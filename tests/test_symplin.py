@@ -7,7 +7,7 @@ from scipy.linalg import null_space as scipy_null_space
 
 from legfol import forms as fm
 from legfol import symplin as sl
-from legfol.fields import Chart, coordinate
+from legfol.fields import Chart, parse_field
 
 from oracles import standard_symplectic, svd_count
 
@@ -134,7 +134,7 @@ class TestContactHyperplane:
         ch = Chart(names)
         a = fm.one_form(ch, {"z": 1.0})
         for i in range(1, n + 1):
-            a = a + fm.one_form(ch, {f"x{i}": -coordinate(ch, f"y{i}")})
+            a = a + fm.one_form(ch, {f"x{i}": parse_field(ch, f"-y{i}")})
         return a
 
     def test_hyperplane_and_restriction(self, rng):
@@ -154,7 +154,7 @@ class TestContactHyperplane:
 
     def test_vanishing_rejected(self):
         ch = Chart(("x", "y", "z"))
-        a = fm.one_form(ch, {"z": coordinate(ch, "x")})
+        a = fm.one_form(ch, {"z": parse_field(ch, "x")})
         with pytest.raises(sl.NotContact):
             sl.contact_hyperplane(a, [0.0, 1.0, 0.0])
 
